@@ -14,7 +14,6 @@
 
 #include <chrono>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"

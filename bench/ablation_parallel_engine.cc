@@ -1,30 +1,25 @@
-// Ablation: deterministic parallel emulation engine (work-stealing
-// virtual-time scheduler) vs thread-per-actor execution.
+// Ablation: size of the engine's worker pool — one worker vs one per
+// hardware thread.
 //
 // The fleet is n/2 source->target pipelines (n emulated nodes), each a
 // 1:1 latency-optimized shuffle flow (one tuple per segment). A bench-level
 // bounded skew window keeps each producer within a few segments of its
 // consumer — the tightly coupled interleaving every multi-actor emulation
-// exhibits — so the pair hands off on every delivery. Thread-per-actor pays
-// two kernel context switches per handoff across n oversubscribed OS
-// threads; the engine parks and resumes ucontext fibers in user space on a
-// fixed worker pool. The skew window is pure real-time synchronization
-// (it never touches a virtual clock), and the flow's own backpressure
-// paths stay cold (credits never run low at this window size), so every
-// virtual quantity is a push-side sequential sum or max-join: the reported
-// simulated time — the last segment's wire arrival — is digit-identical
-// between the modes, and the ablation isolates pure emulator overhead:
-// wall-clock drops (target: >= 4x at 64 nodes), simulated time moves
-// 0.00%.
+// exhibits — so the pair hands off on every delivery, each handoff a fiber
+// park/resume. The skew window never touches a virtual clock, and the
+// flow's own backpressure paths stay cold (credits never run low at this
+// window size), so every virtual quantity is a push-side sequential sum or
+// max-join: the reported simulated time — the last segment's wire arrival —
+// is digit-identical between pool sizes, and the ablation isolates pure
+// emulator overhead of running the scheduler on more OS threads.
 //
-// Part A: 64-node fleet, thread mode vs engine mode (speedup headline).
-// Part B: fleet scaling 8..256 nodes, both modes (EXPERIMENTS.md table).
+// Part A: 64-node fleet, pool 1 vs pool N (headline).
+// Part B: fleet scaling 8..256 nodes, both pool sizes (EXPERIMENTS.md
+// table).
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -37,50 +32,41 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 // Fixed total work per fleet run, split across pipelines: within a fleet
-// size the thread/engine comparison is like-for-like, and across sizes the
-// thread-mode cost of oversubscription grows while total emulated work
-// stays constant. Divisible by every pipeline count used below.
+// size the pool-size comparison is like-for-like, and across sizes the
+// total emulated work stays constant. Divisible by every pipeline count
+// used below.
 constexpr uint64_t kTotalTuples = 491'520;
 
 // Actors per emulated node: each node pair carries this many independent
 // 1:1 flows, each with its own source and target actor. Emulated fleets
-// run many actors per node (flow endpoints, MPI ranks, replicas, clients);
-// the oversubscription cost of thread-per-actor grows with the actor
-// count, which is exactly what the engine removes.
+// run many actors per node (flow endpoints, MPI ranks, replicas, clients).
 constexpr uint32_t kFlowsPerPair = 4;
 
-// Max segments a producer may run ahead of its consumer, enforced with
-// real-time parking only — the tight coupling every multi-actor emulation
-// exhibits. Small so the pair hands off on (nearly) every delivery.
+// Max segments a producer may run ahead of its consumer, enforced by
+// parking without a virtual-time charge — the tight coupling every
+// multi-actor emulation exhibits. Small so the pair hands off on (nearly)
+// every delivery.
 constexpr uint64_t kSkewWindow = 4;
 
-/// Real-time-only backpressure between one producer/consumer pair. In an
-/// engine it parks the task; on threads it does a timed cv wait. Neither
-/// side ever advances a virtual clock, so the window is invisible to the
+/// Scheduling-only backpressure between one producer/consumer pair: the
+/// producer parks its task until the consumer catches up. Neither side
+/// ever advances a virtual clock, so the window is invisible to the
 /// emulation.
 struct SkewGate {
   std::atomic<uint64_t> consumed{0};
   exec::WaitPoint wp;
-  std::mutex mu;
-  std::condition_variable cv;
 
   void AwaitRoom(uint64_t next) {
     auto room = [&] {
       return next < consumed.load(std::memory_order_acquire) + kSkewWindow;
     };
     while (!room()) {
-      if (exec::Engine::InTask()) {
-        exec::Engine::Park(&wp, room, /*now=*/0, exec::Engine::kNoTimer);
-      } else {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait_for(lock, std::chrono::microseconds(200), room);
-      }
+      exec::Engine::Park(&wp, room, /*now=*/0, exec::Engine::kNoTimer);
     }
   }
 
   void Consumed() {
     consumed.fetch_add(1, std::memory_order_release);
-    cv.notify_one();
     wp.WakeAll();
   }
 };
@@ -91,10 +77,8 @@ struct FleetRun {
   uint64_t tuples = 0;  // total tuples delivered (sanity)
 };
 
-/// Spawns one actor per endpoint (n/2 sources + n/2 targets) and runs the
-/// fleet to completion. Called either from a plain thread (thread-per-actor
-/// mode) or from inside an engine root task (engine mode) — ActorGroup
-/// picks the execution vehicle.
+/// Spawns one actor per endpoint (n/2 sources + n/2 targets) on the calling
+/// task's engine and runs the fleet to completion.
 FleetRun RunFleetBody(uint32_t nodes) {
   const uint32_t pipelines = (nodes / 2) * kFlowsPerPair;
   const uint64_t tuples = kTotalTuples / pipelines;
@@ -155,9 +139,8 @@ FleetRun RunFleetBody(uint32_t nodes) {
         counts[p] += seg.bytes / 8;
         // Flow completion = last wire arrival. Arrival times are computed
         // from push-side sequential state, so this max-join is identical
-        // in both execution modes; the target's own clock is not (it
-        // accrues a poll charge per raced ready-gate pop, and the number
-        // of raced pops depends on real-time interleaving).
+        // at every pool size; the target's own clock need not be (with
+        // several workers the ready-gate pop order races).
         done[p] = std::max(done[p], seg.arrival);
         gates[p]->Consumed();
       }
@@ -173,16 +156,13 @@ FleetRun RunFleetBody(uint32_t nodes) {
   return run;
 }
 
-FleetRun RunFleet(bool engine_mode, uint32_t nodes) {
+/// Runs the fleet on a `workers`-wide engine (0 = one per hardware thread).
+FleetRun RunFleet(uint32_t workers, uint32_t nodes) {
   const Clock::time_point start = Clock::now();
   FleetRun run;
-  if (engine_mode) {
-    exec::Engine engine({.workers = 0, .lookahead_ns = 1000});
-    engine.Spawn(0, "fleet-root", [&] { run = RunFleetBody(nodes); });
-    engine.Run();
-  } else {
-    run = RunFleetBody(nodes);
-  }
+  exec::Engine engine({.workers = workers, .lookahead_ns = 1000});
+  engine.Spawn(0, "fleet-root", [&] { run = RunFleetBody(nodes); });
+  engine.Run();
   run.wall_s =
       std::chrono::duration<double>(Clock::now() - start).count();
   DFI_CHECK_EQ(run.tuples, kTotalTuples);
@@ -209,46 +189,48 @@ double SimDeltaPct(const FleetRun& a, const FleetRun& b) {
 }
 
 void Run() {
+  const uint32_t pool = exec::Engine({.workers = 0}).workers();
+  const std::string pool_name = "pool " + std::to_string(pool);
   // Warm up allocator, page cache, and fiber stacks so part A's headline
   // numbers are not skewed by first-run effects.
-  RunFleet(/*engine_mode=*/false, 8);
-  RunFleet(/*engine_mode=*/true, 8);
+  RunFleet(1, 8);
+  RunFleet(0, 8);
 
-  PrintSection("Ablation: parallel emulation engine, 64-node fleet");
-  const FleetRun threads64 = RunFleet(/*engine_mode=*/false, 64);
-  const FleetRun engine64 = RunFleet(/*engine_mode=*/true, 64);
-  const double speedup = threads64.wall_s / engine64.wall_s;
+  PrintSection("Ablation: engine worker pool, 64-node fleet");
+  const FleetRun one64 = RunFleet(1, 64);
+  const FleetRun many64 = RunFleet(0, 64);
+  const double speedup = one64.wall_s / many64.wall_s;
   {
     TablePrinter t({"execution", "wall clock", "sim time", "sim delta"});
-    t.AddRow({"thread-per-actor (256 threads)", Secs(threads64.wall_s),
-              Millis(threads64.sim_done), "-"});
-    t.AddRow({"engine (work-stealing fibers)", Secs(engine64.wall_s),
-              Millis(engine64.sim_done),
-              Pct(SimDeltaPct(threads64, engine64))});
+    t.AddRow({"pool 1 (one worker)", Secs(one64.wall_s),
+              Millis(one64.sim_done), "-"});
+    t.AddRow({pool_name + " (one per hardware thread)", Secs(many64.wall_s),
+              Millis(many64.sim_done), Pct(SimDeltaPct(one64, many64))});
     t.Print();
   }
-  std::printf("engine speedup at 64 nodes: %.2fx (simulated time %s)\n",
-              speedup, Pct(SimDeltaPct(threads64, engine64)).c_str());
-  RecordMetric("engine_speedup_64_nodes", speedup, "x");
-  RecordMetric("sim_time_delta_64_nodes", SimDeltaPct(threads64, engine64),
-               "%");
-  RecordMetric("engine_wall_64_nodes", engine64.wall_s, "s");
-  RecordMetric("threads_wall_64_nodes", threads64.wall_s, "s");
+  std::printf("%s speedup over pool 1 at 64 nodes: %.2fx (simulated time "
+              "%s)\n",
+              pool_name.c_str(), speedup,
+              Pct(SimDeltaPct(one64, many64)).c_str());
+  RecordMetric("pool_speedup_64_nodes", speedup, "x");
+  RecordMetric("sim_time_delta_64_nodes", SimDeltaPct(one64, many64), "%");
+  RecordMetric("pool1_wall_64_nodes", one64.wall_s, "s");
+  RecordMetric("poolN_wall_64_nodes", many64.wall_s, "s");
 
-  PrintSection("Fleet scaling: thread-per-actor vs engine");
-  TablePrinter t({"nodes", "threads wall", "engine wall", "speedup",
+  PrintSection("Fleet scaling: pool 1 vs " + pool_name);
+  TablePrinter t({"nodes", "pool 1 wall", pool_name + " wall", "speedup",
                   "sim delta"});
   for (uint32_t nodes : {8u, 16u, 64u, 128u, 256u}) {
-    const FleetRun th = RunFleet(/*engine_mode=*/false, nodes);
-    const FleetRun en = RunFleet(/*engine_mode=*/true, nodes);
+    const FleetRun one = RunFleet(1, nodes);
+    const FleetRun many = RunFleet(0, nodes);
     char sp[32];
-    std::snprintf(sp, sizeof(sp), "%.2fx", th.wall_s / en.wall_s);
-    t.AddRow({std::to_string(nodes), Secs(th.wall_s), Secs(en.wall_s), sp,
-              Pct(SimDeltaPct(th, en))});
-    RecordMetric("engine_speedup_" + std::to_string(nodes) + "_nodes",
-                 th.wall_s / en.wall_s, "x");
+    std::snprintf(sp, sizeof(sp), "%.2fx", one.wall_s / many.wall_s);
+    t.AddRow({std::to_string(nodes), Secs(one.wall_s), Secs(many.wall_s), sp,
+              Pct(SimDeltaPct(one, many))});
+    RecordMetric("pool_speedup_" + std::to_string(nodes) + "_nodes",
+                 one.wall_s / many.wall_s, "x");
     RecordMetric("sim_time_delta_" + std::to_string(nodes) + "_nodes",
-                 SimDeltaPct(th, en), "%");
+                 SimDeltaPct(one, many), "%");
   }
   t.Print();
 }

@@ -10,8 +10,6 @@
 // across segment sizes 256 B .. 64 KiB, plus the effect of the source-ring
 // depth (selective-signaling frequency).
 
-#include <atomic>
-
 #include "bench/bench_common.h"
 
 namespace dfi::bench {
@@ -33,7 +31,8 @@ double Throughput(uint32_t segment_size, uint32_t source_segments) {
   spec.options.source_segments = source_segments;
   DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
 
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "producer", [&] {
     auto src = dfi.CreateShuffleSource("ab", 0);
     std::vector<uint8_t> buf(kTupleSize, 0);
     for (uint64_t i = 0; i < kTableBytes / kTupleSize; ++i) {
@@ -43,10 +42,12 @@ double Throughput(uint32_t segment_size, uint32_t source_segments) {
     DFI_CHECK_OK((*src)->Close());
   });
   auto tgt = dfi.CreateShuffleTarget("ab", 0);
-  SegmentView seg;
-  while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
-  }
-  producer.join();
+  engine.Spawn(1, "consumer", [&] {
+    SegmentView seg;
+    while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
+    }
+  });
+  engine.Run();
   return static_cast<double>(kTableBytes) /
          static_cast<double>((*tgt)->clock().now());
 }
@@ -66,7 +67,8 @@ SimTime FirstTupleLatency(uint32_t segment_size) {
   spec.options.segment_size = segment_size;
   DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
 
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "producer", [&] {
     auto src = dfi.CreateShuffleSource("ab", 0);
     std::vector<uint8_t> buf(kTupleSize, 1);
     // Enough tuples to fill several segments of the largest setting.
@@ -78,12 +80,15 @@ SimTime FirstTupleLatency(uint32_t segment_size) {
     DFI_CHECK_OK((*src)->Close());
   });
   auto tgt = dfi.CreateShuffleTarget("ab", 0);
-  TupleView tuple;
-  DFI_CHECK((*tgt)->Consume(&tuple) == ConsumeResult::kOk);
-  const SimTime latency = (*tgt)->clock().now();
-  while ((*tgt)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-  }
-  producer.join();
+  SimTime latency = 0;
+  engine.Spawn(1, "consumer", [&] {
+    TupleView tuple;
+    DFI_CHECK((*tgt)->Consume(&tuple) == ConsumeResult::kOk);
+    latency = (*tgt)->clock().now();
+    while ((*tgt)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+    }
+  });
+  engine.Run();
   return latency;
 }
 

@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 
 #include "bench/bench_common.h"
 
@@ -91,9 +90,9 @@ RunStats RunShuffle(const SweepConfig& cfg,
   RunStats stats;
   std::atomic<SimTime> finish{0};
   std::atomic<uint64_t> resplit{0}, diverted{0}, stolen{0};
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
+    engine.Spawn(w / kThreadsPerNode, "worker", [&, w] {
       auto src = dfi.CreateShuffleSource("skew", w);
       auto tgt = dfi.CreateShuffleTarget("skew", w);
       const SimTime process =
@@ -145,7 +144,7 @@ RunStats RunShuffle(const SweepConfig& cfg,
       }
     });
   }
-  for (auto& th : threads) th.join();
+  engine.Run();
   stats.finish = finish.load();
   stats.resplit = resplit.load();
   stats.diverted = diverted.load();

@@ -16,7 +16,7 @@ namespace {
 using consensus::ChaosConfig;
 using consensus::ChaosResult;
 
-void Run() {
+void Body() {
   PrintSection(
       "Chaos: Multi-Paxos leader failover (5 replicas, 6 clients, "
       "fail-stop leader crash, 50 ms block deadline)");
@@ -50,6 +50,14 @@ void Run() {
       " resubmit their in-flight request on the failover flows; recovery\n"
       " is dominated by crash detection plus the new leader's log replay,\n"
       " far below the worst-case block deadline.)\n");
+}
+
+void Run() {
+  // The consensus app spawns its replicas and clients as actors of the
+  // calling task's engine.
+  exec::Engine engine;
+  engine.Spawn(0, "chaos", Body);
+  engine.Run();
 }
 
 }  // namespace

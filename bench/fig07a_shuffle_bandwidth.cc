@@ -30,9 +30,9 @@ SimTime RunCell(uint32_t tuple_size, uint32_t num_sources) {
 
   const uint64_t tuples_per_source = kBytesPerSource / tuple_size;
   std::atomic<SimTime> finish{0};
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t s = 0; s < num_sources; ++s) {
-    threads.emplace_back([&, s] {
+    engine.Spawn(0, "source", [&, s] {
       auto src = dfi.CreateShuffleSource("bw", s);
       std::vector<uint8_t> buf(tuple_size, 0);
       for (uint64_t i = 0; i < tuples_per_source; ++i) {
@@ -44,7 +44,7 @@ SimTime RunCell(uint32_t tuple_size, uint32_t num_sources) {
     });
   }
   for (uint32_t t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
+    engine.Spawn(1 + t, "target", [&, t] {
       auto tgt = dfi.CreateShuffleTarget("bw", t);
       SegmentView seg;
       while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
@@ -55,7 +55,7 @@ SimTime RunCell(uint32_t tuple_size, uint32_t num_sources) {
       }
     });
   }
-  for (auto& th : threads) th.join();
+  engine.Run();
   return finish.load();
 }
 

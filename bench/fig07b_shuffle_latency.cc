@@ -78,9 +78,9 @@ SimTime DfiRoundTrip(uint32_t size, uint32_t num_servers) {
   resp.options.optimization = FlowOptimization::kLatency;
   DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(resp)));
 
-  std::vector<std::thread> servers;
+  exec::Engine engine;
   for (uint32_t s = 0; s < num_servers; ++s) {
-    servers.emplace_back([&, s] {
+    engine.Spawn(1 + s, "server", [&, s] {
       auto in = dfi.CreateShuffleTarget("req", s);
       auto out = dfi.CreateShuffleSource("resp", s);
       TupleView tuple;
@@ -93,25 +93,27 @@ SimTime DfiRoundTrip(uint32_t size, uint32_t num_servers) {
     });
   }
 
-  auto src = dfi.CreateShuffleSource("req", 0);
-  auto tgt = dfi.CreateShuffleTarget("resp", 0);
-  std::vector<uint8_t> buf(size, 0);
   LatencyRecorder rtt;
-  for (int i = 0; i < kRounds; ++i) {
-    const SimTime t0 =
-        std::max((*src)->clock().now(), (*tgt)->clock().now());
-    (*src)->clock().AdvanceTo(t0);
-    TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
-    DFI_CHECK_OK((*src)->PushTo(buf.data(), i % num_servers));
+  engine.Spawn(0, "client", [&] {
+    auto src = dfi.CreateShuffleSource("req", 0);
+    auto tgt = dfi.CreateShuffleTarget("resp", 0);
+    std::vector<uint8_t> buf(size, 0);
+    for (int i = 0; i < kRounds; ++i) {
+      const SimTime t0 =
+          std::max((*src)->clock().now(), (*tgt)->clock().now());
+      (*src)->clock().AdvanceTo(t0);
+      TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
+      DFI_CHECK_OK((*src)->PushTo(buf.data(), i % num_servers));
+      TupleView tuple;
+      DFI_CHECK((*tgt)->Consume(&tuple) == ConsumeResult::kOk);
+      rtt.Record((*tgt)->clock().now() - t0);
+    }
+    DFI_CHECK_OK((*src)->Close());
     TupleView tuple;
-    DFI_CHECK((*tgt)->Consume(&tuple) == ConsumeResult::kOk);
-    rtt.Record((*tgt)->clock().now() - t0);
-  }
-  DFI_CHECK_OK((*src)->Close());
-  for (auto& th : servers) th.join();
-  TupleView tuple;
-  while ((*tgt)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-  }
+    while ((*tgt)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+    }
+  });
+  engine.Run();
   return rtt.Median();
 }
 

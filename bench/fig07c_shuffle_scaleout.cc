@@ -28,9 +28,9 @@ double RunCell(uint32_t num_nodes, uint32_t threads_per_node,
   const uint32_t workers = num_nodes * threads_per_node;
   const uint64_t tuples = bytes_per_source / kTupleSize;
   std::atomic<SimTime> finish{0};
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
+    engine.Spawn(w / threads_per_node, "worker", [&, w] {
       auto src = dfi.CreateShuffleSource("scale", w);
       auto tgt = dfi.CreateShuffleTarget("scale", w);
       std::vector<uint8_t> buf(kTupleSize, 0);
@@ -68,7 +68,7 @@ double RunCell(uint32_t num_nodes, uint32_t threads_per_node,
       }
     });
   }
-  for (auto& th : threads) th.join();
+  engine.Run();
   const double total_bytes =
       static_cast<double>(bytes_per_source) * workers;
   return total_bytes / static_cast<double>(finish.load());  // bytes/ns

@@ -32,9 +32,9 @@ double RunCell(uint32_t tuple_size, uint32_t num_sources, bool multicast) {
 
   const uint64_t tuples = kBytesPerSource / tuple_size;
   std::atomic<SimTime> finish{0};
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t s = 0; s < num_sources; ++s) {
-    threads.emplace_back([&, s] {
+    engine.Spawn(0, "source", [&, s] {
       auto src = dfi.CreateReplicateSource("rep", s);
       std::vector<uint8_t> buf(tuple_size, 0);
       for (uint64_t i = 0; i < tuples; ++i) {
@@ -45,7 +45,7 @@ double RunCell(uint32_t tuple_size, uint32_t num_sources, bool multicast) {
     });
   }
   for (uint32_t t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
+    engine.Spawn(1 + t, "target", [&, t] {
       auto tgt = dfi.CreateReplicateTarget("rep", t);
       SegmentView seg;
       while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
@@ -56,7 +56,7 @@ double RunCell(uint32_t tuple_size, uint32_t num_sources, bool multicast) {
       }
     });
   }
-  for (auto& th : threads) th.join();
+  engine.Run();
   // Aggregated *receiver* bandwidth: every byte arrives at all 8 targets.
   const double delivered =
       static_cast<double>(kBytesPerSource) * num_sources * 8;

@@ -37,9 +37,9 @@ SimTime RunCell(uint32_t tuple_size, uint32_t num_targets, bool multicast) {
   resp.options.optimization = FlowOptimization::kLatency;
   DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(resp)));
 
-  std::vector<std::thread> servers;
+  exec::Engine engine;
   for (uint32_t t = 0; t < num_targets; ++t) {
-    servers.emplace_back([&, t] {
+    engine.Spawn(1 + t, "server", [&, t] {
       auto in = dfi.CreateReplicateTarget("req", t);
       auto out = dfi.CreateShuffleSource("resp", t);
       TupleView tuple;
@@ -53,28 +53,30 @@ SimTime RunCell(uint32_t tuple_size, uint32_t num_targets, bool multicast) {
     });
   }
 
-  auto src = dfi.CreateReplicateSource("req", 0);
-  auto tgt = dfi.CreateShuffleTarget("resp", 0);
-  std::vector<uint8_t> buf(tuple_size, 0);
   LatencyRecorder rtt;
-  for (int i = 0; i < kRounds; ++i) {
-    const SimTime t0 =
-        std::max((*src)->clock().now(), (*tgt)->clock().now());
-    (*src)->clock().AdvanceTo(t0);
-    (*tgt)->clock().AdvanceTo(t0);
-    TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
-    DFI_CHECK_OK((*src)->Push(buf.data()));
-    for (uint32_t r = 0; r < num_targets; ++r) {
-      TupleView tuple;
-      DFI_CHECK((*tgt)->Consume(&tuple) == ConsumeResult::kOk);
+  engine.Spawn(0, "client", [&] {
+    auto src = dfi.CreateReplicateSource("req", 0);
+    auto tgt = dfi.CreateShuffleTarget("resp", 0);
+    std::vector<uint8_t> buf(tuple_size, 0);
+    for (int i = 0; i < kRounds; ++i) {
+      const SimTime t0 =
+          std::max((*src)->clock().now(), (*tgt)->clock().now());
+      (*src)->clock().AdvanceTo(t0);
+      (*tgt)->clock().AdvanceTo(t0);
+      TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
+      DFI_CHECK_OK((*src)->Push(buf.data()));
+      for (uint32_t r = 0; r < num_targets; ++r) {
+        TupleView tuple;
+        DFI_CHECK((*tgt)->Consume(&tuple) == ConsumeResult::kOk);
+      }
+      rtt.Record((*tgt)->clock().now() - t0);
     }
-    rtt.Record((*tgt)->clock().now() - t0);
-  }
-  DFI_CHECK_OK((*src)->Close());
-  for (auto& th : servers) th.join();
-  TupleView tuple;
-  while ((*tgt)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-  }
+    DFI_CHECK_OK((*src)->Close());
+    TupleView tuple;
+    while ((*tgt)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+    }
+  });
+  engine.Run();
   return rtt.Median();
 }
 

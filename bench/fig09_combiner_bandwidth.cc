@@ -43,9 +43,9 @@ double RunCell(uint32_t tuple_size, uint32_t target_threads) {
 
   const uint64_t tuples = kBytesPerSource / tuple_size;
   std::atomic<SimTime> finish{0};
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t s = 0; s < 8; ++s) {
-    threads.emplace_back([&, s] {
+    engine.Spawn(1 + s, "source", [&, s] {
       auto src = dfi.CreateCombinerSource("agg", s);
       std::vector<uint8_t> buf(tuple_size, 0);
       for (uint64_t i = 0; i < tuples; ++i) {
@@ -58,7 +58,7 @@ double RunCell(uint32_t tuple_size, uint32_t target_threads) {
     });
   }
   for (uint32_t t = 0; t < target_threads; ++t) {
-    threads.emplace_back([&, t] {
+    engine.Spawn(0, "target", [&, t] {
       auto tgt = dfi.CreateCombinerTarget("agg", t);
       AggRow row;
       while ((*tgt)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
@@ -69,7 +69,7 @@ double RunCell(uint32_t tuple_size, uint32_t target_threads) {
       }
     });
   }
-  for (auto& th : threads) th.join();
+  engine.Run();
   const double total = static_cast<double>(kBytesPerSource) * 8;
   return total / static_cast<double>(finish.load());
 }

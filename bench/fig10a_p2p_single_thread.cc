@@ -5,8 +5,6 @@
 // Paper result: MPI_Send/Recv is very slow for small tuples (no batching);
 // DFI's bandwidth optimization stays fast across all tuple sizes.
 
-#include <atomic>
-
 #include "bench/bench_common.h"
 #include "mpi/mpi_env.h"
 
@@ -28,8 +26,8 @@ SimTime RunDfi(uint32_t tuple_size, FlowOptimization opt) {
   DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
 
   const uint64_t tuples = kTableBytes / tuple_size;
-  std::atomic<SimTime> finish{0};
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "producer", [&] {
     auto src = dfi.CreateShuffleSource("p2p", 0);
     std::vector<uint8_t> buf(tuple_size, 0);
     for (uint64_t i = 0; i < tuples; ++i) {
@@ -39,10 +37,12 @@ SimTime RunDfi(uint32_t tuple_size, FlowOptimization opt) {
     DFI_CHECK_OK((*src)->Close());
   });
   auto tgt = dfi.CreateShuffleTarget("p2p", 0);
-  SegmentView seg;
-  while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
-  }
-  producer.join();
+  engine.Spawn(1, "consumer", [&] {
+    SegmentView seg;
+    while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
+    }
+  });
+  engine.Run();
   return (*tgt)->clock().now();
 }
 
@@ -51,8 +51,8 @@ SimTime RunMpi(uint32_t tuple_size) {
   auto nodes = fabric.AddNodes(2);
   mpi::MpiEnv env(&fabric, nodes);
   const uint64_t tuples = kTableBytes / tuple_size;
-  SimTime finish = 0;
-  std::thread sender([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "sender", [&] {
     VirtualClock clock;
     std::vector<uint8_t> buf(tuple_size, 0);
     for (uint64_t i = 0; i < tuples; ++i) {
@@ -60,13 +60,14 @@ SimTime RunMpi(uint32_t tuple_size) {
     }
   });
   VirtualClock clock;
-  std::vector<uint8_t> buf(tuple_size, 0);
-  for (uint64_t i = 0; i < tuples; ++i) {
-    DFI_CHECK_OK(env.Recv(1, 0, 0, buf.data(), tuple_size, &clock));
-  }
-  sender.join();
-  finish = clock.now();
-  return finish;
+  engine.Spawn(1, "receiver", [&] {
+    std::vector<uint8_t> buf(tuple_size, 0);
+    for (uint64_t i = 0; i < tuples; ++i) {
+      DFI_CHECK_OK(env.Recv(1, 0, 0, buf.data(), tuple_size, &clock));
+    }
+  });
+  engine.Run();
+  return clock.now();
 }
 
 void Run() {

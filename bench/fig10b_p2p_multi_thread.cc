@@ -30,9 +30,9 @@ SimTime RunDfi(uint32_t threads_count) {
 
   const uint64_t tuples = kTableBytes / kTupleSize / threads_count;
   std::atomic<SimTime> finish{0};
-  std::vector<std::thread> workers;
+  exec::Engine engine;
   for (uint32_t s = 0; s < threads_count; ++s) {
-    workers.emplace_back([&, s] {
+    engine.Spawn(0, "source", [&, s] {
       auto src = dfi.CreateShuffleSource("p2p", s);
       std::vector<uint8_t> buf(kTupleSize, 0);
       for (uint64_t i = 0; i < tuples; ++i) {
@@ -41,7 +41,7 @@ SimTime RunDfi(uint32_t threads_count) {
       }
       DFI_CHECK_OK((*src)->Close());
     });
-    workers.emplace_back([&, s] {
+    engine.Spawn(1, "target", [&, s] {
       auto tgt = dfi.CreateShuffleTarget("p2p", s);
       SegmentView seg;
       while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
@@ -52,7 +52,7 @@ SimTime RunDfi(uint32_t threads_count) {
       }
     });
   }
-  for (auto& th : workers) th.join();
+  engine.Run();
   return finish.load();
 }
 
@@ -64,9 +64,9 @@ SimTime RunMpiMultiThreaded(uint32_t threads_count) {
   mpi::MpiEnv env(&fabric, nodes, mpi::ThreadMode::kMultiple, threads_count);
   const uint64_t tuples = kTableBytes / kTupleSize / threads_count;
   std::atomic<SimTime> finish{0};
-  std::vector<std::thread> workers;
+  exec::Engine engine;
   for (uint32_t t = 0; t < threads_count; ++t) {
-    workers.emplace_back([&, t] {
+    engine.Spawn(0, "sender", [&, t] {
       VirtualClock clock;
       std::vector<uint8_t> buf(kTupleSize, 0);
       for (uint64_t i = 0; i < tuples; ++i) {
@@ -75,7 +75,7 @@ SimTime RunMpiMultiThreaded(uint32_t threads_count) {
                      &clock));
       }
     });
-    workers.emplace_back([&, t] {
+    engine.Spawn(1, "receiver", [&, t] {
       VirtualClock clock;
       std::vector<uint8_t> buf(kTupleSize, 0);
       for (uint64_t i = 0; i < tuples; ++i) {
@@ -88,7 +88,7 @@ SimTime RunMpiMultiThreaded(uint32_t threads_count) {
       }
     });
   }
-  for (auto& th : workers) th.join();
+  engine.Run();
   return finish.load();
 }
 
@@ -103,9 +103,9 @@ SimTime RunMpiMultiProcess(uint32_t procs) {
   mpi::MpiEnv env(&fabric, ranks, mpi::ThreadMode::kSingle);
   const uint64_t tuples = kTableBytes / kTupleSize / procs;
   std::atomic<SimTime> finish{0};
-  std::vector<std::thread> workers;
+  exec::Engine engine;
   for (uint32_t p = 0; p < procs; ++p) {
-    workers.emplace_back([&, p] {
+    engine.Spawn(0, "sender", [&, p] {
       VirtualClock clock;
       std::vector<uint8_t> buf(kTupleSize, 0);
       for (uint64_t i = 0; i < tuples; ++i) {
@@ -114,7 +114,7 @@ SimTime RunMpiMultiProcess(uint32_t procs) {
                               kTupleSize, &clock));
       }
     });
-    workers.emplace_back([&, p] {
+    engine.Spawn(1, "receiver", [&, p] {
       VirtualClock clock;
       std::vector<uint8_t> buf(kTupleSize, 0);
       for (uint64_t i = 0; i < tuples; ++i) {
@@ -128,7 +128,7 @@ SimTime RunMpiMultiProcess(uint32_t procs) {
       }
     });
   }
-  for (auto& th : workers) th.join();
+  engine.Run();
   return finish.load();
 }
 

@@ -29,9 +29,9 @@ SimTime RunDfi(uint32_t tuple_size) {
 
   const uint64_t tuples = kTableBytesPerNode / tuple_size;
   std::atomic<SimTime> finish{0};
-  std::vector<std::thread> workers;
+  exec::Engine engine;
   for (uint32_t w = 0; w < kNodes; ++w) {
-    workers.emplace_back([&, w] {
+    engine.Spawn(w, "worker", [&, w] {
       auto src = dfi.CreateShuffleSource("a2a", w);
       auto tgt = dfi.CreateShuffleTarget("a2a", w);
       std::vector<uint8_t> buf(tuple_size, 0);
@@ -65,7 +65,7 @@ SimTime RunDfi(uint32_t tuple_size) {
       }
     });
   }
-  for (auto& th : workers) th.join();
+  engine.Run();
   return finish.load();
 }
 
@@ -78,9 +78,9 @@ SimTime RunMpi(uint32_t tuple_size) {
   const uint64_t tuples = kTableBytesPerNode / tuple_size;
   const uint64_t rounds = tuples / kNodes;
   std::atomic<SimTime> finish{0};
-  std::vector<std::thread> workers;
+  exec::Engine engine;
   for (uint32_t r = 0; r < kNodes; ++r) {
-    workers.emplace_back([&, r] {
+    engine.Spawn(r, "rank", [&, r] {
       VirtualClock clock;
       std::vector<uint8_t> send(kNodes * tuple_size, 0);
       std::vector<uint8_t> recv(kNodes * tuple_size, 0);
@@ -98,7 +98,7 @@ SimTime RunMpi(uint32_t tuple_size) {
       }
     });
   }
-  for (auto& th : workers) th.join();
+  engine.Run();
   return finish.load();
 }
 

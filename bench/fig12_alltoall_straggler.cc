@@ -34,9 +34,9 @@ SimTime RunDfi(uint64_t table_bytes, double straggle) {
   // pays 1/s times more (CPU frequency scaled by s).
   const SimTime base_cost = 20;
   std::atomic<SimTime> finish{0};
-  std::vector<std::thread> workers;
+  exec::Engine engine;
   for (uint32_t w = 0; w < kNodes; ++w) {
-    workers.emplace_back([&, w] {
+    engine.Spawn(w, "worker", [&, w] {
       const SimTime cost =
           w == 0 ? static_cast<SimTime>(base_cost / straggle) : base_cost;
       auto src = dfi.CreateShuffleSource("st", w);
@@ -73,7 +73,7 @@ SimTime RunDfi(uint64_t table_bytes, double straggle) {
       }
     });
   }
-  for (auto& th : workers) th.join();
+  engine.Run();
   return finish.load();
 }
 
@@ -84,9 +84,9 @@ SimTime RunMpi(uint64_t table_bytes, double straggle) {
   const uint64_t tuples = table_bytes / kNodes / kTupleSize;
   const SimTime base_cost = 20;
   std::atomic<SimTime> finish{0};
-  std::vector<std::thread> workers;
+  exec::Engine engine;
   for (uint32_t r = 0; r < kNodes; ++r) {
-    workers.emplace_back([&, r] {
+    engine.Spawn(r, "rank", [&, r] {
       const SimTime cost =
           r == 0 ? static_cast<SimTime>(base_cost / straggle) : base_cost;
       VirtualClock clock;
@@ -108,7 +108,7 @@ SimTime RunMpi(uint64_t table_bytes, double straggle) {
       }
     });
   }
-  for (auto& th : workers) th.join();
+  engine.Run();
   return finish.load();
 }
 

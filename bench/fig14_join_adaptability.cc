@@ -10,7 +10,7 @@
 namespace dfi::bench {
 namespace {
 
-void Run() {
+void Body() {
   PrintSection(
       "Figure 14: distributed joins with a small inner relation "
       "(inner = outer / 1024), 8 nodes / 64 workers");
@@ -80,6 +80,13 @@ void Run() {
   std::printf(
       "(expected: the replicate join is fastest — replicating the tiny\n"
       " inner is cheap and the big outer relation never crosses the wire)\n");
+}
+
+void Run() {
+  // The joins spawn their workers as actors of the calling task's engine.
+  exec::Engine engine;
+  engine.Spawn(0, "fig14", Body);
+  engine.Run();
 }
 
 }  // namespace

@@ -41,7 +41,7 @@ void Sweep(const char* name, Fn run, TablePrinter* table) {
   RecordMetric(std::string("peak throughput, ") + name, peak_rps, "req/s");
 }
 
-void Run() {
+void Body() {
   PrintSection(
       "Figure 15: consensus — DARE vs DFI Multi-Paxos vs DFI NOPaxos "
       "(5 replicas, 6 clients, 64 B requests, YCSB 95/5)");
@@ -57,6 +57,14 @@ void Run() {
       " highest rates because clients collect votes themselves. Latencies\n"
       " of the two DFI systems are near-identical at low load: NOPaxos'\n"
       " sequencer costs what Multi-Paxos' extra message delays cost.)\n");
+}
+
+void Run() {
+  // The consensus apps spawn their replicas and clients as actors of the
+  // calling task's engine.
+  exec::Engine engine;
+  engine.Spawn(0, "fig15", Body);
+  engine.Run();
 }
 
 }  // namespace

@@ -171,7 +171,7 @@ ChurnResult RunChurn(const ChurnConfig& cfg) {
       reg::RegistryClientOptions{.client_id = kClients + 1,
                                  .node = nodes.back()},
       &audit_clock);
-  exec::Engine audit_engine({.workers = 1});
+  exec::Engine audit_engine;
   audit_engine.Spawn(0, "audit", [&] {
     for (uint32_t c = 0; c < kClients; ++c) {
       for (size_t base = 0; base < per_client; base += kBatch) {

@@ -36,9 +36,9 @@ CellResult RunCell(uint32_t num_nodes, uint32_t threads_per_node,
   const uint64_t tuples = bytes_per_source / kTupleSize;
   std::atomic<SimTime> finish{0};
   std::atomic<uint64_t> mem_node0{0};
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
+    engine.Spawn(w / threads_per_node, "worker", [&, w] {
       auto src = dfi.CreateShuffleSource("mem", w);
       auto tgt = dfi.CreateShuffleTarget("mem", w);
       if (w == 0) {
@@ -75,7 +75,7 @@ CellResult RunCell(uint32_t num_nodes, uint32_t threads_per_node,
       }
     });
   }
-  for (auto& th : threads) th.join();
+  engine.Run();
   CellResult result;
   result.bytes_node0 = mem_node0.load();
   result.rate_bytes_per_ns = static_cast<double>(bytes_per_source) * workers /

@@ -32,7 +32,13 @@ int main() {
       addrs.push_back(fabric.node(id).address());
     }
     DfiRuntime dfi(&fabric);
-    auto result = join::RunDfiRadixJoin(&dfi, addrs, cfg);
+    // The join spawns its workers as actors of the calling task's engine.
+    StatusOr<join::JoinResult> result = Status::Internal("not run");
+    exec::Engine engine;
+    engine.Spawn(0, "join", [&] {
+      result = join::RunDfiRadixJoin(&dfi, addrs, cfg);
+    });
+    engine.Run();
     DFI_CHECK(result.ok()) << result.status();
     std::printf(
         "radix join:      %llu matches, network+partition %s, "
@@ -54,7 +60,12 @@ int main() {
       addrs.push_back(fabric.node(id).address());
     }
     DfiRuntime dfi(&fabric);
-    auto result = join::RunDfiReplicateJoin(&dfi, addrs, cfg);
+    StatusOr<join::JoinResult> result = Status::Internal("not run");
+    exec::Engine engine;
+    engine.Spawn(0, "join", [&] {
+      result = join::RunDfiReplicateJoin(&dfi, addrs, cfg);
+    });
+    engine.Run();
     DFI_CHECK(result.ok()) << result.status();
     std::printf(
         "replicate join:  %llu matches (small inner), replication %s, "

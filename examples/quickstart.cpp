@@ -1,11 +1,10 @@
 // Quickstart: the paper's Figure 1 end to end — initialize a shuffle flow,
-// push tuples from one source thread and consume them on two target
-// threads, key-partitioned.
+// push tuples from one source actor and consume them on two target actors,
+// key-partitioned. Every emulated actor is a task of an exec::Engine.
 //
 //   $ ./build/examples/quickstart
 
 #include <cstdio>
-#include <thread>
 
 #include "core/dfi.h"
 
@@ -37,9 +36,10 @@ int main() {
     int64_t value;
   };
 
-  // Source thread: push tuples; push is asynchronous and returns as soon as
+  // Source actor: push tuples; push is asynchronous and returns as soon as
   // the tuple is staged in the send buffer.
-  std::thread source_thread([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "source", [&] {
     auto source = dfi.CreateShuffleSource("quickstart", 0);
     DFI_CHECK(source.ok());
     for (int64_t i = 0; i < 8; ++i) {
@@ -49,10 +49,9 @@ int main() {
     DFI_CHECK_OK((*source)->Close());  // end-of-flow to both targets
   });
 
-  // Two target threads: consume until FLOW_END.
-  std::vector<std::thread> target_threads;
+  // Two target actors: consume until FLOW_END.
   for (uint32_t t = 0; t < 2; ++t) {
-    target_threads.emplace_back([&, t] {
+    engine.Spawn(t, "target", [&, t] {
       auto target = dfi.CreateShuffleTarget("quickstart", t);
       DFI_CHECK(target.ok());
       TupleView tuple;
@@ -66,7 +65,6 @@ int main() {
     });
   }
 
-  source_thread.join();
-  for (auto& th : target_threads) th.join();
+  engine.Run();  // returns when every actor has finished
   return 0;
 }

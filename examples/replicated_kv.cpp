@@ -23,7 +23,12 @@ void RunOne(const char* name, Fn run, const consensus::ConsensusConfig& cfg) {
     addrs.push_back(fabric.node(id).address());
   }
   DfiRuntime dfi(&fabric);
-  auto result = run(&dfi, addrs, cfg);
+  // The protocol spawns its replicas and clients as actors of the calling
+  // task's engine.
+  StatusOr<consensus::ConsensusResult> result = Status::Internal("not run");
+  exec::Engine engine;
+  engine.Spawn(0, name, [&] { result = run(&dfi, addrs, cfg); });
+  engine.Run();
   DFI_CHECK(result.ok()) << result.status();
   std::printf("%-12s %8llu requests  %10.0f req/s  median %-9s p95 %s\n",
               name, static_cast<unsigned long long>(result->completed),

@@ -101,8 +101,13 @@ int main() {
   DFI_CHECK_OK(run.status());
   std::printf("%-8s %12s %8s %8s %8s\n", "sensor", "sum", "count", "min",
               "max");
-  DFI_CHECK_OK((*run)->Start());
-  DFI_CHECK_OK((*run)->Finish());
+  // The operators run as actors of the engine task that starts the graph.
+  exec::Engine engine;
+  engine.Spawn(0, "driver", [&] {
+    DFI_CHECK_OK((*run)->Start());
+    DFI_CHECK_OK((*run)->Finish());
+  });
+  engine.Run();
 
   std::printf(
       "%llu groups from %llu samples, aggregated in %s of virtual time\n",

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
-#include <thread>
 #include <unordered_map>
 
 #include "apps/consensus/consensus.h"
@@ -35,16 +34,6 @@ class TupleDrain {
     *out = buffer_.front().first;
     if (arrival != nullptr) *arrival = buffer_.front().second;
     buffer_.pop_front();
-    return true;
-  }
-
-  /// Non-consuming peek at the next message's arrival time; false if no
-  /// message is buffered/available. Lets a consumer of several flows merge
-  /// them in virtual-arrival order instead of real-delivery order.
-  bool PeekArrival(SimTime* arrival) {
-    if (buffer_.empty()) Refill();
-    if (buffer_.empty()) return false;
-    *arrival = buffer_.front().second;
     return true;
   }
 

@@ -124,17 +124,8 @@ StatusOr<ConsensusResult> RunMultiPaxos(DfiRuntime* dfi,
       // epoch, so the IdleWait below returns immediately instead of parking.
       const uint64_t epoch = exec::ProgressEpoch();
       bool progressed = false;
-      // Merge the two incoming flows in *virtual* arrival order: real
-      // delivery order does not track virtual time on an oversubscribed
-      // host, and processing a late-virtual submit before an early-virtual
-      // vote would drag the leader clock (and thus reply times) forward.
-      SimTime submit_arrival = 0, vote_arrival = 0;
-      const bool have_submit = submits.PeekArrival(&submit_arrival);
-      const bool have_vote = votes.PeekArrival(&vote_arrival);
-      const bool take_submit =
-          have_submit && (!have_vote || submit_arrival <= vote_arrival);
       Command cmd;
-      if (take_submit && submits.Next(&cmd)) {
+      if (submits.Next(&cmd)) {
         // Order the request, append it to the local log and forward it to
         // the followers over the replicate flow.
         sync_all();

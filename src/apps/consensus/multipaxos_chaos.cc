@@ -133,13 +133,8 @@ bool RunLeaderTerm(ShuffleTarget* submit_tgt, ShuffleTarget* vote_tgt,
     if (submits.errored() || votes.errored()) return false;
     const uint64_t epoch = exec::ProgressEpoch();
     bool progressed = false;
-    SimTime submit_arrival = 0, vote_arrival = 0;
-    const bool have_submit = submits.PeekArrival(&submit_arrival);
-    const bool have_vote = votes.PeekArrival(&vote_arrival);
-    const bool take_submit =
-        have_submit && (!have_vote || submit_arrival <= vote_arrival);
     Command cmd;
-    if (take_submit && submits.Next(&cmd)) {
+    if (submits.Next(&cmd)) {
       sync_all();
       submit_tgt->clock().Advance(cfg.replica_logic_cost_ns +
                                   cfg.log_append_cost_ns);

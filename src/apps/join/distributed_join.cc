@@ -3,13 +3,13 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "apps/join/hash_table.h"
 #include "bench_util/workload.h"
 #include "core/graph/executor.h"
 #include "core/replicate_flow.h"
 #include "common/hash.h"
+#include "common/exec/engine.h"
 #include "common/logging.h"
 #include "mpi/mpi_env.h"
 
@@ -123,11 +123,12 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
 
   std::atomic<uint64_t> total_matches{0};
   std::vector<SimTime> t_partition(W), t_total(W);
-  std::vector<std::thread> threads;
+  exec::ActorGroup actors;
   std::atomic<bool> failed{false};
 
   for (uint32_t w = 0; w < W; ++w) {
-    threads.emplace_back([&, w] {
+    actors.Spawn(w / config.workers_per_node,
+                 "join.worker." + std::to_string(w), [&, w] {
       auto src1 = run->ClaimShuffleSource("join.inner", w);
       auto tgt1 = run->ClaimShuffleTarget("join.inner", w);
       auto src2 = run->ClaimShuffleSource("join.outer", w);
@@ -261,7 +262,7 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
       t_total[w] = (*tgt2)->clock().now();
     });
   }
-  for (auto& t : threads) t.join();
+  actors.Join();
   DFI_RETURN_IF_ERROR(run->Finish());
   if (failed.load()) return Status::Internal("join worker failed");
 
@@ -403,10 +404,11 @@ StatusOr<JoinResult> RunMpiRadixJoin(net::Fabric* fabric,
   };
   std::vector<RankStat> stats(W);
   std::atomic<bool> failed{false};
-  std::vector<std::thread> threads;
+  exec::ActorGroup actors;
 
   for (uint32_t w = 0; w < W; ++w) {
-    threads.emplace_back([&, w] {
+    actors.Spawn(w / config.workers_per_node,
+                 "mpi.rank." + std::to_string(w), [&, w] {
       VirtualClock clock;
       RankStat& st = stats[w];
       const int rank = static_cast<int>(w);
@@ -539,7 +541,7 @@ StatusOr<JoinResult> RunMpiRadixJoin(net::Fabric* fabric,
       st.total = clock.now();
     });
   }
-  for (auto& t : threads) t.join();
+  actors.Join();
   if (failed.load()) return Status::Internal("MPI join rank failed");
 
   JoinResult result;
@@ -586,10 +588,11 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
   std::atomic<uint64_t> total_matches{0};
   std::vector<SimTime> t_repl(W), t_total(W);
   std::atomic<bool> failed{false};
-  std::vector<std::thread> threads;
+  exec::ActorGroup actors;
 
   for (uint32_t w = 0; w < W; ++w) {
-    threads.emplace_back([&, w] {
+    actors.Spawn(w / config.workers_per_node,
+                 "repl.worker." + std::to_string(w), [&, w] {
       auto src = dfi->CreateReplicateSource("join.replicate", w);
       auto tgt = dfi->CreateReplicateTarget("join.replicate", w);
       if (!src.ok() || !tgt.ok()) {
@@ -633,7 +636,7 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
       t_total[w] = (*tgt)->clock().now();
     });
   }
-  for (auto& t : threads) t.join();
+  actors.Join();
   DFI_RETURN_IF_ERROR(dfi->RemoveFlow("join.replicate"));
   if (failed.load()) return Status::Internal("replicate join worker failed");
 

@@ -79,9 +79,9 @@ graph::GraphSpec MakePipelineSpec(const PipelineConfig& config,
                                   PipelineCollector* collector);
 
 /// Builds, validates, instantiates and runs the pipeline graph; blocks
-/// until every operator finished. Dual-mode: inside a running engine task
+/// until every operator finished. Call from inside a running engine task:
 /// the operators become engine actors (deterministic content at any pool
-/// size), on a plain thread they are OS threads.
+/// size).
 StatusOr<PipelineResult> RunStreamingPipeline(
     DfiRuntime* dfi, const std::vector<std::string>& nodes,
     const PipelineConfig& config);

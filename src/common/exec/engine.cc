@@ -15,6 +15,7 @@
 #include <limits>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <utility>
 
 #include "common/logging.h"
@@ -85,6 +86,10 @@ struct Task {
   /// runnable and running tasks and pending timer wakeups.
   SimTime vt = 0;
   State state = State::kRunnable;
+  /// While running: the earliest virtual time of any other runnable task or
+  /// pending timer, set at dispatch and lowered by every wakeup since (see
+  /// Engine::Pace). Written under the scheduler lock, read without it.
+  std::atomic<SimTime> pace_floor{kMaxSimTime};
 
   WaitPoint* wp = nullptr;
   SimTime timed_key = 0;
@@ -168,6 +173,19 @@ struct Engine::Impl {
     Domain& d = domains_[t->domain];
     d.heap.push_back(t);
     std::push_heap(d.heap.begin(), d.heap.end(), HeapAfter);
+    LowerPaceFloorsLocked(t->vt);
+  }
+
+  /// A task became runnable (or a timer was armed) at `vt`: running tasks
+  /// may no longer run more than a lookahead beyond it.
+  void LowerPaceFloorsLocked(SimTime vt) {
+    for (const RunningSlot& slot : running_) {
+      if (slot.task == nullptr) continue;
+      std::atomic<SimTime>& floor = slot.task->pace_floor;
+      if (vt < floor.load(std::memory_order_relaxed)) {
+        floor.store(vt, std::memory_order_relaxed);
+      }
+    }
   }
 
   Task* PopDomainLocked(uint32_t dom) {
@@ -427,6 +445,7 @@ struct Engine::Impl {
         continue;
       }
       t->state = Task::State::kRunning;
+      t->pace_floor.store(FloorLocked(), std::memory_order_relaxed);
       running_[w] = RunningSlot{t, t->vt};
       g_current_task = t;
       SwitchContext(&self_ctx, &t->ctx);
@@ -500,7 +519,7 @@ Engine* Engine::Active() {
 WakeCause Engine::ParkImpl(WaitPoint* wp, bool (*changed)(void*), void* arg,
                            SimTime now, SimTime wake_at) {
   Task* t = g_current_task;
-  DFI_CHECK(t != nullptr) << "Park called outside an engine task";
+  DFI_CHECK(t != nullptr) << "Engine::Park called outside an engine task";
   Impl* im = t->impl;
   im->mu_.lock();
   if (now >= 0) t->vt = now;
@@ -519,6 +538,7 @@ WakeCause Engine::ParkImpl(WaitPoint* wp, bool (*changed)(void*), void* arg,
     t->timed_key = std::max(wake_at, t->vt);
     t->in_timed = true;
     im->timed_.insert({t->timed_key, t});
+    im->LowerPaceFloorsLocked(t->timed_key);
   }
   im->cv_.notify_all();  // the floor may have moved
   SwitchContext(&t->ctx, g_worker_ctx);
@@ -530,7 +550,7 @@ WakeCause Engine::ParkImpl(WaitPoint* wp, bool (*changed)(void*), void* arg,
 
 void Engine::Yield(SimTime now) {
   Task* t = g_current_task;
-  if (t == nullptr) return;
+  DFI_CHECK(t != nullptr) << "Engine::Yield called outside an engine task";
   Impl* im = t->impl;
   im->mu_.lock();
   if (now >= 0) t->vt = now;
@@ -538,6 +558,22 @@ void Engine::Yield(SimTime now) {
   im->cv_.notify_all();
   SwitchContext(&t->ctx, g_worker_ctx);
   im->mu_.unlock();
+}
+
+void Engine::Pace(SimTime now) {
+  Task* t = g_current_task;
+  if (t == nullptr) return;
+  if (now - t->impl->opts.lookahead_ns <=
+      t->pace_floor.load(std::memory_order_relaxed)) {
+    return;
+  }
+  Yield(now);
+}
+
+SimTime Engine::Horizon() {
+  const Task* t = g_current_task;
+  if (t == nullptr) return 0;
+  return std::min(t->vt, t->pace_floor.load(std::memory_order_relaxed));
 }
 
 // ---- WaitPoint -----------------------------------------------------------
@@ -563,10 +599,7 @@ void BumpProgress() {
 
 void IdleWait(uint64_t seen_epoch) {
   Engine* e = Engine::Current();
-  if (e == nullptr) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-    return;
-  }
+  DFI_CHECK(e != nullptr) << "IdleWait called outside an engine task";
   Engine::Park(&e->impl_->idle_point_,
                [seen_epoch] { return ProgressEpoch() != seen_epoch; },
                /*now=*/-1, Engine::kNoTimer);
@@ -574,11 +607,7 @@ void IdleWait(uint64_t seen_epoch) {
 
 WakeCause IdleWaitUntil(uint64_t seen_epoch, SimTime now, SimTime wake_at) {
   Engine* e = Engine::Current();
-  if (e == nullptr) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-    return ProgressEpoch() != seen_epoch ? WakeCause::kNotified
-                                         : WakeCause::kTimer;
-  }
+  DFI_CHECK(e != nullptr) << "IdleWaitUntil called outside an engine task";
   return Engine::Park(&e->impl_->idle_point_,
                       [seen_epoch] { return ProgressEpoch() != seen_epoch; },
                       now, wake_at);
@@ -589,10 +618,8 @@ WakeCause IdleWaitUntil(uint64_t seen_epoch, SimTime now, SimTime wake_at) {
 void ActorGroup::Spawn(uint32_t domain, std::string name,
                        std::function<void()> fn) {
   Engine* e = Engine::Current();
-  if (e == nullptr) {
-    threads_.emplace_back(std::move(fn));
-    return;
-  }
+  DFI_CHECK(e != nullptr)
+      << "ActorGroup::Spawn called outside an engine task";
   engine_ = e;
   live_.fetch_add(1, std::memory_order_seq_cst);
   std::lock_guard<std::mutex> lock(e->impl_->mu_);
@@ -601,18 +628,13 @@ void ActorGroup::Spawn(uint32_t domain, std::string name,
 }
 
 void ActorGroup::Join() {
-  if (engine_ != nullptr) {
-    while (live_.load(std::memory_order_seq_cst) != 0) {
-      Engine::Park(&done_,
-                   [this] {
-                     return live_.load(std::memory_order_seq_cst) == 0;
-                   },
-                   /*now=*/-1, Engine::kNoTimer);
-    }
-    engine_ = nullptr;
+  if (engine_ == nullptr) return;
+  while (live_.load(std::memory_order_seq_cst) != 0) {
+    Engine::Park(&done_,
+                 [this] { return live_.load(std::memory_order_seq_cst) == 0; },
+                 /*now=*/-1, Engine::kNoTimer);
   }
-  for (std::thread& th : threads_) th.join();
-  threads_.clear();
+  engine_ = nullptr;
 }
 
 }  // namespace dfi::exec

@@ -2,12 +2,10 @@
 #define DFI_COMMON_EXEC_ENGINE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -48,28 +46,32 @@ class WaitPoint {
 enum class WakeCause : uint8_t { kNotified, kTimer };
 
 struct EngineOptions {
-  /// Worker pool size; 0 = std::thread::hardware_concurrency().
-  uint32_t workers = 0;
+  /// Worker pool size; 0 = one per hardware thread. One worker is the
+  /// deterministic configuration: virtual results are bit-identical from
+  /// run to run. Larger pools run tasks concurrently but may diverge in
+  /// virtual time (lookahead races).
+  uint32_t workers = 1;
   /// Conservative lookahead window in virtual ns: a task may run while its
-  /// virtual time is within `lookahead_ns` of the engine-wide floor. Derive
-  /// from the minimum link latency (SimConfig::propagation_ns +
-  /// SimConfig::nic_process_ns) for network workloads.
+  /// virtual time is within `lookahead_ns` of the engine-wide floor
+  /// (checked at dispatch and by Engine::Pace). Derive from the minimum
+  /// link latency (SimConfig::propagation_ns + SimConfig::nic_process_ns)
+  /// for network workloads.
   SimTime lookahead_ns = 1000;
   /// Fiber stack size (plus one guard page).
   size_t stack_bytes = 256 * 1024;
 };
 
-/// Deterministic work-stealing virtual-time engine. Emulated actors are
-/// cooperatively scheduled ucontext fibers with per-domain (per emulated
-/// node) run queues ordered by (virtual time, spawn id); a fixed worker
-/// pool executes any task whose virtual time lies within a conservative
-/// lookahead window of the engine-wide virtual-time floor, stealing the
-/// globally minimal task when a worker's own domains drain. Blocking
-/// primitives park the fiber (WaitPoint) instead of sleeping the OS thread,
-/// so hundreds of emulated nodes run on a handful of host threads.
+/// Work-stealing virtual-time engine, the only way emulated actors run.
+/// Actors are cooperatively scheduled ucontext fibers with per-domain (per
+/// emulated node) run queues ordered by (virtual time, spawn id); a fixed
+/// worker pool executes any task whose virtual time lies within a
+/// conservative lookahead window of the engine-wide virtual-time floor,
+/// stealing the globally minimal task when a worker's own domains drain.
+/// Blocking primitives park the fiber (WaitPoint), so hundreds of emulated
+/// nodes run on a handful of host threads.
 ///
 /// Usage:
-///   exec::Engine engine({.workers = 2, .lookahead_ns = 850});
+///   exec::Engine engine;  // one worker
 ///   engine.Spawn(node_id, "source-3", [&] { ... });
 ///   engine.Run();  // returns when every task has finished
 class Engine {
@@ -93,10 +95,8 @@ class Engine {
 
   uint32_t workers() const { return workers_; }
 
-  /// Engine owning the calling fiber; nullptr on a plain OS thread. This is
-  /// the mode switch for the dual-mode blocking primitives.
+  /// Engine owning the calling fiber; nullptr outside a task.
   static Engine* Current();
-  static bool InTask() { return Current() != nullptr; }
   /// Engine currently inside Run(), if any (any calling thread).
   static Engine* Active();
 
@@ -119,6 +119,20 @@ class Engine {
   /// Cooperative yield: re-enqueues the calling task at virtual time `now`
   /// and lets the scheduler pick the minimal eligible task.
   static void Yield(SimTime now);
+
+  /// Run-ahead bound: yields at `now` once the calling task is more than
+  /// `lookahead_ns` ahead of the earliest other runnable task or pending
+  /// timer. A task otherwise runs until it parks, and one that seldom parks
+  /// would read state its peers publish (ring footers, credit counters)
+  /// before virtually earlier peers had the chance to update it. Call
+  /// before such a read. No-op outside a task.
+  static void Pace(SimTime now);
+
+  /// Lower bound on the virtual time at which any task of the caller's
+  /// engine can still act: the earliest of the caller's dispatch time, the
+  /// other runnable tasks and the pending timers (a parked task acts only
+  /// after the event that wakes it). 0 outside a task.
+  static SimTime Horizon();
 
  private:
   friend class WaitPoint;
@@ -144,21 +158,19 @@ void BumpProgress();
 
 /// Poll-loop backoff. Capture `seen = ProgressEpoch()` *before* the poll
 /// round; when the round made no progress, IdleWait(seen) parks the calling
-/// task until the epoch moves (engine mode) or sleeps a 50us slice (thread
-/// mode, preserving the historical polling cadence).
+/// task until the epoch moves.
 void IdleWait(uint64_t seen_epoch);
 
 /// Timed IdleWait: parks until the progress epoch moves past `seen_epoch`
 /// or the engine's virtual floor reaches `wake_at` (kNotified vs kTimer).
-/// `now` reports the caller's virtual time as in Engine::Park. Thread mode
-/// sleeps one 50us slice and reports kNotified iff the epoch moved. Used by
+/// `now` reports the caller's virtual time as in Engine::Park. Used by
 /// bounded poll loops (registry blocking retrieves) whose give-up point is
 /// a virtual-time deadline rather than "forever".
 WakeCause IdleWaitUntil(uint64_t seen_epoch, SimTime now, SimTime wake_at);
 
-/// Drop-in replacement for the `std::vector<std::thread>` actor-spawning
-/// idiom: spawns engine tasks when called from inside a running engine task
-/// and real OS threads otherwise, so one workload body serves both modes.
+/// Spawn-then-join group of actors for library code running inside an
+/// engine task: Spawn adds tasks to the caller's engine and Join parks
+/// until they all finished. Spawn aborts when called outside a task.
 class ActorGroup {
  public:
   ActorGroup() = default;
@@ -167,14 +179,13 @@ class ActorGroup {
   ActorGroup& operator=(const ActorGroup&) = delete;
 
   /// `domain` is the emulated node the actor belongs to (scheduling
-  /// affinity); ignored in thread mode.
+  /// affinity).
   void Spawn(uint32_t domain, std::string name, std::function<void()> fn);
-  /// Blocks (parks, in engine mode) until every spawned actor finished.
+  /// Parks until every spawned actor finished.
   void Join();
 
  private:
   friend class Engine;
-  std::vector<std::thread> threads_;
   std::atomic<uint32_t> live_{0};
   WaitPoint done_;
   Engine* engine_ = nullptr;

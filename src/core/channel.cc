@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/exec/engine.h"
 #include "common/logging.h"
 #include "core/deadline.h"
 #include "core/endpoint/backpressure.h"
@@ -278,11 +279,18 @@ Status ChannelSource::EnsureRemoteWritable(uint32_t idx) {
     // previous write of this ring) already told us the slot is free.
     return Status::OK();
   }
+  // The slot looks busy, but the consumer may merely lag behind in virtual
+  // time: let it catch up. A slot it then released before now is one the
+  // prefetch of a concurrently running consumer would have found free.
+  exec::Engine::Pace(clock_->now());
+  if (ring.LoadFlags(idx) == kFlagWritable &&
+      ring.footer(idx)->arrival_sim_time <= clock_->now()) {
+    return Status::OK();
+  }
   // Slow path: the remote ring is full. On hardware the source polls the
   // footer with RDMA reads and capped exponential backoff; here the caller
-  // blocks (engine tasks park their fiber, plain threads sleep in bounded
-  // slices) while DeadlineWait keeps the virtual backoff ledger. A
-  // successful wait charges from the footer's free timestamp as before;
+  // parks its engine fiber while DeadlineWait keeps the virtual backoff
+  // ledger. A successful wait charges from the footer's free timestamp;
   // teardown, a dead consumer, or the flow deadline end the wait with an
   // error instead of hanging forever.
   DeadlineWait wait(shared_->options(), clock_);
@@ -325,6 +333,9 @@ Status ChannelSource::EnsureCredit() {
   const uint64_t threshold = std::max<uint64_t>(1, slots / 4);
   uint64_t avail = slots - (sent_tuples_ - cached_consumed_);
   if (avail > threshold) return Status::OK();
+  // The refresh reads the consumer's counter: let a consumer that lags
+  // behind in virtual time catch up first, or the read sees stale credit.
+  exec::Engine::Pace(clock_->now());
 
   // Running low: refresh the cached copy of the remote credit counter with
   // an RDMA read (paper section 5.3).

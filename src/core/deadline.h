@@ -2,8 +2,6 @@
 #define DFI_CORE_DEADLINE_H_
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "common/exec/engine.h"
 #include "common/sim_time.h"
@@ -16,7 +14,7 @@ namespace dfi {
 /// On hardware a blocked peer re-polls remote state (footer reads, credit
 /// reads) with a capped exponential backoff; the poll count times the
 /// backoff is the virtual cost of being blocked, and the configured
-/// deadline bounds it. The emulation sleeps in real time instead of
+/// deadline bounds it. The emulation parks the engine fiber instead of
 /// spinning (see ring_sync.h), so this class keeps the virtual ledger: each
 /// unproductive wakeup accrues the next backoff step into a *provisional*
 /// budget checked against FlowOptions::block_deadline_ns.
@@ -57,35 +55,20 @@ class DeadlineWait {
     waited_ns_ = 0;
   }
 
-  /// Real-time slice for one bounded sleep between poll rounds. Short
-  /// enough that teardown and fault-plan crashes are noticed promptly,
-  /// long enough that an idle blocked thread costs no measurable host CPU.
-  static constexpr std::chrono::nanoseconds kRealSlice =
-      std::chrono::microseconds(200);
-
   /// One blocked poll round against `sync` — anything with `version()` and
-  /// `wait_point()` (RingSync, ReadyGate, rdma::CompletionQueue). Engine
-  /// tasks park the fiber until the version moves past `seen` or the
+  /// `wait_point()` (RingSync, ReadyGate, rdma::CompletionQueue). Parks the
+  /// calling engine task until the version moves past `seen` or the
   /// engine's virtual floor reaches the next backoff wake time — an idle
-  /// fleet jumps straight there instead of burning real sleep slices, so
-  /// deadline and fault discovery costs microseconds of wall clock. Plain
-  /// threads sleep one kRealSlice, byte-for-byte the historical behavior.
-  /// Returns true iff the version changed (as WaitChangedFor). Callers
-  /// loop, re-checking poison / fault / deadline conditions per round.
+  /// fleet jumps straight there, so deadline and fault discovery costs
+  /// microseconds of wall clock. Returns true iff the version changed.
+  /// Callers loop, re-checking poison / fault / deadline conditions per
+  /// round.
   template <typename Sync>
   bool Block(Sync& sync, uint64_t seen) {
-    if (exec::Engine::InTask()) {
-      exec::Engine::Park(&sync.wait_point(),
-                         [&] { return sync.version() != seen; },
-                         clock_->now(), ProvisionalNow() + backoff_ns_);
-      return sync.version() != seen;
-    }
-    if constexpr (requires { sync.WaitChangedFor(seen, kRealSlice); }) {
-      return sync.WaitChangedFor(seen, kRealSlice);
-    } else {
-      std::this_thread::sleep_for(kRealSlice);
-      return sync.version() != seen;
-    }
+    exec::Engine::Park(&sync.wait_point(),
+                       [&] { return sync.version() != seen; }, clock_->now(),
+                       ProvisionalNow() + backoff_ns_);
+    return sync.version() != seen;
   }
 
  private:

@@ -8,6 +8,7 @@
 /// targets — see README.md for a quickstart and DESIGN.md for the
 /// architecture.
 
+#include "common/exec/engine.h"   // IWYU pragma: export
 #include "core/combiner_flow.h"   // IWYU pragma: export
 #include "core/dfi_runtime.h"     // IWYU pragma: export
 #include "core/flow_options.h"    // IWYU pragma: export

@@ -190,6 +190,9 @@ bool FlowSink::OwnColumnRingPressure() {
 bool FlowSink::TryConsumeSegmentColumn(SegmentView* out,
                                        ConsumeResult* out_result) {
   ReleaseHeldColumn();
+  // The level-filling decision below reads the siblings' published clocks:
+  // let siblings that lag behind in virtual time publish first.
+  exec::Engine::Pace(clock_->now());
   const SimTime my_now = clock_->now();
   // Sample this sink's app-side per-segment processing cost: the clock
   // advance between handing out a segment and the next consume call.

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/exec/engine.h"
 #include "common/logging.h"
 #include "core/deadline.h"
 
@@ -12,29 +13,16 @@ namespace {
 
 uint32_t RoundUp8(uint32_t v) { return (v + 7u) & ~7u; }
 
-/// Real-time backstop while waiting for out-of-order arrivals before gap
-/// handling kicks in.
-constexpr std::chrono::milliseconds kGapPollTimeout{5};
-
-/// Real-time poll slice for unordered multicast consumes: long enough to be
-/// cheap, short enough that teardown / fault-plan crashes surface promptly.
-constexpr std::chrono::milliseconds kConsumePollSlice{1};
-
-/// One blocked poll round on a recv CQ. Engine tasks take a non-blocking
-/// poll and park with the deadline's virtual backoff instead of holding an
-/// OS thread inside the CQ's condition variable; plain threads keep the
-/// historical real-time slice. Returns true when a completion was polled;
-/// false means the caller should run its failure / gap-recovery checks.
+/// One blocked poll round on a recv CQ: a non-blocking poll, else a park
+/// with the deadline's virtual backoff. Returns true when a completion was
+/// polled; false means the caller should run its failure / gap-recovery
+/// checks.
 bool PollRound(rdma::CompletionQueue* cq, VirtualClock* clock,
-               DeadlineWait* wait, std::chrono::milliseconds slice,
-               rdma::Completion* c) {
-  if (exec::Engine::InTask()) {
-    const uint64_t seen = cq->version();
-    if (cq->TryPoll(c, clock)) return true;
-    wait->Block(*cq, seen);
-    return false;
-  }
-  return cq->PollFor(c, clock, slice);
+               DeadlineWait* wait, rdma::Completion* c) {
+  const uint64_t seen = cq->version();
+  if (cq->TryPoll(c, clock)) return true;
+  wait->Block(*cq, seen);
+  return false;
 }
 
 }  // namespace
@@ -162,6 +150,9 @@ Status MulticastState::WaitForCredit(
     }
   }
   if (position < min_consumed() + slots) return Status::OK();
+  // Targets that lag behind in virtual time may release the window once
+  // they catch up.
+  exec::Engine::Pace(clock->now());
 
   // Blocked: wait until every target caught up. A dead or aborted target
   // never reports consumption, so the wait is deadline-bounded and checks
@@ -388,7 +379,7 @@ ConsumeResult MulticastSink::ConsumeUnordered(SegmentView* out) {
       return ConsumeResult::kFlowEnd;
     }
     rdma::Completion c;
-    if (!PollRound(cq, clock_, &wait, kConsumePollSlice, &c)) {
+    if (!PollRound(cq, clock_, &wait, &c)) {
       ConsumeResult failure;
       if (CheckFailure(&wait, &failure)) return failure;
       continue;
@@ -470,7 +461,7 @@ ConsumeResult MulticastSink::ConsumeOrdered(SegmentView* out) {
 
     // Pull arrivals into the next list.
     rdma::Completion c;
-    if (PollRound(cq, clock_, &wait, kGapPollTimeout, &c)) {
+    if (PollRound(cq, clock_, &wait, &c)) {
       const uint32_t slot = static_cast<uint32_t>(c.wr_id);
       const SegmentFooter* footer = SlotFooter(slot);
       const uint64_t seq = footer->sequence;

@@ -26,10 +26,9 @@ namespace dfi::graph {
 ///   ...                             // drive kCustom vertices via Claim*
 ///   DFI_CHECK_OK(run->Finish());    // joins actors, removes the flows
 ///
-/// Start/Finish follow the dual-mode actor convention (ActorGroup): called
-/// from inside a running engine task the operators become engine actors in
-/// their placement's node domain — deterministic at any worker-pool size —
-/// and plain OS threads otherwise.
+/// Start/Finish must be called from inside a running engine task: the
+/// operators become engine actors (ActorGroup) in their placement's node
+/// domain.
 class GraphRun {
  public:
   ~GraphRun();

@@ -191,7 +191,11 @@ std::string Schema::ToString() const {
     out += ":";
     out += DataTypeName(fields_[i].type);
     if (fields_[i].type == DataType::kChar) {
-      out += "(" + std::to_string(fields_[i].length) + ")";
+      // Appended piece by piece, as in RegistryService::TraceString (GCC
+      // 12's -Wrestrict false positive on a chained operator+ at -O3).
+      out += '(';
+      out += std::to_string(fields_[i].length);
+      out += ')';
     }
   }
   out += "}";

@@ -98,7 +98,6 @@ Status MpiEnv::Send(int src_rank, int dst_rank, int tag, const void* buf,
       std::lock_guard<std::mutex> lock(mb.mu);
       mb.messages.push_back(std::move(msg));
     }
-    mb.cv.notify_all();
     mb.wait_point.WakeAll();
     exec::BumpProgress();
     return Status::OK();
@@ -115,24 +114,18 @@ Status MpiEnv::Send(int src_rank, int dst_rank, int tag, const void* buf,
     std::lock_guard<std::mutex> lock(mb.mu);
     mb.messages.push_back(msg);
   }
-  mb.cv.notify_all();
   mb.wait_point.WakeAll();
   exec::BumpProgress();
-  if (exec::Engine::InTask()) {
-    // Engine task: park the fiber until the receiver matches. The predicate
-    // is evaluated after the park intent is published, so a match racing
-    // with the park is never lost.
-    auto matched = [&] {
-      std::lock_guard<std::mutex> lock(mb.mu);
-      return msg->matched;
-    };
-    while (!matched()) {
-      exec::Engine::Park(&mb.wait_point, matched, clock->now(),
-                         exec::Engine::kNoTimer);
-    }
-  } else {
-    std::unique_lock<std::mutex> lock(mb.mu);
-    mb.cv.wait(lock, [&] { return msg->matched; });
+  // Park the fiber until the receiver matches. The predicate is evaluated
+  // after the park intent is published, so a match racing with the park is
+  // never lost.
+  auto matched = [&] {
+    std::lock_guard<std::mutex> lock(mb.mu);
+    return msg->matched;
+  };
+  while (!matched()) {
+    exec::Engine::Park(&mb.wait_point, matched, clock->now(),
+                       exec::Engine::kNoTimer);
   }
   clock->AdvanceTo(msg->sender_done);
   return Status::OK();
@@ -149,28 +142,21 @@ Status MpiEnv::Recv(int dst_rank, int src_rank, int tag, void* buf,
   Mailbox& mb = mailbox(src_rank, dst_rank, tag);
 
   std::shared_ptr<Message> msg;
-  if (exec::Engine::InTask()) {
-    auto has_message = [&] {
+  auto has_message = [&] {
+    std::lock_guard<std::mutex> lock(mb.mu);
+    return !mb.messages.empty();
+  };
+  for (;;) {
+    {
       std::lock_guard<std::mutex> lock(mb.mu);
-      return !mb.messages.empty();
-    };
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(mb.mu);
-        if (!mb.messages.empty()) {
-          msg = mb.messages.front();
-          mb.messages.pop_front();
-          break;
-        }
+      if (!mb.messages.empty()) {
+        msg = mb.messages.front();
+        mb.messages.pop_front();
+        break;
       }
-      exec::Engine::Park(&mb.wait_point, has_message, clock->now(),
-                         exec::Engine::kNoTimer);
     }
-  } else {
-    std::unique_lock<std::mutex> lock(mb.mu);
-    mb.cv.wait(lock, [&] { return !mb.messages.empty(); });
-    msg = mb.messages.front();
-    mb.messages.pop_front();
+    exec::Engine::Park(&mb.wait_point, has_message, clock->now(),
+                       exec::Engine::kNoTimer);
   }
   if (msg->bytes != bytes) {
     return Status::InvalidArgument(
@@ -203,7 +189,6 @@ Status MpiEnv::Recv(int dst_rank, int src_rank, int tag, void* buf,
     msg->sender_done = egress.end;
     msg->matched = true;
   }
-  mb.cv.notify_all();
   mb.wait_point.WakeAll();
   exec::BumpProgress();
   clock->AdvanceTo(ingress.end);
@@ -219,27 +204,22 @@ SimTime MpiEnv::BarrierJoin(BarrierState& state, VirtualClock* clock) {
     state.waiting = 0;
     ++state.generation;
     lock.unlock();
-    state.cv.notify_all();
     state.wait_point.WakeAll();
     exec::BumpProgress();
     clock->AdvanceTo(state.release_time);
     return state.release_time;
   }
   const uint64_t gen = state.generation;
-  if (exec::Engine::InTask()) {
-    lock.unlock();
-    auto released = [&] {
-      std::lock_guard<std::mutex> relock(state.mu);
-      return state.generation != gen;
-    };
-    while (!released()) {
-      exec::Engine::Park(&state.wait_point, released, clock->now(),
-                         exec::Engine::kNoTimer);
-    }
-    lock.lock();
-  } else {
-    state.cv.wait(lock, [&] { return state.generation != gen; });
+  lock.unlock();
+  auto released = [&] {
+    std::lock_guard<std::mutex> relock(state.mu);
+    return state.generation != gen;
+  };
+  while (!released()) {
+    exec::Engine::Park(&state.wait_point, released, clock->now(),
+                       exec::Engine::kNoTimer);
   }
+  lock.lock();
   const SimTime release = state.release_time;
   lock.unlock();
   clock->AdvanceTo(release);

@@ -1,7 +1,6 @@
 #ifndef DFI_MPI_MPI_ENV_H_
 #define DFI_MPI_MPI_ENV_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -107,16 +106,14 @@ class MpiEnv {
 
   struct Mailbox {
     std::mutex mu;
-    std::condition_variable cv;
-    exec::WaitPoint wait_point;  // parks engine tasks; cv parks threads
+    exec::WaitPoint wait_point;  // blocked receivers / senders park here
     std::deque<std::shared_ptr<Message>> messages;
   };
 
   /// Generation-counted reusable barrier over all ranks with clock join.
   struct BarrierState {
     std::mutex mu;
-    std::condition_variable cv;
-    exec::WaitPoint wait_point;  // parks engine tasks; cv parks threads
+    exec::WaitPoint wait_point;  // ranks waiting for the release park here
     uint32_t waiting = 0;
     uint64_t generation = 0;
     SimTime max_time = 0;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory_resource>
 #include <mutex>
 #include <string>
 
@@ -19,16 +20,19 @@ struct TransferWindow {
 
 /// A serial transmission resource in virtual time: a NIC link direction, a
 /// multicast group, or any other bandwidth-limited pipe. A transmission of
-/// `bytes` ready at virtual time `ready` occupies the earliest idle
-/// interval that fits (first-fit with gap backfill):
+/// `bytes` ready at virtual time `ready` needs bytes * ns_per_byte of idle
+/// link time at or after `ready`; like a packet train interleaved with
+/// other transfers on the wire, it takes the earliest idle time first,
+/// filling gaps left by earlier reservations before extending the tail:
 ///
-///   start >= ready,  end = start + bytes * ns_per_byte
+///   start >= ready,  end - start >= bytes * ns_per_byte
 ///
 /// Back-to-back reservations model a saturated link; competing
-/// reservations from many threads share the link by *virtual* readiness
-/// rather than by real-time call order, which keeps results insensitive to
-/// host thread scheduling. Incast and fan-out bottlenecks emerge from
-/// reserving the corresponding ingress / egress schedulers (DESIGN.md §5).
+/// reservations from many actors share the link by *virtual* readiness,
+/// and because a reservation may use any gap, the link stays
+/// work-conserving when an actor that ran ahead reserved later times
+/// first. Incast and fan-out bottlenecks emerge from reserving the
+/// corresponding ingress / egress schedulers (DESIGN.md §5).
 ///
 /// Thread-safe; called concurrently by all worker threads.
 class LinkScheduler {
@@ -64,6 +68,14 @@ class LinkScheduler {
   double bytes_per_ns() const { return bytes_per_ns_; }
 
  private:
+  using GapMap = std::pmr::map<SimTime, SimTime>;
+
+  /// The first gap ending after `t` (gaps_.end() if none). Gaps are
+  /// disjoint, so their ends ascend with their starts.
+  GapMap::iterator FirstGapEndingAfter(SimTime t);
+  /// Erases one gap, keeping finger_ valid; returns the next gap.
+  GapMap::iterator EraseGap(GapMap::iterator it);
+
   const std::string name_;
   const double ns_per_byte_;
   const double bytes_per_ns_;
@@ -74,16 +86,19 @@ class LinkScheduler {
   SimTime busy_time_ = 0;
   uint64_t total_bytes_ = 0;
   /// Idle intervals (start -> end) left behind by out-of-order
-  /// reservations, available for backfill. Bounded (oldest dropped).
-  /// Invariant: every gap lies strictly below busy_until_.
-  std::map<SimTime, SimTime> gaps_;
-  /// Upper bound on the length of the longest gap in gaps_ (lengths only
-  /// shrink on split/erase, so the bound stays valid without recomputing).
-  /// Lets Reserve skip the first-fit walk outright for transmissions
-  /// longer than any gap — the common case once a link saturates and gaps
-  /// are sub-segment slivers.
-  SimTime max_gap_len_ = 0;
-  static constexpr size_t kMaxGaps = 128;
+  /// reservations, available for backfill. Gaps behind the engine's
+  /// horizon are dropped; the count is bounded (oldest dropped).
+  /// Invariant: every gap lies strictly below busy_until_. A link can hold
+  /// thousands of gaps, touched on nearly every reservation; a per-link
+  /// node pool keeps them together in memory instead of spread over the
+  /// global heap.
+  std::pmr::unsynchronized_pool_resource gap_pool_;
+  GapMap gaps_{&gap_pool_};
+  /// Where the last backfill walk stopped. An actor's consecutive
+  /// reservations on a link land close together, so the next walk often
+  /// starts within a few steps of it instead of searching the whole map.
+  GapMap::iterator finger_ = gaps_.end();
+  static constexpr size_t kMaxGaps = 4096;
 };
 
 }  // namespace dfi::net

@@ -18,17 +18,15 @@ FlowBarrier::FlowBarrier(RegistryClient* client, std::string name,
 
 Status FlowBarrier::Wait(std::chrono::milliseconds timeout) {
   VirtualClock* clock = client_->clock();
-  const bool in_task = exec::Engine::InTask();
   const SimTime start_vt = clock ? clock->now() : 0;
   const SimTime deadline_vt =
       start_vt + static_cast<SimTime>(timeout.count()) * 1'000'000;
-  const auto deadline_rt = std::chrono::steady_clock::now() + timeout;
 
   DFI_ASSIGN_OR_RETURN(OpResult r,
                        client_->BarrierEnter(name_, expected_, generation_));
   DFI_RETURN_IF_ERROR(r.status);
 
-  // Engine-mode poll cadence. A parked waiter is only woken by progress
+  // Poll cadence. A parked waiter is only woken by progress
   // bumps, but its *view* of the shard is evaluated at its own virtual
   // clock — a failover (or a release on the promoted backup) at a later
   // virtual time stays invisible until the waiter's clock crosses it. So
@@ -47,30 +45,20 @@ Status FlowBarrier::Wait(std::chrono::milliseconds timeout) {
     DFI_ASSIGN_OR_RETURN(r, client_->BarrierPoll(name_, generation_));
     DFI_RETURN_IF_ERROR(r.status);
     if (r.barrier_released) break;
-    if (in_task) {
-      const SimTime now = clock ? clock->now() : -1;
-      const SimTime wake =
-          clock ? std::min(deadline_vt, now + poll_interval) : deadline_vt;
-      if (exec::IdleWaitUntil(seen, now, wake) == exec::WakeCause::kTimer) {
-        if (wake >= deadline_vt) {
-          if (clock) clock->AdvanceTo(deadline_vt);
-          return Status::DeadlineExceeded(
-              "barrier '" + name_ + "' generation " +
-              std::to_string(generation_) + " timed out (virtual)");
-        }
-        clock->AdvanceTo(wake);
-        poll_interval = std::min(poll_interval * 2, kPollCapNs);
-      } else {
-        poll_interval = kPollInitialNs;
+    const SimTime now = clock ? clock->now() : -1;
+    const SimTime wake =
+        clock ? std::min(deadline_vt, now + poll_interval) : deadline_vt;
+    if (exec::IdleWaitUntil(seen, now, wake) == exec::WakeCause::kTimer) {
+      if (wake >= deadline_vt) {
+        if (clock) clock->AdvanceTo(deadline_vt);
+        return Status::DeadlineExceeded(
+            "barrier '" + name_ + "' generation " +
+            std::to_string(generation_) + " timed out (virtual)");
       }
+      clock->AdvanceTo(wake);
+      poll_interval = std::min(poll_interval * 2, kPollCapNs);
     } else {
-      if (std::chrono::steady_clock::now() >= deadline_rt) {
-        return Status::DeadlineExceeded("barrier '" + name_ +
-                                        "' generation " +
-                                        std::to_string(generation_) +
-                                        " timed out");
-      }
-      exec::IdleWaitUntil(seen, /*now=*/-1, /*wake_at=*/0);  // 50us slice
+      poll_interval = kPollInitialNs;
     }
   }
 

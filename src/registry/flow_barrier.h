@@ -34,8 +34,8 @@ class FlowBarrier {
   FlowBarrier(const FlowBarrier&) = delete;
   FlowBarrier& operator=(const FlowBarrier&) = delete;
 
-  /// Enters the current generation and waits for the release. Virtual-time
-  /// timeout inside an engine task, real-time on a plain thread. Errors:
+  /// Enters the current generation and parks the calling engine task until
+  /// the release; the timeout is virtual time. Errors:
   /// kDeadlineExceeded (timeout), kInvalidArgument (participant-count
   /// mismatch), kPeerFailed / kDeadlineExceeded from the transport when the
   /// owning shard is gone.

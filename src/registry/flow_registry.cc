@@ -8,7 +8,6 @@ namespace dfi {
 
 void FlowRegistry::NotifyChanged() {
   version_.fetch_add(1, std::memory_order_seq_cst);
-  cv_.notify_all();
   wp_.WakeAll();
   exec::BumpProgress();
 }
@@ -196,41 +195,31 @@ StatusOr<std::shared_ptr<FlowStateBase>> FlowRegistry::RetrieveBlocking(
   StatusOr<std::shared_ptr<FlowStateBase>> result =
       Status::DeadlineExceeded("flow '" + name + "' not published in time");
 
-  if (exec::Engine::InTask()) {
-    // Engine mode: the timeout is virtual time from the caller's clock.
-    // Park until the registry changes or the engine floor reaches the
-    // deadline; the expired deadline is committed to the clock so a timed-
-    // out retrieve costs exactly its budget, deterministically.
-    const SimTime base = clock != nullptr ? clock->now() : 0;
-    const SimTime deadline_vt =
-        base + static_cast<SimTime>(timeout.count()) * 1'000'000;
-    for (;;) {
-      uint64_t seen;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (check(&result)) return result;
-        seen = version_.load(std::memory_order_seq_cst);
-      }
-      const exec::WakeCause cause = exec::Engine::Park(
-          &wp_,
-          [&] { return version_.load(std::memory_order_seq_cst) != seen; },
-          clock != nullptr ? clock->now() : SimTime(-1), deadline_vt);
-      if (cause == exec::WakeCause::kTimer) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (check(&result)) return result;
-        if (clock != nullptr) clock->AdvanceTo(deadline_vt);
-        return Status::DeadlineExceeded("flow '" + name +
-                                        "' not published in time");
-      }
+  // The timeout is virtual time from the caller's clock. Park until the
+  // registry changes or the engine floor reaches the deadline; the expired
+  // deadline is committed to the clock so a timed-out retrieve costs
+  // exactly its budget, deterministically.
+  const SimTime base = clock != nullptr ? clock->now() : 0;
+  const SimTime deadline_vt =
+      base + static_cast<SimTime>(timeout.count()) * 1'000'000;
+  for (;;) {
+    uint64_t seen;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (check(&result)) return result;
+      seen = version_.load(std::memory_order_seq_cst);
+    }
+    const exec::WakeCause cause = exec::Engine::Park(
+        &wp_, [&] { return version_.load(std::memory_order_seq_cst) != seen; },
+        clock != nullptr ? clock->now() : SimTime(-1), deadline_vt);
+    if (cause == exec::WakeCause::kTimer) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (check(&result)) return result;
+      if (clock != nullptr) clock->AdvanceTo(deadline_vt);
+      return Status::DeadlineExceeded("flow '" + name +
+                                      "' not published in time");
     }
   }
-
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!cv_.wait_for(lock, timeout, [&] { return check(&result); })) {
-    return Status::DeadlineExceeded("flow '" + name +
-                                    "' not published in time");
-  }
-  return result;
 }
 
 Status FlowRegistry::Remove(const std::string& name) {

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -107,12 +106,10 @@ class FlowRegistry {
   /// kDeadlineExceeded once the timeout elapses (the caller's bounded
   /// retrieve deadline, not a transient unavailability).
   ///
-  /// Dual-mode: on a plain thread the timeout is real time (cv wait,
-  /// byte-for-byte the historical behavior); inside an exec::Engine task
-  /// the fiber parks and the timeout is *virtual* time measured from
-  /// `clock->now()` (0 if no clock), so an idle fleet jumps straight to the
-  /// deadline instead of burning wall clock, and the deadline is charged to
-  /// `clock` on expiry.
+  /// The calling engine task parks; the timeout is *virtual* time measured
+  /// from `clock->now()` (0 if no clock), so an idle fleet jumps straight
+  /// to the deadline instead of burning wall clock, and the deadline is
+  /// charged to `clock` on expiry.
   StatusOr<std::shared_ptr<FlowStateBase>> RetrieveBlocking(
       const std::string& name,
       std::chrono::milliseconds timeout = std::chrono::milliseconds(10000),
@@ -146,12 +143,11 @@ class FlowRegistry {
   /// Marks `entry` failed and aborts its state. Caller holds mu_.
   static void FailLocked(Entry* entry, const Status& cause);
 
-  /// Bumps the change version and wakes both thread- and engine-mode
-  /// waiters. Call *after* releasing mu_.
+  /// Bumps the change version and wakes parked waiters. Call *after*
+  /// releasing mu_.
   void NotifyChanged();
 
   mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
   std::atomic<uint64_t> version_{0};
   mutable exec::WaitPoint wp_;
   uint64_t next_ticket_ = 0;

@@ -27,7 +27,7 @@ RegistryClient::RegistryClient(RegistryService* service,
 }
 
 void RegistryClient::SleepUntilVt(SimTime from, SimTime until) {
-  if (until > from && exec::Engine::InTask()) {
+  if (until > from) {
     // Nobody ever wakes backoff_wp_, so this is a pure virtual-time sleep:
     // the park returns exactly when the engine floor reaches `until`,
     // independent of worker-pool size.
@@ -258,10 +258,8 @@ StatusOr<std::shared_ptr<FlowStateBase>> RegistryClient::Retrieve(
 
 StatusOr<std::shared_ptr<FlowStateBase>> RegistryClient::RetrieveBlocking(
     const std::string& name, std::chrono::milliseconds timeout) {
-  const bool in_task = exec::Engine::InTask();
   const SimTime deadline_vt = NowVt() + NsFromMs(timeout);
-  const auto deadline_rt = std::chrono::steady_clock::now() + timeout;
-  // Engine-mode poll cadence: park in exponentially growing slices and
+  // Poll cadence: park in exponentially growing slices and
   // advance the clock through each one, so a failover at a later virtual
   // time than our last RPC becomes visible (the shard view is evaluated at
   // our own clock). See FlowBarrier::Wait for the full rationale.
@@ -275,30 +273,20 @@ StatusOr<std::shared_ptr<FlowStateBase>> RegistryClient::RetrieveBlocking(
     auto r = Retrieve(name);
     if (r.ok()) return r;
     if (r.status().code() != StatusCode::kNotFound) return r.status();
-    if (in_task) {
-      const SimTime now = NowVt();
-      const SimTime wake =
-          clock_ ? std::min(deadline_vt, now + poll_interval) : deadline_vt;
-      if (exec::IdleWaitUntil(seen, now, wake) == exec::WakeCause::kTimer) {
-        if (wake >= deadline_vt) {
-          if (clock_) clock_->AdvanceTo(deadline_vt);
-          return Status::DeadlineExceeded(
-              "flow '" + name + "' not published within " +
-              std::to_string(timeout.count()) + "ms (virtual)");
-        }
-        clock_->AdvanceTo(wake);
-        poll_interval = std::min(poll_interval * 2, kPollCapNs);
-      } else {
-        poll_interval = kPollInitialNs;
+    const SimTime now = NowVt();
+    const SimTime wake =
+        clock_ ? std::min(deadline_vt, now + poll_interval) : deadline_vt;
+    if (exec::IdleWaitUntil(seen, now, wake) == exec::WakeCause::kTimer) {
+      if (wake >= deadline_vt) {
+        if (clock_) clock_->AdvanceTo(deadline_vt);
+        return Status::DeadlineExceeded(
+            "flow '" + name + "' not published within " +
+            std::to_string(timeout.count()) + "ms (virtual)");
       }
+      clock_->AdvanceTo(wake);
+      poll_interval = std::min(poll_interval * 2, kPollCapNs);
     } else {
-      if (std::chrono::steady_clock::now() >= deadline_rt) {
-        return Status::DeadlineExceeded("flow '" + name +
-                                        "' not published within " +
-                                        std::to_string(timeout.count()) +
-                                        "ms");
-      }
-      exec::IdleWaitUntil(seen, /*now=*/-1, /*wake_at=*/0);  // 50us slice
+      poll_interval = kPollInitialNs;
     }
   }
 }

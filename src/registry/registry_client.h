@@ -50,8 +50,7 @@ struct RegistryClientStats {
 /// retrieved flow state (fenced by shard epoch + lease expiry), follows
 /// wrong-primary redirects, and turns observed silence into deadline-bounded
 /// retries with capped exponential backoff. All waiting is virtual-time
-/// parking (exec::Engine) inside engine tasks and plain sleeps on OS
-/// threads, so one client implementation serves both modes.
+/// parking of the calling exec::Engine task.
 ///
 /// Concurrency: a client serializes its traffic to each shard (one logical
 /// FIFO connection per shard — the dedup windows require per-client
@@ -79,9 +78,9 @@ class RegistryClient {
                           std::shared_ptr<FlowStateBase> state,
                           SimTime lease_expiry);
   StatusOr<std::shared_ptr<FlowStateBase>> Retrieve(const std::string& name);
-  /// Waits until the flow is published (or the timeout lapses — virtual
-  /// time inside an engine task, real time on a plain thread). kPeerFailed
-  /// and other terminal errors return immediately.
+  /// Parks the calling engine task until the flow is published (or the
+  /// virtual-time timeout lapses). kPeerFailed and other terminal errors
+  /// return immediately.
   StatusOr<std::shared_ptr<FlowStateBase>> RetrieveBlocking(
       const std::string& name,
       std::chrono::milliseconds timeout = std::chrono::milliseconds(10000));

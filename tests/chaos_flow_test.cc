@@ -2,13 +2,13 @@
 // all three flow types and assert that every surviving participant comes
 // back with a non-OK Status — through poisoned-channel teardown, fault-plan
 // crash detection, or the blocking deadline — and that nothing ever hangs
-// (each scenario bounds its own real time; the harness adds a hard ctest
-// timeout on top).
+// (every participant is an engine task, so a wedged wait either ends in
+// virtual time or trips the engine's stall detector; the harness adds a
+// hard ctest timeout on top).
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
+#include "common/exec/engine.h"
 #include "core/combiner_flow.h"
 #include "core/dfi_runtime.h"
 #include "core/replicate_flow.h"
@@ -51,29 +51,30 @@ TEST_F(ChaosFlowTest, ShuffleSourceAbortFailsConsumer) {
   spec.options = Bounded();
   ASSERT_TRUE(dfi_.InitShuffleFlow(std::move(spec)).ok());
 
-  std::thread healthy([&] {
+  exec::Engine engine;
+  engine.Spawn(1, "healthy", [&] {
     auto src = dfi_.CreateShuffleSource("f", 1);
     for (uint64_t k = 0; k < 5; ++k) ASSERT_TRUE((*src)->Push(&k).ok());
     ASSERT_TRUE((*src)->Close().ok());
   });
-  std::thread dying([&] {
+  engine.Spawn(2, "dying", [&] {
     auto src = dfi_.CreateShuffleSource("f", 0);
     uint64_t k = 99;
     ASSERT_TRUE((*src)->Push(&k).ok());
     (*src)->Abort(Status::PeerFailed("source 0 died"));  // no Close
   });
-
-  auto tgt = dfi_.CreateShuffleTarget("f", 0);
-  uint64_t consumed = 0;
-  ConsumeResult r;
-  TupleView tuple;
-  while ((r = (*tgt)->Consume(&tuple)) == ConsumeResult::kOk) ++consumed;
-  EXPECT_EQ(r, ConsumeResult::kError)
-      << "an aborted source must fail the consumer, not end the flow";
-  EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
-  EXPECT_LE(consumed, 6u);
-  healthy.join();
-  dying.join();
+  engine.Spawn(0, "consumer", [&] {
+    auto tgt = dfi_.CreateShuffleTarget("f", 0);
+    uint64_t consumed = 0;
+    ConsumeResult r;
+    TupleView tuple;
+    while ((r = (*tgt)->Consume(&tuple)) == ConsumeResult::kOk) ++consumed;
+    EXPECT_EQ(r, ConsumeResult::kError)
+        << "an aborted source must fail the consumer, not end the flow";
+    EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+    EXPECT_LE(consumed, 6u);
+  });
+  engine.Run();
 }
 
 TEST_F(ChaosFlowTest, ShuffleTargetAbortUnblocksFullRingProducer) {
@@ -88,19 +89,24 @@ TEST_F(ChaosFlowTest, ShuffleTargetAbortUnblocksFullRingProducer) {
 
   auto tgt = dfi_.CreateShuffleTarget("f", 0);
   Status push_status;
-  std::thread producer([&] {
+  bool wedged = false;
+  exec::Engine engine;
+  engine.Spawn(1, "producer", [&] {
     auto src = dfi_.CreateShuffleSource("f", 0);
     for (uint64_t k = 0; k < 1000; ++k) {
       push_status = (*src)->Push(&k);
       if (!push_status.ok()) return;
     }
   });
-  // Let the producer wedge against the never-consumed ring, then kill the
-  // target. The blocked Push must wake with the abort cause even though no
-  // deadline was configured.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  (*tgt)->Abort(Status::PeerFailed("target process killed"));
-  producer.join();
+  // The producer runs first and wedges against the never-consumed ring;
+  // then kill the target. The blocked Push must wake with the abort cause
+  // even though no deadline was configured.
+  engine.Spawn(0, "killer", [&] {
+    wedged = push_status.ok();
+    (*tgt)->Abort(Status::PeerFailed("target process killed"));
+  });
+  engine.Run();
+  EXPECT_TRUE(wedged);
   EXPECT_EQ(push_status.code(), StatusCode::kPeerFailed);
 }
 
@@ -115,10 +121,14 @@ TEST_F(ChaosFlowTest, ShuffleConsumeDeadlineExpiresWithSilentSource) {
 
   // The source exists but never pushes and never closes: only the
   // consumer's own deadline can end the wait.
-  auto tgt = dfi_.CreateShuffleTarget("f", 0);
-  TupleView tuple;
-  EXPECT_EQ((*tgt)->Consume(&tuple), ConsumeResult::kError);
-  EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kDeadlineExceeded);
+  exec::Engine engine;
+  engine.Spawn(0, "consumer", [&] {
+    auto tgt = dfi_.CreateShuffleTarget("f", 0);
+    TupleView tuple;
+    EXPECT_EQ((*tgt)->Consume(&tuple), ConsumeResult::kError);
+    EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kDeadlineExceeded);
+  });
+  engine.Run();
 }
 
 TEST_F(ChaosFlowTest, ShuffleFaultPlanCrashDetectedByConsumer) {
@@ -134,10 +144,14 @@ TEST_F(ChaosFlowTest, ShuffleFaultPlanCrashDetectedByConsumer) {
   // No source endpoint is ever created — the node is dead. The consumer
   // must report the peer's death (from the fault plan), well before its
   // own 60 ms deadline.
-  auto tgt = dfi_.CreateShuffleTarget("f", 0);
-  TupleView tuple;
-  EXPECT_EQ((*tgt)->Consume(&tuple), ConsumeResult::kError);
-  EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+  exec::Engine engine;
+  engine.Spawn(0, "consumer", [&] {
+    auto tgt = dfi_.CreateShuffleTarget("f", 0);
+    TupleView tuple;
+    EXPECT_EQ((*tgt)->Consume(&tuple), ConsumeResult::kError);
+    EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+  });
+  engine.Run();
 }
 
 // ---- Replicate -------------------------------------------------------------
@@ -152,14 +166,14 @@ TEST_F(ChaosFlowTest, ReplicateNaiveSourceAbortFailsAllTargets) {
   spec.options = Bounded();
   ASSERT_TRUE(dfi_.InitReplicateFlow(std::move(spec)).ok());
 
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(2, "producer", [&] {
     auto src = dfi_.CreateReplicateSource("f", 0);
     for (uint64_t k = 0; k < 8; ++k) ASSERT_TRUE((*src)->Push(&k).ok());
     (*src)->Abort(Status::PeerFailed("replicate source died"));
   });
-  std::vector<std::thread> consumers;
   for (uint32_t t = 0; t < 2; ++t) {
-    consumers.emplace_back([&, t] {
+    engine.Spawn(t, "consumer", [&, t] {
       auto tgt = dfi_.CreateReplicateTarget("f", t);
       SegmentView seg;
       ConsumeResult r;
@@ -169,8 +183,7 @@ TEST_F(ChaosFlowTest, ReplicateNaiveSourceAbortFailsAllTargets) {
       EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
     });
   }
-  producer.join();
-  for (auto& th : consumers) th.join();
+  engine.Run();
 }
 
 TEST_F(ChaosFlowTest, ReplicateMulticastAbortFailsAllTargets) {
@@ -184,14 +197,14 @@ TEST_F(ChaosFlowTest, ReplicateMulticastAbortFailsAllTargets) {
   spec.options.use_multicast = true;
   ASSERT_TRUE(dfi_.InitReplicateFlow(std::move(spec)).ok());
 
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(2, "producer", [&] {
     auto src = dfi_.CreateReplicateSource("f", 0);
     for (uint64_t k = 0; k < 8; ++k) ASSERT_TRUE((*src)->Push(&k).ok());
     (*src)->Abort(Status::PeerFailed("multicast source died"));
   });
-  std::vector<std::thread> consumers;
   for (uint32_t t = 0; t < 2; ++t) {
-    consumers.emplace_back([&, t] {
+    engine.Spawn(t, "consumer", [&, t] {
       auto tgt = dfi_.CreateReplicateTarget("f", t);
       SegmentView seg;
       ConsumeResult r;
@@ -201,8 +214,7 @@ TEST_F(ChaosFlowTest, ReplicateMulticastAbortFailsAllTargets) {
       EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
     });
   }
-  producer.join();
-  for (auto& th : consumers) th.join();
+  engine.Run();
 }
 
 TEST_F(ChaosFlowTest, ReplicateMulticastFaultPlanCrashDetected) {
@@ -216,10 +228,14 @@ TEST_F(ChaosFlowTest, ReplicateMulticastFaultPlanCrashDetected) {
   spec.options.use_multicast = true;
   ASSERT_TRUE(dfi_.InitReplicateFlow(std::move(spec)).ok());
 
-  auto tgt = dfi_.CreateReplicateTarget("f", 0);
-  SegmentView seg;
-  EXPECT_EQ((*tgt)->ConsumeSegment(&seg), ConsumeResult::kError);
-  EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+  exec::Engine engine;
+  engine.Spawn(0, "consumer", [&] {
+    auto tgt = dfi_.CreateReplicateTarget("f", 0);
+    SegmentView seg;
+    EXPECT_EQ((*tgt)->ConsumeSegment(&seg), ConsumeResult::kError);
+    EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+  });
+  engine.Run();
 }
 
 // ---- Combiner --------------------------------------------------------------
@@ -241,28 +257,29 @@ TEST_F(ChaosFlowTest, CombinerSourceAbortFailsAggregation) {
     uint64_t key;
     int64_t value;
   };
-  std::thread healthy([&] {
+  exec::Engine engine;
+  engine.Spawn(1, "healthy", [&] {
     auto src = dfi_.CreateCombinerSource("f", 0);
     Kv kv{1, 10};
     ASSERT_TRUE((*src)->Push(&kv).ok());
     ASSERT_TRUE((*src)->Close().ok());
   });
-  std::thread dying([&] {
+  engine.Spawn(2, "dying", [&] {
     auto src = dfi_.CreateCombinerSource("f", 1);
     Kv kv{2, 20};
     ASSERT_TRUE((*src)->Push(&kv).ok());
     (*src)->Abort(Status::PeerFailed("combiner source died"));
   });
-
   // The drain pre-aggregates everything before the first row is released,
   // so a dead source fails the whole aggregation — partial sums would be
   // silently wrong answers.
-  auto tgt = dfi_.CreateCombinerTarget("f", 0);
-  AggRow row;
-  EXPECT_EQ((*tgt)->ConsumeAggregate(&row), ConsumeResult::kError);
-  EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
-  healthy.join();
-  dying.join();
+  engine.Spawn(0, "aggregator", [&] {
+    auto tgt = dfi_.CreateCombinerTarget("f", 0);
+    AggRow row;
+    EXPECT_EQ((*tgt)->ConsumeAggregate(&row), ConsumeResult::kError);
+    EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+  });
+  engine.Run();
 }
 
 TEST_F(ChaosFlowTest, CombinerDrainDeadlineExpiresWithSilentSource) {
@@ -277,10 +294,14 @@ TEST_F(ChaosFlowTest, CombinerDrainDeadlineExpiresWithSilentSource) {
   spec.options = Bounded(/*deadline_ns=*/1 * kMillisecond);
   ASSERT_TRUE(dfi_.InitCombinerFlow(std::move(spec)).ok());
 
-  auto tgt = dfi_.CreateCombinerTarget("f", 0);
-  AggRow row;
-  EXPECT_EQ((*tgt)->ConsumeAggregate(&row), ConsumeResult::kError);
-  EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kDeadlineExceeded);
+  exec::Engine engine;
+  engine.Spawn(0, "aggregator", [&] {
+    auto tgt = dfi_.CreateCombinerTarget("f", 0);
+    AggRow row;
+    EXPECT_EQ((*tgt)->ConsumeAggregate(&row), ConsumeResult::kError);
+    EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kDeadlineExceeded);
+  });
+  engine.Run();
 }
 
 // ---- Runtime-level teardown ------------------------------------------------
@@ -299,16 +320,19 @@ TEST_F(ChaosFlowTest, AbortFlowByNameUnblocksWaitingConsumer) {
 
   ConsumeResult result = ConsumeResult::kOk;
   Status seen;
-  std::thread consumer([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "consumer", [&] {
     auto tgt = dfi_.CreateShuffleTarget("f", 0);
     TupleView tuple;
     result = (*tgt)->Consume(&tuple);
     seen = (*tgt)->last_status();
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  ASSERT_TRUE(
-      dfi_.AbortFlow("f", Status::PeerFailed("operator killed flow")).ok());
-  consumer.join();
+  // Runs once the consumer has parked on its empty ring.
+  engine.Spawn(1, "operator", [&] {
+    ASSERT_TRUE(
+        dfi_.AbortFlow("f", Status::PeerFailed("operator killed flow")).ok());
+  });
+  engine.Run();
   EXPECT_EQ(result, ConsumeResult::kError);
   EXPECT_EQ(seen.code(), StatusCode::kPeerFailed);
 }

@@ -4,6 +4,7 @@
 
 #include "apps/consensus/kv_store.h"
 #include "apps/consensus/messages.h"
+#include "common/exec/engine.h"
 
 namespace dfi::consensus {
 namespace {
@@ -45,6 +46,17 @@ class ConsensusTest : public ::testing::Test {
     }
     return addrs;
   }
+
+  /// Runs `app` as the root task of a one-worker engine; the app spawns
+  /// its actors on the calling task's engine.
+  template <typename Fn>
+  static auto OnEngine(Fn app) {
+    decltype(app()) result = Status::Internal("not run");
+    exec::Engine engine;
+    engine.Spawn(0, "root", [&] { result = app(); });
+    engine.Run();
+    return result;
+  }
 };
 
 TEST_F(ConsensusTest, MultiPaxosCompletesAllRequests) {
@@ -52,7 +64,7 @@ TEST_F(ConsensusTest, MultiPaxosCompletesAllRequests) {
   const ConsensusConfig cfg = SmallConfig();
   auto addrs = SetUpNodes(&fabric, cfg);
   DfiRuntime dfi(&fabric);
-  auto result = RunMultiPaxos(&dfi, addrs, cfg);
+  auto result = OnEngine([&] { return RunMultiPaxos(&dfi, addrs, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->completed,
             uint64_t{cfg.num_clients} * cfg.requests_per_client);
@@ -66,7 +78,7 @@ TEST_F(ConsensusTest, NoPaxosCompletesAllRequests) {
   const ConsensusConfig cfg = SmallConfig();
   auto addrs = SetUpNodes(&fabric, cfg);
   DfiRuntime dfi(&fabric);
-  auto result = RunNoPaxos(&dfi, addrs, cfg);
+  auto result = OnEngine([&] { return RunNoPaxos(&dfi, addrs, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->completed,
             uint64_t{cfg.num_clients} * cfg.requests_per_client);
@@ -78,7 +90,7 @@ TEST_F(ConsensusTest, DareCompletesAllRequests) {
   const ConsensusConfig cfg = SmallConfig();
   auto addrs = SetUpNodes(&fabric, cfg);
   DfiRuntime dfi(&fabric);
-  auto result = RunDare(&dfi, addrs, cfg);
+  auto result = OnEngine([&] { return RunDare(&dfi, addrs, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->completed,
             uint64_t{cfg.num_clients} * cfg.requests_per_client);
@@ -94,7 +106,7 @@ TEST_F(ConsensusTest, DfiSystemsOutperformDare) {
     net::Fabric f;
     auto addrs = SetUpNodes(&f, cfg);
     DfiRuntime dfi(&f);
-    auto r = RunDare(&dfi, addrs, cfg);
+    auto r = OnEngine([&] { return RunDare(&dfi, addrs, cfg); });
     ASSERT_TRUE(r.ok());
     dare_rps = r->throughput_rps;
   }
@@ -102,7 +114,7 @@ TEST_F(ConsensusTest, DfiSystemsOutperformDare) {
     net::Fabric f;
     auto addrs = SetUpNodes(&f, cfg);
     DfiRuntime dfi(&f);
-    auto r = RunMultiPaxos(&dfi, addrs, cfg);
+    auto r = OnEngine([&] { return RunMultiPaxos(&dfi, addrs, cfg); });
     ASSERT_TRUE(r.ok());
     paxos_rps = r->throughput_rps;
   }
@@ -110,7 +122,7 @@ TEST_F(ConsensusTest, DfiSystemsOutperformDare) {
     net::Fabric f;
     auto addrs = SetUpNodes(&f, cfg);
     DfiRuntime dfi(&f);
-    auto r = RunNoPaxos(&dfi, addrs, cfg);
+    auto r = OnEngine([&] { return RunNoPaxos(&dfi, addrs, cfg); });
     ASSERT_TRUE(r.ok());
     nopaxos_rps = r->throughput_rps;
   }

@@ -9,11 +9,11 @@
 
 #include <algorithm>
 #include <map>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench_util/workload.h"
+#include "common/exec/engine.h"
 #include "common/hash.h"
 #include "core/dfi_runtime.h"
 #include "core/endpoint/policies.h"
@@ -92,9 +92,9 @@ class AdaptiveShufflePropertyTest : public ::testing::Test {
 
     RunResult result;
     result.per_target.resize(kTargets);
-    std::vector<std::thread> threads;
+    exec::Engine engine;
     for (uint32_t s = 0; s < num_sources; ++s) {
-      threads.emplace_back([&, s] {
+      engine.Spawn(s, "source", [&, s] {
         auto src = dfi_.CreateShuffleSource(name, s);
         ASSERT_TRUE(src.ok());
         for (const auto& t : relations[s]) {
@@ -104,7 +104,7 @@ class AdaptiveShufflePropertyTest : public ::testing::Test {
       });
     }
     for (uint32_t t = 0; t < kTargets; ++t) {
-      threads.emplace_back([&, t] {
+      engine.Spawn(t, "target", [&, t] {
         auto tgt = dfi_.CreateShuffleTarget(name, t);
         ASSERT_TRUE(tgt.ok());
         TupleView tuple;
@@ -114,7 +114,7 @@ class AdaptiveShufflePropertyTest : public ::testing::Test {
         }
       });
     }
-    for (auto& th : threads) th.join();
+    engine.Run();
     return result;
   }
 
@@ -278,8 +278,8 @@ TEST_F(AdaptiveShufflePropertyTest, CrashMidMigrationFailsCleanly) {
   auto rel = bench::GenerateHotKeyRelation(4096, 1 << 16, 2, 0.5, 5);
   const auto pushed = SortedMultiset({rel});
 
-  std::vector<std::thread> threads;
-  threads.emplace_back([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "source", [&] {
     auto src = dfi_.CreateShuffleSource("crash", 0);
     ASSERT_TRUE(src.ok());
     for (const auto& t : rel) {
@@ -289,7 +289,7 @@ TEST_F(AdaptiveShufflePropertyTest, CrashMidMigrationFailsCleanly) {
   });
   std::vector<std::vector<JoinTuple>> got(kThreadsPerNode);
   for (uint32_t t = 0; t < kThreadsPerNode; ++t) {
-    threads.emplace_back([&, t] {
+    engine.Spawn(t, "target", [&, t] {
       auto tgt = dfi_.CreateShuffleTarget("crash", t);
       ASSERT_TRUE(tgt.ok());
       TupleView tuple;
@@ -302,7 +302,7 @@ TEST_F(AdaptiveShufflePropertyTest, CrashMidMigrationFailsCleanly) {
       EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
     });
   }
-  for (auto& th : threads) th.join();
+  engine.Run();
 
   auto consumed = SortedMultiset(got);
   EXPECT_EQ(std::adjacent_find(consumed.begin(), consumed.end()),

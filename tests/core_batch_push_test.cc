@@ -9,9 +9,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 #include <vector>
 
+#include "common/exec/engine.h"
 #include "core/dfi_runtime.h"
 
 namespace dfi {
@@ -110,9 +110,9 @@ std::vector<std::vector<uint64_t>> RunFlow(const GridParam& p,
   spec.options.segments_per_ring = p.segments_per_ring;
   EXPECT_TRUE(dfi.InitShuffleFlow(std::move(spec)).ok());
 
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t s = 0; s < p.num_sources; ++s) {
-    threads.emplace_back([&, s] {
+    engine.Spawn(s, "source", [&, s] {
       auto source = dfi.CreateShuffleSource("batch_prop", s);
       ASSERT_TRUE(source.ok());
       const size_t tuple_size = (*source)->schema().tuple_size();
@@ -145,7 +145,7 @@ std::vector<std::vector<uint64_t>> RunFlow(const GridParam& p,
 
   std::vector<std::vector<uint64_t>> received(p.num_targets);
   for (uint32_t t = 0; t < p.num_targets; ++t) {
-    threads.emplace_back([&, t] {
+    engine.Spawn(t, "target", [&, t] {
       auto target = dfi.CreateShuffleTarget("batch_prop", t);
       ASSERT_TRUE(target.ok());
       TupleView tuple;
@@ -154,7 +154,7 @@ std::vector<std::vector<uint64_t>> RunFlow(const GridParam& p,
       }
     });
   }
-  for (auto& th : threads) th.join();
+  engine.Run();
   return received;
 }
 

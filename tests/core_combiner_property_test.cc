@@ -6,8 +6,8 @@
 
 #include <algorithm>
 #include <map>
-#include <thread>
 
+#include "common/exec/engine.h"
 #include "core/combiner_flow.h"
 #include "core/dfi_runtime.h"
 
@@ -99,9 +99,9 @@ TEST_P(CombinerProperty, MatchesScalarReference) {
     }
   }
 
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t s = 0; s < p.num_sources; ++s) {
-    threads.emplace_back([&, s] {
+    engine.Spawn(s, "source", [&, s] {
       auto src = dfi.CreateCombinerSource("prop", s);
       ASSERT_TRUE(src.ok());
       struct {
@@ -119,7 +119,7 @@ TEST_P(CombinerProperty, MatchesScalarReference) {
   std::mutex mu;
   std::map<uint64_t, double> measured;
   for (uint32_t t = 0; t < p.target_threads; ++t) {
-    threads.emplace_back([&, t] {
+    engine.Spawn(t, "target", [&, t] {
       auto tgt = dfi.CreateCombinerTarget("prop", t);
       ASSERT_TRUE(tgt.ok());
       AggRow row;
@@ -134,7 +134,7 @@ TEST_P(CombinerProperty, MatchesScalarReference) {
       }
     });
   }
-  for (auto& th : threads) th.join();
+  engine.Run();
 
   ASSERT_EQ(measured.size(), reference.size());
   for (auto& [key, expected] : reference) {

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <thread>
 #include <vector>
 
+#include "common/exec/engine.h"
 #include "core/dfi_runtime.h"
 
 namespace dfi {
@@ -75,9 +75,9 @@ TEST_F(CombinerTest, MultiNodeTargetsPartitionGroups) {
 
   constexpr uint64_t kPerSource = 2048;  // multiple of kGroups: equal counts
   constexpr uint64_t kGroups = 32;
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t s = 0; s < 2; ++s) {
-    threads.emplace_back([&, s] {
+    engine.Spawn(s, "source", [&, s] {
       auto source = dfi_.CreateCombinerSource("agg", s);
       ASSERT_TRUE(source.ok());
       for (uint64_t i = 0; i < kPerSource; ++i) {
@@ -90,7 +90,7 @@ TEST_F(CombinerTest, MultiNodeTargetsPartitionGroups) {
   std::mutex mu;
   std::map<uint64_t, AggRow> rows;
   for (uint32_t t = 0; t < 2; ++t) {
-    threads.emplace_back([&, t] {
+    engine.Spawn(t, "target", [&, t] {
       auto target = dfi_.CreateCombinerTarget("agg", t);
       ASSERT_TRUE(target.ok());
       AggRow row;
@@ -108,7 +108,7 @@ TEST_F(CombinerTest, MultiNodeTargetsPartitionGroups) {
       }
     });
   }
-  for (auto& th : threads) th.join();
+  engine.Run();
   ASSERT_EQ(rows.size(), kGroups);
   for (auto& [key, row] : rows) {
     EXPECT_DOUBLE_EQ(row.values[0], 2.0 * 2 * kPerSource / kGroups);
@@ -127,9 +127,9 @@ TEST_F(CombinerTest, SumGroupByMatchesReference) {
   std::map<uint64_t, double> ref_count;
   std::mutex ref_mu;
 
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t s = 0; s < 4; ++s) {
-    threads.emplace_back([&, s] {
+    engine.Spawn(s, "source", [&, s] {
       auto source = dfi_.CreateCombinerSource("agg", s);
       ASSERT_TRUE(source.ok());
       std::map<uint64_t, double> local_sum, local_count;
@@ -147,7 +147,7 @@ TEST_F(CombinerTest, SumGroupByMatchesReference) {
   }
 
   std::map<uint64_t, AggRow> rows;
-  threads.emplace_back([&] {
+  engine.Spawn(0, "aggregator", [&] {
     auto target = dfi_.CreateCombinerTarget("agg", 0);
     ASSERT_TRUE(target.ok());
     AggRow row;
@@ -156,7 +156,7 @@ TEST_F(CombinerTest, SumGroupByMatchesReference) {
     }
     EXPECT_EQ((*target)->tuples_aggregated(), 4 * kPerSource);
   });
-  for (auto& th : threads) th.join();
+  engine.Run();
 
   ASSERT_EQ(rows.size(), kGroups);
   for (auto& [key, row] : rows) {
@@ -169,9 +169,9 @@ TEST_F(CombinerTest, MinMaxAggregates) {
   auto spec = BaseSpec(2, 1);
   spec.aggregates = {{AggFunc::kMin, 1}, {AggFunc::kMax, 1}};
   ASSERT_TRUE(dfi_.InitCombinerFlow(std::move(spec)).ok());
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t s = 0; s < 2; ++s) {
-    threads.emplace_back([&, s] {
+    engine.Spawn(s, "source", [&, s] {
       auto source = dfi_.CreateCombinerSource("agg", s);
       for (int64_t i = 0; i < 1000; ++i) {
         Kv kv{static_cast<uint64_t>(i % 5),
@@ -182,14 +182,14 @@ TEST_F(CombinerTest, MinMaxAggregates) {
     });
   }
   std::map<uint64_t, AggRow> rows;
-  threads.emplace_back([&] {
+  engine.Spawn(0, "aggregator", [&] {
     auto target = dfi_.CreateCombinerTarget("agg", 0);
     AggRow row;
     while ((*target)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
       rows[row.group_key] = row;
     }
   });
-  for (auto& th : threads) th.join();
+  engine.Run();
   ASSERT_EQ(rows.size(), 5u);
   for (auto& [key, row] : rows) {
     // Keys k, k+5, ..., k+995: min is -(max positive) and max is positive.
@@ -204,9 +204,9 @@ TEST_F(CombinerTest, MultiThreadedTargetPartitionsGroups) {
   ASSERT_TRUE(dfi_.InitCombinerFlow(std::move(spec)).ok());
   constexpr uint64_t kGroups = 64;
   constexpr uint64_t kPerSource = 2048;  // multiple of kGroups: equal counts
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t s = 0; s < 2; ++s) {
-    threads.emplace_back([&, s] {
+    engine.Spawn(s, "source", [&, s] {
       auto source = dfi_.CreateCombinerSource("agg", s);
       for (uint64_t i = 0; i < kPerSource; ++i) {
         Kv kv{i % kGroups, 1};
@@ -218,7 +218,7 @@ TEST_F(CombinerTest, MultiThreadedTargetPartitionsGroups) {
   std::mutex mu;
   std::map<uint64_t, double> counts;
   for (uint32_t t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
+    engine.Spawn(t, "target", [&, t] {
       auto target = dfi_.CreateCombinerTarget("agg", t);
       AggRow row;
       std::map<uint64_t, double> local;
@@ -234,7 +234,7 @@ TEST_F(CombinerTest, MultiThreadedTargetPartitionsGroups) {
       }
     });
   }
-  for (auto& th : threads) th.join();
+  engine.Run();
   ASSERT_EQ(counts.size(), kGroups);
   for (auto& [k, v] : counts) {
     EXPECT_DOUBLE_EQ(v, 2.0 * kPerSource / kGroups);
@@ -246,9 +246,9 @@ TEST_F(CombinerTest, GlobalAggregatePartialsSumUp) {
   spec.global_aggregate = true;
   spec.aggregates = {{AggFunc::kSum, 1}};
   ASSERT_TRUE(dfi_.InitCombinerFlow(std::move(spec)).ok());
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t s = 0; s < 2; ++s) {
-    threads.emplace_back([&, s] {
+    engine.Spawn(s, "source", [&, s] {
       auto source = dfi_.CreateCombinerSource("agg", s);
       for (int64_t i = 1; i <= 1000; ++i) {
         Kv kv{0, i};
@@ -259,7 +259,7 @@ TEST_F(CombinerTest, GlobalAggregatePartialsSumUp) {
   }
   std::atomic<double> total{0};
   for (uint32_t t = 0; t < 2; ++t) {
-    threads.emplace_back([&, t] {
+    engine.Spawn(t, "target", [&, t] {
       auto target = dfi_.CreateCombinerTarget("agg", t);
       AggRow row;
       double partial = 0;
@@ -271,7 +271,7 @@ TEST_F(CombinerTest, GlobalAggregatePartialsSumUp) {
       }
     });
   }
-  for (auto& th : threads) th.join();
+  engine.Run();
   EXPECT_DOUBLE_EQ(total.load(), 2.0 * 1000 * 1001 / 2);
 }
 

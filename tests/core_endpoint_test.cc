@@ -6,12 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstring>
-#include <thread>
 #include <vector>
 
+#include "common/exec/engine.h"
 #include "core/endpoint/flow_sink.h"
 #include "core/endpoint/policies.h"
 #include "net/fabric.h"
@@ -67,7 +65,8 @@ TEST_F(EndpointTest, RingWrapAroundPreservesOrder) {
   ChannelMatrix matrix = MakeMatrix(options);
 
   constexpr uint64_t kTuples = 16 * 4 * 8;  // 8 full target-ring laps
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "producer", [&] {
     VirtualClock clock;
     FlowEndpoint endpoint(&matrix, /*source_index=*/0,
                           env_.context(nodes_[0]), &clock);
@@ -88,21 +87,23 @@ TEST_F(EndpointTest, RingWrapAroundPreservesOrder) {
   VirtualClock clock;
   FlowSink sink = MakeSink(&matrix, &clock);
   uint64_t next = 0;
-  SegmentView view;
-  for (;;) {
-    ConsumeResult r = sink.ConsumeSegment(&view);
-    if (r == ConsumeResult::kFlowEnd) break;
-    ASSERT_EQ(r, ConsumeResult::kOk) << sink.last_status();
-    ASSERT_EQ(view.bytes % kTupleSize, 0u);
-    for (uint32_t off = 0; off < view.bytes; off += kTupleSize) {
-      Rec rec;
-      std::memcpy(&rec, view.payload + off, sizeof(rec));
-      ASSERT_EQ(rec.seq, next) << "tuple order broken across ring wrap";
-      ASSERT_EQ(rec.payload, ~next);
-      ++next;
+  engine.Spawn(1, "consumer", [&] {
+    SegmentView view;
+    for (;;) {
+      ConsumeResult r = sink.ConsumeSegment(&view);
+      if (r == ConsumeResult::kFlowEnd) break;
+      ASSERT_EQ(r, ConsumeResult::kOk) << sink.last_status();
+      ASSERT_EQ(view.bytes % kTupleSize, 0u);
+      for (uint32_t off = 0; off < view.bytes; off += kTupleSize) {
+        Rec rec;
+        std::memcpy(&rec, view.payload + off, sizeof(rec));
+        ASSERT_EQ(rec.seq, next) << "tuple order broken across ring wrap";
+        ASSERT_EQ(rec.payload, ~next);
+        ++next;
+      }
     }
-  }
-  producer.join();
+  });
+  engine.Run();
   EXPECT_EQ(next, kTuples);
 }
 
@@ -115,7 +116,8 @@ TEST_F(EndpointTest, TupleConsumeAcrossWrap) {
   ChannelMatrix matrix = MakeMatrix(options);
 
   constexpr uint64_t kTuples = 8 * 2 * 5;
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "producer", [&] {
     VirtualClock clock;
     FlowEndpoint endpoint(&matrix, 0, env_.context(nodes_[0]), &clock);
     for (uint64_t i = 0; i < kTuples; ++i) {
@@ -127,14 +129,16 @@ TEST_F(EndpointTest, TupleConsumeAcrossWrap) {
 
   VirtualClock clock;
   FlowSink sink = MakeSink(&matrix, &clock);
-  TupleView tuple;
   uint64_t next = 0;
-  while (sink.Consume(&tuple) == ConsumeResult::kOk) {
-    ASSERT_EQ(tuple.Get<uint64_t>(0), next);
-    ASSERT_EQ(tuple.Get<uint64_t>(1), next * 3);
-    ++next;
-  }
-  producer.join();
+  engine.Spawn(1, "consumer", [&] {
+    TupleView tuple;
+    while (sink.Consume(&tuple) == ConsumeResult::kOk) {
+      ASSERT_EQ(tuple.Get<uint64_t>(0), next);
+      ASSERT_EQ(tuple.Get<uint64_t>(1), next * 3);
+      ++next;
+    }
+  });
+  engine.Run();
   EXPECT_EQ(next, kTuples);
   EXPECT_TRUE(sink.last_status().ok());
 }
@@ -151,10 +155,14 @@ TEST_F(EndpointTest, PushDeadlineExpiresOnFullRing) {
   VirtualClock clock;
   FlowEndpoint endpoint(&matrix, 0, env_.context(nodes_[0]), &clock);
   Status status = Status::OK();
-  for (uint64_t i = 0; i < 64 && status.ok(); ++i) {
-    Rec rec{i, 0};
-    status = endpoint.PushTo(&rec, 0);
-  }
+  exec::Engine engine;
+  engine.Spawn(0, "producer", [&] {
+    for (uint64_t i = 0; i < 64 && status.ok(); ++i) {
+      Rec rec{i, 0};
+      status = endpoint.PushTo(&rec, 0);
+    }
+  });
+  engine.Run();
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status;
   // The expired wait charged at least the deadline to virtual time.
   EXPECT_GE(clock.now(), options.block_deadline_ns);
@@ -169,8 +177,12 @@ TEST_F(EndpointTest, ConsumeDeadlineExpiresWithSilentSource) {
 
   VirtualClock clock;
   FlowSink sink = MakeSink(&matrix, &clock);
-  SegmentView view;
-  EXPECT_EQ(sink.ConsumeSegment(&view), ConsumeResult::kError);
+  exec::Engine engine;
+  engine.Spawn(0, "consumer", [&] {
+    SegmentView view;
+    EXPECT_EQ(sink.ConsumeSegment(&view), ConsumeResult::kError);
+  });
+  engine.Run();
   EXPECT_EQ(sink.last_status().code(), StatusCode::kDeadlineExceeded)
       << sink.last_status();
 }
@@ -205,16 +217,17 @@ TEST_F(EndpointTest, AbortPropagatesSinkToSource) {
   options.segments_per_ring = 2;
   ChannelMatrix matrix = MakeMatrix(options);
 
-  std::atomic<bool> blocked{false};
+  bool blocked = false;
   Status push_status = Status::OK();
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "producer", [&] {
     VirtualClock clock;
     FlowEndpoint endpoint(&matrix, 0, env_.context(nodes_[0]), &clock);
     for (uint64_t i = 0; i < 64; ++i) {
       Rec rec{i, 0};
       // Enough pushes to fill the remote ring; with nobody consuming the
       // transmit blocks until the abort below tears the channel down.
-      blocked.store(i >= 8, std::memory_order_relaxed);
+      blocked = i >= 8;
       push_status = endpoint.PushTo(&rec, 0);
       if (!push_status.ok()) return;
     }
@@ -222,12 +235,12 @@ TEST_F(EndpointTest, AbortPropagatesSinkToSource) {
 
   VirtualClock clock;
   FlowSink sink = MakeSink(&matrix, &clock);
-  while (!blocked.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  sink.Abort(Status::Aborted("target failed"));
-  producer.join();
+  // Runs once the producer has parked on the full ring.
+  engine.Spawn(1, "aborter", [&] {
+    EXPECT_TRUE(blocked);
+    sink.Abort(Status::Aborted("target failed"));
+  });
+  engine.Run();
   EXPECT_EQ(push_status.code(), StatusCode::kAborted) << push_status;
 }
 
@@ -240,16 +253,19 @@ TEST_F(EndpointTest, FlowAbortLatchUnblocksSink) {
 
   VirtualClock clock;
   FlowSink sink = MakeSink(&matrix, &clock, &latch);
-  std::thread aborter([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  exec::Engine engine;
+  engine.Spawn(0, "consumer", [&] {
+    SegmentView view;
+    EXPECT_EQ(sink.ConsumeSegment(&view), ConsumeResult::kError);
+  });
+  // Runs once the consumer has parked on its empty ring.
+  engine.Spawn(1, "aborter", [&] {
     latch.Trip(Status::PeerFailed("sibling target crashed"));
     matrix.PoisonAll(latch.status());  // wake the gate, as flows do
   });
-  SegmentView view;
-  EXPECT_EQ(sink.ConsumeSegment(&view), ConsumeResult::kError);
+  engine.Run();
   EXPECT_EQ(sink.last_status().code(), StatusCode::kPeerFailed)
       << sink.last_status();
-  aborter.join();
 }
 
 // AbortLatch semantics the flows rely on: first cause wins, OK causes are

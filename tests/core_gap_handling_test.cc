@@ -6,8 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
+#include "common/exec/engine.h"
 #include "common/units.h"
 #include "core/dfi_runtime.h"
 #include "core/replicate_flow.h"
@@ -45,16 +44,16 @@ class GapHandlingTest : public ::testing::Test {
 
 TEST_F(GapHandlingTest, NoGapsWithoutLoss) {
   Init(0.0, 1);
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(2, "producer", [&] {
     auto src = dfi_->CreateReplicateSource("gap", 0);
     for (uint64_t k = 0; k < 200; ++k) {
       ASSERT_TRUE((*src)->Push(&k).ok());
     }
     ASSERT_TRUE((*src)->Close().ok());
   });
-  std::vector<std::thread> consumers;
   for (uint32_t t = 0; t < 2; ++t) {
-    consumers.emplace_back([&, t] {
+    engine.Spawn(t, "consumer", [&, t] {
       auto tgt = dfi_->CreateReplicateTarget("gap", t);
       uint64_t count = 0;
       SegmentView seg;
@@ -66,13 +65,13 @@ TEST_F(GapHandlingTest, NoGapsWithoutLoss) {
       EXPECT_EQ(count, 200u);
     });
   }
-  producer.join();
-  for (auto& th : consumers) th.join();
+  engine.Run();
 }
 
 TEST_F(GapHandlingTest, GapsSurfacedAndSkippable) {
   Init(0.15, 7);
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(2, "producer", [&] {
     auto src = dfi_->CreateReplicateSource("gap", 0);
     for (uint64_t k = 0; k < 150; ++k) {
       ASSERT_TRUE((*src)->Push(&k).ok());
@@ -81,9 +80,8 @@ TEST_F(GapHandlingTest, GapsSurfacedAndSkippable) {
   });
   std::vector<uint64_t> gaps_seen(2, 0);
   std::vector<uint64_t> delivered(2, 0);
-  std::vector<std::thread> consumers;
   for (uint32_t t = 0; t < 2; ++t) {
-    consumers.emplace_back([&, t] {
+    engine.Spawn(t, "consumer", [&, t] {
       auto tgt = dfi_->CreateReplicateTarget("gap", t);
       SegmentView seg;
       uint64_t last_seq = 0;
@@ -109,8 +107,7 @@ TEST_F(GapHandlingTest, GapsSurfacedAndSkippable) {
       }
     });
   }
-  producer.join();
-  for (auto& th : consumers) th.join();
+  engine.Run();
   for (uint32_t t = 0; t < 2; ++t) {
     EXPECT_GT(gaps_seen[t], 0u) << "15% loss must surface gaps";
     EXPECT_EQ(delivered[t] + gaps_seen[t], 150u)
@@ -129,7 +126,8 @@ TEST_F(GapHandlingTest, BurstyFaultPlanLossWithReorderStaysOrdered) {
   fabric_->fault_plan().LossBurst(0, 50 * kMicrosecond, 0.2);
   fabric_->fault_plan().LossBurst(100 * kMicrosecond, kSecond, 0.15);
   constexpr uint64_t kMessages = 250;
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(2, "producer", [&] {
     auto src = dfi_->CreateReplicateSource("gap", 0);
     for (uint64_t k = 0; k < kMessages; ++k) {
       ASSERT_TRUE((*src)->Push(&k).ok());
@@ -137,9 +135,8 @@ TEST_F(GapHandlingTest, BurstyFaultPlanLossWithReorderStaysOrdered) {
     ASSERT_TRUE((*src)->Close().ok());
   });
   std::vector<uint64_t> gaps_seen(2, 0);
-  std::vector<std::thread> consumers;
   for (uint32_t t = 0; t < 2; ++t) {
-    consumers.emplace_back([&, t] {
+    engine.Spawn(t, "consumer", [&, t] {
       auto tgt = dfi_->CreateReplicateTarget("gap", t);
       SegmentView seg;
       uint64_t delivered = 0;
@@ -165,8 +162,7 @@ TEST_F(GapHandlingTest, BurstyFaultPlanLossWithReorderStaysOrdered) {
       EXPECT_EQ(delivered + gaps_seen[t], kMessages);
     });
   }
-  producer.join();
-  for (auto& th : consumers) th.join();
+  engine.Run();
   for (uint32_t t = 0; t < 2; ++t) {
     EXPECT_GT(gaps_seen[t], 0u)
         << "the scripted loss bursts must surface gaps";
@@ -175,16 +171,16 @@ TEST_F(GapHandlingTest, BurstyFaultPlanLossWithReorderStaysOrdered) {
 
 TEST_F(GapHandlingTest, SupplyGapInjectsRecoveredContent) {
   Init(0.15, 21);
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(2, "producer", [&] {
     auto src = dfi_->CreateReplicateSource("gap", 0);
     for (uint64_t k = 0; k < 120; ++k) {
       ASSERT_TRUE((*src)->Push(&k).ok());
     }
     ASSERT_TRUE((*src)->Close().ok());
   });
-  std::vector<std::thread> consumers;
   for (uint32_t t = 0; t < 2; ++t) {
-    consumers.emplace_back([&, t] {
+    engine.Spawn(t, "consumer", [&, t] {
       auto tgt = dfi_->CreateReplicateTarget("gap", t);
       SegmentView seg;
       uint64_t total = 0;
@@ -207,8 +203,7 @@ TEST_F(GapHandlingTest, SupplyGapInjectsRecoveredContent) {
       EXPECT_GT(recovered_count, 0u) << "15% loss must recover something";
     });
   }
-  producer.join();
-  for (auto& th : consumers) th.join();
+  engine.Run();
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <atomic>
 
+#include "common/exec/engine.h"
 #include "core/dfi.h"
 #include "core/graph/executor.h"
 
@@ -411,8 +412,13 @@ TEST(GraphRunTest, SourceTransformSinkDeliversEverything) {
   ASSERT_TRUE(g.ok()) << g.status();
   auto run = g->Instantiate(&dfi);
   ASSERT_TRUE(run.ok()) << run.status();
-  ASSERT_TRUE((*run)->Start().ok());
-  ASSERT_TRUE((*run)->Finish().ok()) << (*run)->status();
+  // The operators run as actors of the engine task that starts the graph.
+  exec::Engine engine;
+  engine.Spawn(0, "driver", [&] {
+    ASSERT_TRUE((*run)->Start().ok());
+    ASSERT_TRUE((*run)->Finish().ok()) << (*run)->status();
+  });
+  engine.Run();
 
   const uint64_t total = 4 * kPerSource;  // 4 source workers
   EXPECT_EQ((*run)->stats("src").tuples_out, total);
@@ -455,8 +461,12 @@ TEST(GraphRunTest, InstantiateRegistersAndFinishRemovesFlows) {
   ASSERT_TRUE(run.ok()) << run.status();
   // The batched publish made the flow retrievable while the run is live.
   EXPECT_TRUE(dfi.registry_client().Retrieve("reg.flow").ok());
-  ASSERT_TRUE((*run)->Start().ok());
-  EXPECT_TRUE((*run)->Finish().ok());
+  exec::Engine engine;
+  engine.Spawn(0, "driver", [&] {
+    ASSERT_TRUE((*run)->Start().ok());
+    EXPECT_TRUE((*run)->Finish().ok());
+  });
+  engine.Run();
   EXPECT_FALSE(dfi.registry_client().Retrieve("reg.flow").ok());
 }
 

@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
+#include "common/exec/engine.h"
 #include "core/dfi_runtime.h"
 #include "core/replicate_flow.h"
 
@@ -60,9 +60,9 @@ TEST_P(OrderedReplicateProperty, ExactlyOnceIdenticalOrder) {
   spec.options.optimization = p.opt;
   ASSERT_TRUE(dfi.InitReplicateFlow(std::move(spec)).ok());
 
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t s = 0; s < p.num_sources; ++s) {
-    threads.emplace_back([&, s] {
+    engine.Spawn(s, "source", [&, s] {
       auto src = dfi.CreateReplicateSource("oum", s);
       ASSERT_TRUE(src.ok());
       for (uint64_t i = 0; i < p.tuples_per_source; ++i) {
@@ -74,7 +74,7 @@ TEST_P(OrderedReplicateProperty, ExactlyOnceIdenticalOrder) {
   }
   std::vector<std::vector<uint64_t>> observed(p.num_targets);
   for (uint32_t t = 0; t < p.num_targets; ++t) {
-    threads.emplace_back([&, t] {
+    engine.Spawn(t, "target", [&, t] {
       auto tgt = dfi.CreateReplicateTarget("oum", t);
       ASSERT_TRUE(tgt.ok());
       TupleView tuple;
@@ -83,7 +83,7 @@ TEST_P(OrderedReplicateProperty, ExactlyOnceIdenticalOrder) {
       }
     });
   }
-  for (auto& th : threads) th.join();
+  engine.Run();
 
   const uint64_t total = p.num_sources * p.tuples_per_source;
   for (uint32_t t = 0; t < p.num_targets; ++t) {

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
+#include "common/exec/engine.h"
 #include "core/dfi_runtime.h"
 
 namespace dfi {
@@ -44,8 +44,8 @@ class ReplicateTest : public ::testing::Test {
   /// Pushes kTuples from source 0 and verifies every target received all
   /// of them (order checked when `expect_order`).
   void RunOneToN(uint32_t num_targets, uint64_t tuples, bool expect_order) {
-    std::vector<std::thread> threads;
-    threads.emplace_back([&] {
+    exec::Engine engine;
+    engine.Spawn(0, "source", [&] {
       auto source = dfi_.CreateReplicateSource("rep", 0);
       ASSERT_TRUE(source.ok());
       for (uint64_t i = 0; i < tuples; ++i) {
@@ -56,7 +56,7 @@ class ReplicateTest : public ::testing::Test {
     });
     std::vector<uint64_t> counts(num_targets, 0);
     for (uint32_t t = 0; t < num_targets; ++t) {
-      threads.emplace_back([&, t] {
+      engine.Spawn(t, "target", [&, t] {
         auto target = dfi_.CreateReplicateTarget("rep", t);
         ASSERT_TRUE(target.ok());
         TupleView tuple;
@@ -72,7 +72,7 @@ class ReplicateTest : public ::testing::Test {
         }
       });
     }
-    for (auto& th : threads) th.join();
+    engine.Run();
     for (uint32_t t = 0; t < num_targets; ++t) {
       EXPECT_EQ(counts[t], tuples) << "target " << t;
     }
@@ -119,9 +119,9 @@ TEST_F(ReplicateTest, MulticastOrderedMultiSourceGlobalOrder) {
   ASSERT_TRUE(dfi_.InitReplicateFlow(std::move(spec)).ok());
 
   constexpr uint64_t kPerSource = 500;
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t s = 0; s < 2; ++s) {
-    threads.emplace_back([&, s] {
+    engine.Spawn(s, "source", [&, s] {
       auto source = dfi_.CreateReplicateSource("rep", s);
       ASSERT_TRUE(source.ok());
       for (uint64_t i = 0; i < kPerSource; ++i) {
@@ -133,7 +133,7 @@ TEST_F(ReplicateTest, MulticastOrderedMultiSourceGlobalOrder) {
   }
   std::vector<std::vector<uint64_t>> sequences(3);
   for (uint32_t t = 0; t < 3; ++t) {
-    threads.emplace_back([&, t] {
+    engine.Spawn(t, "target", [&, t] {
       auto target = dfi_.CreateReplicateTarget("rep", t);
       ASSERT_TRUE(target.ok());
       TupleView tuple;
@@ -142,7 +142,7 @@ TEST_F(ReplicateTest, MulticastOrderedMultiSourceGlobalOrder) {
       }
     });
   }
-  for (auto& th : threads) th.join();
+  engine.Run();
   ASSERT_EQ(sequences[0].size(), 2 * kPerSource);
   EXPECT_EQ(sequences[0], sequences[1]) << "targets disagree on order";
   EXPECT_EQ(sequences[0], sequences[2]) << "targets disagree on order";

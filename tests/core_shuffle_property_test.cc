@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <thread>
 #include <tuple>
 #include <vector>
 
+#include "common/exec/engine.h"
 #include "core/dfi_runtime.h"
 
 namespace dfi {
@@ -70,9 +70,9 @@ TEST_P(ShufflePropertyTest, ExactlyOnceCorrectlyPartitioned) {
   ASSERT_TRUE(dfi.InitShuffleFlow(std::move(spec)).ok());
 
   const uint64_t total = p.num_sources * p.tuples_per_source;
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t s = 0; s < p.num_sources; ++s) {
-    threads.emplace_back([&, s] {
+    engine.Spawn(s, "source", [&, s] {
       auto source = dfi.CreateShuffleSource("prop", s);
       ASSERT_TRUE(source.ok());
       std::vector<uint8_t> buf((*source)->schema().tuple_size(), 0);
@@ -87,7 +87,7 @@ TEST_P(ShufflePropertyTest, ExactlyOnceCorrectlyPartitioned) {
 
   std::vector<std::vector<uint64_t>> received(p.num_targets);
   for (uint32_t t = 0; t < p.num_targets; ++t) {
-    threads.emplace_back([&, t] {
+    engine.Spawn(t, "target", [&, t] {
       auto target = dfi.CreateShuffleTarget("prop", t);
       ASSERT_TRUE(target.ok());
       TupleView tuple;
@@ -99,7 +99,7 @@ TEST_P(ShufflePropertyTest, ExactlyOnceCorrectlyPartitioned) {
       }
     });
   }
-  for (auto& th : threads) th.join();
+  engine.Run();
 
   std::vector<uint64_t> all;
   for (auto& r : received) all.insert(all.end(), r.begin(), r.end());

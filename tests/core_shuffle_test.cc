@@ -4,9 +4,9 @@
 
 #include <map>
 #include <numeric>
-#include <thread>
 #include <vector>
 
+#include "common/exec/engine.h"
 #include "core/dfi_runtime.h"
 
 namespace dfi {
@@ -76,7 +76,8 @@ TEST_F(ShuffleTest, OneToOneRoundTrip) {
   ASSERT_TRUE(target.ok());
 
   constexpr uint64_t kTuples = 10000;
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "producer", [&] {
     for (uint64_t i = 0; i < kTuples; ++i) {
       Kv kv{i, i * 2};
       ASSERT_TRUE((*source)->Push(&kv).ok());
@@ -85,13 +86,15 @@ TEST_F(ShuffleTest, OneToOneRoundTrip) {
   });
 
   uint64_t count = 0, key_sum = 0;
-  TupleView tuple;
-  while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-    EXPECT_EQ(tuple.Get<uint64_t>(1), tuple.Get<uint64_t>(0) * 2);
-    key_sum += tuple.Get<uint64_t>(0);
-    ++count;
-  }
-  producer.join();
+  engine.Spawn(1, "consumer", [&] {
+    TupleView tuple;
+    while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+      EXPECT_EQ(tuple.Get<uint64_t>(1), tuple.Get<uint64_t>(0) * 2);
+      key_sum += tuple.Get<uint64_t>(0);
+      ++count;
+    }
+  });
+  engine.Run();
   EXPECT_EQ(count, kTuples);
   EXPECT_EQ(key_sum, kTuples * (kTuples - 1) / 2);
   EXPECT_GT((*target)->clock().now(), 0);
@@ -140,9 +143,9 @@ TEST_F(ShuffleTest, KeyRoutingPartitionsDisjointly) {
   ASSERT_TRUE(dfi_.InitShuffleFlow(spec).ok());
 
   constexpr uint64_t kPerSource = 5000;
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t s = 0; s < 2; ++s) {
-    threads.emplace_back([&, s] {
+    engine.Spawn(s, "source", [&, s] {
       auto source = dfi_.CreateShuffleSource("f", s);
       ASSERT_TRUE(source.ok());
       for (uint64_t i = 0; i < kPerSource; ++i) {
@@ -155,7 +158,7 @@ TEST_F(ShuffleTest, KeyRoutingPartitionsDisjointly) {
 
   std::vector<std::vector<uint64_t>> received(2);
   for (uint32_t t = 0; t < 2; ++t) {
-    threads.emplace_back([&, t] {
+    engine.Spawn(2 + t, "target", [&, t] {
       auto target = dfi_.CreateShuffleTarget("f", t);
       ASSERT_TRUE(target.ok());
       TupleView tuple;
@@ -166,7 +169,7 @@ TEST_F(ShuffleTest, KeyRoutingPartitionsDisjointly) {
       }
     });
   }
-  for (auto& th : threads) th.join();
+  engine.Run();
 
   std::vector<uint64_t> all;
   for (auto& r : received) all.insert(all.end(), r.begin(), r.end());
@@ -190,7 +193,8 @@ TEST_F(ShuffleTest, CustomRoutingFunction) {
   ASSERT_TRUE(dfi_.InitShuffleFlow(spec).ok());
 
   auto source = dfi_.CreateShuffleSource("f", 0);
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "producer", [&] {
     for (uint64_t i = 0; i < 200; ++i) {
       Kv kv{i, 0};
       ASSERT_TRUE((*source)->Push(&kv).ok());
@@ -201,18 +205,19 @@ TEST_F(ShuffleTest, CustomRoutingFunction) {
   auto t0 = dfi_.CreateShuffleTarget("f", 0);
   auto t1 = dfi_.CreateShuffleTarget("f", 1);
   std::vector<uint64_t> left, right;
-  std::thread consumer0([&] {
+  engine.Spawn(1, "consumer0", [&] {
     TupleView tuple;
     while ((*t0)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
       left.push_back(tuple.Get<uint64_t>(0));
     }
   });
-  TupleView tuple;
-  while ((*t1)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-    right.push_back(tuple.Get<uint64_t>(0));
-  }
-  producer.join();
-  consumer0.join();
+  engine.Spawn(2, "consumer1", [&] {
+    TupleView tuple;
+    while ((*t1)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+      right.push_back(tuple.Get<uint64_t>(0));
+    }
+  });
+  engine.Run();
   EXPECT_EQ(left.size(), 100u);
   EXPECT_EQ(right.size(), 100u);
   for (uint64_t k : left) EXPECT_LT(k, 100u);
@@ -229,22 +234,25 @@ TEST_F(ShuffleTest, PushToExplicitTarget) {
   auto source = dfi_.CreateShuffleSource("f", 0);
   Kv kv{42, 7};
   EXPECT_EQ((*source)->PushTo(&kv, 5).code(), StatusCode::kOutOfRange);
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "producer", [&] {
     Kv t{42, 7};
     ASSERT_TRUE((*source)->PushTo(&t, 1).ok());
     ASSERT_TRUE((*source)->Close().ok());
   });
   auto t0 = dfi_.CreateShuffleTarget("f", 0);
   auto t1 = dfi_.CreateShuffleTarget("f", 1);
-  TupleView tuple;
-  int t1_count = 0;
-  while ((*t1)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-    EXPECT_EQ(tuple.Get<uint64_t>(0), 42u);
-    ++t1_count;
-  }
-  EXPECT_EQ(t1_count, 1);
-  EXPECT_EQ((*t0)->Consume(&tuple), ConsumeResult::kFlowEnd);
-  producer.join();
+  engine.Spawn(1, "consumer", [&] {
+    TupleView tuple;
+    int t1_count = 0;
+    while ((*t1)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+      EXPECT_EQ(tuple.Get<uint64_t>(0), 42u);
+      ++t1_count;
+    }
+    EXPECT_EQ(t1_count, 1);
+    EXPECT_EQ((*t0)->Consume(&tuple), ConsumeResult::kFlowEnd);
+  });
+  engine.Run();
 }
 
 TEST_F(ShuffleTest, LatencyOptimizedRoundTrip) {
@@ -260,7 +268,8 @@ TEST_F(ShuffleTest, LatencyOptimizedRoundTrip) {
   auto source = dfi_.CreateShuffleSource("f", 0);
   auto target = dfi_.CreateShuffleTarget("f", 0);
   constexpr uint64_t kTuples = 2000;  // > credits, forces credit refreshes
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "producer", [&] {
     for (uint64_t i = 0; i < kTuples; ++i) {
       Kv kv{i, i + 1};
       ASSERT_TRUE((*source)->Push(&kv).ok());
@@ -268,15 +277,17 @@ TEST_F(ShuffleTest, LatencyOptimizedRoundTrip) {
     ASSERT_TRUE((*source)->Close().ok());
   });
   uint64_t count = 0;
-  uint64_t expected = 0;
-  TupleView tuple;
-  while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-    // Latency mode over one channel preserves order.
-    EXPECT_EQ(tuple.Get<uint64_t>(0), expected);
-    ++expected;
-    ++count;
-  }
-  producer.join();
+  engine.Spawn(1, "consumer", [&] {
+    uint64_t expected = 0;
+    TupleView tuple;
+    while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+      // Latency mode over one channel preserves order.
+      EXPECT_EQ(tuple.Get<uint64_t>(0), expected);
+      ++expected;
+      ++count;
+    }
+  });
+  engine.Run();
   EXPECT_EQ(count, kTuples);
 }
 
@@ -290,22 +301,25 @@ TEST_F(ShuffleTest, SegmentConsumeIsZeroCopyBatched) {
   ASSERT_TRUE(dfi_.InitShuffleFlow(spec).ok());
   auto source = dfi_.CreateShuffleSource("f", 0);
   auto target = dfi_.CreateShuffleTarget("f", 0);
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "producer", [&] {
     for (uint64_t i = 0; i < 64; ++i) {
       Kv kv{i, i};
       ASSERT_TRUE((*source)->Push(&kv).ok());
     }
     ASSERT_TRUE((*source)->Close().ok());
   });
-  SegmentView view;
   uint64_t tuples = 0;
   int segments = 0;
-  while ((*target)->ConsumeSegment(&view) != ConsumeResult::kFlowEnd) {
-    EXPECT_EQ(view.bytes % 16, 0u);
-    tuples += view.bytes / 16;
-    ++segments;
-  }
-  producer.join();
+  engine.Spawn(1, "consumer", [&] {
+    SegmentView view;
+    while ((*target)->ConsumeSegment(&view) != ConsumeResult::kFlowEnd) {
+      EXPECT_EQ(view.bytes % 16, 0u);
+      tuples += view.bytes / 16;
+      ++segments;
+    }
+  });
+  engine.Run();
   EXPECT_EQ(tuples, 64u);
   EXPECT_EQ(segments, 4) << "16 tuples per 256 B segment";
 }
@@ -323,7 +337,8 @@ TEST_F(ShuffleTest, SmallRingStillCompletes) {
   auto source = dfi_.CreateShuffleSource("f", 0);
   auto target = dfi_.CreateShuffleTarget("f", 0);
   constexpr uint64_t kTuples = 5000;
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "producer", [&] {
     for (uint64_t i = 0; i < kTuples; ++i) {
       Kv kv{i, i};
       ASSERT_TRUE((*source)->Push(&kv).ok());
@@ -331,9 +346,11 @@ TEST_F(ShuffleTest, SmallRingStillCompletes) {
     ASSERT_TRUE((*source)->Close().ok());
   });
   uint64_t count = 0;
-  TupleView tuple;
-  while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) ++count;
-  producer.join();
+  engine.Spawn(1, "consumer", [&] {
+    TupleView tuple;
+    while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) ++count;
+  });
+  engine.Run();
   EXPECT_EQ(count, kTuples);
 }
 
@@ -351,7 +368,8 @@ TEST_F(ShuffleTest, VirtualTimeReflectsLinkBandwidth) {
   auto source = dfi_.CreateShuffleSource("f", 0);
   auto target = dfi_.CreateShuffleTarget("f", 0);
   const uint64_t kTuples = 64 * kMiB / 1024;
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "producer", [&] {
     std::vector<uint8_t> buf(1024, 0);
     for (uint64_t i = 0; i < kTuples; ++i) {
       TupleWriter(buf.data(), &(*source)->schema()).Set<uint64_t>(0, i);
@@ -359,10 +377,12 @@ TEST_F(ShuffleTest, VirtualTimeReflectsLinkBandwidth) {
     }
     ASSERT_TRUE((*source)->Close().ok());
   });
-  TupleView tuple;
   uint64_t count = 0;
-  while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) ++count;
-  producer.join();
+  engine.Spawn(1, "consumer", [&] {
+    TupleView tuple;
+    while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) ++count;
+  });
+  engine.Run();
   ASSERT_EQ(count, kTuples);
   const double min_ns = 64.0 * kMiB / fabric_.config().LinkBytesPerNs();
   EXPECT_GE((*target)->clock().now(), static_cast<SimTime>(min_ns));

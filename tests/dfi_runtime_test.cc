@@ -5,8 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
+#include "common/exec/engine.h"
 #include "core/combiner_flow.h"
 #include "core/replicate_flow.h"
 
@@ -74,15 +73,18 @@ TEST_F(DfiRuntimeTest, EndpointsOutliveRegistryRemoval) {
   ASSERT_TRUE(tgt.ok());
   ASSERT_TRUE(dfi_.RemoveFlow("f").ok());
   const uint64_t k = 7;
-  std::thread producer([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "producer", [&] {
     EXPECT_TRUE((*src)->Push(&k).ok());
     EXPECT_TRUE((*src)->Close().ok());
   });
-  TupleView tuple;
-  EXPECT_EQ((*tgt)->Consume(&tuple), ConsumeResult::kOk);
-  EXPECT_EQ(tuple.Get<uint64_t>(0), 7u);
-  EXPECT_EQ((*tgt)->Consume(&tuple), ConsumeResult::kFlowEnd);
-  producer.join();
+  engine.Spawn(1, "consumer", [&] {
+    TupleView tuple;
+    EXPECT_EQ((*tgt)->Consume(&tuple), ConsumeResult::kOk);
+    EXPECT_EQ(tuple.Get<uint64_t>(0), 7u);
+    EXPECT_EQ((*tgt)->Consume(&tuple), ConsumeResult::kFlowEnd);
+  });
+  engine.Run();
 }
 
 TEST_F(DfiRuntimeTest, FlowInitAllocatesTargetRings) {
@@ -100,10 +102,13 @@ TEST_F(DfiRuntimeTest, SourceCreationAllocatesStagingOnSourceNode) {
   ASSERT_TRUE(src.ok());
   EXPECT_GT(dfi_.RegisteredBytesOnNode(0), before);
   auto tgt = dfi_.CreateShuffleTarget("f", 0);
-  std::thread producer([&] { EXPECT_TRUE((*src)->Close().ok()); });
-  TupleView t;
-  EXPECT_EQ((*tgt)->Consume(&t), ConsumeResult::kFlowEnd);
-  producer.join();
+  exec::Engine engine;
+  engine.Spawn(0, "producer", [&] { EXPECT_TRUE((*src)->Close().ok()); });
+  engine.Spawn(1, "consumer", [&] {
+    TupleView t;
+    EXPECT_EQ((*tgt)->Consume(&t), ConsumeResult::kFlowEnd);
+  });
+  engine.Run();
 }
 
 TEST_F(DfiRuntimeTest, UnknownNodeAddressFailsInit) {

@@ -1,9 +1,10 @@
-// Determinism of the parallel emulation engine (tentpole acceptance): the
-// same seeded workload must produce identical results at every worker-pool
-// size, and identical to the plain-thread execution. Task interleavings DO
-// vary with the pool size — what must not vary is anything the emulation
-// reports: per-channel FIFO delivery sequences, order-insensitive content
-// checksums, completion counts, and the fault plan's event trace.
+// Determinism of the parallel emulation engine: the same seeded workload
+// must produce identical results at worker-pool sizes 1, 2 and 4. Task
+// interleavings DO vary with the pool size — what must not vary is the
+// content the emulation reports: per-channel FIFO delivery sequences,
+// order-insensitive content checksums, completion counts, and the fault
+// plan's event trace. (Virtual *timings* may diverge above one worker; see
+// DESIGN.md §11.)
 
 #include <array>
 #include <cstring>
@@ -47,10 +48,19 @@ uint64_t HashStep(uint64_t h, uint64_t v) {
   return h;
 }
 
+/// Runs `workload` as the root task of a `workers`-wide engine.
+template <typename Fn>
+auto RunOnEngine(uint32_t workers, Fn workload) {
+  decltype(workload()) result;
+  exec::Engine engine({.workers = workers, .lookahead_ns = 1000});
+  engine.Spawn(0, "root", [&] { result = workload(); });
+  engine.Run();
+  return result;
+}
+
 /// The workload body: 4 sources push seeded key streams through a hashed
 /// shuffle, 4 targets drain and fingerprint what they see. Runs the actors
-/// on the ambient engine when called from inside one, on OS threads
-/// otherwise (ActorGroup picks).
+/// on the calling task's engine.
 ShuffleTrace ShuffleWorkload(uint64_t seed) {
   net::Fabric fabric;
   std::vector<std::string> addrs;
@@ -123,28 +133,20 @@ ShuffleTrace ShuffleWorkload(uint64_t seed) {
   return trace;
 }
 
-ShuffleTrace ShuffleUnderEngine(uint32_t workers, uint64_t seed) {
-  ShuffleTrace trace;
-  exec::Engine engine({.workers = workers, .lookahead_ns = 1000});
-  engine.Spawn(0, "root", [&] { trace = ShuffleWorkload(seed); });
-  engine.Run();
-  return trace;
-}
-
 TEST(EngineDeterminismTest, ShuffleTraceIdenticalAcrossPoolSizes) {
-  const uint64_t seed = 42;
-  const ShuffleTrace threads = ShuffleWorkload(seed);  // no engine
-  EXPECT_EQ(threads.total_tuples, uint64_t{kSources} * kTuplesPerSource);
-  for (uint32_t workers : {1u, 2u, 4u}) {
-    const ShuffleTrace engine = ShuffleUnderEngine(workers, seed);
-    EXPECT_TRUE(engine == threads)
+  auto workload = [] { return ShuffleWorkload(/*seed=*/42); };
+  const ShuffleTrace one = RunOnEngine(1, workload);
+  EXPECT_EQ(one.total_tuples, uint64_t{kSources} * kTuplesPerSource);
+  for (uint32_t workers : {2u, 4u}) {
+    EXPECT_TRUE(RunOnEngine(workers, workload) == one)
         << "engine trace diverged at pool size " << workers;
   }
 }
 
 TEST(EngineDeterminismTest, ShuffleSeedChangesTrace) {
   // Sanity: the fingerprint actually depends on the data.
-  EXPECT_FALSE(ShuffleUnderEngine(2, 1) == ShuffleUnderEngine(2, 2));
+  EXPECT_FALSE(RunOnEngine(2, [] { return ShuffleWorkload(1); }) ==
+               RunOnEngine(2, [] { return ShuffleWorkload(2); }));
 }
 
 // ---------------------------------------------------------------------------
@@ -246,21 +248,18 @@ AdaptiveTrace AdaptiveShuffleWorkload(uint64_t seed) {
 }
 
 TEST(EngineDeterminismTest, AdaptiveShuffleTraceIdenticalAcrossPoolSizes) {
-  const uint64_t seed = 42;
-  const AdaptiveTrace threads = AdaptiveShuffleWorkload(seed);
-  EXPECT_EQ(threads.total_tuples, uint64_t{4} * 4000);
-  for (uint32_t workers : {1u, 2u, 4u}) {
-    AdaptiveTrace trace;
-    exec::Engine engine({.workers = workers, .lookahead_ns = 1000});
-    engine.Spawn(0, "root", [&] { trace = AdaptiveShuffleWorkload(seed); });
-    engine.Run();
-    EXPECT_TRUE(trace == threads)
+  auto workload = [] { return AdaptiveShuffleWorkload(/*seed=*/42); };
+  const AdaptiveTrace one = RunOnEngine(1, workload);
+  EXPECT_EQ(one.total_tuples, uint64_t{4} * 4000);
+  for (uint32_t workers : {2u, 4u}) {
+    EXPECT_TRUE(RunOnEngine(workers, workload) == one)
         << "adaptive trace diverged at pool size " << workers;
   }
 }
 
 TEST(EngineDeterminismTest, AdaptiveShuffleSeedChangesTrace) {
-  EXPECT_FALSE(AdaptiveShuffleWorkload(1) == AdaptiveShuffleWorkload(2));
+  EXPECT_FALSE(RunOnEngine(1, [] { return AdaptiveShuffleWorkload(1); }) ==
+               RunOnEngine(1, [] { return AdaptiveShuffleWorkload(2); }));
 }
 
 /// Chaos consensus: scripted leader crash + failover. The run's witnesses —
@@ -295,13 +294,9 @@ ChaosTrace ChaosWorkload() {
 }
 
 TEST(EngineDeterminismTest, ChaosConsensusIdenticalAcrossPoolSizes) {
-  const ChaosTrace threads = ChaosWorkload();  // plain-thread reference
-  for (uint32_t workers : {1u, 2u, 4u}) {
-    ChaosTrace trace;
-    exec::Engine engine({.workers = workers, .lookahead_ns = 1000});
-    engine.Spawn(0, "root", [&] { trace = ChaosWorkload(); });
-    engine.Run();
-    EXPECT_TRUE(trace == threads)
+  const ChaosTrace one = RunOnEngine(1, ChaosWorkload);
+  for (uint32_t workers : {2u, 4u}) {
+    EXPECT_TRUE(RunOnEngine(workers, ChaosWorkload) == one)
         << "chaos trace diverged at pool size " << workers;
   }
 }
@@ -336,25 +331,23 @@ pipeline::PipelineResult PipelineWorkload(uint64_t seed) {
 }
 
 TEST(EngineDeterminismTest, PipelineContentIdenticalAcrossPoolSizes) {
-  const uint64_t seed = 42;
-  const pipeline::PipelineResult threads = PipelineWorkload(seed);
-  EXPECT_EQ(threads.tuples_ingested, uint64_t{4} * 2 * 2048);
-  EXPECT_FALSE(threads.windows.empty());
-  for (uint32_t workers : {1u, 2u, 4u}) {
-    pipeline::PipelineResult run;
-    exec::Engine engine({.workers = workers, .lookahead_ns = 1000});
-    engine.Spawn(0, "root", [&] { run = PipelineWorkload(seed); });
-    engine.Run();
-    EXPECT_EQ(run.windows, threads.windows)
+  auto workload = [] { return PipelineWorkload(/*seed=*/42); };
+  const pipeline::PipelineResult one = RunOnEngine(1, workload);
+  EXPECT_EQ(one.tuples_ingested, uint64_t{4} * 2 * 2048);
+  EXPECT_FALSE(one.windows.empty());
+  for (uint32_t workers : {2u, 4u}) {
+    const pipeline::PipelineResult run = RunOnEngine(workers, workload);
+    EXPECT_EQ(run.windows, one.windows)
         << "pipeline content diverged at pool size " << workers;
-    EXPECT_EQ(run.fingerprints, threads.fingerprints)
+    EXPECT_EQ(run.fingerprints, one.fingerprints)
         << "subscriber fingerprints diverged at pool size " << workers;
-    EXPECT_EQ(run.rows_delivered, threads.rows_delivered);
+    EXPECT_EQ(run.rows_delivered, one.rows_delivered);
   }
 }
 
 TEST(EngineDeterminismTest, PipelineSeedChangesContent) {
-  EXPECT_NE(PipelineWorkload(1).windows, PipelineWorkload(2).windows);
+  EXPECT_NE(RunOnEngine(1, [] { return PipelineWorkload(1); }).windows,
+            RunOnEngine(1, [] { return PipelineWorkload(2); }).windows);
 }
 
 }  // namespace

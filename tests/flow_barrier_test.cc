@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/exec/engine.h"
@@ -18,27 +17,27 @@
 namespace dfi::reg {
 namespace {
 
-TEST(FlowBarrierTest, ThreadModeReleasesAllParticipants) {
+TEST(FlowBarrierTest, ReleasesAllParticipantsWithoutClocks) {
   RegistryService service(/*fabric=*/nullptr);
   constexpr uint32_t kN = 3;
   std::vector<Status> results(kN, Status::Internal("not run"));
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (uint32_t p = 0; p < kN; ++p) {
-    threads.emplace_back([&, p] {
+    engine.Spawn(p, "participant", [&, p] {
       RegistryClient client(&service,
                             RegistryClientOptions{.client_id = p + 1});
       FlowBarrier barrier(&client, "start", kN);
       results[p] = barrier.Wait(std::chrono::milliseconds(5000));
     });
   }
-  for (auto& t : threads) t.join();
+  engine.Run();
   for (uint32_t p = 0; p < kN; ++p) {
     EXPECT_TRUE(results[p].ok()) << "participant " << p << ": "
                                  << results[p].ToString();
   }
 }
 
-TEST(FlowBarrierTest, EngineModeJoinsClocksAtLatestArrival) {
+TEST(FlowBarrierTest, JoinsClocksAtLatestArrival) {
   RegistryService service(/*fabric=*/nullptr);
   constexpr uint32_t kN = 3;
   const SimTime arrivals[kN] = {10'000, 30'000, 20'000};
@@ -55,7 +54,7 @@ TEST(FlowBarrierTest, EngineModeJoinsClocksAtLatestArrival) {
   }
   exec::Engine engine({.workers = 2});
   for (uint32_t p = 0; p < kN; ++p) {
-    engine.Spawn(p, "p" + std::to_string(p), [&, p] {
+    engine.Spawn(p, "participant", [&, p] {
       clocks[p]->AdvanceTo(arrivals[p]);
       ASSERT_TRUE(barriers[p]->Wait().ok());
       // Every participant leaves at the latest arrival's virtual time.
@@ -78,7 +77,7 @@ TEST(FlowBarrierTest, TimeoutWhenParticipantsMissing) {
                         &clock);
   FlowBarrier barrier(&client, "lonely", /*expected=*/2);
   Status result = Status::OK();
-  exec::Engine engine({.workers = 1});
+  exec::Engine engine;
   engine.Spawn(0, "p0", [&] {
     result = barrier.Wait(std::chrono::milliseconds(5));
   });
@@ -95,20 +94,21 @@ TEST(FlowBarrierTest, ParticipantCountMismatchRejected) {
   FlowBarrier b1(&c1, "b", /*expected=*/2);
   FlowBarrier b2(&c2, "b", /*expected=*/3);
   Status s1 = Status::Internal("not run");
-  std::thread t1([&] { s1 = b1.Wait(); });
-  // The first arrival fixes the group size; wait until it has been applied
-  // before the disagreeing participant shows up.
-  while (service.applied_ops() < 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // The second participant disagrees about the group size: rejected, and
-  // the barrier still releases for the group that agreed.
-  Status s2 = b2.Wait(std::chrono::milliseconds(100));
-  EXPECT_EQ(s2.code(), StatusCode::kInvalidArgument);
-  RegistryClient c3(&service, RegistryClientOptions{.client_id = 3});
-  FlowBarrier b3(&c3, "b", /*expected=*/2);
-  ASSERT_TRUE(b3.Wait().ok());
-  t1.join();
+  exec::Engine engine;
+  engine.Spawn(0, "p1", [&] { s1 = b1.Wait(); });
+  // Runs once the first arrival, which fixes the group size, has been
+  // applied and its participant parked.
+  engine.Spawn(1, "p2", [&] {
+    EXPECT_GE(service.applied_ops(), 1u);
+    // The second participant disagrees about the group size: rejected, and
+    // the barrier still releases for the group that agreed.
+    Status s2 = b2.Wait(std::chrono::milliseconds(100));
+    EXPECT_EQ(s2.code(), StatusCode::kInvalidArgument);
+    RegistryClient c3(&service, RegistryClientOptions{.client_id = 3});
+    FlowBarrier b3(&c3, "b", /*expected=*/2);
+    ASSERT_TRUE(b3.Wait().ok());
+  });
+  engine.Run();
   EXPECT_TRUE(s1.ok()) << s1.ToString();
 }
 

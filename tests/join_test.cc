@@ -4,6 +4,7 @@
 
 #include "apps/join/hash_table.h"
 #include "bench_util/workload.h"
+#include "common/exec/engine.h"
 
 namespace dfi::join {
 namespace {
@@ -56,6 +57,17 @@ class DistributedJoinTest : public ::testing::Test {
     }
     return addrs;
   }
+
+  /// Runs `app` as the root task of a one-worker engine; the app spawns
+  /// its actors on the calling task's engine.
+  template <typename Fn>
+  static auto OnEngine(Fn app) {
+    decltype(app()) result = Status::Internal("not run");
+    exec::Engine engine;
+    engine.Spawn(0, "root", [&] { result = app(); });
+    engine.Run();
+    return result;
+  }
 };
 
 TEST_F(DistributedJoinTest, DfiRadixJoinMatchesReference) {
@@ -63,7 +75,7 @@ TEST_F(DistributedJoinTest, DfiRadixJoinMatchesReference) {
   const JoinConfig cfg = SmallConfig();
   auto addrs = SetUpNodes(&fabric, cfg.num_nodes);
   DfiRuntime dfi(&fabric);
-  auto result = RunDfiRadixJoin(&dfi, addrs, cfg);
+  auto result = OnEngine([&] { return RunDfiRadixJoin(&dfi, addrs, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->matches, ReferenceJoinMatches(cfg));
   EXPECT_GT(result->phases.network_partition, 0);
@@ -79,7 +91,7 @@ TEST_F(DistributedJoinTest, GraphRadixJoinMatchesReference) {
   const JoinConfig cfg = SmallConfig();
   auto addrs = SetUpNodes(&fabric, cfg.num_nodes);
   DfiRuntime dfi(&fabric);
-  auto result = RunGraphRadixJoin(&dfi, addrs, cfg);
+  auto result = OnEngine([&] { return RunGraphRadixJoin(&dfi, addrs, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->matches, ReferenceJoinMatches(cfg));
   EXPECT_GT(result->phases.total, 0);
@@ -91,7 +103,7 @@ TEST_F(DistributedJoinTest, MpiRadixJoinMatchesReference) {
   SetUpNodes(&fabric, cfg.num_nodes);
   std::vector<net::NodeId> ids;
   for (uint32_t i = 0; i < cfg.num_nodes; ++i) ids.push_back(i);
-  auto result = RunMpiRadixJoin(&fabric, ids, cfg);
+  auto result = OnEngine([&] { return RunMpiRadixJoin(&fabric, ids, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->matches, ReferenceJoinMatches(cfg));
   EXPECT_GT(result->phases.histogram, 0);
@@ -105,7 +117,7 @@ TEST_F(DistributedJoinTest, ReplicateJoinMatchesReference) {
   cfg.inner_tuples = 1 << 10;  // small inner: fragment-and-replicate case
   auto addrs = SetUpNodes(&fabric, cfg.num_nodes);
   DfiRuntime dfi(&fabric);
-  auto result = RunDfiReplicateJoin(&dfi, addrs, cfg);
+  auto result = OnEngine([&] { return RunDfiReplicateJoin(&dfi, addrs, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->matches, ReferenceJoinMatches(cfg));
   EXPECT_GT(result->phases.network_replication, 0);
@@ -122,14 +134,15 @@ TEST_F(DistributedJoinTest, DfiFasterThanMpi) {
   net::Fabric fabric_dfi;
   auto addrs = SetUpNodes(&fabric_dfi, cfg.num_nodes);
   DfiRuntime dfi(&fabric_dfi);
-  auto dfi_result = RunDfiRadixJoin(&dfi, addrs, cfg);
+  auto dfi_result = OnEngine([&] { return RunDfiRadixJoin(&dfi, addrs, cfg); });
   ASSERT_TRUE(dfi_result.ok());
 
   net::Fabric fabric_mpi;
   SetUpNodes(&fabric_mpi, cfg.num_nodes);
   std::vector<net::NodeId> ids;
   for (uint32_t i = 0; i < cfg.num_nodes; ++i) ids.push_back(i);
-  auto mpi_result = RunMpiRadixJoin(&fabric_mpi, ids, cfg);
+  auto mpi_result =
+      OnEngine([&] { return RunMpiRadixJoin(&fabric_mpi, ids, cfg); });
   ASSERT_TRUE(mpi_result.ok());
 
   EXPECT_LT(dfi_result->phases.total, mpi_result->phases.total);
@@ -144,12 +157,13 @@ TEST_F(DistributedJoinTest, ReplicateJoinWinsForTinyInner) {
     net::Fabric f;
     auto addrs = SetUpNodes(&f, cfg.num_nodes);
     DfiRuntime dfi(&f);
-    auto radix = RunDfiRadixJoin(&dfi, addrs, cfg);
+    auto radix = OnEngine([&] { return RunDfiRadixJoin(&dfi, addrs, cfg); });
     ASSERT_TRUE(radix.ok());
     net::Fabric f2;
     auto addrs2 = SetUpNodes(&f2, cfg.num_nodes);
     DfiRuntime dfi2(&f2);
-    auto repl = RunDfiReplicateJoin(&dfi2, addrs2, cfg);
+    auto repl =
+        OnEngine([&] { return RunDfiReplicateJoin(&dfi2, addrs2, cfg); });
     ASSERT_TRUE(repl.ok());
     EXPECT_EQ(radix->matches, repl->matches);
     EXPECT_LT(repl->phases.total, radix->phases.total);

@@ -6,8 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
-#include <thread>
 
+#include "common/exec/engine.h"
 #include "mpi/mpi_env.h"
 
 namespace dfi::mpi {
@@ -19,8 +19,11 @@ struct P2pParam {
 };
 
 std::string ParamName(const ::testing::TestParamInfo<P2pParam>& info) {
-  return "b" + std::to_string(info.param.message_bytes) + "_n" +
-         std::to_string(info.param.messages);
+  std::string name = "b";
+  name += std::to_string(info.param.message_bytes);
+  name += "_n";
+  name += std::to_string(info.param.messages);
+  return name;
 }
 
 class MpiP2pProperty : public ::testing::TestWithParam<P2pParam> {};
@@ -35,21 +38,24 @@ TEST_P(MpiP2pProperty, ExactDeliveryAndLinkBound) {
   std::iota(payload.begin(), payload.end(), 1);
 
   VirtualClock recv_clock;
-  std::thread sender([&] {
+  exec::Engine engine;
+  engine.Spawn(0, "sender", [&] {
     VirtualClock clock;
     for (int i = 0; i < p.messages; ++i) {
       ASSERT_TRUE(
           env.Send(0, 1, 3, payload.data(), p.message_bytes, &clock).ok());
     }
   });
-  std::vector<uint8_t> out(p.message_bytes);
-  for (int i = 0; i < p.messages; ++i) {
-    out.assign(p.message_bytes, 0);
-    ASSERT_TRUE(
-        env.Recv(1, 0, 3, out.data(), p.message_bytes, &recv_clock).ok());
-    ASSERT_EQ(out, payload) << "message " << i;
-  }
-  sender.join();
+  engine.Spawn(1, "receiver", [&] {
+    std::vector<uint8_t> out(p.message_bytes);
+    for (int i = 0; i < p.messages; ++i) {
+      out.assign(p.message_bytes, 0);
+      ASSERT_TRUE(
+          env.Recv(1, 0, 3, out.data(), p.message_bytes, &recv_clock).ok());
+      ASSERT_EQ(out, payload) << "message " << i;
+    }
+  });
+  engine.Run();
 
   // Completion cannot beat the wire: total bytes at link speed.
   const double min_ns = static_cast<double>(p.message_bytes) * p.messages /
@@ -75,9 +81,9 @@ TEST(MpiCollectiveProperty, AlltoallConservesBytesAcrossRankCounts) {
     constexpr size_t kBytes = 512;
     std::vector<std::vector<uint8_t>> recv(
         ranks, std::vector<uint8_t>(ranks * kBytes));
-    std::vector<std::thread> threads;
+    exec::Engine engine;
     for (int r = 0; r < ranks; ++r) {
-      threads.emplace_back([&, r] {
+      engine.Spawn(r, "rank", [&, r] {
         std::vector<uint8_t> send(ranks * kBytes);
         for (int q = 0; q < ranks; ++q) {
           std::fill(send.begin() + q * kBytes,
@@ -90,7 +96,7 @@ TEST(MpiCollectiveProperty, AlltoallConservesBytesAcrossRankCounts) {
                 .ok());
       });
     }
-    for (auto& t : threads) t.join();
+    engine.Run();
     for (int r = 0; r < ranks; ++r) {
       for (int q = 0; q < ranks; ++q) {
         for (size_t b = 0; b < kBytes; ++b) {

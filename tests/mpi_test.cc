@@ -5,8 +5,9 @@
 #include <cstring>
 #include <algorithm>
 #include <numeric>
-#include <thread>
 #include <vector>
+
+#include "common/exec/engine.h"
 
 namespace dfi::mpi {
 namespace {
@@ -29,12 +30,16 @@ TEST_F(MpiTest, EagerSendRecvRoundTrip) {
   std::vector<uint8_t> data(512);
   std::iota(data.begin(), data.end(), 0);
   VirtualClock sc, rc;
-  std::thread sender([&] {
+  std::vector<uint8_t> out(512, 0);
+  exec::Engine engine;
+  // The receiver posts first and parks until the message arrives.
+  engine.Spawn(1, "receiver", [&] {
+    ASSERT_TRUE(env_->Recv(1, 0, 7, out.data(), out.size(), &rc).ok());
+  });
+  engine.Spawn(0, "sender", [&] {
     ASSERT_TRUE(env_->Send(0, 1, 7, data.data(), data.size(), &sc).ok());
   });
-  std::vector<uint8_t> out(512, 0);
-  ASSERT_TRUE(env_->Recv(1, 0, 7, out.data(), out.size(), &rc).ok());
-  sender.join();
+  engine.Run();
   EXPECT_EQ(out, data);
   EXPECT_GT(rc.now(), sc.now()) << "receiver completes after the arrival";
 }
@@ -56,17 +61,20 @@ TEST_F(MpiTest, RendezvousBlocksUntilMatched) {
   std::vector<uint8_t> data(64 * 1024);
   std::iota(data.begin(), data.end(), 0);
   VirtualClock sc(1000), rc(5'000'000);
-  std::atomic<bool> send_returned{false};
-  std::thread sender([&] {
-    ASSERT_TRUE(env_->Send(0, 1, 1, data.data(), data.size(), &sc).ok());
-    send_returned.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_FALSE(send_returned.load()) << "rendezvous must wait for the recv";
+  bool send_returned = false;
   std::vector<uint8_t> out(data.size());
-  ASSERT_TRUE(env_->Recv(1, 0, 1, out.data(), out.size(), &rc).ok());
-  sender.join();
-  EXPECT_TRUE(send_returned.load());
+  exec::Engine engine;
+  engine.Spawn(0, "sender", [&] {
+    ASSERT_TRUE(env_->Send(0, 1, 1, data.data(), data.size(), &sc).ok());
+    send_returned = true;
+  });
+  // Runs once the sender has parked on the unmatched rendezvous.
+  engine.Spawn(1, "receiver", [&] {
+    EXPECT_FALSE(send_returned) << "rendezvous must wait for the recv";
+    ASSERT_TRUE(env_->Recv(1, 0, 1, out.data(), out.size(), &rc).ok());
+  });
+  engine.Run();
+  EXPECT_TRUE(send_returned);
   EXPECT_EQ(out, data);
   // The transfer cannot start before the late receiver posted.
   EXPECT_GT(rc.now(), 5'000'000);
@@ -110,12 +118,13 @@ TEST_F(MpiTest, BarrierJoinsClocks) {
   for (int r = 0; r < 3; ++r) {
     clocks.push_back(std::make_unique<VirtualClock>(r * 1'000'000));
   }
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (int r = 0; r < 3; ++r) {
-    threads.emplace_back(
-        [&, r] { ASSERT_TRUE(env_->Barrier(r, clocks[r].get()).ok()); });
+    engine.Spawn(r, "rank", [&, r] {
+      ASSERT_TRUE(env_->Barrier(r, clocks[r].get()).ok());
+    });
   }
-  for (auto& t : threads) t.join();
+  engine.Run();
   for (int r = 0; r < 3; ++r) {
     EXPECT_GE(clocks[r]->now(), 2'000'000) << "rank " << r;
   }
@@ -125,11 +134,11 @@ TEST_F(MpiTest, AlltoallExchangesSlices) {
   constexpr int kRanks = 4;
   constexpr size_t kBytes = 1024;
   SetUpEnv(kRanks);
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   std::vector<std::vector<uint8_t>> recv(kRanks,
                                          std::vector<uint8_t>(kRanks * kBytes));
   for (int r = 0; r < kRanks; ++r) {
-    threads.emplace_back([&, r] {
+    engine.Spawn(r, "rank", [&, r] {
       std::vector<uint8_t> send(kRanks * kBytes);
       for (int q = 0; q < kRanks; ++q) {
         std::memset(send.data() + q * kBytes, 16 * r + q, kBytes);
@@ -140,7 +149,7 @@ TEST_F(MpiTest, AlltoallExchangesSlices) {
       EXPECT_GT(clock.now(), 0);
     });
   }
-  for (auto& t : threads) t.join();
+  engine.Run();
   for (int r = 0; r < kRanks; ++r) {
     for (int q = 0; q < kRanks; ++q) {
       // Slice q of rank r's recv buffer came from rank q's slice r.
@@ -152,10 +161,10 @@ TEST_F(MpiTest, AlltoallExchangesSlices) {
 TEST_F(MpiTest, AlltoallStragglerDelaysEveryone) {
   constexpr int kRanks = 4;
   SetUpEnv(kRanks);
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   std::vector<SimTime> finish(kRanks);
   for (int r = 0; r < kRanks; ++r) {
-    threads.emplace_back([&, r] {
+    engine.Spawn(r, "rank", [&, r] {
       // Rank 3 arrives 10 ms late (the straggler).
       VirtualClock clock(r == 3 ? 10'000'000 : 0);
       std::vector<uint8_t> send(kRanks * 64, 0), recv(kRanks * 64, 0);
@@ -163,7 +172,7 @@ TEST_F(MpiTest, AlltoallStragglerDelaysEveryone) {
       finish[r] = clock.now();
     });
   }
-  for (auto& t : threads) t.join();
+  engine.Run();
   for (int r = 0; r < kRanks; ++r) {
     EXPECT_GE(finish[r], 10'000'000)
         << "bulk-synchronous collective: rank " << r
@@ -177,11 +186,11 @@ TEST_F(MpiTest, MultiThreadLatchSerializesAndDegrades) {
   // the aggregate virtual time exceed the uncontended case markedly.
   constexpr int kThreads = 4;
   constexpr int kMsgs = 100;
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   std::vector<SimTime> finish(kThreads);
   std::vector<uint8_t> payload(64, 0);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
+    engine.Spawn(0, "sender", [&, t] {
       VirtualClock clock;
       for (int i = 0; i < kMsgs; ++i) {
         ASSERT_TRUE(
@@ -191,7 +200,7 @@ TEST_F(MpiTest, MultiThreadLatchSerializesAndDegrades) {
     });
   }
   // Drain on rank 1 so mailbox memory stays bounded.
-  std::thread drainer([&] {
+  engine.Spawn(1, "drainer", [&] {
     VirtualClock clock;
     std::vector<uint8_t> buf(64);
     for (int t = 0; t < kThreads; ++t) {
@@ -200,8 +209,7 @@ TEST_F(MpiTest, MultiThreadLatchSerializesAndDegrades) {
       }
     }
   });
-  for (auto& t : threads) t.join();
-  drainer.join();
+  engine.Run();
   // Total latch hold: 400 calls * (300 + 120*3) ns = 264 us serialized, so
   // the last thread to finish must carry (almost) the whole serialization,
   // far above the ~40 us a single uncontended thread needs.
@@ -217,9 +225,9 @@ TEST_F(MpiTest, WindowPutAndFence) {
   SetUpEnv(3);
   auto window = env_->CreateWindow(4096);
   ASSERT_TRUE(window.ok());
-  std::vector<std::thread> threads;
+  exec::Engine engine;
   for (int r = 0; r < 3; ++r) {
-    threads.emplace_back([&, r] {
+    engine.Spawn(r, "rank", [&, r] {
       VirtualClock clock;
       uint64_t value = 1000 + r;
       // Every rank writes its value into every rank's window at offset r*8.
@@ -237,7 +245,7 @@ TEST_F(MpiTest, WindowPutAndFence) {
       }
     });
   }
-  for (auto& t : threads) t.join();
+  engine.Run();
 }
 
 TEST_F(MpiTest, PutBeyondWindowRejected) {

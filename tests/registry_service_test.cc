@@ -198,7 +198,11 @@ TEST_F(ReplicatedRegistryTest, MidBatchCrashRetriesExactlyOnce) {
   for (uint32_t i = 0; i < kOps; ++i) {
     flows.emplace_back("f" + std::to_string(i), State(static_cast<int>(i)));
   }
-  auto pub = client.PublishBatch(flows);
+  // The retry backs off by parking the client's task in virtual time.
+  StatusOr<std::vector<OpResult>> pub = Status::Internal("not run");
+  exec::Engine engine;
+  engine.Spawn(0, "client", [&] { pub = client.PublishBatch(flows); });
+  engine.Run();
   ASSERT_TRUE(pub.ok());
   for (uint32_t i = 0; i < kOps; ++i) {
     EXPECT_TRUE((*pub)[i].status.ok())
@@ -242,7 +246,10 @@ TEST_F(ReplicatedRegistryTest, PartitionedClientExhaustsRetryDeadline) {
                                               .node = nodes_[0],
                                               .retry_deadline_ns = 300'000},
                         &clock);
-  const Status s = client.Publish("f", State(1));
+  Status s;
+  exec::Engine engine;
+  engine.Spawn(0, "client", [&] { s = client.Publish("f", State(1)); });
+  engine.Run();
   EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
   const RegistryClientStats stats = client.stats();
   EXPECT_GE(stats.retries, 2u);  // capped exponential backoff ran

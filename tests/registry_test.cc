@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
+#include "common/exec/engine.h"
 
 namespace dfi {
 namespace {
@@ -50,24 +50,19 @@ TEST(FlowRegistryTest, RemoveFreesName) {
 
 TEST(FlowRegistryTest, RetrieveBlockingWaitsForPublish) {
   FlowRegistry registry;
-  std::thread publisher([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  StatusOr<std::shared_ptr<FlowStateBase>> s = Status::Internal("not run");
+  exec::Engine engine;
+  engine.Spawn(0, "retriever", [&] {
+    s = registry.RetrieveBlocking("late", std::chrono::milliseconds(2000));
+  });
+  // Runs once the retriever has parked.
+  engine.Spawn(1, "publisher", [&] {
     ASSERT_TRUE(registry.Publish("late", std::make_shared<DummyState>(9))
                     .ok());
   });
-  auto s = registry.RetrieveBlocking("late", std::chrono::milliseconds(2000));
-  publisher.join();
+  engine.Run();
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(std::static_pointer_cast<DummyState>(*s)->value, 9);
-}
-
-// Regression (robustness PR): a bounded retrieve that never sees the flow
-// published reports the caller's elapsed deadline, not a transient
-// kUnavailable.
-TEST(FlowRegistryTest, RetrieveBlockingTimesOutWithDeadlineExceeded) {
-  FlowRegistry registry;
-  auto s = registry.RetrieveBlocking("never", std::chrono::milliseconds(20));
-  EXPECT_EQ(s.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(FlowRegistryTest, LeaseKeepsPublisherAliveUntilExpiry) {
@@ -135,7 +130,7 @@ TEST(FlowRegistryTest, RenewVsExpirySameTickIsOrderIndependent) {
 // of starving it; retrievers arriving after the Remove wait as usual.
 TEST(FlowRegistryTest, RemoveHandsOffToBlockedRetriever) {
   FlowRegistry registry;
-  exec::Engine engine({.workers = 1});
+  exec::Engine engine;
   VirtualClock retriever_clock;
   StatusOr<std::shared_ptr<FlowStateBase>> got =
       Status::Internal("not run");
@@ -159,7 +154,7 @@ TEST(FlowRegistryTest, RemoveHandsOffToBlockedRetriever) {
 
   // A retriever arriving after the Remove is not entitled to the handoff.
   VirtualClock late_clock;
-  exec::Engine late({.workers = 1});
+  exec::Engine late;
   StatusCode late_code = StatusCode::kOk;
   late.Spawn(0, "late", [&] {
     late_code = registry
@@ -173,12 +168,13 @@ TEST(FlowRegistryTest, RemoveHandsOffToBlockedRetriever) {
   EXPECT_EQ(late_code, StatusCode::kDeadlineExceeded);
 }
 
-// Regression (control-plane PR): inside an engine task the blocking
-// retrieve deadline is virtual time — an idle fleet jumps straight to it
-// and the waiter's clock is charged exactly the timeout.
-TEST(FlowRegistryTest, EngineModeBlockingRetrieveChargesVirtualDeadline) {
+// Regression: a bounded retrieve that never sees the flow published
+// reports the caller's elapsed deadline, not a transient kUnavailable. The
+// deadline is virtual time — an idle fleet jumps straight to it and the
+// waiter's clock is charged exactly the timeout.
+TEST(FlowRegistryTest, RetrieveBlockingTimesOutWithVirtualDeadline) {
   FlowRegistry registry;
-  exec::Engine engine({.workers = 1});
+  exec::Engine engine;
   VirtualClock clock;
   StatusCode code = StatusCode::kOk;
   engine.Spawn(0, "r", [&] {
