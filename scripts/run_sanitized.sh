@@ -33,11 +33,15 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 # threads and hot-key migration rewires routing mid-flow — both are prime
 # race/lifetime territory, so shake the property suite too.
 "$BUILD/tests/core_adaptive_shuffle_property_test" --gtest_repeat=3 --gtest_shuffle
-if [ "$KIND" = "thread" ]; then
-  # TSan focus: the work-stealing engine. Repeat the scheduler unit tests
-  # and the cross-pool-size determinism suite — every park/wake handoff,
-  # steal, and fiber switch in the emulator runs under the race detector.
+if [ "$KIND" = "thread" ] || [ "$KIND" = "address" ]; then
+  # The engine's fiber switch is hand-written: ASan tracks fiber stacks only
+  # through the engine's own annotations and stack unpoisoning, TSan models
+  # every fiber as a thread. Repeat the scheduler unit tests shuffled.
   "$BUILD/tests/exec_engine_test" --gtest_repeat=10 --gtest_shuffle
+fi
+if [ "$KIND" = "thread" ]; then
+  # TSan focus: the cross-pool-size determinism suite — every park/wake
+  # handoff and steal in the emulator runs under the race detector.
   "$BUILD/tests/engine_determinism_test" --gtest_repeat=3
 fi
 "$BUILD/bench/chaos_consensus" --seed "${DFI_CHAOS_SEED:-7}"

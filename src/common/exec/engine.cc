@@ -6,7 +6,6 @@
 
 #include <pthread.h>
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,16 +13,16 @@
 #include <cstdint>
 #include <limits>
 #include <mutex>
-#include <set>
+#include <new>
 #include <thread>
 #include <utility>
 
 #include "common/logging.h"
 
 // Sanitizer fiber support: without these annotations ASan cannot track the
-// fiber stacks across swapcontext and TSan reports every cross-fiber access
-// as a race. Both interfaces are feature-detected so plain builds pay
-// nothing.
+// fiber stacks across dfi_exec_switch and TSan reports every cross-fiber
+// access as a race. Both interfaces are feature-detected so plain builds
+// pay nothing.
 #if defined(__SANITIZE_ADDRESS__)
 #define DFI_EXEC_ASAN 1
 #elif defined(__has_feature)
@@ -41,11 +40,91 @@
 #endif
 
 #if defined(DFI_EXEC_ASAN)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(DFI_EXEC_TSAN)
 #include <sanitizer/tsan_interface.h>
 #endif
+
+#if !defined(__x86_64__)
+#error "exec::Engine's fiber switch is written for x86-64 (SysV ABI) only"
+#endif
+
+// Fiber switch: saves the SysV x86-64 callee-saved state (rbp, rbx,
+// r12-r15, MXCSR and the x87 control word) on the current stack, stores the
+// stack pointer in *save_sp, loads load_sp and restores the same state from
+// there. Everything else is caller-saved, so the C++ call site has already
+// spilled it. The signal mask is not switched: no fiber changes it, and
+// saving and restoring it would cost two rt_sigprocmask syscalls.
+//
+// A new fiber's stack starts with a frame (SwitchFrame below) whose return
+// address is dfi_exec_fiber_entry: it calls the function in r13 with the
+// argument in r12 and never returns. `.cfi_undefined rip` ends unwinding
+// there.
+extern "C" void dfi_exec_switch(void** save_sp, void* load_sp);
+extern "C" void dfi_exec_fiber_entry();
+
+asm(R"(
+  .pushsection .text
+  .globl dfi_exec_switch
+  .hidden dfi_exec_switch
+  .type dfi_exec_switch, @function
+  .p2align 4
+dfi_exec_switch:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  subq $16, %rsp
+  .cfi_adjust_cfa_offset 16
+  fnstcw (%rsp)
+  stmxcsr 8(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  fldcw (%rsp)
+  ldmxcsr 8(%rsp)
+  addq $16, %rsp
+  .cfi_adjust_cfa_offset -16
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size dfi_exec_switch, .-dfi_exec_switch
+
+  .globl dfi_exec_fiber_entry
+  .hidden dfi_exec_fiber_entry
+  .type dfi_exec_fiber_entry, @function
+  .p2align 4
+dfi_exec_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size dfi_exec_fiber_entry, .-dfi_exec_fiber_entry
+  .popsection
+)");
 
 namespace dfi::exec {
 
@@ -53,10 +132,21 @@ namespace {
 
 constexpr SimTime kMaxSimTime = std::numeric_limits<SimTime>::max();
 
+/// What dfi_exec_switch leaves on a suspended stack, lowest address first.
+struct SwitchFrame {
+  uint16_t fpu_cw;
+  uint16_t pad0[3];
+  uint32_t mxcsr;
+  uint32_t pad1;
+  uint64_t r15, r14, r13, r12, rbx, rbp;
+  uint64_t ret;
+};
+static_assert(sizeof(SwitchFrame) == 72);
+
 /// One switchable execution context: either a worker thread's native stack
 /// or a task's fiber stack.
 struct FiberCtx {
-  ucontext_t uc;
+  void* sp = nullptr;  // saved stack pointer while switched out
 #if defined(DFI_EXEC_ASAN)
   void* asan_fake = nullptr;
   const void* stack_bottom = nullptr;
@@ -74,6 +164,7 @@ std::atomic<uint64_t> g_progress_epoch{0};
 
 struct Task {
   enum class State : uint8_t { kRunnable, kRunning, kParked, kDone };
+  static constexpr size_t kNotTimed = SIZE_MAX;
 
   Engine::Impl* impl = nullptr;
   uint64_t id = 0;
@@ -92,8 +183,9 @@ struct Task {
   std::atomic<SimTime> pace_floor{kMaxSimTime};
 
   WaitPoint* wp = nullptr;
+  /// Timer wake time and slot in Engine::Impl::timed_ (kNotTimed if none).
   SimTime timed_key = 0;
-  bool in_timed = false;
+  size_t timed_slot = kNotTimed;
   WakeCause wake_cause = WakeCause::kNotified;
   ActorGroup* group = nullptr;
 
@@ -118,7 +210,7 @@ void SwitchContext(FiberCtx* from, FiberCtx* to) {
 #if defined(DFI_EXEC_TSAN)
   __tsan_switch_to_fiber(to->tsan_fiber, 0);
 #endif
-  swapcontext(&from->uc, &to->uc);
+  dfi_exec_switch(&from->sp, to->sp);
   // Resumed in `from` again (possibly on a different OS thread / worker).
 #if defined(DFI_EXEC_ASAN)
   __sanitizer_finish_switch_fiber(from->asan_fake, nullptr, nullptr);
@@ -133,7 +225,7 @@ void SwitchContextDying(FiberCtx* from, FiberCtx* to) {
 #if defined(DFI_EXEC_TSAN)
   __tsan_switch_to_fiber(to->tsan_fiber, 0);
 #endif
-  swapcontext(&from->uc, &to->uc);
+  dfi_exec_switch(&from->sp, to->sp);
   DFI_CHECK(false) << "finished task resumed";
 }
 
@@ -158,7 +250,7 @@ struct Engine::Impl {
   std::mutex mu_;
   std::condition_variable cv_;
   std::vector<Domain> domains_;
-  std::multiset<std::pair<SimTime, Task*>> timed_;
+  std::vector<Task*> timed_;  // timer heap, see ArmTimerLocked
   std::vector<std::unique_ptr<Task>> tasks_;
   std::vector<RunningSlot> running_;
   uint64_t next_id_ = 0;
@@ -204,7 +296,7 @@ struct Engine::Impl {
     for (const Domain& d : domains_) {
       if (!d.heap.empty()) f = std::min(f, d.heap.front()->vt);
     }
-    if (!timed_.empty()) f = std::min(f, timed_.begin()->first);
+    if (!timed_.empty()) f = std::min(f, timed_.front()->timed_key);
     return f;
   }
 
@@ -213,10 +305,9 @@ struct Engine::Impl {
   /// to the next wake time). Returns whether anything was released.
   bool ReleaseTimedLocked(SimTime floor) {
     bool released = false;
-    while (!timed_.empty() && timed_.begin()->first <= floor) {
-      Task* t = timed_.begin()->second;
-      timed_.erase(timed_.begin());
-      t->in_timed = false;
+    while (!timed_.empty() && timed_.front()->timed_key <= floor) {
+      Task* t = timed_.front();
+      DisarmTimerLocked(t);
       DetachWaiterLocked(t);
       t->wake_cause = WakeCause::kTimer;
       t->vt = t->timed_key;  // the wait ledger says this much time passed
@@ -224,6 +315,64 @@ struct Engine::Impl {
       released = true;
     }
     return released;
+  }
+
+  // ---- timer heap (all under mu_) ----------------------------------------
+  // timed_ is a binary min-heap by (timed_key, id) whose entries record
+  // their own slot, so a notify that beats the timer removes the entry in
+  // O(log n) and no operation allocates once the vector has grown.
+
+  static bool TimerAfter(const Task* a, const Task* b) {
+    return a->timed_key != b->timed_key ? a->timed_key > b->timed_key
+                                        : a->id > b->id;
+  }
+
+  void PlaceTimerLocked(size_t slot, Task* t) {
+    timed_[slot] = t;
+    t->timed_slot = slot;
+  }
+
+  void SiftTimerUpLocked(size_t slot) {
+    Task* t = timed_[slot];
+    while (slot > 0) {
+      const size_t parent = (slot - 1) / 2;
+      if (!TimerAfter(timed_[parent], t)) break;
+      PlaceTimerLocked(slot, timed_[parent]);
+      slot = parent;
+    }
+    PlaceTimerLocked(slot, t);
+  }
+
+  void SiftTimerDownLocked(size_t slot) {
+    Task* t = timed_[slot];
+    for (;;) {
+      size_t child = 2 * slot + 1;
+      if (child >= timed_.size()) break;
+      if (child + 1 < timed_.size() &&
+          TimerAfter(timed_[child], timed_[child + 1])) {
+        ++child;
+      }
+      if (!TimerAfter(t, timed_[child])) break;
+      PlaceTimerLocked(slot, timed_[child]);
+      slot = child;
+    }
+    PlaceTimerLocked(slot, t);
+  }
+
+  void ArmTimerLocked(Task* t) {
+    timed_.push_back(t);
+    SiftTimerUpLocked(timed_.size() - 1);
+  }
+
+  void DisarmTimerLocked(Task* t) {
+    const size_t slot = t->timed_slot;
+    Task* last = timed_.back();
+    timed_.pop_back();
+    t->timed_slot = Task::kNotTimed;
+    if (last == t) return;
+    PlaceTimerLocked(slot, last);
+    SiftTimerUpLocked(slot);
+    SiftTimerDownLocked(last->timed_slot);
   }
 
   void DetachWaiterLocked(Task* t) {
@@ -237,10 +386,7 @@ struct Engine::Impl {
 
   void WakeAllOfLocked(WaitPoint* wp) {
     for (Task* t : wp->waiters_) {
-      if (t->in_timed) {
-        timed_.erase(timed_.find({t->timed_key, t}));
-        t->in_timed = false;
-      }
+      if (t->timed_slot != Task::kNotTimed) DisarmTimerLocked(t);
       t->wake_cause = WakeCause::kNotified;
       MakeRunnableLocked(t);
     }
@@ -312,10 +458,7 @@ struct Engine::Impl {
     }
     for (const auto& t : tasks_) {
       if (t->state != Task::State::kParked) continue;
-      if (t->in_timed) {
-        timed_.erase(timed_.find({t->timed_key, t.get()}));
-        t->in_timed = false;
-      }
+      if (t->timed_slot != Task::kNotTimed) DisarmTimerLocked(t.get());
       DetachWaiterLocked(t.get());
       t->wake_cause = WakeCause::kNotified;
       MakeRunnableLocked(t.get());
@@ -324,7 +467,7 @@ struct Engine::Impl {
 
   // ---- fiber lifecycle ----------------------------------------------------
 
-  static void Trampoline(unsigned hi, unsigned lo);
+  static void Trampoline(Task* t);
 
   void CreateFiber(Task* t) {
     const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
@@ -335,21 +478,29 @@ struct Engine::Impl {
     DFI_CHECK(base != MAP_FAILED) << "fiber stack mmap failed";
     DFI_CHECK(mprotect(base, page, PROT_NONE) == 0) << "guard page";
     t->stack_base = base;
-    getcontext(&t->ctx.uc);
-    t->ctx.uc.uc_stack.ss_sp = static_cast<char*>(base) + page;
-    t->ctx.uc.uc_stack.ss_size = stack;
-    t->ctx.uc.uc_link = nullptr;
+    char* bottom = static_cast<char*>(base) + page;
 #if defined(DFI_EXEC_ASAN)
-    t->ctx.stack_bottom = static_cast<char*>(base) + page;
+    // The mapping may reuse the addresses of a finished fiber whose frames
+    // never unwound; clear the shadow poison they left behind.
+    __asan_unpoison_memory_region(bottom, stack);
+    t->ctx.stack_bottom = bottom;
     t->ctx.stack_size = stack;
 #endif
 #if defined(DFI_EXEC_TSAN)
     t->ctx.tsan_fiber = __tsan_create_fiber(0);
 #endif
-    const auto addr = reinterpret_cast<uintptr_t>(t);
-    makecontext(&t->ctx.uc, reinterpret_cast<void (*)()>(&Trampoline), 2,
-                static_cast<unsigned>(addr >> 32),
-                static_cast<unsigned>(addr & 0xffffffffu));
+    // The first switch into the task pops this frame and returns into
+    // dfi_exec_fiber_entry, which calls Trampoline(t) with the stack 16-byte
+    // aligned: the frame ends 16 bytes below the (page-aligned) top.
+    // rbp = 0 ends frame-pointer stack walks.
+    auto* frame = new (bottom + stack - 16 - sizeof(SwitchFrame)) SwitchFrame{};
+    frame->r12 = reinterpret_cast<uintptr_t>(t);
+    frame->r13 = reinterpret_cast<uintptr_t>(&Trampoline);
+    frame->ret = reinterpret_cast<uintptr_t>(&dfi_exec_fiber_entry);
+    // The task starts with its creator's floating-point control state.
+    asm volatile("fnstcw %0\n\tstmxcsr %1"
+                 : "=m"(frame->fpu_cw), "=m"(frame->mxcsr));
+    t->ctx.sp = frame;
   }
 
   void ReleaseFiber(Task* t) {
@@ -459,10 +610,7 @@ struct Engine::Impl {
   }
 };
 
-void Engine::Impl::Trampoline(unsigned hi, unsigned lo) {
-  const auto addr =
-      (static_cast<uintptr_t>(hi) << 32) | static_cast<uintptr_t>(lo);
-  Task* t = reinterpret_cast<Task*>(addr);
+void Engine::Impl::Trampoline(Task* t) {
 #if defined(DFI_EXEC_ASAN)
   __sanitizer_finish_switch_fiber(t->ctx.asan_fake, nullptr, nullptr);
 #endif
@@ -536,8 +684,7 @@ WakeCause Engine::ParkImpl(WaitPoint* wp, bool (*changed)(void*), void* arg,
   wp->waiters_.push_back(t);
   if (wake_at != kNoTimer) {
     t->timed_key = std::max(wake_at, t->vt);
-    t->in_timed = true;
-    im->timed_.insert({t->timed_key, t});
+    im->ArmTimerLocked(t);
     im->LowerPaceFloorsLocked(t->timed_key);
   }
   im->cv_.notify_all();  // the floor may have moved

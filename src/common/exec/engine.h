@@ -62,13 +62,15 @@ struct EngineOptions {
 };
 
 /// Work-stealing virtual-time engine, the only way emulated actors run.
-/// Actors are cooperatively scheduled ucontext fibers with per-domain (per
-/// emulated node) run queues ordered by (virtual time, spawn id); a fixed
-/// worker pool executes any task whose virtual time lies within a
-/// conservative lookahead window of the engine-wide virtual-time floor,
-/// stealing the globally minimal task when a worker's own domains drain.
-/// Blocking primitives park the fiber (WaitPoint), so hundreds of emulated
-/// nodes run on a handful of host threads.
+/// Actors are cooperatively scheduled fibers (x86-64 only; a switch saves
+/// the callee-saved registers and floating-point control and makes no
+/// syscall) with per-domain (per emulated node) run queues ordered by
+/// (virtual time, spawn id); a fixed worker pool executes any task whose
+/// virtual time lies within a conservative lookahead window of the
+/// engine-wide virtual-time floor, stealing the globally minimal task when
+/// a worker's own domains drain. Blocking primitives park the fiber
+/// (WaitPoint), so hundreds of emulated nodes run on a handful of host
+/// threads.
 ///
 /// Usage:
 ///   exec::Engine engine;  // one worker
