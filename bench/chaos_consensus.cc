@@ -25,6 +25,7 @@ void Body() {
   for (SimTime crash_at : {500'000, 2'000'000, 8'000'000}) {
     ChaosConfig chaos;
     chaos.base.requests_per_client = 1500;
+    chaos.base.client_window = 1;  // one in-flight request per client
     chaos.base.seed = BenchSeed();
     chaos.crash_at_ns = crash_at;
     net::Fabric fabric;

@@ -51,10 +51,11 @@ struct ConsensusResult {
   SimTime p95_latency_ns = 0;
 };
 
-/// Classical leader-based Multi-Paxos (normal, failure-free operation)
+/// Classical leader-based Multi-Paxos in normal, failure-free operation,
 /// modeled exactly on the paper's Figure 3: an N:1 shuffle flow for client
 /// submissions, a replicate flow (multicast) for proposals, an N:1 shuffle
-/// flow for votes and a 1:N shuffle flow for replies.
+/// flow for votes and a 1:N shuffle flow for replies. This is
+/// RunMultiPaxosChaos with no crash: one term, no failover.
 ///
 /// `nodes` must hold num_replicas + num_client_nodes fabric addresses
 /// (replicas first).
@@ -80,31 +81,30 @@ StatusOr<ConsensusResult> RunDare(DfiRuntime* dfi,
                                   const std::vector<std::string>& nodes,
                                   const ConsensusConfig& config);
 
-/// Configuration of the chaos failover experiment: Multi-Paxos under a
-/// scripted fail-stop leader crash (robustness PR). `base.client_window`
-/// is forced to 1 — clients track at most one in-flight request, so
-/// failover resubmission needs no request log.
+/// Configuration of a Multi-Paxos run under a scripted fail-stop leader
+/// crash. Clients keep `base.client_window` requests in flight and resubmit
+/// all of them on failover.
 struct ChaosConfig {
   ConsensusConfig base;
-  /// Virtual time at which replica 0 (the term-1 leader) fail-stops.
+  /// Virtual time at which replica 0 (the term-1 leader) fail-stops; 0 = no
+  /// crash (the failure-free run).
   SimTime crash_at_ns = 2'000'000;  // 2 ms
   /// Bounded-blocking deadline installed on every flow (virtual time);
   /// survivors must observe the failure well before this backstop.
   SimTime block_deadline_ns = 50'000'000;  // 50 ms
 };
 
-/// Outcome of one chaos failover run.
-struct ChaosResult {
-  uint64_t completed = 0;    ///< requests finished across both terms
+/// Outcome of one chaos failover run: the ConsensusResult over both terms
+/// plus the failover's witnesses.
+struct ChaosResult : ConsensusResult {
   uint64_t resubmitted = 0;  ///< requests replayed on the term-2 flows
   SimTime crash_at_ns = 0;
   /// Virtual time from the crash to the *first* client reply out of the
   /// term-2 (failover) flows — the headline recovery latency.
   SimTime recovery_first_reply_ns = 0;
-  /// Virtual time from the crash until *every* client received its first
-  /// term-2 reply (all clients recovered).
+  /// Virtual time from the crash until *every* client that failed over
+  /// received its first term-2 reply (all clients recovered).
   SimTime recovery_all_clients_ns = 0;
-  double throughput_rps = 0;
   /// The fault plan's canonical event trace (determinism witness).
   std::string fault_trace;
 };
@@ -113,8 +113,8 @@ struct ChaosResult {
 /// Figure-3 flow set with replica 0 as leader until the plan fail-stops it;
 /// survivors observe kPeerFailed / poisoned teardown (never a hang), then
 /// fail over to a pre-published term-2 flow set led by replica 1, where
-/// clients resubmit their in-flight requests. Demonstrates the PR's
-/// deadline + abort machinery end to end.
+/// clients resubmit their in-flight requests. A flow failure outside that
+/// failover surfaces as the run's Status.
 StatusOr<ChaosResult> RunMultiPaxosChaos(
     DfiRuntime* dfi, const std::vector<std::string>& nodes,
     const ChaosConfig& config);

@@ -1,6 +1,4 @@
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 #include "apps/consensus/internal.h"
 #include "common/exec/engine.h"
@@ -8,8 +6,8 @@
 
 namespace dfi::consensus {
 
-using internal::ClientEndpoint;
 using internal::ClientOutcome;
+using internal::InitClientFlows;
 using internal::RunLeaderClient;
 using internal::SyncClocks;
 
@@ -31,30 +29,7 @@ StatusOr<ConsensusResult> RunDare(DfiRuntime* dfi,
   // the same: one small message each way).
   FlowOptions lat;
   lat.optimization = FlowOptimization::kLatency;
-  {
-    ShuffleFlowSpec submit;
-    submit.name = "dare.submit";
-    for (uint32_t c = 0; c < cfg.num_clients; ++c) {
-      submit.sources.Append(ClientEndpoint(nodes, cfg, c));
-    }
-    submit.targets.Append(leader_ep);
-    submit.schema = Command::MakeSchema();
-    submit.options = lat;
-    DFI_RETURN_IF_ERROR(dfi->InitShuffleFlow(std::move(submit)));
-
-    ShuffleFlowSpec reply;
-    reply.name = "dare.reply";
-    reply.sources.Append(leader_ep);
-    for (uint32_t c = 0; c < cfg.num_clients; ++c) {
-      reply.targets.Append(ClientEndpoint(nodes, cfg, c));
-    }
-    reply.schema = Reply::MakeSchema();
-    reply.options = lat;
-    reply.routing = [](TupleView t, uint32_t m) {
-      return t.Get<uint16_t>(0) % m;
-    };
-    DFI_RETURN_IF_ERROR(dfi->InitShuffleFlow(std::move(reply)));
-  }
+  DFI_RETURN_IF_ERROR(InitClientFlows(dfi, nodes, cfg, lat, "dare", leader_ep));
 
   // One-sided replication substrate: a log region on every follower,
   // written directly by the leader's RC queue pairs.
@@ -74,7 +49,7 @@ StatusOr<ConsensusResult> RunDare(DfiRuntime* dfi,
     qps[f] = leader_ctx->CreateRcQp(*fnode, leader_ctx->CreateCq());
   }
 
-  std::atomic<bool> failed{false};
+  internal::FirstError errors;
   std::vector<ClientOutcome> outcomes(cfg.num_clients);
   exec::ActorGroup actors;
 
@@ -83,7 +58,8 @@ StatusOr<ConsensusResult> RunDare(DfiRuntime* dfi,
     auto submit_tgt = dfi->CreateShuffleTarget("dare.submit", 0);
     auto reply_src = dfi->CreateShuffleSource("dare.reply", 0);
     if (!submit_tgt.ok() || !reply_src.ok()) {
-      failed.store(true);
+      errors.Record(!submit_tgt.ok() ? submit_tgt.status()
+                                     : reply_src.status());
       return;
     }
     KvStore kv;
@@ -151,31 +127,21 @@ StatusOr<ConsensusResult> RunDare(DfiRuntime* dfi,
       auto submit_src = dfi->CreateShuffleSource("dare.submit", c);
       auto reply_tgt = dfi->CreateShuffleTarget("dare.reply", c);
       if (!submit_src.ok() || !reply_tgt.ok()) {
-        failed.store(true);
+        errors.Record(!submit_src.ok() ? submit_src.status()
+                                       : reply_tgt.status());
         return;
       }
-      outcomes[c] = RunLeaderClient(submit_src->get(), reply_tgt->get(), cfg,
-                                    c, /*window=*/1);
+      auto out = RunLeaderClient(cfg, c, /*window=*/1,
+                                 {submit_src->get(), reply_tgt->get()});
+      if (out.ok()) outcomes[c] = std::move(out).value();
+      errors.Record(out.status());
     });
   }
 
   actors.Join();
   DFI_RETURN_IF_ERROR(dfi->RemoveFlows({"dare.submit", "dare.reply"}));
-  if (failed.load()) return Status::Internal("dare worker failed");
-
-  ConsensusResult result;
-  LatencyRecorder all;
-  SimTime finish = 0;
-  for (auto& o : outcomes) {
-    result.completed += o.completed;
-    all.Merge(o.latencies);
-    finish = std::max(finish, o.finish);
-  }
-  result.throughput_rps = static_cast<double>(result.completed) * 1e9 /
-                          std::max<SimTime>(finish, 1);
-  result.median_latency_ns = all.Median();
-  result.p95_latency_ns = all.Quantile(0.95);
-  return result;
+  DFI_RETURN_IF_ERROR(errors.Get());
+  return internal::Summarize(outcomes);
 }
 
 }  // namespace dfi::consensus

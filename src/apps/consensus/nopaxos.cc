@@ -254,19 +254,7 @@ StatusOr<ConsensusResult> RunNoPaxos(DfiRuntime* dfi,
   DFI_RETURN_IF_ERROR(dfi->RemoveFlows({"np.oum", "np.reply", "np.ack"}));
   if (failed.load()) return Status::Internal("nopaxos worker failed");
 
-  ConsensusResult result;
-  LatencyRecorder all;
-  SimTime finish = 0;
-  for (auto& o : outcomes) {
-    result.completed += o.completed;
-    all.Merge(o.latencies);
-    finish = std::max(finish, o.finish);
-  }
-  result.throughput_rps = static_cast<double>(result.completed) * 1e9 /
-                          std::max<SimTime>(finish, 1);
-  result.median_latency_ns = all.Median();
-  result.p95_latency_ns = all.Quantile(0.95);
-  return result;
+  return internal::Summarize(outcomes);
 }
 
 }  // namespace dfi::consensus

@@ -166,7 +166,7 @@ void IdleWait(uint64_t seen_epoch);
 /// Timed IdleWait: parks until the progress epoch moves past `seen_epoch`
 /// or the engine's virtual floor reaches `wake_at` (kNotified vs kTimer).
 /// `now` reports the caller's virtual time as in Engine::Park. Used by
-/// bounded poll loops (registry blocking retrieves) whose give-up point is
+/// bounded poll loops (FlowBarrier::Wait) whose give-up point is
 /// a virtual-time deadline rather than "forever".
 WakeCause IdleWaitUntil(uint64_t seen_epoch, SimTime now, SimTime wake_at);
 

@@ -2,15 +2,9 @@
 
 #include <utility>
 
-#include "common/logging.h"
+#include "common/exec/engine.h"
 
 namespace dfi {
-
-void FlowRegistry::NotifyChanged() {
-  version_.fetch_add(1, std::memory_order_seq_cst);
-  wp_.WakeAll();
-  exec::BumpProgress();
-}
 
 Status FlowRegistry::Publish(const std::string& name,
                              std::shared_ptr<FlowStateBase> state) {
@@ -30,7 +24,7 @@ Status FlowRegistry::PublishWithLease(const std::string& name,
     entry.lease_expiry = lease_expiry;
     flows_.emplace(name, std::move(entry));
   }
-  NotifyChanged();
+  exec::BumpProgress();
   return Status::OK();
 }
 
@@ -71,7 +65,7 @@ Status FlowRegistry::RenewLease(const std::string& name, SimTime now,
     }
   }
   if (lapsed) {
-    NotifyChanged();
+    exec::BumpProgress();
     return Status::FailedPrecondition("flow '" + name +
                                       "' lease lapsed before renewal");
   }
@@ -88,7 +82,7 @@ Status FlowRegistry::MarkFailed(const std::string& name,
     }
     if (!it->second.failed) FailLocked(&it->second, cause);
   }
-  NotifyChanged();
+  exec::BumpProgress();
   return Status::OK();
 }
 
@@ -108,27 +102,8 @@ size_t FlowRegistry::MarkExpired(SimTime now) {
       ++newly_failed;
     }
   }
-  if (newly_failed > 0) NotifyChanged();
+  if (newly_failed > 0) exec::BumpProgress();
   return newly_failed;
-}
-
-bool FlowRegistry::PublisherAlive(const std::string& name, SimTime now) {
-  bool fail_now = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = flows_.find(name);
-    if (it == flows_.end()) return false;
-    Entry& entry = it->second;
-    if (entry.failed) return false;
-    if (entry.lease_expiry == 0 || now < entry.lease_expiry) return true;
-    FailLocked(&entry,
-               Status::PeerFailed("flow '" + name + "' lease expired at " +
-                                  std::to_string(entry.lease_expiry) +
-                                  "ns"));
-    fail_now = true;
-  }
-  if (fail_now) NotifyChanged();
-  return false;
 }
 
 StatusOr<std::shared_ptr<FlowStateBase>> FlowRegistry::Retrieve(
@@ -148,80 +123,6 @@ StatusOr<std::shared_ptr<FlowStateBase>> FlowRegistry::Retrieve(
   return it->second.state;
 }
 
-StatusOr<std::shared_ptr<FlowStateBase>> FlowRegistry::RetrieveBlocking(
-    const std::string& name, std::chrono::milliseconds timeout,
-    VirtualClock* clock) {
-  uint64_t ticket;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ticket = next_ticket_++;
-    ++pending_[name].waiters;
-  }
-  // Deregisters this waiter on every exit path; the last waiter out drops
-  // the per-name bookkeeping (and any handoff entry retained for it).
-  struct WaiterGuard {
-    FlowRegistry* reg;
-    const std::string& name;
-    ~WaiterGuard() {
-      std::lock_guard<std::mutex> lock(reg->mu_);
-      auto it = reg->pending_.find(name);
-      if (it != reg->pending_.end() && --it->second.waiters == 0) {
-        reg->pending_.erase(it);
-      }
-    }
-  } guard{this, name};
-
-  // Checks for a satisfied wait under mu_: a live entry wins; otherwise a
-  // handoff from a Remove that happened after this waiter registered.
-  auto check = [&](StatusOr<std::shared_ptr<FlowStateBase>>* out) {
-    auto it = flows_.find(name);
-    const Entry* entry = nullptr;
-    if (it != flows_.end()) {
-      entry = &it->second;
-    } else {
-      auto pit = pending_.find(name);
-      if (pit != pending_.end() && pit->second.has_handoff &&
-          ticket < pit->second.handoff_ticket_limit) {
-        entry = &pit->second.handoff;
-      }
-    }
-    if (entry == nullptr) return false;
-    *out = entry->failed
-               ? StatusOr<std::shared_ptr<FlowStateBase>>(entry->fail_cause)
-               : StatusOr<std::shared_ptr<FlowStateBase>>(entry->state);
-    return true;
-  };
-
-  StatusOr<std::shared_ptr<FlowStateBase>> result =
-      Status::DeadlineExceeded("flow '" + name + "' not published in time");
-
-  // The timeout is virtual time from the caller's clock. Park until the
-  // registry changes or the engine floor reaches the deadline; the expired
-  // deadline is committed to the clock so a timed-out retrieve costs
-  // exactly its budget, deterministically.
-  const SimTime base = clock != nullptr ? clock->now() : 0;
-  const SimTime deadline_vt =
-      base + static_cast<SimTime>(timeout.count()) * 1'000'000;
-  for (;;) {
-    uint64_t seen;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (check(&result)) return result;
-      seen = version_.load(std::memory_order_seq_cst);
-    }
-    const exec::WakeCause cause = exec::Engine::Park(
-        &wp_, [&] { return version_.load(std::memory_order_seq_cst) != seen; },
-        clock != nullptr ? clock->now() : SimTime(-1), deadline_vt);
-    if (cause == exec::WakeCause::kTimer) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (check(&result)) return result;
-      if (clock != nullptr) clock->AdvanceTo(deadline_vt);
-      return Status::DeadlineExceeded("flow '" + name +
-                                      "' not published in time");
-    }
-  }
-}
-
 Status FlowRegistry::Remove(const std::string& name) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -229,17 +130,9 @@ Status FlowRegistry::Remove(const std::string& name) {
     if (it == flows_.end()) {
       return Status::NotFound("flow '" + name + "'");
     }
-    auto pit = pending_.find(name);
-    if (pit != pending_.end() && pit->second.waiters > 0) {
-      // Hand the entry off to retrievers that were already blocked: the
-      // publish they were waiting for must not vanish out from under them.
-      pit->second.has_handoff = true;
-      pit->second.handoff_ticket_limit = next_ticket_;
-      pit->second.handoff = it->second;
-    }
     flows_.erase(it);
   }
-  NotifyChanged();
+  exec::BumpProgress();
   return Status::OK();
 }
 

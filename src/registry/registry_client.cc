@@ -7,12 +7,6 @@
 
 namespace dfi::reg {
 
-namespace {
-SimTime NsFromMs(std::chrono::milliseconds ms) {
-  return static_cast<SimTime>(ms.count()) * 1'000'000;
-}
-}  // namespace
-
 RegistryClient::RegistryClient(RegistryService* service,
                                RegistryClientOptions options,
                                VirtualClock* clock)
@@ -137,7 +131,13 @@ Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.rpcs;
+      // Moving to another replica is a failover, whether a redirect or the
+      // view at a later virtual time moved this client.
+      if (conn.last_replica >= 0 && conn.last_replica != req.target_replica) {
+        ++stats_.failovers;
+      }
     }
+    conn.last_replica = req.target_replica;
     BatchResult res = service_->Execute(req, now);
     if (res.transport.ok() && !res.wrong_primary) {
       ObserveEpoch(shard, res.epoch);
@@ -149,10 +149,6 @@ Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
       // A live non-primary answered with a redirect: refresh the view and
       // retry at the primary immediately (the redirect already cost a
       // round trip; no backoff).
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.failovers;
-      }
       ObserveEpoch(shard, res.epoch);
       now = std::max(now, res.complete_at);
       view = service_->ViewAt(shard, now);
@@ -254,41 +250,6 @@ StatusOr<std::shared_ptr<FlowStateBase>> RegistryClient::Retrieve(
   if (!r.status.ok()) return r.status;
   CacheInsert(name, shard, r);
   return r.state;
-}
-
-StatusOr<std::shared_ptr<FlowStateBase>> RegistryClient::RetrieveBlocking(
-    const std::string& name, std::chrono::milliseconds timeout) {
-  const SimTime deadline_vt = NowVt() + NsFromMs(timeout);
-  // Poll cadence: park in exponentially growing slices and
-  // advance the clock through each one, so a failover at a later virtual
-  // time than our last RPC becomes visible (the shard view is evaluated at
-  // our own clock). See FlowBarrier::Wait for the full rationale.
-  constexpr SimTime kPollInitialNs = 10'000;
-  constexpr SimTime kPollCapNs = 1'000'000;
-  SimTime poll_interval = kPollInitialNs;
-  while (true) {
-    // Capture the progress epoch *before* polling so a publish landing
-    // between the poll and the park wakes us (lost-wakeup protocol).
-    const uint64_t seen = exec::ProgressEpoch();
-    auto r = Retrieve(name);
-    if (r.ok()) return r;
-    if (r.status().code() != StatusCode::kNotFound) return r.status();
-    const SimTime now = NowVt();
-    const SimTime wake =
-        clock_ ? std::min(deadline_vt, now + poll_interval) : deadline_vt;
-    if (exec::IdleWaitUntil(seen, now, wake) == exec::WakeCause::kTimer) {
-      if (wake >= deadline_vt) {
-        if (clock_) clock_->AdvanceTo(deadline_vt);
-        return Status::DeadlineExceeded(
-            "flow '" + name + "' not published within " +
-            std::to_string(timeout.count()) + "ms (virtual)");
-      }
-      clock_->AdvanceTo(wake);
-      poll_interval = std::min(poll_interval * 2, kPollCapNs);
-    } else {
-      poll_interval = kPollInitialNs;
-    }
-  }
 }
 
 Status RegistryClient::Close(const std::string& name) {

@@ -1,7 +1,6 @@
 #ifndef DFI_REGISTRY_REGISTRY_CLIENT_H_
 #define DFI_REGISTRY_REGISTRY_CLIENT_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -40,7 +39,8 @@ struct RegistryClientOptions {
 struct RegistryClientStats {
   uint64_t rpcs = 0;            // Execute() round trips issued
   uint64_t retries = 0;         // re-sends after observed silence
-  uint64_t failovers = 0;       // wrong-primary redirects followed
+  uint64_t failovers = 0;       // batches sent to another replica of a
+                                // shard than this client's previous one
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;    // cacheable retrieves that went to the wire
   uint64_t cache_invalidations = 0;  // entries dropped on an epoch bump
@@ -78,12 +78,6 @@ class RegistryClient {
                           std::shared_ptr<FlowStateBase> state,
                           SimTime lease_expiry);
   StatusOr<std::shared_ptr<FlowStateBase>> Retrieve(const std::string& name);
-  /// Parks the calling engine task until the flow is published (or the
-  /// virtual-time timeout lapses). kPeerFailed and other terminal errors
-  /// return immediately.
-  StatusOr<std::shared_ptr<FlowStateBase>> RetrieveBlocking(
-      const std::string& name,
-      std::chrono::milliseconds timeout = std::chrono::milliseconds(10000));
   Status Close(const std::string& name);
   Status MarkFailed(const std::string& name, const Status& cause);
   Status RenewLease(const std::string& name, SimTime new_expiry);
@@ -122,6 +116,8 @@ class RegistryClient {
   struct ShardConn {
     std::mutex mu;
     uint64_t next_seq = 0;
+    /// Replica the previous batch went to; -1 before the first batch.
+    int64_t last_replica = -1;
   };
 
   SimTime NowVt() const { return clock_ ? clock_->now() : 0; }

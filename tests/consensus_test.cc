@@ -130,6 +130,45 @@ TEST_F(ConsensusTest, DfiSystemsOutperformDare) {
   EXPECT_GT(nopaxos_rps, dare_rps);
 }
 
+TEST_F(ConsensusTest, LeaderCrashCompletesEveryRequest) {
+  // The term-1 leader fail-stops at 100 us, while every client still has
+  // requests outstanding.
+  for (uint32_t window : {1u, 8u}) {
+    SCOPED_TRACE("client_window " + std::to_string(window));
+    ChaosConfig chaos;
+    chaos.base.requests_per_client = 100;
+    chaos.base.client_window = window;
+    chaos.crash_at_ns = 100'000;
+    net::Fabric fabric;
+    auto addrs = SetUpNodes(&fabric, chaos.base);
+    DfiRuntime dfi(&fabric);
+    auto r = OnEngine([&] { return RunMultiPaxosChaos(&dfi, addrs, chaos); });
+    ASSERT_TRUE(r.ok()) << r.status();
+    const uint32_t clients = chaos.base.num_clients;
+    EXPECT_EQ(r->completed, uint64_t{clients} * chaos.base.requests_per_client);
+    // Clients resubmit what they had in flight: exactly one request each at
+    // window 1, up to a window each otherwise.
+    EXPECT_GE(r->resubmitted, window == 1 ? clients : 1u);
+    EXPECT_LE(r->resubmitted, uint64_t{window} * clients);
+    EXPECT_GT(r->recovery_first_reply_ns, 0);
+    EXPECT_LE(r->recovery_first_reply_ns, r->recovery_all_clients_ns);
+    EXPECT_LT(r->recovery_all_clients_ns, chaos.block_deadline_ns);
+  }
+}
+
+TEST_F(ConsensusTest, FailureFreeRunReportsALeaderCrashAsStatus) {
+  // Without a failover term a dead leader is a failed run: every actor
+  // unwinds and the run returns the fault instead of aborting the process.
+  net::Fabric fabric;
+  const ConsensusConfig cfg = SmallConfig();
+  auto addrs = SetUpNodes(&fabric, cfg);
+  fabric.fault_plan().CrashNode(0, /*at=*/100'000);
+  DfiRuntime dfi(&fabric);
+  auto result = OnEngine([&] { return RunMultiPaxos(&dfi, addrs, cfg); });
+  EXPECT_EQ(result.status().code(), StatusCode::kPeerFailed)
+      << result.status();
+}
+
 TEST_F(ConsensusTest, ValidatesReplicaCount) {
   net::Fabric fabric;
   ConsensusConfig cfg = SmallConfig();

@@ -277,6 +277,7 @@ struct ChaosTrace {
 ChaosTrace ChaosWorkload() {
   consensus::ChaosConfig chaos;
   chaos.base.requests_per_client = 60;
+  chaos.base.client_window = 1;
   chaos.base.seed = 7;
   net::Fabric fabric;
   std::vector<std::string> addrs;

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cfenv>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
@@ -23,7 +22,6 @@
 
 #include "common/random.h"
 #include "common/sim_time.h"
-#include "registry/flow_registry.h"
 
 namespace dfi::exec {
 namespace {
@@ -221,13 +219,12 @@ TEST(ProgressEpochTest, BumpAdvancesAndIdleWaitReturns) {
 }
 
 TEST(BlockingWaitDeathTest, WaitOutsideTaskAborts) {
-  // A wait that would block must come from an engine task; the registry's
-  // blocking retrieve parks through Engine::Park, which rejects the call.
+  // A wait that would block must come from an engine task: every blocking
+  // primitive parks through Engine::Park, which rejects the call.
   EXPECT_DEATH(
       {
-        FlowRegistry registry;
-        (void)registry.RetrieveBlocking("absent",
-                                        std::chrono::milliseconds(1));
+        WaitPoint wp;
+        (void)Engine::Park(&wp, [] { return false; }, 0, Engine::kNoTimer);
       },
       "Engine::Park called outside an engine task");
   EXPECT_DEATH(IdleWait(ProgressEpoch()),
