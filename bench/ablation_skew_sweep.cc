@@ -18,8 +18,6 @@
 //
 // Targets pay a per-tuple processing cost on consume, so completion time is
 // dominated by the most-loaded sink thread — the quantity skew distorts.
-//
-// `--smoke` runs a scaled-down sweep (4 nodes, fewer tuples) for CI.
 
 #include <algorithm>
 #include <atomic>
@@ -28,8 +26,6 @@
 
 namespace dfi::bench {
 namespace {
-
-bool g_smoke = false;
 
 constexpr uint32_t kThreadsPerNode = 8;
 constexpr uint32_t kTupleSize = sizeof(JoinTuple);  // 16 B key/payload
@@ -45,10 +41,7 @@ struct SweepConfig {
   uint32_t epoch_tuples;
 };
 
-SweepConfig Config() {
-  if (g_smoke) return {4, 10240, 1024};
-  return {8, 65536, 4096};
-}
+constexpr SweepConfig kConfig = {8, 65536, 4096};
 
 struct RunStats {
   SimTime finish = 0;
@@ -182,16 +175,14 @@ std::string Speedup(double ratio) {
 }
 
 void Run() {
-  const SweepConfig cfg = Config();
+  const SweepConfig& cfg = kConfig;
   const uint32_t workers = cfg.nodes * kThreadsPerNode;
   const double total_bytes = static_cast<double>(workers) *
                              static_cast<double>(cfg.tuples_per_source) *
                              kTupleSize;
 
-  PrintSection(g_smoke ? "Skew sweep: zipfian shuffle, static vs adaptive "
-                         "(smoke scale)"
-                       : "Skew sweep: zipfian shuffle (8 nodes x 8 "
-                         "threads), static vs adaptive");
+  PrintSection(
+      "Skew sweep: zipfian shuffle (8 nodes x 8 threads), static vs adaptive");
   {
     TablePrinter table({"zipf theta", "static", "adaptive", "speedup",
                         "re-split tuples", "stolen segments"});
@@ -223,9 +214,8 @@ void Run() {
     DFI_CHECK_LE(uniform_ratio, 1.05)
         << "adaptive faster than static on uniform input — the baseline "
            "run is suspect";
-    // Acceptance: >= 2x at the YCSB-default skew (looser at smoke scale,
-    // where fewer epochs run adapted).
-    DFI_CHECK_GE(skew_ratio, g_smoke ? 1.4 : 2.0)
+    // Acceptance: >= 2x at the YCSB-default skew.
+    DFI_CHECK_GE(skew_ratio, 2.0)
         << "adaptive speedup under zipf 0.99 below the acceptance bar";
     std::printf(
         "(expected: ~1x at theta=0, growing with skew — the static "
@@ -251,7 +241,7 @@ void Run() {
                   Num(static_cast<double>(a.stolen))});
     table.Print();
     RecordMetric("adaptive speedup, hot-key 4x50%", ratio, "x");
-    DFI_CHECK_GE(ratio, g_smoke ? 1.5 : 2.0)
+    DFI_CHECK_GE(ratio, 2.0)
         << "adaptive speedup on the hot-key workload below the bar";
   }
 
@@ -279,8 +269,7 @@ void Run() {
                   Num(static_cast<double>(a.stolen))});
     table.Print();
     RecordMetric("adaptive speedup, thread straggler 1/8", ratio, "x");
-    DFI_CHECK_GE(ratio, g_smoke ? 1.5 : 2.0)
-        << "straggler resilience below the bar";
+    DFI_CHECK_GE(ratio, 2.0) << "straggler resilience below the bar";
     std::printf(
         "(expected: static completion is pinned to the slow thread; with "
         "stealing\n + backpressure reaction its same-node siblings absorb "
@@ -292,14 +281,5 @@ void Run() {
 }  // namespace dfi::bench
 
 int main(int argc, char** argv) {
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") {
-      dfi::bench::g_smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  return dfi::bench::BenchMain(static_cast<int>(args.size()), args.data(),
-                               dfi::bench::Run);
+  return dfi::bench::BenchMain(argc, argv, dfi::bench::Run);
 }

@@ -20,7 +20,8 @@
 //     the graph relays FlowOptions per edge, so the pipeline inherits the
 //     skew resilience of the flow layer.
 //
-// `--smoke` runs a scaled-down configuration for CI.
+// `--smoke` runs a scaled-down configuration for the sanitizer jobs
+// (scripts/run_sanitized.sh).
 
 #include <cinttypes>
 #include <string>

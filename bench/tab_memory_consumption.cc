@@ -122,9 +122,10 @@ void Run() {
     table.Print();
     std::printf(
         "(paper: 16 segments -> -2.7%% bandwidth, 8 segments -> -8%%.\n"
-        " Note: run-to-run noise of these 32-worker runs is ~+-10%% in this\n"
-        " emulation, so the paper's small effect is below our resolution;\n"
-        " the memory savings column is the robust result.)\n");
+        " These rows are deterministic model outputs, identical from run to\n"
+        " run: a positive 'relative' is a model deviation of the wrong sign,\n"
+        " not noise (EXPERIMENTS.md, Known deviations 7); the memory\n"
+        " savings column is the robust result.)\n");
   }
 }
 

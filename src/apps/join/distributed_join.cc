@@ -4,10 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "apps/join/hash_table.h"
 #include "bench_util/workload.h"
 #include "core/graph/executor.h"
 #include "core/replicate_flow.h"
+#include "common/flat_hash_map.h"
 #include "common/hash.h"
 #include "common/exec/engine.h"
 #include "common/logging.h"
@@ -51,6 +51,12 @@ uint32_t NetworkDest(uint64_t key, uint32_t num_workers) {
 /// Local partition: second-level radix bits (independent hash bits).
 uint32_t LocalBucket(uint64_t key, uint32_t bits) {
   return static_cast<uint32_t>((HashU64(key) >> 32) & ((1u << bits) - 1));
+}
+
+/// Matches of one probe key against a build table of key -> multiplicity.
+uint64_t CountMatches(const FlatHashMap<uint64_t>& table, uint64_t key) {
+  const uint64_t* multiplicity = table.Find(key);
+  return multiplicity != nullptr ? *multiplicity : 0;
 }
 
 SimTime MaxClock(ShuffleSource& a, ShuffleTarget& b) {
@@ -198,12 +204,12 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
       }
 
       // --- Build cache-sized hash tables per bucket.
-      std::vector<JoinHashTable> tables(num_buckets);
+      std::vector<FlatHashMap<uint64_t>> tables(num_buckets);
       uint64_t built = 0;
       for (uint32_t b = 0; b < num_buckets; ++b) {
         tables[b].Reserve(buckets[b].size());
         for (const bench::JoinTuple& t : buckets[b]) {
-          tables[b].Insert(t.key, t.payload);
+          ++tables[b][t.key];
           ++built;
         }
       }
@@ -220,8 +226,8 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
           const uint64_t key = t.Get<uint64_t>(0);
           (*tgt2)->clock().Advance(sim.tuple_consume_fixed_ns +
                                    config.probe_cost_ns);
-          matches += tables[LocalBucket(key, config.local_radix_bits)]
-                         .CountMatches(key);
+          matches += CountMatches(
+              tables[LocalBucket(key, config.local_radix_bits)], key);
         }
       };
       const std::vector<bench::JoinTuple> outer = OuterChunk(config, w);
@@ -504,11 +510,11 @@ StatusOr<JoinResult> RunMpiRadixJoin(net::Fabric* fabric,
       }
       st.local += clock.now() - t0;
       t0 = clock.now();
-      std::vector<JoinHashTable> tables(num_buckets);
+      std::vector<FlatHashMap<uint64_t>> tables(num_buckets);
       for (uint32_t b = 0; b < num_buckets; ++b) {
         tables[b].Reserve(buckets[b].size());
         for (const bench::JoinTuple& t : buckets[b]) {
-          tables[b].Insert(t.key, t.payload);
+          ++tables[b][t.key];
           clock.Advance(config.build_cost_ns);
         }
       }
@@ -534,7 +540,7 @@ StatusOr<JoinResult> RunMpiRadixJoin(net::Fabric* fabric,
       for (uint32_t b = 0; b < num_buckets; ++b) {
         for (const bench::JoinTuple& t : obuckets[b]) {
           clock.Advance(config.probe_cost_ns);
-          st.matches += tables[b].CountMatches(t.key);
+          st.matches += CountMatches(tables[b], t.key);
         }
       }
       st.build_probe += clock.now() - t0;
@@ -611,7 +617,7 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
         return;
       }
       // Receive the full inner relation; build one table streaming.
-      JoinHashTable table;
+      FlatHashMap<uint64_t> table;
       table.Reserve(config.inner_tuples);
       const Schema schema = JoinSchema();
       SegmentView seg;
@@ -620,7 +626,7 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
           TupleView t(seg.payload + off, &schema);
           (*tgt)->clock().Advance(sim.tuple_consume_fixed_ns +
                                   config.build_cost_ns);
-          table.Insert(t.Get<uint64_t>(0), t.Get<uint64_t>(1));
+          ++table[t.Get<uint64_t>(0)];
         }
       }
       (*src)->clock().AdvanceTo((*tgt)->clock().now());
@@ -630,7 +636,7 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
       uint64_t matches = 0;
       for (const bench::JoinTuple& t : OuterChunk(config, w)) {
         (*tgt)->clock().Advance(config.probe_cost_ns);
-        matches += table.CountMatches(t.key);
+        matches += CountMatches(table, t.key);
       }
       total_matches.fetch_add(matches, std::memory_order_relaxed);
       t_total[w] = (*tgt)->clock().now();

@@ -1,6 +1,7 @@
 #include "core/endpoint/policies.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -9,30 +10,36 @@
 namespace dfi {
 namespace {
 
-/// Reads a field as double for aggregation.
-double FieldAsDouble(TupleView tuple, size_t field_index) {
-  const Schema& schema = *tuple.schema();
-  switch (schema.field(field_index).type) {
+template <typename T>
+double Load(const uint8_t* p) {
+  T value;
+  std::memcpy(&value, p, sizeof(T));
+  return static_cast<double>(value);
+}
+
+/// Reads a packed field of type `type` at `p` as double for aggregation.
+double FieldAsDouble(const uint8_t* p, DataType type) {
+  switch (type) {
     case DataType::kInt8:
-      return tuple.Get<int8_t>(field_index);
+      return Load<int8_t>(p);
     case DataType::kUInt8:
-      return tuple.Get<uint8_t>(field_index);
+      return Load<uint8_t>(p);
     case DataType::kInt16:
-      return tuple.Get<int16_t>(field_index);
+      return Load<int16_t>(p);
     case DataType::kUInt16:
-      return tuple.Get<uint16_t>(field_index);
+      return Load<uint16_t>(p);
     case DataType::kInt32:
-      return tuple.Get<int32_t>(field_index);
+      return Load<int32_t>(p);
     case DataType::kUInt32:
-      return tuple.Get<uint32_t>(field_index);
+      return Load<uint32_t>(p);
     case DataType::kInt64:
-      return static_cast<double>(tuple.Get<int64_t>(field_index));
+      return Load<int64_t>(p);
     case DataType::kUInt64:
-      return static_cast<double>(tuple.Get<uint64_t>(field_index));
+      return Load<uint64_t>(p);
     case DataType::kFloat:
-      return tuple.Get<float>(field_index);
+      return Load<float>(p);
     case DataType::kDouble:
-      return tuple.Get<double>(field_index);
+      return Load<double>(p);
     case DataType::kChar:
       DFI_LOG(FATAL) << "cannot aggregate a kChar field";
   }
@@ -336,55 +343,54 @@ Aggregator::Aggregator(const Schema* schema,
                        const std::vector<AggSpec>* aggregates,
                        size_t group_by_index, bool global_aggregate,
                        const net::SimConfig* config, VirtualClock* clock)
-    : schema_(schema),
-      aggregates_(aggregates),
-      group_by_index_(group_by_index),
-      global_aggregate_(global_aggregate),
+    : global_aggregate_(global_aggregate),
+      key_offset_(global_aggregate ? 0 : schema->offset(group_by_index)),
+      key_size_(global_aggregate ? 0 : schema->field_size(group_by_index)),
       config_(config),
       clock_(clock) {
-  DFI_CHECK(!aggregates_->empty())
+  DFI_CHECK(!aggregates->empty())
       << "combiner flow needs at least one aggregate";
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const AggSpec& agg : *aggregates) {
+    Op op{agg.func, DataType::kUInt64, 0};
+    if (agg.func != AggFunc::kCount) {
+      op.type = schema->field(agg.field_index).type;
+      op.offset = schema->offset(agg.field_index);
+    }
+    ops_.push_back(op);
+    double init = 0;
+    if (agg.func == AggFunc::kMin) init = inf;
+    if (agg.func == AggFunc::kMax) init = -inf;
+    init_.push_back(init);
+  }
 }
 
 void Aggregator::Fold(TupleView tuple) {
+  const uint8_t* data = tuple.data();
   const uint64_t key =
-      global_aggregate_ ? 0 : ReadKeyAsU64(tuple, group_by_index_);
+      global_aggregate_ ? 0 : ReadKeyBytes(data + key_offset_, key_size_);
   clock_->Advance(config_->agg_update_ns);
 
-  auto [it, inserted] = groups_.try_emplace(key);
-  std::vector<double>& acc = it->second;
+  const auto [group, inserted] = groups_.TryEmplace(key, keys_.size());
   if (inserted) {
-    acc.resize(aggregates_->size());
-    output_keys_.push_back(key);
-    for (size_t i = 0; i < aggregates_->size(); ++i) {
-      switch ((*aggregates_)[i].func) {
-        case AggFunc::kSum:
-        case AggFunc::kCount:
-          acc[i] = 0;
-          break;
-        case AggFunc::kMin:
-          acc[i] = std::numeric_limits<double>::infinity();
-          break;
-        case AggFunc::kMax:
-          acc[i] = -std::numeric_limits<double>::infinity();
-          break;
-      }
-    }
+    keys_.push_back(key);
+    acc_.insert(acc_.end(), init_.begin(), init_.end());
   }
-  for (size_t i = 0; i < aggregates_->size(); ++i) {
-    const AggSpec& agg = (*aggregates_)[i];
-    switch (agg.func) {
+  double* acc = &acc_[*group * ops_.size()];
+  for (size_t i = 0; i < ops_.size(); ++i) {
+    const Op& op = ops_[i];
+    switch (op.func) {
       case AggFunc::kSum:
-        acc[i] += FieldAsDouble(tuple, agg.field_index);
+        acc[i] += FieldAsDouble(data + op.offset, op.type);
         break;
       case AggFunc::kCount:
         acc[i] += 1;
         break;
       case AggFunc::kMin:
-        acc[i] = std::min(acc[i], FieldAsDouble(tuple, agg.field_index));
+        acc[i] = std::min(acc[i], FieldAsDouble(data + op.offset, op.type));
         break;
       case AggFunc::kMax:
-        acc[i] = std::max(acc[i], FieldAsDouble(tuple, agg.field_index));
+        acc[i] = std::max(acc[i], FieldAsDouble(data + op.offset, op.type));
         break;
     }
   }
@@ -392,10 +398,10 @@ void Aggregator::Fold(TupleView tuple) {
 }
 
 bool Aggregator::NextRow(AggRow* out) {
-  if (output_pos_ >= output_keys_.size()) return false;
-  const uint64_t key = output_keys_[output_pos_++];
-  out->group_key = key;
-  out->values = groups_.at(key);
+  if (output_pos_ >= keys_.size()) return false;
+  const double* acc = &acc_[output_pos_ * ops_.size()];
+  out->group_key = keys_[output_pos_++];
+  out->values.assign(acc, acc + ops_.size());
   return true;
 }
 

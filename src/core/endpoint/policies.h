@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_hash_map.h"
 #include "common/hash.h"
 #include "common/sim_time.h"
 #include "core/endpoint/backpressure.h"
@@ -216,6 +217,10 @@ struct AggRow {
 /// Aggregation policy plugged into a combiner target's FlowSink: folds
 /// tuples into per-group accumulators (SUM/COUNT/MIN/MAX, paper section
 /// 4.2.3), then yields the aggregate rows in first-seen group order.
+///
+/// A group is a dense index in first-seen order; one FlatHashMap maps group
+/// keys to it, and every accumulator lives in one array of groups x
+/// aggregates, so a fold allocates nothing except when the arrays grow.
 class Aggregator {
  public:
   Aggregator(const Schema* schema, const std::vector<AggSpec>* aggregates,
@@ -235,15 +240,28 @@ class Aggregator {
   uint64_t tuples_folded() const { return tuples_folded_; }
 
  private:
-  const Schema* const schema_;
-  const std::vector<AggSpec>* const aggregates_;
-  const size_t group_by_index_;
+  /// One aggregate with its input field resolved (unused for kCount).
+  struct Op {
+    AggFunc func;
+    DataType type;
+    size_t offset;
+  };
+
   const bool global_aggregate_;
+  const size_t key_offset_;
+  const size_t key_size_;
   const net::SimConfig* const config_;
   VirtualClock* const clock_;
+  std::vector<Op> ops_;
+  /// A new group's accumulators, one per aggregate.
+  std::vector<double> init_;
   uint64_t tuples_folded_ = 0;
-  std::unordered_map<uint64_t, std::vector<double>> groups_;
-  std::vector<uint64_t> output_keys_;
+  /// Group key -> group index.
+  FlatHashMap<size_t> groups_;
+  /// Group keys by group index.
+  std::vector<uint64_t> keys_;
+  /// Accumulator i of group g is acc_[g * ops_.size() + i].
+  std::vector<double> acc_;
   size_t output_pos_ = 0;
 };
 

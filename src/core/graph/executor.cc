@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 
+#include "common/flat_hash_map.h"
 #include "core/dfi_runtime.h"
 #include "core/graph/lowering.h"
 
@@ -384,9 +384,10 @@ Status GraphRun::RunJoin(int vertex, uint32_t worker, VertexStats* out) {
   const Schema& build_schema = graph_.spec().edges[vi.in[0]].type.schema;
   const Schema& probe_schema = graph_.spec().edges[vi.in[1]].type.schema;
 
-  // Build phase: hash the inner input as it streams in. Multiplicity per
-  // key is all the probe side needs to count matches.
-  std::unordered_map<uint64_t, uint64_t> table;
+  // Build phase: hash the inner input as it streams in, into one table per
+  // worker (local_radix_bits is not used). Multiplicity per key is all the
+  // probe side needs to count matches.
+  FlatHashMap<uint64_t> table;
   uint64_t consumed = 0;
   TupleView tuple;
   for (;;) {
@@ -408,9 +409,9 @@ Status GraphRun::RunJoin(int vertex, uint32_t worker, VertexStats* out) {
     if (r == ConsumeResult::kError) return probe.last_status();
     ++consumed;
     probe.clock().Advance(js.partition_cost_ns + js.probe_cost_ns);
-    auto it =
-        table.find(ReadUnsigned(tuple.data(), probe_schema, js.key_field));
-    if (it != table.end()) matches += it->second;
+    const uint64_t* multiplicity =
+        table.Find(ReadUnsigned(tuple.data(), probe_schema, js.key_field));
+    if (multiplicity != nullptr) matches += *multiplicity;
   }
   out->tuples_in = consumed;
   out->join_matches = matches;

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/exec/engine.h"
+#include "common/random.h"
 #include "core/dfi_runtime.h"
 
 namespace dfi {
@@ -273,6 +278,107 @@ TEST_F(CombinerTest, GlobalAggregatePartialsSumUp) {
   }
   engine.Run();
   EXPECT_DOUBLE_EQ(total.load(), 2.0 * 1000 * 1001 / 2);
+}
+
+TEST(AggregatorTest, RowsInFirstSeenOrderWithExactAccumulators) {
+  // Folds 4 tuples into each of ~2^17 groups in a scrambled order and
+  // checks the rows against a fold computed here in the same order: row
+  // order is first-seen order, and every accumulator is bit-identical (the
+  // same floating-point operations in the same sequence).
+  const Schema schema{{"key", DataType::kUInt64},
+                      {"i32", DataType::kInt32},
+                      {"u64", DataType::kUInt64},
+                      {"f64", DataType::kDouble}};
+  std::vector<AggSpec> aggs = {{AggFunc::kCount, 0}};
+  for (AggFunc func : {AggFunc::kSum, AggFunc::kMin, AggFunc::kMax}) {
+    for (size_t field = 1; field <= 3; ++field) aggs.push_back({func, field});
+  }
+  constexpr size_t kGroups = (size_t{1} << 17) + 2;
+  constexpr size_t kPerGroup = 4;
+
+  // Dense small keys, keys sharing their low byte (as one partition of a
+  // key-hash or radix flow would), and both ends of the key range.
+  Xorshift128Plus rng(7);
+  std::vector<uint64_t> keys = {0, ~uint64_t{0}};
+  for (uint64_t k = 1; keys.size() < kGroups / 2; ++k) keys.push_back(k);
+  while (keys.size() < kGroups) keys.push_back((rng.Next() << 8) | 0x5a);
+  std::vector<uint64_t> order;
+  for (uint64_t key : keys) order.insert(order.end(), kPerGroup, key);
+  for (size_t i = order.size() - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.NextBelow(i + 1)]);
+  }
+  const size_t tuple_size = schema.tuple_size();
+  std::vector<uint8_t> tuples(order.size() * tuple_size);
+  for (size_t i = 0; i < order.size(); ++i) {
+    TupleWriter writer(&tuples[i * tuple_size], &schema);
+    writer.Set(0, order[i]);
+    writer.Set(1, static_cast<int32_t>(rng.NextBelow(2001)) - 1000);
+    writer.Set(2, rng.Next());
+    writer.Set(3, rng.NextDouble() * 1e6 - 5e5);
+  }
+
+  // Field `f` of a tuple as a double.
+  auto value = [](TupleView t, size_t f) -> double {
+    if (f == 1) return t.Get<int32_t>(1);
+    if (f == 2) return static_cast<double>(t.Get<uint64_t>(2));
+    return t.Get<double>(3);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  std::unordered_map<uint64_t, size_t> ref_index;
+  std::vector<uint64_t> ref_keys;
+  std::vector<std::vector<double>> ref_rows;
+  for (size_t i = 0; i < order.size(); ++i) {
+    const TupleView t(&tuples[i * tuple_size], &schema);
+    auto [it, inserted] = ref_index.try_emplace(order[i], ref_rows.size());
+    if (inserted) {
+      ref_keys.push_back(order[i]);
+      ref_rows.emplace_back();
+      for (const AggSpec& agg : aggs) {
+        double init = 0;
+        if (agg.func == AggFunc::kMin) init = inf;
+        if (agg.func == AggFunc::kMax) init = -inf;
+        ref_rows.back().push_back(init);
+      }
+    }
+    std::vector<double>& acc = ref_rows[it->second];
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      switch (aggs[a].func) {
+        case AggFunc::kCount:
+          acc[a] += 1;
+          break;
+        case AggFunc::kSum:
+          acc[a] += value(t, aggs[a].field_index);
+          break;
+        case AggFunc::kMin:
+          acc[a] = std::min(acc[a], value(t, aggs[a].field_index));
+          break;
+        case AggFunc::kMax:
+          acc[a] = std::max(acc[a], value(t, aggs[a].field_index));
+          break;
+      }
+    }
+  }
+  ASSERT_GE(ref_keys.size(), size_t{100000});
+
+  const net::SimConfig config;
+  VirtualClock clock;
+  Aggregator aggregator(&schema, &aggs, 0, false, &config, &clock);
+  for (size_t i = 0; i < order.size(); ++i) {
+    aggregator.Fold(TupleView(&tuples[i * tuple_size], &schema));
+  }
+  EXPECT_EQ(aggregator.tuples_folded(), order.size());
+  EXPECT_EQ(clock.now(),
+            static_cast<SimTime>(order.size()) * config.agg_update_ns);
+
+  AggRow row;
+  size_t rows = 0;
+  while (aggregator.NextRow(&row)) {
+    ASSERT_LT(rows, ref_keys.size());
+    ASSERT_EQ(row.group_key, ref_keys[rows]) << "row " << rows;
+    ASSERT_EQ(row.values, ref_rows[rows]) << "group " << row.group_key;
+    ++rows;
+  }
+  EXPECT_EQ(rows, ref_keys.size());
 }
 
 }  // namespace

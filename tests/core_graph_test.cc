@@ -470,5 +470,74 @@ TEST(GraphRunTest, InstantiateRegistersAndFinishRemovesFlows) {
   EXPECT_FALSE(dfi.registry_client().Retrieve("reg.flow").ok());
 }
 
+TEST(GraphRunTest, JoinCountsBuildKeyMultiplicities) {
+  // The build side repeats keys (key k appears k % 4 + 1 times, spread over
+  // the build workers), so each probe of k matches that many times. Keys 0
+  // and 2^64-1 are among them; probes of absent keys match nothing.
+  net::Fabric fabric;
+  auto addrs = MakeCluster(&fabric, 2);
+  DfiRuntime dfi(&fabric);
+  const DfiNodes workers = DfiNodes::GridOf(addrs, 2);
+  // Odd multiplier: i * kMul is distinct for distinct i, so keys from
+  // [1, 3000) never collide with the absent ones from [3000, 6000).
+  constexpr uint64_t kMul = 0x9e3779b97f4a7c15;
+  std::vector<uint64_t> keys = {0, ~uint64_t{0}};
+  for (uint64_t i = 1; i < 3000; ++i) keys.push_back(i * kMul);
+  uint64_t expected = 0;
+  for (uint64_t k : keys) expected += 2 * (k % 4 + 1);  // probed twice
+
+  GraphSpec gs;
+  gs.name = "mj";
+  VertexSpec build;
+  build.name = "build";
+  build.kind = OpKind::kSource;
+  build.workers = workers;
+  build.output = {TwoFieldSchema(), Ordering::kNone};
+  build.source_fn = [&keys](OpContext& ctx, const EmitFn& emit) -> Status {
+    for (uint64_t k : keys) {
+      for (uint64_t copy = 0; copy <= k % 4; ++copy) {
+        if ((k + copy) % ctx.num_workers != ctx.worker) continue;
+        const uint64_t tuple[2] = {k, copy};
+        DFI_RETURN_IF_ERROR(emit(tuple));
+      }
+    }
+    return Status::OK();
+  };
+  VertexSpec probe;
+  probe.name = "probe";
+  probe.kind = OpKind::kSource;
+  probe.workers = workers;
+  probe.output = {TwoFieldSchema(), Ordering::kNone};
+  probe.source_fn = [&keys](OpContext& ctx, const EmitFn& emit) -> Status {
+    for (size_t i = ctx.worker; i < keys.size(); i += ctx.num_workers) {
+      for (uint64_t key : {keys[i], keys[i], (3000 + i) * kMul}) {
+        const uint64_t tuple[2] = {key, 0};
+        DFI_RETURN_IF_ERROR(emit(tuple));
+      }
+    }
+    return Status::OK();
+  };
+  VertexSpec join;
+  join.name = "join";
+  join.kind = OpKind::kJoin;
+  join.workers = workers;
+  gs.vertices = {std::move(build), std::move(probe), std::move(join)};
+  // In-edge order is the join's build (0) and probe (1) side.
+  gs.edges = {Shuffle("mj.build", "build", "join"),
+              Shuffle("mj.probe", "probe", "join")};
+
+  auto g = Graph::Build(std::move(gs), &dfi.fabric());
+  ASSERT_TRUE(g.ok()) << g.status();
+  auto run = g->Instantiate(&dfi);
+  ASSERT_TRUE(run.ok()) << run.status();
+  exec::Engine engine;
+  engine.Spawn(0, "root", [&] {
+    ASSERT_TRUE((*run)->Start().ok());
+    ASSERT_TRUE((*run)->Finish().ok()) << (*run)->status();
+  });
+  engine.Run();
+  EXPECT_EQ((*run)->stats("join").join_matches, expected);
+}
+
 }  // namespace
 }  // namespace dfi::graph

@@ -2,41 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/join/hash_table.h"
 #include "bench_util/workload.h"
 #include "common/exec/engine.h"
 
 namespace dfi::join {
 namespace {
-
-TEST(JoinHashTableTest, InsertAndProbe) {
-  JoinHashTable table;
-  table.Reserve(100);
-  for (uint64_t k = 0; k < 100; ++k) {
-    table.Insert(k, k * 10);
-  }
-  EXPECT_EQ(table.size(), 100u);
-  for (uint64_t k = 0; k < 100; ++k) {
-    uint64_t payload = 0;
-    EXPECT_EQ(table.Probe(k, [&](uint64_t p) { payload = p; }), 1u);
-    EXPECT_EQ(payload, k * 10);
-  }
-  EXPECT_EQ(table.CountMatches(1000), 0u);
-}
-
-TEST(JoinHashTableTest, DuplicateKeys) {
-  JoinHashTable table;
-  table.Reserve(10);
-  table.Insert(7, 1);
-  table.Insert(7, 2);
-  table.Insert(7, 3);
-  EXPECT_EQ(table.CountMatches(7), 3u);
-}
-
-TEST(JoinHashTableTest, EmptyTableProbe) {
-  JoinHashTable table;
-  EXPECT_EQ(table.CountMatches(1), 0u);
-}
 
 class DistributedJoinTest : public ::testing::Test {
  protected:
