@@ -1,12 +1,15 @@
-// Ablation: batched zero-copy push/consume hot path.
+// Ablation: batched vs tuple-at-a-time push, and the consume-side scan.
 //
 // Part A compares tuple-at-a-time Push against PushBatch on an N:M shuffle
-// with 8-byte tuples: the batched path partitions with one devirtualized
-// histogram+scatter loop per batch and copies straight into the staging
-// segments through zero-copy reservations, so the *wall-clock* emulator
-// throughput rises (target: >= 2x) while the *simulated* time stays
-// identical — per-tuple virtual costs are precomputed and charged per
-// batch.
+// with 8-byte tuples. Both stage every tuple through the same per-target
+// lane and seal the same segments (DESIGN.md §6), so the *simulated* time
+// is identical (26.57 ms in both rows); PushBatch only routes a block of
+// tuples per devirtualized pass. The *wall-clock* columns are declared
+// host-measured. Five alternating runs per build on a 4-vCPU host, median
+// Mtuples/s: Push 95.5 and PushBatch 169.8 (1.66x), against 55.3 and 184.8
+// (3.06x) when Push still made three out-of-line calls and a libc memcpy
+// per tuple beside a second, batch-only staging mechanism. The former
+// ">= 2x" batch target therefore no longer describes the design.
 //
 // Part B measures the target-side consume cost as idle source channels are
 // added: ready-channel lists make one TryConsumeSegment O(active channels)
@@ -161,6 +164,7 @@ void PartA() {
   }
   TablePrinter table({"push mode", "push Mtuples/s", "flow Mtuples/s",
                       "wall time", "simulated time"});
+  table.MarkHostColumns({"push Mtuples/s", "flow Mtuples/s", "wall time"});
   char buf[32], buf2[32];
   std::snprintf(buf, sizeof(buf), "%.1f", scalar.push_mtuples_s);
   std::snprintf(buf2, sizeof(buf2), "%.1f", scalar.mtuples_s);
@@ -176,9 +180,9 @@ void PartA() {
   TablePrinter summary({"metric", "value"});
   std::snprintf(buf, sizeof(buf), "%.2fx",
                 batch.push_mtuples_s / scalar.push_mtuples_s);
-  summary.AddRow({"push speedup", buf});
+  summary.AddHostRow({"push speedup", buf});
   std::snprintf(buf, sizeof(buf), "%.2fx", batch.mtuples_s / scalar.mtuples_s);
-  summary.AddRow({"end-to-end speedup", buf});
+  summary.AddHostRow({"end-to-end speedup", buf});
   std::snprintf(buf, sizeof(buf), "%+.2f%%",
                 100.0 * (static_cast<double>(batch.sim_done) -
                          static_cast<double>(scalar.sim_done)) /
@@ -186,9 +190,9 @@ void PartA() {
   summary.AddRow({"simulated-time delta", buf});
   summary.Print();
   std::printf(
-      "(the batched path devirtualizes partitioning and reserves segment\n"
-      " space once per run; simulated time must stay identical because the\n"
-      " same per-tuple virtual costs are charged batch-wise)\n");
+      "(both modes stage through the same per-target lanes and seal the\n"
+      " same segments, so simulated time is identical; the batched path\n"
+      " only routes a block of tuples per devirtualized pass)\n");
 }
 
 /// Part B: wall-clock cost of one target consume with n-1 idle sources.
@@ -250,6 +254,7 @@ void PartB() {
       "Ablation: target consume cost vs idle source channels "
       "(ready-list scan)");
   TablePrinter table({"source channels (1 active)", "wall ns/segment"});
+  table.MarkHostColumns({"wall ns/segment"});
   for (uint32_t n : {1u, 4u, 16u, 64u, 256u}) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.0f", ConsumeNsPerSegment(n));

@@ -94,11 +94,11 @@ inline int BenchMain(int argc, char** argv, void (*run)()) {
     // Every bench JSON carries the host wall-clock cost of the run — the
     // emulator-throughput number CI trends alongside the simulated results.
     PrintSection("Run cost");
-    RecordMetric("wall_clock", std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() -
-                                   wall_start)
-                                   .count(),
-                 "s");
+    RecordMetric("wall_clock",
+                 std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - wall_start)
+                     .count(),
+                 "s", /*host=*/true);
   }
   if (!json_path.empty() && !WriteJsonResults(json_path)) {
     std::fprintf(stderr, "error: could not write %s\n", json_path.c_str());

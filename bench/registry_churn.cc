@@ -16,11 +16,7 @@
 //      must produce the identical registry event trace (ISSUE 7 chaos
 //      criterion); we compare the order-insensitive trace hash and the
 //      canonical sorted trace string.
-//
-// DFI_CHURN_MAX_FLOWS (env) caps the section-1 scales — CI smoke runs set
-// it small so the --json run stays in seconds.
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -215,18 +211,14 @@ ChurnResult RunChurn(const ChurnConfig& cfg) {
 
 void Run() {
   // --- Section 1: churn throughput --------------------------------------
-  size_t max_flows = 1'000'000;
-  if (const char* cap = std::getenv("DFI_CHURN_MAX_FLOWS")) {
-    max_flows = std::strtoull(cap, nullptr, 10);
-  }
   PrintSection(
       "Registry churn: publish+retrieve+close, 8 clients, 8 shards x 3 "
       "replicas");
   TablePrinter table({"flows", "ctl ops", "RPCs", "virtual time",
                       "ops/virtual-s", "wall"});
+  table.MarkHostColumns({"wall"});
   double peak_ops_per_s = 0;
   for (size_t flows : {size_t{10'000}, size_t{100'000}, size_t{1'000'000}}) {
-    if (flows > max_flows) continue;
     ChurnConfig cfg;
     cfg.flows = flows;
     ChurnResult r = RunChurn(cfg);

@@ -12,11 +12,14 @@ namespace {
 struct JsonTable {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> host_columns;
+  std::vector<std::string> host_rows;
 };
 struct JsonMetric {
   std::string name;
   double value = 0;
   std::string unit;
+  bool host = false;
 };
 struct JsonSection {
   std::string title;
@@ -82,6 +85,15 @@ void TablePrinter::AddRow(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
+void TablePrinter::MarkHostColumns(std::vector<std::string> headers) {
+  host_columns_ = std::move(headers);
+}
+
+void TablePrinter::AddHostRow(std::vector<std::string> row) {
+  host_rows_.push_back(row.front());
+  AddRow(std::move(row));
+}
+
 std::string TablePrinter::ToString() const {
   std::vector<size_t> widths;
   for (const auto& row : rows_) {
@@ -120,6 +132,8 @@ void TablePrinter::Print() const {
   JsonTable table;
   table.header = rows_.front();
   table.rows.assign(rows_.begin() + 1, rows_.end());
+  table.host_columns = host_columns_;
+  table.host_rows = host_rows_;
   c.sections.back().tables.push_back(std::move(table));
 }
 
@@ -130,11 +144,11 @@ void PrintSection(const std::string& title) {
 }
 
 void RecordMetric(const std::string& name, double value,
-                  const std::string& unit) {
+                  const std::string& unit, bool host) {
   Collector& c = collector();
   if (!c.enabled) return;
   if (c.sections.empty()) c.sections.emplace_back();
-  c.sections.back().metrics.push_back(JsonMetric{name, value, unit});
+  c.sections.back().metrics.push_back(JsonMetric{name, value, unit, host});
 }
 
 void EnableResultCapture() { collector().enabled = true; }
@@ -159,7 +173,16 @@ bool WriteJsonResults(const std::string& path) {
         if (r > 0) out.push_back(',');
         AppendJsonStringArray(&out, tables[t].rows[r]);
       }
-      out += "]}";
+      out += "]";
+      if (!tables[t].host_columns.empty()) {
+        out += ",\"host_columns\":";
+        AppendJsonStringArray(&out, tables[t].host_columns);
+      }
+      if (!tables[t].host_rows.empty()) {
+        out += ",\"host_rows\":";
+        AppendJsonStringArray(&out, tables[t].host_rows);
+      }
+      out += "}";
     }
     out += "],\"metrics\":[";
     const auto& metrics = c.sections[s].metrics;
@@ -173,6 +196,7 @@ bool WriteJsonResults(const std::string& path) {
       out += value;
       out += ",\"unit\":";
       AppendJsonString(&out, metrics[m].unit);
+      if (metrics[m].host) out += ",\"host\":true";
       out += "}";
     }
     out += "]}";

@@ -34,12 +34,17 @@ const char* StatusCodeToString(StatusCode code) {
   return "Unknown";
 }
 
+const std::string& Status::message() const {
+  static const std::string* const kEmpty = new std::string();  // never freed
+  return message_ == nullptr ? *kEmpty : *message_;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "Ok";
   std::string out = StatusCodeToString(code_);
-  if (!message_.empty()) {
+  if (message_ != nullptr) {
     out += ": ";
-    out += message_;
+    out += *message_;
   }
   return out;
 }

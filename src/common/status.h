@@ -2,6 +2,7 @@
 #define DFI_COMMON_STATUS_H_
 
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -31,16 +32,26 @@ enum class StatusCode : uint8_t {
 const char* StatusCodeToString(StatusCode code);
 
 /// Value-semantic error type used throughout DFI instead of exceptions
-/// (Google/Arrow/RocksDB idiom). An OK status carries no allocation.
+/// (Google/Arrow/RocksDB idiom). An OK status carries no allocation, and
+/// moving one is a pointer move: hot paths such as a push return OK per
+/// tuple, and moving an inline std::string costs a libc memcpy call.
 class Status {
  public:
   /// Constructs an OK status.
-  Status() : code_(StatusCode::kOk) {}
+  Status() = default;
   Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+      : code_(code),
+        message_(message.empty()
+                     ? nullptr
+                     : std::make_unique<std::string>(std::move(message))) {}
 
-  Status(const Status&) = default;
-  Status& operator=(const Status&) = default;
+  Status(const Status& other)
+      : code_(other.code_), message_(Clone(other.message_)) {}
+  Status& operator=(const Status& other) {
+    code_ = other.code_;
+    message_ = Clone(other.message_);
+    return *this;
+  }
   Status(Status&&) noexcept = default;
   Status& operator=(Status&&) noexcept = default;
 
@@ -84,18 +95,24 @@ class Status {
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  const std::string& message() const;
 
   /// "Ok" or "<Code>: <message>".
   std::string ToString() const;
 
   bool operator==(const Status& other) const {
-    return code_ == other.code_ && message_ == other.message_;
+    return code_ == other.code_ && message() == other.message();
   }
 
  private:
-  StatusCode code_;
-  std::string message_;
+  static std::unique_ptr<std::string> Clone(
+      const std::unique_ptr<std::string>& message) {
+    return message == nullptr ? nullptr
+                              : std::make_unique<std::string>(*message);
+  }
+
+  StatusCode code_ = StatusCode::kOk;
+  std::unique_ptr<std::string> message_;  // null when empty
 };
 
 inline std::ostream& operator<<(std::ostream& os, const Status& s) {

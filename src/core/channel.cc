@@ -98,19 +98,23 @@ Status ChannelShared::poison_status() const {
 ChannelSource::ChannelSource(ChannelShared* shared,
                              rdma::RdmaContext* source_ctx,
                              VirtualClock* clock)
-    : shared_(shared), clock_(clock), config_(&source_ctx->config()) {
+    : shared_(shared),
+      clock_(clock),
+      config_(&source_ctx->config()),
+      latency_(shared->options().optimization ==
+               FlowOptimization::kLatency) {
+  const uint32_t tuple_size = shared_->tuple_size();
   tuple_push_cost_ns_ =
       config_->tuple_push_fixed_ns +
-      static_cast<SimTime>(std::llround(shared_->tuple_size() *
-                                        config_->tuple_copy_ns_per_byte));
+      static_cast<SimTime>(
+          std::llround(tuple_size * config_->tuple_copy_ns_per_byte));
   shared_->set_source_node(source_ctx->node_id());
   send_cq_ = source_ctx->CreateCq();
   qp_ = source_ctx->CreateRcQp(shared_->target_node(), send_cq_);
-  const bool latency =
-      shared_->options().optimization == FlowOptimization::kLatency;
   const uint32_t capacity = shared_->ring().payload_capacity();
+  window_bytes_ = capacity / tuple_size * tuple_size;
   const uint32_t staging_slots =
-      latency ? 1 : std::max(2u, shared_->options().source_segments);
+      latency_ ? 1 : std::max(2u, shared_->options().source_segments);
   const size_t staging_bytes =
       static_cast<size_t>(capacity + sizeof(SegmentFooter)) * staging_slots;
   staging_mr_ = source_ctx->AllocateRegion(staging_bytes);
@@ -124,80 +128,24 @@ ChannelSource::~ChannelSource() {
   }
 }
 
-Status ChannelSource::Push(const void* tuple, uint32_t len) {
+Status ChannelSource::Seal(uint32_t fill) {
+  if (fill == 0) return Status::OK();
+  const uint8_t* payload = staging_.payload(staging_slot_);
+  staging_slot_ = (staging_slot_ + 1) % staging_.num_segments();
+  return TransmitSegment(payload, fill, /*end=*/false);
+}
+
+Status ChannelSource::Push(const void* tuple) {
   if (closed_) {
     return Status::FailedPrecondition("push on closed channel");
   }
-  if (len != shared_->tuple_size()) {
-    return Status::InvalidArgument("tuple size mismatch: got " +
-                                   std::to_string(len) + ", schema has " +
-                                   std::to_string(shared_->tuple_size()));
-  }
+  DFI_DCHECK(latency_);  // open bandwidth channels stage through window()
   clock_->Advance(tuple_push_cost_ns_);
-
-  if (shared_->options().optimization == FlowOptimization::kLatency) {
-    // One tuple = one segment, transmitted immediately (flow control via
-    // credits inside TransmitSegment).
-    std::memcpy(staging_.payload(0), tuple, len);
-    return TransmitSegment(staging_.payload(0), len, /*end=*/false);
-  }
-
-  // Bandwidth mode: stage into the current segment of the source ring.
-  // Invariant: every path that fills a segment (the tail of this function,
-  // CommitTuples) eagerly flushes once no further tuple fits, so on entry
-  // the current segment always has room for one more tuple.
-  const uint32_t capacity = staging_.payload_capacity();
-  DFI_DCHECK(fill_ + len <= capacity);
-  std::memcpy(staging_.payload(staging_slot_) + fill_, tuple, len);
-  fill_ += len;
-  if (fill_ + shared_->tuple_size() > capacity) {
-    // Eagerly transmit full segments for maximal pipelining.
-    DFI_RETURN_IF_ERROR(Flush());
-  }
-  return Status::OK();
-}
-
-Status ChannelSource::ReserveTuples(uint32_t max_tuples, uint32_t* granted,
-                                    uint8_t** out) {
-  if (closed_) {
-    return Status::FailedPrecondition("reserve on closed channel");
-  }
-  if (shared_->options().optimization == FlowOptimization::kLatency) {
-    // One tuple = one segment: grant single-tuple reservations that
-    // CommitTuples transmits immediately.
-    *granted = max_tuples == 0 ? 0 : 1;
-    *out = staging_.payload(0);
-    return Status::OK();
-  }
-  const uint32_t tuple_size = shared_->tuple_size();
-  const uint32_t capacity = staging_.payload_capacity();
-  DFI_DCHECK(fill_ + tuple_size <= capacity);  // eager-flush invariant
-  const uint32_t space = (capacity - fill_) / tuple_size;
-  *granted = std::min(max_tuples, space);
-  *out = staging_.payload(staging_slot_) + fill_;
-  return Status::OK();
-}
-
-Status ChannelSource::CommitTuples(uint32_t count) {
-  if (count == 0) return Status::OK();
-  if (closed_) {
-    return Status::FailedPrecondition("commit on closed channel");
-  }
-  // One clock charge for the whole batch instead of one per tuple.
-  clock_->Advance(static_cast<SimTime>(count) * tuple_push_cost_ns_);
-  const uint32_t tuple_size = shared_->tuple_size();
-  if (shared_->options().optimization == FlowOptimization::kLatency) {
-    DFI_CHECK_EQ(count, 1u) << "latency-mode reservations are single-tuple";
-    return TransmitSegment(staging_.payload(0), tuple_size, /*end=*/false);
-  }
-  fill_ += count * tuple_size;
-  DFI_DCHECK(fill_ <= staging_.payload_capacity());
-  if (fill_ + tuple_size > staging_.payload_capacity()) {
-    // Eagerly transmit full segments for maximal pipelining (same invariant
-    // as Push).
-    return Flush();
-  }
-  return Status::OK();
+  // One tuple = one segment, transmitted immediately (flow control via
+  // credits inside TransmitSegment).
+  const uint32_t len = shared_->tuple_size();
+  std::memcpy(staging_.payload(0), tuple, len);
+  return TransmitSegment(staging_.payload(0), len, /*end=*/false);
 }
 
 Status ChannelSource::PushSegment(uint8_t* staged_slot, uint32_t fill,
@@ -208,15 +156,6 @@ Status ChannelSource::PushSegment(uint8_t* staged_slot, uint32_t fill,
   DFI_RETURN_IF_ERROR(TransmitSegment(staged_slot, fill, end));
   if (end) closed_ = true;
   return Status::OK();
-}
-
-Status ChannelSource::Flush() {
-  if (fill_ == 0) return Status::OK();
-  const uint8_t* payload = staging_.payload(staging_slot_);
-  const uint32_t fill = fill_;
-  staging_slot_ = (staging_slot_ + 1) % staging_.num_segments();
-  fill_ = 0;
-  return TransmitSegment(payload, fill, /*end=*/false);
 }
 
 void ChannelSource::Abort(const Status& cause) {
@@ -230,9 +169,7 @@ void ChannelSource::Abort(const Status& cause) {
   // the write fails — e.g. our own node is the one the fault plan crashed —
   // the shared poison state above already did the job.
   const SegmentRing& ring = shared_->ring();
-  const bool latency =
-      shared_->options().optimization == FlowOptimization::kLatency;
-  const uint64_t seq = latency ? sent_tuples_ : send_seq_;
+  const uint64_t seq = latency_ ? sent_tuples_ : send_seq_;
   const uint32_t idx = static_cast<uint32_t>(seq % ring.num_segments());
   uint8_t poison_flag = kFlagPoisoned;
   rdma::WriteDesc desc;
@@ -253,21 +190,14 @@ void ChannelSource::Abort(const Status& cause) {
   }
 }
 
-Status ChannelSource::Close() {
+Status ChannelSource::Close(uint32_t fill) {
   if (closed_) return Status::OK();
   if (shared_->poisoned()) {
     closed_ = true;
     return shared_->poison_status();
   }
-  if (shared_->options().optimization == FlowOptimization::kLatency) {
-    DFI_RETURN_IF_ERROR(
-        TransmitSegment(staging_.payload(0), 0, /*end=*/true));
-  } else {
-    const uint8_t* payload = staging_.payload(staging_slot_);
-    const uint32_t fill = fill_;
-    fill_ = 0;
-    DFI_RETURN_IF_ERROR(TransmitSegment(payload, fill, /*end=*/true));
-  }
+  DFI_RETURN_IF_ERROR(TransmitSegment(staging_.payload(staging_slot_), fill,
+                                      /*end=*/true));
   closed_ = true;
   return Status::OK();
 }
@@ -390,16 +320,14 @@ Status ChannelSource::TransmitSegment(const uint8_t* payload, uint32_t fill,
                                       bool end) {
   if (shared_->poisoned()) return shared_->poison_status();
   const SegmentRing& ring = shared_->ring();
-  const bool latency =
-      shared_->options().optimization == FlowOptimization::kLatency;
   // Sealing a batch (footer bookkeeping, fill accounting) is a bandwidth-
   // path cost; the latency path writes a single prepared tuple slot.
-  clock_->Advance(latency ? config_->segment_seal_ns / 4
-                          : config_->segment_seal_ns);
-  const uint64_t seq = latency ? sent_tuples_ : send_seq_;
+  clock_->Advance(latency_ ? config_->segment_seal_ns / 4
+                           : config_->segment_seal_ns);
+  const uint64_t seq = latency_ ? sent_tuples_ : send_seq_;
   const uint32_t idx = static_cast<uint32_t>(seq % ring.num_segments());
 
-  if (latency) {
+  if (latency_) {
     DFI_RETURN_IF_ERROR(EnsureCredit());
   } else {
     DFI_RETURN_IF_ERROR(EnsureRemoteWritable(idx));
@@ -408,7 +336,7 @@ Status ChannelSource::TransmitSegment(const uint8_t* payload, uint32_t fill,
   // Selective signaling: request a completion only when the source ring
   // wraps around (paper section 5.2); latency mode is unsignaled + inlined.
   const bool wrap =
-      !latency &&
+      !latency_ &&
       (send_seq_ % staging_.num_segments()) == staging_.num_segments() - 1;
   if (wrap && signal_outstanding_) {
     // Reap the completion of the *previous* wrap before overwriting more
@@ -436,10 +364,10 @@ Status ChannelSource::TransmitSegment(const uint8_t* payload, uint32_t fill,
   // footer landing last thanks to increasing-address DMA order).
   const bool full_slot =
       fill + shared_->tuple_size() > ring.payload_capacity();
-  if (full_slot || latency) {
+  if (full_slot || latency_) {
     const uint32_t len =
         ring.payload_capacity() + sizeof(SegmentFooter);
-    const bool inlined = latency && len <= config_->max_inline_bytes;
+    const bool inlined = latency_ && len <= config_->max_inline_bytes;
     rdma::OpTiming t = qp_->PlanWrite(len, inlined, clock_);
     footer->arrival_sim_time = t.arrival;
     rdma::WriteDesc desc;
@@ -485,7 +413,7 @@ Status ChannelSource::TransmitSegment(const uint8_t* payload, uint32_t fill,
   }
   shared_->AnnounceDelivered();
 
-  if (latency) {
+  if (latency_) {
     ++sent_tuples_;
   } else {
     // Pipelined prefetch of the *next* target footer (paper section 5.2):

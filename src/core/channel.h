@@ -161,11 +161,13 @@ class ChannelShared {
 /// Source half of a channel. Owned and driven by exactly one source thread.
 ///
 /// Bandwidth mode (paper section 5.2): tuples are appended to the current
-/// segment of a small source-side ring; full segments are written to the
-/// target ring with one-sided RDMA writes, the footer travelling behind the
-/// payload. Writes are signaled only on source-ring wrap-around (selective
-/// signaling); while writing segment n, the footer of target segment n+1 is
-/// prefetched with an RDMA read.
+/// segment of a small source-side ring — the staging window, which the
+/// owning FlowEndpoint fills in place through its lane — and the push that
+/// fills a window seals it: the segment is written to the target ring with
+/// one-sided RDMA writes, the footer travelling behind the payload. Writes
+/// are signaled only on source-ring wrap-around (selective signaling);
+/// while writing segment n, the footer of target segment n+1 is prefetched
+/// with an RDMA read.
 ///
 /// Latency mode (paper section 5.3): each tuple is transmitted immediately
 /// as a single (inlined if small) write of a one-tuple segment; a credit
@@ -179,26 +181,27 @@ class ChannelSource {
   ChannelSource(const ChannelSource&) = delete;
   ChannelSource& operator=(const ChannelSource&) = delete;
 
-  /// Appends one tuple (bandwidth: stage + maybe transmit; latency:
-  /// transmit now). `len` must equal the flow's tuple size.
-  Status Push(const void* tuple, uint32_t len);
+  /// Bandwidth mode: the open staging window, i.e. the payload of the
+  /// current source-ring segment, which the owner fills with whole tuples
+  /// and hands back with Seal. Null in latency mode and once closed:
+  /// such channels take every tuple through Push.
+  uint8_t* window() {
+    return latency_ || closed_ ? nullptr : staging_.payload(staging_slot_);
+  }
+  /// Bytes of whole tuples that fit one window. A window filled to this
+  /// point is full, and the push that filled it seals it.
+  uint32_t window_bytes() const { return window_bytes_; }
+  /// Virtual cost of pushing one tuple (fixed cost + copy cost), rounded
+  /// once at construction so push paths charge a precomputed integer.
+  SimTime tuple_push_cost() const { return tuple_push_cost_ns_; }
 
-  /// Zero-copy batch reservation: grants space for up to `max_tuples`
-  /// packed tuples directly in the current staging segment, so batch
-  /// partitioners scatter tuples in place instead of routing them through a
-  /// second per-tuple copy. `*granted` is the number of tuples that fit
-  /// (>= 1 whenever max_tuples >= 1; bounded by the space left in the
-  /// segment, and by 1 in latency mode where each tuple is its own
-  /// segment); `*out` points at the reservation. The reservation must be
-  /// filled and sealed with CommitTuples before any other push/flush call
-  /// on this channel.
-  Status ReserveTuples(uint32_t max_tuples, uint32_t* granted, uint8_t** out);
+  /// Transmits the first `fill` bytes of the window and opens the next
+  /// segment of the source ring. No-op when `fill` is 0.
+  Status Seal(uint32_t fill);
 
-  /// Seals `count` tuples written into the last reservation: charges the
-  /// per-tuple virtual cost once for the whole batch and transmits
-  /// (latency: immediately; bandwidth: when the segment is full, keeping
-  /// the eager-flush invariant of Push). `count` may be less than granted.
-  Status CommitTuples(uint32_t count);
+  /// Latency mode: charges one tuple and transmits it as its own segment.
+  /// Fails with FailedPrecondition once the channel is closed.
+  Status Push(const void* tuple);
 
   /// Transmits an externally staged segment (replicate flows stage a
   /// segment once on the source and fan it out over several channels). The
@@ -206,11 +209,9 @@ class ChannelSource {
   /// its footer area is overwritten. Marks the channel closed when `end`.
   Status PushSegment(uint8_t* staged_slot, uint32_t fill, bool end);
 
-  /// Transmits any staged partial segment.
-  Status Flush();
-
-  /// Flushes and sends the end-of-flow marker. Idempotent.
-  Status Close();
+  /// Transmits the window's first `fill` bytes (0 in latency mode) with
+  /// the end-of-flow marker. Idempotent.
+  Status Close(uint32_t fill);
 
   /// Tears the channel down without a clean end-of-flow: poisons the shared
   /// state (waking both halves) and best-effort publishes a poisoned footer
@@ -241,16 +242,14 @@ class ChannelSource {
   rdma::CompletionQueue* send_cq_ = nullptr;
   VirtualClock* const clock_;
   const net::SimConfig* config_;
-  /// Virtual cost of pushing one tuple (fixed cost + copy cost), rounded
-  /// once at construction so the hot path charges a precomputed integer
-  /// instead of doing floating-point math per tuple.
+  const bool latency_;
   SimTime tuple_push_cost_ns_ = 0;
+  uint32_t window_bytes_ = 0;
 
   // Source-side staging ring (registered memory on the source node).
   rdma::MemoryRegion* staging_mr_ = nullptr;
   SegmentRing staging_;
   uint32_t staging_slot_ = 0;
-  uint32_t fill_ = 0;
 
   uint64_t send_seq_ = 0;       // segments transmitted
   uint64_t sent_tuples_ = 0;    // latency mode: writes issued

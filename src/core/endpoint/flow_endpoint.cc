@@ -16,33 +16,35 @@ namespace dfi {
 FlowEndpoint::FlowEndpoint(ChannelMatrix* matrix, uint32_t source_index,
                            rdma::RdmaContext* source_ctx,
                            VirtualClock* clock)
-    : tuple_size_(matrix->tuple_size()) {
+    : clock_(clock), tuple_size_(matrix->tuple_size()) {
   const uint32_t m = matrix->num_targets();
   channels_.reserve(m);
   for (uint32_t t = 0; t < m; ++t) {
     channels_.push_back(std::make_unique<ChannelSource>(
         matrix->channel(source_index, t), source_ctx, clock));
   }
-  batch_cursors_.resize(m);
+  // Every channel of the matrix shares the flow's options and tuple size.
+  push_cost_ = channels_[0]->tuple_push_cost();
+  window_bytes_ = channels_[0]->window_bytes();
+  lanes_.resize(m);
+  for (uint32_t t = 0; t < m; ++t) OpenLane(t);
 }
 
-Status FlowEndpoint::Push(const void* tuple, Partitioner* partitioner) {
-  const uint32_t target =
-      partitioner->Route(static_cast<const uint8_t*>(tuple));
-  if (target >= num_targets()) {
-    return Status::OutOfRange("routing function returned target " +
-                              std::to_string(target) + " of " +
-                              std::to_string(num_targets()));
-  }
-  return channels_[target]->Push(tuple, tuple_size_);
+void FlowEndpoint::OpenLane(uint32_t target) {
+  uint8_t* window = channels_[target]->window();
+  lanes_[target] =
+      Lane{window, window == nullptr ? nullptr : window + window_bytes_};
 }
 
-Status FlowEndpoint::PushTo(const void* tuple, uint32_t target_index) {
-  if (target_index >= num_targets()) {
-    return Status::OutOfRange("target index " +
-                              std::to_string(target_index));
-  }
-  return channels_[target_index]->Push(tuple, tuple_size_);
+Status FlowEndpoint::Seal(uint32_t target) {
+  Status status = channels_[target]->Seal(Fill(target));
+  OpenLane(target);
+  return status;
+}
+
+Status FlowEndpoint::BadTarget(const char* what, uint32_t target) const {
+  return Status::OutOfRange(std::string(what) + " " + std::to_string(target) +
+                            " of " + std::to_string(num_targets()));
 }
 
 Status FlowEndpoint::PushAdaptive(const void* tuple,
@@ -50,15 +52,12 @@ Status FlowEndpoint::PushAdaptive(const void* tuple,
   const AdaptivePartitioner::Decision d =
       router->Route(static_cast<const uint8_t*>(tuple));
   if (d.flush_first >= 0) {
-    DFI_RETURN_IF_ERROR(
-        channels_[static_cast<uint32_t>(d.flush_first)]->Flush());
+    DFI_RETURN_IF_ERROR(Seal(static_cast<uint32_t>(d.flush_first)));
   }
   if (d.target >= num_targets()) {
-    return Status::OutOfRange("adaptive routing returned target " +
-                              std::to_string(d.target) + " of " +
-                              std::to_string(num_targets()));
+    return BadTarget("adaptive routing returned target", d.target);
   }
-  return channels_[d.target]->Push(tuple, tuple_size_);
+  return Stage(tuple, d.target);
 }
 
 Status FlowEndpoint::PushBatchAdaptive(const void* tuples, size_t count,
@@ -70,177 +69,90 @@ Status FlowEndpoint::PushBatchAdaptive(const void* tuples, size_t count,
   return Status::OK();
 }
 
-Status FlowEndpoint::AppendRun(uint32_t target, const uint8_t* run,
-                               size_t n) {
-  ChannelSource& ch = *channels_[target];
+Status FlowEndpoint::PushBatch(const void* tuples, size_t count,
+                               Partitioner* partitioner) {
+  const uint8_t* p = static_cast<const uint8_t*>(tuples);
+  // Locals, not members: the tuple stores below may alias any byte of
+  // this object, which would force a reload of each member per tuple.
   const uint32_t ts = tuple_size_;
-  while (n > 0) {
-    uint32_t granted = 0;
-    uint8_t* dst = nullptr;
-    DFI_RETURN_IF_ERROR(ch.ReserveTuples(
-        static_cast<uint32_t>(std::min<size_t>(n, UINT32_MAX)), &granted,
-        &dst));
-    DFI_CHECK_GT(granted, 0u);
-    std::memcpy(dst, run, static_cast<size_t>(granted) * ts);
-    DFI_RETURN_IF_ERROR(ch.CommitTuples(granted));
-    run += static_cast<size_t>(granted) * ts;
-    n -= granted;
+  const SimTime cost = push_cost_;
+  Lane* const lanes = lanes_.data();
+  // Charges of staged tuples not yet applied to the clock. Only a seal (or
+  // the caller, after the batch) reads this source's clock, and every
+  // tuple that may seal goes through Stage() with the backlog applied, so
+  // each segment is sealed at Push's tuple and virtual time.
+  SimTime owed = 0;
+  uint32_t target[kRouteBlock];
+  for (size_t done = 0; done < count;) {
+    const size_t n = std::min(kRouteBlock, count - done);
+    const size_t routed = RouteBlock(partitioner, p, n, target);
+    for (size_t j = 0; j < routed; ++j, p += ts) {
+      Lane& lane = lanes[target[j]];
+      if (lane.dst == nullptr || lane.dst + ts == lane.end) [[unlikely]] {
+        clock_->Advance(std::exchange(owed, 0));
+        DFI_RETURN_IF_ERROR(Stage(p, target[j]));
+        continue;
+      }
+      owed += cost;
+      CopyTuple(lane.dst, p, ts);
+      lane.dst += ts;
+    }
+    if (routed < n) {
+      clock_->Advance(owed);
+      return BadTarget("routing function returned target", target[routed]);
+    }
+    done += n;
   }
+  clock_->Advance(owed);
   return Status::OK();
 }
 
-Status FlowEndpoint::PushBatch(const void* tuples, size_t count,
-                               Partitioner* partitioner) {
-  if (count == 0) return Status::OK();
-  if (count > UINT32_MAX) {
-    return Status::InvalidArgument("batch too large; split it");
-  }
-  const uint8_t* base = static_cast<const uint8_t*>(tuples);
+size_t FlowEndpoint::RouteBlock(Partitioner* partitioner, const uint8_t* p,
+                                size_t n, uint32_t* target) const {
   const uint32_t ts = tuple_size_;
   const uint32_t m = num_targets();
   if (m == 1 || partitioner->kind() == Partitioner::Kind::kSingle) {
-    // Degenerate partitioning: the whole run goes to target 0 as wide
-    // copies, no per-tuple work at all.
-    return AppendRun(0, base, count);
+    // Degenerate partitioning: everything goes to target 0, unrouted.
+    std::fill_n(target, n, 0u);
+    return n;
   }
-
-  // One fused sweep: partition each tuple (devirtualized for the builtin
-  // partitioners — the only indirect call left is this function itself)
-  // and copy it straight into its channel's open reservation. Per-tuple
-  // Push order per target is preserved because tuples are emitted in batch
-  // order.
-  for (auto& cur : batch_cursors_) cur = BatchCursor{};
-  Status status;
-  // Commits whatever `cur` wrote into its open reservation (transmitting
-  // the now full segment) and opens the next one.
-  auto refill = [&](BatchCursor& cur, uint32_t target) {
-    ChannelSource& ch = *channels_[target];
-    if (cur.dst != cur.start) {
-      status = ch.CommitTuples(
-          static_cast<uint32_t>((cur.dst - cur.start) / ts));
-      if (!status.ok()) return false;
-    }
-    uint32_t granted = 0;
-    status = ch.ReserveTuples(UINT32_MAX, &granted, &cur.start);
-    if (!status.ok()) return false;
-    DFI_CHECK_GT(granted, 0u);
-    cur.dst = cur.start;
-    cur.end = cur.start + static_cast<size_t>(granted) * ts;
-    return true;
-  };
-  auto emit = [&](uint32_t target, const uint8_t* tuple) {
-    BatchCursor& cur = batch_cursors_[target];
-    if (cur.dst == cur.end && !refill(cur, target)) return false;
-    if (ts == 8) {
-      // Dominant case (8-byte tuples): a single load/store pair.
-      std::memcpy(cur.dst, tuple, 8);
-    } else {
-      std::memcpy(cur.dst, tuple, ts);
-    }
-    cur.dst += ts;
-    return true;
-  };
-
+  const size_t off = partitioner->key_offset();
+  const size_t key_size = partitioner->key_size();
   switch (partitioner->kind()) {
     case Partitioner::Kind::kKeyHash: {
-      const size_t off = partitioner->key_offset();
-      const size_t key_size = partitioner->key_size();
-      const FastDivisor& target_mod = partitioner->mod();
-      // Two-pass blocks: a tight partition loop (vectorizable hash, then
-      // magic-number modulo) followed by the scatter; splitting the passes
-      // keeps the hash chain and the copy chain independently pipelined.
-      constexpr size_t kBlock = 512;
-      const uint8_t* p = base;
+      // A tight hash loop (SIMD via HashKeys8 when the tuple is an 8-byte
+      // key), then the magic-number modulo: the hash chain pipelines
+      // independently of the staging pass.
+      uint64_t hash[kRouteBlock];
       if (ts == 8 && off == 0 && key_size == 8) {
-        // Dominant case — the tuple IS an 8-byte key: the hash pass runs
-        // over a dense u64 run (SIMD via HashKeys8), the modulo reduces to
-        // a mask when num_targets is a power of two, and the scatter is a
-        // fixed-width load/store pair per tuple.
-        uint64_t h[kBlock];
-        const bool pow2 = target_mod.pow2();
-        const uint64_t mask = target_mod.mask();
-        for (size_t done = 0; done < count;) {
-          const size_t n = std::min(kBlock, count - done);
-          HashKeys8(p, n, h);
-          for (size_t j = 0; j < n; ++j, p += 8) {
-            const uint32_t target = static_cast<uint32_t>(
-                pow2 ? (h[j] & mask) : target_mod.Mod(h[j]));
-            BatchCursor& cur = batch_cursors_[target];
-            if (cur.dst == cur.end && !refill(cur, target)) return status;
-            std::memcpy(cur.dst, p, 8);
-            cur.dst += 8;
-          }
-          done += n;
-        }
-        break;
-      }
-      uint32_t tgt[kBlock];
-      for (size_t done = 0; done < count;) {
-        const size_t n = std::min(kBlock, count - done);
-        const uint8_t* q = p + off;
-        if (key_size == 8) {
-          // 8-byte keys load directly (arbitrary stride / offset).
-          for (size_t j = 0; j < n; ++j, q += ts) {
-            uint64_t k;
-            std::memcpy(&k, q, 8);
-            tgt[j] = static_cast<uint32_t>(target_mod.Mod(HashU64(k)));
-          }
-        } else {
-          for (size_t j = 0; j < n; ++j, q += ts) {
-            tgt[j] = static_cast<uint32_t>(
-                target_mod.Mod(HashU64(ReadKeyBytes(q, key_size))));
-          }
-        }
+        HashKeys8(p, n, hash);
+      } else {
         for (size_t j = 0; j < n; ++j, p += ts) {
-          if (!emit(tgt[j], p)) return status;
+          hash[j] = HashU64(ReadKeyBytes(p + off, key_size));
         }
-        done += n;
       }
-      break;
+      const FastDivisor& mod = partitioner->mod();
+      for (size_t j = 0; j < n; ++j) {
+        target[j] = static_cast<uint32_t>(mod.Mod(hash[j]));
+      }
+      return n;
     }
     case Partitioner::Kind::kRadix: {
-      const size_t off = partitioner->key_offset();
-      const size_t key_size = partitioner->key_size();
-      const uint32_t shift = partitioner->shift();
-      const uint32_t bits = partitioner->bits();
-      const uint8_t* p = base;
-      for (size_t i = 0; i < count; ++i, p += ts) {
-        const uint32_t part =
-            RadixBits(ReadKeyBytes(p + off, key_size), shift, bits);
-        DFI_DCHECK(part < m);
-        if (part >= m) {
-          return Status::OutOfRange("routing function returned target " +
-                                    std::to_string(part) + " of " +
-                                    std::to_string(m));
-        }
-        if (!emit(part, p)) return status;
+      for (size_t j = 0; j < n; ++j, p += ts) {
+        target[j] = RadixBits(ReadKeyBytes(p + off, key_size),
+                              partitioner->shift(), partitioner->bits());
+        if (target[j] >= m) return j;
       }
-      break;
+      return n;
     }
     default: {  // kRoundRobin / kGeneric
-      const uint8_t* p = base;
-      for (size_t i = 0; i < count; ++i, p += ts) {
-        const uint32_t target = partitioner->Route(p);
-        if (target >= m) {
-          return Status::OutOfRange("routing function returned target " +
-                                    std::to_string(target) + " of " +
-                                    std::to_string(m));
-        }
-        if (!emit(target, p)) return status;
+      for (size_t j = 0; j < n; ++j, p += ts) {
+        target[j] = partitioner->Route(p);
+        if (target[j] >= m) return j;
       }
-      break;
+      return n;
     }
   }
-
-  // Commit the partial tail reservations of every touched target.
-  for (uint32_t t = 0; t < m; ++t) {
-    const BatchCursor& cur = batch_cursors_[t];
-    if (cur.dst != cur.start) {
-      DFI_RETURN_IF_ERROR(channels_[t]->CommitTuples(
-          static_cast<uint32_t>((cur.dst - cur.start) / ts)));
-    }
-  }
-  return Status::OK();
 }
 
 Status FlowEndpoint::BroadcastSegment(uint8_t* staged_slot, uint32_t fill,
@@ -252,23 +164,27 @@ Status FlowEndpoint::BroadcastSegment(uint8_t* staged_slot, uint32_t fill,
 }
 
 Status FlowEndpoint::Flush() {
-  for (auto& ch : channels_) {
-    DFI_RETURN_IF_ERROR(ch->Flush());
+  for (uint32_t t = 0; t < num_targets(); ++t) {
+    DFI_RETURN_IF_ERROR(Seal(t));
   }
   return Status::OK();
 }
 
 Status FlowEndpoint::Close() {
   Status first;
-  for (auto& ch : channels_) {
-    Status s = ch->Close();
+  for (uint32_t t = 0; t < num_targets(); ++t) {
+    Status s = channels_[t]->Close(Fill(t));
+    OpenLane(t);
     if (first.ok() && !s.ok()) first = std::move(s);
   }
   return first;
 }
 
 void FlowEndpoint::Abort(const Status& cause) {
-  for (auto& ch : channels_) ch->Abort(cause);
+  for (uint32_t t = 0; t < num_targets(); ++t) {
+    channels_[t]->Abort(cause);
+    OpenLane(t);
+  }
 }
 
 // ---------------------------------------------------------------------------

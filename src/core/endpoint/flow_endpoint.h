@@ -1,6 +1,7 @@
 #ifndef DFI_CORE_ENDPOINT_FLOW_ENDPOINT_H_
 #define DFI_CORE_ENDPOINT_FLOW_ENDPOINT_H_
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -16,10 +17,15 @@ namespace dfi {
 /// Source half of the unified transport: one worker thread's view of its
 /// row of the channel matrix. Owns the per-target ChannelSources and with
 /// them everything the paper's section 5 source side does — staging-ring
-/// wrap, selective signaling, footer prefetch, zero-copy batch
-/// reservations, deadline-bounded blocking on a full remote ring, and
-/// poisoned-footer teardown. Flow types differ only in the Partitioner
-/// they pass in (paper Table 1).
+/// wrap, selective signaling, footer prefetch, deadline-bounded blocking on
+/// a full remote ring, and poisoned-footer teardown. Flow types differ only
+/// in the Partitioner they pass in (paper Table 1).
+///
+/// Every push kind stages through one lane per target: the open window of
+/// that channel's current segment. A push routes, charges the per-tuple
+/// cost, copies the tuple to the lane and, when the tuple fills the window,
+/// seals it (transmits the segment) before returning. Latency-mode and
+/// closed channels have no window and take ChannelSource::Push.
 class FlowEndpoint {
  public:
   FlowEndpoint(ChannelMatrix* matrix, uint32_t source_index,
@@ -35,15 +41,27 @@ class FlowEndpoint {
   ChannelSource* channel(uint32_t target) { return channels_[target].get(); }
 
   /// Pushes one packed tuple, routed by `partitioner`.
-  Status Push(const void* tuple, Partitioner* partitioner);
+  Status Push(const void* tuple, Partitioner* partitioner) {
+    const uint32_t target =
+        partitioner->Route(static_cast<const uint8_t*>(tuple));
+    if (target >= num_targets()) [[unlikely]] {
+      return BadTarget("routing function returned target", target);
+    }
+    return Stage(tuple, target);
+  }
 
   /// Pushes with an explicit target (paper section 4.2.1, option (3)).
-  Status PushTo(const void* tuple, uint32_t target_index);
+  Status PushTo(const void* tuple, uint32_t target_index) {
+    if (target_index >= num_targets()) [[unlikely]] {
+      return BadTarget("target index", target_index);
+    }
+    return Stage(tuple, target_index);
+  }
 
   /// Pushes one packed tuple routed by an AdaptivePartitioner (opt-in skew
   /// adaptation). Honors the decision's hand-off flush: when a hot key was
-  /// re-homed under ordered_handoff, the previous owner's channel is
-  /// flushed before the tuple lands on the new owner, so per-(source, key)
+  /// re-homed under ordered_handoff, the previous owner's lane is sealed
+  /// before the tuple lands on the new owner, so per-(source, key)
   /// segments stay contiguous per target in transmit order.
   Status PushAdaptive(const void* tuple, AdaptivePartitioner* router);
 
@@ -54,20 +72,14 @@ class FlowEndpoint {
   Status PushBatchAdaptive(const void* tuples, size_t count,
                            AdaptivePartitioner* router);
 
-  /// Batched push: partitions a run of `count` densely packed tuples and
-  /// scatters them directly into the per-target staging segments in one
-  /// fused sweep over the batch (zero-copy reservations, see
-  /// ChannelSource::ReserveTuples). Builtin partitioners (key-hash, radix)
-  /// run devirtualized — one indirect call per batch instead of one per
-  /// tuple; a kGeneric partitioner falls back to per-tuple dispatch for the
-  /// partitioning decision only. Delivers exactly the same per-target
-  /// tuple sequences as calling Push on each tuple in order.
+  /// Batched push of `count` densely packed tuples. Builtin partitioners
+  /// (key-hash, radix) route a block of tuples at a time, devirtualized; a
+  /// kGeneric partitioner is called per tuple. Each tuple then stages
+  /// through its target's lane exactly as Push would, and the clock charge
+  /// is applied before each seal, so every segment is sealed at the same
+  /// tuple and virtual time as with Push on each tuple in order.
   Status PushBatch(const void* tuples, size_t count,
                    Partitioner* partitioner);
-
-  /// Scatters a contiguous run of `n` tuples to one target (1-target flows
-  /// and explicit-target batches skip partitioning entirely).
-  Status AppendRun(uint32_t target, const uint8_t* run, size_t n);
 
   /// Fans an externally staged segment out to every target (replicate
   /// flows stage once and write per target; see ChannelSource::PushSegment).
@@ -84,26 +96,72 @@ class FlowEndpoint {
 
   /// Aborts this endpoint's channels without a clean end-of-flow: every
   /// target observes the poisoned footer / shared poison state and its
-  /// consume returns kError.
+  /// consume returns kError. Staged tuples are discarded.
   void Abort(const Status& cause);
 
  private:
-  /// Per-target write cursor into an open zero-copy reservation
-  /// (ChannelSource::ReserveTuples), refilled on demand while PushBatch
-  /// sweeps a batch. A pointer pair keeps the per-tuple hot path to one
-  /// compare and one bump; the committed tuple count is recovered as
-  /// (dst - start) / tuple_size at the (rare) refill and tail commits.
-  struct BatchCursor {
-    uint8_t* dst = nullptr;    // next write position
-    uint8_t* end = nullptr;    // reservation end; dst == end forces refill
-    uint8_t* start = nullptr;  // reservation base
+  /// One target's staging lane: the open window of its channel's current
+  /// segment (ChannelSource::window). A push copies its tuple to `dst`; the
+  /// push that moves `dst` to `end` seals the window. `dst` is null while
+  /// the channel has no window (latency mode, closed).
+  struct Lane {
+    uint8_t* dst = nullptr;
+    uint8_t* end = nullptr;
   };
 
-  /// Cached tuple size; immutable per flow, so the hot path never
-  /// re-derives it.
+  /// Copies one tuple. Sizes that are multiples of 8 up to 64 B move in
+  /// 8-byte words instead of through a libc memcpy call.
+  static void CopyTuple(uint8_t* dst, const void* src, uint32_t size) {
+    if (size % 8 != 0 || size > 64) {
+      std::memcpy(dst, src, size);
+      return;
+    }
+    const auto* from = static_cast<const uint8_t*>(src);
+    for (uint32_t i = 0; i < size; i += 8) std::memcpy(dst + i, from + i, 8);
+  }
+
+  /// Stages one tuple in `target`'s lane and seals the window it fills.
+  Status Stage(const void* tuple, uint32_t target) {
+    Lane& lane = lanes_[target];
+    if (lane.dst == nullptr) [[unlikely]] {
+      return channels_[target]->Push(tuple);
+    }
+    clock_->Advance(push_cost_);
+    CopyTuple(lane.dst, tuple, tuple_size_);
+    lane.dst += tuple_size_;
+    if (lane.dst == lane.end) [[unlikely]] return Seal(target);
+    return Status::OK();
+  }
+
+  /// Bytes staged in `target`'s lane.
+  uint32_t Fill(uint32_t target) const {
+    const Lane& lane = lanes_[target];
+    return lane.dst == nullptr
+               ? 0
+               : window_bytes_ - static_cast<uint32_t>(lane.end - lane.dst);
+  }
+  /// Transmits `target`'s staged tuples, if any, and reopens its lane.
+  Status Seal(uint32_t target);
+  /// Points `target`'s lane at its channel's current window.
+  void OpenLane(uint32_t target);
+
+  /// Tuples PushBatch routes per pass.
+  static constexpr size_t kRouteBlock = 512;
+  /// PushBatch's routing pass: routes `n` <= kRouteBlock packed tuples into
+  /// `target`, devirtualized for the builtin partitioners. Returns how many
+  /// precede the first out-of-range target (n when there is none).
+  size_t RouteBlock(Partitioner* partitioner, const uint8_t* p, size_t n,
+                    uint32_t* target) const;
+  Status BadTarget(const char* what, uint32_t target) const;
+
+  VirtualClock* const clock_;
+  /// Per-flow constants of every channel (tuple size, per-tuple charge,
+  /// window size), cached so the hot path never re-derives them.
   const uint32_t tuple_size_;
+  SimTime push_cost_ = 0;
+  uint32_t window_bytes_ = 0;
+  std::vector<Lane> lanes_;  // one per target
   std::vector<std::unique_ptr<ChannelSource>> channels_;  // one per target
-  std::vector<BatchCursor> batch_cursors_;  // scratch, one per target
 };
 
 /// Source half of a fan-out (replicate) flow: tuples are staged once into

@@ -115,13 +115,8 @@ Partitioner Partitioner::FromRouting(const RoutingSpec& spec,
   return Partitioner();
 }
 
-uint32_t Partitioner::Route(const uint8_t* tuple) {
+uint32_t Partitioner::RouteOther(const uint8_t* tuple) {
   switch (kind_) {
-    case Kind::kSingle:
-      return 0;
-    case Kind::kKeyHash:
-      return static_cast<uint32_t>(
-          mod_.Mod(HashU64(ReadKeyBytes(tuple + key_offset_, key_size_))));
     case Kind::kRadix:
       return RadixBits(ReadKeyBytes(tuple + key_offset_, key_size_), shift_,
                        bits_);
@@ -129,6 +124,9 @@ uint32_t Partitioner::Route(const uint8_t* tuple) {
       return static_cast<uint32_t>(rr_++ % num_targets_);
     case Kind::kGeneric:
       return fn_(TupleView(tuple, schema_), num_targets_);
+    case Kind::kSingle:
+    case Kind::kKeyHash:  // routed inline by Route()
+      break;
   }
   return 0;
 }

@@ -58,8 +58,15 @@ class Partitioner {
                                  const Schema* schema, uint32_t num_targets);
 
   /// Routes one packed tuple. Results may exceed num_targets() for buggy
-  /// kRadix/kGeneric routings; the endpoint range-checks.
-  uint32_t Route(const uint8_t* tuple);
+  /// kRadix/kGeneric routings; the endpoint range-checks. Key-hash routing
+  /// is inline, so the default push routes without a call.
+  uint32_t Route(const uint8_t* tuple) {
+    if (kind_ == Kind::kKeyHash) {
+      return static_cast<uint32_t>(
+          mod_.Mod(HashU64(ReadKeyBytes(tuple + key_offset_, key_size_))));
+    }
+    return RouteOther(tuple);
+  }
 
   Kind kind() const { return kind_; }
   uint32_t num_targets() const { return num_targets_; }
@@ -73,6 +80,9 @@ class Partitioner {
   const RoutingFn& fn() const { return fn_; }
 
  private:
+  /// Route() for every kind but kKeyHash.
+  uint32_t RouteOther(const uint8_t* tuple);
+
   Kind kind_ = Kind::kSingle;
   const Schema* schema_ = nullptr;
   uint32_t num_targets_ = 1;

@@ -128,13 +128,11 @@ class ShuffleSource {
     }
     return endpoint_->Push(tuple, &partitioner_);
   }
-  Status Push(TupleView tuple) { return Push(tuple.data()); }
 
-  /// Batched push: partitions a run of `count` densely packed tuples and
-  /// scatters them directly into the per-target staging segments in one
-  /// fused sweep over the batch (see FlowEndpoint::PushBatch). Delivers
-  /// exactly the same per-target tuple sequences as calling Push on each
-  /// tuple in order.
+  /// Batched push: routes a run of `count` densely packed tuples a block at
+  /// a time and stages each through the same lanes as Push (see
+  /// FlowEndpoint::PushBatch), so it transmits exactly the segments, at the
+  /// same virtual times, as calling Push on each tuple in order.
   Status PushBatch(const void* tuples, size_t count) {
     if (adaptive_.has_value()) {
       return endpoint_->PushBatchAdaptive(tuples, count, &*adaptive_);

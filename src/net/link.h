@@ -87,7 +87,9 @@ class LinkScheduler {
   uint64_t total_bytes_ = 0;
   /// Idle intervals (start -> end) left behind by out-of-order
   /// reservations, available for backfill. Gaps behind the engine's
-  /// horizon are dropped; the count is bounded (oldest dropped).
+  /// horizon are dropped. Opening a gap at the tail drops the oldest once
+  /// more than kMaxGaps are held, but a backfill that splits a gap adds
+  /// one without that check, so the count is not bounded by kMaxGaps.
   /// Invariant: every gap lies strictly below busy_until_. A link can hold
   /// thousands of gaps, touched on nearly every reservation; a per-link
   /// node pool keeps them together in memory instead of spread over the

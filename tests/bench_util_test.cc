@@ -34,6 +34,12 @@ TEST(TablePrinterTest, JsonCaptureIncludesMetrics) {
   PrintSection("section one");
   RecordMetric("peak bandwidth", 11.64, "GiB/s");
   RecordMetric("speedup", 2.5, "x");
+  RecordMetric("wall", 0.5, "s", /*host=*/true);
+  TablePrinter table({"mode", "virtual time", "wall time"});
+  table.MarkHostColumns({"wall time"});
+  table.AddRow({"push", "1.00 ms", "2.00 ms"});
+  table.AddHostRow({"speedup", "1.5x", "1.5x"});
+  table.Print();
   const std::string path = ::testing::TempDir() + "/metrics.json";
   ASSERT_TRUE(WriteJsonResults(path));
   std::ifstream in(path);
@@ -47,6 +53,16 @@ TEST(TablePrinterTest, JsonCaptureIncludesMetrics) {
       << json;
   EXPECT_NE(json.find("\"speedup\""), std::string::npos);
   EXPECT_EQ(json.find("dropped before enable"), std::string::npos);
+  // Host-measured cells are declared; virtual ones carry no flag.
+  EXPECT_NE(json.find("{\"name\":\"wall\",\"value\":0.5,\"unit\":\"s\","
+                      "\"host\":true}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"host_columns\":[\"wall time\"],"
+                      "\"host_rows\":[\"speedup\"]}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"unit\":\"x\",\"host\""), std::string::npos);
 }
 
 TEST(WorkloadTest, ForeignKeyRelationInDomain) {

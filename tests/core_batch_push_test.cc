@@ -1,14 +1,18 @@
-// Property tests for the batched zero-copy push path: for any topology,
-// optimization mode, segment geometry, tuple size and routing strategy,
+// Property tests for the batched push path: for any topology, optimization
+// mode, segment geometry, tuple size and routing strategy,
 // ShuffleSource::PushBatch must deliver exactly the same multiset of
 // tuples to each target as tuple-at-a-time Push — and, for 1:1 topologies,
 // the same order. Batch sizes cycle through empty, tiny and
-// segment-straddling runs to exercise every reservation boundary.
+// segment-straddling runs to exercise every segment boundary. The lane
+// tests at the end pin the stronger property: PushBatch seals the same
+// segments at the same virtual times as Push.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <ostream>
 #include <vector>
 
 #include "common/exec/engine.h"
@@ -281,6 +285,189 @@ TEST(BatchPushClock, SimulatedTimeMatchesTupleAtATime) {
     uint64_t n = 0;
     while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) ++n;
     ASSERT_EQ(n, 500u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One staging path: Push and PushBatch seal the same segments at the same
+// virtual times
+// ---------------------------------------------------------------------------
+
+/// One segment as its target consumed it.
+struct SegmentRecord {
+  uint32_t target = 0;
+  uint64_t sequence = 0;
+  SimTime arrival = 0;
+  uint32_t bytes = 0;
+  bool operator==(const SegmentRecord&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const SegmentRecord& r) {
+  return os << "{target " << r.target << ", seq " << r.sequence
+            << ", arrival " << r.arrival << ", bytes " << r.bytes << "}";
+}
+
+struct LaneRun {
+  std::vector<SegmentRecord> segments;  // target 0's, then target 1's
+  std::vector<std::vector<uint64_t>> keys{2};  // per target, arrival order
+  SimTime source_clock = 0;
+};
+
+/// Drives one source of a 1 -> 2 key-hash shuffle over `n` tuples of
+/// `tuple_size` bytes (key i, then zero padding) packed in `buf`.
+using PushPlan =
+    std::function<void(ShuffleSource& source, const uint8_t* buf, size_t n)>;
+
+/// Runs a 1 -> 2 shuffle with 64 B segments and `ring`-slot rings whose
+/// targets charge 500 ns per consumed segment, so a small ring couples the
+/// source's seal times to the consumers' progress.
+LaneRun RunLaneFlow(uint32_t tuple_size, uint32_t ring, size_t n,
+                    const PushPlan& drive) {
+  net::Fabric fabric;
+  fabric.AddNodes(3);
+  DfiRuntime dfi(&fabric);
+  ShuffleFlowSpec spec;
+  spec.name = "lanes";
+  spec.sources.Append(Endpoint{fabric.node(0).address(), 0});
+  spec.targets.Append(Endpoint{fabric.node(1).address(), 0});
+  spec.targets.Append(Endpoint{fabric.node(2).address(), 0});
+  spec.schema = tuple_size == 8
+                    ? Schema{{"key", DataType::kUInt64}}
+                    : Schema{{"key", DataType::kUInt64},
+                             {"pad", DataType::kChar, tuple_size - 8}};
+  spec.options.segment_size = 64;
+  spec.options.segments_per_ring = ring;
+  EXPECT_TRUE(dfi.InitShuffleFlow(std::move(spec)).ok());
+
+  LaneRun run;
+  std::vector<std::vector<SegmentRecord>> per_target(2);
+  exec::Engine engine;
+  engine.Spawn(0, "source", [&] {
+    auto source = dfi.CreateShuffleSource("lanes", 0);
+    ASSERT_TRUE(source.ok());
+    std::vector<uint8_t> buf(n * tuple_size, 0);
+    for (uint64_t i = 0; i < n; ++i) {
+      std::memcpy(buf.data() + i * tuple_size, &i, sizeof(i));
+    }
+    drive(**source, buf.data(), n);
+    ASSERT_TRUE((*source)->Close().ok());
+    run.source_clock = (*source)->clock().now();
+  });
+  for (uint32_t t = 0; t < 2; ++t) {
+    engine.Spawn(1 + t, "target", [&, t] {
+      auto target = dfi.CreateShuffleTarget("lanes", t);
+      ASSERT_TRUE(target.ok());
+      SegmentView view;
+      while ((*target)->ConsumeSegment(&view) == ConsumeResult::kOk) {
+        per_target[t].push_back(
+            SegmentRecord{t, view.sequence, view.arrival, view.bytes});
+        for (uint32_t off = 0; off < view.bytes; off += tuple_size) {
+          uint64_t key;
+          std::memcpy(&key, view.payload + off, sizeof(key));
+          run.keys[t].push_back(key);
+        }
+        (*target)->clock().Advance(500);
+      }
+    });
+  }
+  engine.Run();
+  for (const auto& segments : per_target) {
+    run.segments.insert(run.segments.end(), segments.begin(),
+                        segments.end());
+  }
+  return run;
+}
+
+void PushEach(ShuffleSource& source, const uint8_t* buf, size_t n) {
+  const size_t ts = source.schema().tuple_size();
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(source.Push(buf + i * ts).ok());
+  }
+}
+
+void PushBatches(ShuffleSource& source, const uint8_t* buf, size_t n) {
+  const size_t ts = source.schema().tuple_size();
+  for (size_t pos = 0, cycle = 0; pos < n; ++cycle) {
+    const size_t k = std::min<size_t>(
+        kBatchCycle[cycle % std::size(kBatchCycle)], n - pos);
+    ASSERT_TRUE(source.PushBatch(buf + pos * ts, k).ok());
+    pos += k;
+  }
+}
+
+// PushBatch stages through the same lanes as Push: every segment is sealed
+// at the same tuple and the same source clock, so each target sees the same
+// (sequence, arrival, bytes) stream — on a 2-slot ring, where the consumers
+// throttle the source, as well as on a 32-slot one.
+TEST(LaneStaging, PushBatchTransmitsPushSegments) {
+  for (uint32_t ring : {2u, 32u}) {
+    SCOPED_TRACE("ring " + std::to_string(ring));
+    const LaneRun push = RunLaneFlow(8, ring, 400, PushEach);
+    const LaneRun batch = RunLaneFlow(8, ring, 400, PushBatches);
+    ASSERT_EQ(push.segments.size(), batch.segments.size());
+    size_t differ = 0;
+    for (size_t i = 0; i < push.segments.size(); ++i) {
+      if (!(push.segments[i] == batch.segments[i])) ++differ;
+    }
+    EXPECT_EQ(differ, 0u) << "of " << push.segments.size() << " segments";
+    EXPECT_EQ(push.keys, batch.keys);
+    EXPECT_EQ(push.source_clock, batch.source_clock);
+  }
+}
+
+// Push, PushTo, PushBatch and Flush interleaved on one source deliver the
+// per-target sequences, segments and final clock of plain Push calls with
+// the same flushes, for tuple sizes that do and do not divide the segment
+// (100 B tuples fill a 104 B segment alone, so every push seals).
+TEST(LaneStaging, InterleavedPushKindsMatchPush) {
+  // One op per step of the script, cycling: Push 3 tuples, PushTo 2,
+  // PushBatch 9, Flush, PushBatch 1, Push 1, PushBatch 0.
+  enum class Op { kPush, kPushTo, kBatch, kFlush };
+  struct Step {
+    Op op;
+    size_t tuples;
+  };
+  constexpr Step kScript[] = {{Op::kPush, 3},  {Op::kPushTo, 2},
+                              {Op::kBatch, 9}, {Op::kFlush, 0},
+                              {Op::kBatch, 1}, {Op::kPush, 1},
+                              {Op::kBatch, 0}};
+  auto run_script = [&](bool push_only) {
+    return [=](ShuffleSource& source, const uint8_t* buf, size_t n) {
+      const size_t ts = source.schema().tuple_size();
+      Partitioner route = Partitioner::KeyHash(&source.schema(), 0, 2);
+      size_t pos = 0;
+      for (size_t step = 0; pos < n; ++step) {
+        const Step& s = kScript[step % std::size(kScript)];
+        if (s.op == Op::kFlush) {
+          ASSERT_TRUE(source.Flush().ok());
+          continue;
+        }
+        const size_t k = std::min(s.tuples, n - pos);
+        const uint8_t* run = buf + pos * ts;
+        if (push_only || s.op == Op::kPush) {
+          for (size_t i = 0; i < k; ++i) {
+            ASSERT_TRUE(source.Push(run + i * ts).ok());
+          }
+        } else if (s.op == Op::kPushTo) {
+          for (size_t i = 0; i < k; ++i) {
+            ASSERT_TRUE(
+                source.PushTo(run + i * ts, route.Route(run + i * ts)).ok());
+          }
+        } else {
+          ASSERT_TRUE(source.PushBatch(run, k).ok());
+        }
+        pos += k;
+      }
+    };
+  };
+  for (uint32_t tuple_size : {8u, 12u, 16u, 64u, 100u}) {
+    SCOPED_TRACE("tuple size " + std::to_string(tuple_size));
+    const LaneRun push = RunLaneFlow(tuple_size, 2, 300, run_script(true));
+    const LaneRun mixed = RunLaneFlow(tuple_size, 2, 300, run_script(false));
+    EXPECT_EQ(push.keys, mixed.keys);
+    EXPECT_EQ(push.segments, mixed.segments);
+    EXPECT_EQ(push.source_clock, mixed.source_clock);
+    EXPECT_EQ(push.keys[0].size() + push.keys[1].size(), 300u);
   }
 }
 
