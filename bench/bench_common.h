@@ -6,11 +6,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util/table_printer.h"
 #include "bench_util/workload.h"
+#include "common/exec/engine.h"
 #include "common/units.h"
 #include "core/dfi.h"
 
@@ -90,6 +90,13 @@ inline int BenchMain(int argc, char** argv, void (*run)()) {
   }
   const auto wall_start = std::chrono::steady_clock::now();
   run();
+  // The emulator runs on one OS thread: a second one at the end of the run
+  // means some code path started a thread nothing synchronizes with.
+  if (const size_t threads = exec::ProcessThreadCount(); threads != 1) {
+    std::fprintf(stderr, "error: %zu OS threads at the end of the run\n",
+                 threads);
+    return 1;
+  }
   if (!json_path.empty()) {
     // Every bench JSON carries the host wall-clock cost of the run — the
     // emulator-throughput number CI trends alongside the simulated results.

@@ -10,12 +10,12 @@
 // RPC, and executed as engine actors.
 //
 // Three sections:
-//  1. End-to-end run (engine, 1 worker): stage counts, completion,
-//     ingest throughput, and end-to-end row latency p50/p95/p99 (subscriber
-//     consume time minus the row's newest tuple timestamp).
-//  2. Determinism: the same pipeline at engine pool sizes 1/2/4 must
-//     produce identical window content (group -> (COUNT, SUM) map) and
-//     identical per-subscriber commutative fingerprints.
+//  1. End-to-end run: stage counts, completion, ingest throughput, and
+//     end-to-end row latency p50/p95/p99 (subscriber consume time minus
+//     the row's newest tuple timestamp).
+//  2. Determinism: the same pipeline run a second time must produce
+//     identical window content (group -> (COUNT, SUM) map), identical
+//     per-subscriber commutative fingerprints and the same completion.
 //  3. Skew: zipf 0.99 ingest keys, static vs adaptive shuffle edge —
 //     the graph relays FlowOptions per edge, so the pipeline inherits the
 //     skew resilience of the flow layer.
@@ -44,14 +44,13 @@ pipeline::PipelineConfig Config() {
   return cfg;
 }
 
-/// Runs the pipeline inside an engine with `pool` workers.
-pipeline::PipelineResult RunEngine(const pipeline::PipelineConfig& cfg,
-                                   uint32_t pool) {
+/// Runs the pipeline inside an engine.
+pipeline::PipelineResult RunEngine(const pipeline::PipelineConfig& cfg) {
   net::Fabric fabric;
   auto addrs = MakeCluster(&fabric, cfg.num_nodes);
   DfiRuntime dfi(&fabric);
   pipeline::PipelineResult result;
-  exec::Engine engine({.workers = pool, .lookahead_ns = 1000});
+  exec::Engine engine({.lookahead_ns = 1000});
   engine.Spawn(0, "pipeline-root", [&] {
     auto r = pipeline::RunStreamingPipeline(&dfi, addrs, cfg);
     DFI_CHECK_OK(r.status());
@@ -75,9 +74,8 @@ void Run() {
 
   PrintSection(g_smoke ? "Streaming pipeline, end to end (smoke scale)"
                        : "Streaming pipeline, end to end (8 nodes)");
-  // One worker: the reported virtual times are bit-identical from run to
-  // run (larger pools keep the content but not the timings, §2 below).
-  pipeline::PipelineResult r = RunEngine(cfg, 1);
+  // The reported virtual times are bit-identical from run to run (§2).
+  pipeline::PipelineResult r = RunEngine(cfg);
   {
     TablePrinter t({"stage", "tuples/rows", "note"});
     t.AddRow({"ingest", Num(static_cast<double>(r.tuples_ingested)),
@@ -113,29 +111,25 @@ void Run() {
   RecordMetric("rows_published", static_cast<double>(r.rows_published),
                "rows");
 
-  PrintSection("Determinism: engine pool sizes 1 / 2 / 4");
+  PrintSection("Determinism: the same pipeline run twice");
   {
-    TablePrinter t({"pool", "window groups", "content digest", "match"});
-    const uint64_t want = WindowDigest(r);
-    bool all_match = true;
-    for (uint32_t pool : {1u, 2u, 4u}) {
-      const pipeline::PipelineResult p = RunEngine(cfg, pool);
-      const uint64_t digest = WindowDigest(p);
-      const bool match = digest == want && p.windows == r.windows;
-      all_match = all_match && match;
+    TablePrinter t(
+        {"run", "window groups", "content digest", "completion", "match"});
+    pipeline::PipelineResult again = RunEngine(cfg);
+    const bool match = again.windows == r.windows &&
+                       again.fingerprints == r.fingerprints &&
+                       again.completion == r.completion;
+    int run = 0;
+    for (pipeline::PipelineResult* p : {&r, &again}) {
       char hex[32];
-      std::snprintf(hex, sizeof(hex), "%016" PRIx64, digest);
-      t.AddRow({std::to_string(pool),
-                Num(static_cast<double>(p.windows.size())), hex,
-                match ? "yes" : "NO"});
+      std::snprintf(hex, sizeof(hex), "%016" PRIx64, WindowDigest(*p));
+      t.AddRow({std::to_string(++run),
+                Num(static_cast<double>(p->windows.size())), hex,
+                Millis(p->completion), match ? "yes" : "NO"});
     }
     t.Print();
-    DFI_CHECK(all_match) << "pipeline content differs across pool sizes";
-    RecordMetric("determinism_pools_match", all_match ? 1 : 0, "bool");
-    std::printf(
-        "(window assignment is a pure function of tuple content, and the\n"
-        " combiner folds are commutative — content is identical at any\n"
-        " engine pool size)\n");
+    DFI_CHECK(match) << "pipeline differs between two runs of one seed";
+    RecordMetric("determinism_runs_match", match ? 1 : 0, "bool");
   }
 
   PrintSection("Skew: zipf 0.99 ingest keys, static vs adaptive shuffle");
@@ -143,9 +137,9 @@ void Run() {
     pipeline::PipelineConfig skew = cfg;
     skew.zipf_theta = 0.99;
     skew.adaptive_shuffle = false;
-    pipeline::PipelineResult s = RunEngine(skew, 1);
+    pipeline::PipelineResult s = RunEngine(skew);
     skew.adaptive_shuffle = true;
-    pipeline::PipelineResult a = RunEngine(skew, 1);
+    pipeline::PipelineResult a = RunEngine(skew);
     const double speedup =
         static_cast<double>(s.completion) / static_cast<double>(a.completion);
     char sp[32];

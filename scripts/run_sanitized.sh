@@ -2,8 +2,10 @@
 # Sanitized CI job: builds everything with
 # -DDFI_SANITIZE=<address|undefined|thread> and runs the full test suite
 # (tier-1 plus the chaos suite) and the chaos consensus bench. Zero reports
-# is the acceptance bar — teardown/poison code is where lifetime bugs hide,
-# and the work-stealing scheduler is where data races would hide.
+# is the acceptance bar — teardown/poison code is where lifetime bugs hide.
+# The emulator runs on one OS thread, so `thread` has no data race to find
+# unless some code starts a second thread (benches and
+# engine_determinism_test also fail outright when one is left running).
 set -euo pipefail
 
 KIND="${1:-address}"
@@ -22,26 +24,27 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 # The unified transport layer (FlowEndpoint/FlowSink) concentrates the
 # ring/teardown lifetime hazards the sanitizers exist for — rerun its suite
-# standalone with shuffling and repetition to shake out latent races.
+# standalone with shuffling and repetition.
 "$BUILD/tests/core_endpoint_test" --gtest_repeat=5 --gtest_shuffle
 # The replicated control plane: failover promotion, the exactly-once dedup
-# window, and parked barrier/retrieve waiters are lifetime- and race-prone
-# by construction — rerun both suites shuffled.
+# window, and parked barrier/retrieve waiters are lifetime-prone by
+# construction — rerun both suites shuffled.
 "$BUILD/tests/registry_service_test" --gtest_repeat=3 --gtest_shuffle
 "$BUILD/tests/flow_barrier_test" --gtest_repeat=3 --gtest_shuffle
 # Adaptive shuffle: sink-side work stealing shares columns between target
-# threads and hot-key migration rewires routing mid-flow — both are prime
-# race/lifetime territory, so shake the property suite too.
+# actors and hot-key migration rewires routing mid-flow — both are prime
+# lifetime territory, so shake the property suite too.
 "$BUILD/tests/core_adaptive_shuffle_property_test" --gtest_repeat=3 --gtest_shuffle
 if [ "$KIND" = "thread" ] || [ "$KIND" = "address" ]; then
   # The engine's fiber switch is hand-written: ASan tracks fiber stacks only
   # through the engine's own annotations and stack unpoisoning, TSan models
-  # every fiber as a thread. Repeat the scheduler unit tests shuffled.
+  # every fiber as a thread of its own. Repeat the scheduler unit tests
+  # shuffled.
   "$BUILD/tests/exec_engine_test" --gtest_repeat=10 --gtest_shuffle
 fi
 if [ "$KIND" = "thread" ]; then
-  # TSan focus: the cross-pool-size determinism suite — every park/wake
-  # handoff and steal in the emulator runs under the race detector.
+  # TSan focus: the determinism suite — every park/wake handoff in the
+  # emulator runs under the race detector, with fibers as its threads.
   "$BUILD/tests/engine_determinism_test" --gtest_repeat=3
 fi
 "$BUILD/bench/chaos_consensus" --seed "${DFI_CHAOS_SEED:-7}"

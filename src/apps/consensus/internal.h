@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -185,22 +184,16 @@ inline ConsensusResult Summarize(const std::vector<ClientOutcome>& outcomes) {
   return result;
 }
 
-/// The first error any actor of a run reports (actors may run on several
-/// engine workers).
+/// The first error any actor of a run reports.
 class FirstError {
  public:
   void Record(const Status& s) {
     if (s.ok()) return;
-    std::lock_guard<std::mutex> lock(mu_);
     if (first_.ok()) first_ = s;
   }
-  Status Get() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return first_;
-  }
+  Status Get() const { return first_; }
 
  private:
-  mutable std::mutex mu_;
   Status first_;
 };
 

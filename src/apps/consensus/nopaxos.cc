@@ -1,6 +1,3 @@
-#include <atomic>
-#include <thread>
-
 #include "apps/consensus/internal.h"
 #include "common/exec/engine.h"
 
@@ -81,7 +78,7 @@ StatusOr<ConsensusResult> RunNoPaxos(DfiRuntime* dfi,
     DFI_RETURN_IF_ERROR(dfi->InitShuffleFlow(std::move(ack)));
   }
 
-  std::atomic<bool> failed{false};
+  bool failed = false;
   std::vector<ClientOutcome> outcomes(cfg.num_clients);
   exec::ActorGroup actors;
 
@@ -90,7 +87,7 @@ StatusOr<ConsensusResult> RunNoPaxos(DfiRuntime* dfi,
     actors.Spawn(r, "np.replica." + std::to_string(r), [&, r] {
       auto oum_tgt = dfi->CreateReplicateTarget("np.oum", r);
       if (!oum_tgt.ok()) {
-        failed.store(true);
+        failed = true;
         return;
       }
       const bool is_leader = r == 0;
@@ -98,14 +95,14 @@ StatusOr<ConsensusResult> RunNoPaxos(DfiRuntime* dfi,
       if (is_leader) {
         auto src = dfi->CreateShuffleSource("np.reply", 0);
         if (!src.ok()) {
-          failed.store(true);
+          failed = true;
           return;
         }
         out_src = std::move(src).value();
       } else {
         auto src = dfi->CreateShuffleSource("np.ack", r - 1);
         if (!src.ok()) {
-          failed.store(true);
+          failed = true;
           return;
         }
         out_src = std::move(src).value();
@@ -163,7 +160,7 @@ StatusOr<ConsensusResult> RunNoPaxos(DfiRuntime* dfi,
       auto reply_tgt = dfi->CreateShuffleTarget("np.reply", c);
       auto ack_tgt = dfi->CreateShuffleTarget("np.ack", c);
       if (!oum_src.ok() || !reply_tgt.ok() || !ack_tgt.ok()) {
-        failed.store(true);
+        failed = true;
         return;
       }
       auto sync3 = [&] {
@@ -252,7 +249,7 @@ StatusOr<ConsensusResult> RunNoPaxos(DfiRuntime* dfi,
 
   actors.Join();
   DFI_RETURN_IF_ERROR(dfi->RemoveFlows({"np.oum", "np.reply", "np.ack"}));
-  if (failed.load()) return Status::Internal("nopaxos worker failed");
+  if (failed) return Status::Internal("nopaxos worker failed");
 
   return internal::Summarize(outcomes);
 }

@@ -1,6 +1,5 @@
 #include "apps/join/distributed_join.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -127,10 +126,10 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
                        g.Instantiate(dfi));
   DFI_RETURN_IF_ERROR(run->Start());
 
-  std::atomic<uint64_t> total_matches{0};
+  uint64_t total_matches = 0;
   std::vector<SimTime> t_partition(W), t_total(W);
   exec::ActorGroup actors;
-  std::atomic<bool> failed{false};
+  bool failed = false;
 
   for (uint32_t w = 0; w < W; ++w) {
     actors.Spawn(w / config.workers_per_node,
@@ -140,7 +139,7 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
       auto src2 = run->ClaimShuffleSource("join.outer", w);
       auto tgt2 = run->ClaimShuffleTarget("join.outer", w);
       if (!src1.ok() || !tgt1.ok() || !src2.ok() || !tgt2.ok()) {
-        failed.store(true);
+        failed = true;
         return;
       }
       const Schema schema = JoinSchema();
@@ -165,7 +164,7 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
       bool inner_drained = false;
       for (const bench::JoinTuple& t : inner) {
         if (!(*src1)->Push(&t).ok()) {
-          failed.store(true);
+          failed = true;
           return;
         }
         if (++i % 256 == 0) {
@@ -182,7 +181,7 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
         }
       }
       if (!(*src1)->Close().ok()) {
-        failed.store(true);
+        failed = true;
         return;
       }
       while (!inner_drained) {
@@ -235,7 +234,7 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
       i = 0;
       for (const bench::JoinTuple& t : outer) {
         if (!(*src2)->Push(&t).ok()) {
-          failed.store(true);
+          failed = true;
           return;
         }
         if (++i % 256 == 0) {
@@ -251,7 +250,7 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
         }
       }
       if (!(*src2)->Close().ok()) {
-        failed.store(true);
+        failed = true;
         return;
       }
       while (!outer_drained) {
@@ -264,16 +263,16 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
         probe_segment(seg);
       }
       JoinClocks(**src2, **tgt2);
-      total_matches.fetch_add(matches, std::memory_order_relaxed);
+      total_matches += matches;
       t_total[w] = (*tgt2)->clock().now();
     });
   }
   actors.Join();
   DFI_RETURN_IF_ERROR(run->Finish());
-  if (failed.load()) return Status::Internal("join worker failed");
+  if (failed) return Status::Internal("join worker failed");
 
   JoinResult result;
-  result.matches = total_matches.load();
+  result.matches = total_matches;
   SimTime part_sum = 0, total_max = 0;
   for (uint32_t w = 0; w < W; ++w) {
     part_sum += t_partition[w];
@@ -409,7 +408,7 @@ StatusOr<JoinResult> RunMpiRadixJoin(net::Fabric* fabric,
     uint64_t received_inner = 0, received_outer = 0;
   };
   std::vector<RankStat> stats(W);
-  std::atomic<bool> failed{false};
+  bool failed = false;
   exec::ActorGroup actors;
 
   for (uint32_t w = 0; w < W; ++w) {
@@ -494,7 +493,7 @@ StatusOr<JoinResult> RunMpiRadixJoin(net::Fabric* fabric,
 
       const std::vector<bench::JoinTuple> inner = InnerChunk(config, w);
       if (!partition_relation(inner, inner_win, &st.received_inner)) {
-        failed.store(true);
+        failed = true;
         return;
       }
       // Local partition + build of the received inner share.
@@ -522,7 +521,7 @@ StatusOr<JoinResult> RunMpiRadixJoin(net::Fabric* fabric,
 
       const std::vector<bench::JoinTuple> outer = OuterChunk(config, w);
       if (!partition_relation(outer, outer_win, &st.received_outer)) {
-        failed.store(true);
+        failed = true;
         return;
       }
       // Local partition + probe of the received outer share.
@@ -548,7 +547,7 @@ StatusOr<JoinResult> RunMpiRadixJoin(net::Fabric* fabric,
     });
   }
   actors.Join();
-  if (failed.load()) return Status::Internal("MPI join rank failed");
+  if (failed) return Status::Internal("MPI join rank failed");
 
   JoinResult result;
   SimTime total_max = 0;
@@ -591,9 +590,9 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
   spec.options.segments_per_ring = static_cast<uint32_t>(segments_needed);
   DFI_RETURN_IF_ERROR(dfi->InitReplicateFlow(std::move(spec)));
 
-  std::atomic<uint64_t> total_matches{0};
+  uint64_t total_matches = 0;
   std::vector<SimTime> t_repl(W), t_total(W);
-  std::atomic<bool> failed{false};
+  bool failed = false;
   exec::ActorGroup actors;
 
   for (uint32_t w = 0; w < W; ++w) {
@@ -602,18 +601,18 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
       auto src = dfi->CreateReplicateSource("join.replicate", w);
       auto tgt = dfi->CreateReplicateTarget("join.replicate", w);
       if (!src.ok() || !tgt.ok()) {
-        failed.store(true);
+        failed = true;
         return;
       }
       // Replicate the inner fragment to everyone.
       for (const bench::JoinTuple& t : InnerChunk(config, w)) {
         if (!(*src)->Push(&t).ok()) {
-          failed.store(true);
+          failed = true;
           return;
         }
       }
       if (!(*src)->Close().ok()) {
-        failed.store(true);
+        failed = true;
         return;
       }
       // Receive the full inner relation; build one table streaming.
@@ -638,16 +637,16 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
         (*tgt)->clock().Advance(config.probe_cost_ns);
         matches += CountMatches(table, t.key);
       }
-      total_matches.fetch_add(matches, std::memory_order_relaxed);
+      total_matches += matches;
       t_total[w] = (*tgt)->clock().now();
     });
   }
   actors.Join();
   DFI_RETURN_IF_ERROR(dfi->RemoveFlow("join.replicate"));
-  if (failed.load()) return Status::Internal("replicate join worker failed");
+  if (failed) return Status::Internal("replicate join worker failed");
 
   JoinResult result;
-  result.matches = total_matches.load();
+  result.matches = total_matches;
   SimTime repl_sum = 0, total_max = 0;
   for (uint32_t w = 0; w < W; ++w) {
     repl_sum += t_repl[w];

@@ -1,7 +1,6 @@
 #include "apps/pipeline/streaming_pipeline.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "bench_util/workload.h"
 #include "common/hash.h"
@@ -46,9 +45,8 @@ static_assert(sizeof(PackedTuple) == 32, "densely packed");
 }  // namespace
 
 /// Shared sink-side state the subscriber bodies write into (one graph run's
-/// worth; guarded by `mu` — subscribers run concurrently).
+/// worth).
 struct PipelineCollector {
-  std::mutex mu;
   std::vector<uint64_t> fingerprints;
   std::vector<uint64_t> delivered;
   std::map<uint64_t, std::pair<uint64_t, uint64_t>> windows;  // subscriber 0
@@ -115,11 +113,10 @@ graph::GraphSpec MakePipelineSpec(const PipelineConfig& config,
     const uint64_t max_ts = static_cast<uint64_t>(row.Get<double>(3));
     const int64_t latency =
         ctx.clock->now() - static_cast<SimTime>(max_ts);
-    // Commutative per-row hash: delivery order is not deterministic across
-    // engine pool sizes, the multiset of rows is.
+    // Commutative per-row hash: the fingerprint covers the multiset of
+    // rows, not their delivery order.
     const uint64_t row_hash =
         HashU64(group * 0x9E3779B97F4A7C15ull ^ (count << 32) ^ sum);
-    std::lock_guard<std::mutex> lock(collector->mu);
     collector->fingerprints[ctx.worker] += row_hash;
     collector->delivered[ctx.worker] += 1;
     if (ctx.worker == 0) {

@@ -9,12 +9,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <limits>
-#include <mutex>
 #include <new>
-#include <thread>
 #include <utility>
 
 #include "common/logging.h"
@@ -143,8 +142,8 @@ struct SwitchFrame {
 };
 static_assert(sizeof(SwitchFrame) == 72);
 
-/// One switchable execution context: either a worker thread's native stack
-/// or a task's fiber stack.
+/// One switchable execution context: either the native stack of the thread
+/// inside Engine::Run or a task's fiber stack.
 struct FiberCtx {
   void* sp = nullptr;  // saved stack pointer while switched out
 #if defined(DFI_EXEC_ASAN)
@@ -156,9 +155,6 @@ struct FiberCtx {
   void* tsan_fiber = nullptr;
 #endif
 };
-
-std::atomic<Engine*> g_active_engine{nullptr};
-std::atomic<uint64_t> g_progress_epoch{0};
 
 }  // namespace
 
@@ -172,15 +168,10 @@ struct Task {
   std::string name;
   std::function<void()> fn;
 
-  /// Last virtual time the task reported at a scheduling point. Run queues
-  /// are ordered by (vt, id); the engine-wide floor is the minimum over
-  /// runnable and running tasks and pending timer wakeups.
+  /// Last virtual time the task reported at a scheduling point. The run
+  /// queue is ordered by (vt, id).
   SimTime vt = 0;
   State state = State::kRunnable;
-  /// While running: the earliest virtual time of any other runnable task or
-  /// pending timer, set at dispatch and lowered by every wakeup since (see
-  /// Engine::Pace). Written under the scheduler lock, read without it.
-  std::atomic<SimTime> pace_floor{kMaxSimTime};
 
   WaitPoint* wp = nullptr;
   /// Timer wake time and slot in Engine::Impl::timed_ (kNotTimed if none).
@@ -196,12 +187,14 @@ struct Task {
 
 namespace {
 
-thread_local Task* g_current_task = nullptr;
-thread_local FiberCtx* g_worker_ctx = nullptr;
+// Every engine runs on the thread that calls Run() and Run() does not nest,
+// so the running task, the progress epoch and the idle wait point are plain
+// process-wide state.
+Task* g_current_task = nullptr;
+uint64_t g_progress_epoch = 0;
+WaitPoint g_idle_point;
 
-/// Switches from `from` to `to`. The caller must hold the engine mutex; it
-/// stays held across the switch (same OS thread) and the resumed side is
-/// responsible for releasing it.
+/// Switches from `from` to `to`.
 void SwitchContext(FiberCtx* from, FiberCtx* to) {
 #if defined(DFI_EXEC_ASAN)
   __sanitizer_start_switch_fiber(&from->asan_fake, to->stack_bottom,
@@ -211,7 +204,7 @@ void SwitchContext(FiberCtx* from, FiberCtx* to) {
   __tsan_switch_to_fiber(to->tsan_fiber, 0);
 #endif
   dfi_exec_switch(&from->sp, to->sp);
-  // Resumed in `from` again (possibly on a different OS thread / worker).
+  // Resumed in `from` again.
 #if defined(DFI_EXEC_ASAN)
   __sanitizer_finish_switch_fiber(from->asan_fake, nullptr, nullptr);
 #endif
@@ -232,92 +225,58 @@ void SwitchContextDying(FiberCtx* from, FiberCtx* to) {
 }  // namespace
 
 struct Engine::Impl {
-  struct Domain {
-    std::vector<Task*> heap;  // min-heap by (vt, id)
-  };
-  struct RunningSlot {
-    Task* task = nullptr;
-    SimTime vt = 0;  // vt at dispatch; conservative lower bound while running
-  };
-
-  static bool HeapAfter(const Task* a, const Task* b) {
+  static bool RunAfter(const Task* a, const Task* b) {
     return a->vt != b->vt ? a->vt > b->vt : a->id > b->id;
   }
 
   EngineOptions opts;
   Engine* self = nullptr;
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<Domain> domains_;
-  std::vector<Task*> timed_;  // timer heap, see ArmTimerLocked
+  std::vector<Task*> run_;    // run queue: min-heap by (vt, id)
+  std::vector<Task*> timed_;  // timer heap, see ArmTimer
   std::vector<std::unique_ptr<Task>> tasks_;
-  std::vector<RunningSlot> running_;
+  FiberCtx sched_ctx_;  // the scheduler loop on the thread inside Run()
   uint64_t next_id_ = 0;
   size_t live_ = 0;
-  uint32_t rescues_ = 0;
-  WaitPoint idle_point_;
 
-  // ---- run-queue plumbing (all under mu_) --------------------------------
+  // ---- run queue ---------------------------------------------------------
 
-  void MakeRunnableLocked(Task* t) {
+  void MakeRunnable(Task* t) {
     t->state = Task::State::kRunnable;
-    Domain& d = domains_[t->domain];
-    d.heap.push_back(t);
-    std::push_heap(d.heap.begin(), d.heap.end(), HeapAfter);
-    LowerPaceFloorsLocked(t->vt);
+    run_.push_back(t);
+    std::push_heap(run_.begin(), run_.end(), RunAfter);
   }
 
-  /// A task became runnable (or a timer was armed) at `vt`: running tasks
-  /// may no longer run more than a lookahead beyond it.
-  void LowerPaceFloorsLocked(SimTime vt) {
-    for (const RunningSlot& slot : running_) {
-      if (slot.task == nullptr) continue;
-      std::atomic<SimTime>& floor = slot.task->pace_floor;
-      if (vt < floor.load(std::memory_order_relaxed)) {
-        floor.store(vt, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  Task* PopDomainLocked(uint32_t dom) {
-    Domain& d = domains_[dom];
-    std::pop_heap(d.heap.begin(), d.heap.end(), HeapAfter);
-    Task* t = d.heap.back();
-    d.heap.pop_back();
-    return t;
-  }
-
-  SimTime FloorLocked() const {
-    SimTime f = kMaxSimTime;
-    for (const RunningSlot& slot : running_) {
-      if (slot.task != nullptr) f = std::min(f, slot.vt);
-    }
-    for (const Domain& d : domains_) {
-      if (!d.heap.empty()) f = std::min(f, d.heap.front()->vt);
-    }
+  /// Earliest virtual time of any runnable task or pending timer (the
+  /// running task excluded); kMaxSimTime when there is none.
+  SimTime Floor() const {
+    SimTime f = run_.empty() ? kMaxSimTime : run_.front()->vt;
     if (!timed_.empty()) f = std::min(f, timed_.front()->timed_key);
     return f;
   }
 
-  /// Moves timer-parked tasks whose wake time the floor has reached back to
-  /// their run queues (the DES jump: an otherwise idle fleet skips straight
-  /// to the next wake time). Returns whether anything was released.
-  bool ReleaseTimedLocked(SimTime floor) {
-    bool released = false;
+  /// The next task to dispatch, or nullptr when nothing is runnable and no
+  /// timer is pending. Timers due no later than the earliest runnable task
+  /// are released first (the DES jump: an otherwise idle fleet skips
+  /// straight to the next wake time).
+  Task* PopNext() {
+    const SimTime floor = Floor();
     while (!timed_.empty() && timed_.front()->timed_key <= floor) {
       Task* t = timed_.front();
-      DisarmTimerLocked(t);
-      DetachWaiterLocked(t);
+      DisarmTimer(t);
+      DetachWaiter(t);
       t->wake_cause = WakeCause::kTimer;
       t->vt = t->timed_key;  // the wait ledger says this much time passed
-      MakeRunnableLocked(t);
-      released = true;
+      MakeRunnable(t);
     }
-    return released;
+    if (run_.empty()) return nullptr;
+    std::pop_heap(run_.begin(), run_.end(), RunAfter);
+    Task* t = run_.back();
+    run_.pop_back();
+    return t;
   }
 
-  // ---- timer heap (all under mu_) ----------------------------------------
+  // ---- timer heap --------------------------------------------------------
   // timed_ is a binary min-heap by (timed_key, id) whose entries record
   // their own slot, so a notify that beats the timer removes the entry in
   // O(log n) and no operation allocates once the vector has grown.
@@ -327,23 +286,23 @@ struct Engine::Impl {
                                         : a->id > b->id;
   }
 
-  void PlaceTimerLocked(size_t slot, Task* t) {
+  void PlaceTimer(size_t slot, Task* t) {
     timed_[slot] = t;
     t->timed_slot = slot;
   }
 
-  void SiftTimerUpLocked(size_t slot) {
+  void SiftTimerUp(size_t slot) {
     Task* t = timed_[slot];
     while (slot > 0) {
       const size_t parent = (slot - 1) / 2;
       if (!TimerAfter(timed_[parent], t)) break;
-      PlaceTimerLocked(slot, timed_[parent]);
+      PlaceTimer(slot, timed_[parent]);
       slot = parent;
     }
-    PlaceTimerLocked(slot, t);
+    PlaceTimer(slot, t);
   }
 
-  void SiftTimerDownLocked(size_t slot) {
+  void SiftTimerDown(size_t slot) {
     Task* t = timed_[slot];
     for (;;) {
       size_t child = 2 * slot + 1;
@@ -353,116 +312,58 @@ struct Engine::Impl {
         ++child;
       }
       if (!TimerAfter(t, timed_[child])) break;
-      PlaceTimerLocked(slot, timed_[child]);
+      PlaceTimer(slot, timed_[child]);
       slot = child;
     }
-    PlaceTimerLocked(slot, t);
+    PlaceTimer(slot, t);
   }
 
-  void ArmTimerLocked(Task* t) {
+  void ArmTimer(Task* t) {
     timed_.push_back(t);
-    SiftTimerUpLocked(timed_.size() - 1);
+    SiftTimerUp(timed_.size() - 1);
   }
 
-  void DisarmTimerLocked(Task* t) {
+  void DisarmTimer(Task* t) {
     const size_t slot = t->timed_slot;
     Task* last = timed_.back();
     timed_.pop_back();
     t->timed_slot = Task::kNotTimed;
     if (last == t) return;
-    PlaceTimerLocked(slot, last);
-    SiftTimerUpLocked(slot);
-    SiftTimerDownLocked(last->timed_slot);
+    PlaceTimer(slot, last);
+    SiftTimerUp(slot);
+    SiftTimerDown(last->timed_slot);
   }
 
-  void DetachWaiterLocked(Task* t) {
+  // ---- wait points -------------------------------------------------------
+
+  static void DetachWaiter(Task* t) {
     DFI_CHECK(t->wp != nullptr) << "parked task without wait point";
     auto& w = t->wp->waiters_;
     auto it = std::find(w.begin(), w.end(), t);
     DFI_CHECK(it != w.end()) << "parked task missing from wait point";
     w.erase(it);
-    t->wp->nparked_.fetch_sub(1, std::memory_order_seq_cst);
-  }
-
-  void WakeAllOfLocked(WaitPoint* wp) {
-    for (Task* t : wp->waiters_) {
-      if (t->timed_slot != Task::kNotTimed) DisarmTimerLocked(t);
-      t->wake_cause = WakeCause::kNotified;
-      MakeRunnableLocked(t);
-    }
-    wp->waiters_.clear();
-    wp->nparked_.store(0, std::memory_order_seq_cst);
   }
 
   void WakeAllOf(WaitPoint* wp) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      WakeAllOfLocked(wp);
+    for (Task* t : wp->waiters_) {
+      if (t->timed_slot != Task::kNotTimed) DisarmTimer(t);
+      t->wake_cause = WakeCause::kNotified;
+      MakeRunnable(t);
     }
-    cv_.notify_all();
+    wp->waiters_.clear();
   }
 
-  /// Picks worker `w`'s next task: the minimal task among the worker's own
-  /// domains if it lies within the lookahead window, else the globally
-  /// minimal task (stealing). Returns nullptr when nothing is eligible.
-  Task* PickEligibleLocked(uint32_t w, SimTime floor) {
-    const SimTime horizon =
-        (floor >= kMaxSimTime - opts.lookahead_ns) ? kMaxSimTime
-                                                   : floor + opts.lookahead_ns;
-    uint32_t best_dom = UINT32_MAX;
-    const Task* best = nullptr;
-    for (uint32_t dom = w; dom < domains_.size(); dom += opts.workers) {
-      const Domain& d = domains_[dom];
-      if (d.heap.empty()) continue;
-      const Task* top = d.heap.front();
-      if (best == nullptr || HeapAfter(best, top)) {
-        best = top;
-        best_dom = dom;
-      }
-    }
-    if (best == nullptr || best->vt > horizon) {
-      // Own queues drained (or too far ahead): steal the global minimum.
-      best = nullptr;
-      for (uint32_t dom = 0; dom < domains_.size(); ++dom) {
-        const Domain& d = domains_[dom];
-        if (d.heap.empty()) continue;
-        const Task* top = d.heap.front();
-        if (best == nullptr || HeapAfter(best, top)) {
-          best = top;
-          best_dom = dom;
-        }
-      }
-    }
-    if (best == nullptr || best->vt > horizon) return nullptr;
-    return PopDomainLocked(best_dom);
-  }
-
-  /// Last-resort sweep when every worker is idle yet live tasks remain:
-  /// wakes all parked tasks so they re-check their predicates. The park
-  /// protocol makes lost wakeups impossible by construction, so this fires
-  /// only on bugs — after repeated fruitless sweeps it aborts with the
-  /// stalled-task list instead of hanging silently.
-  void RescueLocked() {
-    bool any_ready = !timed_.empty();
-    for (const Domain& d : domains_) any_ready |= !d.heap.empty();
-    for (const RunningSlot& s : running_) any_ready |= s.task != nullptr;
-    if (any_ready || live_ == 0) return;
-    ++rescues_;
-    if (rescues_ >= 200) {
-      std::string stalled;
-      for (const auto& t : tasks_) {
-        if (t->state == Task::State::kParked) stalled += " " + t->name;
-      }
-      DFI_CHECK(false) << "engine stalled: parked tasks never woken:"
-                       << stalled;
-    }
+  /// Nothing is runnable, no timer is pending, yet tasks remain: every one
+  /// of them is parked on a wait point nobody can notify any more.
+  [[noreturn]] void ReportStall() const {
+    std::string stalled;
     for (const auto& t : tasks_) {
       if (t->state != Task::State::kParked) continue;
-      if (t->timed_slot != Task::kNotTimed) DisarmTimerLocked(t.get());
-      DetachWaiterLocked(t.get());
-      t->wake_cause = WakeCause::kNotified;
-      MakeRunnableLocked(t.get());
+      stalled += " " + t->name + " (domain " + std::to_string(t->domain) + ")";
     }
+    DFI_CHECK(false) << "engine stalled: parked tasks never woken:"
+                     << stalled;
+    __builtin_unreachable();
   }
 
   // ---- fiber lifecycle ----------------------------------------------------
@@ -517,9 +418,8 @@ struct Engine::Impl {
     t->fn = nullptr;
   }
 
-  void SpawnLocked(uint32_t domain, std::string name, std::function<void()> fn,
-                   ActorGroup* group) {
-    if (domain >= domains_.size()) domains_.resize(domain + 1);
+  void Spawn(uint32_t domain, std::string name, std::function<void()> fn,
+             ActorGroup* group) {
     auto task = std::make_unique<Task>();
     Task* t = task.get();
     t->impl = this;
@@ -529,84 +429,52 @@ struct Engine::Impl {
     t->fn = std::move(fn);
     t->group = group;
     // Children start at the spawner's virtual time so a late spawn does not
-    // drag the engine floor back to zero.
+    // drag the run queue back to zero.
     t->vt = (g_current_task != nullptr && g_current_task->impl == this)
                 ? g_current_task->vt
                 : 0;
     CreateFiber(t);
     ++live_;
-    MakeRunnableLocked(t);
+    MakeRunnable(t);
     tasks_.push_back(std::move(task));
   }
 
   /// Called from a finishing task's fiber; never returns.
   [[noreturn]] void FinishCurrentTask(Task* t) {
-    mu_.lock();
     t->state = Task::State::kDone;
     --live_;
-    rescues_ = 0;
-    if (t->group != nullptr &&
-        t->group->live_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-      WakeAllOfLocked(&t->group->done_);
+    if (t->group != nullptr && --t->group->live_ == 0) {
+      t->group->done_.WakeAll();
     }
-    cv_.notify_all();
-    SwitchContextDying(&t->ctx, g_worker_ctx);
+    SwitchContextDying(&t->ctx, &sched_ctx_);
     __builtin_unreachable();
   }
 
-  void WorkerLoop(uint32_t w) {
-    FiberCtx self_ctx;
+  void Loop() {
 #if defined(DFI_EXEC_ASAN)
-    {
-      pthread_attr_t attr;
-      if (pthread_getattr_np(pthread_self(), &attr) == 0) {
-        void* addr = nullptr;
-        size_t size = 0;
-        pthread_attr_getstack(&attr, &addr, &size);
-        self_ctx.stack_bottom = addr;
-        self_ctx.stack_size = size;
-        pthread_attr_destroy(&attr);
-      }
+    pthread_attr_t attr;
+    if (pthread_getattr_np(pthread_self(), &attr) == 0) {
+      void* addr = nullptr;
+      size_t size = 0;
+      pthread_attr_getstack(&attr, &addr, &size);
+      sched_ctx_.stack_bottom = addr;
+      sched_ctx_.stack_size = size;
+      pthread_attr_destroy(&attr);
     }
 #endif
 #if defined(DFI_EXEC_TSAN)
-    self_ctx.tsan_fiber = __tsan_get_current_fiber();
+    sched_ctx_.tsan_fiber = __tsan_get_current_fiber();
 #endif
-    g_worker_ctx = &self_ctx;
-
-    mu_.lock();
-    for (;;) {
-      if (live_ == 0) {
-        cv_.notify_all();
-        break;
-      }
-      const SimTime floor = FloorLocked();
-      if (ReleaseTimedLocked(floor)) {
-        cv_.notify_all();
-        continue;
-      }
-      Task* t = PickEligibleLocked(w, floor);
-      if (t == nullptr) {
-        std::unique_lock<std::mutex> lk(mu_, std::adopt_lock);
-        if (cv_.wait_for(lk, std::chrono::milliseconds(50)) ==
-            std::cv_status::timeout) {
-          RescueLocked();
-        }
-        lk.release();  // keep mu_ held for the next iteration
-        continue;
-      }
+    while (live_ > 0) {
+      Task* t = PopNext();
+      if (t == nullptr) ReportStall();
       t->state = Task::State::kRunning;
-      t->pace_floor.store(FloorLocked(), std::memory_order_relaxed);
-      running_[w] = RunningSlot{t, t->vt};
       g_current_task = t;
-      SwitchContext(&self_ctx, &t->ctx);
-      // The task parked, yielded or finished; mu_ is held again.
+      SwitchContext(&sched_ctx_, &t->ctx);
+      // The task parked, yielded or finished.
       g_current_task = nullptr;
-      running_[w].task = nullptr;
       if (t->state == Task::State::kDone) ReleaseFiber(t);
     }
-    mu_.unlock();
-    g_worker_ctx = nullptr;
   }
 };
 
@@ -614,7 +482,6 @@ void Engine::Impl::Trampoline(Task* t) {
 #if defined(DFI_EXEC_ASAN)
   __sanitizer_finish_switch_fiber(t->ctx.asan_fake, nullptr, nullptr);
 #endif
-  t->impl->mu_.unlock();  // dispatched with the scheduler lock held
   t->fn();
   t->impl->FinishCurrentTask(t);
 }
@@ -624,11 +491,6 @@ void Engine::Impl::Trampoline(Task* t) {
 Engine::Engine(EngineOptions options) : impl_(std::make_unique<Impl>()) {
   impl_->opts = options;
   impl_->self = this;
-  workers_ = options.workers != 0 ? options.workers
-                                  : std::max(1u,
-                                             std::thread::hardware_concurrency());
-  impl_->opts.workers = workers_;
-  impl_->running_.resize(workers_);
 }
 
 Engine::~Engine() {
@@ -637,127 +499,94 @@ Engine::~Engine() {
 
 void Engine::Spawn(uint32_t domain, std::string name,
                    std::function<void()> fn) {
-  std::lock_guard<std::mutex> lock(impl_->mu_);
-  impl_->SpawnLocked(domain, std::move(name), std::move(fn), nullptr);
-  impl_->cv_.notify_all();
+  impl_->Spawn(domain, std::move(name), std::move(fn), nullptr);
 }
 
 void Engine::Run() {
-  Engine* expected = nullptr;
-  DFI_CHECK(g_active_engine.compare_exchange_strong(expected, this))
-      << "nested Engine::Run";
-  std::vector<std::thread> pool;
-  pool.reserve(workers_ - 1);
-  for (uint32_t w = 1; w < workers_; ++w) {
-    pool.emplace_back([this, w] { impl_->WorkerLoop(w); });
-  }
-  impl_->WorkerLoop(0);
-  for (std::thread& th : pool) th.join();
-  g_active_engine.store(nullptr);
+  DFI_CHECK(g_current_task == nullptr) << "nested Engine::Run";
+  impl_->Loop();
 }
 
 Engine* Engine::Current() {
   return g_current_task != nullptr ? g_current_task->impl->self : nullptr;
 }
 
-Engine* Engine::Active() {
-  return g_active_engine.load(std::memory_order_seq_cst);
-}
-
 WakeCause Engine::ParkImpl(WaitPoint* wp, bool (*changed)(void*), void* arg,
                            SimTime now, SimTime wake_at) {
   Task* t = g_current_task;
   DFI_CHECK(t != nullptr) << "Engine::Park called outside an engine task";
-  Impl* im = t->impl;
-  im->mu_.lock();
   if (now >= 0) t->vt = now;
-  // Dekker handshake: publish intent to park before re-checking the
-  // condition; notifiers bump their version before reading nparked_.
-  wp->nparked_.fetch_add(1, std::memory_order_seq_cst);
-  if (changed(arg)) {
-    wp->nparked_.fetch_sub(1, std::memory_order_seq_cst);
-    im->mu_.unlock();
-    return WakeCause::kNotified;
-  }
+  if (changed(arg)) return WakeCause::kNotified;
+  Impl* im = t->impl;
   t->state = Task::State::kParked;
   t->wp = wp;
   wp->waiters_.push_back(t);
   if (wake_at != kNoTimer) {
     t->timed_key = std::max(wake_at, t->vt);
-    im->ArmTimerLocked(t);
-    im->LowerPaceFloorsLocked(t->timed_key);
+    im->ArmTimer(t);
   }
-  im->cv_.notify_all();  // the floor may have moved
-  SwitchContext(&t->ctx, g_worker_ctx);
-  const WakeCause cause = t->wake_cause;
+  SwitchContext(&t->ctx, &im->sched_ctx_);
   t->wp = nullptr;
-  im->mu_.unlock();
-  return cause;
+  return t->wake_cause;
 }
 
 void Engine::Yield(SimTime now) {
   Task* t = g_current_task;
   DFI_CHECK(t != nullptr) << "Engine::Yield called outside an engine task";
-  Impl* im = t->impl;
-  im->mu_.lock();
   if (now >= 0) t->vt = now;
-  im->MakeRunnableLocked(t);
-  im->cv_.notify_all();
-  SwitchContext(&t->ctx, g_worker_ctx);
-  im->mu_.unlock();
+  t->impl->MakeRunnable(t);
+  SwitchContext(&t->ctx, &t->impl->sched_ctx_);
 }
 
 void Engine::Pace(SimTime now) {
-  Task* t = g_current_task;
+  const Task* t = g_current_task;
   if (t == nullptr) return;
-  if (now - t->impl->opts.lookahead_ns <=
-      t->pace_floor.load(std::memory_order_relaxed)) {
-    return;
-  }
+  if (now - t->impl->opts.lookahead_ns <= t->impl->Floor()) return;
   Yield(now);
 }
 
 SimTime Engine::Horizon() {
   const Task* t = g_current_task;
   if (t == nullptr) return 0;
-  return std::min(t->vt, t->pace_floor.load(std::memory_order_relaxed));
+  return std::min(t->vt, t->impl->Floor());
 }
 
 // ---- WaitPoint -----------------------------------------------------------
 
-void WaitPoint::WakeAll() {
-  if (nparked_.load(std::memory_order_seq_cst) == 0) return;
-  Engine* e = Engine::Active();
-  if (e == nullptr) return;
-  e->impl_->WakeAllOf(this);
+void WaitPoint::WakeWaiters() {
+  // Waiters are parked tasks of the one engine inside Run().
+  waiters_.front()->impl->WakeAllOf(this);
 }
 
 // ---- progress epoch ------------------------------------------------------
 
-uint64_t ProgressEpoch() {
-  return g_progress_epoch.load(std::memory_order_seq_cst);
-}
+uint64_t ProgressEpoch() { return g_progress_epoch; }
 
 void BumpProgress() {
-  g_progress_epoch.fetch_add(1, std::memory_order_seq_cst);
-  Engine* e = Engine::Active();
-  if (e != nullptr) e->impl_->idle_point_.WakeAll();
+  ++g_progress_epoch;
+  g_idle_point.WakeAll();
 }
 
 void IdleWait(uint64_t seen_epoch) {
-  Engine* e = Engine::Current();
-  DFI_CHECK(e != nullptr) << "IdleWait called outside an engine task";
-  Engine::Park(&e->impl_->idle_point_,
-               [seen_epoch] { return ProgressEpoch() != seen_epoch; },
+  DFI_CHECK(Engine::Current() != nullptr)
+      << "IdleWait called outside an engine task";
+  Engine::Park(&g_idle_point,
+               [seen_epoch] { return g_progress_epoch != seen_epoch; },
                /*now=*/-1, Engine::kNoTimer);
 }
 
 WakeCause IdleWaitUntil(uint64_t seen_epoch, SimTime now, SimTime wake_at) {
-  Engine* e = Engine::Current();
-  DFI_CHECK(e != nullptr) << "IdleWaitUntil called outside an engine task";
-  return Engine::Park(&e->impl_->idle_point_,
-                      [seen_epoch] { return ProgressEpoch() != seen_epoch; },
+  DFI_CHECK(Engine::Current() != nullptr)
+      << "IdleWaitUntil called outside an engine task";
+  return Engine::Park(&g_idle_point,
+                      [seen_epoch] { return g_progress_epoch != seen_epoch; },
                       now, wake_at);
+}
+
+size_t ProcessThreadCount() {
+  using std::filesystem::directory_iterator;
+  return static_cast<size_t>(std::distance(
+      directory_iterator("/proc/self/task"), directory_iterator()));
 }
 
 // ---- ActorGroup ----------------------------------------------------------
@@ -768,18 +597,15 @@ void ActorGroup::Spawn(uint32_t domain, std::string name,
   DFI_CHECK(e != nullptr)
       << "ActorGroup::Spawn called outside an engine task";
   engine_ = e;
-  live_.fetch_add(1, std::memory_order_seq_cst);
-  std::lock_guard<std::mutex> lock(e->impl_->mu_);
-  e->impl_->SpawnLocked(domain, std::move(name), std::move(fn), this);
-  e->impl_->cv_.notify_all();
+  ++live_;
+  e->impl_->Spawn(domain, std::move(name), std::move(fn), this);
 }
 
 void ActorGroup::Join() {
   if (engine_ == nullptr) return;
-  while (live_.load(std::memory_order_seq_cst) != 0) {
-    Engine::Park(&done_,
-                 [this] { return live_.load(std::memory_order_seq_cst) == 0; },
-                 /*now=*/-1, Engine::kNoTimer);
+  while (live_ != 0) {
+    Engine::Park(&done_, [this] { return live_ == 0; }, /*now=*/-1,
+                 Engine::kNoTimer);
   }
   engine_ = nullptr;
 }

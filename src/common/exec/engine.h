@@ -1,7 +1,6 @@
 #ifndef DFI_COMMON_EXEC_ENGINE_H_
 #define DFI_COMMON_EXEC_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -18,62 +17,58 @@ struct Task;
 
 /// Park list embedded in a blocking primitive (RingSync, ReadyGate, MPI
 /// mailboxes). Tasks park here instead of sleeping an OS thread; WakeAll()
-/// moves every parked task back to its run queue.
+/// moves every parked task back to the run queue.
 ///
-/// Lost-wakeup protocol (Dekker-style, see DESIGN.md §engine): a parker
-/// increments `nparked_` *before* re-checking the caller's version predicate
-/// under the scheduler lock; a notifier bumps its version *before* reading
-/// `nparked_`. Both sides use seq_cst, so at least one of them observes the
-/// other: either the parker sees the new version and declines to park, or
-/// the notifier sees the parker and takes the scheduler lock to wake it.
+/// The engine runs every task on one thread and switches only when a task
+/// parks or yields, so a parker's predicate check and its registration as
+/// a waiter cannot interleave with a notifier: no wakeup can be lost.
 class WaitPoint {
  public:
   WaitPoint() = default;
   WaitPoint(const WaitPoint&) = delete;
   WaitPoint& operator=(const WaitPoint&) = delete;
 
-  /// Moves every parked task back to its run queue. Cheap when nothing is
-  /// parked or no engine is active (one atomic load).
-  void WakeAll();
+  /// Moves every parked task back to the run queue. Cheap when nothing is
+  /// parked (one emptiness check).
+  void WakeAll() {
+    if (!waiters_.empty()) WakeWaiters();
+  }
 
  private:
   friend class Engine;
-  std::atomic<uint32_t> nparked_{0};
-  std::vector<Task*> waiters_;  // guarded by Engine::mu_
+  void WakeWaiters();
+  std::vector<Task*> waiters_;
 };
 
 /// Why a timed park returned.
 enum class WakeCause : uint8_t { kNotified, kTimer };
 
 struct EngineOptions {
-  /// Worker pool size; 0 = one per hardware thread. One worker is the
-  /// deterministic configuration: virtual results are bit-identical from
-  /// run to run. Larger pools run tasks concurrently but may diverge in
-  /// virtual time (lookahead races).
+  /// Ignored: the engine always runs every task on the thread that calls
+  /// Run(). Kept so existing `{.workers = n}` initializers still compile.
   uint32_t workers = 1;
   /// Conservative lookahead window in virtual ns: a task may run while its
-  /// virtual time is within `lookahead_ns` of the engine-wide floor
-  /// (checked at dispatch and by Engine::Pace). Derive from the minimum
-  /// link latency (SimConfig::propagation_ns + SimConfig::nic_process_ns)
-  /// for network workloads.
+  /// virtual time is within `lookahead_ns` of the earliest other runnable
+  /// task or pending timer (checked by Engine::Pace). Derive from the
+  /// minimum link latency (SimConfig::propagation_ns +
+  /// SimConfig::nic_process_ns) for network workloads.
   SimTime lookahead_ns = 1000;
   /// Fiber stack size (plus one guard page).
   size_t stack_bytes = 256 * 1024;
 };
 
-/// Work-stealing virtual-time engine, the only way emulated actors run.
+/// One-thread discrete-event engine, the only way emulated actors run.
 /// Actors are cooperatively scheduled fibers (x86-64 only; a switch saves
 /// the callee-saved registers and floating-point control and makes no
-/// syscall) with per-domain (per emulated node) run queues ordered by
-/// (virtual time, spawn id); a fixed worker pool executes any task whose
-/// virtual time lies within a conservative lookahead window of the
-/// engine-wide virtual-time floor, stealing the globally minimal task when
-/// a worker's own domains drain. Blocking primitives park the fiber
-/// (WaitPoint), so hundreds of emulated nodes run on a handful of host
-/// threads.
+/// syscall). One run queue ordered by (virtual time, spawn id) and one
+/// timer heap decide what runs next: the scheduler releases every timer
+/// that is due no later than the earliest runnable task and dispatches the
+/// minimal task, which runs until it parks, yields or finishes. Blocking
+/// primitives park the fiber (WaitPoint), so hundreds of emulated nodes run
+/// on the calling thread, and a run is bit-deterministic.
 ///
 /// Usage:
-///   exec::Engine engine;  // one worker
+///   exec::Engine engine;
 ///   engine.Spawn(node_id, "source-3", [&] { ... });
 ///   engine.Run();  // returns when every task has finished
 class Engine {
@@ -87,29 +82,26 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Adds a task to `domain`'s run queue (domains are created on demand).
-  /// Callable before Run() and from inside a running task.
+  /// Adds a task to the run queue. `domain` is the emulated node the task
+  /// belongs to; it names the task in diagnostics. Callable before Run()
+  /// and from inside a running task.
   void Spawn(uint32_t domain, std::string name, std::function<void()> fn);
 
-  /// Runs until all spawned tasks finish. The calling thread acts as worker
-  /// 0, so `workers == 1` uses no extra OS threads.
+  /// Runs tasks on the calling thread until all spawned tasks finish.
+  /// Aborts, naming every parked task, when tasks remain but none is
+  /// runnable and no timer is pending.
   void Run();
-
-  uint32_t workers() const { return workers_; }
 
   /// Engine owning the calling fiber; nullptr outside a task.
   static Engine* Current();
-  /// Engine currently inside Run(), if any (any calling thread).
-  static Engine* Active();
 
   /// Parks the calling task on `wp` until WakeAll, or, when
-  /// `wake_at != kNoTimer`, until the engine's virtual floor reaches
-  /// `wake_at` (DES-style jump: an idle fleet skips straight to the next
-  /// wake time instead of sleeping real time). `changed` is re-evaluated
-  /// under the scheduler lock after registering as a waiter; if it already
-  /// returns true the park is skipped. `now` (>= 0) reports the task's
-  /// current virtual time for run-queue ordering and floor computation;
-  /// pass a negative value to keep the last reported time.
+  /// `wake_at != kNoTimer`, until the scheduler reaches `wake_at` (DES-style
+  /// jump: an idle fleet skips straight to the next wake time instead of
+  /// sleeping real time). If `changed` already returns true the park is
+  /// skipped. `now` (>= 0) reports the task's current virtual time for
+  /// run-queue ordering; pass a negative value to keep the last reported
+  /// time.
   template <typename Pred>
   static WakeCause Park(WaitPoint* wp, Pred&& changed, SimTime now,
                         SimTime wake_at) {
@@ -119,7 +111,7 @@ class Engine {
   }
 
   /// Cooperative yield: re-enqueues the calling task at virtual time `now`
-  /// and lets the scheduler pick the minimal eligible task.
+  /// and lets the scheduler pick the minimal task.
   static void Yield(SimTime now);
 
   /// Run-ahead bound: yields at `now` once the calling task is more than
@@ -140,17 +132,12 @@ class Engine {
   friend class WaitPoint;
   friend class ActorGroup;
   friend struct Task;
-  friend void BumpProgress();
-  friend void IdleWait(uint64_t seen_epoch);
-  friend WakeCause IdleWaitUntil(uint64_t seen_epoch, SimTime now,
-                                 SimTime wake_at);
   struct Impl;
 
   static WakeCause ParkImpl(WaitPoint* wp, bool (*changed)(void*), void* arg,
                             SimTime now, SimTime wake_at);
 
   std::unique_ptr<Impl> impl_;
-  uint32_t workers_ = 1;
 };
 
 /// Monotone counter bumped on every Notify/Enqueue in the process — the
@@ -164,11 +151,16 @@ void BumpProgress();
 void IdleWait(uint64_t seen_epoch);
 
 /// Timed IdleWait: parks until the progress epoch moves past `seen_epoch`
-/// or the engine's virtual floor reaches `wake_at` (kNotified vs kTimer).
-/// `now` reports the caller's virtual time as in Engine::Park. Used by
-/// bounded poll loops (FlowBarrier::Wait) whose give-up point is
-/// a virtual-time deadline rather than "forever".
+/// or the scheduler reaches `wake_at` (kNotified vs kTimer). `now` reports
+/// the caller's virtual time as in Engine::Park. Used by bounded poll loops
+/// (FlowBarrier::Wait) whose give-up point is a virtual-time deadline
+/// rather than "forever".
 WakeCause IdleWaitUntil(uint64_t seen_epoch, SimTime now, SimTime wake_at);
+
+/// OS threads in this process (the entries of /proc/self/task). The engine
+/// runs every task on the thread that calls Run(), so a count above one
+/// means some code started a thread the emulator does not synchronize.
+size_t ProcessThreadCount();
 
 /// Spawn-then-join group of actors for library code running inside an
 /// engine task: Spawn adds tasks to the caller's engine and Join parks
@@ -180,15 +172,14 @@ class ActorGroup {
   ActorGroup(const ActorGroup&) = delete;
   ActorGroup& operator=(const ActorGroup&) = delete;
 
-  /// `domain` is the emulated node the actor belongs to (scheduling
-  /// affinity).
+  /// `domain` is the emulated node the actor belongs to.
   void Spawn(uint32_t domain, std::string name, std::function<void()> fn);
   /// Parks until every spawned actor finished.
   void Join();
 
  private:
   friend class Engine;
-  std::atomic<uint32_t> live_{0};
+  uint32_t live_ = 0;
   WaitPoint done_;
   Engine* engine_ = nullptr;
 };

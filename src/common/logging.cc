@@ -1,19 +1,12 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
-#include <mutex>
+#include <cstdlib>
 
 namespace dfi {
 namespace {
 
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kInfo)};
-
-// Serializes emission so concurrent threads don't interleave lines.
-std::mutex& EmitMutex() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
+LogLevel g_log_level = LogLevel::kInfo;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -33,13 +26,9 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
+void SetLogLevel(LogLevel level) { g_log_level = level; }
 
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
-}
+LogLevel GetLogLevel() { return g_log_level; }
 
 namespace internal {
 
@@ -54,7 +43,6 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 
 LogMessage::~LogMessage() {
   if (level_ >= GetLogLevel() || level_ == LogLevel::kFatal) {
-    std::lock_guard<std::mutex> lock(EmitMutex());
     std::fprintf(stderr, "%s\n", stream_.str().c_str());
     std::fflush(stderr);
   }

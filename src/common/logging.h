@@ -16,7 +16,7 @@ enum class LogLevel : int {
   kFatal = 4,
 };
 
-/// Sets the minimum severity that is emitted (default kInfo). Thread-safe.
+/// Sets the minimum severity that is emitted (default kInfo).
 void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 

@@ -1,7 +1,6 @@
 #ifndef DFI_COMMON_SIM_TIME_H_
 #define DFI_COMMON_SIM_TIME_H_
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 
@@ -16,11 +15,8 @@ using SimTime = int64_t;
 /// Per-thread virtual clock. Every flow source/target thread (and every
 /// mini-MPI rank) owns one. The owning thread advances it by CPU cost-model
 /// charges; cross-thread causality joins it with timestamps carried on
-/// segments/footers via AdvanceTo().
-///
-/// Thread-safety: Advance/AdvanceTo are called by the owning thread only;
-/// now() may be read concurrently by other threads (e.g. the link scheduler
-/// or result reporting).
+/// segments/footers via AdvanceTo(). Other actors may read now() (e.g. the
+/// link scheduler or result reporting).
 class VirtualClock {
  public:
   VirtualClock() = default;
@@ -29,7 +25,7 @@ class VirtualClock {
   VirtualClock(const VirtualClock&) = delete;
   VirtualClock& operator=(const VirtualClock&) = delete;
 
-  SimTime now() const { return now_.load(std::memory_order_acquire); }
+  SimTime now() const { return now_; }
 
   /// Charges `delta` ns of virtual CPU/wait time. Charges are non-negative
   /// by contract — a negative delta would let virtual time run backwards
@@ -38,22 +34,19 @@ class VirtualClock {
   void Advance(SimTime delta) {
     assert(delta >= 0 && "VirtualClock::Advance with negative delta");
     if (delta < 0) delta = 0;
-    now_.store(now_.load(std::memory_order_relaxed) + delta,
-               std::memory_order_release);
+    now_ += delta;
   }
 
   /// Joins with an external event: clock = max(clock, t). Used when the
   /// thread consumes data that only became available at virtual time `t`.
   void AdvanceTo(SimTime t) {
-    if (t > now_.load(std::memory_order_relaxed)) {
-      now_.store(t, std::memory_order_release);
-    }
+    if (t > now_) now_ = t;
   }
 
-  void Reset(SimTime t = 0) { now_.store(t, std::memory_order_release); }
+  void Reset(SimTime t = 0) { now_ = t; }
 
  private:
-  std::atomic<SimTime> now_{0};
+  SimTime now_ = 0;
 };
 
 }  // namespace dfi

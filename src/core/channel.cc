@@ -44,51 +44,38 @@ ChannelShared::ChannelShared(rdma::RdmaContext* target_ctx,
   ring_mr_ = target_ctx->AllocateRegion(ring_bytes);
   ring_ = SegmentRing(ring_mr_->addr(), capacity, num_segments);
   credit_mr_ = target_ctx->AllocateRegion(64);
-  slot_free_time_ =
-      std::make_unique<std::atomic<SimTime>[]>(num_segments);
-  for (uint32_t i = 0; i < num_segments; ++i) {
-    slot_free_time_[i].store(0, std::memory_order_relaxed);
-  }
+  slot_free_time_.assign(num_segments, 0);
 }
 
 uint64_t ChannelShared::LoadConsumed() const {
-  return std::atomic_ref<uint64_t>(
-             *reinterpret_cast<uint64_t*>(credit_mr_->addr()))
-      .load(std::memory_order_acquire);
+  uint64_t consumed;
+  std::memcpy(&consumed, credit_mr_->addr(), sizeof(consumed));
+  return consumed;
 }
 
 void ChannelShared::IncrementConsumed() {
-  std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(credit_mr_->addr()))
-      .fetch_add(1, std::memory_order_acq_rel);
+  const uint64_t consumed = LoadConsumed() + 1;
+  std::memcpy(credit_mr_->addr(), &consumed, sizeof(consumed));
 }
 
 void ChannelShared::Poison(const Status& cause) {
-  {
-    std::lock_guard<std::mutex> lock(poison_mu_);
-    if (poisoned_.load(std::memory_order_relaxed)) return;  // first cause wins
-    poison_cause_ = cause.ok() ? Status::Aborted("flow aborted") : cause;
-    poisoned_.store(true, std::memory_order_release);
-  }
+  if (poisoned_) return;  // first cause wins
+  poison_cause_ = cause.ok() ? Status::Aborted("flow aborted") : cause;
+  poisoned_ = true;
   sync_.Notify();
   if (target_gate_ != nullptr) target_gate_->Notify();
   if (steal_wake_ != nullptr) steal_wake_->Notify();
 }
 
 void ChannelShared::AnnounceDelivered() {
-  inflight_.fetch_add(1, std::memory_order_relaxed);
+  ++inflight_;
   if (load_board_ != nullptr) load_board_->OnDelivered(load_target_);
   if (steal_wake_ != nullptr) steal_wake_->Notify();
 }
 
 void ChannelShared::AnnounceConsumed() {
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
+  --inflight_;
   if (load_board_ != nullptr) load_board_->OnConsumed(load_target_);
-}
-
-Status ChannelShared::poison_status() const {
-  if (!poisoned()) return Status::OK();
-  std::lock_guard<std::mutex> lock(poison_mu_);
-  return poison_cause_;
 }
 
 // ---------------------------------------------------------------------------
@@ -288,10 +275,8 @@ Status ChannelSource::EnsureCredit() {
   while (avail == 0) {
     const uint64_t seen = sync.version();
     if (shared_->LoadConsumed() > cached_consumed_) {
-      clock_->AdvanceTo(shared_
-                            ->slot_free_time(static_cast<uint32_t>(
-                                sent_tuples_ % slots))
-                            .load(std::memory_order_acquire));
+      clock_->AdvanceTo(shared_->slot_free_time(
+          static_cast<uint32_t>(sent_tuples_ % slots)));
       DFI_RETURN_IF_ERROR(refresh());
       avail = slots - (sent_tuples_ - cached_consumed_);
       continue;
@@ -485,8 +470,7 @@ void ChannelTargetCursor::Release(VirtualClock* clock) {
   footer->arrival_sim_time = clock->now();
   ring.StoreFlags(idx, kFlagWritable);
   if (shared_->options().optimization == FlowOptimization::kLatency) {
-    shared_->slot_free_time(idx).store(clock->now(),
-                                       std::memory_order_release);
+    shared_->slot_free_time(idx) = clock->now();
     shared_->IncrementConsumed();
   }
   shared_->AnnounceConsumed();

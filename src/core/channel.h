@@ -1,7 +1,6 @@
 #ifndef DFI_CORE_CHANNEL_H_
 #define DFI_CORE_CHANNEL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -100,9 +99,7 @@ class ChannelShared {
   /// Approaches segments_per_ring only when the consumer side stalls long
   /// enough for the producer to fill the ring — the signal a deferring
   /// sink uses to tell "deep backlog" from "producer about to block".
-  uint32_t inflight() const {
-    return inflight_.load(std::memory_order_relaxed);
-  }
+  uint32_t inflight() const { return inflight_; }
 
   /// Latency-mode credit state (paper section 5.3). The credit counter
   /// (number of tuples consumed by the target) lives in its own registered
@@ -112,29 +109,23 @@ class ChannelShared {
   rdma::RemoteRef credit_ref() const { return credit_mr_->RefAt(0); }
   /// Virtual time at which ring slot `slot` was last freed (used to charge
   /// a blocked source's virtual wait).
-  std::atomic<SimTime>& slot_free_time(uint32_t slot) {
-    return slot_free_time_[slot];
-  }
+  SimTime& slot_free_time(uint32_t slot) { return slot_free_time_[slot]; }
 
   /// Fault plan of the fabric this channel lives on (never null).
   const net::FaultPlan* fault_plan() const { return fault_plan_; }
 
   /// Records which node the source half runs on (set when the source
   /// attaches); lets a blocked target ask the fault plan about its peer.
-  void set_source_node(net::NodeId node) {
-    source_node_.store(node, std::memory_order_relaxed);
-  }
-  net::NodeId source_node() const {
-    return source_node_.load(std::memory_order_relaxed);
-  }
+  void set_source_node(net::NodeId node) { source_node_ = node; }
+  net::NodeId source_node() const { return source_node_; }
 
   /// Tears the channel down: both halves observe poisoned() on their next
   /// poll and blocked threads are woken. The first cause wins; subsequent
-  /// calls are no-ops. Safe from any thread.
+  /// calls are no-ops.
   void Poison(const Status& cause);
-  bool poisoned() const { return poisoned_.load(std::memory_order_acquire); }
+  bool poisoned() const { return poisoned_; }
   /// The teardown cause (OK when not poisoned).
-  Status poison_status() const;
+  Status poison_status() const { return poison_cause_; }
 
  private:
   const FlowOptions options_;
@@ -142,7 +133,7 @@ class ChannelShared {
   const uint16_t source_index_;
   const net::NodeId target_node_;
   const net::FaultPlan* fault_plan_;
-  std::atomic<net::NodeId> source_node_{net::kInvalidNode};
+  net::NodeId source_node_ = net::kInvalidNode;
   rdma::MemoryRegion* ring_mr_;    // owned by the target's RdmaContext
   rdma::MemoryRegion* credit_mr_;  // latency-mode credit counter
   SegmentRing ring_;
@@ -151,10 +142,9 @@ class ChannelShared {
   TargetLoadBoard* load_board_ = nullptr;
   uint32_t load_target_ = 0;
   ReadyGate* steal_wake_ = nullptr;
-  std::atomic<uint32_t> inflight_{0};
-  std::unique_ptr<std::atomic<SimTime>[]> slot_free_time_;
-  std::atomic<bool> poisoned_{false};
-  mutable std::mutex poison_mu_;
+  uint32_t inflight_ = 0;
+  std::vector<SimTime> slot_free_time_;
+  bool poisoned_ = false;
   Status poison_cause_;
 };
 

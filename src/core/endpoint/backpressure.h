@@ -1,7 +1,6 @@
 #ifndef DFI_CORE_ENDPOINT_BACKPRESSURE_H_
 #define DFI_CORE_ENDPOINT_BACKPRESSURE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
@@ -16,11 +15,11 @@ namespace dfi {
 ///
 /// Producers bump a slot from ChannelSource::TransmitSegment (right where
 /// the ReadyGate entry is enqueued); consumers decrement it when a segment
-/// is released back to writable. Both sides touch a single relaxed atomic —
-/// the signal is advisory. Nothing in the transport *acts* on it unless the
-/// flow opted into `AdaptiveShuffleOptions::react_to_backpressure`; reading
-/// host-schedule-dependent depths for routing decisions is what breaks
-/// bit-determinism, so the default static path only ever writes the slots.
+/// is released back to writable. The signal is advisory: nothing in the
+/// transport *acts* on it unless the flow opted into
+/// `AdaptiveShuffleOptions::react_to_backpressure`. A depth reflects the
+/// order the engine dispatched the actors in, not virtual time alone, so
+/// the default static path only ever writes the slots.
 class TargetLoadBoard {
  public:
   TargetLoadBoard(uint32_t num_targets, uint32_t high, uint32_t low)
@@ -36,38 +35,26 @@ class TargetLoadBoard {
   /// A segment became consumable in `target`'s column.
   void OnDelivered(uint32_t target) {
     Slot& slot = slots_[target];
-    const uint32_t depth =
-        slot.depth.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (depth >= high_) {
-      slot.saturated.store(true, std::memory_order_relaxed);
-    }
+    if (++slot.depth >= high_) slot.saturated = true;
   }
 
   /// A segment from `target`'s column was released back to writable.
   void OnConsumed(uint32_t target) {
     Slot& slot = slots_[target];
-    const uint32_t depth =
-        slot.depth.fetch_sub(1, std::memory_order_relaxed) - 1;
-    if (depth <= low_) {
-      slot.saturated.store(false, std::memory_order_relaxed);
-    }
+    if (--slot.depth <= low_) slot.saturated = false;
   }
 
   /// Delivered-but-unreleased segments queued at `target`.
-  uint32_t depth(uint32_t target) const {
-    return slots_[target].depth.load(std::memory_order_relaxed);
-  }
+  uint32_t depth(uint32_t target) const { return slots_[target].depth; }
 
   /// Hysteresis saturation bit: set once depth reaches `high`, cleared only
   /// once it falls back to `low`.
-  bool saturated(uint32_t target) const {
-    return slots_[target].saturated.load(std::memory_order_relaxed);
-  }
+  bool saturated(uint32_t target) const { return slots_[target].saturated; }
 
  private:
   struct Slot {
-    std::atomic<uint32_t> depth{0};
-    std::atomic<bool> saturated{false};
+    uint32_t depth = 0;
+    bool saturated = false;
   };
 
   const uint32_t num_targets_;

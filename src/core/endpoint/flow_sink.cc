@@ -31,8 +31,7 @@ StealColumn::StealColumn(ChannelMatrix* matrix, uint32_t target_index)
 
 bool SinkStealGroup::AllExhausted() {
   for (StealColumn* col : columns_) {
-    std::lock_guard<std::mutex> lock(col->mu);
-    if (!col->AllExhaustedLocked()) return false;
+    if (!col->AllCursorsExhausted()) return false;
   }
   return true;
 }
@@ -105,15 +104,12 @@ void FlowSink::ReleaseHeld() {
 
 void FlowSink::ReleaseHeldColumn() {
   if (held_col_ == nullptr) return;
-  {
-    std::lock_guard<std::mutex> lock(held_col_->mu);
-    const uint32_t idx = static_cast<uint32_t>(held_cursor_);
-    ChannelTargetCursor& held = *held_col_->cursors[idx];
-    held.Release(clock_);
-    if (held.exhausted()) ++held_col_->exhausted;
-    held_col_->busy[idx] = 0;
-    ReplayDeferredLocked(held_col_, idx);
-  }
+  const uint32_t idx = static_cast<uint32_t>(held_cursor_);
+  ChannelTargetCursor& held = *held_col_->cursors[idx];
+  held.Release(clock_);
+  if (held.exhausted()) ++held_col_->exhausted;
+  held_col_->busy[idx] = 0;
+  ReplayDeferred(held_col_, idx);
   held_col_ = nullptr;
   held_cursor_ = -1;
   // A release can unblock siblings: the freed cursor's next segment
@@ -122,14 +118,14 @@ void FlowSink::ReleaseHeldColumn() {
   group_->wake().Notify();
 }
 
-void FlowSink::ReplayDeferredLocked(StealColumn* col, uint32_t idx) {
+void FlowSink::ReplayDeferred(StealColumn* col, uint32_t idx) {
   uint32_t replay = col->deferred[idx];
   col->deferred[idx] = 0;
   while (replay-- > 0) col->gate()->Enqueue(idx);
 }
 
-bool FlowSink::ScanColumnLocked(StealColumn* col, SegmentView* out,
-                                ConsumeResult* out_result) {
+bool FlowSink::ScanColumn(StealColumn* col, SegmentView* out,
+                          ConsumeResult* out_result) {
   uint32_t idx = 0;
   while (col->gate()->TryDequeue(&idx)) {
     ChannelTargetCursor& cursor = *col->cursors[idx];
@@ -155,7 +151,7 @@ bool FlowSink::ScanColumnLocked(StealColumn* col, SegmentView* out,
       // it must bump the group wake like ReleaseHeldColumn does.
       cursor.Release(clock_);
       if (cursor.exhausted()) ++col->exhausted;
-      ReplayDeferredLocked(col, idx);
+      ReplayDeferred(col, idx);
       group_->wake().Notify();
       continue;
     }
@@ -178,7 +174,6 @@ bool FlowSink::OwnColumnRingPressure() {
   // and overriding deferral on the aggregate would make the slow owner
   // churn through exactly the backlog its siblings should be levelling.
   const uint32_t full = column_->options().segments_per_ring;
-  std::lock_guard<std::mutex> lock(column_->mu);
   for (const auto& cursor : column_->cursors) {
     if (!cursor->exhausted() && cursor->shared()->inflight() + 1 >= full) {
       return true;
@@ -202,8 +197,8 @@ bool FlowSink::TryConsumeSegmentColumn(SegmentView* out,
     my_cost_ = my_cost_ == 0 ? delta : (3 * my_cost_ + delta) / 4;
   }
   const SimTime my_cost = my_cost_ + config_->consume_segment_fixed_ns;
-  column_->owner_now.store(my_now, std::memory_order_relaxed);
-  column_->owner_cost.store(my_cost, std::memory_order_relaxed);
+  column_->owner_now = my_now;
+  column_->owner_cost = my_cost;
   const auto& cols = group_->columns();
   const size_t n = cols.size();
   // Level-filling scheduler over *virtual* time. Host threads burn
@@ -230,12 +225,11 @@ bool FlowSink::TryConsumeSegmentColumn(SegmentView* out,
   SimTime group_max = my_now;
   SimTime best_sibling_done = my_done;
   for (StealColumn* col : cols) {
-    const SimTime sib_now = col->owner_now.load(std::memory_order_relaxed);
+    const SimTime sib_now = col->owner_now;
     group_max = std::max(group_max, sib_now);
     if (col != column_) {
-      best_sibling_done = std::min(
-          best_sibling_done,
-          sib_now + col->owner_cost.load(std::memory_order_relaxed));
+      best_sibling_done =
+          std::min(best_sibling_done, sib_now + col->owner_cost);
     }
   }
   const bool defer_own = my_done >= group_max &&
@@ -246,15 +240,14 @@ bool FlowSink::TryConsumeSegmentColumn(SegmentView* out,
   for (size_t i = 0; i < n; ++i) {
     StealColumn* col = cols[(own_pos_ + i) % n];
     const bool skip = col == column_ ? defer_own : my_done >= group_max;
-    std::lock_guard<std::mutex> lock(col->mu);
-    if (!skip && ScanColumnLocked(col, out, out_result)) {
+    if (!skip && ScanColumn(col, out, out_result)) {
       // Arm the cost sample at the post-consume clock; the next call's
       // delta is the app's processing time for this segment.
       cost_sample_armed_ = true;
       cost_sample_start_ = clock_->now();
       return true;
     }
-    all_exhausted = all_exhausted && col->AllExhaustedLocked();
+    all_exhausted = all_exhausted && col->AllCursorsExhausted();
   }
   if (all_exhausted) {
     *out_result = ConsumeResult::kFlowEnd;
@@ -272,7 +265,6 @@ bool FlowSink::TryConsumeSegmentColumn(SegmentView* out,
   // Nothing consumable: surface teardown through the non-blocking path.
   // The own column sees a channel from every source, so any source-level
   // abort is visible here.
-  std::lock_guard<std::mutex> lock(column_->mu);
   for (auto& cursor : column_->cursors) {
     if (!cursor->exhausted() && cursor->shared()->poisoned()) {
       last_status_ = cursor->shared()->poison_status();
@@ -349,7 +341,7 @@ bool FlowSink::CheckFailure(DeadlineWait* wait, ConsumeResult* out_result) {
   // plan so the failure surfaces as kPeerFailed instead of waiting out the
   // full deadline. (Poison is detected in TryConsumeSegment.) In
   // work-stealing mode the own column carries one channel per source, so
-  // polling it under its lock covers every peer.
+  // polling it covers every peer.
   int dead_source = -1;
   uint32_t open_channels = 0;
   const SimTime now = wait->ProvisionalNow();
@@ -369,7 +361,6 @@ bool FlowSink::CheckFailure(DeadlineWait* wait, ConsumeResult* out_result) {
     }
   };
   if (column_ != nullptr) {
-    std::lock_guard<std::mutex> lock(column_->mu);
     poll(column_->cursors);
   } else {
     poll(cursors_);
@@ -433,7 +424,6 @@ ConsumeResult FlowSink::Consume(TupleView* out) {
 
 void FlowSink::Abort(const Status& cause) {
   if (column_ != nullptr) {
-    std::lock_guard<std::mutex> lock(column_->mu);
     for (auto& cursor : column_->cursors) cursor->shared()->Poison(cause);
     return;
   }

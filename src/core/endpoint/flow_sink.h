@@ -1,9 +1,7 @@
 #ifndef DFI_CORE_ENDPOINT_FLOW_SINK_H_
 #define DFI_CORE_ENDPOINT_FLOW_SINK_H_
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -21,11 +19,11 @@ class DeadlineWait;
 
 /// One target column of the matrix, shared between the sink threads of a
 /// same-node work-stealing group (opt-in via AdaptiveShuffleOptions). Owns
-/// the per-source cursors; every access — including by the column's own
-/// sink — goes through `mu`, which serializes consumption per channel and
-/// thereby keeps per-channel content and order exactly as in the exclusive
-/// path. What becomes scheduling-dependent is only *which* sink thread of
-/// the group consumes a given segment.
+/// the per-source cursors; a cursor checked out by one sink is `busy` for
+/// the others, which serializes consumption per channel and thereby keeps
+/// per-channel content and order exactly as in the exclusive path. What
+/// becomes scheduling-dependent is only *which* sink thread of the group
+/// consumes a given segment.
 class StealColumn {
  public:
   StealColumn(ChannelMatrix* matrix, uint32_t target_index);
@@ -48,11 +46,9 @@ class StealColumn {
   /// would vacuum up the whole group's segments and charge their cost to
   /// its own clock — *inflating* the emulated completion instead of
   /// improving it.
-  std::atomic<SimTime> owner_now{0};
-  std::atomic<SimTime> owner_cost{0};
+  SimTime owner_now = 0;
+  SimTime owner_cost = 0;
 
-  /// All members below are guarded by `mu`.
-  std::mutex mu;
   std::vector<std::unique_ptr<ChannelTargetCursor>> cursors;  // per source
   /// Cursor is checked out by some sink (its segment is being iterated).
   std::vector<uint8_t> busy;
@@ -62,7 +58,7 @@ class StealColumn {
   std::vector<uint32_t> deferred;
   uint32_t exhausted = 0;  // cursors that reached end-of-flow
 
-  bool AllExhaustedLocked() const {
+  bool AllCursorsExhausted() const {
     return exhausted == static_cast<uint32_t>(cursors.size());
   }
 
@@ -82,8 +78,7 @@ class SinkStealGroup {
   const std::vector<StealColumn*>& columns() { return columns_; }
   ReadyGate& wake() { return wake_; }
 
-  /// True once every column of the group is fully drained (locks each
-  /// column briefly).
+  /// True once every column of the group is fully drained.
   bool AllExhausted();
 
  private:
@@ -164,11 +159,11 @@ class FlowSink {
 
   // Work-stealing-mode internals (column_ != nullptr).
   void ReleaseHeldColumn();
-  /// Replays deferred gate entries of cursor `idx` (column locked).
-  static void ReplayDeferredLocked(StealColumn* col, uint32_t idx);
+  /// Replays deferred gate entries of cursor `idx`.
+  static void ReplayDeferred(StealColumn* col, uint32_t idx);
   /// Pops and consumes from one column; fills out/out_result on success.
-  bool ScanColumnLocked(StealColumn* col, SegmentView* out,
-                        ConsumeResult* out_result);
+  bool ScanColumn(StealColumn* col, SegmentView* out,
+                  ConsumeResult* out_result);
   /// True when some channel of the own column runs its ring within one
   /// segment of full — its producer may be about to block on a slot that
   /// only consumption can free, so the peak sink must not defer.

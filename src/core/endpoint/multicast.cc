@@ -65,8 +65,8 @@ MulticastState::MulticastState(rdma::RdmaEnv* env,
   target_qps_.resize(num_targets());
   recv_pools_.resize(num_targets());
   credit_mrs_.resize(num_targets());
-  consume_time_ = std::make_unique<std::atomic<SimTime>[]>(num_targets());
-  ends_seen_ = std::make_unique<std::atomic<uint32_t>[]>(num_targets());
+  consume_time_.assign(num_targets(), 0);
+  ends_seen_.assign(num_targets(), 0);
   for (uint32_t t = 0; t < num_targets(); ++t) {
     rdma::RdmaContext* ctx = env_->context(target_nodes_[t]);
     rdma::CompletionQueue* recv_cq = ctx->CreateCq();
@@ -80,8 +80,6 @@ MulticastState::MulticastState(rdma::RdmaEnv* env,
                                slot_bytes(), i);
     }
     credit_mrs_[t] = ctx->AllocateRegion(64);
-    consume_time_[t].store(0, std::memory_order_relaxed);
-    ends_seen_[t].store(0, std::memory_order_relaxed);
   }
   if (ordered()) {
     sequencer_mr_ = env_->context(sequencer_node())->AllocateRegion(64);
@@ -98,7 +96,7 @@ uint8_t* MulticastState::recv_slot(uint32_t target, uint32_t slot) {
 StatusOr<uint64_t> MulticastState::AcquirePosition(rdma::RcQueuePair* seq_qp,
                                                    VirtualClock* clock) {
   if (!ordered()) {
-    return unordered_positions_.fetch_add(1, std::memory_order_acq_rel);
+    return unordered_positions_++;
   }
   // Tuple sequencer: RDMA fetch-and-add on a global counter (paper 5.4).
   // Fails with kPeerFailed when the sequencer node crashed or is
@@ -107,9 +105,9 @@ StatusOr<uint64_t> MulticastState::AcquirePosition(rdma::RcQueuePair* seq_qp,
 }
 
 uint64_t MulticastState::LoadConsumed(uint32_t target) const {
-  return std::atomic_ref<uint64_t>(
-             *reinterpret_cast<uint64_t*>(credit_mrs_[target]->addr()))
-      .load(std::memory_order_acquire);
+  uint64_t consumed;
+  std::memcpy(&consumed, credit_mrs_[target]->addr(), sizeof(consumed));
+  return consumed;
 }
 
 rdma::RemoteRef MulticastState::credit_ref(uint32_t target) const {
@@ -117,10 +115,9 @@ rdma::RemoteRef MulticastState::credit_ref(uint32_t target) const {
 }
 
 void MulticastState::ReportConsumed(uint32_t target, SimTime now) {
-  consume_time_[target].store(now, std::memory_order_release);
-  std::atomic_ref<uint64_t>(
-      *reinterpret_cast<uint64_t*>(credit_mrs_[target]->addr()))
-      .fetch_add(1, std::memory_order_acq_rel);
+  consume_time_[target] = now;
+  const uint64_t consumed = LoadConsumed(target) + 1;
+  std::memcpy(credit_mrs_[target]->addr(), &consumed, sizeof(consumed));
   credit_sync_.Notify();
 }
 
@@ -190,8 +187,7 @@ Status MulticastState::WaitForCredit(
   // timestamp plus one discovering read (fault-free timing unchanged).
   SimTime limit = 0;
   for (uint32_t t = 0; t < num_targets(); ++t) {
-    limit = std::max(limit,
-                     consume_time_[t].load(std::memory_order_acquire));
+    limit = std::max(limit, consume_time_[t]);
   }
   clock->AdvanceTo(limit);
   alignas(8) uint8_t scratch[8];
@@ -208,7 +204,6 @@ Status MulticastState::WaitForCredit(
 void MulticastState::RecordHistory(uint32_t source, uint64_t seq,
                                    const uint8_t* data, uint32_t len) {
   History& h = *histories_[source];
-  std::lock_guard<std::mutex> lock(h.mu);
   h.segments.emplace(seq, std::vector<uint8_t>(data, data + len));
   while (h.segments.size() > kHistoryDepth) {
     h.segments.erase(h.segments.begin());
@@ -218,7 +213,6 @@ void MulticastState::RecordHistory(uint32_t source, uint64_t seq,
 bool MulticastState::LookupHistory(uint64_t seq,
                                    std::vector<uint8_t>* out) const {
   for (const auto& hp : histories_) {
-    std::lock_guard<std::mutex> lock(hp->mu);
     auto it = hp->segments.find(seq);
     if (it != hp->segments.end()) {
       *out = it->second;
@@ -375,7 +369,7 @@ ConsumeResult MulticastSink::ConsumeUnordered(SegmentView* out) {
   auto& ends = mcast_->ends_seen(target_index_);
   DeadlineWait wait(mcast_->options(), clock_);
   for (;;) {
-    if (ends.load(std::memory_order_acquire) == mcast_->num_sources()) {
+    if (ends == mcast_->num_sources()) {
       return ConsumeResult::kFlowEnd;
     }
     rdma::Completion c;
@@ -387,7 +381,7 @@ ConsumeResult MulticastSink::ConsumeUnordered(SegmentView* out) {
     const uint32_t slot = static_cast<uint32_t>(c.wr_id);
     const SegmentFooter* footer = SlotFooter(slot);
     if (footer->end_of_flow()) {
-      ends.fetch_add(1, std::memory_order_acq_rel);
+      ++ends;
       if (footer->fill_bytes == 0) {
         // Pure end marker: recycle.
         mcast_->target_qp(target_index_)
@@ -416,7 +410,7 @@ ConsumeResult MulticastSink::ConsumeOrdered(SegmentView* out) {
   auto& ends = mcast_->ends_seen(target_index_);
   DeadlineWait wait(mcast_->options(), clock_);
   for (;;) {
-    if (ends.load(std::memory_order_acquire) == mcast_->num_sources()) {
+    if (ends == mcast_->num_sources()) {
       return ConsumeResult::kFlowEnd;
     }
     // Serve in order from the next list (paper Figure 6).
@@ -433,7 +427,7 @@ ConsumeResult MulticastSink::ConsumeOrdered(SegmentView* out) {
           base + mcast_->payload_capacity());
       if (footer->end_of_flow()) {
         // End markers are sequenced like data.
-        ends.fetch_add(1, std::memory_order_acq_rel);
+        ++ends;
         if (footer->fill_bytes == 0) {
           // Pure marker: recycle.
           if (entry.slot != UINT32_MAX) {

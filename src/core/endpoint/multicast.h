@@ -1,11 +1,9 @@
 #ifndef DFI_CORE_ENDPOINT_MULTICAST_H_
 #define DFI_CORE_ENDPOINT_MULTICAST_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -89,9 +87,7 @@ class MulticastState {
   bool LookupHistory(uint64_t seq, std::vector<uint8_t>* out) const;
 
   /// End-of-flow bookkeeping for multicast targets.
-  std::atomic<uint32_t>& ends_seen(uint32_t target) {
-    return ends_seen_[target];
-  }
+  uint32_t& ends_seen(uint32_t target) { return ends_seen_[target]; }
 
   /// Wakes sources blocked on the credit window (flow teardown).
   void WakeCreditWaiters() { credit_sync_.Notify(); }
@@ -109,15 +105,14 @@ class MulticastState {
   std::vector<rdma::UdQueuePair*> target_qps_;
   std::vector<rdma::MemoryRegion*> recv_pools_;
   std::vector<rdma::MemoryRegion*> credit_mrs_;  // one consumed counter each
-  std::unique_ptr<std::atomic<SimTime>[]> consume_time_;
+  std::vector<SimTime> consume_time_;
   rdma::MemoryRegion* sequencer_mr_ = nullptr;
-  std::atomic<uint64_t> unordered_positions_{0};
+  uint64_t unordered_positions_ = 0;
   RingSync credit_sync_;
-  std::unique_ptr<std::atomic<uint32_t>[]> ends_seen_;
+  std::vector<uint32_t> ends_seen_;
 
   // Ordered mode retransmit history (per source).
   struct History {
-    mutable std::mutex mu;
     std::map<uint64_t, std::vector<uint8_t>> segments;
   };
   std::vector<std::unique_ptr<History>> histories_;

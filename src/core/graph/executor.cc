@@ -189,18 +189,12 @@ Status GraphRun::Finish() {
   return first.ok() ? removal : first;
 }
 
-Status GraphRun::status() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return first_error_;
-}
+Status GraphRun::status() const { return first_error_; }
 
 void GraphRun::Fail(const std::string& vertex, const Status& status) {
   Status cause(status.code(),
                "vertex '" + vertex + "': " + status.message());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (first_error_.ok()) first_error_ = cause;
-  }
+  if (first_error_.ok()) first_error_ = cause;
   // Whole-graph teardown: poison every edge so peers blocked on this
   // operator observe the failure instead of deadlocking.
   for (EdgeState& es : edges_) {
@@ -211,7 +205,6 @@ void GraphRun::Fail(const std::string& vertex, const Status& status) {
 }
 
 void GraphRun::AccumulateStats(int vertex, const VertexStats& worker_stats) {
-  std::lock_guard<std::mutex> lock(mu_);
   VertexStats& vs = vertex_stats_[vertex];
   vs.tuples_in += worker_stats.tuples_in;
   vs.tuples_out += worker_stats.tuples_out;
@@ -222,7 +215,6 @@ void GraphRun::AccumulateStats(int vertex, const VertexStats& worker_stats) {
 GraphRun::VertexStats GraphRun::stats(const std::string& name) const {
   const int v = graph_.FindVertex(name);
   if (v < 0) return VertexStats{};
-  std::lock_guard<std::mutex> lock(mu_);
   return vertex_stats_[v];
 }
 

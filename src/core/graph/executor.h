@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -121,9 +120,8 @@ class GraphRun {
   bool started_ = false;
   bool finished_ = false;
 
-  mutable std::mutex mu_;
-  Status first_error_;                     // guarded by mu_
-  std::vector<VertexStats> vertex_stats_;  // guarded by mu_
+  Status first_error_;
+  std::vector<VertexStats> vertex_stats_;
 };
 
 }  // namespace dfi::graph

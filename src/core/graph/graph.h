@@ -73,7 +73,7 @@ using AggSinkFn = std::function<Status(OpContext&, const AggRow&)>;
 /// `out_field = (seq / window_size) << key_bits | (key & mask)` — a
 /// data-derived window id fused with the grouping key, so downstream
 /// combiner edges group per (window, key) and the assignment is a pure
-/// function of tuple content (deterministic at any pool size).
+/// function of tuple content (independent of dispatch order).
 struct WindowOpSpec {
   size_t seq_field = 0;        ///< monotone per-source sequence field
   size_t key_field = 0;        ///< grouping key field

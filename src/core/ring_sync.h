@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <mutex>
 
 #include "common/exec/engine.h"
 
@@ -23,10 +22,7 @@ class RingSync {
 
   /// Wakes all waiters; call after any footer state change.
   void Notify() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++version_;
-    }
+    ++version_;
     wait_point_.WakeAll();
     exec::BumpProgress();
   }
@@ -34,15 +30,11 @@ class RingSync {
   /// Lost-wakeup-safe two-phase waiting: capture the version *before*
   /// scanning state; if the scan found nothing, park until any Notify()
   /// issued after the capture.
-  uint64_t version() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return version_;
-  }
+  uint64_t version() const { return version_; }
 
   exec::WaitPoint& wait_point() { return wait_point_; }
 
  private:
-  mutable std::mutex mu_;
   exec::WaitPoint wait_point_;
   uint64_t version_ = 0;
 };
@@ -71,18 +63,14 @@ class ReadyGate {
   /// Announces one delivered segment on `channel_index` and wakes the
   /// target.
   void Enqueue(uint32_t channel_index) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ready_.push_back(channel_index);
-      ++version_;
-    }
+    ready_.push_back(channel_index);
+    ++version_;
     wait_point_.WakeAll();
     exec::BumpProgress();
   }
 
   /// Pops the oldest announced channel index; false when none is pending.
   bool TryDequeue(uint32_t* channel_index) {
-    std::lock_guard<std::mutex> lock(mu_);
     if (ready_.empty()) return false;
     *channel_index = ready_.front();
     ready_.pop_front();
@@ -92,25 +80,18 @@ class ReadyGate {
   /// Version-only wakeup (no ready entry), e.g. for state changes that are
   /// not segment deliveries.
   void Notify() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++version_;
-    }
+    ++version_;
     wait_point_.WakeAll();
     exec::BumpProgress();
   }
 
   /// Lost-wakeup-safe two-phase waiting, as in RingSync: capture the
   /// version *before* draining the queue.
-  uint64_t version() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return version_;
-  }
+  uint64_t version() const { return version_; }
 
   exec::WaitPoint& wait_point() { return wait_point_; }
 
  private:
-  mutable std::mutex mu_;
   exec::WaitPoint wait_point_;
   std::deque<uint32_t> ready_;
   uint64_t version_ = 0;

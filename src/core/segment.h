@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/sim_time.h"
-#include "rdma/dma_memory.h"
 
 namespace dfi {
 
@@ -25,8 +24,8 @@ inline constexpr uint8_t kFlagPoisoned = 0x04;
 /// remote NIC DMAs memory in increasing address order, so once the target
 /// observes the flags change the payload is guaranteed complete — no
 /// checksum needed (paper section 5.2). `flags` is deliberately the final
-/// byte: the emulation's DmaCopy publishes the last byte of every transfer
-/// with release semantics (see rdma/dma_memory.h).
+/// byte, as on hardware; the emulation copies a whole transfer at post time
+/// on its one thread, so a reader never sees a partial write.
 ///
 /// `arrival_sim_time` is emulation metadata: the virtual time at which this
 /// state change became visible; consumers join their virtual clocks with
@@ -60,7 +59,7 @@ class SegmentRing {
       : base_(base),
         payload_capacity_(payload_capacity),
         num_segments_(num_segments) {
-    // The footer must be 8-aligned within the slot for atomic publication.
+    // The footer's 64-bit fields must be 8-aligned within the slot.
     DFI_CHECK_EQ(payload_capacity % 8, 0u);
   }
 
@@ -90,16 +89,11 @@ class SegmentRing {
     return slot_offset(index) + payload_capacity_;
   }
 
-  /// Reads a footer's flags with DMA-acquire semantics (pairs with the
-  /// writer's publication of the final byte).
-  uint8_t LoadFlags(uint32_t index) const {
-    return rdma::LoadDmaFlag(&footer(index)->flags);
-  }
+  uint8_t LoadFlags(uint32_t index) const { return footer(index)->flags; }
 
-  /// Publishes new flags for a locally-owned footer after plain stores to
-  /// the rest of the footer/payload.
+  /// Sets new flags for a locally-owned footer.
   void StoreFlags(uint32_t index, uint8_t flags) const {
-    rdma::StoreDmaFlag(&footer(index)->flags, flags);
+    footer(index)->flags = flags;
   }
 
  private:

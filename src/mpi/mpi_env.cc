@@ -58,7 +58,6 @@ void MpiEnv::ChargeCallOverhead(int rank, VirtualClock* clock) {
 }
 
 MpiEnv::Mailbox& MpiEnv::mailbox(int src, int dst, int tag) {
-  std::lock_guard<std::mutex> lock(mailboxes_mu_);
   auto& slot = mailboxes_[{src, dst, tag}];
   if (!slot) slot = std::make_unique<Mailbox>();
   return *slot;
@@ -94,10 +93,7 @@ Status MpiEnv::Send(int src_rank, int dst_rank, int tag, const void* buf,
     msg->rendezvous = false;
     msg->bytes = bytes;
     msg->sender_post = clock->now();
-    {
-      std::lock_guard<std::mutex> lock(mb.mu);
-      mb.messages.push_back(std::move(msg));
-    }
+    mb.messages.push_back(std::move(msg));
     mb.wait_point.WakeAll();
     exec::BumpProgress();
     return Status::OK();
@@ -110,19 +106,11 @@ Status MpiEnv::Send(int src_rank, int dst_rank, int tag, const void* buf,
   msg->src_buf = buf;
   msg->bytes = bytes;
   msg->sender_post = clock->now();
-  {
-    std::lock_guard<std::mutex> lock(mb.mu);
-    mb.messages.push_back(msg);
-  }
+  mb.messages.push_back(msg);
   mb.wait_point.WakeAll();
   exec::BumpProgress();
-  // Park the fiber until the receiver matches. The predicate is evaluated
-  // after the park intent is published, so a match racing with the park is
-  // never lost.
-  auto matched = [&] {
-    std::lock_guard<std::mutex> lock(mb.mu);
-    return msg->matched;
-  };
+  // Park the fiber until the receiver matches.
+  auto matched = [&] { return msg->matched; };
   while (!matched()) {
     exec::Engine::Park(&mb.wait_point, matched, clock->now(),
                        exec::Engine::kNoTimer);
@@ -142,18 +130,12 @@ Status MpiEnv::Recv(int dst_rank, int src_rank, int tag, void* buf,
   Mailbox& mb = mailbox(src_rank, dst_rank, tag);
 
   std::shared_ptr<Message> msg;
-  auto has_message = [&] {
-    std::lock_guard<std::mutex> lock(mb.mu);
-    return !mb.messages.empty();
-  };
+  auto has_message = [&] { return !mb.messages.empty(); };
   for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(mb.mu);
-      if (!mb.messages.empty()) {
-        msg = mb.messages.front();
-        mb.messages.pop_front();
-        break;
-      }
+    if (!mb.messages.empty()) {
+      msg = mb.messages.front();
+      mb.messages.pop_front();
+      break;
     }
     exec::Engine::Park(&mb.wait_point, has_message, clock->now(),
                        exec::Engine::kNoTimer);
@@ -184,11 +166,8 @@ Status MpiEnv::Recv(int dst_rank, int src_rank, int tag, void* buf,
           .ingress()
           .Reserve(egress.end + cfg.propagation_ns, bytes);
   std::memcpy(buf, msg->src_buf, bytes);
-  {
-    std::lock_guard<std::mutex> lock(mb.mu);
-    msg->sender_done = egress.end;
-    msg->matched = true;
-  }
+  msg->sender_done = egress.end;
+  msg->matched = true;
   mb.wait_point.WakeAll();
   exec::BumpProgress();
   clock->AdvanceTo(ingress.end);
@@ -196,32 +175,24 @@ Status MpiEnv::Recv(int dst_rank, int src_rank, int tag, void* buf,
 }
 
 SimTime MpiEnv::BarrierJoin(BarrierState& state, VirtualClock* clock) {
-  std::unique_lock<std::mutex> lock(state.mu);
   state.max_time = std::max(state.max_time, clock->now());
   if (++state.waiting == rank_nodes_.size()) {
     state.release_time = state.max_time;
     state.max_time = 0;
     state.waiting = 0;
     ++state.generation;
-    lock.unlock();
     state.wait_point.WakeAll();
     exec::BumpProgress();
     clock->AdvanceTo(state.release_time);
     return state.release_time;
   }
   const uint64_t gen = state.generation;
-  lock.unlock();
-  auto released = [&] {
-    std::lock_guard<std::mutex> relock(state.mu);
-    return state.generation != gen;
-  };
+  auto released = [&] { return state.generation != gen; };
   while (!released()) {
     exec::Engine::Park(&state.wait_point, released, clock->now(),
                        exec::Engine::kNoTimer);
   }
-  lock.lock();
   const SimTime release = state.release_time;
-  lock.unlock();
   clock->AdvanceTo(release);
   return release;
 }
@@ -270,7 +241,6 @@ Status MpiEnv::Alltoall(int rank, const void* sendbuf, void* recvbuf,
 }
 
 StatusOr<MpiWindow*> MpiEnv::CreateWindow(size_t bytes) {
-  std::lock_guard<std::mutex> lock(windows_mu_);
   windows_.push_back(std::make_unique<MpiWindow>(this, bytes));
   return windows_.back().get();
 }
@@ -292,12 +262,8 @@ Status MpiEnv::Put(int src_rank, const void* buf, size_t bytes, int dst_rank,
           .ingress()
           .Reserve(egress.end + cfg.propagation_ns, bytes);
   std::memcpy(window->local(dst_rank) + remote_offset, buf, bytes);
-  auto& arrival = *window->last_put_arrival_[dst_rank];
-  SimTime prev = arrival.load(std::memory_order_relaxed);
-  while (prev < ingress.end &&
-         !arrival.compare_exchange_weak(prev, ingress.end,
-                                        std::memory_order_acq_rel)) {
-  }
+  SimTime& arrival = window->last_put_arrival_[dst_rank];
+  arrival = std::max(arrival, ingress.end);
   return Status::OK();
 }
 
@@ -308,9 +274,7 @@ Status MpiEnv::Fence(int rank, MpiWindow* window, VirtualClock* clock) {
   BarrierJoin(window->fence_barrier_, clock);
   SimTime max_arrival = 0;
   for (size_t r = 0; r < rank_nodes_.size(); ++r) {
-    max_arrival = std::max(
-        max_arrival,
-        window->last_put_arrival_[r]->load(std::memory_order_acquire));
+    max_arrival = std::max(max_arrival, window->last_put_arrival_[r]);
   }
   clock->AdvanceTo(max_arrival);
   BarrierJoin(window->fence_barrier_, clock);
@@ -320,11 +284,10 @@ Status MpiEnv::Fence(int rank, MpiWindow* window, VirtualClock* clock) {
 MpiWindow::MpiWindow(MpiEnv* env, size_t bytes) : env_(env), bytes_(bytes) {
   const size_t n = env_->rank_nodes_.size();
   memory_.reserve(n);
-  last_put_arrival_.reserve(n);
+  last_put_arrival_.assign(n, 0);
   for (size_t r = 0; r < n; ++r) {
     memory_.push_back(std::make_unique<uint8_t[]>(bytes));
     std::memset(memory_.back().get(), 0, bytes);
-    last_put_arrival_.push_back(std::make_unique<std::atomic<SimTime>>(0));
     env_->fabric_->node(env_->rank_nodes_[r]).AddRegisteredBytes(bytes);
   }
 }

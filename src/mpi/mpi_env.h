@@ -5,7 +5,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/exec/engine.h"
@@ -105,14 +104,12 @@ class MpiEnv {
   };
 
   struct Mailbox {
-    std::mutex mu;
     exec::WaitPoint wait_point;  // blocked receivers / senders park here
     std::deque<std::shared_ptr<Message>> messages;
   };
 
   /// Generation-counted reusable barrier over all ranks with clock join.
   struct BarrierState {
-    std::mutex mu;
     exec::WaitPoint wait_point;  // ranks waiting for the release park here
     uint32_t waiting = 0;
     uint64_t generation = 0;
@@ -129,7 +126,6 @@ class MpiEnv {
   const ThreadMode mode_;
   const uint32_t threads_per_rank_;
 
-  std::mutex mailboxes_mu_;
   std::map<std::tuple<int, int, int>, std::unique_ptr<Mailbox>> mailboxes_;
 
   /// Per-rank MPI latch for MPI_THREAD_MULTIPLE (serializes calls in
@@ -140,7 +136,6 @@ class MpiEnv {
   BarrierState alltoall_enter_;
   BarrierState alltoall_exit_;
   std::vector<std::unique_ptr<MpiWindow>> windows_;
-  std::mutex windows_mu_;
 
   // Alltoall exchange area: per-rank buffer pointers for the current round.
   std::vector<const void*> a2a_send_;
@@ -162,7 +157,7 @@ class MpiWindow {
   MpiEnv* const env_;
   const size_t bytes_;
   std::vector<std::unique_ptr<uint8_t[]>> memory_;
-  std::vector<std::unique_ptr<std::atomic<SimTime>>> last_put_arrival_;
+  std::vector<SimTime> last_put_arrival_;
   MpiEnv::BarrierState fence_barrier_;
 };
 

@@ -16,7 +16,6 @@ Node::Node(NodeId id, std::string address, const SimConfig& config)
 Switch::Switch(const SimConfig& config) : config_(config) {}
 
 MulticastGroupId Switch::CreateGroup() {
-  std::lock_guard<std::mutex> lock(mu_);
   const MulticastGroupId id = static_cast<MulticastGroupId>(groups_.size());
   Group g;
   g.resource = std::make_unique<LinkScheduler>(
@@ -26,7 +25,6 @@ MulticastGroupId Switch::CreateGroup() {
 }
 
 Status Switch::JoinGroup(MulticastGroupId group, NodeId node) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (group >= groups_.size()) {
     return Status::NotFound("multicast group " + std::to_string(group));
   }
@@ -38,20 +36,14 @@ Status Switch::JoinGroup(MulticastGroupId group, NodeId node) {
 }
 
 std::vector<NodeId> Switch::GroupMembers(MulticastGroupId group) const {
-  std::lock_guard<std::mutex> lock(mu_);
   DFI_CHECK_LT(group, groups_.size());
   return groups_[group].members;
 }
 
 TransferWindow Switch::ReserveGroup(MulticastGroupId group, SimTime ready,
                                     uint64_t bytes) {
-  LinkScheduler* resource;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    DFI_CHECK_LT(group, groups_.size());
-    resource = groups_[group].resource.get();
-  }
-  return resource->Reserve(ready, bytes);
+  DFI_CHECK_LT(group, groups_.size());
+  return groups_[group].resource->Reserve(ready, bytes);
 }
 
 bool Switch::ShouldDropDelivery(uint64_t key, NodeId target,
@@ -75,10 +67,7 @@ bool Switch::ShouldReorderDelivery(uint64_t key, NodeId target) const {
   return static_cast<double>(h >> 11) * 0x1.0p-53 < std::min(p, 1.0);
 }
 
-size_t Switch::group_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return groups_.size();
-}
+size_t Switch::group_count() const { return groups_.size(); }
 
 Fabric::Fabric(SimConfig config)
     : config_(config), fault_plan_(config_.loss_seed), switch_(config_) {
@@ -86,7 +75,6 @@ Fabric::Fabric(SimConfig config)
 }
 
 StatusOr<NodeId> Fabric::AddNode(const std::string& address) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (by_address_.count(address) != 0) {
     return Status::AlreadyExists("node address " + address);
   }
@@ -118,19 +106,16 @@ std::vector<NodeId> Fabric::AddNodes(size_t n) {
 }
 
 Node& Fabric::node(NodeId id) {
-  std::lock_guard<std::mutex> lock(mu_);
   DFI_CHECK_LT(id, nodes_.size());
   return *nodes_[id];
 }
 
 const Node& Fabric::node(NodeId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
   DFI_CHECK_LT(id, nodes_.size());
   return *nodes_[id];
 }
 
 StatusOr<NodeId> Fabric::ResolveAddress(const std::string& address) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = by_address_.find(address);
   if (it == by_address_.end()) {
     return Status::NotFound("node address " + address);
@@ -138,9 +123,6 @@ StatusOr<NodeId> Fabric::ResolveAddress(const std::string& address) const {
   return it->second;
 }
 
-size_t Fabric::node_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return nodes_.size();
-}
+size_t Fabric::node_count() const { return nodes_.size(); }
 
 }  // namespace dfi::net

@@ -10,10 +10,9 @@
 namespace dfi::net {
 
 void FaultPlan::Append(FaultEvent e) {
-  std::lock_guard<std::mutex> lock(mu_);
   e.seq = events_.size();
   events_.push_back(std::move(e));
-  active_.store(true, std::memory_order_relaxed);
+  active_ = true;
 }
 
 void FaultPlan::CrashNode(NodeId node, SimTime at) {
@@ -21,14 +20,11 @@ void FaultPlan::CrashNode(NodeId node, SimTime at) {
   e.at = at;
   e.type = FaultEventType::kNodeCrash;
   e.node = node;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = crash_time_.find(node);
-    if (it == crash_time_.end()) {
-      crash_time_[node] = at;
-    } else {
-      it->second = std::min(it->second, at);
-    }
+  auto it = crash_time_.find(node);
+  if (it == crash_time_.end()) {
+    crash_time_[node] = at;
+  } else {
+    it->second = std::min(it->second, at);
   }
   Append(std::move(e));
 }
@@ -61,7 +57,7 @@ void FaultPlan::LossBurst(SimTime from, SimTime until, double probability) {
   e.value = probability;
   e.until = until;
   if (probability > 0.0) {
-    has_loss_bursts_.store(true, std::memory_order_relaxed);
+    has_loss_bursts_ = true;
   }
   Append(std::move(e));
 }
@@ -83,14 +79,12 @@ void FaultPlan::Heal(SimTime at) {
 
 bool FaultPlan::NodeAlive(NodeId node, SimTime at) const {
   if (!active()) return true;
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = crash_time_.find(node);
   return it == crash_time_.end() || at < it->second;
 }
 
 SimTime FaultPlan::CrashTime(NodeId node) const {
   if (!active()) return kNever;
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = crash_time_.find(node);
   return it == crash_time_.end() ? kNever : it->second;
 }
@@ -98,7 +92,6 @@ SimTime FaultPlan::CrashTime(NodeId node) const {
 bool FaultPlan::Reachable(NodeId a, NodeId b, SimTime at) const {
   if (a == b) return true;
   if (!active()) return true;
-  std::lock_guard<std::mutex> lock(mu_);
   // Replay partition/heal events up to `at` (plans are short scripts, so a
   // linear replay beats maintaining interval structures).
   bool separated = false;
@@ -120,7 +113,6 @@ bool FaultPlan::Reachable(NodeId a, NodeId b, SimTime at) const {
 double FaultPlan::LinkRateFactor(NodeId node, SimTime at,
                                  double base_gbps) const {
   if (!active()) return 1.0;
-  std::lock_guard<std::mutex> lock(mu_);
   // Latest degrade/restore for this node at or before `at` wins.
   double gbps = base_gbps;
   SimTime latest = -1;
@@ -140,7 +132,6 @@ double FaultPlan::LinkRateFactor(NodeId node, SimTime at,
 
 double FaultPlan::LossBoost(SimTime at) const {
   if (!active()) return 0.0;
-  std::lock_guard<std::mutex> lock(mu_);
   double boost = 0.0;
   for (const FaultEvent& e : events_) {
     if (e.type != FaultEventType::kLossBurst) continue;
@@ -159,7 +150,6 @@ bool FaultPlan::ShouldDropDelivery(uint64_t key, double probability) const {
 }
 
 std::vector<FaultEvent> FaultPlan::Events() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<FaultEvent> out = events_;
   std::sort(out.begin(), out.end(), [](const FaultEvent& a,
                                        const FaultEvent& b) {

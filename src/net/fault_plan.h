@@ -1,10 +1,8 @@
 #ifndef DFI_NET_FAULT_PLAN_H_
 #define DFI_NET_FAULT_PLAN_H_
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -49,8 +47,8 @@ struct FaultEvent {
 ///   - randomized decisions (loss) hash (seed, message key) instead of
 ///     drawing from a shared RNG whose draw order depends on thread timing.
 ///
-/// Schedule all events before starting the workload; queries are
-/// thread-safe and cheap (an inactive plan short-circuits on an atomic).
+/// Schedule all events before starting the workload; queries are cheap (an
+/// inactive plan short-circuits on one flag).
 class FaultPlan {
  public:
   static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
@@ -84,8 +82,8 @@ class FaultPlan {
   // ---- Queries (all pure in virtual time) --------------------------------
 
   /// True once any event has been scheduled; the fast path for fault-free
-  /// runs, which must pay nothing beyond one relaxed atomic load.
-  bool active() const { return active_.load(std::memory_order_relaxed); }
+  /// runs, which must pay nothing beyond one flag test.
+  bool active() const { return active_; }
 
   bool NodeAlive(NodeId node, SimTime at) const;
   /// Virtual crash time of `node`, or kNever.
@@ -104,9 +102,7 @@ class FaultPlan {
   /// True once any loss burst was scheduled (regardless of its window).
   /// Consumers use this to decide whether a stalled head-of-line sequence
   /// can have been lost at all, or is merely still in flight.
-  bool HasLossBursts() const {
-    return has_loss_bursts_.load(std::memory_order_relaxed);
-  }
+  bool HasLossBursts() const { return has_loss_bursts_; }
 
   /// Deterministic Bernoulli(probability) decision for the delivery
   /// identified by `key` (e.g. hash of sequence number and target).
@@ -124,9 +120,8 @@ class FaultPlan {
   void Append(FaultEvent e);
 
   const uint64_t seed_;
-  std::atomic<bool> active_{false};
-  std::atomic<bool> has_loss_bursts_{false};
-  mutable std::mutex mu_;
+  bool active_ = false;
+  bool has_loss_bursts_ = false;
   std::vector<FaultEvent> events_;
   std::unordered_map<NodeId, SimTime> crash_time_;
 };

@@ -19,14 +19,12 @@ LinkScheduler::LinkScheduler(std::string name, double bytes_per_ns)
 TransferWindow LinkScheduler::Reserve(SimTime ready, uint64_t bytes) {
   double ns_per_byte = ns_per_byte_;
   if (rate_probe_) {
-    // Probe outside mu_: the probe may take the fault plan's lock.
     const double factor = std::clamp(rate_probe_(ready), 1e-6, 1.0);
     ns_per_byte /= factor;
   }
   const SimTime duration = static_cast<SimTime>(
       std::llround(static_cast<double>(bytes) * ns_per_byte));
   const SimTime horizon = exec::Engine::Horizon();
-  std::lock_guard<std::mutex> lock(mu_);
   busy_time_ += duration;
   total_bytes_ += bytes;
   // A gap that ends before every actor's next possible action can never
@@ -103,21 +101,6 @@ LinkScheduler::GapMap::iterator LinkScheduler::EraseGap(GapMap::iterator it) {
   it = gaps_.erase(it);
   if (at_finger) finger_ = it;
   return it;
-}
-
-SimTime LinkScheduler::busy_until() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return busy_until_;
-}
-
-uint64_t LinkScheduler::total_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_bytes_;
-}
-
-SimTime LinkScheduler::busy_time() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return busy_time_;
 }
 
 }  // namespace dfi::net

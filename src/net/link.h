@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <memory_resource>
-#include <mutex>
 #include <string>
 
 #include "common/sim_time.h"
@@ -33,8 +32,6 @@ struct TransferWindow {
 /// work-conserving when an actor that ran ahead reserved later times
 /// first. Incast and fan-out bottlenecks emerge from reserving the
 /// corresponding ingress / egress schedulers (DESIGN.md §5).
-///
-/// Thread-safe; called concurrently by all worker threads.
 class LinkScheduler {
  public:
   /// `bytes_per_ns`: capacity (e.g. 12.5 for a 100 Gbps link).
@@ -55,14 +52,14 @@ class LinkScheduler {
   void set_rate_probe(RateProbe probe) { rate_probe_ = std::move(probe); }
 
   /// Virtual time at which the link becomes idle given current reservations.
-  SimTime busy_until() const;
+  SimTime busy_until() const { return busy_until_; }
 
   /// Total bytes ever reserved (conservation-law checks in tests).
-  uint64_t total_bytes() const;
+  uint64_t total_bytes() const { return total_bytes_; }
 
   /// Total virtual time the link was actually occupied (busy time), which
   /// can be less than busy_until() if there were idle gaps.
-  SimTime busy_time() const;
+  SimTime busy_time() const { return busy_time_; }
 
   const std::string& name() const { return name_; }
   double bytes_per_ns() const { return bytes_per_ns_; }
@@ -81,7 +78,6 @@ class LinkScheduler {
   const double bytes_per_ns_;
   RateProbe rate_probe_;
 
-  mutable std::mutex mu_;
   SimTime busy_until_ = 0;
   SimTime busy_time_ = 0;
   uint64_t total_bytes_ = 0;

@@ -31,8 +31,7 @@ struct RpcOutcome {
 /// Virtual-time cost and failure model for small control-plane RPCs over
 /// the emulated fabric. Every answer is a pure function of (fabric config,
 /// fault plan, virtual times, payload sizes) — no hidden state, no RNG —
-/// so the same fault plan yields the same RPC outcomes on every run at any
-/// worker-pool size (the engine's determinism contract).
+/// so the same fault plan yields the same RPC outcomes on every run.
 ///
 /// A null fabric gives the zero-cost loopback used by in-process tests and
 /// the default DfiRuntime: always delivered, always replied, no delay.

@@ -2,7 +2,6 @@
 #define DFI_RDMA_COMPLETION_QUEUE_H_
 
 #include <deque>
-#include <mutex>
 
 #include "common/exec/engine.h"
 #include "common/sim_time.h"
@@ -37,17 +36,11 @@ class CompletionQueue {
 
   /// Versioned-wakeup interface (as RingSync): blocked pollers capture the
   /// version, TryPoll, and park via DeadlineWait::Block when empty.
-  uint64_t version() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return version_;
-  }
+  uint64_t version() const { return version_; }
   exec::WaitPoint& wait_point() { return wait_point_; }
 
  private:
-  bool PopLocked(Completion* c, VirtualClock* clock);
-
   const SimTime poll_cost_ns_;
-  mutable std::mutex mu_;
   exec::WaitPoint wait_point_;
   std::deque<Completion> queue_;
   uint64_t version_ = 0;

@@ -18,9 +18,9 @@ class RdmaEnv;
 /// All verbs are asynchronous from the caller's perspective: posting
 /// charges only the post cost to the caller's virtual clock; the returned
 /// OpTiming carries the virtual arrival/ack milestones computed from the
-/// link schedulers. Data movement is performed eagerly (real memcpy with
-/// DMA ordering semantics, see dma_memory.h) so the memory contents are
-/// always consistent with "the write happened".
+/// link schedulers. Data movement is performed eagerly (a memcpy at post
+/// time) so the memory contents are always consistent with "the write
+/// happened".
 ///
 /// PlanWrite/CommitWrite split one write into timing computation and
 /// execution so the payload may embed its own arrival timestamp (DFI's

@@ -16,7 +16,6 @@ RdmaEnv::RdmaEnv(net::Fabric* fabric) : fabric_(fabric) {
 RdmaEnv::~RdmaEnv() = default;
 
 RdmaContext* RdmaEnv::context(net::NodeId node) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = contexts_.find(node);
   if (it != contexts_.end()) return it->second.get();
   auto ctx = std::make_unique<RdmaContext>(this, node);
@@ -26,19 +25,14 @@ RdmaContext* RdmaEnv::context(net::NodeId node) {
 }
 
 uint32_t RdmaEnv::RegisterMr(uint8_t* base, size_t length, net::NodeId node) {
-  std::lock_guard<std::mutex> lock(mu_);
   const uint32_t rkey = next_rkey_++;
   mrs_[rkey] = MrInfo{base, length, node};
   return rkey;
 }
 
-void RdmaEnv::DeregisterMr(uint32_t rkey) {
-  std::lock_guard<std::mutex> lock(mu_);
-  mrs_.erase(rkey);
-}
+void RdmaEnv::DeregisterMr(uint32_t rkey) { mrs_.erase(rkey); }
 
 StatusOr<MrInfo> RdmaEnv::ResolveMr(uint32_t rkey) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = mrs_.find(rkey);
   if (it == mrs_.end()) {
     return Status::NotFound("rkey " + std::to_string(rkey));
@@ -64,14 +58,12 @@ net::NodeId RdmaEnv::MrNode(uint32_t rkey) const {
 }
 
 uint32_t RdmaEnv::RegisterUdQp(UdQueuePair* qp) {
-  std::lock_guard<std::mutex> lock(mu_);
   const uint32_t qpn = next_qpn_++;
   ud_qps_[qpn] = qp;
   return qpn;
 }
 
 void RdmaEnv::DeregisterUdQp(uint32_t qpn) {
-  std::lock_guard<std::mutex> lock(mu_);
   ud_qps_.erase(qpn);
   for (auto& [group, qps] : group_qps_) {
     std::erase_if(qps, [qpn](UdQueuePair* q) { return q->qpn() == qpn; });
@@ -79,19 +71,16 @@ void RdmaEnv::DeregisterUdQp(uint32_t qpn) {
 }
 
 UdQueuePair* RdmaEnv::FindUdQp(uint32_t qpn) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = ud_qps_.find(qpn);
   return it == ud_qps_.end() ? nullptr : it->second;
 }
 
 void RdmaEnv::AttachToGroup(net::MulticastGroupId group, UdQueuePair* qp) {
-  std::lock_guard<std::mutex> lock(mu_);
   group_qps_[group].push_back(qp);
 }
 
 std::vector<UdQueuePair*> RdmaEnv::GroupQps(
     net::MulticastGroupId group) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = group_qps_.find(group);
   return it == group_qps_.end() ? std::vector<UdQueuePair*>{} : it->second;
 }
@@ -116,7 +105,6 @@ MemoryRegion* RdmaContext::AllocateRegion(size_t bytes) {
   auto region = std::unique_ptr<MemoryRegion>(new MemoryRegion(
       addr, bytes, rkey, node_, std::move(buffer), &node()));
   MemoryRegion* raw = region.get();
-  std::lock_guard<std::mutex> lock(mu_);
   regions_.push_back(std::move(region));
   return raw;
 }
@@ -126,7 +114,6 @@ MemoryRegion* RdmaContext::RegisterRegion(uint8_t* addr, size_t bytes) {
   auto region = std::unique_ptr<MemoryRegion>(
       new MemoryRegion(addr, bytes, rkey, node_, nullptr, &node()));
   MemoryRegion* raw = region.get();
-  std::lock_guard<std::mutex> lock(mu_);
   regions_.push_back(std::move(region));
   return raw;
 }
@@ -134,7 +121,6 @@ MemoryRegion* RdmaContext::RegisterRegion(uint8_t* addr, size_t bytes) {
 CompletionQueue* RdmaContext::CreateCq() {
   auto cq = std::make_unique<CompletionQueue>(config().poll_cq_ns);
   CompletionQueue* raw = cq.get();
-  std::lock_guard<std::mutex> lock(mu_);
   cqs_.push_back(std::move(cq));
   return raw;
 }
@@ -143,7 +129,6 @@ RcQueuePair* RdmaContext::CreateRcQp(net::NodeId remote,
                                      CompletionQueue* send_cq) {
   auto qp = std::make_unique<RcQueuePair>(env_, node_, remote, send_cq);
   RcQueuePair* raw = qp.get();
-  std::lock_guard<std::mutex> lock(mu_);
   rc_qps_.push_back(std::move(qp));
   return raw;
 }
@@ -152,7 +137,6 @@ UdQueuePair* RdmaContext::CreateUdQp(CompletionQueue* send_cq,
                                      CompletionQueue* recv_cq) {
   auto qp = std::make_unique<UdQueuePair>(env_, node_, send_cq, recv_cq);
   UdQueuePair* raw = qp.get();
-  std::lock_guard<std::mutex> lock(mu_);
   ud_qps_.push_back(std::move(qp));
   return raw;
 }

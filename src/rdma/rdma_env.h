@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -65,7 +64,6 @@ class RdmaEnv {
  private:
   net::Fabric* const fabric_;
 
-  mutable std::mutex mu_;
   std::unordered_map<net::NodeId, std::unique_ptr<RdmaContext>> contexts_;
   uint32_t next_rkey_ = 1;
   std::unordered_map<uint32_t, MrInfo> mrs_;
@@ -111,7 +109,6 @@ class RdmaContext {
   RdmaEnv* const env_;
   const net::NodeId node_;
 
-  std::mutex mu_;
   std::vector<std::unique_ptr<MemoryRegion>> regions_;
   std::vector<std::unique_ptr<CompletionQueue>> cqs_;
   std::vector<std::unique_ptr<RcQueuePair>> rc_qps_;

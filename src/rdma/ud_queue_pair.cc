@@ -1,9 +1,9 @@
 #include "rdma/ud_queue_pair.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
-#include "rdma/dma_memory.h"
 #include "rdma/rdma_env.h"
 
 namespace dfi::rdma {
@@ -24,27 +24,22 @@ Status UdQueuePair::AttachMulticast(net::MulticastGroupId group) {
 }
 
 void UdQueuePair::PostRecv(void* buf, uint32_t length, uint64_t wr_id) {
-  std::lock_guard<std::mutex> lock(mu_);
   recv_queue_.push_back(RecvWqe{buf, length, wr_id});
 }
 
 bool UdQueuePair::Deliver(const void* buf, uint32_t length, SimTime arrival,
                           net::NodeId src, uint64_t key) {
-  RecvWqe wqe;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (recv_queue_.empty()) {
-      drops_no_recv_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    wqe = recv_queue_.front();
-    if (length > wqe.length) {
-      drops_no_recv_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    recv_queue_.pop_front();
+  if (recv_queue_.empty()) {
+    ++drops_no_recv_;
+    return false;
   }
-  DmaCopy(wqe.buf, buf, length);
+  const RecvWqe wqe = recv_queue_.front();
+  if (length > wqe.length) {
+    ++drops_no_recv_;
+    return false;
+  }
+  recv_queue_.pop_front();
+  std::memcpy(wqe.buf, buf, length);
   DFI_CHECK(recv_cq_ != nullptr) << "UD delivery on QP without recv CQ";
   const Completion completion{wqe.wr_id, WorkType::kRecv, arrival, length,
                               true, src};
@@ -53,16 +48,13 @@ bool UdQueuePair::Deliver(const void* buf, uint32_t length, SimTime arrival,
   // *behind* it — the receiver observes genuine out-of-order arrival.
   std::optional<Completion> release;
   bool hold = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (held_completion_.has_value()) {
-      release = held_completion_;
-      held_completion_.reset();
-    } else if (env_->fabric().network_switch().ShouldReorderDelivery(key,
-                                                                     local_)) {
-      held_completion_ = completion;
-      hold = true;
-    }
+  if (held_completion_.has_value()) {
+    release = held_completion_;
+    held_completion_.reset();
+  } else if (env_->fabric().network_switch().ShouldReorderDelivery(key,
+                                                                   local_)) {
+    held_completion_ = completion;
+    hold = true;
   }
   if (!hold) recv_cq_->Push(completion);
   if (release.has_value()) recv_cq_->Push(*release);
@@ -188,9 +180,6 @@ StatusOr<OpTiming> UdQueuePair::PostSendMulticast(net::MulticastGroupId group,
   return t;
 }
 
-size_t UdQueuePair::posted_recvs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return recv_queue_.size();
-}
+size_t UdQueuePair::posted_recvs() const { return recv_queue_.size(); }
 
 }  // namespace dfi::rdma

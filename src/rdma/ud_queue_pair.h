@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <optional>
 
 #include "common/sim_time.h"
@@ -86,14 +85,13 @@ class UdQueuePair {
   CompletionQueue* const recv_cq_;
   uint32_t qpn_ = 0;
 
-  mutable std::mutex mu_;
   std::deque<RecvWqe> recv_queue_;
   /// Completion held back by reorder injection; released (after the newer
   /// completion) by the next delivery. A tail-of-flow hold never releases,
   /// which ordered flows absorb through their gap machinery — the same
   /// contract as loss injection.
   std::optional<Completion> held_completion_;
-  std::atomic<uint64_t> drops_no_recv_{0};
+  uint64_t drops_no_recv_ = 0;
 };
 
 }  // namespace dfi::rdma

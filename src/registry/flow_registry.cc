@@ -14,55 +14,48 @@ Status FlowRegistry::Publish(const std::string& name,
 Status FlowRegistry::PublishWithLease(const std::string& name,
                                       std::shared_ptr<FlowStateBase> state,
                                       SimTime lease_expiry) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (flows_.count(name) != 0) {
-      return Status::AlreadyExists("flow '" + name + "'");
-    }
-    Entry entry;
-    entry.state = std::move(state);
-    entry.lease_expiry = lease_expiry;
-    flows_.emplace(name, std::move(entry));
+  if (flows_.count(name) != 0) {
+    return Status::AlreadyExists("flow '" + name + "'");
   }
+  Entry entry;
+  entry.state = std::move(state);
+  entry.lease_expiry = lease_expiry;
+  flows_.emplace(name, std::move(entry));
   exec::BumpProgress();
   return Status::OK();
 }
 
-void FlowRegistry::FailLocked(Entry* entry, const Status& cause) {
+void FlowRegistry::FailEntry(Entry* entry, const Status& cause) {
   entry->failed = true;
   entry->fail_cause =
       cause.ok() ? Status::PeerFailed("flow publisher failed") : cause;
-  // Unwind blocked participants. Abort is idempotent and takes no registry
-  // locks, so calling it under mu_ is safe.
+  // Unwind blocked participants. Abort is idempotent.
   if (entry->state != nullptr) entry->state->Abort(entry->fail_cause);
 }
 
 Status FlowRegistry::RenewLease(const std::string& name, SimTime now,
                                 SimTime new_expiry) {
   bool lapsed = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = flows_.find(name);
-    if (it == flows_.end()) {
-      return Status::NotFound("flow '" + name + "'");
-    }
-    Entry& entry = it->second;
-    if (entry.failed) {
-      return Status::FailedPrecondition("flow '" + name +
-                                        "' already marked failed");
-    }
-    if (entry.lease_expiry != 0 && now >= entry.lease_expiry) {
-      // The heartbeat arrived at or past the expiry: the lease lapsed in
-      // this very tick. Fail the flow here so the outcome is identical
-      // whether the scrubber's MarkExpired(now) ran before or after us.
-      FailLocked(&entry,
-                 Status::PeerFailed("flow '" + name + "' lease expired at " +
-                                    std::to_string(entry.lease_expiry) +
-                                    "ns"));
-      lapsed = true;
-    } else {
-      entry.lease_expiry = new_expiry;
-    }
+  auto it = flows_.find(name);
+  if (it == flows_.end()) {
+    return Status::NotFound("flow '" + name + "'");
+  }
+  Entry& entry = it->second;
+  if (entry.failed) {
+    return Status::FailedPrecondition("flow '" + name +
+                                      "' already marked failed");
+  }
+  if (entry.lease_expiry != 0 && now >= entry.lease_expiry) {
+    // The heartbeat arrived at or past the expiry: the lease lapsed in
+    // this very tick. Fail the flow here so the outcome is identical
+    // whether the scrubber's MarkExpired(now) ran before or after us.
+    FailEntry(&entry,
+               Status::PeerFailed("flow '" + name + "' lease expired at " +
+                                  std::to_string(entry.lease_expiry) +
+                                  "ns"));
+    lapsed = true;
+  } else {
+    entry.lease_expiry = new_expiry;
   }
   if (lapsed) {
     exec::BumpProgress();
@@ -74,33 +67,27 @@ Status FlowRegistry::RenewLease(const std::string& name, SimTime now,
 
 Status FlowRegistry::MarkFailed(const std::string& name,
                                 const Status& cause) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = flows_.find(name);
-    if (it == flows_.end()) {
-      return Status::NotFound("flow '" + name + "'");
-    }
-    if (!it->second.failed) FailLocked(&it->second, cause);
+  auto it = flows_.find(name);
+  if (it == flows_.end()) {
+    return Status::NotFound("flow '" + name + "'");
   }
+  if (!it->second.failed) FailEntry(&it->second, cause);
   exec::BumpProgress();
   return Status::OK();
 }
 
 size_t FlowRegistry::MarkExpired(SimTime now) {
   size_t newly_failed = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [name, entry] : flows_) {
-      if (entry.failed || entry.lease_expiry == 0 ||
-          now < entry.lease_expiry) {
-        continue;
-      }
-      FailLocked(&entry,
-                 Status::PeerFailed("flow '" + name + "' lease expired at " +
-                                    std::to_string(entry.lease_expiry) +
-                                    "ns"));
-      ++newly_failed;
+  for (auto& [name, entry] : flows_) {
+    if (entry.failed || entry.lease_expiry == 0 ||
+        now < entry.lease_expiry) {
+      continue;
     }
+    FailEntry(&entry,
+               Status::PeerFailed("flow '" + name + "' lease expired at " +
+                                  std::to_string(entry.lease_expiry) +
+                                  "ns"));
+    ++newly_failed;
   }
   if (newly_failed > 0) exec::BumpProgress();
   return newly_failed;
@@ -113,7 +100,6 @@ StatusOr<std::shared_ptr<FlowStateBase>> FlowRegistry::Retrieve(
 
 StatusOr<std::shared_ptr<FlowStateBase>> FlowRegistry::Retrieve(
     const std::string& name, SimTime* lease_expiry) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = flows_.find(name);
   if (it == flows_.end()) {
     return Status::NotFound("flow '" + name + "'");
@@ -124,21 +110,15 @@ StatusOr<std::shared_ptr<FlowStateBase>> FlowRegistry::Retrieve(
 }
 
 Status FlowRegistry::Remove(const std::string& name) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = flows_.find(name);
-    if (it == flows_.end()) {
-      return Status::NotFound("flow '" + name + "'");
-    }
-    flows_.erase(it);
+  auto it = flows_.find(name);
+  if (it == flows_.end()) {
+    return Status::NotFound("flow '" + name + "'");
   }
+  flows_.erase(it);
   exec::BumpProgress();
   return Status::OK();
 }
 
-size_t FlowRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return flows_.size();
-}
+size_t FlowRegistry::size() const { return flows_.size(); }
 
 }  // namespace dfi

@@ -2,7 +2,6 @@
 #define DFI_REGISTRY_FLOW_REGISTRY_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 
@@ -103,10 +102,9 @@ class FlowRegistry {
     Status fail_cause;
   };
 
-  /// Marks `entry` failed and aborts its state. Caller holds mu_.
-  static void FailLocked(Entry* entry, const Status& cause);
+  /// Marks `entry` failed and aborts its state.
+  static void FailEntry(Entry* entry, const Status& cause);
 
-  mutable std::mutex mu_;
   std::unordered_map<std::string, Entry> flows_;
 };
 

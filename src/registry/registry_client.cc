@@ -23,8 +23,7 @@ RegistryClient::RegistryClient(RegistryService* service,
 void RegistryClient::SleepUntilVt(SimTime from, SimTime until) {
   if (until > from) {
     // Nobody ever wakes backoff_wp_, so this is a pure virtual-time sleep:
-    // the park returns exactly when the engine floor reaches `until`,
-    // independent of worker-pool size.
+    // the park returns exactly when the scheduler reaches `until`.
     exec::Engine::Park(&backoff_wp_, [] { return false; }, from, until);
   }
   if (clock_) clock_->AdvanceTo(until);
@@ -32,7 +31,6 @@ void RegistryClient::SleepUntilVt(SimTime from, SimTime until) {
 
 void RegistryClient::ObserveEpoch(ShardId shard, Epoch epoch) {
   if (!options_.enable_cache) return;  // epochs only fence the cache
-  std::lock_guard<std::mutex> lock(mu_);
   if (epoch <= shard_epochs_[shard]) return;
   shard_epochs_[shard] = epoch;
   for (auto it = cache_.begin(); it != cache_.end();) {
@@ -51,7 +49,6 @@ Status RegistryClient::CacheLookup(const std::string& name,
   const SimTime now = NowVt();
   const ShardId shard = service_->ShardOf(name);
   const ShardView view = service_->ViewAt(shard, now);
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = cache_.find(name);
   if (it == cache_.end()) {
     ++stats_.cache_misses;
@@ -73,7 +70,6 @@ Status RegistryClient::CacheLookup(const std::string& name,
 void RegistryClient::CacheInsert(const std::string& name, ShardId shard,
                                  const OpResult& r) {
   if (!options_.enable_cache || !r.status.ok() || r.state == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
   CacheEntry e;
   e.state = r.state;
   e.shard = shard;
@@ -84,26 +80,18 @@ void RegistryClient::CacheInsert(const std::string& name, ShardId shard,
 
 void RegistryClient::CacheErase(const std::string& name) {
   if (!options_.enable_cache) return;
-  std::lock_guard<std::mutex> lock(mu_);
   cache_.erase(name);
 }
 
-void RegistryClient::InvalidateCache() {
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_.clear();
-}
+void RegistryClient::InvalidateCache() { cache_.clear(); }
 
-RegistryClientStats RegistryClient::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
+RegistryClientStats RegistryClient::stats() const { return stats_; }
 
 Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
                                          std::vector<OpResult>* results) {
   results->clear();
   if (ops.empty()) return Status::OK();
   ShardConn& conn = *conns_[shard];
-  std::lock_guard<std::mutex> conn_lock(conn.mu);
 
   BatchRequest req;
   req.client_id = options_.client_id;
@@ -128,14 +116,11 @@ Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
       return Status::PeerFailed("registry shard " + std::to_string(shard) +
                                 ": every replica has crashed");
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.rpcs;
-      // Moving to another replica is a failover, whether a redirect or the
-      // view at a later virtual time moved this client.
-      if (conn.last_replica >= 0 && conn.last_replica != req.target_replica) {
-        ++stats_.failovers;
-      }
+    ++stats_.rpcs;
+    // Moving to another replica is a failover, whether a redirect or the
+    // view at a later virtual time moved this client.
+    if (conn.last_replica >= 0 && conn.last_replica != req.target_replica) {
+      ++stats_.failovers;
     }
     conn.last_replica = req.target_replica;
     BatchResult res = service_->Execute(req, now);
@@ -164,10 +149,7 @@ Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
     // Silence: the target was dead, unreachable, or died mid-batch. Back
     // off (capped exponential) and retry at whoever is primary by then —
     // the dedup windows make the retry exactly-once.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.retries;
-    }
+    ++stats_.retries;
     const SimTime observed = std::max(now, res.complete_at);
     const SimTime wake = observed + backoff;
     backoff = std::min(backoff * 2, options_.backoff_cap_ns);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -114,7 +113,6 @@ class RegistryClient {
 
   /// One logical connection to a shard: FIFO, per-client sequence numbers.
   struct ShardConn {
-    std::mutex mu;
     uint64_t next_seq = 0;
     /// Replica the previous batch went to; -1 before the first batch.
     int64_t last_replica = -1;
@@ -136,8 +134,8 @@ class RegistryClient {
   /// Fences the cache with an epoch observed in a reply/view for `shard`.
   void ObserveEpoch(ShardId shard, Epoch epoch);
 
-  /// Deterministic virtual sleep until `until` (engine: parks on a private
-  /// WaitPoint with a timer; thread: no-op beyond the clock charge).
+  /// Deterministic virtual sleep until `until`: parks on a private
+  /// WaitPoint with a timer.
   void SleepUntilVt(SimTime from, SimTime until);
 
   Status CacheLookup(const std::string& name,
@@ -154,7 +152,6 @@ class RegistryClient {
 
   std::vector<std::unique_ptr<ShardConn>> conns_;  // one per shard
 
-  mutable std::mutex mu_;  // cache + epochs + stats
   std::unordered_map<std::string, CacheEntry> cache_;
   std::vector<Epoch> shard_epochs_;  // highest epoch observed per shard
   RegistryClientStats stats_;

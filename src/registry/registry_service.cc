@@ -109,7 +109,7 @@ void RegistryService::RecordEvent(Shard* shard, ShardId shard_id,
   h = HashU64(h ^ (client_id * 0x9e3779b97f4a7c15ull + seq));
   h = HashU64(h ^ ((static_cast<uint64_t>(OpKindChar(op.kind)) << 8) |
                    static_cast<uint64_t>(code)));
-  trace_hash_.fetch_add(h, std::memory_order_relaxed);
+  trace_hash_ += h;
   if (options_.record_trace) {
     RegistryEvent e;
     e.at = at;
@@ -215,7 +215,7 @@ OpResult RegistryService::ApplyWithDedup(Shard* shard, ShardId shard_id,
     // A retry resent an op this shard already has (the crashed primary
     // replicated it before dying, or the reply was lost): return the
     // stored result, apply nothing — the exactly-once guarantee.
-    duplicates_.fetch_add(1, std::memory_order_relaxed);
+    ++duplicates_;
     OpResult r;
     if (window.last_base == request.base_seq &&
         op_index < window.last_results.size()) {
@@ -239,7 +239,7 @@ OpResult RegistryService::ApplyWithDedup(Shard* shard, ShardId shard_id,
   }
   window.last_results.push_back(result);
   window.applied_through = seq + 1;
-  applied_ops_.fetch_add(1, std::memory_order_relaxed);
+  ++applied_ops_;
   RecordEvent(shard, shard_id, epoch, request.ops[op_index],
               request.client_id, seq, result.status.code(), at);
   // Mutations bump the engine progress epoch so parked pollers re-check.
@@ -362,26 +362,23 @@ BatchResult RegistryService::Execute(const BatchRequest& request,
   const SimTime crash_t =
       loop ? net::FaultPlan::kNever
            : fabric_->fault_plan().CrashTime(target_node);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    out.results.reserve(request.ops.size());
-    for (size_t i = 0; i < request.ops.size(); ++i) {
-      const SimTime t_i = t_arrive + per_op * static_cast<SimTime>(i + 1);
-      if (crash_t <= t_i) {
-        // The primary died mid-batch: the prefix it reached is applied and
-        // replicated, the rest is lost, and no reply ever leaves the node.
-        // The client observes silence and retries; the dedup windows turn
-        // that retry into exactly-once.
-        out.results.clear();
-        out.transport = Status::Unavailable(
-            "registry shard " + std::to_string(request.shard) +
-            " primary crashed mid-batch");
-        out.complete_at = std::max(observe_silence, crash_t);
-        return out;
-      }
-      out.results.push_back(ApplyWithDedup(&shard, request.shard, primary,
-                                           request, i, t_i, out.epoch));
+  out.results.reserve(request.ops.size());
+  for (size_t i = 0; i < request.ops.size(); ++i) {
+    const SimTime t_i = t_arrive + per_op * static_cast<SimTime>(i + 1);
+    if (crash_t <= t_i) {
+      // The primary died mid-batch: the prefix it reached is applied and
+      // replicated, the rest is lost, and no reply ever leaves the node.
+      // The client observes silence and retries; the dedup windows turn
+      // that retry into exactly-once.
+      out.results.clear();
+      out.transport = Status::Unavailable(
+          "registry shard " + std::to_string(request.shard) +
+          " primary crashed mid-batch");
+      out.complete_at = std::max(observe_silence, crash_t);
+      return out;
     }
+    out.results.push_back(ApplyWithDedup(&shard, request.shard, primary,
+                                         request, i, t_i, out.epoch));
   }
 
   const SimTime t_done =
@@ -411,7 +408,6 @@ size_t RegistryService::MarkExpired(SimTime now) {
   size_t newly_failed = 0;
   for (uint32_t s = 0; s < options_.num_shards; ++s) {
     Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
     const uint32_t primary = PrimaryIndexAt(s, now);
     for (uint32_t r = 0; r < options_.replication; ++r) {
       if (!NodeAliveAt(ReplicaNode(s, r), now)) continue;
@@ -420,9 +416,8 @@ size_t RegistryService::MarkExpired(SimTime now) {
     }
   }
   if (newly_failed > 0) {
-    trace_hash_.fetch_add(
-        HashU64(static_cast<uint64_t>(now) ^ (newly_failed << 17)),
-        std::memory_order_relaxed);
+    trace_hash_ +=
+        HashU64(static_cast<uint64_t>(now) ^ (newly_failed << 17));
   }
   return newly_failed;
 }
@@ -440,7 +435,6 @@ size_t RegistryService::TotalFlows(SimTime at) const {
 std::vector<RegistryEvent> RegistryService::Events() const {
   std::vector<RegistryEvent> all;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
     all.insert(all.end(), shard->events.begin(), shard->events.end());
   }
   std::sort(all.begin(), all.end(),

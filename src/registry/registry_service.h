@@ -1,11 +1,9 @@
 #ifndef DFI_REGISTRY_REGISTRY_SERVICE_H_
 #define DFI_REGISTRY_REGISTRY_SERVICE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -102,19 +100,13 @@ class RegistryService {
 
   // ---- Determinism instrumentation --------------------------------------
   /// Order-insensitive hash over every applied op (commutative sum of
-  /// per-event hashes): identical across worker-pool sizes whenever the
-  /// workload's per-name writers are single (the engine determinism
-  /// contract), without retaining the event list.
-  uint64_t TraceHash() const {
-    return trace_hash_.load(std::memory_order_relaxed);
-  }
+  /// per-event hashes): identical for any interleaving of the clients
+  /// whenever the workload's per-name writers are single, without
+  /// retaining the event list.
+  uint64_t TraceHash() const { return trace_hash_; }
   /// Applied (non-duplicate) ops and suppressed duplicates, service-wide.
-  uint64_t applied_ops() const {
-    return applied_ops_.load(std::memory_order_relaxed);
-  }
-  uint64_t duplicates_suppressed() const {
-    return duplicates_.load(std::memory_order_relaxed);
-  }
+  uint64_t applied_ops() const { return applied_ops_; }
+  uint64_t duplicates_suppressed() const { return duplicates_; }
   /// The canonical event trace sorted by (at, client, seq); requires
   /// options.record_trace.
   std::vector<RegistryEvent> Events() const;
@@ -144,7 +136,6 @@ class RegistryService {
   };
 
   struct Shard {
-    mutable std::mutex mu;
     std::vector<std::unique_ptr<Replica>> replicas;
     std::vector<RegistryEvent> events;  // iff record_trace
   };
@@ -155,7 +146,7 @@ class RegistryService {
                    SimTime at) const;
 
   /// Applies one op with dedup at the primary and replicates it to live
-  /// backups. Caller holds the shard mutex.
+  /// backups.
   OpResult ApplyWithDedup(Shard* shard, ShardId shard_id, uint32_t primary,
                           const BatchRequest& request, size_t op_index,
                           SimTime at, Epoch epoch);
@@ -172,9 +163,9 @@ class RegistryService {
   const RegistryServiceOptions options_;
   const net::RpcPath path_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> trace_hash_{0};
-  std::atomic<uint64_t> applied_ops_{0};
-  std::atomic<uint64_t> duplicates_{0};
+  uint64_t trace_hash_ = 0;
+  uint64_t applied_ops_ = 0;
+  uint64_t duplicates_ = 0;
 };
 
 }  // namespace dfi::reg

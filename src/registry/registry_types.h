@@ -104,7 +104,7 @@ struct ShardView {
 /// One applied mutation/read in the canonical registry event trace.
 /// (at, client_id, seq) is a total order: sequence numbers are unique per
 /// client and apply times are deterministic in virtual time, so sorting by
-/// this key yields the same trace at every worker-pool size.
+/// this key yields the same trace whatever order the clients ran in.
 struct RegistryEvent {
   SimTime at = 0;
   ShardId shard = 0;

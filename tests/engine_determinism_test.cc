@@ -1,10 +1,8 @@
-// Determinism of the parallel emulation engine: the same seeded workload
-// must produce identical results at worker-pool sizes 1, 2 and 4. Task
-// interleavings DO vary with the pool size — what must not vary is the
-// content the emulation reports: per-channel FIFO delivery sequences,
-// order-insensitive content checksums, completion counts, and the fault
-// plan's event trace. (Virtual *timings* may diverge above one worker; see
-// DESIGN.md §11.)
+// Determinism of the one-thread emulation engine: the same seeded workload
+// run twice must report identical content — per-channel FIFO delivery
+// sequences, order-insensitive content checksums, completion counts, and
+// the fault plan's event trace — and must leave no second OS thread behind
+// (DESIGN.md §11).
 
 #include <array>
 #include <cstring>
@@ -30,7 +28,7 @@ constexpr uint64_t kTuplesPerSource = 4000;
 /// Everything the shuffle workload externally produces. Per-channel
 /// sequence hashes witness FIFO delivery order (deterministic by
 /// construction); target sums witness content independent of the
-/// cross-channel interleave (which legitimately varies with scheduling).
+/// cross-channel interleave.
 struct ShuffleTrace {
   std::map<std::pair<uint32_t, uint32_t>, uint64_t> channel_hash;
   std::array<uint64_t, kTargets> target_tuples{};
@@ -48,13 +46,16 @@ uint64_t HashStep(uint64_t h, uint64_t v) {
   return h;
 }
 
-/// Runs `workload` as the root task of a `workers`-wide engine.
+/// Runs `workload` as the root task of an engine and checks that the run
+/// kept to the calling thread.
 template <typename Fn>
-auto RunOnEngine(uint32_t workers, Fn workload) {
+auto RunOnEngine(Fn workload) {
   decltype(workload()) result;
-  exec::Engine engine({.workers = workers, .lookahead_ns = 1000});
+  exec::Engine engine({.lookahead_ns = 1000});
   engine.Spawn(0, "root", [&] { result = workload(); });
   engine.Run();
+  EXPECT_EQ(exec::ProcessThreadCount(), 1u)
+      << "the workload started an OS thread";
   return result;
 }
 
@@ -133,32 +134,28 @@ ShuffleTrace ShuffleWorkload(uint64_t seed) {
   return trace;
 }
 
-TEST(EngineDeterminismTest, ShuffleTraceIdenticalAcrossPoolSizes) {
+TEST(EngineDeterminismTest, ShuffleTraceIdenticalRunToRun) {
   auto workload = [] { return ShuffleWorkload(/*seed=*/42); };
-  const ShuffleTrace one = RunOnEngine(1, workload);
+  const ShuffleTrace one = RunOnEngine(workload);
   EXPECT_EQ(one.total_tuples, uint64_t{kSources} * kTuplesPerSource);
-  for (uint32_t workers : {2u, 4u}) {
-    EXPECT_TRUE(RunOnEngine(workers, workload) == one)
-        << "engine trace diverged at pool size " << workers;
-  }
+  EXPECT_TRUE(RunOnEngine(workload) == one) << "engine trace diverged";
 }
 
 TEST(EngineDeterminismTest, ShuffleSeedChangesTrace) {
   // Sanity: the fingerprint actually depends on the data.
-  EXPECT_FALSE(RunOnEngine(2, [] { return ShuffleWorkload(1); }) ==
-               RunOnEngine(2, [] { return ShuffleWorkload(2); }));
+  EXPECT_FALSE(RunOnEngine([] { return ShuffleWorkload(1); }) ==
+               RunOnEngine([] { return ShuffleWorkload(2); }));
 }
 
 // ---------------------------------------------------------------------------
 // Adaptive (skew-aware) shuffle determinism
 // ---------------------------------------------------------------------------
 
-/// Witness of an adaptive zipfian shuffle. Work stealing makes *which*
-/// sink thread consumes a segment scheduling-dependent, so the trace
-/// fingerprints channels, not sinks: adaptive routing is a pure function
-/// of each source's own input prefix, hence the (source, target-column)
-/// content — count and an order-insensitive key sum — must be
-/// bit-identical at every pool size.
+/// Witness of an adaptive zipfian shuffle. Work stealing decides *which*
+/// sink thread consumes a segment, so the trace fingerprints channels, not
+/// sinks: adaptive routing is a pure function of each source's own input
+/// prefix, hence the (source, target-column) content — count and an
+/// order-insensitive key sum — must be bit-identical run to run.
 struct AdaptiveTrace {
   std::map<std::pair<uint32_t, uint32_t>, std::pair<uint64_t, uint64_t>>
       channels;  // (src, column) -> (tuples, key sum)
@@ -247,24 +244,21 @@ AdaptiveTrace AdaptiveShuffleWorkload(uint64_t seed) {
   return trace;
 }
 
-TEST(EngineDeterminismTest, AdaptiveShuffleTraceIdenticalAcrossPoolSizes) {
+TEST(EngineDeterminismTest, AdaptiveShuffleTraceIdenticalRunToRun) {
   auto workload = [] { return AdaptiveShuffleWorkload(/*seed=*/42); };
-  const AdaptiveTrace one = RunOnEngine(1, workload);
+  const AdaptiveTrace one = RunOnEngine(workload);
   EXPECT_EQ(one.total_tuples, uint64_t{4} * 4000);
-  for (uint32_t workers : {2u, 4u}) {
-    EXPECT_TRUE(RunOnEngine(workers, workload) == one)
-        << "adaptive trace diverged at pool size " << workers;
-  }
+  EXPECT_TRUE(RunOnEngine(workload) == one) << "adaptive trace diverged";
 }
 
 TEST(EngineDeterminismTest, AdaptiveShuffleSeedChangesTrace) {
-  EXPECT_FALSE(RunOnEngine(1, [] { return AdaptiveShuffleWorkload(1); }) ==
-               RunOnEngine(1, [] { return AdaptiveShuffleWorkload(2); }));
+  EXPECT_FALSE(RunOnEngine([] { return AdaptiveShuffleWorkload(1); }) ==
+               RunOnEngine([] { return AdaptiveShuffleWorkload(2); }));
 }
 
 /// Chaos consensus: scripted leader crash + failover. The run's witnesses —
 /// completion count, resubmission count and the fault plan's canonical
-/// event trace — must be bit-identical at every pool size.
+/// event trace — must be bit-identical run to run.
 struct ChaosTrace {
   uint64_t completed = 0;
   std::string fault_trace;
@@ -294,12 +288,9 @@ ChaosTrace ChaosWorkload() {
   return trace;
 }
 
-TEST(EngineDeterminismTest, ChaosConsensusIdenticalAcrossPoolSizes) {
-  const ChaosTrace one = RunOnEngine(1, ChaosWorkload);
-  for (uint32_t workers : {2u, 4u}) {
-    EXPECT_TRUE(RunOnEngine(workers, ChaosWorkload) == one)
-        << "chaos trace diverged at pool size " << workers;
-  }
+TEST(EngineDeterminismTest, ChaosConsensusIdenticalRunToRun) {
+  const ChaosTrace one = RunOnEngine(ChaosWorkload);
+  EXPECT_TRUE(RunOnEngine(ChaosWorkload) == one) << "chaos trace diverged";
 }
 
 // ---------------------------------------------------------------------------
@@ -310,9 +301,8 @@ TEST(EngineDeterminismTest, ChaosConsensusIdenticalAcrossPoolSizes) {
 /// The pipeline's witnesses: window assignment is a pure function of tuple
 /// content and the combiner folds are commutative, so the full
 /// group -> (COUNT, SUM) content map and the per-subscriber commutative
-/// fingerprints must be identical at every pool size. Row *delivery order*
-/// at the subscribers legitimately varies — the fingerprints are
-/// order-insensitive by construction.
+/// fingerprints must be identical run to run. The fingerprints are
+/// insensitive to row delivery order by construction.
 pipeline::PipelineResult PipelineWorkload(uint64_t seed) {
   pipeline::PipelineConfig cfg;
   cfg.num_nodes = 4;
@@ -331,24 +321,21 @@ pipeline::PipelineResult PipelineWorkload(uint64_t seed) {
   return std::move(*r);
 }
 
-TEST(EngineDeterminismTest, PipelineContentIdenticalAcrossPoolSizes) {
+TEST(EngineDeterminismTest, PipelineContentIdenticalRunToRun) {
   auto workload = [] { return PipelineWorkload(/*seed=*/42); };
-  const pipeline::PipelineResult one = RunOnEngine(1, workload);
+  const pipeline::PipelineResult one = RunOnEngine(workload);
   EXPECT_EQ(one.tuples_ingested, uint64_t{4} * 2 * 2048);
   EXPECT_FALSE(one.windows.empty());
-  for (uint32_t workers : {2u, 4u}) {
-    const pipeline::PipelineResult run = RunOnEngine(workers, workload);
-    EXPECT_EQ(run.windows, one.windows)
-        << "pipeline content diverged at pool size " << workers;
-    EXPECT_EQ(run.fingerprints, one.fingerprints)
-        << "subscriber fingerprints diverged at pool size " << workers;
-    EXPECT_EQ(run.rows_delivered, one.rows_delivered);
-  }
+  const pipeline::PipelineResult run = RunOnEngine(workload);
+  EXPECT_EQ(run.windows, one.windows) << "pipeline content diverged";
+  EXPECT_EQ(run.fingerprints, one.fingerprints)
+      << "subscriber fingerprints diverged";
+  EXPECT_EQ(run.rows_delivered, one.rows_delivered);
 }
 
 TEST(EngineDeterminismTest, PipelineSeedChangesContent) {
-  EXPECT_NE(RunOnEngine(1, [] { return PipelineWorkload(1); }).windows,
-            RunOnEngine(1, [] { return PipelineWorkload(2); }).windows);
+  EXPECT_NE(RunOnEngine([] { return PipelineWorkload(1); }).windows,
+            RunOnEngine([] { return PipelineWorkload(2); }).windows);
 }
 
 }  // namespace

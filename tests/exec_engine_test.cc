@@ -1,18 +1,16 @@
-// Unit tests for the deterministic work-stealing virtual-time engine
-// (src/common/exec): task scheduling order, WaitPoint park/wake, timed
-// parks (DES jumps) and the timer heap, ActorGroup spawn/join, the
-// progress-epoch idle protocol, the aborts that reject actors and blocking
-// waits outside a task, and the state the fiber switch must preserve (stack
+// Unit tests for the one-thread virtual-time engine (src/common/exec): task
+// scheduling order, WaitPoint park/wake, timed parks (DES jumps) and the
+// timer heap, ActorGroup spawn/join, the progress-epoch idle protocol, the
+// aborts that reject actors and blocking waits outside a task and report a
+// stalled run, and the state the fiber switch must preserve (stack
 // alignment, floating-point control, exception unwinding).
 
 #include "common/exec/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cfenv>
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -28,12 +26,13 @@ namespace {
 
 TEST(EngineTest, RunsAllTasks) {
   Engine engine;
-  std::atomic<int> ran{0};
+  int ran = 0;
   for (int i = 0; i < 10; ++i) {
-    engine.Spawn(i, "t", [&] { ran.fetch_add(1); });
+    engine.Spawn(i, "t", [&] { ++ran; });
   }
   engine.Run();
-  EXPECT_EQ(ran.load(), 10);
+  EXPECT_EQ(ran, 10);
+  EXPECT_EQ(ProcessThreadCount(), 1u);  // the run kept to this thread
 }
 
 TEST(EngineTest, CurrentIsNullOutsideAndSetInside) {
@@ -95,22 +94,15 @@ TEST(EngineTest, PaceBoundsRunAheadToLookahead) {
 TEST(EngineTest, ParkAndWakeAll) {
   Engine engine;
   WaitPoint wp;
-  std::mutex mu;
   bool flag = false;
   std::vector<int> order;
   engine.Spawn(0, "waiter", [&] {
-    auto done = [&] {
-      std::lock_guard<std::mutex> lock(mu);
-      return flag;
-    };
+    auto done = [&] { return flag; };
     while (!done()) Engine::Park(&wp, done, 0, Engine::kNoTimer);
     order.push_back(1);
   });
   engine.Spawn(1, "setter", [&] {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      flag = true;
-    }
+    flag = true;
     wp.WakeAll();
     order.push_back(0);
   });
@@ -148,33 +140,34 @@ TEST(EngineTest, TimedParkJumpsVirtualTime) {
 
 TEST(EngineTest, SpawnFromInsideTask) {
   Engine engine;
-  std::atomic<int> ran{0};
+  int ran = 0;
   engine.Spawn(0, "parent", [&] {
-    ran.fetch_add(1);
-    Engine::Current()->Spawn(1, "child", [&] { ran.fetch_add(1); });
+    ++ran;
+    Engine::Current()->Spawn(1, "child", [&] { ++ran; });
   });
   engine.Run();
-  EXPECT_EQ(ran.load(), 2);
+  EXPECT_EQ(ran, 2);
 }
 
-TEST(EngineTest, MultiWorkerCompletesAllTasks) {
-  Engine engine({.workers = 4});
-  std::atomic<int> ran{0};
-  WaitPoint wp;
-  std::atomic<bool> flag{false};
-  for (int i = 0; i < 32; ++i) {
-    engine.Spawn(static_cast<uint32_t>(i % 8), "t", [&] {
-      auto done = [&] { return flag.load(); };
-      while (!done()) Engine::Park(&wp, done, 0, Engine::kNoTimer);
-      ran.fetch_add(1);
-    });
-  }
-  engine.Spawn(99, "setter", [&] {
-    flag.store(true);
-    wp.WakeAll();
-  });
-  engine.Run();
-  EXPECT_EQ(ran.load(), 32);
+TEST(EngineDeathTest, StallNamesEveryParkedTask) {
+  // Both tasks park on wait points nobody can wake and no timer is
+  // pending: the engine knows at once that the run cannot finish and
+  // aborts naming each parked task and its domain.
+  EXPECT_DEATH(
+      {
+        Engine engine;
+        WaitPoint left_wp;
+        WaitPoint right_wp;
+        engine.Spawn(3, "left", [&] {
+          Engine::Park(&left_wp, [] { return false; }, 0, Engine::kNoTimer);
+        });
+        engine.Spawn(5, "right", [&] {
+          Engine::Park(&right_wp, [] { return false; }, 0, Engine::kNoTimer);
+        });
+        engine.Run();
+      },
+      "engine stalled: parked tasks never woken: left \\(domain 3\\) "
+      "right \\(domain 5\\)");
 }
 
 TEST(ActorGroupDeathTest, SpawnOutsideTaskAborts) {
@@ -188,19 +181,18 @@ TEST(ActorGroupDeathTest, SpawnOutsideTaskAborts) {
 }
 
 TEST(ActorGroupTest, SpawnsTasksInsideTask) {
-  Engine engine({.workers = 2});
-  std::atomic<int> ran{0};
+  Engine engine;
+  int ran = 0;
   engine.Spawn(0, "root", [&] {
     ActorGroup group;
     for (int i = 0; i < 8; ++i) {
-      group.Spawn(static_cast<uint32_t>(i), "actor",
-                  [&] { ran.fetch_add(1); });
+      group.Spawn(static_cast<uint32_t>(i), "actor", [&] { ++ran; });
     }
     group.Join();
-    EXPECT_EQ(ran.load(), 8);
+    EXPECT_EQ(ran, 8);
   });
   engine.Run();
-  EXPECT_EQ(ran.load(), 8);
+  EXPECT_EQ(ran, 8);
 }
 
 TEST(ProgressEpochTest, BumpAdvancesAndIdleWaitReturns) {

@@ -52,7 +52,7 @@ TEST(FlowBarrierTest, JoinsClocksAtLatestArrival) {
     barriers.push_back(
         std::make_unique<FlowBarrier>(clients[p].get(), "phase", kN));
   }
-  exec::Engine engine({.workers = 2});
+  exec::Engine engine;
   for (uint32_t p = 0; p < kN; ++p) {
     engine.Spawn(p, "participant", [&, p] {
       clocks[p]->AdvanceTo(arrivals[p]);
@@ -135,7 +135,7 @@ TEST(FlowBarrierTest, ReleasesAcrossPrimaryCrash) {
   FlowBarrier ba(&ca, "sync", 2);
   FlowBarrier bb(&cb, "sync", 2);
 
-  exec::Engine engine({.workers = 2});
+  exec::Engine engine;
   Status sa = Status::Internal("not run"), sb = sa;
   engine.Spawn(0, "a", [&] { sa = ba.Wait(); });
   engine.Spawn(1, "b", [&] {

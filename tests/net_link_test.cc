@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <algorithm>
 #include <vector>
 
 #include "common/exec/engine.h"
@@ -112,22 +112,34 @@ TEST(LinkSchedulerTest, SaturatedLinkRateMatchesCapacity) {
 }
 
 TEST(LinkSchedulerTest, ConcurrentReservationsDoNotOverlap) {
+  // Eight actors take turns: each yields after every reservation, so the
+  // 64 reservations reach the link interleaved.
   LinkScheduler link("l", 1.0);
-  std::vector<std::thread> threads;
   std::vector<TransferWindow> windows(64);
+  exec::Engine engine;
   for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
+    engine.Spawn(static_cast<uint32_t>(t), "reserver", [&, t] {
       for (int i = 0; i < 8; ++i) {
         windows[t * 8 + i] = link.Reserve(0, 10);
+        exec::Engine::Yield(i + 1);
       }
     });
   }
-  for (auto& th : threads) th.join();
+  engine.Run();
+  // Actor 0's second reservation follows the other seven actors' first.
+  EXPECT_EQ(windows[1].start, 80);
   // All 64 windows are 10 ns long and disjoint -> busy time 640.
   EXPECT_EQ(link.busy_time(), 640);
   EXPECT_EQ(link.busy_until(), 640);
-  for (const auto& w : windows) {
-    EXPECT_EQ(w.end - w.start, 10);
+  std::sort(windows.begin(), windows.end(),
+            [](const TransferWindow& a, const TransferWindow& b) {
+              return a.start < b.start;
+            });
+  for (size_t k = 0; k < windows.size(); ++k) {
+    EXPECT_EQ(windows[k].end - windows[k].start, 10);
+    if (k > 0) {
+      EXPECT_GE(windows[k].start, windows[k - 1].end);
+    }
   }
 }
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "rdma/dma_memory.h"
-
 namespace dfi::rdma {
 namespace {
 
@@ -62,28 +60,6 @@ TEST_F(RdmaEnvTest, RegisterCallerMemory) {
   auto p = env_.ResolveRemote(mr->RefAt(0), 512);
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(*p, buffer);
-}
-
-TEST(DmaMemoryTest, CopyPublishesAllBytes) {
-  alignas(8) uint8_t src[64];
-  alignas(8) uint8_t dst[64] = {};
-  for (int i = 0; i < 64; ++i) src[i] = static_cast<uint8_t>(i + 1);
-  DmaCopy(dst, src, 64);
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(dst[i], src[i]);
-  }
-}
-
-TEST(DmaMemoryTest, FlagRoundTrip) {
-  uint8_t flag = 0;
-  StoreDmaFlag(&flag, 3);
-  EXPECT_EQ(LoadDmaFlag(&flag), 3);
-}
-
-TEST(DmaMemoryTest, SingleByteCopy) {
-  uint8_t src = 0xAB, dst = 0;
-  DmaCopy(&dst, &src, 1);
-  EXPECT_EQ(dst, 0xAB);
 }
 
 }  // namespace
