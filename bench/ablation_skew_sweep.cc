@@ -73,7 +73,6 @@ RunStats RunShuffle(const SweepConfig& cfg,
     // every key the sketch can resolve re-split, not just extreme ones.
     spec.options.adaptive.hot_factor = 1.0;
     spec.options.adaptive.epoch_tuples = cfg.epoch_tuples;
-    spec.options.adaptive.max_hot_keys = 8;
     spec.options.adaptive.react_to_backpressure = react_to_backpressure;
   }
   DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));

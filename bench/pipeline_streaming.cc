@@ -19,9 +19,6 @@
 //  3. Skew: zipf 0.99 ingest keys, static vs adaptive shuffle edge —
 //     the graph relays FlowOptions per edge, so the pipeline inherits the
 //     skew resilience of the flow layer.
-//
-// `--smoke` runs a scaled-down configuration for the sanitizer jobs
-// (scripts/run_sanitized.sh).
 
 #include <cinttypes>
 #include <string>
@@ -34,12 +31,10 @@
 namespace dfi::bench {
 namespace {
 
-bool g_smoke = false;
-
 pipeline::PipelineConfig Config() {
   pipeline::PipelineConfig cfg;
-  cfg.num_nodes = g_smoke ? 4 : 8;
-  cfg.tuples_per_source = g_smoke ? 1 << 12 : 1 << 16;
+  cfg.num_nodes = 8;
+  cfg.tuples_per_source = 1 << 16;
   cfg.seed = BenchSeed();
   return cfg;
 }
@@ -72,8 +67,7 @@ uint64_t WindowDigest(const pipeline::PipelineResult& r) {
 void Run() {
   const pipeline::PipelineConfig cfg = Config();
 
-  PrintSection(g_smoke ? "Streaming pipeline, end to end (smoke scale)"
-                       : "Streaming pipeline, end to end (8 nodes)");
+  PrintSection("Streaming pipeline, end to end (8 nodes)");
   // The reported virtual times are bit-identical from run to run (§2).
   pipeline::PipelineResult r = RunEngine(cfg);
   {
@@ -161,14 +155,5 @@ void Run() {
 }  // namespace dfi::bench
 
 int main(int argc, char** argv) {
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") {
-      dfi::bench::g_smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  return dfi::bench::BenchMain(static_cast<int>(args.size()), args.data(),
-                               dfi::bench::Run);
+  return dfi::bench::BenchMain(argc, argv, dfi::bench::Run);
 }

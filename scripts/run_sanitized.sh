@@ -26,11 +26,10 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 # ring/teardown lifetime hazards the sanitizers exist for — rerun its suite
 # standalone with shuffling and repetition.
 "$BUILD/tests/core_endpoint_test" --gtest_repeat=5 --gtest_shuffle
-# The replicated control plane: failover promotion, the exactly-once dedup
-# window, and parked barrier/retrieve waiters are lifetime-prone by
-# construction — rerun both suites shuffled.
+# The replicated control plane: failover promotion and the exactly-once
+# dedup window are lifetime-prone by construction — rerun the suite
+# shuffled.
 "$BUILD/tests/registry_service_test" --gtest_repeat=3 --gtest_shuffle
-"$BUILD/tests/flow_barrier_test" --gtest_repeat=3 --gtest_shuffle
 # Adaptive shuffle: sink-side work stealing shares columns between target
 # actors and hot-key migration rewires routing mid-flow — both are prime
 # lifetime territory, so shake the property suite too.
@@ -53,7 +52,7 @@ fi
 # the multi-stage pipeline (source/window/aggregate/subscriber actors over
 # four flows) under the sanitizer, plus the examples so they can't rot.
 "$BUILD/tests/core_graph_test" --gtest_repeat=3 --gtest_shuffle
-"$BUILD/bench/pipeline_streaming" --smoke
+"$BUILD/bench/pipeline_streaming"
 "$BUILD/examples/quickstart"
 "$BUILD/examples/stream_aggregation"
 "$BUILD/examples/distributed_join"

@@ -575,14 +575,6 @@ void IdleWait(uint64_t seen_epoch) {
                /*now=*/-1, Engine::kNoTimer);
 }
 
-WakeCause IdleWaitUntil(uint64_t seen_epoch, SimTime now, SimTime wake_at) {
-  DFI_CHECK(Engine::Current() != nullptr)
-      << "IdleWaitUntil called outside an engine task";
-  return Engine::Park(&g_idle_point,
-                      [seen_epoch] { return g_progress_epoch != seen_epoch; },
-                      now, wake_at);
-}
-
 size_t ProcessThreadCount() {
   using std::filesystem::directory_iterator;
   return static_cast<size_t>(std::distance(

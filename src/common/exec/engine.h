@@ -150,13 +150,6 @@ void BumpProgress();
 /// task until the epoch moves.
 void IdleWait(uint64_t seen_epoch);
 
-/// Timed IdleWait: parks until the progress epoch moves past `seen_epoch`
-/// or the scheduler reaches `wake_at` (kNotified vs kTimer). `now` reports
-/// the caller's virtual time as in Engine::Park. Used by bounded poll loops
-/// (FlowBarrier::Wait) whose give-up point is a virtual-time deadline
-/// rather than "forever".
-WakeCause IdleWaitUntil(uint64_t seen_epoch, SimTime now, SimTime wake_at);
-
 /// OS threads in this process (the entries of /proc/self/task). The engine
 /// runs every task on the thread that calls Run(), so a count above one
 /// means some code started a thread the emulator does not synchronize.

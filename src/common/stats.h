@@ -28,8 +28,6 @@ class LatencyRecorder {
   int64_t Max();
   double Mean() const;
 
-  void Clear() { samples_.clear(); sorted_ = false; }
-
  private:
   void EnsureSorted();
 

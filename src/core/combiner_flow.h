@@ -15,7 +15,7 @@
 #include "core/nodes.h"
 #include "core/routing.h"
 #include "core/schema.h"
-#include "registry/flow_registry.h"
+#include "registry/registry_types.h"
 #include "rdma/rdma_env.h"
 
 namespace dfi {

@@ -5,6 +5,7 @@
 
 #include "common/exec/engine.h"
 #include "common/sim_time.h"
+#include "common/units.h"
 #include "core/flow_options.h"
 
 namespace dfi {
@@ -17,7 +18,8 @@ namespace dfi {
 /// deadline bounds it. The emulation parks the engine fiber instead of
 /// spinning (see ring_sync.h), so this class keeps the virtual ledger: each
 /// unproductive wakeup accrues the next backoff step into a *provisional*
-/// budget checked against FlowOptions::block_deadline_ns.
+/// budget checked against FlowOptions::block_deadline_ns. The backoff
+/// starts at 2 us and doubles up to 1 ms per round.
 ///
 /// The budget is provisional on purpose: a wait that eventually succeeds
 /// derives its virtual cost from the footer/credit timestamps exactly as
@@ -28,16 +30,13 @@ namespace dfi {
 class DeadlineWait {
  public:
   DeadlineWait(const FlowOptions& options, VirtualClock* clock)
-      : clock_(clock),
-        deadline_ns_(options.block_deadline_ns),
-        backoff_ns_(std::max<SimTime>(1, options.backoff_initial_ns)),
-        cap_ns_(std::max<SimTime>(1, options.backoff_cap_ns)) {}
+      : clock_(clock), deadline_ns_(options.block_deadline_ns) {}
 
   /// Accrues one unproductive poll round. Returns false once the deadline
   /// (if any) is exhausted.
   bool Tick() {
     waited_ns_ += backoff_ns_;
-    backoff_ns_ = std::min(backoff_ns_ * 2, cap_ns_);
+    backoff_ns_ = std::min(backoff_ns_ * 2, kBackoffCapNs);
     return deadline_ns_ == 0 || waited_ns_ < deadline_ns_;
   }
 
@@ -72,10 +71,12 @@ class DeadlineWait {
   }
 
  private:
+  static constexpr SimTime kBackoffInitialNs = 2 * kMicrosecond;
+  static constexpr SimTime kBackoffCapNs = 1 * kMillisecond;
+
   VirtualClock* const clock_;
   const SimTime deadline_ns_;
-  SimTime backoff_ns_;
-  const SimTime cap_ns_;
+  SimTime backoff_ns_ = kBackoffInitialNs;
   SimTime waited_ns_ = 0;
 };
 

@@ -13,8 +13,7 @@ DfiRuntime::DfiRuntime(net::Fabric* fabric)
     : fabric_(fabric),
       rdma_(std::make_unique<rdma::RdmaEnv>(fabric)),
       registry_service_(/*fabric=*/nullptr),  // loopback control plane
-      registry_client_(&registry_service_,
-                       reg::RegistryClientOptions{.enable_cache = false}) {
+      registry_client_(&registry_service_) {
   DFI_CHECK(fabric != nullptr);
 }
 

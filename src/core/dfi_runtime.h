@@ -8,9 +8,9 @@
 #include "common/status.h"
 #include "core/shuffle_flow.h"
 #include "net/fabric.h"
-#include "registry/flow_registry.h"
 #include "registry/registry_client.h"
 #include "registry/registry_service.h"
+#include "registry/registry_types.h"
 #include "rdma/rdma_env.h"
 
 namespace dfi {
@@ -54,9 +54,8 @@ class DfiRuntime {
   /// fabric-placed, replicated deployments construct their own
   /// reg::RegistryService/Client pair (see bench/registry_churn).
   reg::RegistryService& registry_service() { return registry_service_; }
-  /// The runtime's own control-plane client (driver-thread identity; cache
-  /// disabled — a loopback epoch never changes, so cached entries could
-  /// not be fenced after RemoveFlow).
+  /// The runtime's own control-plane client (on no fabric node: no hop
+  /// cost, always reachable).
   reg::RegistryClient& registry_client() { return registry_client_; }
   const net::SimConfig& config() const { return fabric_->config(); }
 

@@ -29,13 +29,6 @@ StealColumn::StealColumn(ChannelMatrix* matrix, uint32_t target_index)
   deferred.assign(n, 0);
 }
 
-bool SinkStealGroup::AllExhausted() {
-  for (StealColumn* col : columns_) {
-    if (!col->AllCursorsExhausted()) return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // FlowSink
 // ---------------------------------------------------------------------------

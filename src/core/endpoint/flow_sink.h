@@ -78,9 +78,6 @@ class SinkStealGroup {
   const std::vector<StealColumn*>& columns() { return columns_; }
   ReadyGate& wake() { return wake_; }
 
-  /// True once every column of the group is fully drained.
-  bool AllExhausted();
-
  private:
   std::vector<StealColumn*> columns_;
   ReadyGate wake_;
@@ -144,7 +141,6 @@ class FlowSink {
     return static_cast<uint32_t>(
         column_ != nullptr ? column_->cursors.size() : cursors_.size());
   }
-  uint32_t exhausted_count() const { return exhausted_count_; }
   /// Work-stealing mode: segments this sink consumed from sibling columns.
   uint64_t stolen_segments() const { return stolen_segments_; }
 

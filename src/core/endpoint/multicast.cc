@@ -6,10 +6,15 @@
 
 #include "common/exec/engine.h"
 #include "common/logging.h"
+#include "common/units.h"
 #include "core/deadline.h"
 
 namespace dfi {
 namespace {
+
+/// Ordered replicate flows: virtual-time gap-detection timeout before a
+/// lost segment is reported or re-requested.
+constexpr SimTime kGapTimeoutNs = 50 * kMicrosecond;
 
 uint32_t RoundUp8(uint32_t v) { return (v + 7u) & ~7u; }
 
@@ -492,7 +497,7 @@ ConsumeResult MulticastSink::ConsumeOrdered(SegmentView* out) {
           !mcast_->LookupHistory(seq_.expected(), &probe)) {
         continue;  // nothing proves a gap yet
       }
-      clock_->Advance(mcast_->options().gap_timeout_ns);
+      clock_->Advance(kGapTimeoutNs);
       out->payload = nullptr;
       out->bytes = 0;
       out->sequence = seq_.expected();  // the missing sequence number
@@ -506,7 +511,7 @@ ConsumeResult MulticastSink::ConsumeOrdered(SegmentView* out) {
     std::vector<uint8_t> copy;
     if (mcast_->LookupHistory(seq_.expected(), &copy)) {
       const net::SimConfig& cfg = *config_;
-      clock_->Advance(mcast_->options().gap_timeout_ns);
+      clock_->Advance(kGapTimeoutNs);
       clock_->Advance(2 * cfg.propagation_ns + cfg.ud_send_overhead_ns +
                       static_cast<SimTime>(mcast_->slot_bytes() /
                                            cfg.LinkBytesPerNs()));

@@ -44,7 +44,6 @@ class MulticastState {
   bool ordered() const { return options_.global_ordering; }
   const FlowOptions& options() const { return options_; }
   uint32_t payload_capacity() const { return payload_capacity_; }
-  uint32_t pool_slots() const { return pool_slots_; }
   uint32_t slot_bytes() const {
     return payload_capacity_ + sizeof(SegmentFooter);
   }

@@ -162,14 +162,14 @@ AdaptivePartitioner::AdaptivePartitioner(
 }
 
 void AdaptivePartitioner::SketchAdd(uint64_t key) {
-  // Misra-Gries: any key with epoch count > epoch_tuples / sketch_counters
+  // Misra-Gries: any key with epoch count > epoch_tuples / kSketchCounters
   // survives with count no more than that margin below its true count.
   auto it = sketch_.find(key);
   if (it != sketch_.end()) {
     ++it->second;
     return;
   }
-  if (sketch_.size() < opts_.sketch_counters) {
+  if (sketch_.size() < kSketchCounters) {
     sketch_.emplace(key, 1);
     return;
   }
@@ -221,7 +221,7 @@ void AdaptivePartitioner::EndEpoch() {
   }
 
   // Promote this epoch's heavy hitters, hottest first (key ascending as a
-  // deterministic tie-break), bounded by max_hot_keys.
+  // deterministic tie-break), bounded by kMaxHotKeys.
   std::vector<std::pair<uint64_t, uint64_t>> candidates;  // (count, key)
   for (const auto& [key, count] : sketch_) {
     if (static_cast<double>(count) >= threshold && hot_.count(key) == 0) {
@@ -234,7 +234,7 @@ void AdaptivePartitioner::EndEpoch() {
               return a.second < b.second;
             });
   for (const auto& [count, key] : candidates) {
-    if (hot_.size() >= opts_.max_hot_keys) break;
+    if (hot_.size() >= kMaxHotKeys) break;
     const uint32_t home = HomeTarget(key);
     if (siblings_[home].size() < 2) continue;  // nothing to re-split over
     HotKey hk;

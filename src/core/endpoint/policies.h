@@ -154,7 +154,6 @@ class AdaptivePartitioner {
   uint32_t HomeTarget(uint64_t key) const {
     return static_cast<uint32_t>(mod_.Mod(HashU64(key)));
   }
-  bool IsHot(uint64_t key) const { return hot_.count(key) != 0; }
 
   // Observability for tests and benches.
   uint64_t promotions() const { return promotions_; }
@@ -164,6 +163,13 @@ class AdaptivePartitioner {
   uint64_t diverted_tuples() const { return diverted_tuples_; }
 
  private:
+  /// Counters in the Misra-Gries frequency sketch. Bounds the number of
+  /// distinct keys tracked per epoch; 64 counters resolve any key with
+  /// > ~1.6% share of an epoch.
+  static constexpr size_t kSketchCounters = 64;
+  /// Upper bound on simultaneously hot keys.
+  static constexpr size_t kMaxHotKeys = 8;
+
   struct HotKey {
     /// Sibling targets (home node's target threads, home first).
     std::vector<uint32_t> spread;
@@ -194,7 +200,7 @@ class AdaptivePartitioner {
   /// target -> sibling targets on the same node (includes itself, home
   /// first, matrix order otherwise).
   std::vector<std::vector<uint32_t>> siblings_;
-  /// Misra-Gries summary of the current epoch (<= sketch_counters keys).
+  /// Misra-Gries summary of the current epoch (<= kSketchCounters keys).
   std::unordered_map<uint64_t, uint64_t> sketch_;
   std::unordered_map<uint64_t, HotKey> hot_;
   uint64_t epoch_ = 0;

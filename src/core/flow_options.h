@@ -33,11 +33,6 @@ struct AdaptiveShuffleOptions {
   /// ShuffleTarget sinks on the same node form a work-stealing group.
   bool enabled = false;
 
-  /// Counters in the per-source Misra-Gries frequency sketch. Bounds the
-  /// number of distinct keys tracked per epoch; 64 counters resolve any
-  /// key with > ~1.6% share of an epoch.
-  uint32_t sketch_counters = 64;
-
   /// Tuples per detection epoch. At every epoch boundary the sketch is
   /// evaluated: keys promoted to / demoted from the hot set, sketch reset.
   uint32_t epoch_tuples = 4096;
@@ -47,21 +42,13 @@ struct AdaptiveShuffleOptions {
   /// Demotion uses half this threshold for hysteresis.
   double hot_factor = 4.0;
 
-  /// Upper bound on simultaneously hot keys per source.
-  uint32_t max_hot_keys = 8;
-
   /// Sequencer-compatible hand-off: hot keys are re-homed (one owner at a
   /// time, old channel flushed before the switch) instead of round-robin
-  /// re-split, so per-(source, key) order is preserved end to end. Work
-  /// stealing is disabled in this mode — a stolen segment would reorder
+  /// re-split, so per-(source, key) order is preserved end to end. Without
+  /// it, target threads on the same node steal each other's delivered
+  /// segments; with it they do not — a stolen segment would reorder
   /// app-level processing across sink threads.
   bool ordered_handoff = false;
-
-  /// Target-side work stealing between sink threads on the same node.
-  /// Per-channel consumption stays serialized (FIFO within a channel), so
-  /// content and order per channel remain deterministic; which sink thread
-  /// consumed a segment is scheduling-dependent.
-  bool work_stealing = true;
 
   /// React to per-target backpressure (queue-depth saturation) by
   /// diverting traffic from a saturated target to same-node siblings.
@@ -101,10 +88,6 @@ struct FlowOptions {
   /// tuples in the same order (OUM; paper sections 4.2.2 / 5.4).
   bool global_ordering = false;
 
-  /// Ordered replicate flows: virtual-time gap-detection timeout before a
-  /// lost segment is reported / re-requested.
-  SimTime gap_timeout_ns = 50 * kMicrosecond;
-
   /// Ordered replicate flows: if true, gaps are surfaced to the application
   /// on consume() instead of triggering transparent retransmission — the
   /// NOPaxos use case drives its gap-agreement protocol this way (paper
@@ -121,14 +104,6 @@ struct FlowOptions {
   /// (FlowEndpoint / FlowSink, src/core/endpoint/) enforces it for
   /// shuffle, replicate and combiner alike.
   SimTime block_deadline_ns = 0;
-
-  /// Capped exponential backoff charged (in virtual time) per unproductive
-  /// re-poll while blocked — the emulation analogue of polling a remote
-  /// footer with increasing delay. Only error paths commit this charge to
-  /// the clock; successful waits keep deriving their cost from footer
-  /// timestamps, leaving the fault-free performance model untouched.
-  SimTime backoff_initial_ns = 2 * kMicrosecond;
-  SimTime backoff_cap_ns = 1 * kMillisecond;
 
   /// Skew adaptation (shuffle flows only; ignored elsewhere).
   AdaptiveShuffleOptions adaptive;

@@ -492,32 +492,4 @@ StatusOr<std::unique_ptr<ShuffleTarget>> GraphRun::ClaimShuffleTarget(
   return std::make_unique<ShuffleTarget>(edges_[e].shuffle, worker);
 }
 
-StatusOr<std::unique_ptr<ReplicateSource>> GraphRun::ClaimReplicateSource(
-    const std::string& edge, uint32_t worker) {
-  DFI_ASSIGN_OR_RETURN(int e,
-                       CheckClaim(edge, EdgeKind::kReplicate, worker, true));
-  return std::make_unique<ReplicateSource>(edges_[e].replicate, worker);
-}
-
-StatusOr<std::unique_ptr<ReplicateTarget>> GraphRun::ClaimReplicateTarget(
-    const std::string& edge, uint32_t worker) {
-  DFI_ASSIGN_OR_RETURN(int e,
-                       CheckClaim(edge, EdgeKind::kReplicate, worker, false));
-  return std::make_unique<ReplicateTarget>(edges_[e].replicate, worker);
-}
-
-StatusOr<std::unique_ptr<CombinerSource>> GraphRun::ClaimCombinerSource(
-    const std::string& edge, uint32_t worker) {
-  DFI_ASSIGN_OR_RETURN(int e,
-                       CheckClaim(edge, EdgeKind::kCombiner, worker, true));
-  return std::make_unique<CombinerSource>(edges_[e].combiner, worker);
-}
-
-StatusOr<std::unique_ptr<CombinerTarget>> GraphRun::ClaimCombinerTarget(
-    const std::string& edge, uint32_t worker) {
-  DFI_ASSIGN_OR_RETURN(int e,
-                       CheckClaim(edge, EdgeKind::kCombiner, worker, false));
-  return std::make_unique<CombinerTarget>(edges_[e].combiner, worker);
-}
-
 }  // namespace dfi::graph

@@ -58,14 +58,6 @@ class GraphRun {
       const std::string& edge, uint32_t worker);
   StatusOr<std::unique_ptr<ShuffleTarget>> ClaimShuffleTarget(
       const std::string& edge, uint32_t worker);
-  StatusOr<std::unique_ptr<ReplicateSource>> ClaimReplicateSource(
-      const std::string& edge, uint32_t worker);
-  StatusOr<std::unique_ptr<ReplicateTarget>> ClaimReplicateTarget(
-      const std::string& edge, uint32_t worker);
-  StatusOr<std::unique_ptr<CombinerSource>> ClaimCombinerSource(
-      const std::string& edge, uint32_t worker);
-  StatusOr<std::unique_ptr<CombinerTarget>> ClaimCombinerTarget(
-      const std::string& edge, uint32_t worker);
 
   // ---- Observability ------------------------------------------------------
   /// Post-Finish per-vertex totals, summed over the vertex's workers.

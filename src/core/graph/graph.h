@@ -34,7 +34,7 @@ enum class OpKind : uint8_t {
   kAggregate,  ///< target side of a combiner edge; re-emits AggRows
   kJoin,       ///< built-in streaming radix join over two shuffle edges
   kSink,       ///< consumes tuples (tuple_sink) or agg rows (agg_sink)
-  kCustom,     ///< application claims the endpoints (GraphRun::Claim*)
+  kCustom,     ///< application claims shuffle endpoints (GraphRun::Claim*)
 };
 
 const char* OpKindName(OpKind kind);

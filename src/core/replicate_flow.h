@@ -16,7 +16,7 @@
 #include "core/flow_options.h"
 #include "core/nodes.h"
 #include "core/schema.h"
-#include "registry/flow_registry.h"
+#include "registry/registry_types.h"
 #include "rdma/rdma_env.h"
 
 namespace dfi {
@@ -79,8 +79,6 @@ class ReplicateFlowState : public FlowStateBase {
   /// latch on their next poll slice. First cause wins.
   void Abort(const Status& cause) override;
   bool aborted() const { return latch_.tripped(); }
-  /// The teardown cause (OK when not aborted).
-  Status abort_status() const { return latch_.status(); }
 
  private:
   const ReplicateFlowSpec spec_;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/hash.h"
-#include "common/logging.h"
 #include "core/schema.h"
 
 namespace dfi {
@@ -18,9 +17,9 @@ namespace dfi {
 using RoutingFn = std::function<uint32_t(TupleView, uint32_t num_targets)>;
 
 /// Reads a packed key of `size` bytes as an unsigned 64-bit value
-/// (zero-extended); wide (kChar) keys are hashed. Split out of
-/// ReadKeyAsU64 so batch partitioners can hoist the offset/size lookup out
-/// of their inner loop.
+/// (zero-extended); wide (kChar) keys are hashed. Takes the key's bytes
+/// and size rather than a tuple so batch partitioners can hoist the
+/// offset/size lookup out of their inner loop.
 inline uint64_t ReadKeyBytes(const uint8_t* p, size_t size) {
   switch (size) {
     case 1:
@@ -44,14 +43,6 @@ inline uint64_t ReadKeyBytes(const uint8_t* p, size_t size) {
       // Wide (kChar) keys: hash the bytes.
       return HashBytes(p, size);
   }
-}
-
-/// Reads a tuple's key field as an unsigned 64-bit value regardless of the
-/// field's declared width (zero-extended).
-inline uint64_t ReadKeyAsU64(TupleView tuple, size_t field_index) {
-  const Schema& schema = *tuple.schema();
-  return ReadKeyBytes(tuple.FieldPtr(field_index),
-                      schema.field_size(field_index));
 }
 
 /// Routing strategy of a shuffle flow. The two builtin partitioners
@@ -106,42 +97,6 @@ class RoutingSpec {
   /// The wrapped function; only valid for kGeneric.
   const RoutingFn& generic_fn() const { return fn_; }
 
-  /// Materializes a per-tuple callable for any kind — the tuple-at-a-time
-  /// path and the batch fallback for kGeneric use this.
-  RoutingFn MakeFn() const {
-    switch (kind_) {
-      case Kind::kKeyHash: {
-        const size_t key = key_field_index_;
-        // The modulo divisor is loop-invariant in practice (one flow, one
-        // target count), so memoize its magic number; results are
-        // bit-identical to `% num_targets`.
-        return [key, mod = FastDivisor()](TupleView tuple,
-                                          uint32_t num_targets) mutable {
-          if (mod.divisor() != num_targets) mod = FastDivisor(num_targets);
-          return static_cast<uint32_t>(
-              mod.Mod(HashU64(ReadKeyAsU64(tuple, key))));
-        };
-      }
-      case Kind::kRadix: {
-        const size_t key = key_field_index_;
-        const uint32_t shift = shift_;
-        const uint32_t bits = bits_;
-        return [key, shift, bits](TupleView tuple, uint32_t num_targets) {
-          const uint32_t part =
-              RadixBits(ReadKeyAsU64(tuple, key), shift, bits);
-          DFI_DCHECK(part < num_targets);
-          (void)num_targets;
-          return part;
-        };
-      }
-      case Kind::kGeneric:
-        return fn_;
-      case Kind::kUnset:
-        break;
-    }
-    return nullptr;
-  }
-
  private:
   Kind kind_ = Kind::kUnset;
   size_t key_field_index_ = 0;
@@ -159,8 +114,8 @@ inline RoutingSpec KeyHashRouting(size_t key_field_index) {
 /// Radix-hash partition routing over `bits` bits starting at `shift`
 /// (paper section 4.3.1 — the distributed radix join's routing function).
 /// The partition must already lie in [0, num_targets); out-of-range
-/// partitions are a routing-function bug surfaced by the DFI_DCHECK (and by
-/// the range check in ShuffleSource) rather than silently wrapped.
+/// partitions are a routing-function bug surfaced by the push path's range
+/// check (kOutOfRange) rather than silently wrapped.
 /// Recognized by the batch push path.
 inline RoutingSpec RadixRouting(size_t key_field_index, uint32_t shift,
                                 uint32_t bits) {

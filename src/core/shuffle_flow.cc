@@ -30,8 +30,7 @@ ShuffleFlowState::ShuffleFlowState(ShuffleFlowSpec spec, rdma::RdmaEnv* env)
   // (a stolen segment would reorder app-level per-key processing across
   // sink threads).
   const AdaptiveShuffleOptions& adaptive = spec_.options.adaptive;
-  if (adaptive.enabled && adaptive.work_stealing &&
-      !adaptive.ordered_handoff) {
+  if (adaptive.enabled && !adaptive.ordered_handoff) {
     steal_columns_.reserve(num_targets());
     group_of_target_.resize(num_targets());
     std::vector<net::NodeId> group_nodes;

@@ -16,7 +16,7 @@
 #include "core/nodes.h"
 #include "core/routing.h"
 #include "core/schema.h"
-#include "registry/flow_registry.h"
+#include "registry/registry_types.h"
 #include "rdma/rdma_env.h"
 
 namespace dfi {
@@ -72,8 +72,8 @@ class ShuffleFlowState : public FlowStateBase {
     return target_nodes_;
   }
 
-  /// Work-stealing plane (adaptive shuffles with work_stealing on and
-  /// ordered_handoff off): one shared column per target, grouped per node.
+  /// Work-stealing plane (adaptive shuffles with ordered_handoff off): one
+  /// shared column per target, grouped per node.
   /// Null when the flow runs the exclusive-sink path.
   StealColumn* steal_column(uint32_t target) const {
     return steal_columns_.empty() ? nullptr : steal_columns_[target].get();

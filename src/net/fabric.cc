@@ -67,8 +67,6 @@ bool Switch::ShouldReorderDelivery(uint64_t key, NodeId target) const {
   return static_cast<double>(h >> 11) * 0x1.0p-53 < std::min(p, 1.0);
 }
 
-size_t Switch::group_count() const { return groups_.size(); }
-
 Fabric::Fabric(SimConfig config)
     : config_(config), fault_plan_(config_.loss_seed), switch_(config_) {
   switch_.set_fault_plan(&fault_plan_);

@@ -85,8 +85,6 @@ class Switch {
 
   void set_fault_plan(const FaultPlan* plan) { fault_plan_ = plan; }
 
-  size_t group_count() const;
-
  private:
   struct Group {
     std::unique_ptr<LinkScheduler> resource;

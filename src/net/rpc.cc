@@ -25,49 +25,4 @@ SimTime RpcPath::HopNs(NodeId from, NodeId to, SimTime at,
   return cfg.propagation_ns + cfg.nic_process_ns + wire_ns;
 }
 
-RpcOutcome RpcPath::RoundTrip(NodeId from, NodeId to, SimTime start,
-                              SimTime serve_ns, uint32_t request_bytes,
-                              uint32_t reply_bytes) const {
-  RpcOutcome out;
-  if (fabric_ == nullptr) {
-    out.delivered = true;
-    out.replied = true;
-    out.request_arrive = start;
-    out.complete_at = start + serve_ns;
-    return out;
-  }
-  const FaultPlan& plan = fabric_->fault_plan();
-  const SimTime req_hop = HopNs(from, to, start, request_bytes);
-  const SimTime t_arrive = start + req_hop;
-  // Silence is observed after one full probe round trip, whatever went
-  // wrong on the far side.
-  const SimTime observe_silence = start + 2 * req_hop;
-  if (plan.active() && (!plan.NodeAlive(to, t_arrive) ||
-                        !plan.Reachable(from, to, t_arrive))) {
-    out.complete_at = observe_silence;
-    out.error = Status::Unavailable("rpc target node " + std::to_string(to) +
-                                    " dead or unreachable");
-    return out;
-  }
-  out.delivered = true;
-  out.request_arrive = t_arrive;
-  const SimTime t_served = t_arrive + serve_ns;
-  if (plan.active() && !plan.NodeAlive(to, t_served)) {
-    out.complete_at = std::max(observe_silence, t_served);
-    out.error = Status::Unavailable("rpc target node " + std::to_string(to) +
-                                    " crashed mid-service");
-    return out;
-  }
-  const SimTime reply_hop = HopNs(to, from, t_served, reply_bytes);
-  const SimTime t_reply = t_served + reply_hop;
-  if (plan.active() && !plan.Reachable(to, from, t_served)) {
-    out.complete_at = std::max(observe_silence, t_served);
-    out.error = Status::Unavailable("rpc reply path partitioned");
-    return out;
-  }
-  out.replied = true;
-  out.complete_at = t_reply;
-  return out;
-}
-
 }  // namespace dfi::net

@@ -33,9 +33,6 @@ class RcQueuePair {
   RcQueuePair(const RcQueuePair&) = delete;
   RcQueuePair& operator=(const RcQueuePair&) = delete;
 
-  net::NodeId local_node() const { return local_; }
-  net::NodeId remote_node() const { return remote_; }
-
   /// QP error-state check against the fabric's fault plan: kPeerFailed if,
   /// at virtual time `at`, either endpoint has crashed or a partition
   /// separates them. Verbs posted on a failed connection do not vanish —
@@ -68,9 +65,6 @@ class RcQueuePair {
   StatusOr<uint64_t> FetchAdd(const RemoteRef& remote, uint64_t add,
                               VirtualClock* clock);
 
-  uint64_t writes_posted() const { return writes_posted_; }
-  uint64_t reads_posted() const { return reads_posted_; }
-
  private:
   /// Virtual round-trip of a small request with a `response_bytes` payload
   /// coming back. Shared by READ and FETCH_ADD.
@@ -80,8 +74,6 @@ class RcQueuePair {
   const net::NodeId local_;
   const net::NodeId remote_;
   CompletionQueue* const send_cq_;
-  uint64_t writes_posted_ = 0;
-  uint64_t reads_posted_ = 0;
 };
 
 }  // namespace dfi::rdma

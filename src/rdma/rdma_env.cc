@@ -52,11 +52,6 @@ StatusOr<uint8_t*> RdmaEnv::ResolveRemote(const RemoteRef& ref,
   return info.base + ref.offset;
 }
 
-net::NodeId RdmaEnv::MrNode(uint32_t rkey) const {
-  auto info = ResolveMr(rkey);
-  return info.ok() ? info->node : net::kInvalidNode;
-}
-
 uint32_t RdmaEnv::RegisterUdQp(UdQueuePair* qp) {
   const uint32_t qpn = next_qpn_++;
   ud_qps_[qpn] = qp;

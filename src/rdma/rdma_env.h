@@ -52,7 +52,6 @@ class RdmaEnv {
   StatusOr<MrInfo> ResolveMr(uint32_t rkey) const;
   /// Resolves a RemoteRef to a raw pointer, checking bounds.
   StatusOr<uint8_t*> ResolveRemote(const RemoteRef& ref, uint32_t length) const;
-  net::NodeId MrNode(uint32_t rkey) const;
 
   /// UD directory ---------------------------------------------------------
   uint32_t RegisterUdQp(UdQueuePair* qp);

@@ -180,6 +180,4 @@ StatusOr<OpTiming> UdQueuePair::PostSendMulticast(net::MulticastGroupId group,
   return t;
 }
 
-size_t UdQueuePair::posted_recvs() const { return recv_queue_.size(); }
-
 }  // namespace dfi::rdma

@@ -58,7 +58,6 @@ class UdQueuePair {
                                        uint64_t wr_id, bool signaled,
                                        VirtualClock* clock);
 
-  size_t posted_recvs() const;
   uint64_t drops_no_recv() const { return drops_no_recv_; }
 
  private:

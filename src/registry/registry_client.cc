@@ -6,6 +6,25 @@
 #include "common/logging.h"
 
 namespace dfi::reg {
+namespace {
+
+Op MakeOp(OpKind kind, const std::string& name,
+          std::shared_ptr<FlowStateBase> state = nullptr) {
+  Op op;
+  op.kind = kind;
+  op.name = name;
+  op.state = std::move(state);
+  return op;
+}
+
+std::vector<Op> NamedOps(OpKind kind, const std::vector<std::string>& names) {
+  std::vector<Op> ops;
+  ops.reserve(names.size());
+  for (const std::string& name : names) ops.push_back(MakeOp(kind, name));
+  return ops;
+}
+
+}  // namespace
 
 RegistryClient::RegistryClient(RegistryService* service,
                                RegistryClientOptions options,
@@ -17,7 +36,6 @@ RegistryClient::RegistryClient(RegistryService* service,
   for (uint32_t s = 0; s < shards; ++s) {
     conns_.push_back(std::make_unique<ShardConn>());
   }
-  shard_epochs_.assign(shards, 1);
 }
 
 void RegistryClient::SleepUntilVt(SimTime from, SimTime until) {
@@ -28,64 +46,6 @@ void RegistryClient::SleepUntilVt(SimTime from, SimTime until) {
   }
   if (clock_) clock_->AdvanceTo(until);
 }
-
-void RegistryClient::ObserveEpoch(ShardId shard, Epoch epoch) {
-  if (!options_.enable_cache) return;  // epochs only fence the cache
-  if (epoch <= shard_epochs_[shard]) return;
-  shard_epochs_[shard] = epoch;
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->second.shard == shard && it->second.epoch < epoch) {
-      it = cache_.erase(it);
-      ++stats_.cache_invalidations;
-    } else {
-      ++it;
-    }
-  }
-}
-
-Status RegistryClient::CacheLookup(const std::string& name,
-                                   std::shared_ptr<FlowStateBase>* state) {
-  if (!options_.enable_cache) return Status::NotFound("cache disabled");
-  const SimTime now = NowVt();
-  const ShardId shard = service_->ShardOf(name);
-  const ShardView view = service_->ViewAt(shard, now);
-  auto it = cache_.find(name);
-  if (it == cache_.end()) {
-    ++stats_.cache_misses;
-    return Status::NotFound("not cached");
-  }
-  const CacheEntry& e = it->second;
-  if (e.epoch != view.epoch ||
-      (e.lease_expiry != 0 && now >= e.lease_expiry)) {
-    cache_.erase(it);
-    ++stats_.cache_invalidations;
-    ++stats_.cache_misses;
-    return Status::NotFound("cache entry fenced");
-  }
-  ++stats_.cache_hits;
-  *state = e.state;
-  return Status::OK();
-}
-
-void RegistryClient::CacheInsert(const std::string& name, ShardId shard,
-                                 const OpResult& r) {
-  if (!options_.enable_cache || !r.status.ok() || r.state == nullptr) return;
-  CacheEntry e;
-  e.state = r.state;
-  e.shard = shard;
-  e.epoch = shard_epochs_[shard];
-  e.lease_expiry = r.lease_expiry;
-  cache_[name] = std::move(e);
-}
-
-void RegistryClient::CacheErase(const std::string& name) {
-  if (!options_.enable_cache) return;
-  cache_.erase(name);
-}
-
-void RegistryClient::InvalidateCache() { cache_.clear(); }
-
-RegistryClientStats RegistryClient::stats() const { return stats_; }
 
 Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
                                          std::vector<OpResult>* results) {
@@ -125,7 +85,6 @@ Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
     conn.last_replica = req.target_replica;
     BatchResult res = service_->Execute(req, now);
     if (res.transport.ok() && !res.wrong_primary) {
-      ObserveEpoch(shard, res.epoch);
       if (clock_) clock_->AdvanceTo(res.complete_at);
       *results = std::move(res.results);
       return Status::OK();
@@ -134,7 +93,6 @@ Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
       // A live non-primary answered with a redirect: refresh the view and
       // retry at the primary immediately (the redirect already cost a
       // round trip; no backoff).
-      ObserveEpoch(shard, res.epoch);
       now = std::max(now, res.complete_at);
       view = service_->ViewAt(shard, now);
       req.target_replica = view.primary;
@@ -195,175 +153,53 @@ StatusOr<std::vector<OpResult>> RegistryClient::ExecuteOps(
   return out;
 }
 
-Status RegistryClient::Publish(const std::string& name,
-                               std::shared_ptr<FlowStateBase> state) {
-  return PublishWithLease(name, std::move(state), 0);
-}
-
-Status RegistryClient::PublishWithLease(const std::string& name,
-                                        std::shared_ptr<FlowStateBase> state,
-                                        SimTime lease_expiry) {
-  Op op;
-  op.kind = OpKind::kPublish;
-  op.name = name;
-  op.state = std::move(state);
-  op.lease_expiry = lease_expiry;
+StatusOr<OpResult> RegistryClient::ExecuteOne(Op op) {
+  const ShardId shard = service_->ShardOf(op.name);
   std::vector<Op> ops;
   ops.push_back(std::move(op));
   std::vector<OpResult> results;
-  DFI_RETURN_IF_ERROR(
-      ExecuteShardBatch(service_->ShardOf(name), std::move(ops), &results));
-  return results[0].status;
+  DFI_RETURN_IF_ERROR(ExecuteShardBatch(shard, std::move(ops), &results));
+  return std::move(results[0]);
+}
+
+Status RegistryClient::Publish(const std::string& name,
+                               std::shared_ptr<FlowStateBase> state) {
+  DFI_ASSIGN_OR_RETURN(
+      OpResult r, ExecuteOne(MakeOp(OpKind::kPublish, name, std::move(state))));
+  return r.status;
 }
 
 StatusOr<std::shared_ptr<FlowStateBase>> RegistryClient::Retrieve(
     const std::string& name) {
-  std::shared_ptr<FlowStateBase> cached;
-  if (CacheLookup(name, &cached).ok()) return cached;
-  Op op;
-  op.kind = OpKind::kRetrieve;
-  op.name = name;
-  std::vector<Op> ops;
-  ops.push_back(std::move(op));
-  const ShardId shard = service_->ShardOf(name);
-  std::vector<OpResult> results;
-  DFI_RETURN_IF_ERROR(ExecuteShardBatch(shard, std::move(ops), &results));
-  OpResult& r = results[0];
+  DFI_ASSIGN_OR_RETURN(OpResult r, ExecuteOne(MakeOp(OpKind::kRetrieve, name)));
   if (!r.status.ok()) return r.status;
-  CacheInsert(name, shard, r);
   return r.state;
 }
 
 Status RegistryClient::Close(const std::string& name) {
-  CacheErase(name);
-  Op op;
-  op.kind = OpKind::kClose;
-  op.name = name;
-  std::vector<Op> ops;
-  ops.push_back(std::move(op));
-  std::vector<OpResult> results;
-  DFI_RETURN_IF_ERROR(
-      ExecuteShardBatch(service_->ShardOf(name), std::move(ops), &results));
-  return results[0].status;
-}
-
-Status RegistryClient::MarkFailed(const std::string& name,
-                                  const Status& cause) {
-  CacheErase(name);
-  Op op;
-  op.kind = OpKind::kMarkFailed;
-  op.name = name;
-  op.fail_cause = cause;
-  std::vector<Op> ops;
-  ops.push_back(std::move(op));
-  std::vector<OpResult> results;
-  DFI_RETURN_IF_ERROR(
-      ExecuteShardBatch(service_->ShardOf(name), std::move(ops), &results));
-  return results[0].status;
-}
-
-Status RegistryClient::RenewLease(const std::string& name,
-                                  SimTime new_expiry) {
-  Op op;
-  op.kind = OpKind::kRenewLease;
-  op.name = name;
-  op.lease_expiry = new_expiry;
-  std::vector<Op> ops;
-  ops.push_back(std::move(op));
-  std::vector<OpResult> results;
-  DFI_RETURN_IF_ERROR(
-      ExecuteShardBatch(service_->ShardOf(name), std::move(ops), &results));
-  return results[0].status;
+  DFI_ASSIGN_OR_RETURN(OpResult r, ExecuteOne(MakeOp(OpKind::kClose, name)));
+  return r.status;
 }
 
 StatusOr<std::vector<OpResult>> RegistryClient::PublishBatch(
     const std::vector<std::pair<std::string, std::shared_ptr<FlowStateBase>>>&
-        flows,
-    SimTime lease_expiry) {
+        flows) {
   std::vector<Op> ops;
   ops.reserve(flows.size());
   for (const auto& [name, state] : flows) {
-    Op op;
-    op.kind = OpKind::kPublish;
-    op.name = name;
-    op.state = state;
-    op.lease_expiry = lease_expiry;
-    ops.push_back(std::move(op));
+    ops.push_back(MakeOp(OpKind::kPublish, name, state));
   }
   return ExecuteOps(std::move(ops));
 }
 
 StatusOr<std::vector<OpResult>> RegistryClient::RetrieveBatch(
     const std::vector<std::string>& names) {
-  std::vector<OpResult> out(names.size());
-  std::vector<Op> ops;
-  std::vector<size_t> miss_index;
-  for (size_t i = 0; i < names.size(); ++i) {
-    std::shared_ptr<FlowStateBase> cached;
-    if (CacheLookup(names[i], &cached).ok()) {
-      out[i].state = std::move(cached);
-      continue;
-    }
-    Op op;
-    op.kind = OpKind::kRetrieve;
-    op.name = names[i];
-    ops.push_back(std::move(op));
-    miss_index.push_back(i);
-  }
-  if (!ops.empty()) {
-    DFI_ASSIGN_OR_RETURN(std::vector<OpResult> fetched,
-                         ExecuteOps(std::move(ops)));
-    for (size_t k = 0; k < miss_index.size(); ++k) {
-      const size_t i = miss_index[k];
-      out[i] = std::move(fetched[k]);
-      CacheInsert(names[i], service_->ShardOf(names[i]), out[i]);
-    }
-  }
-  return out;
+  return ExecuteOps(NamedOps(OpKind::kRetrieve, names));
 }
 
 StatusOr<std::vector<OpResult>> RegistryClient::CloseBatch(
     const std::vector<std::string>& names) {
-  std::vector<Op> ops;
-  ops.reserve(names.size());
-  for (const std::string& name : names) {
-    CacheErase(name);
-    Op op;
-    op.kind = OpKind::kClose;
-    op.name = name;
-    ops.push_back(std::move(op));
-  }
-  return ExecuteOps(std::move(ops));
-}
-
-StatusOr<OpResult> RegistryClient::BarrierEnter(const std::string& name,
-                                                uint32_t expected,
-                                                uint64_t generation) {
-  Op op;
-  op.kind = OpKind::kBarrierEnter;
-  op.name = name;
-  op.barrier_expected = expected;
-  op.barrier_generation = generation;
-  std::vector<Op> ops;
-  ops.push_back(std::move(op));
-  std::vector<OpResult> results;
-  DFI_RETURN_IF_ERROR(
-      ExecuteShardBatch(service_->ShardOf(name), std::move(ops), &results));
-  return std::move(results[0]);
-}
-
-StatusOr<OpResult> RegistryClient::BarrierPoll(const std::string& name,
-                                               uint64_t generation) {
-  Op op;
-  op.kind = OpKind::kBarrierPoll;
-  op.name = name;
-  op.barrier_generation = generation;
-  std::vector<Op> ops;
-  ops.push_back(std::move(op));
-  std::vector<OpResult> results;
-  DFI_RETURN_IF_ERROR(
-      ExecuteShardBatch(service_->ShardOf(name), std::move(ops), &results));
-  return std::move(results[0]);
+  return ExecuteOps(NamedOps(OpKind::kClose, names));
 }
 
 }  // namespace dfi::reg

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -23,10 +22,6 @@ struct RegistryClientOptions {
   /// Fabric node the client runs on; kNoNode for driver-thread clients
   /// (no request/reply hop cost, always reachable).
   net::NodeId node = kNoNode;
-  /// Client-side read cache, fenced by shard epoch and lease expiry.
-  /// Disable for loopback deployments: their epoch never changes, so a
-  /// cached entry would never be invalidated by a failover.
-  bool enable_cache = true;
   /// Per-call retry budget (virtual ns): total time a batch may spend on
   /// silence/backoff before giving up with kDeadlineExceeded.
   SimTime retry_deadline_ns = 50'000'000;
@@ -40,13 +35,9 @@ struct RegistryClientStats {
   uint64_t retries = 0;         // re-sends after observed silence
   uint64_t failovers = 0;       // batches sent to another replica of a
                                 // shard than this client's previous one
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;    // cacheable retrieves that went to the wire
-  uint64_t cache_invalidations = 0;  // entries dropped on an epoch bump
 };
 
-/// Client stub of the sharded control plane: batches ops per shard, caches
-/// retrieved flow state (fenced by shard epoch + lease expiry), follows
+/// Client stub of the sharded control plane: batches ops per shard, follows
 /// wrong-primary redirects, and turns observed silence into deadline-bounded
 /// retries with capped exponential backoff. All waiting is virtual-time
 /// parking of the calling exec::Engine task.
@@ -66,51 +57,30 @@ class RegistryClient {
   RegistryClient(const RegistryClient&) = delete;
   RegistryClient& operator=(const RegistryClient&) = delete;
 
-  const RegistryClientOptions& options() const { return options_; }
-  RegistryService* service() const { return service_; }
-  VirtualClock* clock() const { return clock_; }
-
   // ---- Single-op convenience (one-op batches) ---------------------------
+  /// Publishes a flow; kAlreadyExists if the name is taken.
   Status Publish(const std::string& name,
                  std::shared_ptr<FlowStateBase> state);
-  Status PublishWithLease(const std::string& name,
-                          std::shared_ptr<FlowStateBase> state,
-                          SimTime lease_expiry);
+  /// Retrieves a flow's state; kNotFound if absent.
   StatusOr<std::shared_ptr<FlowStateBase>> Retrieve(const std::string& name);
+  /// Removes a flow; kNotFound if absent.
   Status Close(const std::string& name);
-  Status MarkFailed(const std::string& name, const Status& cause);
-  Status RenewLease(const std::string& name, SimTime new_expiry);
 
   // ---- Batched API (grouped per shard, one RPC per shard) ---------------
-  /// Publishes `flows` (optionally leased); results in input order.
+  /// Each returns one result per input, in input order; a shard-level
+  /// failure (retry deadline, every replica dead) becomes the status of
+  /// that shard's ops.
   StatusOr<std::vector<OpResult>> PublishBatch(
       const std::vector<std::pair<std::string,
-                                  std::shared_ptr<FlowStateBase>>>& flows,
-      SimTime lease_expiry = 0);
+                                  std::shared_ptr<FlowStateBase>>>& flows);
   StatusOr<std::vector<OpResult>> RetrieveBatch(
       const std::vector<std::string>& names);
   StatusOr<std::vector<OpResult>> CloseBatch(
       const std::vector<std::string>& names);
 
-  // ---- Barrier plumbing (used by FlowBarrier) ---------------------------
-  StatusOr<OpResult> BarrierEnter(const std::string& name, uint32_t expected,
-                                  uint64_t generation);
-  StatusOr<OpResult> BarrierPoll(const std::string& name,
-                                 uint64_t generation);
-
-  /// Drops every cached entry (tests / manual fencing).
-  void InvalidateCache();
-
-  RegistryClientStats stats() const;
+  RegistryClientStats stats() const { return stats_; }
 
  private:
-  struct CacheEntry {
-    std::shared_ptr<FlowStateBase> state;
-    ShardId shard = 0;
-    Epoch epoch = 0;
-    SimTime lease_expiry = 0;  // 0 = unleased
-  };
-
   /// One logical connection to a shard: FIFO, per-client sequence numbers.
   struct ShardConn {
     uint64_t next_seq = 0;
@@ -127,24 +97,16 @@ class RegistryClient {
   Status ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
                            std::vector<OpResult>* results);
 
+  /// Sends one op as a one-op batch to its owning shard.
+  StatusOr<OpResult> ExecuteOne(Op op);
+
   /// Groups `ops` by owning shard (of op.name), executes one batch per
   /// shard, scatters per-op results back into input order.
   StatusOr<std::vector<OpResult>> ExecuteOps(std::vector<Op> ops);
 
-  /// Fences the cache with an epoch observed in a reply/view for `shard`.
-  void ObserveEpoch(ShardId shard, Epoch epoch);
-
   /// Deterministic virtual sleep until `until`: parks on a private
   /// WaitPoint with a timer.
   void SleepUntilVt(SimTime from, SimTime until);
-
-  Status CacheLookup(const std::string& name,
-                     std::shared_ptr<FlowStateBase>* state);
-  /// Caches a successful retrieve/publish result under the latest epoch
-  /// observed for `shard`.
-  void CacheInsert(const std::string& name, ShardId shard,
-                   const OpResult& r);
-  void CacheErase(const std::string& name);
 
   RegistryService* const service_;
   const RegistryClientOptions options_;
@@ -152,8 +114,6 @@ class RegistryClient {
 
   std::vector<std::unique_ptr<ShardConn>> conns_;  // one per shard
 
-  std::unordered_map<std::string, CacheEntry> cache_;
-  std::vector<Epoch> shard_epochs_;  // highest epoch observed per shard
   RegistryClientStats stats_;
 
   exec::WaitPoint backoff_wp_;  // never woken: pure virtual-time sleeps

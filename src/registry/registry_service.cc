@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/exec/engine.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "net/fabric.h"
@@ -15,10 +14,6 @@ char OpKindChar(OpKind kind) {
     case OpKind::kPublish: return 'P';
     case OpKind::kRetrieve: return 'R';
     case OpKind::kClose: return 'C';
-    case OpKind::kMarkFailed: return 'F';
-    case OpKind::kRenewLease: return 'L';
-    case OpKind::kBarrierEnter: return 'B';
-    case OpKind::kBarrierPoll: return 'b';
   }
   return '?';
 }
@@ -124,81 +119,28 @@ void RegistryService::RecordEvent(Shard* shard, ShardId shard_id,
   }
 }
 
-OpResult RegistryService::ApplyOp(Replica* replica, const Op& op,
-                                  uint64_t client_id, SimTime at) const {
+OpResult RegistryService::ApplyOp(Replica* replica, const Op& op) {
   OpResult r;
   switch (op.kind) {
     case OpKind::kPublish:
-      r.status = replica->store.PublishWithLease(op.name, op.state,
-                                                 op.lease_expiry);
+      if (!replica->flows.try_emplace(op.name, op.state).second) {
+        r.status = Status::AlreadyExists("flow '" + op.name + "'");
+      }
       break;
     case OpKind::kRetrieve: {
-      SimTime lease = 0;
-      auto s = replica->store.Retrieve(op.name, &lease);
-      if (s.ok()) {
-        r.state = *s;
-        r.lease_expiry = lease;
+      auto it = replica->flows.find(op.name);
+      if (it == replica->flows.end()) {
+        r.status = Status::NotFound("flow '" + op.name + "'");
       } else {
-        r.status = s.status();
+        r.state = it->second;
       }
       break;
     }
     case OpKind::kClose:
-      r.status = replica->store.Remove(op.name);
-      break;
-    case OpKind::kMarkFailed:
-      r.status = replica->store.MarkFailed(op.name, op.fail_cause);
-      break;
-    case OpKind::kRenewLease:
-      r.status = replica->store.RenewLease(op.name, at, op.lease_expiry);
-      break;
-    case OpKind::kBarrierEnter: {
-      BarrierState& b = replica->barriers[op.name];
-      if (b.expected == 0) b.expected = op.barrier_expected;
-      if (op.barrier_expected != b.expected) {
-        r.status = Status::InvalidArgument(
-            "barrier '" + op.name + "' expects " +
-            std::to_string(b.expected) + " participants, not " +
-            std::to_string(op.barrier_expected));
-        break;
-      }
-      if (op.barrier_generation < b.generation) {
-        // This generation already released (e.g. a duplicate enter whose
-        // first apply released it).
-        r.barrier_released = true;
-        r.barrier_release_at = b.last_release_at;
-        break;
-      }
-      if (op.barrier_generation > b.generation) {
-        r.status = Status::FailedPrecondition(
-            "barrier '" + op.name + "' generation " +
-            std::to_string(op.barrier_generation) + " not yet open");
-        break;
-      }
-      b.arrivals.emplace(client_id, at);
-      if (b.arrivals.size() >= b.expected) {
-        SimTime release = 0;
-        for (const auto& [c, t] : b.arrivals) {
-          release = std::max(release, t);
-        }
-        b.last_release_at = release;
-        b.ever_released = true;
-        ++b.generation;
-        b.arrivals.clear();
-        r.barrier_released = true;
-        r.barrier_release_at = release;
+      if (replica->flows.erase(op.name) == 0) {
+        r.status = Status::NotFound("flow '" + op.name + "'");
       }
       break;
-    }
-    case OpKind::kBarrierPoll: {
-      auto it = replica->barriers.find(op.name);
-      if (it != replica->barriers.end() &&
-          op.barrier_generation < it->second.generation) {
-        r.barrier_released = true;
-        r.barrier_release_at = it->second.last_release_at;
-      }
-      break;
-    }
   }
   return r;
 }
@@ -231,8 +173,7 @@ OpResult RegistryService::ApplyWithDedup(Shard* shard, ShardId shard_id,
   // whose watermark does not match missed an op while dead or partitioned
   // and must stay out forever rather than silently diverge.
   const uint64_t prev = window.applied_through;
-  OpResult result = ApplyOp(&primary, request.ops[op_index],
-                            request.client_id, at);
+  OpResult result = ApplyOp(&primary, request.ops[op_index]);
   if (window.last_base != request.base_seq) {
     window.last_base = request.base_seq;
     window.last_results.clear();
@@ -242,14 +183,6 @@ OpResult RegistryService::ApplyWithDedup(Shard* shard, ShardId shard_id,
   ++applied_ops_;
   RecordEvent(shard, shard_id, epoch, request.ops[op_index],
               request.client_id, seq, result.status.code(), at);
-  // Mutations bump the engine progress epoch so parked pollers re-check.
-  // Reads (retrieve, barrier poll) must NOT bump: a poll loop that bumped
-  // on its own poll would wake itself out of every park and spin the
-  // worker forever instead of yielding (self-notification livelock).
-  const OpKind kind = request.ops[op_index].kind;
-  if (kind != OpKind::kRetrieve && kind != OpKind::kBarrierPoll) {
-    exec::BumpProgress();
-  }
 
   // Synchronous replication: every backup that is alive and reachable at
   // the virtual delivery time applies the same op. A backup that missed an
@@ -273,8 +206,7 @@ OpResult RegistryService::ApplyWithDedup(Shard* shard, ShardId shard_id,
     }
     ClientWindow& bw = backup.clients[request.client_id];
     if (bw.applied_through != prev) continue;  // missed earlier ops: stay out
-    OpResult br = ApplyOp(&backup, request.ops[op_index],
-                          request.client_id, at);
+    OpResult br = ApplyOp(&backup, request.ops[op_index]);
     if (bw.last_base != request.base_seq) {
       bw.last_base = request.base_seq;
       bw.last_results.clear();
@@ -404,30 +336,12 @@ BatchResult RegistryService::Execute(const BatchRequest& request,
   return out;
 }
 
-size_t RegistryService::MarkExpired(SimTime now) {
-  size_t newly_failed = 0;
-  for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    Shard& shard = *shards_[s];
-    const uint32_t primary = PrimaryIndexAt(s, now);
-    for (uint32_t r = 0; r < options_.replication; ++r) {
-      if (!NodeAliveAt(ReplicaNode(s, r), now)) continue;
-      const size_t n = shard.replicas[r]->store.MarkExpired(now);
-      if (r == primary) newly_failed += n;
-    }
-  }
-  if (newly_failed > 0) {
-    trace_hash_ +=
-        HashU64(static_cast<uint64_t>(now) ^ (newly_failed << 17));
-  }
-  return newly_failed;
-}
-
 size_t RegistryService::TotalFlows(SimTime at) const {
   size_t total = 0;
   for (uint32_t s = 0; s < options_.num_shards; ++s) {
     const uint32_t primary = PrimaryIndexAt(s, at);
     if (primary == UINT32_MAX) continue;
-    total += shards_[s]->replicas[primary]->store.size();
+    total += shards_[s]->replicas[primary]->flows.size();
   }
   return total;
 }

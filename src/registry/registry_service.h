@@ -2,7 +2,6 @@
 #define DFI_REGISTRY_REGISTRY_SERVICE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -41,7 +40,7 @@ struct RegistryServiceOptions {
 /// The sharded, replicated control plane behind the DFI flow registry.
 ///
 /// The namespace is hash-partitioned into `num_shards` shards; each shard
-/// is `replication` replica stores (each one a FlowRegistry) with a
+/// is `replication` replica stores (name -> flow state maps) with a
 /// primary/backup epoch protocol:
 ///
 ///   - The primary of shard S at virtual time t is its lowest-index replica
@@ -57,12 +56,12 @@ struct RegistryServiceOptions {
 ///     retry after a mid-batch primary crash re-sends the batch, the new
 ///     primary skips the already-replicated prefix and applies the rest —
 ///     exactly-once, or a clean kDeadlineExceeded/kPeerFailed.
-///   - Replies carry the shard epoch; clients fence their caches with it.
 ///
 /// Execute() is the entire "wire": the client's virtual send time goes in,
 /// the client-observed completion time comes out, and every intermediate
 /// step (request hop, per-op service, replication delivery, reply hop) is
-/// checked against the FaultPlan at its own virtual time via net::RpcPath.
+/// timed by net::RpcPath and checked against the FaultPlan at its own
+/// virtual time.
 /// A crash mid-batch applies a prefix and returns silence — exactly what a
 /// real client of a real shard server would observe.
 class RegistryService {
@@ -80,17 +79,12 @@ class RegistryService {
   ShardId ShardOf(const std::string& name) const;
 
   /// The shard's primary/epoch at virtual time `at` — the pure failover
-  /// function. Cheap enough to call per cache hit.
+  /// function.
   ShardView ViewAt(ShardId shard, SimTime at) const;
 
   /// Executes one batched RPC sent at virtual time `start`. See class
   /// comment for the failure model.
   BatchResult Execute(const BatchRequest& request, SimTime start);
-
-  /// Driver-side lease scrubber: fails lapsed leases on every replica of
-  /// every shard at virtual time `now`; returns newly failed flows (as
-  /// counted at the shards' primaries).
-  size_t MarkExpired(SimTime now);
 
   /// Total live flows across shard primaries at `at` (audit/metrics).
   size_t TotalFlows(SimTime at) const;
@@ -120,19 +114,11 @@ class RegistryService {
     std::vector<OpResult> last_results;
   };
 
-  struct BarrierState {
-    uint32_t expected = 0;
-    uint64_t generation = 0;  // current (unreleased) generation
-    std::map<uint64_t, SimTime> arrivals;  // client_id -> arrival vt
-    SimTime last_release_at = 0;
-    bool ever_released = false;
-  };
-
-  /// One replica store: a FlowRegistry plus dedup windows and barriers.
+  /// One replica store: the published flows by name plus the per-client
+  /// dedup windows.
   struct Replica {
-    FlowRegistry store;
+    std::unordered_map<std::string, std::shared_ptr<FlowStateBase>> flows;
     std::unordered_map<uint64_t, ClientWindow> clients;
-    std::unordered_map<std::string, BarrierState> barriers;
   };
 
   struct Shard {
@@ -140,10 +126,10 @@ class RegistryService {
     std::vector<RegistryEvent> events;  // iff record_trace
   };
 
-  /// Executes `op` against `replica`'s stores at virtual time `at`
-  /// (no dedup bookkeeping — the caller owns the window).
-  OpResult ApplyOp(Replica* replica, const Op& op, uint64_t client_id,
-                   SimTime at) const;
+  /// Executes `op` against `replica`'s flows: a publish of a taken name
+  /// fails with kAlreadyExists, a retrieve or close of a missing one with
+  /// kNotFound (no dedup bookkeeping — the caller owns the window).
+  static OpResult ApplyOp(Replica* replica, const Op& op);
 
   /// Applies one op with dedup at the primary and replicates it to live
   /// backups.

@@ -9,7 +9,26 @@
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "net/rpc.h"
-#include "registry/flow_registry.h"
+
+namespace dfi {
+
+/// Opaque base for per-flow state published in the registry. The core
+/// library derives its flow-state objects from this.
+///
+/// In a distributed deployment the published metadata would be QP numbers,
+/// rkeys and buffer addresses exchanged over the wire; in this in-process
+/// emulation it is the flow-state object itself.
+class FlowStateBase {
+ public:
+  virtual ~FlowStateBase() = default;
+
+  /// Tears the flow down (fault handling): implementations poison their
+  /// channels so every participant's next operation fails with `cause`.
+  /// Default is a no-op for states with nothing to tear down.
+  virtual void Abort(const Status& cause) { (void)cause; }
+};
+
+}  // namespace dfi
 
 /// Typed request/reply messages of the sharded control plane — the
 /// emulation's equivalent of DFI-public's RegistryServer wire protocol
@@ -19,21 +38,17 @@
 namespace dfi::reg {
 
 using ShardId = uint32_t;
-/// Shard configuration epoch. Bumped every time a replica of the shard
-/// fails over; clients fence cached entries with it.
+/// Shard configuration epoch: 1 + the number of the shard's replicas that
+/// have crashed.
 using Epoch = uint64_t;
 
 /// "No fabric node" — driver-thread clients and loopback deployments.
 inline constexpr net::NodeId kNoNode = static_cast<net::NodeId>(-1);
 
 enum class OpKind : uint8_t {
-  kPublish,      // name, state, lease_expiry
-  kRetrieve,     // name
-  kClose,        // name (Remove)
-  kMarkFailed,   // name, fail_cause
-  kRenewLease,   // name, lease_expiry (new expiry; applied at service time)
-  kBarrierEnter, // name, barrier_expected, barrier_generation
-  kBarrierPoll,  // name, barrier_generation
+  kPublish,   // name, state
+  kRetrieve,  // name
+  kClose,     // name
 };
 
 /// Returns a one-character mnemonic for trace rendering ('P', 'R', ...).
@@ -44,23 +59,16 @@ struct Op {
   OpKind kind = OpKind::kRetrieve;
   std::string name;
   std::shared_ptr<FlowStateBase> state;  // kPublish
-  SimTime lease_expiry = 0;              // kPublish / kRenewLease
-  Status fail_cause;                     // kMarkFailed
-  uint32_t barrier_expected = 0;         // kBarrierEnter
-  uint64_t barrier_generation = 0;       // barrier ops
 };
 
 /// Per-op reply.
 struct OpResult {
   Status status;
   std::shared_ptr<FlowStateBase> state;  // kRetrieve
-  SimTime lease_expiry = 0;              // kRetrieve (0 = unleased)
   /// The op's sequence number was already applied (a retry after a primary
   /// crash hit the dedup window): the stored result is returned and nothing
   /// is re-executed — the exactly-once half of the protocol.
   bool duplicate = false;
-  bool barrier_released = false;    // barrier ops
-  SimTime barrier_release_at = 0;   // virtual release time (max arrival)
 };
 
 /// One batched RPC: `ops[i]` carries sequence number `base_seq + i` for the
@@ -84,7 +92,7 @@ struct BatchResult {
   /// Client-observed completion virtual time (reply arrival, or the time
   /// the silence was established).
   SimTime complete_at = 0;
-  /// Shard epoch at service time — the client's cache fencing token.
+  /// Shard epoch at service time.
   Epoch epoch = 0;
   /// The replica was not the shard primary at arrival; `epoch` and the
   /// refreshed view tell the client where to retry.
