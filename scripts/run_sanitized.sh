@@ -34,6 +34,9 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 # actors and hot-key migration rewires routing mid-flow — both are prime
 # lifetime territory, so shake the property suite too.
 "$BUILD/tests/core_adaptive_shuffle_property_test" --gtest_repeat=3 --gtest_shuffle
+# The link scheduler keeps its gaps in a gap buffer: raw index arithmetic
+# over memmove, checked against a map-based reference on seeded streams.
+"$BUILD/tests/net_test" --gtest_filter='LinkScheduler*' --gtest_repeat=3 --gtest_shuffle
 if [ "$KIND" = "thread" ] || [ "$KIND" = "address" ]; then
   # The engine's fiber switch is hand-written: ASan tracks fiber stacks only
   # through the engine's own annotations and stack unpoisoning, TSan models

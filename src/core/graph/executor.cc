@@ -122,19 +122,23 @@ StatusOr<std::unique_ptr<GraphRun>> Graph::Instantiate(DfiRuntime* dfi) const {
   // Publish round trip per flow in the hand-rolled setup path).
   DFI_ASSIGN_OR_RETURN(std::vector<reg::OpResult> results,
                        dfi->registry_client().PublishBatch(publish));
-  for (size_t e = 0; e < results.size(); ++e) {
-    if (!results[e].status.ok()) {
-      // Roll the published prefix back so a name collision leaves no
-      // half-registered graph behind.
-      std::vector<std::string> published;
-      for (size_t p = 0; p < e; ++p) published.push_back(spec_.edges[p].name);
-      if (!published.empty()) {
-        (void)dfi->registry_client().CloseBatch(published);
-      }
-      return Status(results[e].status.code(),
-                    "edge '" + spec_.edges[e].name +
-                        "': " + results[e].status.message());
+  const auto failed =
+      std::find_if(results.begin(), results.end(),
+                   [](const reg::OpResult& r) { return !r.status.ok(); });
+  if (failed != results.end()) {
+    // The batch applied every op, so roll back each edge it published,
+    // after the failure too, and leave a colliding name to the flow that
+    // holds it: a name collision leaves no half-registered graph behind.
+    std::vector<std::string> published;
+    for (size_t e = 0; e < results.size(); ++e) {
+      if (results[e].status.ok()) published.push_back(spec_.edges[e].name);
     }
+    if (!published.empty()) {
+      (void)dfi->registry_client().CloseBatch(published);
+    }
+    const EdgeSpec& es = spec_.edges[failed - results.begin()];
+    return Status(failed->status.code(),
+                  "edge '" + es.name + "': " + failed->status.message());
   }
   return std::unique_ptr<GraphRun>(
       new GraphRun(*this, dfi, std::move(edges)));

@@ -7,11 +7,13 @@
 
 namespace dfi::net {
 
-Node::Node(NodeId id, std::string address, const SimConfig& config)
+Node::Node(NodeId id, std::string address, const SimConfig& config,
+           const FaultPlan* fault_plan)
     : id_(id),
       address_(std::move(address)),
-      egress_("egress:" + address_, config.LinkBytesPerNs()),
-      ingress_("ingress:" + address_, config.LinkBytesPerNs()) {}
+      egress_("egress:" + address_, config.LinkBytesPerNs(), fault_plan, id),
+      ingress_("ingress:" + address_, config.LinkBytesPerNs(), fault_plan,
+               id) {}
 
 Switch::Switch(const SimConfig& config) : config_(config) {}
 
@@ -77,18 +79,9 @@ StatusOr<NodeId> Fabric::AddNode(const std::string& address) {
     return Status::AlreadyExists("node address " + address);
   }
   const NodeId id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(std::make_unique<Node>(id, address, config_));
+  nodes_.push_back(
+      std::make_unique<Node>(id, address, config_, &fault_plan_));
   by_address_[address] = id;
-  // Degraded-link modeling: every reservation on this node's links asks the
-  // fault plan for the rate factor at its ready time. No-op (and nearly
-  // free) while the plan is empty.
-  Node* n = nodes_.back().get();
-  const double base_gbps = config_.link_gbps;
-  auto probe = [this, id, base_gbps](SimTime at) {
-    return fault_plan_.LinkRateFactor(id, at, base_gbps);
-  };
-  n->egress().set_rate_probe(probe);
-  n->ingress().set_rate_probe(probe);
   return id;
 }
 

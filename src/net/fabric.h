@@ -27,7 +27,9 @@ using MulticastGroupId = uint32_t;
 /// modeled (full duplex), matching one InfiniBand EDR port.
 class Node {
  public:
-  Node(NodeId id, std::string address, const SimConfig& config);
+  /// The node's links run at the rate `fault_plan` scripts for `id`.
+  Node(NodeId id, std::string address, const SimConfig& config,
+       const FaultPlan* fault_plan);
 
   NodeId id() const { return id_; }
   const std::string& address() const { return address_; }

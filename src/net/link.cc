@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "common/exec/engine.h"
@@ -9,18 +10,29 @@
 
 namespace dfi::net {
 
-LinkScheduler::LinkScheduler(std::string name, double bytes_per_ns)
+namespace {
+
+/// Smallest gap buffer a link allocates, on its first gap: one 4 KiB page.
+constexpr size_t kMinGapSlots = 256;
+
+}  // namespace
+
+LinkScheduler::LinkScheduler(std::string name, double bytes_per_ns,
+                             const FaultPlan* fault_plan, NodeId node)
     : name_(std::move(name)),
       ns_per_byte_(1.0 / bytes_per_ns),
-      bytes_per_ns_(bytes_per_ns) {
+      bytes_per_ns_(bytes_per_ns),
+      fault_plan_(fault_plan),
+      node_(node) {
   DFI_CHECK_GT(bytes_per_ns, 0.0);
 }
 
 TransferWindow LinkScheduler::Reserve(SimTime ready, uint64_t bytes) {
   double ns_per_byte = ns_per_byte_;
-  if (rate_probe_) {
-    const double factor = std::clamp(rate_probe_(ready), 1e-6, 1.0);
-    ns_per_byte /= factor;
+  if (fault_plan_ != nullptr && fault_plan_->active()) {
+    // Degraded-link modeling; the nominal rate in Gbps is 8 bits per byte.
+    ns_per_byte /=
+        fault_plan_->LinkRateFactor(node_, ready, bytes_per_ns_ * 8.0);
   }
   const SimTime duration = static_cast<SimTime>(
       std::llround(static_cast<double>(bytes) * ns_per_byte));
@@ -29,8 +41,13 @@ TransferWindow LinkScheduler::Reserve(SimTime ready, uint64_t bytes) {
   total_bytes_ += bytes;
   // A gap that ends before every actor's next possible action can never
   // be backfilled again.
-  while (!gaps_.empty() && gaps_.begin()->second <= horizon) {
-    EraseGap(gaps_.begin());
+  while (front_begin_ < front_end_ && buf_[front_begin_].end <= horizon) {
+    ++front_begin_;
+  }
+  if (front_begin_ == front_end_) {
+    while (back_begin_ < back_end_ && buf_[back_begin_].end <= horizon) {
+      ++back_begin_;
+    }
   }
 
   // Backfill: a transfer is a train of packets, and the wire interleaves
@@ -44,27 +61,28 @@ TransferWindow LinkScheduler::Reserve(SimTime ready, uint64_t bytes) {
   if (ready < busy_until_) {
     // Gaps wholly before `ready` cannot serve this reservation (though a
     // lagging sender may still use them later).
-    auto it = FirstGapEndingAfter(ready);
-    while (it != gaps_.end() && remaining > 0) {
-      const SimTime gap_start = it->first;
-      const SimTime gap_end = it->second;
-      const SimTime start = std::max(ready, gap_start);
-      const SimTime used = std::min(remaining, gap_end - start);
-      if (first < 0) first = start;
-      end = start + used;
-      remaining -= used;
-      // Keep what the transfer left of the gap: its head in place, its
-      // tail under a new key.
-      auto next = std::next(it);
-      if (start > gap_start) {
-        it->second = start;
-      } else {
-        EraseGap(it);
+    if (SeekGapEndingAfter(ready)) {
+      while (back_begin_ < back_end_ && remaining > 0) {
+        const Gap gap = buf_[back_begin_];
+        const SimTime start = std::max(ready, gap.start);
+        const SimTime used = std::min(remaining, gap.end - start);
+        if (first < 0) first = start;
+        end = start + used;
+        remaining -= used;
+        // What the transfer leaves of the gap: its head joins the front
+        // run, its tail stays at the head of the back run.
+        if (start > gap.start) {
+          // Keeping both a head and a tail takes a hole slot.
+          if (end < gap.end && front_end_ == back_begin_) Reflow();
+          buf_[front_end_++] = {gap.start, start};
+        }
+        if (end < gap.end) {
+          buf_[back_begin_].start = end;
+        } else {
+          ++back_begin_;
+        }
       }
-      if (end < gap_end) next = gaps_.emplace_hint(next, end, gap_end);
-      it = next;
     }
-    finger_ = it;
     if (remaining == 0) return {first, end};
   }
 
@@ -72,35 +90,70 @@ TransferWindow LinkScheduler::Reserve(SimTime ready, uint64_t bytes) {
   // it.
   const SimTime start = std::max(ready, busy_until_);
   if (start > busy_until_) {
-    gaps_.emplace_hint(gaps_.end(), busy_until_, start);
-    if (gaps_.size() > kMaxGaps) EraseGap(gaps_.begin());
+    if (back_end_ == buf_.size()) Reflow();
+    buf_[back_end_++] = {busy_until_, start};
+    if (gap_count() > kMaxGaps) {
+      // The oldest gap goes.
+      if (front_begin_ < front_end_) {
+        ++front_begin_;
+      } else {
+        ++back_begin_;
+      }
+    }
   }
   busy_until_ = start + remaining;
   return {first < 0 ? start : first, busy_until_};
 }
 
-LinkScheduler::GapMap::iterator LinkScheduler::FirstGapEndingAfter(
-    SimTime t) {
-  auto it = finger_;
-  for (int step = 0; step < 4; ++step) {
-    if (it != gaps_.begin() && std::prev(it)->second > t) {
-      --it;
-    } else if (it != gaps_.end() && it->second <= t) {
-      ++it;
-    } else {
-      return it;
-    }
+bool LinkScheduler::SeekGapEndingAfter(SimTime t) {
+  const auto ends_by_t = [t](const Gap& g) { return g.end <= t; };
+  Gap* const gaps = buf_.data();
+  if (front_begin_ < front_end_ && gaps[front_end_ - 1].end > t) {
+    // The gap is in the front run: the gaps from it on join the back run.
+    const size_t at = static_cast<size_t>(
+        std::partition_point(gaps + front_begin_, gaps + front_end_,
+                             ends_by_t) -
+        gaps);
+    const size_t count = front_end_ - at;
+    back_begin_ -= count;
+    MoveGaps(at, count, back_begin_);
+    front_end_ = at;
+    return true;
   }
-  it = gaps_.lower_bound(t);
-  if (it != gaps_.begin() && std::prev(it)->second > t) --it;
-  return it;
+  const size_t at = static_cast<size_t>(
+      std::partition_point(gaps + back_begin_, gaps + back_end_, ends_by_t) -
+      gaps);
+  if (at == back_end_) return false;
+  // The gaps before it join the front run.
+  const size_t count = at - back_begin_;
+  MoveGaps(back_begin_, count, front_end_);
+  front_end_ += count;
+  back_begin_ = at;
+  return true;
 }
 
-LinkScheduler::GapMap::iterator LinkScheduler::EraseGap(GapMap::iterator it) {
-  const bool at_finger = it == finger_;
-  it = gaps_.erase(it);
-  if (at_finger) finger_ = it;
-  return it;
+void LinkScheduler::Reflow() {
+  const size_t front = front_end_ - front_begin_;
+  const size_t back = back_end_ - back_begin_;
+  size_t slots = std::max(buf_.size(), kMinGapSlots);
+  while (slots < 2 * (front + back + 1)) slots *= 2;
+  buf_.resize(slots);
+  // Half the free slots open the hole, the rest follow the back run. The
+  // front run only moves down, below the back run's old slots, so moving
+  // it first overwrites no gap.
+  const size_t back_at = front + (slots - front - back) / 2;
+  MoveGaps(front_begin_, front, 0);
+  MoveGaps(back_begin_, back, back_at);
+  front_begin_ = 0;
+  front_end_ = front;
+  back_begin_ = back_at;
+  back_end_ = back_at + back;
+}
+
+void LinkScheduler::MoveGaps(size_t from, size_t count, size_t to) {
+  if (count != 0) {
+    std::memmove(buf_.data() + to, buf_.data() + from, count * sizeof(Gap));
+  }
 }
 
 }  // namespace dfi::net

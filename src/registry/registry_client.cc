@@ -4,9 +4,14 @@
 #include <map>
 
 #include "common/logging.h"
+#include "common/units.h"
 
 namespace dfi::reg {
 namespace {
+
+/// Capped exponential backoff between retries after observed silence.
+constexpr SimTime kBackoffInitialNs = 2 * kMicrosecond;
+constexpr SimTime kBackoffCapNs = 1 * kMillisecond;
 
 Op MakeOp(OpKind kind, const std::string& name,
           std::shared_ptr<FlowStateBase> state = nullptr) {
@@ -66,7 +71,7 @@ Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
 
   SimTime now = NowVt();
   const SimTime deadline = now + options_.retry_deadline_ns;
-  SimTime backoff = options_.backoff_initial_ns;
+  SimTime backoff = kBackoffInitialNs;
   ShardView view = service_->ViewAt(shard, now);
   req.target_replica = view.primary;
 
@@ -110,7 +115,7 @@ Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
     ++stats_.retries;
     const SimTime observed = std::max(now, res.complete_at);
     const SimTime wake = observed + backoff;
-    backoff = std::min(backoff * 2, options_.backoff_cap_ns);
+    backoff = std::min(backoff * 2, kBackoffCapNs);
     if (wake > deadline) {
       SleepUntilVt(now, observed);
       return Status::DeadlineExceeded(

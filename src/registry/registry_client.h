@@ -25,9 +25,6 @@ struct RegistryClientOptions {
   /// Per-call retry budget (virtual ns): total time a batch may spend on
   /// silence/backoff before giving up with kDeadlineExceeded.
   SimTime retry_deadline_ns = 50'000'000;
-  /// Capped exponential backoff between retries after observed silence.
-  SimTime backoff_initial_ns = 2'000;
-  SimTime backoff_cap_ns = 1'000'000;
 };
 
 struct RegistryClientStats {

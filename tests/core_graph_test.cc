@@ -470,6 +470,60 @@ TEST(GraphRunTest, InstantiateRegistersAndFinishRemovesFlows) {
   EXPECT_FALSE(dfi.registry_client().Retrieve("reg.flow").ok());
 }
 
+TEST(GraphRunTest, NameCollisionRollsBackEveryPublishedEdge) {
+  net::Fabric fabric;
+  auto addrs = MakeCluster(&fabric, 2);
+  DfiRuntime dfi(&fabric);
+  const DfiNodes workers = DfiNodes::GridOf(addrs, 1);
+  auto forward = [&](const std::string& name) {
+    VertexSpec v;
+    v.name = name;
+    v.kind = OpKind::kTransform;
+    v.workers = workers;
+    v.output = {TwoFieldSchema(), Ordering::kNone};
+    v.transform_fn = [](OpContext&, TupleView in,
+                        const EmitFn& emit) -> Status {
+      const uint64_t tuple[2] = {in.Get<uint64_t>(0), in.Get<uint64_t>(1)};
+      return emit(tuple);
+    };
+    return v;
+  };
+  GraphSpec gs;
+  gs.name = "clash";
+  gs.vertices = {Source("src", workers), forward("t1"), forward("t2"),
+                 Sink("snk", workers)};
+  gs.edges = {Shuffle("clash.a", "src", "t1"), Shuffle("clash.b", "t1", "t2"),
+              Shuffle("clash.c", "t2", "snk")};
+  auto g = Graph::Build(std::move(gs), &dfi.fabric());
+  ASSERT_TRUE(g.ok()) << g.status();
+
+  // Another flow already holds the middle edge's name.
+  reg::RegistryClient& registry = dfi.registry_client();
+  const auto other = std::make_shared<FlowStateBase>();
+  ASSERT_TRUE(registry.Publish("clash.b", other).ok());
+  auto run = g->Instantiate(&dfi);
+  EXPECT_EQ(run.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(registry.Retrieve("clash.a").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(registry.Retrieve("clash.c").status().code(),
+            StatusCode::kNotFound);
+  auto held = registry.Retrieve("clash.b");
+  ASSERT_TRUE(held.ok()) << held.status();
+  EXPECT_EQ(*held, other);
+
+  // Once that flow is closed, the same graph instantiates and runs.
+  ASSERT_TRUE(registry.Close("clash.b").ok());
+  run = g->Instantiate(&dfi);
+  ASSERT_TRUE(run.ok()) << run.status();
+  exec::Engine engine;
+  engine.Spawn(0, "driver", [&] {
+    ASSERT_TRUE((*run)->Start().ok());
+    EXPECT_TRUE((*run)->Finish().ok()) << (*run)->status();
+  });
+  engine.Run();
+  EXPECT_EQ((*run)->stats("snk").tuples_in, 2u);  // one per source worker
+}
+
 TEST(GraphRunTest, JoinCountsBuildKeyMultiplicities) {
   // The build side repeats keys (key k appears k % 4 + 1 times, spread over
   // the build workers), so each probe of k matches that many times. Keys 0

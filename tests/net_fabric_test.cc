@@ -50,6 +50,24 @@ TEST(FabricTest, LinkCapacityFromConfig) {
   EXPECT_DOUBLE_EQ(fabric.node(*id).ingress().bytes_per_ns(), 10.0);
 }
 
+TEST(FabricTest, FaultPlanDegradesOnlyThatNodesLinks) {
+  Fabric fabric;  // 100 Gbps links: 1250 B take 100 ns
+  const std::vector<NodeId> ids = fabric.AddNodes(2);
+  fabric.fault_plan().DegradeLink(ids[0], 1000, 10.0);
+  fabric.fault_plan().RestoreLink(ids[0], 5000);
+  Node& slow = fabric.node(ids[0]);
+  TransferWindow w = slow.egress().Reserve(0, 1250);
+  EXPECT_EQ(w.end - w.start, 100) << "before the degrade";
+  w = slow.egress().Reserve(2000, 1250);
+  EXPECT_EQ(w.end - w.start, 1000) << "a tenth of the rate";
+  w = slow.ingress().Reserve(2000, 1250);
+  EXPECT_EQ(w.end - w.start, 1000) << "both directions";
+  w = fabric.node(ids[1]).egress().Reserve(2000, 1250);
+  EXPECT_EQ(w.end - w.start, 100) << "another node";
+  w = slow.egress().Reserve(6000, 1250);
+  EXPECT_EQ(w.end - w.start, 100) << "restored";
+}
+
 TEST(FabricTest, RegisteredByteAccounting) {
   Fabric fabric;
   auto id = fabric.AddNode("n");
