@@ -49,6 +49,9 @@ if [ "$KIND" = "thread" ]; then
   # emulator runs under the race detector, with fibers as its threads.
   "$BUILD/tests/engine_determinism_test" --gtest_repeat=3
 fi
+# The fused DFI join, the MPI join, the replicate join and the graph kJoin
+# share one partitioned build table (RadixJoinTable): shake the join suite.
+"$BUILD/tests/join_test" --gtest_repeat=3 --gtest_shuffle
 "$BUILD/bench/chaos_consensus" --seed "${DFI_CHAOS_SEED:-7}"
 # The graph layer: one batched publish per graph, whole-graph poison on
 # operator failure, and per-edge handle teardown — run the graph suite and

@@ -2,13 +2,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "bench_util/workload.h"
 #include "core/graph/executor.h"
 #include "core/replicate_flow.h"
-#include "common/flat_hash_map.h"
 #include "common/hash.h"
 #include "common/exec/engine.h"
+#include "common/radix_join_table.h"
 #include "common/logging.h"
 #include "mpi/mpi_env.h"
 
@@ -47,15 +48,28 @@ uint32_t NetworkDest(uint64_t key, uint32_t num_workers) {
   return static_cast<uint32_t>(HashU64(key) % num_workers);
 }
 
-/// Local partition: second-level radix bits (independent hash bits).
-uint32_t LocalBucket(uint64_t key, uint32_t bits) {
-  return static_cast<uint32_t>((HashU64(key) >> 32) & ((1u << bits) - 1));
+/// Key of tuple i of a segment of JoinTuples.
+uint64_t SegmentKey(const SegmentView& seg, size_t i) {
+  uint64_t key;
+  std::memcpy(&key, seg.payload + i * sizeof(bench::JoinTuple), sizeof(key));
+  return key;
 }
 
-/// Matches of one probe key against a build table of key -> multiplicity.
-uint64_t CountMatches(const FlatHashMap<uint64_t>& table, uint64_t key) {
-  const uint64_t* multiplicity = table.Find(key);
-  return multiplicity != nullptr ? *multiplicity : 0;
+/// Whole JoinTuples in a segment.
+size_t SegmentTuples(const SegmentView& seg) {
+  return seg.bytes / sizeof(bench::JoinTuple);
+}
+
+Status CheckConfig(const JoinConfig& config, size_t num_nodes) {
+  if (num_nodes != config.num_nodes) {
+    return Status::InvalidArgument("node list does not match config");
+  }
+  if (config.local_radix_bits > kMaxLocalRadixBits) {
+    return Status::InvalidArgument(
+        "local_radix_bits " + std::to_string(config.local_radix_bits) +
+        " exceeds " + std::to_string(kMaxLocalRadixBits));
+  }
+  return Status::OK();
 }
 
 SimTime MaxClock(ShuffleSource& a, ShuffleTarget& b) {
@@ -84,9 +98,7 @@ uint64_t ReferenceJoinMatches(const JoinConfig& config) {
 StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
                                      const std::vector<std::string>& nodes,
                                      const JoinConfig& config) {
-  if (nodes.size() != config.num_nodes) {
-    return Status::InvalidArgument("node list does not match config");
-  }
+  DFI_RETURN_IF_ERROR(CheckConfig(config, nodes.size()));
   const uint32_t W = config.total_workers();
   const net::SimConfig& sim = dfi->config();
 
@@ -142,22 +154,17 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
         failed = true;
         return;
       }
-      const Schema schema = JoinSchema();
-      const uint32_t num_buckets = 1u << config.local_radix_bits;
-      std::vector<std::vector<bench::JoinTuple>> buckets(num_buckets);
+      RadixJoinTable table(config.local_radix_bits);
 
       // --- Phase 1: network shuffle of the inner relation, local
       // partitioning streamed as segments arrive (no histogram pass, no
       // barrier — the DFI design win of section 6.3.1).
       auto partition_inner_segment = [&](const SegmentView& seg) {
-        for (uint32_t off = 0; off + 16 <= seg.bytes; off += 16) {
-          TupleView t(seg.payload + off, &schema);
-          const uint64_t key = t.Get<uint64_t>(0);
-          (*tgt1)->clock().Advance(sim.tuple_consume_fixed_ns +
-                                   config.partition_cost_ns);
-          buckets[LocalBucket(key, config.local_radix_bits)].push_back(
-              bench::JoinTuple{key, t.Get<uint64_t>(1)});
-        }
+        const size_t n = SegmentTuples(seg);
+        for (size_t i = 0; i < n; ++i) table.Add(SegmentKey(seg, i));
+        (*tgt1)->clock().Advance(
+            static_cast<SimTime>(n) *
+            (sim.tuple_consume_fixed_ns + config.partition_cost_ns));
       };
       const std::vector<bench::JoinTuple> inner = InnerChunk(config, w);
       uint64_t i = 0;
@@ -202,16 +209,8 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
                 static_cast<long long>((*tgt1)->clock().now()));
       }
 
-      // --- Build cache-sized hash tables per bucket.
-      std::vector<FlatHashMap<uint64_t>> tables(num_buckets);
-      uint64_t built = 0;
-      for (uint32_t b = 0; b < num_buckets; ++b) {
-        tables[b].Reserve(buckets[b].size());
-        for (const bench::JoinTuple& t : buckets[b]) {
-          ++tables[b][t.key];
-          ++built;
-        }
-      }
+      // --- Build cache-sized hash tables per local partition.
+      const uint64_t built = table.Build();
       (*tgt1)->clock().Advance(static_cast<SimTime>(built) *
                                config.build_cost_ns);
       (*src2)->clock().AdvanceTo((*tgt1)->clock().now());
@@ -220,14 +219,12 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
       // --- Phase 2: shuffle the outer relation; probe streamed on arrival.
       uint64_t matches = 0;
       auto probe_segment = [&](const SegmentView& seg) {
-        for (uint32_t off = 0; off + 16 <= seg.bytes; off += 16) {
-          TupleView t(seg.payload + off, &schema);
-          const uint64_t key = t.Get<uint64_t>(0);
-          (*tgt2)->clock().Advance(sim.tuple_consume_fixed_ns +
-                                   config.probe_cost_ns);
-          matches += CountMatches(
-              tables[LocalBucket(key, config.local_radix_bits)], key);
-        }
+        const size_t n = SegmentTuples(seg);
+        matches += table.Matches(
+            n, [&seg](size_t i) { return SegmentKey(seg, i); });
+        (*tgt2)->clock().Advance(
+            static_cast<SimTime>(n) *
+            (sim.tuple_consume_fixed_ns + config.probe_cost_ns));
       };
       const std::vector<bench::JoinTuple> outer = OuterChunk(config, w);
       bool outer_drained = false;
@@ -291,9 +288,7 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
 StatusOr<JoinResult> RunGraphRadixJoin(DfiRuntime* dfi,
                                        const std::vector<std::string>& nodes,
                                        const JoinConfig& config) {
-  if (nodes.size() != config.num_nodes) {
-    return Status::InvalidArgument("node list does not match config");
-  }
+  DFI_RETURN_IF_ERROR(CheckConfig(config, nodes.size()));
   const DfiNodes grid = DfiNodes::GridOf(nodes, config.workers_per_node);
 
   graph::GraphSpec gs;
@@ -370,9 +365,7 @@ StatusOr<JoinResult> RunGraphRadixJoin(DfiRuntime* dfi,
 StatusOr<JoinResult> RunMpiRadixJoin(net::Fabric* fabric,
                                      const std::vector<net::NodeId>& nodes,
                                      const JoinConfig& config) {
-  if (nodes.size() != config.num_nodes) {
-    return Status::InvalidArgument("node list does not match config");
-  }
+  DFI_RETURN_IF_ERROR(CheckConfig(config, nodes.size()));
   const uint32_t W = config.total_workers();
   std::vector<net::NodeId> rank_nodes(W);
   for (uint32_t w = 0; w < W; ++w) {
@@ -497,52 +490,41 @@ StatusOr<JoinResult> RunMpiRadixJoin(net::Fabric* fabric,
         return;
       }
       // Local partition + build of the received inner share.
-      SimTime t0 = clock.now();
-      const uint32_t num_buckets = 1u << config.local_radix_bits;
-      std::vector<std::vector<bench::JoinTuple>> buckets(num_buckets);
+      RadixJoinTable table(config.local_radix_bits);
       const auto* in_tuples =
           reinterpret_cast<const bench::JoinTuple*>(inner_win->local(rank));
       for (uint64_t i = 0; i < st.received_inner; ++i) {
-        clock.Advance(scan_cost);
-        buckets[LocalBucket(in_tuples[i].key, config.local_radix_bits)]
-            .push_back(in_tuples[i]);
+        table.Add(in_tuples[i].key);
       }
-      st.local += clock.now() - t0;
-      t0 = clock.now();
-      std::vector<FlatHashMap<uint64_t>> tables(num_buckets);
-      for (uint32_t b = 0; b < num_buckets; ++b) {
-        tables[b].Reserve(buckets[b].size());
-        for (const bench::JoinTuple& t : buckets[b]) {
-          ++tables[b][t.key];
-          clock.Advance(config.build_cost_ns);
-        }
-      }
-      st.build_probe += clock.now() - t0;
+      const SimTime local_inner =
+          static_cast<SimTime>(st.received_inner) * scan_cost;
+      clock.Advance(local_inner);
+      st.local += local_inner;
+      const SimTime build =
+          static_cast<SimTime>(table.Build()) * config.build_cost_ns;
+      clock.Advance(build);
+      st.build_probe += build;
 
       const std::vector<bench::JoinTuple> outer = OuterChunk(config, w);
       if (!partition_relation(outer, outer_win, &st.received_outer)) {
         failed = true;
         return;
       }
-      // Local partition + probe of the received outer share.
-      t0 = clock.now();
-      std::vector<std::vector<bench::JoinTuple>> obuckets(num_buckets);
+      // Local partition + probe of the received outer share. The table
+      // finds each probe key's partition itself, so the partitioning pass
+      // is charged (scan_cost per tuple) but copies nothing.
       const auto* out_tuples =
           reinterpret_cast<const bench::JoinTuple*>(outer_win->local(rank));
-      for (uint64_t i = 0; i < st.received_outer; ++i) {
-        clock.Advance(scan_cost);
-        obuckets[LocalBucket(out_tuples[i].key, config.local_radix_bits)]
-            .push_back(out_tuples[i]);
-      }
-      st.local += clock.now() - t0;
-      t0 = clock.now();
-      for (uint32_t b = 0; b < num_buckets; ++b) {
-        for (const bench::JoinTuple& t : obuckets[b]) {
-          clock.Advance(config.probe_cost_ns);
-          st.matches += CountMatches(tables[b], t.key);
-        }
-      }
-      st.build_probe += clock.now() - t0;
+      st.matches = table.Matches(st.received_outer, [out_tuples](size_t i) {
+        return out_tuples[i].key;
+      });
+      const SimTime local_outer =
+          static_cast<SimTime>(st.received_outer) * scan_cost;
+      const SimTime probe =
+          static_cast<SimTime>(st.received_outer) * config.probe_cost_ns;
+      clock.Advance(local_outer + probe);
+      st.local += local_outer;
+      st.build_probe += probe;
       st.total = clock.now();
     });
   }
@@ -571,9 +553,7 @@ StatusOr<JoinResult> RunMpiRadixJoin(net::Fabric* fabric,
 StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
                                          const std::vector<std::string>& nodes,
                                          const JoinConfig& config) {
-  if (nodes.size() != config.num_nodes) {
-    return Status::InvalidArgument("node list does not match config");
-  }
+  DFI_RETURN_IF_ERROR(CheckConfig(config, nodes.size()));
   const uint32_t W = config.total_workers();
   const net::SimConfig& sim = dfi->config();
 
@@ -615,29 +595,26 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
         failed = true;
         return;
       }
-      // Receive the full inner relation; build one table streaming.
-      FlatHashMap<uint64_t> table;
-      table.Reserve(config.inner_tuples);
-      const Schema schema = JoinSchema();
+      // Receive the full inner relation into one unpartitioned table.
+      RadixJoinTable table(0);
       SegmentView seg;
       while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
-        for (uint32_t off = 0; off + 16 <= seg.bytes; off += 16) {
-          TupleView t(seg.payload + off, &schema);
-          (*tgt)->clock().Advance(sim.tuple_consume_fixed_ns +
-                                  config.build_cost_ns);
-          ++table[t.Get<uint64_t>(0)];
-        }
+        const size_t n = SegmentTuples(seg);
+        for (size_t i = 0; i < n; ++i) table.Add(SegmentKey(seg, i));
+        (*tgt)->clock().Advance(
+            static_cast<SimTime>(n) *
+            (sim.tuple_consume_fixed_ns + config.build_cost_ns));
       }
+      table.Build();
       (*src)->clock().AdvanceTo((*tgt)->clock().now());
       t_repl[w] = (*tgt)->clock().now();
 
       // Probe the local outer fragment — zero network traffic.
-      uint64_t matches = 0;
-      for (const bench::JoinTuple& t : OuterChunk(config, w)) {
-        (*tgt)->clock().Advance(config.probe_cost_ns);
-        matches += CountMatches(table, t.key);
-      }
-      total_matches += matches;
+      const std::vector<bench::JoinTuple> outer = OuterChunk(config, w);
+      total_matches += table.Matches(
+          outer.size(), [&outer](size_t i) { return outer[i].key; });
+      (*tgt)->clock().Advance(static_cast<SimTime>(outer.size()) *
+                              config.probe_cost_ns);
       t_total[w] = (*tgt)->clock().now();
     });
   }

@@ -19,7 +19,8 @@ struct JoinConfig {
   uint32_t workers_per_node = 8;
   uint64_t inner_tuples = 1 << 22;
   uint64_t outer_tuples = 1 << 22;
-  /// Second-pass radix bits: buckets per worker (cache-sized partitions).
+  /// Second-pass radix bits: 2^bits cache-sized local partitions per
+  /// worker; at most kMaxLocalRadixBits (16).
   uint32_t local_radix_bits = 6;
   uint64_t seed = 42;
 

@@ -26,6 +26,8 @@ namespace dfi {
 /// partition share those.
 ///
 /// Find and TryEmplace return pointers that the next insert invalidates.
+/// Batched lookups hash their keys once, Prefetch every home slot, then
+/// Find with the hash.
 template <typename V>
 class FlatHashMap {
   static_assert(std::is_trivially_copyable_v<V>);
@@ -40,11 +42,19 @@ class FlatHashMap {
   }
 
   /// The value stored for `key`, or null.
-  const V* Find(uint64_t key) const {
+  const V* Find(uint64_t key) const { return Find(key, HashU64(key)); }
+
+  /// Find for a key whose HashU64 is `hash`.
+  const V* Find(uint64_t key, uint64_t hash) const {
     if (key == kEmptyKey) return has_empty_key_ ? &empty_key_value_ : nullptr;
     if (slots_.empty()) return nullptr;
-    const Slot& slot = slots_[Probe(key)];
+    const Slot& slot = slots_[Probe(key, hash)];
     return slot.key == key ? &slot.value : nullptr;
+  }
+
+  /// Starts loading the home slot of a key whose HashU64 is `hash`.
+  void Prefetch(uint64_t hash) const {
+    if (!slots_.empty()) __builtin_prefetch(&slots_[hash >> shift_]);
   }
 
   /// Inserts `value` under `key` unless the key is present. Returns the
@@ -56,10 +66,11 @@ class FlatHashMap {
       has_empty_key_ = true;
       return {&empty_key_value_, inserted};
     }
-    if (used_ >= max_load_ && Find(key) == nullptr) {
+    const uint64_t hash = HashU64(key);
+    if (used_ >= max_load_ && Find(key, hash) == nullptr) {
       Rehash(slots_.empty() ? kMinCapacity : 2 * slots_.size());
     }
-    Slot& slot = slots_[Probe(key)];
+    Slot& slot = slots_[Probe(key, hash)];
     if (slot.key == key) return {&slot.value, false};
     slot = Slot{key, value};
     ++used_;
@@ -82,10 +93,10 @@ class FlatHashMap {
     V value;
   };
 
-  /// The slot holding `key`, or the empty slot ending its probe sequence
-  /// (the table is never full).
-  size_t Probe(uint64_t key) const {
-    size_t i = static_cast<size_t>(HashU64(key) >> shift_);
+  /// The slot holding `key` (whose HashU64 is `hash`), or the empty slot
+  /// ending its probe sequence (the table is never full).
+  size_t Probe(uint64_t key, uint64_t hash) const {
+    size_t i = static_cast<size_t>(hash >> shift_);
     while (slots_[i].key != key && slots_[i].key != kEmptyKey) {
       i = (i + 1) & mask_;
     }
@@ -99,7 +110,9 @@ class FlatHashMap {
     shift_ = 64 - static_cast<uint32_t>(std::countr_zero(capacity));
     max_load_ = capacity / 4 * 3;
     for (const Slot& slot : old) {
-      if (slot.key != kEmptyKey) slots_[Probe(slot.key)] = slot;
+      if (slot.key != kEmptyKey) {
+        slots_[Probe(slot.key, HashU64(slot.key))] = slot;
+      }
     }
   }
 

@@ -1,6 +1,7 @@
 #include "core/endpoint/policies.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -161,25 +162,47 @@ AdaptivePartitioner::AdaptivePartitioner(
   }
 }
 
+AdaptivePartitioner::SketchSlot& AdaptivePartitioner::SketchSlotOf(
+    uint64_t key) {
+  constexpr uint32_t kShift =
+      64 - static_cast<uint32_t>(std::countr_zero(kSketchSlots));
+  size_t i = static_cast<size_t>(HashU64(key) >> kShift);
+  while (sketch_[i].count != 0 && sketch_[i].key != key) {
+    i = (i + 1) % kSketchSlots;
+  }
+  return sketch_[i];
+}
+
 void AdaptivePartitioner::SketchAdd(uint64_t key) {
   // Misra-Gries: any key with epoch count > epoch_tuples / kSketchCounters
   // survives with count no more than that margin below its true count.
-  auto it = sketch_.find(key);
-  if (it != sketch_.end()) {
-    ++it->second;
+  SketchSlot& slot = SketchSlotOf(key);
+  if (slot.count != 0) {
+    ++slot.count;
     return;
   }
-  if (sketch_.size() < kSketchCounters) {
-    sketch_.emplace(key, 1);
+  if (sketch_size_ < kSketchCounters) {
+    slot = SketchSlot{key, 1};
+    ++sketch_size_;
     return;
   }
-  for (auto mg = sketch_.begin(); mg != sketch_.end();) {
-    if (--mg->second == 0) {
-      mg = sketch_.erase(mg);
-    } else {
-      ++mg;
-    }
+  // Full: decrement every counter. Freed slots would cut the probe runs
+  // of the survivors, so those are re-inserted into a cleared table.
+  std::array<SketchSlot, kSketchCounters> survivors;
+  size_t n = 0;
+  for (SketchSlot& s : sketch_) {
+    if (s.count != 0 && --s.count != 0) survivors[n++] = s;
+    s.count = 0;
   }
+  for (size_t i = 0; i < n; ++i) SketchSlotOf(survivors[i].key) = survivors[i];
+  sketch_size_ = n;
+}
+
+AdaptivePartitioner::HotKey* AdaptivePartitioner::FindHot(uint64_t key) {
+  for (size_t h = 0; h < num_hot_; ++h) {
+    if (hot_[h].key == key) return &hot_[h];
+  }
+  return nullptr;
 }
 
 void AdaptivePartitioner::EndEpoch() {
@@ -191,67 +214,67 @@ void AdaptivePartitioner::EndEpoch() {
   // Demote cooled-off keys (half the promotion threshold: hysteresis), and
   // in ordered mode rotate the single owner of keys that stay hot so one
   // hot key's load still spreads across the node's siblings over time.
-  for (auto it = hot_.begin(); it != hot_.end();) {
-    HotKey& hk = it->second;
-    const auto seen = sketch_.find(it->first);
-    const double count =
-        seen == sketch_.end() ? 0.0 : static_cast<double>(seen->second);
+  for (size_t h = 0; h < num_hot_;) {
+    HotKey& hk = hot_[h];
+    const std::vector<uint32_t>& spread = siblings_[hk.home];
+    const double count = static_cast<double>(SketchSlotOf(hk.key).count);
     if (count < threshold / 2) {
       ++demotions_;
-      if (opts_.ordered_handoff) {
-        // Keep the entry around for one more Route(): it goes home and
-        // carries the final hand-off flush of the last owner's channel.
-        hk.demoted = true;
-        hk.pending_flush = static_cast<int32_t>(hk.spread[hk.owner]);
-        ++it;
-      } else {
-        it = hot_.erase(it);
+      if (!opts_.ordered_handoff) {
+        EraseHot(&hk);  // the last entry moves here; visit it next
+        continue;
       }
-    } else {
-      if (opts_.ordered_handoff && !hk.demoted) {
-        const uint32_t next = static_cast<uint32_t>(
-            HashU64(it->first ^ epoch_) % hk.spread.size());
-        if (next != hk.owner) {
-          hk.pending_flush = static_cast<int32_t>(hk.spread[hk.owner]);
-          hk.owner = next;
-        }
+      // Keep the entry around for one more Route(): it goes home and
+      // carries the final hand-off flush of the last owner's channel.
+      hk.demoted = true;
+      hk.pending_flush = static_cast<int32_t>(spread[hk.owner]);
+    } else if (opts_.ordered_handoff && !hk.demoted) {
+      const uint32_t next =
+          static_cast<uint32_t>(HashU64(hk.key ^ epoch_) % spread.size());
+      if (next != hk.owner) {
+        hk.pending_flush = static_cast<int32_t>(spread[hk.owner]);
+        hk.owner = next;
       }
-      ++it;
     }
+    ++h;
   }
 
   // Promote this epoch's heavy hitters, hottest first (key ascending as a
   // deterministic tie-break), bounded by kMaxHotKeys.
-  std::vector<std::pair<uint64_t, uint64_t>> candidates;  // (count, key)
-  for (const auto& [key, count] : sketch_) {
-    if (static_cast<double>(count) >= threshold && hot_.count(key) == 0) {
-      candidates.emplace_back(count, key);
+  std::array<std::pair<uint64_t, uint64_t>, kSketchCounters>
+      candidates;  // (count, key)
+  size_t num_candidates = 0;
+  for (const SketchSlot& slot : sketch_) {
+    if (slot.count != 0 && static_cast<double>(slot.count) >= threshold &&
+        FindHot(slot.key) == nullptr) {
+      candidates[num_candidates++] = {slot.count, slot.key};
     }
   }
-  std::sort(candidates.begin(), candidates.end(),
+  std::sort(candidates.begin(), candidates.begin() + num_candidates,
             [](const auto& a, const auto& b) {
               if (a.first != b.first) return a.first > b.first;
               return a.second < b.second;
             });
-  for (const auto& [count, key] : candidates) {
-    if (hot_.size() >= kMaxHotKeys) break;
+  for (size_t c = 0; c < num_candidates && num_hot_ < kMaxHotKeys; ++c) {
+    const uint64_t key = candidates[c].second;
     const uint32_t home = HomeTarget(key);
-    if (siblings_[home].size() < 2) continue;  // nothing to re-split over
+    const size_t spread = siblings_[home].size();
+    if (spread < 2) continue;  // nothing to re-split over
     HotKey hk;
-    hk.spread = siblings_[home];
-    hk.cursor =
-        static_cast<uint32_t>(HashU64(key) % hk.spread.size());
+    hk.key = key;
+    hk.home = home;
+    hk.cursor = static_cast<uint32_t>(HashU64(key) % spread);
     if (opts_.ordered_handoff) {
-      hk.owner = static_cast<uint32_t>(HashU64(key ^ epoch_) %
-                                       hk.spread.size());
+      hk.owner = static_cast<uint32_t>(HashU64(key ^ epoch_) % spread);
       // Re-homing away from home: the home channel may hold staged tuples
       // of this key, so the first re-routed push flushes it first.
       if (hk.owner != 0) hk.pending_flush = static_cast<int32_t>(home);
     }
     ++promotions_;
-    hot_.emplace(key, std::move(hk));
+    hot_[num_hot_++] = hk;
   }
-  sketch_.clear();
+  sketch_.fill(SketchSlot{});
+  sketch_size_ = 0;
 }
 
 uint32_t AdaptivePartitioner::RouteHot(HotKey& hot, int32_t* flush_first) {
@@ -259,19 +282,19 @@ uint32_t AdaptivePartitioner::RouteHot(HotKey& hot, int32_t* flush_first) {
     *flush_first = hot.pending_flush;
     hot.pending_flush = -1;
   }
-  const uint32_t home = hot.spread[0];
-  if (hot.demoted) return home;  // caller erases the entry
+  const std::vector<uint32_t>& spread = siblings_[hot.home];
+  if (hot.demoted) return hot.home;  // caller erases the entry
   uint32_t target;
   if (opts_.ordered_handoff) {
-    target = hot.spread[hot.owner];
+    target = spread[hot.owner];
   } else {
-    target = hot.spread[hot.cursor];
-    hot.cursor = (hot.cursor + 1) % static_cast<uint32_t>(hot.spread.size());
+    target = spread[hot.cursor];
+    hot.cursor = (hot.cursor + 1) % static_cast<uint32_t>(spread.size());
     if (board_ != nullptr && opts_.react_to_backpressure &&
         board_->saturated(target)) {
       uint32_t best_depth = UINT32_MAX;
       uint32_t best = target;
-      for (uint32_t sibling : hot.spread) {
+      for (uint32_t sibling : spread) {
         if (board_->saturated(sibling)) continue;
         const uint32_t depth = board_->depth(sibling);
         if (depth < best_depth) {
@@ -285,7 +308,7 @@ uint32_t AdaptivePartitioner::RouteHot(HotKey& hot, int32_t* flush_first) {
       }
     }
   }
-  if (target != home) ++resplit_tuples_;
+  if (target != hot.home) ++resplit_tuples_;
   return target;
 }
 
@@ -296,13 +319,10 @@ AdaptivePartitioner::Decision AdaptivePartitioner::Route(
   if (++epoch_fill_ >= opts_.epoch_tuples) EndEpoch();
 
   Decision d;
-  if (!hot_.empty()) {
-    auto it = hot_.find(key);
-    if (it != hot_.end()) {
-      d.target = RouteHot(it->second, &d.flush_first);
-      if (it->second.demoted) hot_.erase(it);
-      return d;
-    }
+  if (HotKey* hot = FindHot(key); hot != nullptr) {
+    d.target = RouteHot(*hot, &d.flush_first);
+    if (hot->demoted) EraseHot(hot);
+    return d;
   }
   const uint32_t home = HomeTarget(key);
   d.target = home;

@@ -1,10 +1,10 @@
 #ifndef DFI_CORE_ENDPOINT_POLICIES_H_
 #define DFI_CORE_ENDPOINT_POLICIES_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/flat_hash_map.h"
@@ -167,15 +167,26 @@ class AdaptivePartitioner {
   /// distinct keys tracked per epoch; 64 counters resolve any key with
   /// > ~1.6% share of an epoch.
   static constexpr size_t kSketchCounters = 64;
+  /// Slots of the sketch's open-addressing table: twice the counters, so
+  /// probe runs stay short and always end at a free slot.
+  static constexpr size_t kSketchSlots = 2 * kSketchCounters;
   /// Upper bound on simultaneously hot keys.
   static constexpr size_t kMaxHotKeys = 8;
 
+  /// One sketch counter; count 0 marks a free slot.
+  struct SketchSlot {
+    uint64_t key = 0;
+    uint64_t count = 0;
+  };
+
   struct HotKey {
-    /// Sibling targets (home node's target threads, home first).
-    std::vector<uint32_t> spread;
-    /// Unordered mode: deterministic round-robin cursor over `spread`.
+    uint64_t key = 0;
+    /// Static home target: the key spreads over siblings_[home], whose
+    /// first entry is home.
+    uint32_t home = 0;
+    /// Unordered mode: deterministic round-robin cursor over the spread.
     uint32_t cursor = 0;
-    /// Ordered mode: current single owner (index into `spread`).
+    /// Ordered mode: current single owner (index into the spread).
     uint32_t owner = 0;
     /// Ordered mode: channel whose staged partial segment must be flushed
     /// before this key's next push (the previous owner after a re-homing);
@@ -186,7 +197,13 @@ class AdaptivePartitioner {
     bool demoted = false;
   };
 
+  /// The sketch slot of `key`, or the free slot ending its probe run.
+  SketchSlot& SketchSlotOf(uint64_t key);
   void SketchAdd(uint64_t key);
+  /// The hot-set entry of `key`, or null.
+  HotKey* FindHot(uint64_t key);
+  /// Removes `hot` (an entry of hot_) by moving the last entry into it.
+  void EraseHot(HotKey* hot) { *hot = hot_[--num_hot_]; }
   /// Epoch boundary: promote/demote against the sketch, then reset it.
   void EndEpoch();
   uint32_t RouteHot(HotKey& hot, int32_t* flush_first);
@@ -200,9 +217,13 @@ class AdaptivePartitioner {
   /// target -> sibling targets on the same node (includes itself, home
   /// first, matrix order otherwise).
   std::vector<std::vector<uint32_t>> siblings_;
-  /// Misra-Gries summary of the current epoch (<= kSketchCounters keys).
-  std::unordered_map<uint64_t, uint64_t> sketch_;
-  std::unordered_map<uint64_t, HotKey> hot_;
+  /// Misra-Gries summary of the current epoch: at most kSketchCounters
+  /// live counters, linear probing from the top bits of HashU64(key).
+  std::array<SketchSlot, kSketchSlots> sketch_{};
+  size_t sketch_size_ = 0;
+  /// The hot set, in no particular order: entries [0, num_hot_).
+  std::array<HotKey, kMaxHotKeys> hot_{};
+  size_t num_hot_ = 0;
   uint64_t epoch_ = 0;
   uint32_t epoch_fill_ = 0;
   uint64_t promotions_ = 0;

@@ -69,6 +69,8 @@ const char* DiagCodeName(DiagCode code) {
       return "no-aggregates";
     case DiagCode::kMissingBody:
       return "missing-body";
+    case DiagCode::kParamOutOfRange:
+      return "param-out-of-range";
   }
   return "?";
 }

@@ -31,6 +31,7 @@ enum class DiagCode : uint8_t {
   kCombinerTopology,     ///< multi-node combiner targets w/o the opt-in
   kNoAggregates,         ///< combiner edge without aggregate specs
   kMissingBody,          ///< operator kind requires a callback it lacks
+  kParamOutOfRange,      ///< operator parameter the run cannot execute
 };
 
 const char* DiagCodeName(DiagCode code);

@@ -2,23 +2,62 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <utility>
 
-#include "common/flat_hash_map.h"
+#include "common/radix_join_table.h"
 #include "core/dfi_runtime.h"
 #include "core/graph/lowering.h"
 
 namespace dfi::graph {
 namespace {
 
-/// Low `field_size` bytes of field `f`, zero-extended (hosts are
-/// little-endian; schema accessors are memcpy-based so packing is fine).
-uint64_t ReadUnsigned(const uint8_t* tuple, const Schema& schema, size_t f) {
-  uint64_t value = 0;
-  std::memcpy(&value, tuple + schema.offset(f),
-              std::min<size_t>(sizeof(value), schema.field_size(f)));
-  return value;
-}
+/// A field read as a key (ReadKeyBytes), with its offset and width
+/// resolved once per operator instead of once per tuple.
+struct KeyField {
+  KeyField(const Schema& schema, size_t f)
+      : offset(schema.offset(f)), size(schema.field_size(f)) {}
+  uint64_t Read(const uint8_t* tuple) const {
+    return ReadKeyBytes(tuple + offset, size);
+  }
+  size_t offset;
+  size_t size;
+};
+
+/// kWindow's per-tuple work: the output tuple is the input plus the fused
+/// window key `(seq / window_size) << key_bits | (key & mask)`.
+class WindowStage {
+ public:
+  /// `spec` passed Graph::Build: window_size > 0, key_bits < 64.
+  WindowStage(const WindowOpSpec& spec, const Schema& in, const Schema& out)
+      : seq_(in, spec.seq_field),
+        key_(in, spec.key_field),
+        window_size_(spec.window_size),
+        key_bits_(spec.key_bits),
+        key_mask_((uint64_t{1} << spec.key_bits) - 1),
+        in_size_(in.tuple_size()),
+        wkey_offset_(out.offset(out.num_fields() - 1)),
+        buf_(out.tuple_size()) {}
+
+  /// The output tuple of `tuple`, valid until the next call.
+  const uint8_t* Apply(const uint8_t* tuple) {
+    const uint64_t wkey = ((seq_.Read(tuple) / window_size_) << key_bits_) |
+                          (key_.Read(tuple) & key_mask_);
+    std::memcpy(buf_.data(), tuple, in_size_);
+    std::memcpy(buf_.data() + wkey_offset_, &wkey, sizeof(wkey));
+    return buf_.data();
+  }
+
+ private:
+  const KeyField seq_;
+  const KeyField key_;
+  const uint64_t window_size_;
+  const uint32_t key_bits_;
+  const uint64_t key_mask_;
+  const size_t in_size_;
+  const size_t wkey_offset_;
+  std::vector<uint8_t> buf_;
+};
 
 /// Push-side adapter over the three flow kinds, bound to one worker.
 struct OutPort {
@@ -286,15 +325,11 @@ Status GraphRun::RunTransformLike(int vertex, uint32_t worker,
     return s;
   };
 
-  // kWindow precomputation: output tuple = input + fused window key.
-  const Schema& in_schema = graph_.spec().edges[vi.in[0]].type.schema;
-  const Schema& out_schema = vi.produced;
-  std::vector<uint8_t> window_buf(
-      vs.kind == OpKind::kWindow ? out_schema.tuple_size() : 0);
-  const size_t wkey_index = out_schema.num_fields() - 1;
-  const uint64_t key_mask = vs.window.key_bits >= 64
-                                ? ~uint64_t{0}
-                                : (uint64_t{1} << vs.window.key_bits) - 1;
+  std::optional<WindowStage> window;
+  if (vs.kind == OpKind::kWindow) {
+    window.emplace(vs.window, graph_.spec().edges[vi.in[0]].type.schema,
+                   vi.produced);
+  }
 
   TupleView tuple;
   for (;;) {
@@ -307,16 +342,7 @@ Status GraphRun::RunTransformLike(int vertex, uint32_t worker,
       DFI_RETURN_IF_ERROR(vs.transform_fn(ctx, tuple, emit));
       continue;
     }
-    const uint64_t seq =
-        ReadUnsigned(tuple.data(), in_schema, vs.window.seq_field);
-    const uint64_t key =
-        ReadUnsigned(tuple.data(), in_schema, vs.window.key_field);
-    const uint64_t wkey =
-        ((seq / vs.window.window_size) << vs.window.key_bits) |
-        (key & key_mask);
-    std::memcpy(window_buf.data(), tuple.data(), in_schema.tuple_size());
-    TupleWriter(window_buf.data(), &out_schema).Set(wkey_index, wkey);
-    DFI_RETURN_IF_ERROR(emit(window_buf.data()));
+    DFI_RETURN_IF_ERROR(emit(window->Apply(tuple.data())));
   }
   DFI_RETURN_IF_ERROR(port.Close());
   out->tuples_in = consumed;
@@ -379,35 +405,51 @@ Status GraphRun::RunJoin(int vertex, uint32_t worker, VertexStats* out) {
   ShuffleTarget probe(edges_[vi.in[1]].shuffle, worker);
   const Schema& build_schema = graph_.spec().edges[vi.in[0]].type.schema;
   const Schema& probe_schema = graph_.spec().edges[vi.in[1]].type.schema;
+  const KeyField build_key(build_schema, js.key_field);
+  const KeyField probe_key(probe_schema, js.key_field);
+  const size_t build_size = build_schema.tuple_size();
+  const size_t probe_size = probe_schema.tuple_size();
+  // Each tuple is charged what consuming it alone costs plus its share of
+  // the join; nothing reads the clock within a segment, so one charge per
+  // segment lands at the same virtual times.
+  const SimTime consume_ns = dfi_->config().tuple_consume_fixed_ns;
+  const SimTime build_ns = consume_ns + js.partition_cost_ns + js.build_cost_ns;
+  const SimTime probe_ns = consume_ns + js.partition_cost_ns + js.probe_cost_ns;
 
-  // Build phase: hash the inner input as it streams in, into one table per
-  // worker (local_radix_bits is not used). Multiplicity per key is all the
-  // probe side needs to count matches.
-  FlatHashMap<uint64_t> table;
+  // Build phase: append each key of the inner input to its local radix
+  // partition as segments stream in, then give each partition one exactly
+  // sized table of key -> multiplicity, all the probe side needs to count
+  // matches.
+  RadixJoinTable table(js.local_radix_bits);
   uint64_t consumed = 0;
-  TupleView tuple;
+  SegmentView seg;
   for (;;) {
-    ConsumeResult r = build.Consume(&tuple);
+    const ConsumeResult r = build.ConsumeSegment(&seg);
     if (r == ConsumeResult::kFlowEnd) break;
     if (r == ConsumeResult::kError) return build.last_status();
-    ++consumed;
-    build.clock().Advance(js.partition_cost_ns + js.build_cost_ns);
-    ++table[ReadUnsigned(tuple.data(), build_schema, js.key_field)];
+    const size_t n = seg.bytes / build_size;
+    for (size_t i = 0; i < n; ++i) {
+      table.Add(build_key.Read(seg.payload + i * build_size));
+    }
+    build.clock().Advance(static_cast<SimTime>(n) * build_ns);
+    consumed += n;
   }
+  table.Build();
 
   // Probe phase starts no earlier than the build finished (same max-join
-  // of clocks as the hand-rolled join app).
+  // of clocks as the hand-rolled join app), a segment at a time.
   probe.clock().AdvanceTo(build.clock().now());
   uint64_t matches = 0;
   for (;;) {
-    ConsumeResult r = probe.Consume(&tuple);
+    const ConsumeResult r = probe.ConsumeSegment(&seg);
     if (r == ConsumeResult::kFlowEnd) break;
     if (r == ConsumeResult::kError) return probe.last_status();
-    ++consumed;
-    probe.clock().Advance(js.partition_cost_ns + js.probe_cost_ns);
-    const uint64_t* multiplicity =
-        table.Find(ReadUnsigned(tuple.data(), probe_schema, js.key_field));
-    if (multiplicity != nullptr) matches += *multiplicity;
+    const size_t n = seg.bytes / probe_size;
+    matches += table.Matches(n, [&](size_t i) {
+      return probe_key.Read(seg.payload + i * probe_size);
+    });
+    probe.clock().Advance(static_cast<SimTime>(n) * probe_ns);
+    consumed += n;
   }
   out->tuples_in = consumed;
   out->join_matches = matches;

@@ -4,6 +4,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/radix_join_table.h"
 #include "core/graph/lowering.h"
 
 namespace dfi::graph {
@@ -285,6 +286,17 @@ StatusOr<Graph> Graph::Build(GraphSpec spec, const net::Fabric* fabric,
         break;
       case OpKind::kWindow: {
         const Schema& in_schema = s.edges[vi.in[0]].type.schema;
+        if (vs.window.window_size == 0) {
+          diags.push_back(VertexDiag(DiagCode::kParamOutOfRange, vs.name,
+                                     "window_size must be at least 1"));
+        }
+        if (vs.window.key_bits >= 64) {
+          diags.push_back(VertexDiag(
+              DiagCode::kParamOutOfRange, vs.name,
+              "window key_bits " + std::to_string(vs.window.key_bits) +
+                  " leaves no bit of the 64-bit window key for the window "
+                  "id (must be below 64)"));
+        }
         if (vs.window.seq_field >= in_schema.num_fields() ||
             vs.window.key_field >= in_schema.num_fields()) {
           diags.push_back(VertexDiag(
@@ -343,11 +355,25 @@ StatusOr<Graph> Graph::Build(GraphSpec spec, const net::Fabric* fabric,
         break;
       case OpKind::kJoin:
         for (int i : {0, 1}) {
+          const EdgeSpec& in_edge = s.edges[vi.in[i]];
           if (in_kind(i) != EdgeKind::kShuffle) {
             diags.push_back(VertexDiag(
                 DiagCode::kArity, vs.name,
                 "join operator requires shuffle in edges"));
           }
+          if (vs.join.key_field >= in_edge.type.schema.num_fields()) {
+            diags.push_back(EdgeDiag(
+                DiagCode::kKeyOutOfRange, vs.name, in_edge.name,
+                "join key field out of range for input schema " +
+                    in_edge.type.schema.ToString()));
+          }
+        }
+        if (vs.join.local_radix_bits > kMaxLocalRadixBits) {
+          diags.push_back(VertexDiag(
+              DiagCode::kParamOutOfRange, vs.name,
+              "join local_radix_bits " +
+                  std::to_string(vs.join.local_radix_bits) + " exceeds " +
+                  std::to_string(kMaxLocalRadixBits)));
         }
         break;
       case OpKind::kSink:

@@ -73,7 +73,8 @@ using AggSinkFn = std::function<Status(OpContext&, const AggRow&)>;
 /// `out_field = (seq / window_size) << key_bits | (key & mask)` — a
 /// data-derived window id fused with the grouping key, so downstream
 /// combiner edges group per (window, key) and the assignment is a pure
-/// function of tuple content (independent of dispatch order).
+/// function of tuple content (independent of dispatch order). Graph::Build
+/// requires window_size >= 1 and key_bits < 64.
 struct WindowOpSpec {
   size_t seq_field = 0;        ///< monotone per-source sequence field
   size_t key_field = 0;        ///< grouping key field
@@ -82,13 +83,19 @@ struct WindowOpSpec {
   std::string out_field = "wkey";
 };
 
-/// kJoin configuration: streaming radix build over in-edge 0, streaming
-/// probe of in-edge 1, with the same per-tuple CPU cost model as the join
-/// app (src/apps/join).
+/// kJoin configuration: a radix hash join (paper section 4.3.1) that builds
+/// in-edge 0 and probes in-edge 1 and counts matches. Each join worker
+/// appends its build keys to 2^local_radix_bits local partitions
+/// (LocalBucket, common/radix_join_table.h) as segments arrive. When the
+/// build input ends, it gives every partition its own exactly sized table
+/// of key -> multiplicity, then probes a segment at a time. Every tuple is
+/// charged the consume cost plus partition_cost_ns and build_cost_ns or
+/// probe_cost_ns, the cost model of the join app (src/apps/join), so the
+/// virtual times do not depend on local_radix_bits.
 struct JoinOpSpec {
-  size_t key_field = 0;
-  size_t payload_field = 1;
-  uint32_t local_radix_bits = 6;
+  size_t key_field = 0;           ///< key field of both in-edge schemas
+  size_t payload_field = 1;       ///< not read: the join emits no tuples
+  uint32_t local_radix_bits = 6;  ///< <= kMaxLocalRadixBits (16)
   SimTime partition_cost_ns = 5;
   SimTime build_cost_ns = 10;
   SimTime probe_cost_ns = 10;

@@ -109,6 +109,21 @@ TEST(FlatHashMapTest, FindAbsentKey) {
   EXPECT_EQ(table.size(), 2500u);
 }
 
+TEST(FlatHashMapTest, FindWithHashMatchesFind) {
+  FlatHashMap<uint64_t> table;
+  for (uint64_t k : {uint64_t{0}, HashU64(3)}) {
+    table.Prefetch(HashU64(k));  // no array yet: a no-op
+    EXPECT_EQ(table.Find(k, HashU64(k)), nullptr);
+  }
+  for (uint64_t k = 0; k < 1000; ++k) table[k * 7] = k;
+  table[kMaxKey] = 42;
+  for (uint64_t k : {uint64_t{0}, uint64_t{7}, uint64_t{8}, uint64_t{6993},
+                     kMaxKey}) {
+    table.Prefetch(HashU64(k));
+    EXPECT_EQ(table.Find(k, HashU64(k)), table.Find(k)) << "key " << k;
+  }
+}
+
 TEST(FlatHashMapTest, ReserveThenInsertDoesNotGrow) {
   for (size_t n : {1, 12, 13, 1000, 1 << 17}) {
     FlatHashMap<uint64_t> table;

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -251,6 +253,199 @@ TEST_F(AdaptiveShufflePropertyTest, AdaptiveRoutingIsDeterministic) {
   EXPECT_GT(a.resplit_tuples(), 0u);
   EXPECT_EQ(a.promotions(), b.promotions());
   EXPECT_EQ(a.resplit_tuples(), b.resplit_tuples());
+}
+
+/// The adaptive routing rules over std::unordered_map, as the partitioner
+/// first implemented them: the reference its fixed sketch and hot-key
+/// tables must reproduce decision for decision (no backpressure board).
+class ModelPartitioner {
+ public:
+  ModelPartitioner(const std::vector<net::NodeId>& target_nodes,
+                   const AdaptiveShuffleOptions& opts)
+      : num_targets_(static_cast<uint32_t>(target_nodes.size())),
+        opts_(opts),
+        siblings_(target_nodes.size()) {
+    for (uint32_t t = 0; t < num_targets_; ++t) {
+      siblings_[t].push_back(t);
+      for (uint32_t u = 0; u < num_targets_; ++u) {
+        if (u != t && target_nodes[u] == target_nodes[t]) {
+          siblings_[t].push_back(u);
+        }
+      }
+    }
+  }
+
+  AdaptivePartitioner::Decision Route(uint64_t key) {
+    SketchAdd(key);
+    if (++epoch_fill_ >= opts_.epoch_tuples) EndEpoch();
+    AdaptivePartitioner::Decision d;
+    auto it = hot_.find(key);
+    if (it == hot_.end()) {
+      d.target = Home(key);
+      return d;
+    }
+    Hot& hot = it->second;
+    if (hot.pending_flush >= 0) {
+      d.flush_first = hot.pending_flush;
+      hot.pending_flush = -1;
+    }
+    if (hot.demoted) {
+      d.target = hot.spread[0];
+      hot_.erase(it);
+      return d;
+    }
+    if (opts_.ordered_handoff) {
+      d.target = hot.spread[hot.owner];
+    } else {
+      d.target = hot.spread[hot.cursor];
+      hot.cursor = (hot.cursor + 1) % static_cast<uint32_t>(hot.spread.size());
+    }
+    if (d.target != hot.spread[0]) ++resplit_tuples;
+    return d;
+  }
+
+  uint64_t promotions = 0;
+  uint64_t demotions = 0;
+  uint64_t resplit_tuples = 0;
+
+ private:
+  struct Hot {
+    std::vector<uint32_t> spread;
+    uint32_t cursor = 0;
+    uint32_t owner = 0;
+    int32_t pending_flush = -1;
+    bool demoted = false;
+  };
+
+  uint32_t Home(uint64_t key) const {
+    return static_cast<uint32_t>(HashU64(key) % num_targets_);
+  }
+
+  void SketchAdd(uint64_t key) {
+    auto it = sketch_.find(key);
+    if (it != sketch_.end()) {
+      ++it->second;
+    } else if (sketch_.size() < 64) {
+      sketch_.emplace(key, 1);
+    } else {
+      for (auto mg = sketch_.begin(); mg != sketch_.end();) {
+        mg = --mg->second == 0 ? sketch_.erase(mg) : std::next(mg);
+      }
+    }
+  }
+
+  void EndEpoch() {
+    epoch_fill_ = 0;
+    ++epoch_;
+    const double threshold =
+        opts_.hot_factor * opts_.epoch_tuples / num_targets_;
+    for (auto it = hot_.begin(); it != hot_.end();) {
+      Hot& hot = it->second;
+      const auto seen = sketch_.find(it->first);
+      const double count =
+          seen == sketch_.end() ? 0.0 : static_cast<double>(seen->second);
+      if (count < threshold / 2) {
+        ++demotions;
+        if (!opts_.ordered_handoff) {
+          it = hot_.erase(it);
+          continue;
+        }
+        hot.demoted = true;
+        hot.pending_flush = static_cast<int32_t>(hot.spread[hot.owner]);
+      } else if (opts_.ordered_handoff && !hot.demoted) {
+        const uint32_t next = static_cast<uint32_t>(
+            HashU64(it->first ^ epoch_) % hot.spread.size());
+        if (next != hot.owner) {
+          hot.pending_flush = static_cast<int32_t>(hot.spread[hot.owner]);
+          hot.owner = next;
+        }
+      }
+      ++it;
+    }
+    std::vector<std::pair<uint64_t, uint64_t>> candidates;  // (count, key)
+    for (const auto& [key, count] : sketch_) {
+      if (static_cast<double>(count) >= threshold && hot_.count(key) == 0) {
+        candidates.emplace_back(count, key);
+      }
+    }
+    std::sort(candidates.begin(), candidates.end(),
+              [](const auto& a, const auto& b) {
+                return a.first != b.first ? a.first > b.first
+                                          : a.second < b.second;
+              });
+    for (const auto& [count, key] : candidates) {
+      if (hot_.size() >= 8) break;
+      const uint32_t home = Home(key);
+      if (siblings_[home].size() < 2) continue;
+      Hot hot;
+      hot.spread = siblings_[home];
+      hot.cursor = static_cast<uint32_t>(HashU64(key) % hot.spread.size());
+      if (opts_.ordered_handoff) {
+        hot.owner =
+            static_cast<uint32_t>(HashU64(key ^ epoch_) % hot.spread.size());
+        if (hot.owner != 0) hot.pending_flush = static_cast<int32_t>(home);
+      }
+      ++promotions;
+      hot_.emplace(key, std::move(hot));
+    }
+    sketch_.clear();
+  }
+
+  const uint32_t num_targets_;
+  const AdaptiveShuffleOptions opts_;
+  std::vector<std::vector<uint32_t>> siblings_;
+  std::unordered_map<uint64_t, uint64_t> sketch_;
+  std::unordered_map<uint64_t, Hot> hot_;
+  uint64_t epoch_ = 0;
+  uint32_t epoch_fill_ = 0;
+};
+
+TEST(AdaptivePartitionerModelTest, MatchesUnorderedMapModel) {
+  // Seeded zipf streams shaped like the pipeline benchmark's (1024 keys,
+  // 16 targets on 8 nodes) and a 4-per-node layout, with epochs short
+  // enough that keys are promoted, demoted and capped at the hot-set
+  // bound: every decision and counter must match the model.
+  const Schema schema = KeyPayloadSchema();
+  uint64_t promotions = 0, demotions = 0;
+  for (const uint32_t per_node : {2u, 4u}) {
+    std::vector<net::NodeId> target_nodes;
+    for (uint32_t t = 0; t < 16; ++t) target_nodes.push_back(t / per_node);
+    for (const bool ordered : {false, true}) {
+      for (const uint32_t epoch : {64u, 256u}) {
+        for (const double theta : {0.99, 1.2}) {
+          for (const uint64_t seed : {1u, 2u, 3u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "per_node " << per_node << " ordered " << ordered
+                         << " epoch " << epoch << " theta " << theta
+                         << " seed " << seed);
+            AdaptiveShuffleOptions opts;
+            opts.enabled = true;
+            opts.ordered_handoff = ordered;
+            opts.epoch_tuples = epoch;
+            opts.hot_factor = 1.0;
+            AdaptivePartitioner part(&schema, 0, target_nodes, opts, nullptr);
+            ModelPartitioner model(target_nodes, opts);
+            const auto rel =
+                bench::GenerateZipfianRelation(20000, 1024, theta, seed);
+            for (size_t i = 0; i < rel.size(); ++i) {
+              const auto got =
+                  part.Route(reinterpret_cast<const uint8_t*>(&rel[i]));
+              const auto want = model.Route(rel[i].key);
+              ASSERT_EQ(got.target, want.target) << "tuple " << i;
+              ASSERT_EQ(got.flush_first, want.flush_first) << "tuple " << i;
+            }
+            EXPECT_EQ(part.promotions(), model.promotions);
+            EXPECT_EQ(part.demotions(), model.demotions);
+            EXPECT_EQ(part.resplit_tuples(), model.resplit_tuples);
+            promotions += model.promotions;
+            demotions += model.demotions;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(promotions, 0u);
+  EXPECT_GT(demotions, 0u);
 }
 
 TEST_F(AdaptiveShufflePropertyTest, CrashMidMigrationFailsCleanly) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <optional>
+#include <unordered_map>
 
 #include "common/exec/engine.h"
+#include "common/radix_join_table.h"
 #include "core/dfi.h"
 #include "core/graph/executor.h"
 
@@ -364,6 +368,107 @@ TEST_F(GraphBuildTest, WindowKeyOutOfRangeNamed) {
   EXPECT_EQ(d->vertex, "win");
 }
 
+/// A source -> window -> sink graph with `window` as the window spec.
+GraphSpec WindowSpec(const DfiNodes& workers, const WindowOpSpec& window) {
+  GraphSpec gs;
+  gs.name = "w";
+  VertexSpec win;
+  win.name = "win";
+  win.kind = OpKind::kWindow;
+  win.workers = workers;
+  win.window = window;
+  VertexSpec snk = Sink("snk", workers);
+  gs.vertices = {Source("src", workers), std::move(win), std::move(snk)};
+  EdgeSpec out = Shuffle("w.out", "win", "snk");
+  out.type.schema = Schema{{"key", DataType::kUInt64},
+                           {"val", DataType::kUInt64},
+                           {"wkey", DataType::kUInt64}};
+  gs.edges = {Shuffle("w.in", "src", "win"), std::move(out)};
+  return gs;
+}
+
+TEST_F(GraphBuildTest, WindowParametersTheRunCannotUseRejected) {
+  // window_size 0 would divide by zero in every window worker, and a
+  // 64-bit key shift is undefined (x86 keeps the key and drops the id).
+  for (const bool zero_size : {true, false}) {
+    WindowOpSpec window;
+    if (zero_size) {
+      window.window_size = 0;
+    } else {
+      window.key_bits = 64;
+    }
+    std::vector<Diagnostic> diags;
+    auto g = Graph::Build(WindowSpec(workers_, window), &fabric_, &diags);
+    ASSERT_FALSE(g.ok());
+    const Diagnostic* d = FindDiag(diags, DiagCode::kParamOutOfRange);
+    ASSERT_NE(d, nullptr) << g.status();
+    EXPECT_EQ(d->vertex, "win");
+    EXPECT_NE(d->message.find(zero_size ? "window_size" : "key_bits"),
+              std::string::npos)
+        << d->message;
+  }
+  WindowOpSpec widest;
+  widest.window_size = 1;
+  widest.key_bits = 63;
+  EXPECT_TRUE(Graph::Build(WindowSpec(workers_, widest), &fabric_).ok());
+}
+
+/// Build (edge 0) and probe (edge 1) scans of `build_keys`/`probe_keys`
+/// into a kJoin vertex, every vertex on 2 nodes x 2 workers.
+GraphSpec JoinSpec(const DfiNodes& workers, std::vector<uint64_t> build_keys,
+                   std::vector<uint64_t> probe_keys,
+                   uint32_t local_radix_bits) {
+  auto scan = [&workers](const std::string& name,
+                         std::vector<uint64_t> keys) {
+    VertexSpec v = Source(name, workers);
+    v.source_fn = [keys = std::move(keys)](OpContext& ctx,
+                                           const EmitFn& emit) -> Status {
+      for (size_t i = ctx.worker; i < keys.size(); i += ctx.num_workers) {
+        const uint64_t tuple[2] = {keys[i], i};
+        DFI_RETURN_IF_ERROR(emit(tuple));
+      }
+      return Status::OK();
+    };
+    return v;
+  };
+  GraphSpec gs;
+  gs.name = "rj";
+  VertexSpec join;
+  join.name = "join";
+  join.kind = OpKind::kJoin;
+  join.workers = workers;
+  join.join.local_radix_bits = local_radix_bits;
+  gs.vertices = {scan("build", std::move(build_keys)),
+                 scan("probe", std::move(probe_keys)), std::move(join)};
+  gs.edges = {Shuffle("rj.build", "build", "join"),
+              Shuffle("rj.probe", "probe", "join")};
+  return gs;
+}
+
+TEST_F(GraphBuildTest, JoinRadixBitsAbove16Rejected) {
+  std::vector<Diagnostic> diags;
+  auto g = Graph::Build(JoinSpec(workers_, {1}, {1}, 17), &fabric_, &diags);
+  ASSERT_FALSE(g.ok());
+  const Diagnostic* d = FindDiag(diags, DiagCode::kParamOutOfRange);
+  ASSERT_NE(d, nullptr) << g.status();
+  EXPECT_EQ(d->vertex, "join");
+  EXPECT_NE(d->message.find("local_radix_bits 17"), std::string::npos)
+      << d->message;
+  EXPECT_TRUE(Graph::Build(JoinSpec(workers_, {1}, {1}, 16), &fabric_).ok());
+}
+
+TEST_F(GraphBuildTest, JoinKeyFieldOutOfRangeRejected) {
+  GraphSpec gs = JoinSpec(workers_, {1}, {1}, 6);
+  gs.vertices[2].join.key_field = 2;
+  std::vector<Diagnostic> diags;
+  auto g = Graph::Build(std::move(gs), &fabric_, &diags);
+  ASSERT_FALSE(g.ok());
+  const Diagnostic* d = FindDiag(diags, DiagCode::kKeyOutOfRange);
+  ASSERT_NE(d, nullptr) << g.status();
+  EXPECT_EQ(d->vertex, "join");
+  EXPECT_EQ(d->edge, "rj.build");
+}
+
 TEST(GraphRunTest, SourceTransformSinkDeliversEverything) {
   net::Fabric fabric;
   auto addrs = MakeCluster(&fabric, 2);
@@ -524,73 +629,139 @@ TEST(GraphRunTest, NameCollisionRollsBackEveryPublishedEdge) {
   EXPECT_EQ((*run)->stats("snk").tuples_in, 2u);  // one per source worker
 }
 
-TEST(GraphRunTest, JoinCountsBuildKeyMultiplicities) {
-  // The build side repeats keys (key k appears k % 4 + 1 times, spread over
-  // the build workers), so each probe of k matches that many times. Keys 0
-  // and 2^64-1 are among them; probes of absent keys match nothing.
+/// Runs the graph `make_spec` returns for 2 nodes x 2 workers to
+/// completion, and returns the stats of vertex `vertex`.
+StatusOr<GraphRun::VertexStats> RunToEnd(
+    const std::function<GraphSpec(const DfiNodes&)>& make_spec,
+    const std::string& vertex) {
   net::Fabric fabric;
-  auto addrs = MakeCluster(&fabric, 2);
   DfiRuntime dfi(&fabric);
-  const DfiNodes workers = DfiNodes::GridOf(addrs, 2);
+  const DfiNodes workers = DfiNodes::GridOf(MakeCluster(&fabric, 2), 2);
+  DFI_ASSIGN_OR_RETURN(Graph g,
+                       Graph::Build(make_spec(workers), &dfi.fabric()));
+  DFI_ASSIGN_OR_RETURN(std::unique_ptr<GraphRun> run, g.Instantiate(&dfi));
+  Status status;
+  exec::Engine engine;
+  engine.Spawn(0, "root", [&] {
+    status = run->Start();
+    if (status.ok()) status = run->Finish();
+  });
+  engine.Run();
+  DFI_RETURN_IF_ERROR(status);
+  return run->stats(vertex);
+}
+
+/// The join's match count by brute force: each probe key matches every
+/// build tuple with its key.
+uint64_t ReferenceMatches(const std::vector<uint64_t>& build_keys,
+                          const std::vector<uint64_t>& probe_keys) {
+  std::unordered_map<uint64_t, uint64_t> multiplicity;
+  for (uint64_t k : build_keys) ++multiplicity[k];
+  uint64_t matches = 0;
+  for (uint64_t k : probe_keys) {
+    const auto it = multiplicity.find(k);
+    if (it != multiplicity.end()) matches += it->second;
+  }
+  return matches;
+}
+
+TEST(GraphRunTest, JoinCountsBuildKeyMultiplicities) {
+  // Build keys repeat (key k appears k % 4 + 1 times, the copies spread
+  // over the build workers), include 0 and 2^64-1, and 300 of them share
+  // both the join worker (key-hash routing over 4 workers) and all 12
+  // local partition bits, so one partition holds them all. Each key is
+  // probed twice, next to a probe of an absent key. The match count is
+  // the reference's at every local_radix_bits, and the charges, hence the
+  // join's finish time, do not depend on it.
+  std::vector<uint64_t> keys = {0, ~uint64_t{0}};
+  for (uint64_t k = 1; keys.size() < 302; ++k) {
+    const uint64_t h = HashU64(k);
+    if (h % 4 == 0 && LocalBucket(h, 12) == 0) keys.push_back(k);
+  }
   // Odd multiplier: i * kMul is distinct for distinct i, so keys from
   // [1, 3000) never collide with the absent ones from [3000, 6000).
   constexpr uint64_t kMul = 0x9e3779b97f4a7c15;
-  std::vector<uint64_t> keys = {0, ~uint64_t{0}};
   for (uint64_t i = 1; i < 3000; ++i) keys.push_back(i * kMul);
-  uint64_t expected = 0;
-  for (uint64_t k : keys) expected += 2 * (k % 4 + 1);  // probed twice
+  std::vector<uint64_t> build_keys, probe_keys;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    for (uint64_t copy = 0; copy <= keys[i] % 4; ++copy) {
+      build_keys.push_back(keys[i]);
+    }
+    probe_keys.insert(probe_keys.end(),
+                      {keys[i], (3000 + i) * kMul, keys[i]});
+  }
+  const uint64_t expected = ReferenceMatches(build_keys, probe_keys);
+  ASSERT_GE(expected, 2 * keys.size());
 
-  GraphSpec gs;
-  gs.name = "mj";
-  VertexSpec build;
-  build.name = "build";
-  build.kind = OpKind::kSource;
-  build.workers = workers;
-  build.output = {TwoFieldSchema(), Ordering::kNone};
-  build.source_fn = [&keys](OpContext& ctx, const EmitFn& emit) -> Status {
-    for (uint64_t k : keys) {
-      for (uint64_t copy = 0; copy <= k % 4; ++copy) {
-        if ((k + copy) % ctx.num_workers != ctx.worker) continue;
-        const uint64_t tuple[2] = {k, copy};
+  std::optional<SimTime> finish;
+  for (const uint32_t bits : {0u, 1u, 6u, 12u}) {
+    SCOPED_TRACE(testing::Message() << "local_radix_bits " << bits);
+    auto stats = RunToEnd(
+        [&](const DfiNodes& workers) {
+          return JoinSpec(workers, build_keys, probe_keys, bits);
+        },
+        "join");
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_EQ(stats->join_matches, expected);
+    EXPECT_EQ(stats->tuples_in, build_keys.size() + probe_keys.size());
+    if (!finish.has_value()) finish = stats->max_clock;
+    EXPECT_EQ(stats->max_clock, *finish);
+  }
+}
+
+TEST(GraphRunTest, JoinWithAnEmptySideMatchesNothing) {
+  const std::vector<uint64_t> keys = {0, 7, 7, ~uint64_t{0}};
+  for (const uint32_t bits : {0u, 6u}) {
+    for (const bool empty_build : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "local_radix_bits " << bits
+                                      << " empty build " << empty_build);
+      const std::vector<uint64_t> none;
+      auto stats = RunToEnd(
+          [&](const DfiNodes& workers) {
+            return JoinSpec(workers, empty_build ? none : keys,
+                            empty_build ? keys : none, bits);
+          },
+          "join");
+      ASSERT_TRUE(stats.ok()) << stats.status();
+      EXPECT_EQ(stats->join_matches, 0u);
+      EXPECT_EQ(stats->tuples_in, keys.size());
+    }
+  }
+}
+
+TEST(GraphRunTest, WindowAppendsFusedWindowKey) {
+  // wkey = (seq / window_size) << key_bits | (key & mask) for every tuple.
+  constexpr uint64_t kTuples = 1000;
+  WindowOpSpec window;
+  window.seq_field = 1;
+  window.key_field = 0;
+  window.window_size = 64;
+  window.key_bits = 4;
+  uint64_t checked = 0;
+  auto make_spec = [&](const DfiNodes& workers) {
+    GraphSpec gs = WindowSpec(workers, window);
+    gs.vertices[0].source_fn = [](OpContext& ctx,
+                                  const EmitFn& emit) -> Status {
+      for (uint64_t seq = ctx.worker; seq < kTuples;
+           seq += ctx.num_workers) {
+        const uint64_t tuple[2] = {seq * 7919, seq};
         DFI_RETURN_IF_ERROR(emit(tuple));
       }
-    }
-    return Status::OK();
+      return Status::OK();
+    };
+    gs.vertices[2].tuple_sink = [&checked](OpContext&, TupleView t) {
+      const uint64_t key = t.Get<uint64_t>(0);
+      const uint64_t seq = t.Get<uint64_t>(1);
+      EXPECT_EQ(t.Get<uint64_t>(2), (seq / 64) << 4 | (key & 0xf));
+      ++checked;
+      return Status::OK();
+    };
+    return gs;
   };
-  VertexSpec probe;
-  probe.name = "probe";
-  probe.kind = OpKind::kSource;
-  probe.workers = workers;
-  probe.output = {TwoFieldSchema(), Ordering::kNone};
-  probe.source_fn = [&keys](OpContext& ctx, const EmitFn& emit) -> Status {
-    for (size_t i = ctx.worker; i < keys.size(); i += ctx.num_workers) {
-      for (uint64_t key : {keys[i], keys[i], (3000 + i) * kMul}) {
-        const uint64_t tuple[2] = {key, 0};
-        DFI_RETURN_IF_ERROR(emit(tuple));
-      }
-    }
-    return Status::OK();
-  };
-  VertexSpec join;
-  join.name = "join";
-  join.kind = OpKind::kJoin;
-  join.workers = workers;
-  gs.vertices = {std::move(build), std::move(probe), std::move(join)};
-  // In-edge order is the join's build (0) and probe (1) side.
-  gs.edges = {Shuffle("mj.build", "build", "join"),
-              Shuffle("mj.probe", "probe", "join")};
-
-  auto g = Graph::Build(std::move(gs), &dfi.fabric());
-  ASSERT_TRUE(g.ok()) << g.status();
-  auto run = g->Instantiate(&dfi);
-  ASSERT_TRUE(run.ok()) << run.status();
-  exec::Engine engine;
-  engine.Spawn(0, "root", [&] {
-    ASSERT_TRUE((*run)->Start().ok());
-    ASSERT_TRUE((*run)->Finish().ok()) << (*run)->status();
-  });
-  engine.Run();
-  EXPECT_EQ((*run)->stats("join").join_matches, expected);
+  auto stats = RunToEnd(make_spec, "win");
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->tuples_out, kTuples);
+  EXPECT_EQ(checked, kTuples);
 }
 
 }  // namespace

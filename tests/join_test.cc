@@ -93,6 +93,21 @@ TEST_F(DistributedJoinTest, ReplicateJoinMatchesReference) {
   EXPECT_GT(result->phases.network_replication, 0);
 }
 
+TEST_F(DistributedJoinTest, RadixBitsAbove16Rejected) {
+  net::Fabric fabric;
+  JoinConfig cfg = SmallConfig();
+  cfg.local_radix_bits = 17;
+  auto addrs = SetUpNodes(&fabric, cfg.num_nodes);
+  DfiRuntime dfi(&fabric);
+  std::vector<net::NodeId> ids;
+  for (uint32_t i = 0; i < cfg.num_nodes; ++i) ids.push_back(i);
+  auto dfi_result =
+      OnEngine([&] { return RunDfiRadixJoin(&dfi, addrs, cfg); });
+  EXPECT_EQ(dfi_result.status().code(), StatusCode::kInvalidArgument);
+  auto mpi_result = OnEngine([&] { return RunMpiRadixJoin(&fabric, ids, cfg); });
+  EXPECT_EQ(mpi_result.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(DistributedJoinTest, DfiFasterThanMpi) {
   // The headline of Figure 13: the DFI radix join beats the MPI radix join
   // (no histogram pass, no barrier, overlapped communication). Needs a
