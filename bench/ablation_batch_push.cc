@@ -1,15 +1,10 @@
-// Ablation: batched vs tuple-at-a-time push, and the consume-side scan.
+// Ablation: the push path and the consume-side scan.
 //
-// Part A compares tuple-at-a-time Push against PushBatch on an N:M shuffle
-// with 8-byte tuples. Both stage every tuple through the same per-target
-// lane and seal the same segments (DESIGN.md §6), so the *simulated* time
-// is identical (26.57 ms in both rows); PushBatch only routes a block of
-// tuples per devirtualized pass. The *wall-clock* columns are declared
-// host-measured. Five alternating runs per build on a 4-vCPU host, median
-// Mtuples/s: Push 95.5 and PushBatch 169.8 (1.66x), against 55.3 and 184.8
-// (3.06x) when Push still made three out-of-line calls and a libc memcpy
-// per tuple beside a second, batch-only staging mechanism. The former
-// ">= 2x" batch target therefore no longer describes the design.
+// Part A measures tuple-at-a-time Push on an N:M shuffle with 8-byte
+// tuples. Every push routes its tuple, charges the per-tuple cost and
+// copies it into its target's staging lane; the push that fills a lane
+// seals the segment (DESIGN.md §6). The *simulated* time is deterministic
+// (26.57 ms); the *wall-clock* columns are declared host-measured.
 //
 // Part B measures the target-side consume cost as idle source channels are
 // added: ready-channel lists make one TryConsumeSegment O(active channels)
@@ -33,29 +28,28 @@ double SecondsSince(Clock::time_point start) {
 constexpr uint32_t kSources = 4;
 constexpr uint32_t kTargets = 4;
 constexpr uint64_t kTuplesPerSource = 2'000'000;
-constexpr size_t kBatchTuples = 4096;
 
 /// Tuples each source pushes before every target drains its rings; small
 /// enough that no per-target ring (32 segments) overflows within a round,
 /// so the driver loop never blocks — and that a round's data stays
 /// cache-resident, so the ablation measures the push/consume CPU path
-/// rather than the host's DRAM bandwidth (which both modes share).
+/// rather than the host's DRAM bandwidth.
 constexpr uint64_t kRoundTuples = 8 * 1024;
 
 struct ShuffleRun {
   double wall_s = 0;       // wall-clock seconds for the whole flow
-  double push_s = 0;       // wall-clock seconds inside Push/PushBatch
+  double push_s = 0;       // wall-clock seconds inside Push
   double mtuples_s = 0;    // end-to-end wall-clock throughput
   double push_mtuples_s = 0;  // push-path wall-clock throughput
   SimTime sim_done = 0;    // max target virtual completion time
 };
 
-/// One full N:M shuffle of kSources x kTuplesPerSource 8-byte tuples;
-/// `batched` picks PushBatch over Push. A single driver thread alternates
-/// between pushing a bounded burst per source and draining every target, so
-/// the measurement captures the push/consume hot path itself rather than
-/// scheduler wakeups (rings are deep enough that nothing ever blocks).
-ShuffleRun RunShuffle(bool batched) {
+/// One full N:M shuffle of kSources x kTuplesPerSource 8-byte tuples. A
+/// single driver thread alternates between pushing a bounded burst per
+/// source and draining every target, so the measurement captures the
+/// push/consume hot path itself rather than scheduler wakeups (rings are
+/// deep enough that nothing ever blocks).
+ShuffleRun RunShuffle() {
   net::Fabric fabric;
   auto addrs = MakeCluster(&fabric, kSources + kTargets);
   DfiRuntime dfi(&fabric);
@@ -70,8 +64,8 @@ ShuffleRun RunShuffle(bool batched) {
   }
   spec.schema = PaddedSchema(8);
   // 8-deep rings keep the 4x4 channel matrix L2-resident (16 rings x 64 KiB
-  // + staging ~ 1.5 MiB); the default 32-deep rings would make both modes
-  // DRAM-bound and mask the CPU-path difference this ablation isolates.
+  // + staging ~ 1.5 MiB); the default 32-deep rings would make the run
+  // DRAM-bound and mask the CPU path this ablation isolates.
   spec.options.segments_per_ring = 8;
   DFI_CHECK(dfi.InitShuffleFlow(std::move(spec)).ok());
 
@@ -113,17 +107,8 @@ ShuffleRun RunShuffle(bool batched) {
     const uint64_t n = std::min(kRoundTuples, kTuplesPerSource - pos);
     const Clock::time_point push_start = Clock::now();
     for (uint32_t s = 0; s < kSources; ++s) {
-      if (batched) {
-        for (uint64_t i = 0; i < n; i += kBatchTuples) {
-          DFI_CHECK(sources[s]
-                        ->PushBatch(&keys[s][pos + i],
-                                    std::min<uint64_t>(kBatchTuples, n - i))
-                        .ok());
-        }
-      } else {
-        for (uint64_t i = 0; i < n; ++i) {
-          DFI_CHECK(sources[s]->Push(&keys[s][pos + i]).ok());
-        }
+      for (uint64_t i = 0; i < n; ++i) {
+        DFI_CHECK(sources[s]->Push(&keys[s][pos + i]).ok());
       }
     }
     push_s += SecondsSince(push_start);
@@ -150,49 +135,24 @@ ShuffleRun RunShuffle(bool batched) {
 }
 
 void PartA() {
-  PrintSection(
-      "Ablation: batched vs tuple-at-a-time push, 4:4 shuffle, 8 B tuples");
-  // Interleave repetitions and keep each mode's best run: the emulation
-  // host (often a small VM) sees multi-x wall-clock noise, and the fastest
-  // run is the one closest to the actual cost of the code path.
-  ShuffleRun scalar, batch;
+  PrintSection("Ablation: tuple-at-a-time push, 4:4 shuffle, 8 B tuples");
+  // Keep the best of three runs: the emulation host (often a small VM)
+  // sees multi-x wall-clock noise, and the fastest run is the one closest
+  // to the actual cost of the code path.
+  ShuffleRun best;
   for (int rep = 0; rep < 3; ++rep) {
-    const ShuffleRun s = RunShuffle(/*batched=*/false);
-    if (rep == 0 || s.wall_s < scalar.wall_s) scalar = s;
-    const ShuffleRun b = RunShuffle(/*batched=*/true);
-    if (rep == 0 || b.wall_s < batch.wall_s) batch = b;
+    const ShuffleRun run = RunShuffle();
+    if (rep == 0 || run.wall_s < best.wall_s) best = run;
   }
   TablePrinter table({"push mode", "push Mtuples/s", "flow Mtuples/s",
                       "wall time", "simulated time"});
   table.MarkHostColumns({"push Mtuples/s", "flow Mtuples/s", "wall time"});
   char buf[32], buf2[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", scalar.push_mtuples_s);
-  std::snprintf(buf2, sizeof(buf2), "%.1f", scalar.mtuples_s);
+  std::snprintf(buf, sizeof(buf), "%.1f", best.push_mtuples_s);
+  std::snprintf(buf2, sizeof(buf2), "%.1f", best.mtuples_s);
   table.AddRow({"Push (per tuple)", buf, buf2,
-                Millis(SimTime(scalar.wall_s * 1e9)),
-                Millis(scalar.sim_done)});
-  std::snprintf(buf, sizeof(buf), "%.1f", batch.push_mtuples_s);
-  std::snprintf(buf2, sizeof(buf2), "%.1f", batch.mtuples_s);
-  table.AddRow({"PushBatch (4096)", buf, buf2,
-                Millis(SimTime(batch.wall_s * 1e9)),
-                Millis(batch.sim_done)});
+                Millis(SimTime(best.wall_s * 1e9)), Millis(best.sim_done)});
   table.Print();
-  TablePrinter summary({"metric", "value"});
-  std::snprintf(buf, sizeof(buf), "%.2fx",
-                batch.push_mtuples_s / scalar.push_mtuples_s);
-  summary.AddHostRow({"push speedup", buf});
-  std::snprintf(buf, sizeof(buf), "%.2fx", batch.mtuples_s / scalar.mtuples_s);
-  summary.AddHostRow({"end-to-end speedup", buf});
-  std::snprintf(buf, sizeof(buf), "%+.2f%%",
-                100.0 * (static_cast<double>(batch.sim_done) -
-                         static_cast<double>(scalar.sim_done)) /
-                    static_cast<double>(scalar.sim_done));
-  summary.AddRow({"simulated-time delta", buf});
-  summary.Print();
-  std::printf(
-      "(both modes stage through the same per-target lanes and seal the\n"
-      " same segments, so simulated time is identical; the batched path\n"
-      " only routes a block of tuples per devirtualized pass)\n");
 }
 
 /// Part B: wall-clock cost of one target consume with n-1 idle sources.
@@ -234,7 +194,7 @@ double ConsumeNsPerSegment(uint32_t num_sources) {
   double consume_s = 0;
   uint64_t consumed = 0;
   for (uint32_t round = 0; round < kRounds; ++round) {
-    DFI_CHECK(source->PushBatch(keys.data(), keys.size()).ok());
+    for (const uint64_t& key : keys) DFI_CHECK(source->Push(&key).ok());
     const Clock::time_point start = Clock::now();
     SegmentView view;
     ConsumeResult result;

@@ -20,7 +20,6 @@
 // dominated by the most-loaded sink thread — the quantity skew distorts.
 
 #include <algorithm>
-#include <atomic>
 
 #include "bench/bench_common.h"
 
@@ -80,8 +79,8 @@ RunStats RunShuffle(const SweepConfig& cfg,
   const uint32_t workers = cfg.nodes * kThreadsPerNode;
   DFI_CHECK_EQ(relations.size(), workers);
   RunStats stats;
-  std::atomic<SimTime> finish{0};
-  std::atomic<uint64_t> resplit{0}, diverted{0}, stolen{0};
+  SimTime finish = 0;
+  uint64_t resplit = 0, diverted = 0, stolen = 0;
   exec::Engine engine;
   for (uint32_t w = 0; w < workers; ++w) {
     engine.Spawn(w / kThreadsPerNode, "worker", [&, w] {
@@ -125,22 +124,20 @@ RunStats RunShuffle(const SweepConfig& cfg,
         }
       }
       if (const AdaptivePartitioner* a = (*src)->adaptive(); a != nullptr) {
-        resplit.fetch_add(a->resplit_tuples());
-        diverted.fetch_add(a->diverted_tuples());
+        resplit += a->resplit_tuples();
+        diverted += a->diverted_tuples();
       }
-      stolen.fetch_add((*tgt)->stolen_segments());
+      stolen += (*tgt)->stolen_segments();
       const SimTime end =
           std::max((*src)->clock().now(), (*tgt)->clock().now());
-      SimTime prev = finish.load();
-      while (prev < end && !finish.compare_exchange_weak(prev, end)) {
-      }
+      finish = std::max(finish, end);
     });
   }
   engine.Run();
-  stats.finish = finish.load();
-  stats.resplit = resplit.load();
-  stats.diverted = diverted.load();
-  stats.stolen = stolen.load();
+  stats.finish = finish;
+  stats.resplit = resplit;
+  stats.diverted = diverted;
+  stats.stolen = stolen;
   return stats;
 }
 

@@ -4,7 +4,7 @@
 // Paper result: DFI adds only minimal overhead over ib_write_lat; more
 // targets cost slightly more due to flow-internal routing.
 
-#include <atomic>
+#include <algorithm>
 
 #include "bench/bench_common.h"
 #include "common/stats.h"

@@ -3,7 +3,7 @@
 // Paper result: 1 target thread is CPU-bound on aggregation for small
 // tuples; 2-4 threads reach the target's in-going link limit.
 
-#include <atomic>
+#include <algorithm>
 
 #include "bench/bench_common.h"
 
@@ -42,7 +42,7 @@ double RunCell(uint32_t tuple_size, uint32_t target_threads) {
   DFI_CHECK_OK(dfi.InitCombinerFlow(std::move(spec)));
 
   const uint64_t tuples = kBytesPerSource / tuple_size;
-  std::atomic<SimTime> finish{0};
+  SimTime finish = 0;
   exec::Engine engine;
   for (uint32_t s = 0; s < 8; ++s) {
     engine.Spawn(1 + s, "source", [&, s] {
@@ -63,15 +63,12 @@ double RunCell(uint32_t tuple_size, uint32_t target_threads) {
       AggRow row;
       while ((*tgt)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
       }
-      SimTime prev = finish.load();
-      while (prev < (*tgt)->clock().now() &&
-             !finish.compare_exchange_weak(prev, (*tgt)->clock().now())) {
-      }
+      finish = std::max(finish, (*tgt)->clock().now());
     });
   }
   engine.Run();
   const double total = static_cast<double>(kBytesPerSource) * 8;
-  return total / static_cast<double>(finish.load());
+  return total / static_cast<double>(finish);
 }
 
 void Run() {

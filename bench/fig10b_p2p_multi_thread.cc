@@ -4,7 +4,7 @@
 // with threads (global latch contention); MPI multi-process scales better
 // than MPI multi-threaded but worse than DFI.
 
-#include <atomic>
+#include <algorithm>
 
 #include "bench/bench_common.h"
 #include "mpi/mpi_env.h"
@@ -29,7 +29,7 @@ SimTime RunDfi(uint32_t threads_count) {
   DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
 
   const uint64_t tuples = kTableBytes / kTupleSize / threads_count;
-  std::atomic<SimTime> finish{0};
+  SimTime finish = 0;
   exec::Engine engine;
   for (uint32_t s = 0; s < threads_count; ++s) {
     engine.Spawn(0, "source", [&, s] {
@@ -46,14 +46,11 @@ SimTime RunDfi(uint32_t threads_count) {
       SegmentView seg;
       while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
       }
-      SimTime prev = finish.load();
-      while (prev < (*tgt)->clock().now() &&
-             !finish.compare_exchange_weak(prev, (*tgt)->clock().now())) {
-      }
+      finish = std::max(finish, (*tgt)->clock().now());
     });
   }
   engine.Run();
-  return finish.load();
+  return finish;
 }
 
 /// MPI_THREAD_MULTIPLE: one rank per node, `threads_count` threads calling
@@ -63,7 +60,7 @@ SimTime RunMpiMultiThreaded(uint32_t threads_count) {
   auto nodes = fabric.AddNodes(2);
   mpi::MpiEnv env(&fabric, nodes, mpi::ThreadMode::kMultiple, threads_count);
   const uint64_t tuples = kTableBytes / kTupleSize / threads_count;
-  std::atomic<SimTime> finish{0};
+  SimTime finish = 0;
   exec::Engine engine;
   for (uint32_t t = 0; t < threads_count; ++t) {
     engine.Spawn(0, "sender", [&, t] {
@@ -82,14 +79,11 @@ SimTime RunMpiMultiThreaded(uint32_t threads_count) {
         DFI_CHECK_OK(env.Recv(1, 0, static_cast<int>(t), buf.data(),
                               kTupleSize, &clock));
       }
-      SimTime prev = finish.load();
-      while (prev < clock.now() &&
-             !finish.compare_exchange_weak(prev, clock.now())) {
-      }
+      finish = std::max(finish, clock.now());
     });
   }
   engine.Run();
-  return finish.load();
+  return finish;
 }
 
 /// MPI multi-process: `procs` single-threaded ranks per node (uncontended
@@ -102,7 +96,7 @@ SimTime RunMpiMultiProcess(uint32_t procs) {
   for (uint32_t p = 0; p < procs; ++p) ranks.push_back(base[1]);
   mpi::MpiEnv env(&fabric, ranks, mpi::ThreadMode::kSingle);
   const uint64_t tuples = kTableBytes / kTupleSize / procs;
-  std::atomic<SimTime> finish{0};
+  SimTime finish = 0;
   exec::Engine engine;
   for (uint32_t p = 0; p < procs; ++p) {
     engine.Spawn(0, "sender", [&, p] {
@@ -122,14 +116,11 @@ SimTime RunMpiMultiProcess(uint32_t procs) {
                               static_cast<int>(p), 0, buf.data(), kTupleSize,
                               &clock));
       }
-      SimTime prev = finish.load();
-      while (prev < clock.now() &&
-             !finish.compare_exchange_weak(prev, clock.now())) {
-      }
+      finish = std::max(finish, clock.now());
     });
   }
   engine.Run();
-  return finish.load();
+  return finish;
 }
 
 void Run() {

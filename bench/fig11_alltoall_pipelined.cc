@@ -5,7 +5,7 @@
 // mini-batch is a bulk-synchronous collective); DFI pipelines and stays
 // near wire speed; MPI approaches DFI only for very large tuples.
 
-#include <atomic>
+#include <algorithm>
 
 #include "bench/bench_common.h"
 #include "mpi/mpi_env.h"
@@ -28,7 +28,7 @@ SimTime RunDfi(uint32_t tuple_size) {
   DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
 
   const uint64_t tuples = kTableBytesPerNode / tuple_size;
-  std::atomic<SimTime> finish{0};
+  SimTime finish = 0;
   exec::Engine engine;
   for (uint32_t w = 0; w < kNodes; ++w) {
     engine.Spawn(w, "worker", [&, w] {
@@ -60,13 +60,11 @@ SimTime RunDfi(uint32_t tuple_size) {
       }
       const SimTime end =
           std::max((*src)->clock().now(), (*tgt)->clock().now());
-      SimTime prev = finish.load();
-      while (prev < end && !finish.compare_exchange_weak(prev, end)) {
-      }
+      finish = std::max(finish, end);
     });
   }
   engine.Run();
-  return finish.load();
+  return finish;
 }
 
 SimTime RunMpi(uint32_t tuple_size) {
@@ -77,7 +75,7 @@ SimTime RunMpi(uint32_t tuple_size) {
   // (the "streaming-based" use of the collective from the paper).
   const uint64_t tuples = kTableBytesPerNode / tuple_size;
   const uint64_t rounds = tuples / kNodes;
-  std::atomic<SimTime> finish{0};
+  SimTime finish = 0;
   exec::Engine engine;
   for (uint32_t r = 0; r < kNodes; ++r) {
     engine.Spawn(r, "rank", [&, r] {
@@ -92,14 +90,11 @@ SimTime RunMpi(uint32_t tuple_size) {
         DFI_CHECK_OK(env.Alltoall(static_cast<int>(r), send.data(),
                                   recv.data(), tuple_size, &clock));
       }
-      SimTime prev = finish.load();
-      while (prev < clock.now() &&
-             !finish.compare_exchange_weak(prev, clock.now())) {
-      }
+      finish = std::max(finish, clock.now());
     });
   }
   engine.Run();
-  return finish.load();
+  return finish;
 }
 
 void Run() {

@@ -7,7 +7,7 @@
 // transfer starts before the straggler finished its local pre-shuffle);
 // DFI overlaps and is much less affected.
 
-#include <atomic>
+#include <algorithm>
 
 #include "bench/bench_common.h"
 #include "mpi/mpi_env.h"
@@ -33,7 +33,7 @@ SimTime RunDfi(uint64_t table_bytes, double straggle) {
   // Per-tuple compute cost of producing a tuple; the straggler (worker 0)
   // pays 1/s times more (CPU frequency scaled by s).
   const SimTime base_cost = 20;
-  std::atomic<SimTime> finish{0};
+  SimTime finish = 0;
   exec::Engine engine;
   for (uint32_t w = 0; w < kNodes; ++w) {
     engine.Spawn(w, "worker", [&, w] {
@@ -68,13 +68,11 @@ SimTime RunDfi(uint64_t table_bytes, double straggle) {
       }
       const SimTime end =
           std::max((*src)->clock().now(), (*tgt)->clock().now());
-      SimTime prev = finish.load();
-      while (prev < end && !finish.compare_exchange_weak(prev, end)) {
-      }
+      finish = std::max(finish, end);
     });
   }
   engine.Run();
-  return finish.load();
+  return finish;
 }
 
 SimTime RunMpi(uint64_t table_bytes, double straggle) {
@@ -83,7 +81,7 @@ SimTime RunMpi(uint64_t table_bytes, double straggle) {
   mpi::MpiEnv env(&fabric, nodes);
   const uint64_t tuples = table_bytes / kNodes / kTupleSize;
   const SimTime base_cost = 20;
-  std::atomic<SimTime> finish{0};
+  SimTime finish = 0;
   exec::Engine engine;
   for (uint32_t r = 0; r < kNodes; ++r) {
     engine.Spawn(r, "rank", [&, r] {
@@ -102,14 +100,11 @@ SimTime RunMpi(uint64_t table_bytes, double straggle) {
       std::vector<uint8_t> recv(kNodes * bytes_per_rank, 0);
       DFI_CHECK_OK(env.Alltoall(static_cast<int>(r), send.data(),
                                 recv.data(), bytes_per_rank, &clock));
-      SimTime prev = finish.load();
-      while (prev < clock.now() &&
-             !finish.compare_exchange_weak(prev, clock.now())) {
-      }
+      finish = std::max(finish, clock.now());
     });
   }
   engine.Run();
-  return finish.load();
+  return finish;
 }
 
 void Run() {

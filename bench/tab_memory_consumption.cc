@@ -4,7 +4,7 @@
 // 785.5 MiB at 8 x 14; halving segments to 16 costs ~2.7% bandwidth,
 // quartering to 8 costs ~8%.
 
-#include <atomic>
+#include <algorithm>
 
 #include "bench/bench_common.h"
 
@@ -34,8 +34,8 @@ CellResult RunCell(uint32_t num_nodes, uint32_t threads_per_node,
 
   const uint32_t workers = num_nodes * threads_per_node;
   const uint64_t tuples = bytes_per_source / kTupleSize;
-  std::atomic<SimTime> finish{0};
-  std::atomic<uint64_t> mem_node0{0};
+  SimTime finish = 0;
+  uint64_t mem_node0 = 0;
   exec::Engine engine;
   for (uint32_t w = 0; w < workers; ++w) {
     engine.Spawn(w / threads_per_node, "worker", [&, w] {
@@ -43,7 +43,7 @@ CellResult RunCell(uint32_t num_nodes, uint32_t threads_per_node,
       auto tgt = dfi.CreateShuffleTarget("mem", w);
       if (w == 0) {
         // All endpoints exist now; snapshot node 0's registered memory.
-        mem_node0.store(dfi.RegisteredBytesOnNode(0));
+        mem_node0 = dfi.RegisteredBytesOnNode(0);
       }
       std::vector<uint8_t> buf(kTupleSize, 0);
       bool drained = false;
@@ -70,16 +70,14 @@ CellResult RunCell(uint32_t num_nodes, uint32_t threads_per_node,
       }
       const SimTime end =
           std::max((*src)->clock().now(), (*tgt)->clock().now());
-      SimTime prev = finish.load();
-      while (prev < end && !finish.compare_exchange_weak(prev, end)) {
-      }
+      finish = std::max(finish, end);
     });
   }
   engine.Run();
   CellResult result;
-  result.bytes_node0 = mem_node0.load();
+  result.bytes_node0 = mem_node0;
   result.rate_bytes_per_ns = static_cast<double>(bytes_per_source) * workers /
-                             static_cast<double>(finish.load());
+                             static_cast<double>(finish);
   return result;
 }
 

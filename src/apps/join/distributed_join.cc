@@ -1,7 +1,5 @@
 #include "apps/join/distributed_join.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "bench_util/workload.h"
@@ -202,12 +200,6 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
       }
       JoinClocks(**src1, **tgt1);
       t_partition[w] = (*tgt1)->clock().now();
-      // Per-worker phase timings on demand (debug aid for calibration).
-      if (getenv("DFI_JOIN_DEBUG") != nullptr) {
-        fprintf(stderr, "w%u phase1: src=%lld tgt=%lld\n", w,
-                static_cast<long long>((*src1)->clock().now()),
-                static_cast<long long>((*tgt1)->clock().now()));
-      }
 
       // --- Build cache-sized hash tables per local partition.
       const uint64_t built = table.Build();

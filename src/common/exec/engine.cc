@@ -130,6 +130,8 @@ namespace dfi::exec {
 namespace {
 
 constexpr SimTime kMaxSimTime = std::numeric_limits<SimTime>::max();
+/// Fiber stack size (plus one guard page).
+constexpr size_t kFiberStackBytes = 256 * 1024;
 
 /// What dfi_exec_switch leaves on a suspended stack, lowest address first.
 struct SwitchFrame {
@@ -372,7 +374,7 @@ struct Engine::Impl {
 
   void CreateFiber(Task* t) {
     const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-    const size_t stack = (opts.stack_bytes + page - 1) / page * page;
+    const size_t stack = (kFiberStackBytes + page - 1) / page * page;
     t->stack_total = stack + page;
     void* base = mmap(nullptr, t->stack_total, PROT_READ | PROT_WRITE,
                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);

@@ -53,8 +53,6 @@ struct EngineOptions {
   /// minimum link latency (SimConfig::propagation_ns +
   /// SimConfig::nic_process_ns) for network workloads.
   SimTime lookahead_ns = 1000;
-  /// Fiber stack size (plus one guard page).
-  size_t stack_bytes = 256 * 1024;
 };
 
 /// One-thread discrete-event engine, the only way emulated actors run.

@@ -23,12 +23,6 @@ constexpr uint64_t HashU64(uint64_t k) {
 /// shuffle keys.
 uint64_t HashBytes(const void* data, size_t len);
 
-/// HashU64 over `n` consecutive unaligned 64-bit keys. Compiled with
-/// per-CPU clones so the multiply chain vectorizes on machines with 64-bit
-/// SIMD multiplies (AVX-512DQ) — the batched shuffle partitioner hashes
-/// whole blocks through this.
-void HashKeys8(const void* keys, size_t n, uint64_t* out);
-
 /// Extracts `bits` radix bits from a key after hashing, starting at bit
 /// `shift` — the partition function of the radix hash join.
 constexpr uint32_t RadixBits(uint64_t key, uint32_t shift, uint32_t bits) {
@@ -74,19 +68,12 @@ class FastDivisor {
     if (magic_ == 0) return n & mask_;
     return n - Div(n) * d_;
   }
-  uint32_t divisor() const { return d_; }
-
-  /// True when the divisor is a power of two; Mod is then `n & mask()`,
-  /// which callers with hot loops hoist (the branch in Mod is loop-
-  /// invariant but opaque to the compiler).
-  bool pow2() const { return magic_ == 0; }
-  uint64_t mask() const { return mask_; }
 
  private:
   uint32_t d_;
   uint64_t magic_;  // 0 marks the power-of-two shift/mask path
   uint32_t shift_;
-  uint64_t mask_ = 0;  // d - 1 when pow2(), unused otherwise
+  uint64_t mask_ = 0;  // d - 1 for powers of two, unused otherwise
 };
 
 }  // namespace dfi

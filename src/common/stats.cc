@@ -33,12 +33,6 @@ int64_t LatencyRecorder::Quantile(double q) {
                    static_cast<double>(samples_[hi]) * frac));
 }
 
-int64_t LatencyRecorder::Min() {
-  DFI_CHECK(!samples_.empty());
-  EnsureSorted();
-  return samples_.front();
-}
-
 int64_t LatencyRecorder::Max() {
   DFI_CHECK(!samples_.empty());
   EnsureSorted();

@@ -24,7 +24,6 @@ class LatencyRecorder {
   /// Quantile in [0, 1]; e.g. 0.5 = median, 0.95 = p95. Sorts lazily.
   int64_t Quantile(double q);
   int64_t Median() { return Quantile(0.5); }
-  int64_t Min();
   int64_t Max();
   double Mean() const;
 

@@ -21,8 +21,8 @@ CombinerFlowState::CombinerFlowState(CombinerFlowSpec spec,
   auto targets = spec_.targets.Resolve(env_->fabric());
   DFI_CHECK(targets.ok()) << targets.status();
   target_nodes_ = std::move(targets).value();
-  // Topology validation (N:1 unless multi_node_targets) happens in
-  // DfiRuntime::InitCombinerFlow, where it can return a clean Status.
+  // Topology validation (N:1) happens in DfiRuntime::InitCombinerFlow,
+  // where it can return a clean Status.
   matrix_ = ChannelMatrix(
       env_, spec_.options,
       static_cast<uint32_t>(spec_.schema.tuple_size()), num_sources(),
@@ -39,13 +39,8 @@ CombinerSource::CombinerSource(std::shared_ptr<CombinerFlowState> state,
   DFI_CHECK_LT(source_index_, state_->num_sources());
   const CombinerFlowSpec& spec = state_->spec();
   const uint32_t m = state_->num_targets();
-  if (!spec.global_aggregate && m > 1) {
-    partitioner_ =
-        Partitioner::KeyHash(&spec.schema, spec.group_by_index, m);
-  } else if (spec.global_aggregate && m > 1) {
-    // Spread globally-aggregated tuples round-robin; targets hold partial
-    // aggregates that the application combines.
-    partitioner_ = Partitioner::RoundRobin(m);
+  if (m > 1) {
+    partitioner_ = Partitioner::KeyHash(&spec.schema, spec.group_by_index, m);
   } else {
     partitioner_ = Partitioner::Single();
   }
@@ -68,7 +63,7 @@ CombinerTarget::CombinerTarget(std::shared_ptr<CombinerFlowState> state,
   sink_.emplace(state_->matrix(), target_index_, &spec.schema, config_,
                 &clock_, "combiner", state_->source_nodes());
   aggregator_.emplace(&spec.schema, &spec.aggregates, spec.group_by_index,
-                      spec.global_aggregate, config_, &clock_);
+                      config_, &clock_);
 }
 
 Status CombinerTarget::Drain() {

@@ -20,30 +20,22 @@
 
 namespace dfi {
 
-/// Declarative description of a combiner flow (paper section 4.2.3): N:M
+/// Declarative description of a combiner flow (paper section 4.2.3): N:1
 /// communication where tuples are aggregated in the target buffer using an
 /// aggregate function / group-by specification. Multiple target threads
-/// may share the work; tuples are routed to them by group key so partial
-/// aggregates are disjoint.
+/// of the one target node may share the work; tuples are routed to them by
+/// group key so partial aggregates are disjoint.
 struct CombinerFlowSpec {
   std::string name;
   DfiNodes sources;
-  /// Target threads. By default all endpoints must live on one node (the
-  /// paper's N:1 topology); set `multi_node_targets` to spread them.
+  /// Target threads. All must live on one node (the paper's N:1
+  /// topology); DfiRuntime::InitCombinerFlow rejects target sets spanning
+  /// several nodes with kInvalidArgument.
   DfiNodes targets;
   Schema schema;
-  /// Group-by field. If `global_aggregate` is true it is ignored and a
-  /// single aggregate row is produced per target.
+  /// Group-by field.
   size_t group_by_index = 0;
-  bool global_aggregate = false;
   std::vector<AggSpec> aggregates;
-  /// Opt-in N:M topology: target threads may span multiple nodes. Group
-  /// keys are partitioned across all target threads exactly as in the
-  /// single-node case (partial aggregates stay disjoint), so the only
-  /// difference is where the partitions live. Left off,
-  /// DfiRuntime::InitCombinerFlow rejects multi-node target sets with
-  /// kInvalidArgument to catch accidental fan-out.
-  bool multi_node_targets = false;
   FlowOptions options;
 };
 
@@ -88,8 +80,7 @@ class CombinerFlowState : public FlowStateBase {
 };
 
 /// Source handle of a combiner flow: a FlowEndpoint whose Partitioner
-/// routes by group key (or round-robin for global aggregates) to the
-/// target thread owning that key's partition.
+/// routes by group key to the target thread owning that key's partition.
 class CombinerSource {
  public:
   CombinerSource(std::shared_ptr<CombinerFlowState> state,
@@ -115,7 +106,7 @@ class CombinerSource {
   std::shared_ptr<CombinerFlowState> state_;
   const uint32_t source_index_;
   VirtualClock clock_;
-  Partitioner partitioner_;  // group-key / round-robin / single-target
+  Partitioner partitioner_;  // group-key / single-target
   std::optional<FlowEndpoint> endpoint_;
 };
 

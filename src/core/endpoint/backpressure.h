@@ -8,6 +8,12 @@
 
 namespace dfi {
 
+/// Saturation hysteresis thresholds of a flow's TargetLoadBoard, on the
+/// per-target queue depth (delivered-but-unconsumed segments summed over
+/// the target's channels): trip at >= high, clear at <= low.
+constexpr uint32_t kBackpressureHighSegments = 24;
+constexpr uint32_t kBackpressureLowSegments = 8;
+
 /// Per-target queue-depth signal for a channel matrix: one slot per target
 /// counting segments delivered to the target's rings but not yet released
 /// by a consumer, plus a hysteresis "saturated" bit (trip at >= high, clear

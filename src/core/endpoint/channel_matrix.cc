@@ -16,8 +16,7 @@ ChannelMatrix::ChannelMatrix(rdma::RdmaEnv* env, const FlowOptions& options,
   target_gates_ = std::make_unique<ReadyGate[]>(num_targets_);
   if (options_.adaptive.enabled) {
     load_board_ = std::make_unique<TargetLoadBoard>(
-        num_targets_, options_.adaptive.backpressure_high,
-        options_.adaptive.backpressure_low);
+        num_targets_, kBackpressureHighSegments, kBackpressureLowSegments);
   }
   channels_.resize(static_cast<size_t>(num_sources_) * num_targets_);
   for (uint32_t s = 0; s < num_sources_; ++s) {

@@ -49,110 +49,11 @@ Status FlowEndpoint::BadTarget(const char* what, uint32_t target) const {
 
 Status FlowEndpoint::PushAdaptive(const void* tuple,
                                   AdaptivePartitioner* router) {
-  const AdaptivePartitioner::Decision d =
-      router->Route(static_cast<const uint8_t*>(tuple));
-  if (d.flush_first >= 0) {
-    DFI_RETURN_IF_ERROR(Seal(static_cast<uint32_t>(d.flush_first)));
+  const uint32_t target = router->Route(static_cast<const uint8_t*>(tuple));
+  if (target >= num_targets()) {
+    return BadTarget("adaptive routing returned target", target);
   }
-  if (d.target >= num_targets()) {
-    return BadTarget("adaptive routing returned target", d.target);
-  }
-  return Stage(tuple, d.target);
-}
-
-Status FlowEndpoint::PushBatchAdaptive(const void* tuples, size_t count,
-                                       AdaptivePartitioner* router) {
-  const uint8_t* base = static_cast<const uint8_t*>(tuples);
-  for (size_t i = 0; i < count; ++i) {
-    DFI_RETURN_IF_ERROR(PushAdaptive(base + i * tuple_size_, router));
-  }
-  return Status::OK();
-}
-
-Status FlowEndpoint::PushBatch(const void* tuples, size_t count,
-                               Partitioner* partitioner) {
-  const uint8_t* p = static_cast<const uint8_t*>(tuples);
-  // Locals, not members: the tuple stores below may alias any byte of
-  // this object, which would force a reload of each member per tuple.
-  const uint32_t ts = tuple_size_;
-  const SimTime cost = push_cost_;
-  Lane* const lanes = lanes_.data();
-  // Charges of staged tuples not yet applied to the clock. Only a seal (or
-  // the caller, after the batch) reads this source's clock, and every
-  // tuple that may seal goes through Stage() with the backlog applied, so
-  // each segment is sealed at Push's tuple and virtual time.
-  SimTime owed = 0;
-  uint32_t target[kRouteBlock];
-  for (size_t done = 0; done < count;) {
-    const size_t n = std::min(kRouteBlock, count - done);
-    const size_t routed = RouteBlock(partitioner, p, n, target);
-    for (size_t j = 0; j < routed; ++j, p += ts) {
-      Lane& lane = lanes[target[j]];
-      if (lane.dst == nullptr || lane.dst + ts == lane.end) [[unlikely]] {
-        clock_->Advance(std::exchange(owed, 0));
-        DFI_RETURN_IF_ERROR(Stage(p, target[j]));
-        continue;
-      }
-      owed += cost;
-      CopyTuple(lane.dst, p, ts);
-      lane.dst += ts;
-    }
-    if (routed < n) {
-      clock_->Advance(owed);
-      return BadTarget("routing function returned target", target[routed]);
-    }
-    done += n;
-  }
-  clock_->Advance(owed);
-  return Status::OK();
-}
-
-size_t FlowEndpoint::RouteBlock(Partitioner* partitioner, const uint8_t* p,
-                                size_t n, uint32_t* target) const {
-  const uint32_t ts = tuple_size_;
-  const uint32_t m = num_targets();
-  if (m == 1 || partitioner->kind() == Partitioner::Kind::kSingle) {
-    // Degenerate partitioning: everything goes to target 0, unrouted.
-    std::fill_n(target, n, 0u);
-    return n;
-  }
-  const size_t off = partitioner->key_offset();
-  const size_t key_size = partitioner->key_size();
-  switch (partitioner->kind()) {
-    case Partitioner::Kind::kKeyHash: {
-      // A tight hash loop (SIMD via HashKeys8 when the tuple is an 8-byte
-      // key), then the magic-number modulo: the hash chain pipelines
-      // independently of the staging pass.
-      uint64_t hash[kRouteBlock];
-      if (ts == 8 && off == 0 && key_size == 8) {
-        HashKeys8(p, n, hash);
-      } else {
-        for (size_t j = 0; j < n; ++j, p += ts) {
-          hash[j] = HashU64(ReadKeyBytes(p + off, key_size));
-        }
-      }
-      const FastDivisor& mod = partitioner->mod();
-      for (size_t j = 0; j < n; ++j) {
-        target[j] = static_cast<uint32_t>(mod.Mod(hash[j]));
-      }
-      return n;
-    }
-    case Partitioner::Kind::kRadix: {
-      for (size_t j = 0; j < n; ++j, p += ts) {
-        target[j] = RadixBits(ReadKeyBytes(p + off, key_size),
-                              partitioner->shift(), partitioner->bits());
-        if (target[j] >= m) return j;
-      }
-      return n;
-    }
-    default: {  // kRoundRobin / kGeneric
-      for (size_t j = 0; j < n; ++j, p += ts) {
-        target[j] = partitioner->Route(p);
-        if (target[j] >= m) return j;
-      }
-      return n;
-    }
-  }
+  return Stage(tuple, target);
 }
 
 Status FlowEndpoint::BroadcastSegment(uint8_t* staged_slot, uint32_t fill,

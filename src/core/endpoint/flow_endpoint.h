@@ -59,27 +59,8 @@ class FlowEndpoint {
   }
 
   /// Pushes one packed tuple routed by an AdaptivePartitioner (opt-in skew
-  /// adaptation). Honors the decision's hand-off flush: when a hot key was
-  /// re-homed under ordered_handoff, the previous owner's lane is sealed
-  /// before the tuple lands on the new owner, so per-(source, key)
-  /// segments stay contiguous per target in transmit order.
+  /// adaptation).
   Status PushAdaptive(const void* tuple, AdaptivePartitioner* router);
-
-  /// Batched adaptive push. Adaptive routing is inherently per-tuple (the
-  /// frequency sketch advances with every tuple), so this simply sweeps
-  /// PushAdaptive over the run — same per-target sequences as per-tuple
-  /// pushes.
-  Status PushBatchAdaptive(const void* tuples, size_t count,
-                           AdaptivePartitioner* router);
-
-  /// Batched push of `count` densely packed tuples. Builtin partitioners
-  /// (key-hash, radix) route a block of tuples at a time, devirtualized; a
-  /// kGeneric partitioner is called per tuple. Each tuple then stages
-  /// through its target's lane exactly as Push would, and the clock charge
-  /// is applied before each seal, so every segment is sealed at the same
-  /// tuple and virtual time as with Push on each tuple in order.
-  Status PushBatch(const void* tuples, size_t count,
-                   Partitioner* partitioner);
 
   /// Fans an externally staged segment out to every target (replicate
   /// flows stage once and write per target; see ChannelSource::PushSegment).
@@ -145,13 +126,6 @@ class FlowEndpoint {
   /// Points `target`'s lane at its channel's current window.
   void OpenLane(uint32_t target);
 
-  /// Tuples PushBatch routes per pass.
-  static constexpr size_t kRouteBlock = 512;
-  /// PushBatch's routing pass: routes `n` <= kRouteBlock packed tuples into
-  /// `target`, devirtualized for the builtin partitioners. Returns how many
-  /// precede the first out-of-range target (n when there is none).
-  size_t RouteBlock(Partitioner* partitioner, const uint8_t* p, size_t n,
-                    uint32_t* target) const;
   Status BadTarget(const char* what, uint32_t target) const;
 
   VirtualClock* const clock_;

@@ -15,8 +15,7 @@ namespace dfi {
 StealColumn::StealColumn(ChannelMatrix* matrix, uint32_t target_index)
     : target_index_(target_index),
       gate_(matrix->target_gate(target_index)),
-      options_(&matrix->options()),
-      board_(matrix->load_board()) {
+      options_(&matrix->options()) {
   const uint32_t n = matrix->num_sources();
   cursors.reserve(n);
   for (uint32_t s = 0; s < n; ++s) {

@@ -34,9 +34,6 @@ class StealColumn {
   uint32_t target_index() const { return target_index_; }
   ReadyGate* gate() { return gate_; }
   const FlowOptions& options() const { return *options_; }
-  /// The flow's per-target queue-depth board (null when the matrix carries
-  /// none); lets the owner detect its own column saturating.
-  const TargetLoadBoard* board() const { return board_; }
 
   /// Virtual clock and estimated per-segment processing cost of the
   /// column's owning sink, published by the owner on every consume call.
@@ -66,7 +63,6 @@ class StealColumn {
   const uint32_t target_index_;
   ReadyGate* const gate_;
   const FlowOptions* const options_;
-  const TargetLoadBoard* const board_;
 };
 
 /// The same-node sink group: its columns plus one group-level wakeup that

@@ -80,13 +80,6 @@ Partitioner Partitioner::Radix(const Schema* schema, size_t key_field_index,
   return p;
 }
 
-Partitioner Partitioner::RoundRobin(uint32_t num_targets) {
-  Partitioner p;
-  p.kind_ = Kind::kRoundRobin;
-  p.num_targets_ = num_targets;
-  return p;
-}
-
 Partitioner Partitioner::Generic(RoutingFn fn, const Schema* schema,
                                  uint32_t num_targets) {
   Partitioner p;
@@ -121,8 +114,6 @@ uint32_t Partitioner::RouteOther(const uint8_t* tuple) {
     case Kind::kRadix:
       return RadixBits(ReadKeyBytes(tuple + key_offset_, key_size_), shift_,
                        bits_);
-    case Kind::kRoundRobin:
-      return static_cast<uint32_t>(rr_++ % num_targets_);
     case Kind::kGeneric:
       return fn_(TupleView(tuple, schema_), num_targets_);
     case Kind::kSingle:
@@ -207,34 +198,16 @@ AdaptivePartitioner::HotKey* AdaptivePartitioner::FindHot(uint64_t key) {
 
 void AdaptivePartitioner::EndEpoch() {
   epoch_fill_ = 0;
-  ++epoch_;
   const double threshold =
       opts_.hot_factor * opts_.epoch_tuples / num_targets_;
 
-  // Demote cooled-off keys (half the promotion threshold: hysteresis), and
-  // in ordered mode rotate the single owner of keys that stay hot so one
-  // hot key's load still spreads across the node's siblings over time.
+  // Demote cooled-off keys (half the promotion threshold: hysteresis).
   for (size_t h = 0; h < num_hot_;) {
     HotKey& hk = hot_[h];
-    const std::vector<uint32_t>& spread = siblings_[hk.home];
-    const double count = static_cast<double>(SketchSlotOf(hk.key).count);
-    if (count < threshold / 2) {
+    if (static_cast<double>(SketchSlotOf(hk.key).count) < threshold / 2) {
       ++demotions_;
-      if (!opts_.ordered_handoff) {
-        EraseHot(&hk);  // the last entry moves here; visit it next
-        continue;
-      }
-      // Keep the entry around for one more Route(): it goes home and
-      // carries the final hand-off flush of the last owner's channel.
-      hk.demoted = true;
-      hk.pending_flush = static_cast<int32_t>(spread[hk.owner]);
-    } else if (opts_.ordered_handoff && !hk.demoted) {
-      const uint32_t next =
-          static_cast<uint32_t>(HashU64(hk.key ^ epoch_) % spread.size());
-      if (next != hk.owner) {
-        hk.pending_flush = static_cast<int32_t>(spread[hk.owner]);
-        hk.owner = next;
-      }
+      EraseHot(&hk);  // the last entry moves here; visit it next
+      continue;
     }
     ++h;
   }
@@ -264,12 +237,6 @@ void AdaptivePartitioner::EndEpoch() {
     hk.key = key;
     hk.home = home;
     hk.cursor = static_cast<uint32_t>(HashU64(key) % spread);
-    if (opts_.ordered_handoff) {
-      hk.owner = static_cast<uint32_t>(HashU64(key ^ epoch_) % spread);
-      // Re-homing away from home: the home channel may hold staged tuples
-      // of this key, so the first re-routed push flushes it first.
-      if (hk.owner != 0) hk.pending_flush = static_cast<int32_t>(home);
-    }
     ++promotions_;
     hot_[num_hot_++] = hk;
   }
@@ -277,80 +244,42 @@ void AdaptivePartitioner::EndEpoch() {
   sketch_size_ = 0;
 }
 
-uint32_t AdaptivePartitioner::RouteHot(HotKey& hot, int32_t* flush_first) {
-  if (hot.pending_flush >= 0) {
-    *flush_first = hot.pending_flush;
-    hot.pending_flush = -1;
+uint32_t AdaptivePartitioner::Divert(const std::vector<uint32_t>& spread,
+                                     uint32_t target) {
+  if (board_ == nullptr || !opts_.react_to_backpressure ||
+      !board_->saturated(target)) {
+    return target;
   }
-  const std::vector<uint32_t>& spread = siblings_[hot.home];
-  if (hot.demoted) return hot.home;  // caller erases the entry
-  uint32_t target;
-  if (opts_.ordered_handoff) {
-    target = spread[hot.owner];
-  } else {
-    target = spread[hot.cursor];
-    hot.cursor = (hot.cursor + 1) % static_cast<uint32_t>(spread.size());
-    if (board_ != nullptr && opts_.react_to_backpressure &&
-        board_->saturated(target)) {
-      uint32_t best_depth = UINT32_MAX;
-      uint32_t best = target;
-      for (uint32_t sibling : spread) {
-        if (board_->saturated(sibling)) continue;
-        const uint32_t depth = board_->depth(sibling);
-        if (depth < best_depth) {
-          best_depth = depth;
-          best = sibling;
-        }
-      }
-      if (best != target) {
-        target = best;
-        ++diverted_tuples_;
-      }
+  uint32_t best_depth = UINT32_MAX;
+  uint32_t best = target;
+  for (uint32_t sibling : spread) {
+    if (board_->saturated(sibling)) continue;
+    const uint32_t depth = board_->depth(sibling);
+    if (depth < best_depth) {
+      best_depth = depth;
+      best = sibling;
     }
   }
-  if (target != hot.home) ++resplit_tuples_;
-  return target;
+  if (best != target) ++diverted_tuples_;
+  return best;
 }
 
-AdaptivePartitioner::Decision AdaptivePartitioner::Route(
-    const uint8_t* tuple) {
+uint32_t AdaptivePartitioner::Route(const uint8_t* tuple) {
   const uint64_t key = ReadKeyBytes(tuple + key_offset_, key_size_);
   SketchAdd(key);
   if (++epoch_fill_ >= opts_.epoch_tuples) EndEpoch();
 
-  Decision d;
-  if (HotKey* hot = FindHot(key); hot != nullptr) {
-    d.target = RouteHot(*hot, &d.flush_first);
-    if (hot->demoted) EraseHot(hot);
-    return d;
+  HotKey* hot = FindHot(key);
+  if (hot == nullptr) {
+    const uint32_t home = HomeTarget(key);
+    return Divert(siblings_[home], home);
   }
-  const uint32_t home = HomeTarget(key);
-  d.target = home;
-  // Opt-in straggler relief: a cold key bound for a saturated target is
-  // diverted to the least-loaded unsaturated sibling on the same node.
-  // Never taken in ordered mode (it would break per-key order) and never
-  // without the board (static-determinism default).
-  if (board_ != nullptr && opts_.react_to_backpressure &&
-      !opts_.ordered_handoff && board_->saturated(home)) {
-    const std::vector<uint32_t>& sibs = siblings_[home];
-    if (sibs.size() > 1) {
-      uint32_t best_depth = UINT32_MAX;
-      uint32_t best = home;
-      for (uint32_t sibling : sibs) {
-        if (board_->saturated(sibling)) continue;
-        const uint32_t depth = board_->depth(sibling);
-        if (depth < best_depth) {
-          best_depth = depth;
-          best = sibling;
-        }
-      }
-      if (best != home) {
-        d.target = best;
-        ++diverted_tuples_;
-      }
-    }
-  }
-  return d;
+  // A hot key round-robins over the targets of its home node.
+  const std::vector<uint32_t>& spread = siblings_[hot->home];
+  const uint32_t target = Divert(spread, spread[hot->cursor]);
+  hot->cursor = (hot->cursor + 1) % static_cast<uint32_t>(spread.size());
+  if (target != hot->home) ++resplit_tuples_;
+  return target;
 }
 
 // ---------------------------------------------------------------------------
@@ -359,11 +288,10 @@ AdaptivePartitioner::Decision AdaptivePartitioner::Route(
 
 Aggregator::Aggregator(const Schema* schema,
                        const std::vector<AggSpec>* aggregates,
-                       size_t group_by_index, bool global_aggregate,
-                       const net::SimConfig* config, VirtualClock* clock)
-    : global_aggregate_(global_aggregate),
-      key_offset_(global_aggregate ? 0 : schema->offset(group_by_index)),
-      key_size_(global_aggregate ? 0 : schema->field_size(group_by_index)),
+                       size_t group_by_index, const net::SimConfig* config,
+                       VirtualClock* clock)
+    : key_offset_(schema->offset(group_by_index)),
+      key_size_(schema->field_size(group_by_index)),
       config_(config),
       clock_(clock) {
   DFI_CHECK(!aggregates->empty())
@@ -385,8 +313,7 @@ Aggregator::Aggregator(const Schema* schema,
 
 void Aggregator::Fold(TupleView tuple) {
   const uint8_t* data = tuple.data();
-  const uint64_t key =
-      global_aggregate_ ? 0 : ReadKeyBytes(data + key_offset_, key_size_);
+  const uint64_t key = ReadKeyBytes(data + key_offset_, key_size_);
   clock_->Advance(config_->agg_update_ns);
 
   const auto [group, inserted] = groups_.TryEmplace(key, keys_.size());

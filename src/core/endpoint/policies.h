@@ -26,19 +26,9 @@ namespace dfi {
 /// Routing policy plugged into a FlowEndpoint: maps one packed tuple to a
 /// target index (paper Table 1 — the only source-side difference between
 /// the flow types). The builtin partitioners carry their key geometry and
-/// magic-number divisor declaratively so FlowEndpoint::PushBatch can run
-/// them devirtualized over whole batches; kGeneric wraps an arbitrary
-/// RoutingFn dispatched per tuple.
+/// magic-number divisor; kGeneric wraps an arbitrary RoutingFn.
 class Partitioner {
  public:
-  enum class Kind : uint8_t {
-    kSingle,      ///< everything to target 0 (1-target flows, combiner N:1)
-    kKeyHash,     ///< HashU64(key) % num_targets
-    kRadix,       ///< radix bits of HashU64(key)
-    kRoundRobin,  ///< spread with no key (combiner global aggregates)
-    kGeneric,     ///< opaque user RoutingFn
-  };
-
   Partitioner() = default;  // kSingle
 
   static Partitioner Single() { return Partitioner(); }
@@ -48,7 +38,6 @@ class Partitioner {
   static Partitioner Radix(const Schema* schema, size_t key_field_index,
                            uint32_t shift, uint32_t bits,
                            uint32_t num_targets);
-  static Partitioner RoundRobin(uint32_t num_targets);
   static Partitioner Generic(RoutingFn fn, const Schema* schema,
                              uint32_t num_targets);
 
@@ -57,7 +46,7 @@ class Partitioner {
   static Partitioner FromRouting(const RoutingSpec& spec,
                                  const Schema* schema, uint32_t num_targets);
 
-  /// Routes one packed tuple. Results may exceed num_targets() for buggy
+  /// Routes one packed tuple. Results may exceed num_targets for buggy
   /// kRadix/kGeneric routings; the endpoint range-checks. Key-hash routing
   /// is inline, so the default push routes without a call.
   uint32_t Route(const uint8_t* tuple) {
@@ -68,18 +57,14 @@ class Partitioner {
     return RouteOther(tuple);
   }
 
-  Kind kind() const { return kind_; }
-  uint32_t num_targets() const { return num_targets_; }
-  const Schema* schema() const { return schema_; }
-  /// Key geometry, hoisted out of batch inner loops (kKeyHash / kRadix).
-  size_t key_offset() const { return key_offset_; }
-  size_t key_size() const { return key_size_; }
-  uint32_t shift() const { return shift_; }
-  uint32_t bits() const { return bits_; }
-  const FastDivisor& mod() const { return mod_; }
-  const RoutingFn& fn() const { return fn_; }
-
  private:
+  enum class Kind : uint8_t {
+    kSingle,   ///< everything to target 0 (1-target flows, combiner N:1)
+    kKeyHash,  ///< HashU64(key) % num_targets
+    kRadix,    ///< radix bits of HashU64(key)
+    kGeneric,  ///< opaque user RoutingFn
+  };
+
   /// Route() for every kind but kKeyHash.
   uint32_t RouteOther(const uint8_t* tuple);
 
@@ -92,7 +77,6 @@ class Partitioner {
   uint32_t bits_ = 0;
   FastDivisor mod_;
   RoutingFn fn_;
-  uint64_t rr_ = 0;  // round-robin cursor
 };
 
 // ---------------------------------------------------------------------------
@@ -107,17 +91,11 @@ class Partitioner {
 /// across the sibling target threads on their home target's node — keys
 /// never leave their home *node* (node-level co-location such as radix-join
 /// partition assignment survives), only the thread-level assignment becomes
-/// dynamic. Demotion at half the promotion threshold gives hysteresis.
-///
-/// Two spreading modes:
-///  - unordered (default): each hot tuple round-robins over the home node's
-///    sibling targets via a deterministic per-key cursor.
-///  - ordered_handoff: a hot key has exactly one owner at a time, rotated
-///    at epoch boundaries; Route() reports the previous owner in
-///    `flush_first` so the endpoint flushes that channel *before* pushing
-///    to the new owner. Segments of one (source, key) pair then arrive in
-///    disjoint, contiguous intervals per target — a downstream Sequencer
-///    ordering per (source, key) observes no inversions.
+/// dynamic. Each hot tuple round-robins over the home node's sibling
+/// targets via a deterministic per-key cursor, so a re-split key has no
+/// per-channel order (the graph layer types an adaptive shuffle as
+/// Ordering::kNone). Demotion at half the promotion threshold gives
+/// hysteresis.
 ///
 /// Every routing decision is a pure function of the source's own input
 /// prefix (sketch state + epoch counter), so adaptive routing is
@@ -138,15 +116,9 @@ class AdaptivePartitioner {
   AdaptivePartitioner(const AdaptivePartitioner&) = delete;
   AdaptivePartitioner& operator=(const AdaptivePartitioner&) = delete;
 
-  struct Decision {
-    uint32_t target = 0;
-    /// Channel to flush before pushing (ordered hand-off re-homed the key
-    /// away from this target); -1 when no hand-off happened.
-    int32_t flush_first = -1;
-  };
-
-  /// Routes one packed tuple and advances the sketch/epoch state.
-  Decision Route(const uint8_t* tuple);
+  /// Routes one packed tuple to a target and advances the sketch/epoch
+  /// state.
+  uint32_t Route(const uint8_t* tuple);
 
   uint32_t num_targets() const { return num_targets_; }
   /// The static key-hash target of `key` (where the non-adaptive
@@ -184,17 +156,8 @@ class AdaptivePartitioner {
     /// Static home target: the key spreads over siblings_[home], whose
     /// first entry is home.
     uint32_t home = 0;
-    /// Unordered mode: deterministic round-robin cursor over the spread.
+    /// Deterministic round-robin cursor over the spread.
     uint32_t cursor = 0;
-    /// Ordered mode: current single owner (index into the spread).
-    uint32_t owner = 0;
-    /// Ordered mode: channel whose staged partial segment must be flushed
-    /// before this key's next push (the previous owner after a re-homing);
-    /// -1 when none. Surfaced once via Decision::flush_first.
-    int32_t pending_flush = -1;
-    /// Ordered mode: key was demoted at the last epoch boundary; its next
-    /// Route() goes home (with the final hand-off flush) and erases it.
-    bool demoted = false;
   };
 
   /// The sketch slot of `key`, or the free slot ending its probe run.
@@ -206,7 +169,11 @@ class AdaptivePartitioner {
   void EraseHot(HotKey* hot) { *hot = hot_[--num_hot_]; }
   /// Epoch boundary: promote/demote against the sketch, then reset it.
   void EndEpoch();
-  uint32_t RouteHot(HotKey& hot, int32_t* flush_first);
+  /// Opt-in straggler relief: `target` when it is not saturated (or
+  /// without the board or react_to_backpressure, the static-determinism
+  /// default), else the least-loaded unsaturated target of `spread`, its
+  /// node's targets.
+  uint32_t Divert(const std::vector<uint32_t>& spread, uint32_t target);
 
   const size_t key_offset_;
   const size_t key_size_;
@@ -224,7 +191,6 @@ class AdaptivePartitioner {
   /// The hot set, in no particular order: entries [0, num_hot_).
   std::array<HotKey, kMaxHotKeys> hot_{};
   size_t num_hot_ = 0;
-  uint64_t epoch_ = 0;
   uint32_t epoch_fill_ = 0;
   uint64_t promotions_ = 0;
   uint64_t demotions_ = 0;
@@ -261,8 +227,8 @@ struct AggRow {
 class Aggregator {
  public:
   Aggregator(const Schema* schema, const std::vector<AggSpec>* aggregates,
-             size_t group_by_index, bool global_aggregate,
-             const net::SimConfig* config, VirtualClock* clock);
+             size_t group_by_index, const net::SimConfig* config,
+             VirtualClock* clock);
 
   Aggregator(const Aggregator&) = delete;
   Aggregator& operator=(const Aggregator&) = delete;
@@ -284,7 +250,6 @@ class Aggregator {
     size_t offset;
   };
 
-  const bool global_aggregate_;
   const size_t key_offset_;
   const size_t key_size_;
   const net::SimConfig* const config_;

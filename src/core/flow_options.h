@@ -42,25 +42,12 @@ struct AdaptiveShuffleOptions {
   /// Demotion uses half this threshold for hysteresis.
   double hot_factor = 4.0;
 
-  /// Sequencer-compatible hand-off: hot keys are re-homed (one owner at a
-  /// time, old channel flushed before the switch) instead of round-robin
-  /// re-split, so per-(source, key) order is preserved end to end. Without
-  /// it, target threads on the same node steal each other's delivered
-  /// segments; with it they do not — a stolen segment would reorder
-  /// app-level processing across sink threads.
-  bool ordered_handoff = false;
-
-  /// React to per-target backpressure (queue-depth saturation) by
-  /// diverting traffic from a saturated target to same-node siblings.
-  /// Default off: queue depths are host-schedule-dependent, so reacting to
-  /// them trades bit-determinism for straggler resilience.
+  /// React to per-target backpressure (queue-depth saturation, see
+  /// TargetLoadBoard) by diverting traffic from a saturated target to
+  /// same-node siblings. Default off: queue depths are
+  /// host-schedule-dependent, so reacting to them trades bit-determinism
+  /// for straggler resilience.
   bool react_to_backpressure = false;
-
-  /// Saturation hysteresis thresholds on the per-target queue depth
-  /// (delivered-but-unconsumed segments summed over the target's channels):
-  /// trip at >= high, clear at <= low.
-  uint32_t backpressure_high = 24;
-  uint32_t backpressure_low = 8;
 };
 
 /// Declarative per-flow options (paper Table 1 "flow options" plus the

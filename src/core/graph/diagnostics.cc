@@ -147,8 +147,7 @@ void ValidateCombinerSpec(const CombinerFlowSpec& spec,
     out->push_back(Diag(DiagCode::kNoAggregates, target_vertex, spec.name,
                         "combiner flow needs >= 1 aggregate"));
   }
-  if (!spec.global_aggregate &&
-      spec.group_by_index >= spec.schema.num_fields()) {
+  if (spec.group_by_index >= spec.schema.num_fields()) {
     out->push_back(Diag(
         DiagCode::kKeyOutOfRange, target_vertex, spec.name,
         "group-by index " + std::to_string(spec.group_by_index) +
@@ -163,16 +162,13 @@ void ValidateCombinerSpec(const CombinerFlowSpec& spec,
               " out of range for schema " + spec.schema.ToString()));
     }
   }
-  // N:1 unless the spec opts into multi-node targets (paper section 4.2.3
-  // describes N:1; the transport also supports spreading the group-key
-  // partitions over nodes, but accidental fan-out is rejected).
-  if (!spec.multi_node_targets && target_nodes != nullptr) {
+  // N:1 (paper section 4.2.3): every target thread on one node.
+  if (target_nodes != nullptr) {
     for (net::NodeId t : *target_nodes) {
       if (t != (*target_nodes)[0]) {
         out->push_back(Diag(
             DiagCode::kCombinerTopology, target_vertex, spec.name,
-            "targets span multiple nodes; set multi_node_targets to opt "
-            "into the N:M topology"));
+            "combiner targets span multiple nodes; the combiner is N:1"));
         break;
       }
     }

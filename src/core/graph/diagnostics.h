@@ -28,7 +28,7 @@ enum class DiagCode : uint8_t {
   kKeyOutOfRange,        ///< shuffle key / group-by / aggregate field index
   kAdaptiveRouting,      ///< adaptive shuffle on non-key-hash routing
   kOrderingUnsatisfied,  ///< required ordering the edge cannot deliver
-  kCombinerTopology,     ///< multi-node combiner targets w/o the opt-in
+  kCombinerTopology,     ///< combiner targets spanning several nodes
   kNoAggregates,         ///< combiner edge without aggregate specs
   kMissingBody,          ///< operator kind requires a callback it lacks
   kParamOutOfRange,      ///< operator parameter the run cannot execute
@@ -75,8 +75,8 @@ void ValidateReplicateSpec(const ReplicateFlowSpec& spec,
                            std::vector<Diagnostic>* out);
 
 /// `target_nodes` are the resolved fabric nodes of the target placement
-/// (the multi-node topology rule needs them); pass nullptr to skip that
-/// rule when no fabric is at hand.
+/// (the N:1 topology rule needs them); pass nullptr to skip that rule when
+/// no fabric is at hand.
 void ValidateCombinerSpec(const CombinerFlowSpec& spec,
                           const std::string& source_vertex,
                           const std::string& target_vertex,

@@ -25,14 +25,10 @@ Diagnostic EdgeDiag(DiagCode code, const std::string& vertex,
 Ordering TransportOrdering(const EdgeSpec& edge) {
   switch (edge.kind) {
     case EdgeKind::kShuffle:
-      // Static routing preserves per-(source, key) FIFO. Adaptive
-      // re-splitting spreads a hot key over sibling targets, which breaks
-      // it unless the sequencer-compatible ordered hand-off is on.
-      if (edge.options.adaptive.enabled &&
-          !edge.options.adaptive.ordered_handoff) {
-        return Ordering::kNone;
-      }
-      return Ordering::kPerChannel;
+      // Static routing preserves per-(source, key) FIFO; adaptive
+      // re-splitting spreads a hot key over sibling targets.
+      return edge.options.adaptive.enabled ? Ordering::kNone
+                                           : Ordering::kPerChannel;
     case EdgeKind::kReplicate:
       // The OUM sequencer (multicast + global_ordering) delivers one total
       // order; the naive transport still guarantees per-channel FIFO.
@@ -249,7 +245,7 @@ StatusOr<Graph> Graph::Build(GraphSpec spec, const net::Fabric* fabric,
     return DiagnosticsToStatus(diags);
   }
 
-  // Resolve worker placements (actor domains; combiner multi-node rule).
+  // Resolve worker placements (actor domains; combiner N:1 rule).
   if (fabric != nullptr) {
     for (size_t v = 0; v < s.vertices.size(); ++v) {
       auto nodes = s.vertices[v].workers.Resolve(*fabric);
@@ -415,10 +411,8 @@ StatusOr<Graph> Graph::Build(GraphSpec spec, const net::Fabric* fabric,
           why = "global ordering requires a replicate edge with multicast "
                 "and global_ordering (the OUM sequencer)";
         } else if (es.kind == EdgeKind::kShuffle &&
-                   es.options.adaptive.enabled &&
-                   !es.options.adaptive.ordered_handoff) {
-          why = "adaptive re-splitting without ordered_handoff breaks "
-                "per-channel order";
+                   es.options.adaptive.enabled) {
+          why = "adaptive re-splitting breaks per-channel order";
         } else if (es.kind == EdgeKind::kCombiner) {
           why = "aggregation erases delivery order";
         } else {

@@ -137,8 +137,6 @@ struct EdgeSpec {
   RoutingSpec routing;
   /// Combiner-only aggregation spec.
   std::vector<AggSpec> aggregates;
-  bool global_aggregate = false;
-  bool multi_node_targets = false;
   FlowOptions options;
 };
 
@@ -160,8 +158,8 @@ class Graph {
  public:
   /// Validates `spec`. On failure returns InvalidArgument joining every
   /// finding; `diagnostics` (optional) receives the structured list either
-  /// way. `fabric` resolves worker placements (needed by the combiner
-  /// multi-node rule and the executor's actor domains).
+  /// way. `fabric` resolves worker placements (needed by the combiner N:1
+  /// rule and the executor's actor domains).
   static StatusOr<Graph> Build(GraphSpec spec, const net::Fabric* fabric,
                                std::vector<Diagnostic>* diagnostics = nullptr);
 

@@ -36,9 +36,7 @@ CombinerFlowSpec LowerCombinerEdge(const EdgeSpec& edge,
   spec.targets = to.workers;
   spec.schema = edge.type.schema;
   spec.group_by_index = edge.key_index;
-  spec.global_aggregate = edge.global_aggregate;
   spec.aggregates = edge.aggregates;
-  spec.multi_node_targets = edge.multi_node_targets;
   spec.options = edge.options;
   return spec;
 }

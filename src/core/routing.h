@@ -18,8 +18,8 @@ using RoutingFn = std::function<uint32_t(TupleView, uint32_t num_targets)>;
 
 /// Reads a packed key of `size` bytes as an unsigned 64-bit value
 /// (zero-extended); wide (kChar) keys are hashed. Takes the key's bytes
-/// and size rather than a tuple so batch partitioners can hoist the
-/// offset/size lookup out of their inner loop.
+/// and size rather than a tuple so partitioners resolve the field's offset
+/// and size once, at construction.
 inline uint64_t ReadKeyBytes(const uint8_t* p, size_t size) {
   switch (size) {
     case 1:
@@ -46,10 +46,9 @@ inline uint64_t ReadKeyBytes(const uint8_t* p, size_t size) {
 }
 
 /// Routing strategy of a shuffle flow. The two builtin partitioners
-/// (key-hash and radix) are carried *declaratively* so sources can run them
-/// devirtualized over whole batches (one histogram+scatter loop per batch
-/// instead of one std::function dispatch per tuple); arbitrary RoutingFns
-/// are wrapped as kGeneric and dispatched per tuple.
+/// (key-hash and radix) are carried *declaratively* so sources route them
+/// without a std::function dispatch per tuple; arbitrary RoutingFns are
+/// wrapped as kGeneric and dispatched per tuple.
 class RoutingSpec {
  public:
   enum class Kind : uint8_t {
@@ -106,7 +105,7 @@ class RoutingSpec {
 };
 
 /// DFI's default routing: hash of the shuffle key modulo target count
-/// (paper section 3.2, option (1)). Recognized by the batch push path.
+/// (paper section 3.2, option (1)).
 inline RoutingSpec KeyHashRouting(size_t key_field_index) {
   return RoutingSpec::KeyHash(key_field_index);
 }
@@ -116,7 +115,6 @@ inline RoutingSpec KeyHashRouting(size_t key_field_index) {
 /// The partition must already lie in [0, num_targets); out-of-range
 /// partitions are a routing-function bug surfaced by the push path's range
 /// check (kOutOfRange) rather than silently wrapped.
-/// Recognized by the batch push path.
 inline RoutingSpec RadixRouting(size_t key_field_index, uint32_t shift,
                                 uint32_t bits) {
   return RoutingSpec::Radix(key_field_index, shift, bits);

@@ -26,11 +26,8 @@ ShuffleFlowState::ShuffleFlowState(ShuffleFlowSpec spec, rdma::RdmaEnv* env)
       target_nodes_);
 
   // Work-stealing plane: shared per-target columns grouped per node, plus
-  // the group wakeups every delivery bumps. Disabled under ordered_handoff
-  // (a stolen segment would reorder app-level per-key processing across
-  // sink threads).
-  const AdaptiveShuffleOptions& adaptive = spec_.options.adaptive;
-  if (adaptive.enabled && !adaptive.ordered_handoff) {
+  // the group wakeups every delivery bumps.
+  if (spec_.options.adaptive.enabled) {
     steal_columns_.reserve(num_targets());
     group_of_target_.resize(num_targets());
     std::vector<net::NodeId> group_nodes;

@@ -31,10 +31,9 @@ struct ShuffleFlowSpec {
   Schema schema;
   /// Field used by the default key-hash routing.
   size_t shuffle_key_index = 0;
-  /// Optional routing override: either a recognized builtin partitioner
-  /// (KeyHashRouting / RadixRouting, which PushBatch runs devirtualized
-  /// over whole batches) or an arbitrary RoutingFn (assignable directly;
-  /// dispatched per tuple).
+  /// Optional routing override: either a builtin partitioner
+  /// (KeyHashRouting / RadixRouting) or an arbitrary RoutingFn (assignable
+  /// directly; dispatched per tuple).
   RoutingSpec routing;
   FlowOptions options;
 };
@@ -72,8 +71,8 @@ class ShuffleFlowState : public FlowStateBase {
     return target_nodes_;
   }
 
-  /// Work-stealing plane (adaptive shuffles with ordered_handoff off): one
-  /// shared column per target, grouped per node.
+  /// Work-stealing plane (adaptive shuffles): one shared column per
+  /// target, grouped per node.
   /// Null when the flow runs the exclusive-sink path.
   StealColumn* steal_column(uint32_t target) const {
     return steal_columns_.empty() ? nullptr : steal_columns_[target].get();
@@ -127,17 +126,6 @@ class ShuffleSource {
       return endpoint_->PushAdaptive(tuple, &*adaptive_);
     }
     return endpoint_->Push(tuple, &partitioner_);
-  }
-
-  /// Batched push: routes a run of `count` densely packed tuples a block at
-  /// a time and stages each through the same lanes as Push (see
-  /// FlowEndpoint::PushBatch), so it transmits exactly the segments, at the
-  /// same virtual times, as calling Push on each tuple in order.
-  Status PushBatch(const void* tuples, size_t count) {
-    if (adaptive_.has_value()) {
-      return endpoint_->PushBatchAdaptive(tuples, count, &*adaptive_);
-    }
-    return endpoint_->PushBatch(tuples, count, &partitioner_);
   }
 
   /// Pushes with an explicit target (paper section 4.2.1, option (3)).

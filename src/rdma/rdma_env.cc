@@ -104,15 +104,6 @@ MemoryRegion* RdmaContext::AllocateRegion(size_t bytes) {
   return raw;
 }
 
-MemoryRegion* RdmaContext::RegisterRegion(uint8_t* addr, size_t bytes) {
-  const uint32_t rkey = env_->RegisterMr(addr, bytes, node_);
-  auto region = std::unique_ptr<MemoryRegion>(
-      new MemoryRegion(addr, bytes, rkey, node_, nullptr, &node()));
-  MemoryRegion* raw = region.get();
-  regions_.push_back(std::move(region));
-  return raw;
-}
-
 CompletionQueue* RdmaContext::CreateCq() {
   auto cq = std::make_unique<CompletionQueue>(config().poll_cq_ns);
   CompletionQueue* raw = cq.get();

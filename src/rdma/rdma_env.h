@@ -92,9 +92,6 @@ class RdmaContext {
   /// analogue of posix_memalign + ibv_reg_mr on huge pages).
   MemoryRegion* AllocateRegion(size_t bytes);
 
-  /// Registers caller-owned memory.
-  MemoryRegion* RegisterRegion(uint8_t* addr, size_t bytes);
-
   CompletionQueue* CreateCq();
 
   /// Creates a reliable-connection QP to `remote` posting completions to

@@ -70,7 +70,7 @@ Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
   conn.next_seq = req.base_seq + req.ops.size();
 
   SimTime now = NowVt();
-  const SimTime deadline = now + options_.retry_deadline_ns;
+  const SimTime deadline = now + kRetryDeadlineNs;
   SimTime backoff = kBackoffInitialNs;
   ShardView view = service_->ViewAt(shard, now);
   req.target_replica = view.primary;
@@ -121,7 +121,7 @@ Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
       return Status::DeadlineExceeded(
           "registry batch to shard " + std::to_string(shard) +
           " exceeded its retry deadline (" +
-          std::to_string(options_.retry_deadline_ns) + "ns)");
+          std::to_string(kRetryDeadlineNs) + "ns)");
     }
     SleepUntilVt(now, wake);
     now = wake;

@@ -15,6 +15,10 @@
 
 namespace dfi::reg {
 
+/// Per-call retry budget (virtual ns): total time a batch may spend on
+/// silence/backoff before giving up with kDeadlineExceeded.
+constexpr SimTime kRetryDeadlineNs = 50'000'000;
+
 struct RegistryClientOptions {
   /// Dedup-window identity at the shards. Every client of one service must
   /// use a distinct id.
@@ -22,9 +26,6 @@ struct RegistryClientOptions {
   /// Fabric node the client runs on; kNoNode for driver-thread clients
   /// (no request/reply hop cost, always reachable).
   net::NodeId node = kNoNode;
-  /// Per-call retry budget (virtual ns): total time a batch may spend on
-  /// silence/backoff before giving up with kDeadlineExceeded.
-  SimTime retry_deadline_ns = 50'000'000;
 };
 
 struct RegistryClientStats {

@@ -195,8 +195,7 @@ OpResult RegistryService::ApplyWithDedup(Shard* shard, ShardId shard_id,
     if (!path_.loopback()) {
       const net::NodeId backup_node = ReplicaNode(shard_id, r);
       const SimTime deliver =
-          at + path_.HopNs(primary_node, backup_node, at,
-                           options_.op_wire_bytes);
+          at + path_.HopNs(primary_node, backup_node, at, kOpWireBytes);
       const net::FaultPlan& plan = fabric_->fault_plan();
       if (!NodeAliveAt(backup_node, deliver)) continue;
       if (plan.active() &&
@@ -244,7 +243,7 @@ BatchResult RegistryService::Execute(const BatchRequest& request,
   const net::NodeId target_node =
       ReplicaNode(request.shard, request.target_replica);
   const uint32_t wire_bytes =
-      options_.op_wire_bytes *
+      kOpWireBytes *
       static_cast<uint32_t>(std::max<size_t>(1, request.ops.size()));
 
   SimTime t_arrive = start;
@@ -277,7 +276,7 @@ BatchResult RegistryService::Execute(const BatchRequest& request,
   }
   out.epoch = EpochAt(request.shard, t_arrive);
 
-  const SimTime per_op = loop ? 0 : options_.op_serve_ns;
+  const SimTime per_op = loop ? 0 : kOpServeNs;
   if (request.target_replica != primary) {
     // Live non-primary: it answers with a redirect carrying the current
     // view; the client refreshes and retries at the primary.
@@ -287,7 +286,7 @@ BatchResult RegistryService::Execute(const BatchRequest& request,
     out.complete_at =
         loop ? start
              : t_redirect + path_.HopNs(target_node, request.client_node,
-                                        t_redirect, options_.op_wire_bytes);
+                                        t_redirect, kOpWireBytes);
     return out;
   }
 

@@ -16,6 +16,11 @@ class Fabric;
 
 namespace dfi::reg {
 
+/// Per-op service CPU at a replica (fabric mode only).
+constexpr SimTime kOpServeNs = 120;
+/// Modeled wire size of one op's request/reply record.
+constexpr uint32_t kOpWireBytes = 96;
+
 struct RegistryServiceOptions {
   /// Number of shards (hash of flow name → shard).
   uint32_t num_shards = 1;
@@ -27,10 +32,6 @@ struct RegistryServiceOptions {
   /// non-empty it must hold num_shards * replication node ids and a fabric
   /// must be bound.
   std::vector<net::NodeId> replica_nodes;
-  /// Per-op service CPU at a replica (fabric mode only).
-  SimTime op_serve_ns = 120;
-  /// Modeled wire size of one op's request/reply record.
-  uint32_t op_wire_bytes = 96;
   /// Retain the full event list for Events()/TraceString(). The rolling
   /// order-insensitive TraceHash() is always maintained; the list costs
   /// memory per applied op, so big churn runs leave this off.

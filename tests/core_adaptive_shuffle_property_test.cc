@@ -1,15 +1,13 @@
 // Property tests for the skew-adaptive shuffle data plane: whatever the
-// adaptive layer does (hot-key re-splitting, ordered hand-off, work
-// stealing between same-node sinks), the flow must deliver exactly the
-// static flow's multiset of tuples, never move a key off its home node,
-// keep per-key order reconstructible in ordered mode, and fail cleanly
+// adaptive layer does (hot-key re-splitting, work stealing between
+// same-node sinks), the flow must deliver exactly the static flow's
+// multiset of tuples, never move a key off its home node, and fail cleanly
 // when a peer crashes mid-migration.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iterator>
-#include <map>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -169,62 +167,6 @@ TEST_F(AdaptiveShufflePropertyTest, AdaptiveDeliversStaticMultiset) {
   }
 }
 
-TEST_F(AdaptiveShufflePropertyTest, OrderedHandoffKeepsPerKeyOrder) {
-  // Ordered hand-off: a hot key has exactly one owning target at a time,
-  // re-homed only at epoch boundaries with the previous owner's channel
-  // flushed first. With a single source, each (key, target) arrival
-  // sequence must be push-ordered, and a key's tuples in push order must
-  // switch targets only at hand-offs — at most once per epoch, not per
-  // tuple like the unordered round-robin spread.
-  const uint64_t count = 8192;
-  const uint32_t epoch = 512;
-  std::vector<std::vector<JoinTuple>> relations{
-      bench::GenerateHotKeyRelation(count, 1 << 16, 2, 0.6, 3)};
-  const auto pushed = SortedMultiset(relations);
-
-  AdaptiveShuffleOptions on;
-  on.enabled = true;
-  on.hot_factor = 1.0;
-  on.epoch_tuples = epoch;
-  on.ordered_handoff = true;
-  auto run = Run(relations, on, "ordered");
-
-  EXPECT_EQ(run.SortedMultiset(), pushed);
-
-  // Payloads are the push index, so "push order" is payload order.
-  std::map<uint64_t, std::vector<std::pair<uint64_t, uint32_t>>> per_key;
-  for (uint32_t t = 0; t < kTargets; ++t) {
-    std::map<uint64_t, uint64_t> last_payload;
-    for (const auto& j : run.per_target[t]) {
-      auto it = last_payload.find(j.key);
-      if (it != last_payload.end()) {
-        EXPECT_LT(it->second, j.payload)
-            << "per-key arrival order inverted at target " << t;
-      }
-      last_payload[j.key] = j.payload;
-      per_key[j.key].emplace_back(j.payload, t);
-    }
-  }
-  const uint64_t epochs = count / epoch;
-  for (uint64_t key : {0u, 1u}) {
-    auto& seq = per_key[key];
-    ASSERT_FALSE(seq.empty());
-    std::sort(seq.begin(), seq.end());
-    uint64_t switches = 0;
-    for (size_t i = 1; i < seq.size(); ++i) {
-      if (seq[i].second != seq[i - 1].second) ++switches;
-    }
-    // Each epoch boundary re-homes the key at most once (plus the initial
-    // promotion). The unordered spread would switch on nearly every tuple
-    // (thousands of times here).
-    EXPECT_LE(switches, epochs + 1)
-        << "hot key " << key << " changed targets mid-epoch";
-    EXPECT_GE(switches, 1u)
-        << "hot key " << key << " was never re-homed across "
-        << epochs << " epochs";
-  }
-}
-
 TEST_F(AdaptiveShufflePropertyTest, AdaptiveRoutingIsDeterministic) {
   // The sketch/epoch state is a pure function of the source's own input
   // prefix: two partitioners fed the same tuples must make identical
@@ -243,11 +185,10 @@ TEST_F(AdaptiveShufflePropertyTest, AdaptiveRoutingIsDeterministic) {
   AdaptivePartitioner a(&schema, 0, target_nodes, opts, nullptr);
   AdaptivePartitioner b(&schema, 0, target_nodes, opts, nullptr);
   for (const auto& t : rel) {
-    const auto da = a.Route(reinterpret_cast<const uint8_t*>(&t));
-    const auto db = b.Route(reinterpret_cast<const uint8_t*>(&t));
-    ASSERT_EQ(da.target, db.target);
-    ASSERT_EQ(da.flush_first, db.flush_first);
-    ASSERT_EQ(NodeOfTarget(da.target), NodeOfTarget(a.HomeTarget(t.key)));
+    const uint32_t da = a.Route(reinterpret_cast<const uint8_t*>(&t));
+    const uint32_t db = b.Route(reinterpret_cast<const uint8_t*>(&t));
+    ASSERT_EQ(da, db);
+    ASSERT_EQ(NodeOfTarget(da), NodeOfTarget(a.HomeTarget(t.key)));
   }
   EXPECT_GT(a.promotions(), 0u) << "skewed input promoted no keys";
   EXPECT_GT(a.resplit_tuples(), 0u);
@@ -275,33 +216,16 @@ class ModelPartitioner {
     }
   }
 
-  AdaptivePartitioner::Decision Route(uint64_t key) {
+  uint32_t Route(uint64_t key) {
     SketchAdd(key);
     if (++epoch_fill_ >= opts_.epoch_tuples) EndEpoch();
-    AdaptivePartitioner::Decision d;
     auto it = hot_.find(key);
-    if (it == hot_.end()) {
-      d.target = Home(key);
-      return d;
-    }
+    if (it == hot_.end()) return Home(key);
     Hot& hot = it->second;
-    if (hot.pending_flush >= 0) {
-      d.flush_first = hot.pending_flush;
-      hot.pending_flush = -1;
-    }
-    if (hot.demoted) {
-      d.target = hot.spread[0];
-      hot_.erase(it);
-      return d;
-    }
-    if (opts_.ordered_handoff) {
-      d.target = hot.spread[hot.owner];
-    } else {
-      d.target = hot.spread[hot.cursor];
-      hot.cursor = (hot.cursor + 1) % static_cast<uint32_t>(hot.spread.size());
-    }
-    if (d.target != hot.spread[0]) ++resplit_tuples;
-    return d;
+    const uint32_t target = hot.spread[hot.cursor];
+    hot.cursor = (hot.cursor + 1) % static_cast<uint32_t>(hot.spread.size());
+    if (target != hot.spread[0]) ++resplit_tuples;
+    return target;
   }
 
   uint64_t promotions = 0;
@@ -312,9 +236,6 @@ class ModelPartitioner {
   struct Hot {
     std::vector<uint32_t> spread;
     uint32_t cursor = 0;
-    uint32_t owner = 0;
-    int32_t pending_flush = -1;
-    bool demoted = false;
   };
 
   uint32_t Home(uint64_t key) const {
@@ -336,29 +257,16 @@ class ModelPartitioner {
 
   void EndEpoch() {
     epoch_fill_ = 0;
-    ++epoch_;
     const double threshold =
         opts_.hot_factor * opts_.epoch_tuples / num_targets_;
     for (auto it = hot_.begin(); it != hot_.end();) {
-      Hot& hot = it->second;
       const auto seen = sketch_.find(it->first);
       const double count =
           seen == sketch_.end() ? 0.0 : static_cast<double>(seen->second);
       if (count < threshold / 2) {
         ++demotions;
-        if (!opts_.ordered_handoff) {
-          it = hot_.erase(it);
-          continue;
-        }
-        hot.demoted = true;
-        hot.pending_flush = static_cast<int32_t>(hot.spread[hot.owner]);
-      } else if (opts_.ordered_handoff && !hot.demoted) {
-        const uint32_t next = static_cast<uint32_t>(
-            HashU64(it->first ^ epoch_) % hot.spread.size());
-        if (next != hot.owner) {
-          hot.pending_flush = static_cast<int32_t>(hot.spread[hot.owner]);
-          hot.owner = next;
-        }
+        it = hot_.erase(it);
+        continue;
       }
       ++it;
     }
@@ -380,11 +288,6 @@ class ModelPartitioner {
       Hot hot;
       hot.spread = siblings_[home];
       hot.cursor = static_cast<uint32_t>(HashU64(key) % hot.spread.size());
-      if (opts_.ordered_handoff) {
-        hot.owner =
-            static_cast<uint32_t>(HashU64(key ^ epoch_) % hot.spread.size());
-        if (hot.owner != 0) hot.pending_flush = static_cast<int32_t>(home);
-      }
       ++promotions;
       hot_.emplace(key, std::move(hot));
     }
@@ -396,7 +299,6 @@ class ModelPartitioner {
   std::vector<std::vector<uint32_t>> siblings_;
   std::unordered_map<uint64_t, uint64_t> sketch_;
   std::unordered_map<uint64_t, Hot> hot_;
-  uint64_t epoch_ = 0;
   uint32_t epoch_fill_ = 0;
 };
 
@@ -410,36 +312,30 @@ TEST(AdaptivePartitionerModelTest, MatchesUnorderedMapModel) {
   for (const uint32_t per_node : {2u, 4u}) {
     std::vector<net::NodeId> target_nodes;
     for (uint32_t t = 0; t < 16; ++t) target_nodes.push_back(t / per_node);
-    for (const bool ordered : {false, true}) {
-      for (const uint32_t epoch : {64u, 256u}) {
-        for (const double theta : {0.99, 1.2}) {
-          for (const uint64_t seed : {1u, 2u, 3u}) {
-            SCOPED_TRACE(testing::Message()
-                         << "per_node " << per_node << " ordered " << ordered
-                         << " epoch " << epoch << " theta " << theta
-                         << " seed " << seed);
-            AdaptiveShuffleOptions opts;
-            opts.enabled = true;
-            opts.ordered_handoff = ordered;
-            opts.epoch_tuples = epoch;
-            opts.hot_factor = 1.0;
-            AdaptivePartitioner part(&schema, 0, target_nodes, opts, nullptr);
-            ModelPartitioner model(target_nodes, opts);
-            const auto rel =
-                bench::GenerateZipfianRelation(20000, 1024, theta, seed);
-            for (size_t i = 0; i < rel.size(); ++i) {
-              const auto got =
-                  part.Route(reinterpret_cast<const uint8_t*>(&rel[i]));
-              const auto want = model.Route(rel[i].key);
-              ASSERT_EQ(got.target, want.target) << "tuple " << i;
-              ASSERT_EQ(got.flush_first, want.flush_first) << "tuple " << i;
-            }
-            EXPECT_EQ(part.promotions(), model.promotions);
-            EXPECT_EQ(part.demotions(), model.demotions);
-            EXPECT_EQ(part.resplit_tuples(), model.resplit_tuples);
-            promotions += model.promotions;
-            demotions += model.demotions;
+    for (const uint32_t epoch : {64u, 256u}) {
+      for (const double theta : {0.99, 1.2}) {
+        for (const uint64_t seed : {1u, 2u, 3u}) {
+          SCOPED_TRACE(testing::Message()
+                       << "per_node " << per_node << " epoch " << epoch
+                       << " theta " << theta << " seed " << seed);
+          AdaptiveShuffleOptions opts;
+          opts.enabled = true;
+          opts.epoch_tuples = epoch;
+          opts.hot_factor = 1.0;
+          AdaptivePartitioner part(&schema, 0, target_nodes, opts, nullptr);
+          ModelPartitioner model(target_nodes, opts);
+          const auto rel =
+              bench::GenerateZipfianRelation(20000, 1024, theta, seed);
+          for (size_t i = 0; i < rel.size(); ++i) {
+            const uint32_t got =
+                part.Route(reinterpret_cast<const uint8_t*>(&rel[i]));
+            ASSERT_EQ(got, model.Route(rel[i].key)) << "tuple " << i;
           }
+          EXPECT_EQ(part.promotions(), model.promotions);
+          EXPECT_EQ(part.demotions(), model.demotions);
+          EXPECT_EQ(part.resplit_tuples(), model.resplit_tuples);
+          promotions += model.promotions;
+          demotions += model.demotions;
         }
       }
     }

@@ -116,7 +116,6 @@ TEST_P(CombinerProperty, MatchesScalarReference) {
       ASSERT_TRUE((*src)->Close().ok());
     });
   }
-  std::mutex mu;
   std::map<uint64_t, double> measured;
   for (uint32_t t = 0; t < p.target_threads; ++t) {
     engine.Spawn(t, "target", [&, t] {
@@ -127,7 +126,6 @@ TEST_P(CombinerProperty, MatchesScalarReference) {
       while ((*tgt)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
         local[row.group_key] = row.values[0];
       }
-      std::lock_guard<std::mutex> lock(mu);
       for (auto& [k, v] : local) {
         ASSERT_EQ(measured.count(k), 0u) << "group on two target threads";
         measured[k] = v;

@@ -58,67 +58,17 @@ TEST_F(CombinerTest, InitValidation) {
             StatusCode::kInvalidArgument);
 }
 
-TEST_F(CombinerTest, MultiNodeTargetsRejectedWithoutOptIn) {
+TEST_F(CombinerTest, MultiNodeTargetsRejected) {
+  // The combiner is N:1: target threads spanning two nodes are rejected.
   auto spec = BaseSpec(1, 1);
   spec.targets.Append(Endpoint{"10.0.0.3", 0});
   spec.aggregates = {{AggFunc::kSum, 1}};
   EXPECT_EQ(dfi_.InitCombinerFlow(spec).code(),
             StatusCode::kInvalidArgument);
-  // Same-node target sets never need the flag.
+  // Several target threads on one node are accepted.
   auto single = BaseSpec(1, 2);
   single.aggregates = {{AggFunc::kSum, 1}};
   EXPECT_TRUE(dfi_.InitCombinerFlow(std::move(single)).ok());
-}
-
-TEST_F(CombinerTest, MultiNodeTargetsPartitionGroups) {
-  // N:M topology: group-key partitions spread over two target nodes.
-  auto spec = BaseSpec(2, 1);
-  spec.targets.Append(Endpoint{"10.0.0.4", 0});
-  spec.multi_node_targets = true;
-  spec.aggregates = {{AggFunc::kSum, 1}, {AggFunc::kCount, 0}};
-  ASSERT_TRUE(dfi_.InitCombinerFlow(std::move(spec)).ok());
-
-  constexpr uint64_t kPerSource = 2048;  // multiple of kGroups: equal counts
-  constexpr uint64_t kGroups = 32;
-  exec::Engine engine;
-  for (uint32_t s = 0; s < 2; ++s) {
-    engine.Spawn(s, "source", [&, s] {
-      auto source = dfi_.CreateCombinerSource("agg", s);
-      ASSERT_TRUE(source.ok());
-      for (uint64_t i = 0; i < kPerSource; ++i) {
-        Kv kv{i % kGroups, 2};
-        ASSERT_TRUE((*source)->Push(&kv).ok());
-      }
-      ASSERT_TRUE((*source)->Close().ok());
-    });
-  }
-  std::mutex mu;
-  std::map<uint64_t, AggRow> rows;
-  for (uint32_t t = 0; t < 2; ++t) {
-    engine.Spawn(t, "target", [&, t] {
-      auto target = dfi_.CreateCombinerTarget("agg", t);
-      ASSERT_TRUE(target.ok());
-      AggRow row;
-      std::map<uint64_t, AggRow> local;
-      while ((*target)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
-        // Group keys are hash-partitioned across the target threads exactly
-        // as in the single-node case.
-        ASSERT_EQ(HashU64(row.group_key) % 2, t);
-        local[row.group_key] = row;
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      for (auto& [k, r] : local) {
-        ASSERT_EQ(rows.count(k), 0u) << "group seen by two targets";
-        rows[k] = r;
-      }
-    });
-  }
-  engine.Run();
-  ASSERT_EQ(rows.size(), kGroups);
-  for (auto& [key, row] : rows) {
-    EXPECT_DOUBLE_EQ(row.values[0], 2.0 * 2 * kPerSource / kGroups);
-    EXPECT_DOUBLE_EQ(row.values[1], 2.0 * kPerSource / kGroups);
-  }
 }
 
 TEST_F(CombinerTest, SumGroupByMatchesReference) {
@@ -130,7 +80,6 @@ TEST_F(CombinerTest, SumGroupByMatchesReference) {
   constexpr uint64_t kGroups = 17;
   std::map<uint64_t, double> ref_sum;
   std::map<uint64_t, double> ref_count;
-  std::mutex ref_mu;
 
   exec::Engine engine;
   for (uint32_t s = 0; s < 4; ++s) {
@@ -145,7 +94,6 @@ TEST_F(CombinerTest, SumGroupByMatchesReference) {
         ASSERT_TRUE((*source)->Push(&kv).ok());
       }
       ASSERT_TRUE((*source)->Close().ok());
-      std::lock_guard<std::mutex> lock(ref_mu);
       for (auto& [k, v] : local_sum) ref_sum[k] += v;
       for (auto& [k, v] : local_count) ref_count[k] += v;
     });
@@ -220,7 +168,6 @@ TEST_F(CombinerTest, MultiThreadedTargetPartitionsGroups) {
       ASSERT_TRUE((*source)->Close().ok());
     });
   }
-  std::mutex mu;
   std::map<uint64_t, double> counts;
   for (uint32_t t = 0; t < 4; ++t) {
     engine.Spawn(t, "target", [&, t] {
@@ -232,7 +179,6 @@ TEST_F(CombinerTest, MultiThreadedTargetPartitionsGroups) {
         ASSERT_EQ(HashU64(row.group_key) % 4, t);
         local[row.group_key] = row.values[0];
       }
-      std::lock_guard<std::mutex> lock(mu);
       for (auto& [k, v] : local) {
         ASSERT_EQ(counts.count(k), 0u) << "group seen by two targets";
         counts[k] = v;
@@ -244,40 +190,6 @@ TEST_F(CombinerTest, MultiThreadedTargetPartitionsGroups) {
   for (auto& [k, v] : counts) {
     EXPECT_DOUBLE_EQ(v, 2.0 * kPerSource / kGroups);
   }
-}
-
-TEST_F(CombinerTest, GlobalAggregatePartialsSumUp) {
-  auto spec = BaseSpec(2, 2);
-  spec.global_aggregate = true;
-  spec.aggregates = {{AggFunc::kSum, 1}};
-  ASSERT_TRUE(dfi_.InitCombinerFlow(std::move(spec)).ok());
-  exec::Engine engine;
-  for (uint32_t s = 0; s < 2; ++s) {
-    engine.Spawn(s, "source", [&, s] {
-      auto source = dfi_.CreateCombinerSource("agg", s);
-      for (int64_t i = 1; i <= 1000; ++i) {
-        Kv kv{0, i};
-        ASSERT_TRUE((*source)->Push(&kv).ok());
-      }
-      ASSERT_TRUE((*source)->Close().ok());
-    });
-  }
-  std::atomic<double> total{0};
-  for (uint32_t t = 0; t < 2; ++t) {
-    engine.Spawn(t, "target", [&, t] {
-      auto target = dfi_.CreateCombinerTarget("agg", t);
-      AggRow row;
-      double partial = 0;
-      while ((*target)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
-        partial += row.values[0];
-      }
-      double expected = total.load();
-      while (!total.compare_exchange_weak(expected, expected + partial)) {
-      }
-    });
-  }
-  engine.Run();
-  EXPECT_DOUBLE_EQ(total.load(), 2.0 * 1000 * 1001 / 2);
 }
 
 TEST(AggregatorTest, RowsInFirstSeenOrderWithExactAccumulators) {
@@ -362,7 +274,7 @@ TEST(AggregatorTest, RowsInFirstSeenOrderWithExactAccumulators) {
 
   const net::SimConfig config;
   VirtualClock clock;
-  Aggregator aggregator(&schema, &aggs, 0, false, &config, &clock);
+  Aggregator aggregator(&schema, &aggs, 0, &config, &clock);
   for (size_t i = 0; i < order.size(); ++i) {
     aggregator.Fold(TupleView(&tuples[i * tuple_size], &schema));
   }

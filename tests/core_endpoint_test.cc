@@ -290,14 +290,14 @@ TEST_F(EndpointTest, AbortLatchFirstCauseWins) {
 
 // The push that fills a segment transmits it in the same call: with four
 // 16 B tuples per 64 B segment, segments_sent() steps at tuples 4, 8, 12,
-// ... for Push, PushTo and one-tuple PushBatch alike, never a push later.
+// ... for Push and PushTo alike, never a push later.
 TEST_F(EndpointTest, PushThatFillsSegmentTransmitsIt) {
   FlowOptions options;
   options.segment_size = 64;  // 4 tuples per segment
   options.segments_per_ring = 32;
   ChannelMatrix matrix = MakeMatrix(options);
   constexpr uint64_t kPerSegment = 64 / kTupleSize;
-  constexpr uint64_t kTuples = 3 * 3 * kPerSegment;  // 3 segments per kind
+  constexpr uint64_t kTuples = 2 * 3 * kPerSegment;  // 3 segments per kind
 
   exec::Engine engine;
   engine.Spawn(0, "producer", [&] {
@@ -306,15 +306,10 @@ TEST_F(EndpointTest, PushThatFillsSegmentTransmitsIt) {
     Partitioner single = Partitioner::Single();
     for (uint64_t i = 0; i < kTuples; ++i) {
       Rec rec{i, i};
-      switch (i / (3 * kPerSegment)) {
-        case 0:
-          ASSERT_TRUE(endpoint.Push(&rec, &single).ok());
-          break;
-        case 1:
-          ASSERT_TRUE(endpoint.PushTo(&rec, 0).ok());
-          break;
-        default:
-          ASSERT_TRUE(endpoint.PushBatch(&rec, 1, &single).ok());
+      if (i < 3 * kPerSegment) {
+        ASSERT_TRUE(endpoint.Push(&rec, &single).ok());
+      } else {
+        ASSERT_TRUE(endpoint.PushTo(&rec, 0).ok());
       }
       EXPECT_EQ(endpoint.channel(0)->segments_sent(), (i + 1) / kPerSegment)
           << "after tuple " << i;
@@ -361,8 +356,6 @@ TEST_F(EndpointTest, PushAfterCloseOrAbortFailsAndStagesNothing) {
                 StatusCode::kFailedPrecondition);
       EXPECT_EQ(endpoint.PushTo(&rec, 0).code(),
                 StatusCode::kFailedPrecondition);
-      EXPECT_EQ(endpoint.PushBatch(&rec, 1, &single).code(),
-                StatusCode::kFailedPrecondition);
       EXPECT_EQ(clock.now(), before);
       EXPECT_EQ(endpoint.channel(0)->segments_sent(), sent);
       EXPECT_TRUE(endpoint.Close().ok());  // idempotent
@@ -381,94 +374,6 @@ TEST_F(EndpointTest, PushAfterCloseOrAbortFailsAndStagesNothing) {
                 abort ? ConsumeResult::kError : ConsumeResult::kFlowEnd);
     }
   }
-}
-
-// Ordered adaptive hand-off: when a hot key moves to a new owner, the
-// tuples staged in the previous owner's lane are transmitted before the new
-// owner's first tuple is staged, so the previous owner's segments sent by
-// then hold every tuple routed to it so far.
-TEST_F(EndpointTest, OrderedHandoffTransmitsPreviousOwnerLaneFirst) {
-  FlowOptions options;
-  options.segment_size = 256;  // 16 tuples: hand-offs meet partial segments
-  options.segments_per_ring = 256;
-  const std::vector<net::NodeId> target_nodes{nodes_[1], nodes_[1]};
-  ChannelMatrix matrix(&env_, options, kTupleSize, /*num_sources=*/1,
-                       target_nodes);
-  AdaptiveShuffleOptions opts;
-  opts.enabled = true;
-  opts.ordered_handoff = true;
-  opts.epoch_tuples = 32;
-  opts.hot_factor = 1.0;  // hot at half an epoch; key 42 carries 3/4
-  // Routes on the payload field. `twin` replays the router's decisions so
-  // the test knows which pushes hand a key off.
-  AdaptivePartitioner router(&schema_, 1, target_nodes, opts, nullptr);
-  AdaptivePartitioner twin(&schema_, 1, target_nodes, opts, nullptr);
-
-  struct Handoff {
-    uint32_t from;         // previous owner
-    uint64_t first;        // index of the new owner's first tuple
-    uint64_t from_sent;    // previous owner's segments sent by then
-    bool flushed;          // the hand-off transmitted a partial segment
-  };
-  std::vector<Handoff> handoffs;
-  constexpr uint64_t kTuples = 4096;
-  exec::Engine engine;
-  engine.Spawn(0, "producer", [&] {
-    VirtualClock clock;
-    FlowEndpoint endpoint(&matrix, 0, env_.context(nodes_[0]), &clock);
-    for (uint64_t i = 0; i < kTuples; ++i) {
-      Rec rec{i, i % 4 == 3 ? 1000 + i : 42};
-      const AdaptivePartitioner::Decision d =
-          twin.Route(reinterpret_cast<const uint8_t*>(&rec));
-      const uint32_t from = static_cast<uint32_t>(d.flush_first);
-      const uint64_t sent_before =
-          d.flush_first >= 0 ? endpoint.channel(from)->segments_sent() : 0;
-      ASSERT_TRUE(endpoint.PushAdaptive(&rec, &router).ok());
-      if (d.flush_first >= 0) {
-        const uint64_t sent = endpoint.channel(from)->segments_sent();
-        handoffs.push_back(Handoff{from, i, sent, sent > sent_before});
-      }
-    }
-    ASSERT_TRUE(endpoint.Close().ok());
-  });
-  // Per target: the tuple indices of each consumed segment, in order.
-  std::vector<std::vector<std::vector<uint64_t>>> segments(2);
-  for (uint32_t t = 0; t < 2; ++t) {
-    engine.Spawn(1 + t, "consumer", [&, t] {
-      VirtualClock clock;
-      FlowSink sink(&matrix, t, &schema_, &env_.config(), &clock, "endpoint",
-                    {nodes_[0]});
-      SegmentView view;
-      while (sink.ConsumeSegment(&view) == ConsumeResult::kOk) {
-        std::vector<uint64_t>& seqs = segments[t].emplace_back();
-        for (uint32_t off = 0; off < view.bytes; off += kTupleSize) {
-          Rec rec;
-          std::memcpy(&rec, view.payload + off, sizeof(rec));
-          seqs.push_back(rec.seq);
-        }
-      }
-    });
-  }
-  engine.Run();
-
-  ASSERT_FALSE(handoffs.empty());
-  size_t flushed = 0;
-  for (const Handoff& h : handoffs) {
-    SCOPED_TRACE("hand-off at tuple " + std::to_string(h.first));
-    const auto& from_segments = segments[h.from];
-    ASSERT_LE(h.from_sent, from_segments.size());
-    uint64_t sent_tuples = 0;
-    for (uint64_t s = 0; s < h.from_sent; ++s) {
-      sent_tuples += from_segments[s].size();
-    }
-    uint64_t earlier_tuples = 0;
-    for (const auto& seqs : from_segments) {
-      for (uint64_t seq : seqs) earlier_tuples += seq < h.first ? 1 : 0;
-    }
-    EXPECT_EQ(sent_tuples, earlier_tuples);
-    flushed += h.flushed ? 1 : 0;
-  }
-  EXPECT_GT(flushed, 0u) << "no hand-off met a partially staged segment";
 }
 
 // ---------------------------------------------------------------------------
@@ -526,9 +431,8 @@ TEST(AdaptiveBackpressureTest, SaturatedTargetThrottlesOnlyItsOwnSources) {
   AdaptiveShuffleOptions opts;
   opts.enabled = true;
   opts.react_to_backpressure = true;
-  opts.backpressure_high = 4;
-  opts.backpressure_low = 2;
-  TargetLoadBoard board(4, opts.backpressure_high, opts.backpressure_low);
+  constexpr uint32_t kHigh = 4;
+  TargetLoadBoard board(4, kHigh, /*low=*/2);
   AdaptivePartitioner part(&schema, 0, target_nodes, opts, &board);
 
   // One representative cold key per home target.
@@ -542,7 +446,7 @@ TEST(AdaptiveBackpressureTest, SaturatedTargetThrottlesOnlyItsOwnSources) {
   }
 
   auto route = [&](uint64_t key) {
-    return part.Route(reinterpret_cast<const uint8_t*>(&key)).target;
+    return part.Route(reinterpret_cast<const uint8_t*>(&key));
   };
 
   // Unsaturated: everything goes to its static home.
@@ -551,7 +455,7 @@ TEST(AdaptiveBackpressureTest, SaturatedTargetThrottlesOnlyItsOwnSources) {
   }
 
   // Saturate target 0.
-  for (uint32_t i = 0; i < opts.backpressure_high; ++i) board.OnDelivered(0);
+  for (uint32_t i = 0; i < kHigh; ++i) board.OnDelivered(0);
   ASSERT_TRUE(board.saturated(0));
 
   // Its traffic diverts to the same-node sibling (target 1)...
@@ -566,13 +470,13 @@ TEST(AdaptiveBackpressureTest, SaturatedTargetThrottlesOnlyItsOwnSources) {
 
   // With every sibling of the node saturated there is nowhere better to
   // go: the tuple stays home rather than leaving the node.
-  for (uint32_t i = 0; i < opts.backpressure_high; ++i) board.OnDelivered(1);
+  for (uint32_t i = 0; i < kHigh; ++i) board.OnDelivered(1);
   ASSERT_TRUE(board.saturated(1));
   EXPECT_EQ(route(key_for[0]), 0u);
 
   // Hysteresis end-to-end: draining target 0 to the low-water mark lifts
   // the diversion.
-  for (uint32_t i = 0; i < opts.backpressure_high; ++i) board.OnConsumed(0);
+  for (uint32_t i = 0; i < kHigh; ++i) board.OnConsumed(0);
   ASSERT_FALSE(board.saturated(0));
   EXPECT_EQ(route(key_for[0]), 0u);
 }
@@ -595,13 +499,13 @@ TEST(AdaptiveBackpressureTest, NoReactionWithoutOptInOrBoard) {
   {
     AdaptivePartitioner part(&schema, 0, target_nodes, opts, &board);
     while (part.HomeTarget(key0) != 0) ++key0;
-    EXPECT_EQ(part.Route(reinterpret_cast<const uint8_t*>(&key0)).target, 0u);
+    EXPECT_EQ(part.Route(reinterpret_cast<const uint8_t*>(&key0)), 0u);
     EXPECT_EQ(part.diverted_tuples(), 0u);
   }
   {
     opts.react_to_backpressure = true;  // opted in, but no board wired up
     AdaptivePartitioner part(&schema, 0, target_nodes, opts, nullptr);
-    EXPECT_EQ(part.Route(reinterpret_cast<const uint8_t*>(&key0)).target, 0u);
+    EXPECT_EQ(part.Route(reinterpret_cast<const uint8_t*>(&key0)), 0u);
     EXPECT_EQ(part.diverted_tuples(), 0u);
   }
 }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -157,44 +156,35 @@ TEST_F(GraphBuildTest, AdaptiveOnNonKeyHashRoutingRejected) {
 }
 
 TEST_F(GraphBuildTest, AdaptiveEdgeCannotPromisePerChannelOrder) {
-  // Adaptive re-splitting breaks per-(source, key) FIFO unless the ordered
-  // hand-off is on; requiring kPerChannel must name the reason.
+  // Adaptive re-splitting breaks per-(source, key) FIFO; requiring
+  // kPerChannel must name the reason.
   GraphSpec gs = BaseSpec();
   gs.edges[0].options.adaptive.enabled = true;
   gs.edges[0].type.ordering = Ordering::kPerChannel;
   std::vector<Diagnostic> diags;
   auto g = Graph::Build(std::move(gs), &fabric_, &diags);
-  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
   const Diagnostic* d = FindDiag(diags, DiagCode::kOrderingUnsatisfied);
   ASSERT_NE(d, nullptr) << g.status();
-  EXPECT_NE(d->message.find("ordered_handoff"), std::string::npos)
+  EXPECT_EQ(d->edge, "g.edge");
+  EXPECT_NE(d->message.find("adaptive re-splitting"), std::string::npos)
       << d->message;
-  // The ordered hand-off restores the guarantee.
-  GraphSpec fixed = BaseSpec();
-  fixed.edges[0].options.adaptive.enabled = true;
-  fixed.edges[0].options.adaptive.ordered_handoff = true;
-  fixed.edges[0].type.ordering = Ordering::kPerChannel;
-  EXPECT_TRUE(Graph::Build(std::move(fixed), &fabric_).ok());
 }
 
-TEST_F(GraphBuildTest, CombinerSpanningNodesNeedsOptIn) {
+TEST_F(GraphBuildTest, CombinerSpanningNodesRejected) {
   GraphSpec gs = BaseSpec();
   gs.edges[0].kind = EdgeKind::kCombiner;
   gs.edges[0].aggregates = {{AggFunc::kSum, 1}};
   gs.vertices[1].kind = OpKind::kAggregate;  // combiner in edge, no out
   std::vector<Diagnostic> diags;
-  // The sink ("snk") spans both fabric nodes without the opt-in.
+  // The sink ("snk") spans both fabric nodes; the combiner is N:1.
   auto g = Graph::Build(gs, &fabric_, &diags);
   EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
   const Diagnostic* d = FindDiag(diags, DiagCode::kCombinerTopology);
   ASSERT_NE(d, nullptr) << g.status();
   EXPECT_EQ(d->vertex, "snk");
   EXPECT_EQ(d->edge, "g.edge");
-  EXPECT_NE(d->message.find("multi_node_targets"), std::string::npos);
-  // Opting in fixes it; so does a single-node placement.
-  gs.edges[0].multi_node_targets = true;
-  EXPECT_TRUE(Graph::Build(gs, &fabric_).ok());
-  gs.edges[0].multi_node_targets = false;
+  // A single-node placement is accepted.
   gs.vertices[1].workers = DfiNodes::GridOf({addrs_[0]}, 2);
   EXPECT_TRUE(Graph::Build(std::move(gs), &fabric_).ok());
 }
@@ -500,13 +490,13 @@ TEST(GraphRunTest, SourceTransformSinkDeliversEverything) {
     const uint64_t tuple[2] = {in.Get<uint64_t>(0), in.Get<uint64_t>(1) * 2};
     return emit(tuple);
   };
-  std::atomic<uint64_t> sum{0};
+  uint64_t sum = 0;
   VertexSpec snk;
   snk.name = "snk";
   snk.kind = OpKind::kSink;
   snk.workers = workers;
   snk.tuple_sink = [&sum](OpContext&, TupleView t) {
-    sum.fetch_add(t.Get<uint64_t>(1));
+    sum += t.Get<uint64_t>(1);
     return Status::OK();
   };
   gs.vertices = {std::move(src), std::move(map), std::move(snk)};
@@ -530,7 +520,7 @@ TEST(GraphRunTest, SourceTransformSinkDeliversEverything) {
   EXPECT_EQ((*run)->stats("map").tuples_in, total);
   EXPECT_EQ((*run)->stats("map").tuples_out, total);
   EXPECT_EQ((*run)->stats("snk").tuples_in, total);
-  EXPECT_EQ(sum.load(), 2 * total);
+  EXPECT_EQ(sum, 2 * total);
   EXPECT_GT((*run)->stats("snk").max_clock, 0);
 }
 

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <tuple>
 #include <vector>
 

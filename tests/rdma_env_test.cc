@@ -53,14 +53,5 @@ TEST_F(RdmaEnvTest, ResolveRemoteBoundsChecked) {
   EXPECT_EQ(bad.status().code(), StatusCode::kOutOfRange);
 }
 
-TEST_F(RdmaEnvTest, RegisterCallerMemory) {
-  alignas(8) static uint8_t buffer[512];
-  RdmaContext* ctx = env_.context(nodes_[0]);
-  MemoryRegion* mr = ctx->RegisterRegion(buffer, sizeof(buffer));
-  auto p = env_.ResolveRemote(mr->RefAt(0), 512);
-  ASSERT_TRUE(p.ok());
-  EXPECT_EQ(*p, buffer);
-}
-
 }  // namespace
 }  // namespace dfi::rdma

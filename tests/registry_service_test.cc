@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/exec/engine.h"
+#include "common/units.h"
 #include "net/fabric.h"
 #include "net/rpc.h"
 #include "registry/registry_client.h"
@@ -192,11 +193,9 @@ TEST_F(ReplicatedRegistryTest, MidBatchCrashRetriesExactlyOnce) {
   // ops from its dedup window and applies the rest — nothing lost, nothing
   // double-applied (a double apply would surface as kAlreadyExists).
   const uint32_t kOps = 6;
-  const SimTime hop =
-      Hop(nodes_[0], nodes_[1], 0,
-          service_->options().op_wire_bytes * kOps);
+  const SimTime hop = Hop(nodes_[0], nodes_[1], 0, kOpWireBytes * kOps);
   const SimTime t_arrive = hop;
-  const SimTime per_op = service_->options().op_serve_ns;
+  const SimTime per_op = kOpServeNs;
   fabric_.fault_plan().CrashNode(nodes_[1], t_arrive + per_op * 2 + 1);
 
   VirtualClock clock;
@@ -250,11 +249,9 @@ TEST_F(ReplicatedRegistryTest, PartitionedClientExhaustsRetryDeadline) {
   Build();
   fabric_.fault_plan().Partition({nodes_[0]}, /*at=*/0);
   VirtualClock clock;
-  RegistryClient client(service_.get(),
-                        RegistryClientOptions{.client_id = 1,
-                                              .node = nodes_[0],
-                                              .retry_deadline_ns = 300'000},
-                        &clock);
+  RegistryClient client(
+      service_.get(),
+      RegistryClientOptions{.client_id = 1, .node = nodes_[0]}, &clock);
   Status s;
   exec::Engine engine;
   engine.Spawn(0, "client", [&] { s = client.Publish("f", State(1)); });
@@ -262,7 +259,9 @@ TEST_F(ReplicatedRegistryTest, PartitionedClientExhaustsRetryDeadline) {
   EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
   const RegistryClientStats stats = client.stats();
   EXPECT_GE(stats.retries, 2u);  // capped exponential backoff ran
-  EXPECT_LE(clock.now(), 400'000);
+  // It gave up within one capped backoff (1 ms) of the deadline.
+  EXPECT_GE(clock.now(), kRetryDeadlineNs - kMillisecond);
+  EXPECT_LE(clock.now(), kRetryDeadlineNs + 100'000);
 }
 
 TEST_F(ReplicatedRegistryTest, AbandonedBatchDoesNotWedgeTheWindow) {
