@@ -36,13 +36,16 @@ CellResult RunCell(uint32_t num_nodes, uint32_t threads_per_node,
   const uint64_t tuples = bytes_per_source / kTupleSize;
   SimTime finish = 0;
   uint64_t mem_node0 = 0;
+  uint32_t endpoints = 0;
   exec::Engine engine;
   for (uint32_t w = 0; w < workers; ++w) {
     engine.Spawn(w / threads_per_node, "worker", [&, w] {
       auto src = dfi.CreateShuffleSource("mem", w);
       auto tgt = dfi.CreateShuffleTarget("mem", w);
-      if (w == 0) {
-        // All endpoints exist now; snapshot node 0's registered memory.
+      endpoints += 2;
+      if (endpoints == 2 * workers) {
+        // The worker that created the last endpoint snapshots node 0's
+        // registered memory, whatever order the engine ran the workers in.
         mem_node0 = dfi.RegisteredBytesOnNode(0);
       }
       std::vector<uint8_t> buf(kTupleSize, 0);

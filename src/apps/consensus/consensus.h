@@ -29,17 +29,6 @@ struct ConsensusConfig {
   double write_fraction = 0.05;
   uint64_t key_space = 100000;
   uint64_t seed = 7;
-
-  // ---- Cost model ---------------------------------------------------------
-  SimTime kv_op_cost_ns = 100;
-  SimTime log_append_cost_ns = 50;
-  /// Per-message protocol logic at a replica.
-  SimTime replica_logic_cost_ns = 60;
-  /// DARE only: extra serialization in the leader's write protocol.
-  SimTime dare_write_overhead_ns = 700;
-  /// DARE only: per-request software overhead of the hand-crafted protocol
-  /// (request detection by polling, log management).
-  SimTime dare_request_overhead_ns = 3200;
 };
 
 /// Outcome of one run at one load point.

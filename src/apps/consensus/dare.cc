@@ -23,6 +23,7 @@ StatusOr<ConsensusResult> RunDare(DfiRuntime* dfi,
   const uint32_t followers = cfg.num_replicas - 1;
   const uint32_t follower_acks_needed = cfg.num_replicas / 2 + 1 - 1;
   const Endpoint leader_ep{nodes[0], 0};
+  const net::SimConfig& sim = dfi->config();
 
   // Client communication still needs a transport; DARE uses queue pairs
   // directly in the original, we reuse latency-optimized flows (the cost is
@@ -72,7 +73,7 @@ StatusOr<ConsensusResult> RunDare(DfiRuntime* dfi,
       std::memcpy(&cmd, tuple.data(), sizeof(cmd));
       SyncClocks((*submit_tgt)->clock(), (*reply_src)->clock());
       VirtualClock& clock = (*submit_tgt)->clock();
-      clock.Advance(cfg.dare_request_overhead_ns);
+      clock.Advance(sim.dare_request_overhead_ns);
 
       Reply rep{};
       rep.client_id = cmd.client_id;
@@ -83,7 +84,7 @@ StatusOr<ConsensusResult> RunDare(DfiRuntime* dfi,
         // with one-sided writes and wait for a majority before answering —
         // one request at a time (paper: "DARE's write protocol serializes
         // requests"; a mix of reads and writes interrupts the read batches).
-        clock.Advance(cfg.dare_write_overhead_ns + cfg.log_append_cost_ns);
+        clock.Advance(sim.dare_write_overhead_ns + sim.log_append_ns);
         const uint64_t slot = log_index++;
         std::vector<SimTime> acks;
         acks.reserve(followers);
@@ -98,7 +99,7 @@ StatusOr<ConsensusResult> RunDare(DfiRuntime* dfi,
         }
         std::sort(acks.begin(), acks.end());
         clock.AdvanceTo(acks[follower_acks_needed - 1]);
-        clock.Advance(cfg.kv_op_cost_ns);
+        clock.Advance(sim.kv_op_ns);
         Value v;
         std::memcpy(v.data(), cmd.value, kValueBytes);
         kv.Put(cmd.key, v);
@@ -106,7 +107,7 @@ StatusOr<ConsensusResult> RunDare(DfiRuntime* dfi,
         rep.log_index = slot;
       } else {
         // Reads are served from the leader's state (lease), no replication.
-        clock.Advance(cfg.kv_op_cost_ns);
+        clock.Advance(sim.kv_op_ns);
         Value v;
         kv.Get(cmd.key, &v);
         std::memcpy(rep.value, v.data(), kValueBytes);

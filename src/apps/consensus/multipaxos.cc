@@ -98,7 +98,7 @@ StatusOr<LeaderFlows> OpenLeader(DfiRuntime* dfi, const std::string& prefix) {
 /// command was answered. Otherwise returns what ended it: a failed flow
 /// call or, under a scripted crash, the fail-stop once the leader's own
 /// clock reaches `crash_at`.
-Status RunLeaderTerm(LeaderFlows& f, const ConsensusConfig& cfg,
+Status RunLeaderTerm(LeaderFlows& f, const net::SimConfig& sim,
                      uint32_t majority, uint32_t voters, SimTime crash_at,
                      KvStore* kv) {
   struct Pending {
@@ -127,8 +127,7 @@ Status RunLeaderTerm(LeaderFlows& f, const ConsensusConfig& cfg,
       // Order the request, append it to the local log and forward it to
       // the followers over the replicate flow.
       f.Sync();
-      f.submit->clock().Advance(cfg.replica_logic_cost_ns +
-                                cfg.log_append_cost_ns);
+      f.submit->clock().Advance(sim.replica_logic_ns + sim.log_append_ns);
       const uint64_t index = next_index++;
       pending.emplace(index, Pending{cmd, 1, false});
       Proposal proposal{index, cmd};
@@ -146,7 +145,7 @@ Status RunLeaderTerm(LeaderFlows& f, const ConsensusConfig& cfg,
         if (!p.done && p.votes >= majority) {
           // Committed: execute on the state machine, answer the client.
           p.done = true;
-          f.vote->clock().Advance(cfg.kv_op_cost_ns);
+          f.vote->clock().Advance(sim.kv_op_ns);
           Reply rep{};
           rep.client_id = p.cmd.client_id;
           rep.ok = 1;
@@ -183,7 +182,7 @@ Status RunLeaderTerm(LeaderFlows& f, const ConsensusConfig& cfg,
 /// leader ends the term, then closes the vote source. A failed consume or
 /// vote push aborts the vote source and is returned.
 Status RunFollowerTerm(ReplicateTarget* propose, ShuffleSource* vote,
-                       const ConsensusConfig& cfg, uint32_t replica,
+                       const net::SimConfig& sim, uint32_t replica,
                        std::vector<Command>* log) {
   TupleView tuple;
   for (;;) {
@@ -196,8 +195,7 @@ Status RunFollowerTerm(ReplicateTarget* propose, ShuffleSource* vote,
       Proposal proposal;
       std::memcpy(&proposal, tuple.data(), sizeof(proposal));
       SyncClocks(propose->clock(), vote->clock());
-      propose->clock().Advance(cfg.replica_logic_cost_ns +
-                               cfg.log_append_cost_ns);
+      propose->clock().Advance(sim.replica_logic_ns + sim.log_append_ns);
       vote->clock().AdvanceTo(propose->clock().now());
       log->push_back(proposal.cmd);
       const Vote v{proposal.log_index, static_cast<uint16_t>(replica),
@@ -216,12 +214,13 @@ Status RunFollowerTerm(ReplicateTarget* propose, ShuffleSource* vote,
 Status RunReplica(DfiRuntime* dfi, const ChaosConfig& chaos, bool failover,
                   uint32_t r) {
   const ConsensusConfig& cfg = chaos.base;
+  const net::SimConfig& sim = dfi->config();
   DFI_ASSIGN_OR_RETURN(auto propose,
                        dfi->CreateReplicateTarget("mpx.t1.propose", r - 1));
   DFI_ASSIGN_OR_RETURN(auto vote,
                        dfi->CreateShuffleSource("mpx.t1.vote", r - 1));
   std::vector<Command> log;
-  const Status term1 = RunFollowerTerm(propose.get(), vote.get(), cfg, r, &log);
+  const Status term1 = RunFollowerTerm(propose.get(), vote.get(), sim, r, &log);
   if (!failover) return term1;
   // A crash can only be *observed* after it happened: term 2 starts at the
   // later of this replica's local time and the crash time.
@@ -240,10 +239,10 @@ Status RunReplica(DfiRuntime* dfi, const ChaosConfig& chaos, bool failover,
       kv.Put(cmd.key, v);
     }
     leader.Sync(t2_start +
-                static_cast<SimTime>(log.size()) * cfg.kv_op_cost_ns);
+                static_cast<SimTime>(log.size()) * sim.kv_op_ns);
     // Term 2 runs among the survivors only: replicas 2..n-1 vote, so a
     // majority of the surviving n-1 replicas commits.
-    return RunLeaderTerm(leader, cfg, (cfg.num_replicas - 1) / 2 + 1,
+    return RunLeaderTerm(leader, sim, (cfg.num_replicas - 1) / 2 + 1,
                          /*voters=*/cfg.num_replicas - 2, /*crash_at=*/0, &kv);
   }
   DFI_ASSIGN_OR_RETURN(auto propose2,
@@ -252,7 +251,7 @@ Status RunReplica(DfiRuntime* dfi, const ChaosConfig& chaos, bool failover,
                        dfi->CreateShuffleSource("mpx.t2.vote", r - 2));
   propose2->clock().AdvanceTo(t2_start);
   vote2->clock().AdvanceTo(t2_start);
-  return RunFollowerTerm(propose2.get(), vote2.get(), cfg, r, &log);
+  return RunFollowerTerm(propose2.get(), vote2.get(), sim, r, &log);
 }
 
 /// Client c: opens its term-1 flows (and term-2 flows under a crash) and
@@ -323,7 +322,8 @@ StatusOr<ChaosResult> RunMultiPaxosChaos(DfiRuntime* dfi,
       return;
     }
     KvStore kv;
-    const Status st = RunLeaderTerm(*leader, cfg, cfg.num_replicas / 2 + 1,
+    const Status st = RunLeaderTerm(*leader, dfi->config(),
+                                    cfg.num_replicas / 2 + 1,
                                     /*voters=*/cfg.num_replicas - 1,
                                     chaos.crash_at_ns, &kv);
     if (st.ok()) return;

@@ -22,6 +22,7 @@ StatusOr<ConsensusResult> RunNoPaxos(DfiRuntime* dfi,
   // majority; with the leader's own answer counted, that is majority-1
   // follower acks.
   const uint32_t needed_acks = cfg.num_replicas / 2 + 1 - 1;
+  const net::SimConfig& sim = dfi->config();
 
   FlowOptions lat;
   lat.optimization = FlowOptimization::kLatency;
@@ -119,13 +120,12 @@ StatusOr<ConsensusResult> RunNoPaxos(DfiRuntime* dfi,
         Command cmd;
         std::memcpy(&cmd, seg.payload, sizeof(cmd));
         SyncClocks((*oum_tgt)->clock(), out_src->clock());
-        (*oum_tgt)->clock().Advance(cfg.replica_logic_cost_ns +
-                                    cfg.log_append_cost_ns);
+        (*oum_tgt)->clock().Advance(sim.replica_logic_ns + sim.log_append_ns);
         out_src->clock().AdvanceTo((*oum_tgt)->clock().now());
         const uint64_t slot = log_length++;
         if (is_leader) {
           // Execute speculatively in OUM order and answer the client.
-          out_src->clock().Advance(cfg.kv_op_cost_ns);
+          out_src->clock().Advance(sim.kv_op_ns);
           Reply rep{};
           rep.client_id = cmd.client_id;
           rep.ok = 1;

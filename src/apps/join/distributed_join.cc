@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "bench_util/workload.h"
-#include "core/graph/executor.h"
 #include "core/replicate_flow.h"
 #include "common/hash.h"
 #include "common/exec/engine.h"
@@ -100,41 +99,22 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
   const uint32_t W = config.total_workers();
   const net::SimConfig& sim = dfi->config();
 
-  RoutingFn routing = [W](TupleView t, uint32_t) {
-    return NetworkDest(t.Get<uint64_t>(0), W);
-  };
-  // Flow setup as a typed dataflow graph: the worker fleet appears twice
-  // (scan side / join side, same placement) with both relations' shuffles
-  // as typed edges between them. Build() validates schemas and routing in
-  // one pass and Instantiate() registers both flows in a single batched
-  // control-plane RPC; the fused scan/partition/build/probe loop below
-  // claims the endpoints (kCustom vertices).
-  graph::GraphSpec gs;
-  gs.name = "join";
+  // Both relations shuffle on the default key-hash routing over field 0,
+  // the first-level radix partition NetworkDest computes for the MPI join.
   const DfiNodes grid = DfiNodes::GridOf(nodes, config.workers_per_node);
-  graph::VertexSpec scan_vertex;
-  scan_vertex.name = "scan";
-  scan_vertex.workers = grid;
-  scan_vertex.output = {JoinSchema(), Ordering::kNone};
-  graph::VertexSpec join_vertex;
-  join_vertex.name = "join";
-  join_vertex.workers = grid;
-  gs.vertices = {std::move(scan_vertex), std::move(join_vertex)};
-  for (const char* name : {"join.inner", "join.outer"}) {
-    graph::EdgeSpec edge;
-    edge.name = name;
-    edge.from = "scan";
-    edge.to = "join";
-    edge.kind = graph::EdgeKind::kShuffle;
-    edge.type = {JoinSchema(), Ordering::kNone};
-    edge.routing = routing;
-    gs.edges.push_back(std::move(edge));
+  auto init_flow = [&](const char* name) {
+    ShuffleFlowSpec spec;
+    spec.name = name;
+    spec.sources = grid;
+    spec.targets = grid;
+    spec.schema = JoinSchema();
+    return dfi->InitShuffleFlow(std::move(spec));
+  };
+  DFI_RETURN_IF_ERROR(init_flow("join.inner"));
+  if (Status s = init_flow("join.outer"); !s.ok()) {
+    (void)dfi->RemoveFlow("join.inner");
+    return s;
   }
-  DFI_ASSIGN_OR_RETURN(graph::Graph g,
-                       graph::Graph::Build(std::move(gs), &dfi->fabric()));
-  DFI_ASSIGN_OR_RETURN(std::unique_ptr<graph::GraphRun> run,
-                       g.Instantiate(dfi));
-  DFI_RETURN_IF_ERROR(run->Start());
 
   uint64_t total_matches = 0;
   std::vector<SimTime> t_partition(W), t_total(W);
@@ -144,10 +124,10 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
   for (uint32_t w = 0; w < W; ++w) {
     actors.Spawn(w / config.workers_per_node,
                  "join.worker." + std::to_string(w), [&, w] {
-      auto src1 = run->ClaimShuffleSource("join.inner", w);
-      auto tgt1 = run->ClaimShuffleTarget("join.inner", w);
-      auto src2 = run->ClaimShuffleSource("join.outer", w);
-      auto tgt2 = run->ClaimShuffleTarget("join.outer", w);
+      auto src1 = dfi->CreateShuffleSource("join.inner", w);
+      auto tgt1 = dfi->CreateShuffleTarget("join.inner", w);
+      auto src2 = dfi->CreateShuffleSource("join.outer", w);
+      auto tgt2 = dfi->CreateShuffleTarget("join.outer", w);
       if (!src1.ok() || !tgt1.ok() || !src2.ok() || !tgt2.ok()) {
         failed = true;
         return;
@@ -162,7 +142,7 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
         for (size_t i = 0; i < n; ++i) table.Add(SegmentKey(seg, i));
         (*tgt1)->clock().Advance(
             static_cast<SimTime>(n) *
-            (sim.tuple_consume_fixed_ns + config.partition_cost_ns));
+            (sim.tuple_consume_fixed_ns + sim.join_partition_ns));
       };
       const std::vector<bench::JoinTuple> inner = InnerChunk(config, w);
       uint64_t i = 0;
@@ -204,7 +184,7 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
       // --- Build cache-sized hash tables per local partition.
       const uint64_t built = table.Build();
       (*tgt1)->clock().Advance(static_cast<SimTime>(built) *
-                               config.build_cost_ns);
+                               sim.join_build_ns);
       (*src2)->clock().AdvanceTo((*tgt1)->clock().now());
       (*tgt2)->clock().AdvanceTo((*tgt1)->clock().now());
 
@@ -216,7 +196,7 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
             n, [&seg](size_t i) { return SegmentKey(seg, i); });
         (*tgt2)->clock().Advance(
             static_cast<SimTime>(n) *
-            (sim.tuple_consume_fixed_ns + config.probe_cost_ns));
+            (sim.tuple_consume_fixed_ns + sim.join_probe_ns));
       };
       const std::vector<bench::JoinTuple> outer = OuterChunk(config, w);
       bool outer_drained = false;
@@ -257,7 +237,7 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
     });
   }
   actors.Join();
-  DFI_RETURN_IF_ERROR(run->Finish());
+  DFI_RETURN_IF_ERROR(dfi->RemoveFlows({"join.inner", "join.outer"}));
   if (failed) return Status::Internal("join worker failed");
 
   JoinResult result;
@@ -270,83 +250,6 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
   result.phases.network_partition = part_sum / W;
   result.phases.total = total_max;
   result.phases.build_probe = total_max - result.phases.network_partition;
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Graph-native radix join: the same join on built-in operators
-// ---------------------------------------------------------------------------
-
-StatusOr<JoinResult> RunGraphRadixJoin(DfiRuntime* dfi,
-                                       const std::vector<std::string>& nodes,
-                                       const JoinConfig& config) {
-  DFI_RETURN_IF_ERROR(CheckConfig(config, nodes.size()));
-  const DfiNodes grid = DfiNodes::GridOf(nodes, config.workers_per_node);
-
-  graph::GraphSpec gs;
-  gs.name = "graph-join";
-  graph::VertexSpec inner_scan;
-  inner_scan.name = "inner-scan";
-  inner_scan.kind = graph::OpKind::kSource;
-  inner_scan.workers = grid;
-  inner_scan.output = {JoinSchema(), Ordering::kNone};
-  inner_scan.source_fn = [config](graph::OpContext& ctx,
-                                  const graph::EmitFn& emit) -> Status {
-    for (const bench::JoinTuple& t : InnerChunk(config, ctx.worker)) {
-      DFI_RETURN_IF_ERROR(emit(&t));
-    }
-    return Status::OK();
-  };
-  graph::VertexSpec outer_scan;
-  outer_scan.name = "outer-scan";
-  outer_scan.kind = graph::OpKind::kSource;
-  outer_scan.workers = grid;
-  outer_scan.output = {JoinSchema(), Ordering::kNone};
-  outer_scan.source_fn = [config](graph::OpContext& ctx,
-                                  const graph::EmitFn& emit) -> Status {
-    for (const bench::JoinTuple& t : OuterChunk(config, ctx.worker)) {
-      DFI_RETURN_IF_ERROR(emit(&t));
-    }
-    return Status::OK();
-  };
-  graph::VertexSpec join;
-  join.name = "join";
-  join.kind = graph::OpKind::kJoin;
-  join.workers = grid;
-  join.join = {.key_field = 0,
-               .payload_field = 1,
-               .local_radix_bits = config.local_radix_bits,
-               .partition_cost_ns = config.partition_cost_ns,
-               .build_cost_ns = config.build_cost_ns,
-               .probe_cost_ns = config.probe_cost_ns};
-  gs.vertices = {std::move(inner_scan), std::move(outer_scan),
-                 std::move(join)};
-  // In-edge order defines build vs probe side: edge 0 is built, edge 1
-  // probed.
-  graph::EdgeSpec inner_edge;
-  inner_edge.name = "graph-join.inner";
-  inner_edge.from = "inner-scan";
-  inner_edge.to = "join";
-  inner_edge.type = {JoinSchema(), Ordering::kNone};
-  graph::EdgeSpec outer_edge;
-  outer_edge.name = "graph-join.outer";
-  outer_edge.from = "outer-scan";
-  outer_edge.to = "join";
-  outer_edge.type = {JoinSchema(), Ordering::kNone};
-  gs.edges = {std::move(inner_edge), std::move(outer_edge)};
-
-  DFI_ASSIGN_OR_RETURN(graph::Graph g,
-                       graph::Graph::Build(std::move(gs), &dfi->fabric()));
-  DFI_ASSIGN_OR_RETURN(std::unique_ptr<graph::GraphRun> run,
-                       g.Instantiate(dfi));
-  DFI_RETURN_IF_ERROR(run->Start());
-  DFI_RETURN_IF_ERROR(run->Finish());
-
-  const graph::GraphRun::VertexStats stats = run->stats("join");
-  JoinResult result;
-  result.matches = stats.join_matches;
-  result.phases.total = stats.max_clock;
-  result.phases.build_probe = stats.max_clock;
   return result;
 }
 
@@ -373,8 +276,7 @@ StatusOr<JoinResult> RunMpiRadixJoin(net::Fabric* fabric,
       sim.tuple_push_fixed_ns +
       static_cast<SimTime>(sizeof(bench::JoinTuple) *
                            sim.tuple_copy_ns_per_byte);
-  const SimTime scan_cost =
-      sim.tuple_consume_fixed_ns + config.partition_cost_ns;
+  const SimTime scan_cost = sim.tuple_consume_fixed_ns + sim.join_partition_ns;
 
   // Windows sized generously for the hash-partitioned incoming share.
   const size_t in_share =
@@ -413,7 +315,7 @@ StatusOr<JoinResult> RunMpiRadixJoin(net::Fabric* fabric,
         std::vector<uint64_t> hist(W, 0);
         for (const bench::JoinTuple& t : chunk) {
           ++hist[NetworkDest(t.key, W)];
-          clock.Advance(config.histogram_cost_ns);
+          clock.Advance(sim.join_histogram_ns);
         }
         // Exchange histograms so every rank knows its incoming counts ...
         std::vector<uint64_t> incoming(W, 0);
@@ -493,7 +395,7 @@ StatusOr<JoinResult> RunMpiRadixJoin(net::Fabric* fabric,
       clock.Advance(local_inner);
       st.local += local_inner;
       const SimTime build =
-          static_cast<SimTime>(table.Build()) * config.build_cost_ns;
+          static_cast<SimTime>(table.Build()) * sim.join_build_ns;
       clock.Advance(build);
       st.build_probe += build;
 
@@ -513,7 +415,7 @@ StatusOr<JoinResult> RunMpiRadixJoin(net::Fabric* fabric,
       const SimTime local_outer =
           static_cast<SimTime>(st.received_outer) * scan_cost;
       const SimTime probe =
-          static_cast<SimTime>(st.received_outer) * config.probe_cost_ns;
+          static_cast<SimTime>(st.received_outer) * sim.join_probe_ns;
       clock.Advance(local_outer + probe);
       st.local += local_outer;
       st.build_probe += probe;
@@ -595,7 +497,7 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
         for (size_t i = 0; i < n; ++i) table.Add(SegmentKey(seg, i));
         (*tgt)->clock().Advance(
             static_cast<SimTime>(n) *
-            (sim.tuple_consume_fixed_ns + config.build_cost_ns));
+            (sim.tuple_consume_fixed_ns + sim.join_build_ns));
       }
       table.Build();
       (*src)->clock().AdvanceTo((*tgt)->clock().now());
@@ -606,7 +508,7 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
       total_matches += table.Matches(
           outer.size(), [&outer](size_t i) { return outer[i].key; });
       (*tgt)->clock().Advance(static_cast<SimTime>(outer.size()) *
-                              config.probe_cost_ns);
+                              sim.join_probe_ns);
       t_total[w] = (*tgt)->clock().now();
     });
   }

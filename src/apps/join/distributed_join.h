@@ -13,7 +13,8 @@ namespace dfi::join {
 
 /// Configuration of the distributed joins (paper section 6.3.1: 8 nodes,
 /// 64 workers total, 2.56 B x 2.56 B tuples — scaled down here; see
-/// EXPERIMENTS.md).
+/// EXPERIMENTS.md). Their per-tuple CPU costs are the fabric's
+/// SimConfig::join_*_ns.
 struct JoinConfig {
   uint32_t num_nodes = 8;
   uint32_t workers_per_node = 8;
@@ -23,13 +24,6 @@ struct JoinConfig {
   /// worker; at most kMaxLocalRadixBits (16).
   uint32_t local_radix_bits = 6;
   uint64_t seed = 42;
-
-  // Application-level CPU cost model (virtual ns/tuple), calibrated to a
-  // few GB/s of single-thread partitioning like the paper's hardware.
-  SimTime histogram_cost_ns = 2;
-  SimTime partition_cost_ns = 5;
-  SimTime build_cost_ns = 10;
-  SimTime probe_cost_ns = 10;
 
   uint32_t total_workers() const { return num_nodes * workers_per_node; }
 };
@@ -59,15 +53,6 @@ struct JoinResult {
 StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
                                      const std::vector<std::string>& nodes,
                                      const JoinConfig& config);
-
-/// The same radix join expressed entirely as built-in graph operators: two
-/// kSource scans feeding a kJoin vertex over typed shuffle edges. Produces
-/// the same match count as RunDfiRadixJoin; phase timings are coarser (the
-/// built-in operator does not overlap push and consume), so the fused
-/// variant above remains the figure-13 configuration.
-StatusOr<JoinResult> RunGraphRadixJoin(DfiRuntime* dfi,
-                                       const std::vector<std::string>& nodes,
-                                       const JoinConfig& config);
 
 /// Baseline: MPI radix join following Barthels et al. [2] — histogram pass,
 /// exclusive-offset MPI_Put network partitioning, fence barrier, then local

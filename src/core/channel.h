@@ -81,8 +81,6 @@ class ChannelShared {
     load_board_ = board;
     load_target_ = target_index;
   }
-  TargetLoadBoard* load_board() const { return load_board_; }
-  uint32_t load_target() const { return load_target_; }
 
   /// Optional extra wakeup for a same-node work-stealing sink group: each
   /// delivery (and teardown) bumps this gate's version in addition to the

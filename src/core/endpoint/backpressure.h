@@ -29,14 +29,11 @@ constexpr uint32_t kBackpressureLowSegments = 8;
 class TargetLoadBoard {
  public:
   TargetLoadBoard(uint32_t num_targets, uint32_t high, uint32_t low)
-      : num_targets_(num_targets),
-        high_(high),
+      : high_(high),
         low_(low),
         slots_(std::make_unique<Slot[]>(num_targets)) {
     DFI_CHECK_GT(high, low);
   }
-
-  uint32_t num_targets() const { return num_targets_; }
 
   /// A segment became consumable in `target`'s column.
   void OnDelivered(uint32_t target) {
@@ -63,7 +60,6 @@ class TargetLoadBoard {
     bool saturated = false;
   };
 
-  const uint32_t num_targets_;
   const uint32_t high_;
   const uint32_t low_;
   std::unique_ptr<Slot[]> slots_;

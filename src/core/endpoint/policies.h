@@ -120,7 +120,6 @@ class AdaptivePartitioner {
   /// state.
   uint32_t Route(const uint8_t* tuple);
 
-  uint32_t num_targets() const { return num_targets_; }
   /// The static key-hash target of `key` (where the non-adaptive
   /// partitioner would send it).
   uint32_t HomeTarget(uint64_t key) const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 #include <utility>
 
 #include "common/radix_join_table.h"
@@ -204,7 +203,6 @@ Status GraphRun::Start() {
   const GraphSpec& spec = graph_.spec();
   for (size_t v = 0; v < spec.vertices.size(); ++v) {
     const VertexSpec& vs = spec.vertices[v];
-    if (vs.kind == OpKind::kCustom) continue;  // application-driven
     const std::vector<net::NodeId>& nodes = graph_.vertex_info(v).nodes;
     for (uint32_t w = 0; w < vs.workers.size(); ++w) {
       const uint32_t domain = w < nodes.size() ? nodes[w] : 0;
@@ -269,17 +267,14 @@ Status GraphRun::RunWorker(int vertex, uint32_t worker, VertexStats* out) {
   switch (graph_.spec().vertices[vertex].kind) {
     case OpKind::kSource:
       return RunSource(vertex, worker, out);
-    case OpKind::kTransform:
     case OpKind::kWindow:
-      return RunTransformLike(vertex, worker, out);
+      return RunWindow(vertex, worker, out);
     case OpKind::kAggregate:
       return RunAggregate(vertex, worker, out);
     case OpKind::kJoin:
       return RunJoin(vertex, worker, out);
     case OpKind::kSink:
       return RunSink(vertex, worker, out);
-    case OpKind::kCustom:
-      break;  // never spawned
   }
   return Status::OK();
 }
@@ -304,33 +299,16 @@ Status GraphRun::RunSource(int vertex, uint32_t worker, VertexStats* out) {
   return Status::OK();
 }
 
-Status GraphRun::RunTransformLike(int vertex, uint32_t worker,
-                                  VertexStats* out) {
-  const VertexSpec& vs = graph_.spec().vertices[vertex];
+Status GraphRun::RunWindow(int vertex, uint32_t worker, VertexStats* out) {
   const Graph::VertexInfo& vi = graph_.vertex_info(vertex);
   EdgeState& ein = edges_[vi.in[0]];
   EdgeState& eout = edges_[vi.out[0]];
   TupleInPort in = OpenTupleIn(ein.shuffle, ein.replicate, worker);
   OutPort port = OpenOut(eout.shuffle, eout.replicate, eout.combiner, worker);
-  OpContext ctx{worker, static_cast<uint32_t>(vs.workers.size()),
-                &in.clock()};
+  WindowStage window(graph_.spec().vertices[vertex].window,
+                     graph_.spec().edges[vi.in[0]].type.schema, vi.produced);
 
-  uint64_t consumed = 0, emitted = 0;
-  // Pipeline clock chaining: an emitted tuple cannot leave before the
-  // input that caused it arrived (plus whatever the body charged).
-  EmitFn emit = [&](const void* tuple) {
-    port.clock().AdvanceTo(in.clock().now());
-    Status s = port.Push(tuple);
-    if (s.ok()) ++emitted;
-    return s;
-  };
-
-  std::optional<WindowStage> window;
-  if (vs.kind == OpKind::kWindow) {
-    window.emplace(vs.window, graph_.spec().edges[vi.in[0]].type.schema,
-                   vi.produced);
-  }
-
+  uint64_t consumed = 0;
   TupleView tuple;
   for (;;) {
     ConsumeResult r = in.Consume(&tuple);
@@ -338,15 +316,14 @@ Status GraphRun::RunTransformLike(int vertex, uint32_t worker,
     if (r == ConsumeResult::kError) return in.last_status();
     if (r == ConsumeResult::kGap) continue;
     ++consumed;
-    if (vs.kind == OpKind::kTransform) {
-      DFI_RETURN_IF_ERROR(vs.transform_fn(ctx, tuple, emit));
-      continue;
-    }
-    DFI_RETURN_IF_ERROR(emit(window->Apply(tuple.data())));
+    // Pipeline clock chaining: a windowed tuple cannot leave before the
+    // input it extends arrived.
+    port.clock().AdvanceTo(in.clock().now());
+    DFI_RETURN_IF_ERROR(port.Push(window.Apply(tuple.data())));
   }
   DFI_RETURN_IF_ERROR(port.Close());
   out->tuples_in = consumed;
-  out->tuples_out = emitted;
+  out->tuples_out = consumed;
   out->max_clock = std::max(in.clock().now(), port.clock().now());
   return Status::OK();
 }
@@ -412,9 +389,10 @@ Status GraphRun::RunJoin(int vertex, uint32_t worker, VertexStats* out) {
   // Each tuple is charged what consuming it alone costs plus its share of
   // the join; nothing reads the clock within a segment, so one charge per
   // segment lands at the same virtual times.
-  const SimTime consume_ns = dfi_->config().tuple_consume_fixed_ns;
-  const SimTime build_ns = consume_ns + js.partition_cost_ns + js.build_cost_ns;
-  const SimTime probe_ns = consume_ns + js.partition_cost_ns + js.probe_cost_ns;
+  const net::SimConfig& sim = dfi_->config();
+  const SimTime scan_ns = sim.tuple_consume_fixed_ns + sim.join_partition_ns;
+  const SimTime build_ns = scan_ns + sim.join_build_ns;
+  const SimTime probe_ns = scan_ns + sim.join_probe_ns;
 
   // Build phase: append each key of the inner input to its local radix
   // partition as segments stream in, then give each partition one exactly
@@ -494,48 +472,6 @@ Status GraphRun::RunSink(int vertex, uint32_t worker, VertexStats* out) {
   out->tuples_in = consumed;
   out->max_clock = in.clock().now();
   return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// kCustom endpoint claims
-// ---------------------------------------------------------------------------
-
-StatusOr<int> GraphRun::CheckClaim(const std::string& edge, EdgeKind kind,
-                                   uint32_t worker, bool source_side) const {
-  const int e = graph_.FindEdge(edge);
-  if (e < 0) {
-    return Status::NotFound("graph '" + graph_.spec().name +
-                            "' has no edge '" + edge + "'");
-  }
-  const EdgeSpec& es = graph_.spec().edges[e];
-  if (es.kind != kind) {
-    return Status::InvalidArgument(
-        "edge '" + edge + "' is a " + EdgeKindName(es.kind) +
-        " flow, not a " + EdgeKindName(kind) + " flow");
-  }
-  const VertexSpec& side = graph_.spec().vertices[
-      source_side ? graph_.edge_info(e).from : graph_.edge_info(e).to];
-  if (worker >= side.workers.size()) {
-    return Status::OutOfRange(
-        "worker " + std::to_string(worker) + " out of range for vertex '" +
-        side.name + "' (" + std::to_string(side.workers.size()) +
-        " workers)");
-  }
-  return e;
-}
-
-StatusOr<std::unique_ptr<ShuffleSource>> GraphRun::ClaimShuffleSource(
-    const std::string& edge, uint32_t worker) {
-  DFI_ASSIGN_OR_RETURN(int e,
-                       CheckClaim(edge, EdgeKind::kShuffle, worker, true));
-  return std::make_unique<ShuffleSource>(edges_[e].shuffle, worker);
-}
-
-StatusOr<std::unique_ptr<ShuffleTarget>> GraphRun::ClaimShuffleTarget(
-    const std::string& edge, uint32_t worker) {
-  DFI_ASSIGN_OR_RETURN(int e,
-                       CheckClaim(edge, EdgeKind::kShuffle, worker, false));
-  return std::make_unique<ShuffleTarget>(edges_[e].shuffle, worker);
 }
 
 }  // namespace dfi::graph

@@ -22,7 +22,6 @@ namespace dfi::graph {
 ///
 ///   auto run = DFI_TRY(g.Instantiate(&dfi));
 ///   DFI_CHECK_OK(run->Start());     // spawns the operator actors
-///   ...                             // drive kCustom vertices via Claim*
 ///   DFI_CHECK_OK(run->Finish());    // joins actors, removes the flows
 ///
 /// Start/Finish must be called from inside a running engine task: the
@@ -35,9 +34,8 @@ class GraphRun {
   GraphRun(const GraphRun&) = delete;
   GraphRun& operator=(const GraphRun&) = delete;
 
-  /// Spawns one actor per worker of every built-in vertex (kCustom vertices
-  /// are the application's job — see Claim*). Idempotence is not supported;
-  /// call once.
+  /// Spawns one actor per worker of every vertex. Idempotence is not
+  /// supported; call once.
   Status Start();
 
   /// Joins all operator actors, then removes every edge's flow from the
@@ -46,18 +44,9 @@ class GraphRun {
   /// no actor deadlocks on a dead peer.
   Status Finish();
 
-  /// First operator failure so far (OK while healthy). Threadsafe.
+  /// First operator failure so far (OK while healthy). Operators run as
+  /// tasks of the one engine thread, so any task may read it.
   Status status() const;
-
-  // ---- kCustom endpoint claims -------------------------------------------
-  /// Handles onto an edge's flow for application-driven (kCustom) vertices.
-  /// `worker` is the vertex-local worker index (= endpoint index of every
-  /// adjacent edge). The edge must be of the matching kind; the claimed
-  /// side's vertex must be the kCustom one being driven.
-  StatusOr<std::unique_ptr<ShuffleSource>> ClaimShuffleSource(
-      const std::string& edge, uint32_t worker);
-  StatusOr<std::unique_ptr<ShuffleTarget>> ClaimShuffleTarget(
-      const std::string& edge, uint32_t worker);
 
   // ---- Observability ------------------------------------------------------
   /// Post-Finish per-vertex totals, summed over the vertex's workers.
@@ -69,7 +58,7 @@ class GraphRun {
     /// side for operators with inputs, push side for sources).
     SimTime max_clock = 0;
   };
-  /// Stats of vertex `name`; zeroes for kCustom/unknown vertices.
+  /// Stats of vertex `name`; zeroes for an unknown vertex.
   VertexStats stats(const std::string& name) const;
 
   const Graph& graph() const { return graph_; }
@@ -96,13 +85,10 @@ class GraphRun {
   /// worker-local stats through `out`.
   Status RunWorker(int vertex, uint32_t worker, VertexStats* out);
   Status RunSource(int vertex, uint32_t worker, VertexStats* out);
-  Status RunTransformLike(int vertex, uint32_t worker, VertexStats* out);
+  Status RunWindow(int vertex, uint32_t worker, VertexStats* out);
   Status RunAggregate(int vertex, uint32_t worker, VertexStats* out);
   Status RunJoin(int vertex, uint32_t worker, VertexStats* out);
   Status RunSink(int vertex, uint32_t worker, VertexStats* out);
-
-  StatusOr<int> CheckClaim(const std::string& edge, EdgeKind kind,
-                           uint32_t worker, bool source_side) const;
 
   const Graph graph_;
   DfiRuntime* const dfi_;

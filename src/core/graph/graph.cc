@@ -123,10 +123,6 @@ bool ValidateStructure(const GraphSpec& spec,
         arity(in == 0 && out == 1, "0 in / 1 out");
         body(static_cast<bool>(vs.source_fn), "source_fn");
         break;
-      case OpKind::kTransform:
-        arity(in == 1 && out == 1, "1 in / 1 out");
-        body(static_cast<bool>(vs.transform_fn), "transform_fn");
-        break;
       case OpKind::kWindow:
         arity(in == 1 && out == 1, "1 in / 1 out");
         break;
@@ -139,8 +135,6 @@ bool ValidateStructure(const GraphSpec& spec,
       case OpKind::kSink:
         arity(in == 1 && out == 0, "1 in / 0 out");
         break;
-      case OpKind::kCustom:
-        break;  // the application wires whatever it wants
     }
   }
 
@@ -179,8 +173,6 @@ const char* OpKindName(OpKind kind) {
   switch (kind) {
     case OpKind::kSource:
       return "source";
-    case OpKind::kTransform:
-      return "transform";
     case OpKind::kWindow:
       return "window";
     case OpKind::kAggregate:
@@ -189,20 +181,6 @@ const char* OpKindName(OpKind kind) {
       return "join";
     case OpKind::kSink:
       return "sink";
-    case OpKind::kCustom:
-      return "custom";
-  }
-  return "?";
-}
-
-const char* EdgeKindName(EdgeKind kind) {
-  switch (kind) {
-    case EdgeKind::kShuffle:
-      return "shuffle";
-    case EdgeKind::kReplicate:
-      return "replicate";
-    case EdgeKind::kCombiner:
-      return "combiner";
   }
   return "?";
 }
@@ -276,8 +254,6 @@ StatusOr<Graph> Graph::Build(GraphSpec spec, const net::Fabric* fabric,
     // Produced schema.
     switch (vs.kind) {
       case OpKind::kSource:
-      case OpKind::kTransform:
-      case OpKind::kCustom:
         vi.produced = vs.output.schema;
         break;
       case OpKind::kWindow: {
@@ -332,14 +308,12 @@ StatusOr<Graph> Graph::Build(GraphSpec spec, const net::Fabric* fabric,
     // In-edge kind constraints of the built-in operators.
     auto in_kind = [&](int i) { return s.edges[vi.in[i]].kind; };
     switch (vs.kind) {
-      case OpKind::kTransform:
       case OpKind::kWindow:
         if (in_kind(0) == EdgeKind::kCombiner) {
           diags.push_back(VertexDiag(
               DiagCode::kArity, vs.name,
-              std::string(OpKindName(vs.kind)) +
-                  " operator cannot consume a combiner edge (aggregate "
-                  "rows, not tuples); use an aggregate operator"));
+              "window operator cannot consume a combiner edge (aggregate "
+              "rows, not tuples); use an aggregate operator"));
         }
         break;
       case OpKind::kAggregate:

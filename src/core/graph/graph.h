@@ -29,12 +29,10 @@ class GraphRun;
 /// vertices are DFI flows (DESIGN.md §14).
 enum class OpKind : uint8_t {
   kSource,     ///< generates tuples (source_fn), out-degree 1
-  kTransform,  ///< per-tuple map (transform_fn), 1 in / 1 out
-  kWindow,     ///< built-in transform appending a windowed group key
+  kWindow,     ///< appends a windowed group key, 1 in / 1 out
   kAggregate,  ///< target side of a combiner edge; re-emits AggRows
   kJoin,       ///< built-in streaming radix join over two shuffle edges
   kSink,       ///< consumes tuples (tuple_sink) or agg rows (agg_sink)
-  kCustom,     ///< application claims shuffle endpoints (GraphRun::Claim*)
 };
 
 const char* OpKindName(OpKind kind);
@@ -45,8 +43,6 @@ enum class EdgeKind : uint8_t {
   kReplicate,  ///< all-to-all fan-out (optional multicast + ordering)
   kCombiner,   ///< group-by aggregation at the target
 };
-
-const char* EdgeKindName(EdgeKind kind);
 
 /// Per-worker execution context handed to operator callbacks. `clock` is
 /// the worker's driving virtual clock — the consume-side clock for
@@ -63,8 +59,6 @@ using EmitFn = std::function<Status(const void*)>;
 /// Source body: push tuples through `emit` until done; the executor closes
 /// the flow afterwards.
 using SourceFn = std::function<Status(OpContext&, const EmitFn&)>;
-/// Transform body: called once per input tuple; may emit 0..n tuples.
-using TransformFn = std::function<Status(OpContext&, TupleView, const EmitFn&)>;
 /// Sink bodies: one call per delivered tuple / aggregate row.
 using TupleSinkFn = std::function<Status(OpContext&, TupleView)>;
 using AggSinkFn = std::function<Status(OpContext&, const AggRow&)>;
@@ -89,16 +83,14 @@ struct WindowOpSpec {
 /// (LocalBucket, common/radix_join_table.h) as segments arrive. When the
 /// build input ends, it gives every partition its own exactly sized table
 /// of key -> multiplicity, then probes a segment at a time. Every tuple is
-/// charged the consume cost plus partition_cost_ns and build_cost_ns or
-/// probe_cost_ns, the cost model of the join app (src/apps/join), so the
-/// virtual times do not depend on local_radix_bits.
+/// charged the fabric's SimConfig::tuple_consume_fixed_ns plus
+/// join_partition_ns and join_build_ns or join_probe_ns, the costs the join
+/// app (src/apps/join) charges, so the virtual times do not depend on
+/// local_radix_bits.
 struct JoinOpSpec {
   size_t key_field = 0;           ///< key field of both in-edge schemas
   size_t payload_field = 1;       ///< not read: the join emits no tuples
   uint32_t local_radix_bits = 6;  ///< <= kMaxLocalRadixBits (16)
-  SimTime partition_cost_ns = 5;
-  SimTime build_cost_ns = 10;
-  SimTime probe_cost_ns = 10;
 };
 
 /// One operator vertex. Exactly the members matching `kind` are read; the
@@ -106,16 +98,15 @@ struct JoinOpSpec {
 /// in/out degrees (kArity).
 struct VertexSpec {
   std::string name;
-  OpKind kind = OpKind::kCustom;
+  OpKind kind = OpKind::kSource;
   /// Worker endpoints: worker w of this vertex is endpoint index w of every
   /// adjacent edge ("Parameterized Dataflow": the count is a graph
   /// parameter, not hard-coded wiring).
   DfiNodes workers;
-  /// Type produced on the out edge (kSource / kTransform / kCustom with an
-  /// output). kWindow and kAggregate derive theirs; leave empty there.
+  /// Type produced on the out edge (kSource). kWindow and kAggregate
+  /// derive theirs; leave empty there.
   EdgeType output;
   SourceFn source_fn;
-  TransformFn transform_fn;
   TupleSinkFn tuple_sink;
   AggSinkFn agg_sink;
   WindowOpSpec window;

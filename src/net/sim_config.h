@@ -7,13 +7,15 @@
 
 namespace dfi::net {
 
-/// Calibration constants of the virtual-time performance model.
+/// Calibration constants of the virtual-time performance model, the apps'
+/// costs included.
 ///
 /// The defaults model the paper's evaluation platform: InfiniBand EDR
 /// (100 Gbps per NIC and direction), ConnectX-5-like verb overheads, and
 /// CPU costs such that a single worker thread processes roughly 10 GiB/s of
 /// tuples — the ratios that produce the saturation/crossover shapes of the
-/// paper's figures. See DESIGN.md section 5 for the rationale of each knob.
+/// paper's figures. DESIGN.md section 5 lists each field with its unit,
+/// where it is charged and its source.
 struct SimConfig {
   // ---- Link model -------------------------------------------------------
   /// Per-NIC link speed, each direction (100 Gbps EDR).
@@ -69,8 +71,6 @@ struct SimConfig {
   SimTime consume_segment_fixed_ns = 60;
   /// Fixed CPU cost of iterating one tuple out of a consumed segment.
   SimTime tuple_consume_fixed_ns = 8;
-  /// Fixed CPU cost of scanning one ring that had nothing consumable.
-  SimTime consume_poll_ns = 25;
   /// Source-side cost of sealing + transmitting one segment.
   SimTime segment_seal_ns = 110;
   /// Combiner flows: per-tuple cost of the target-side aggregation update
@@ -92,6 +92,30 @@ struct SimConfig {
   /// Extra per-message cost when crossing process boundaries via shared
   /// memory in multi-process mode.
   SimTime mpi_shm_copy_extra_ns = 40;
+
+  // ---- Application cost model ---------------------------------------------
+  // Radix joins (src/apps/join and the graph's kJoin), per tuple, calibrated
+  // to a few GB/s of single-thread partitioning.
+  /// The MPI join's histogram pass, per scanned tuple.
+  SimTime join_histogram_ns = 2;
+  /// Assigning one tuple to its local radix partition.
+  SimTime join_partition_ns = 5;
+  /// Inserting one build tuple into its partition's hash table.
+  SimTime join_build_ns = 10;
+  /// Looking one probe tuple up in its partition's hash table.
+  SimTime join_probe_ns = 10;
+  // Consensus apps (Multi-Paxos, NOPaxos, DARE).
+  /// One key-value store read or write.
+  SimTime kv_op_ns = 100;
+  /// Appending one command to a replica's log.
+  SimTime log_append_ns = 50;
+  /// Per-message protocol logic at a replica.
+  SimTime replica_logic_ns = 60;
+  /// DARE only: extra serialization in the leader's write protocol.
+  SimTime dare_write_overhead_ns = 700;
+  /// DARE only: per-request software overhead of the hand-crafted protocol
+  /// (request detection by polling, log management).
+  SimTime dare_request_overhead_ns = 3200;
 
   // ---- Derived ------------------------------------------------------------
   double LinkBytesPerNs() const { return link_gbps / 8.0; }

@@ -130,6 +130,57 @@ TEST_F(ConsensusTest, DfiSystemsOutperformDare) {
   EXPECT_GT(nopaxos_rps, dare_rps);
 }
 
+TEST_F(ConsensusTest, ProtocolsChargeTheirSimConfigCosts) {
+  // Every protocol reads its costs from the fabric's SimConfig: doubling
+  // any one cost a protocol charges lowers its throughput.
+  using Cost = SimTime net::SimConfig::*;
+  using RunFn = StatusOr<ConsensusResult> (*)(
+      DfiRuntime*, const std::vector<std::string>&, const ConsensusConfig&);
+  struct NamedCost {
+    const char* name;
+    Cost cost;
+  };
+  const NamedCost kv_op{"kv_op_ns", &net::SimConfig::kv_op_ns};
+  const NamedCost log_append{"log_append_ns", &net::SimConfig::log_append_ns};
+  const NamedCost replica_logic{"replica_logic_ns",
+                                &net::SimConfig::replica_logic_ns};
+  const NamedCost dare_write{"dare_write_overhead_ns",
+                             &net::SimConfig::dare_write_overhead_ns};
+  const NamedCost dare_request{"dare_request_overhead_ns",
+                               &net::SimConfig::dare_request_overhead_ns};
+  struct Case {
+    const char* name;
+    RunFn run;
+    std::vector<NamedCost> costs;
+  };
+  const Case cases[] = {
+      {"multi-paxos", &RunMultiPaxos, {kv_op, log_append, replica_logic}},
+      {"nopaxos", &RunNoPaxos, {kv_op, log_append, replica_logic}},
+      {"dare", &RunDare, {kv_op, log_append, dare_write, dare_request}},
+  };
+  const ConsensusConfig cfg = SmallConfig();
+  auto run_with = [&](RunFn run, const net::SimConfig& sim) {
+    net::Fabric fabric(sim);
+    auto addrs = SetUpNodes(&fabric, cfg);
+    DfiRuntime dfi(&fabric);
+    return OnEngine([&] { return run(&dfi, addrs, cfg); });
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto base = run_with(c.run, net::SimConfig());
+    ASSERT_TRUE(base.ok()) << base.status();
+    for (const NamedCost& nc : c.costs) {
+      SCOPED_TRACE(nc.name);
+      net::SimConfig sim;
+      sim.*nc.cost *= 2;
+      auto doubled = run_with(c.run, sim);
+      ASSERT_TRUE(doubled.ok()) << doubled.status();
+      EXPECT_EQ(doubled->completed, base->completed);
+      EXPECT_LT(doubled->throughput_rps, base->throughput_rps);
+    }
+  }
+}
+
 TEST_F(ConsensusTest, LeaderCrashCompletesEveryRequest) {
   // The term-1 leader fail-stops at 100 us, while every client still has
   // requests outstanding.

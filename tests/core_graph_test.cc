@@ -18,6 +18,14 @@ Schema TwoFieldSchema() {
   return Schema{{"key", DataType::kUInt64}, {"val", DataType::kUInt64}};
 }
 
+/// What a default kWindow derives from TwoFieldSchema: the fused window
+/// key appended as "wkey".
+Schema WindowedSchema() {
+  return Schema{{"key", DataType::kUInt64},
+                {"val", DataType::kUInt64},
+                {"wkey", DataType::kUInt64}};
+}
+
 std::vector<std::string> MakeCluster(net::Fabric* fabric, size_t n) {
   std::vector<std::string> addrs;
   for (net::NodeId id : fabric->AddNodes(n)) {
@@ -259,14 +267,15 @@ TEST_F(GraphBuildTest, MissingBodyNamed) {
 }
 
 TEST_F(GraphBuildTest, CycleDetected) {
+  // Two windows feeding each other: every arity holds, so the cycle is
+  // the one finding.
   GraphSpec gs;
   gs.name = "loop";
-  VertexSpec a, b;
+  VertexSpec a;
   a.name = "a";
-  a.kind = OpKind::kCustom;
+  a.kind = OpKind::kWindow;
   a.workers = workers_;
-  a.output = {TwoFieldSchema(), Ordering::kNone};
-  b = a;
+  VertexSpec b = a;
   b.name = "b";
   gs.vertices = {a, b};
   gs.edges = {Shuffle("ab", "a", "b"), Shuffle("ba", "b", "a")};
@@ -274,6 +283,7 @@ TEST_F(GraphBuildTest, CycleDetected) {
   auto g = Graph::Build(std::move(gs), &fabric_, &diags);
   ASSERT_FALSE(g.ok());
   EXPECT_NE(FindDiag(diags, DiagCode::kCycle), nullptr) << g.status();
+  EXPECT_EQ(FindDiag(diags, DiagCode::kArity), nullptr) << g.status();
 }
 
 TEST_F(GraphBuildTest, OrderingComposesAcrossStages) {
@@ -370,9 +380,7 @@ GraphSpec WindowSpec(const DfiNodes& workers, const WindowOpSpec& window) {
   VertexSpec snk = Sink("snk", workers);
   gs.vertices = {Source("src", workers), std::move(win), std::move(snk)};
   EdgeSpec out = Shuffle("w.out", "win", "snk");
-  out.type.schema = Schema{{"key", DataType::kUInt64},
-                           {"val", DataType::kUInt64},
-                           {"wkey", DataType::kUInt64}};
+  out.type.schema = WindowedSchema();
   gs.edges = {Shuffle("w.in", "src", "win"), std::move(out)};
   return gs;
 }
@@ -459,7 +467,7 @@ TEST_F(GraphBuildTest, JoinKeyFieldOutOfRangeRejected) {
   EXPECT_EQ(d->edge, "rj.build");
 }
 
-TEST(GraphRunTest, SourceTransformSinkDeliversEverything) {
+TEST(GraphRunTest, SourceWindowSinkDeliversEverything) {
   net::Fabric fabric;
   auto addrs = MakeCluster(&fabric, 2);
   DfiRuntime dfi(&fabric);
@@ -480,28 +488,30 @@ TEST(GraphRunTest, SourceTransformSinkDeliversEverything) {
     }
     return Status::OK();
   };
-  VertexSpec map;
-  map.name = "map";
-  map.kind = OpKind::kTransform;
-  map.workers = workers;
-  map.output = {TwoFieldSchema(), Ordering::kNone};
-  map.transform_fn = [](OpContext&, TupleView in,
-                        const EmitFn& emit) -> Status {
-    const uint64_t tuple[2] = {in.Get<uint64_t>(0), in.Get<uint64_t>(1) * 2};
-    return emit(tuple);
-  };
-  uint64_t sum = 0;
+  // One window per source worker, no key bits: wkey is the worker index.
+  VertexSpec win;
+  win.name = "win";
+  win.kind = OpKind::kWindow;
+  win.workers = workers;
+  win.window.seq_field = 0;
+  win.window.key_field = 1;
+  win.window.window_size = kPerSource;
+  win.window.key_bits = 0;
+  uint64_t val_sum = 0;
+  uint64_t wkey_sum = 0;
   VertexSpec snk;
   snk.name = "snk";
   snk.kind = OpKind::kSink;
   snk.workers = workers;
-  snk.tuple_sink = [&sum](OpContext&, TupleView t) {
-    sum += t.Get<uint64_t>(1);
+  snk.tuple_sink = [&](OpContext&, TupleView t) {
+    val_sum += t.Get<uint64_t>(1);
+    wkey_sum += t.Get<uint64_t>(2);
     return Status::OK();
   };
-  gs.vertices = {std::move(src), std::move(map), std::move(snk)};
-  gs.edges = {Shuffle("e2e.in", "src", "map"),
-              Shuffle("e2e.out", "map", "snk")};
+  gs.vertices = {std::move(src), std::move(win), std::move(snk)};
+  EdgeSpec out = Shuffle("e2e.out", "win", "snk");
+  out.type.schema = WindowedSchema();
+  gs.edges = {Shuffle("e2e.in", "src", "win"), std::move(out)};
 
   auto g = Graph::Build(std::move(gs), &dfi.fabric());
   ASSERT_TRUE(g.ok()) << g.status();
@@ -517,10 +527,11 @@ TEST(GraphRunTest, SourceTransformSinkDeliversEverything) {
 
   const uint64_t total = 4 * kPerSource;  // 4 source workers
   EXPECT_EQ((*run)->stats("src").tuples_out, total);
-  EXPECT_EQ((*run)->stats("map").tuples_in, total);
-  EXPECT_EQ((*run)->stats("map").tuples_out, total);
+  EXPECT_EQ((*run)->stats("win").tuples_in, total);
+  EXPECT_EQ((*run)->stats("win").tuples_out, total);
   EXPECT_EQ((*run)->stats("snk").tuples_in, total);
-  EXPECT_EQ(sum, 2 * total);
+  EXPECT_EQ(val_sum, total);
+  EXPECT_EQ(wkey_sum, (0 + 1 + 2 + 3) * kPerSource);
   EXPECT_GT((*run)->stats("snk").max_clock, 0);
 }
 
@@ -570,25 +581,26 @@ TEST(GraphRunTest, NameCollisionRollsBackEveryPublishedEdge) {
   auto addrs = MakeCluster(&fabric, 2);
   DfiRuntime dfi(&fabric);
   const DfiNodes workers = DfiNodes::GridOf(addrs, 1);
-  auto forward = [&](const std::string& name) {
+  auto window = [&](const std::string& name, const std::string& out_field) {
     VertexSpec v;
     v.name = name;
-    v.kind = OpKind::kTransform;
+    v.kind = OpKind::kWindow;
     v.workers = workers;
-    v.output = {TwoFieldSchema(), Ordering::kNone};
-    v.transform_fn = [](OpContext&, TupleView in,
-                        const EmitFn& emit) -> Status {
-      const uint64_t tuple[2] = {in.Get<uint64_t>(0), in.Get<uint64_t>(1)};
-      return emit(tuple);
-    };
+    v.window.out_field = out_field;
     return v;
   };
   GraphSpec gs;
   gs.name = "clash";
-  gs.vertices = {Source("src", workers), forward("t1"), forward("t2"),
-                 Sink("snk", workers)};
-  gs.edges = {Shuffle("clash.a", "src", "t1"), Shuffle("clash.b", "t1", "t2"),
-              Shuffle("clash.c", "t2", "snk")};
+  gs.vertices = {Source("src", workers), window("t1", "wkey"),
+                 window("t2", "wkey2"), Sink("snk", workers)};
+  EdgeSpec b = Shuffle("clash.b", "t1", "t2");
+  b.type.schema = WindowedSchema();
+  EdgeSpec c = Shuffle("clash.c", "t2", "snk");
+  c.type.schema = Schema{{"key", DataType::kUInt64},
+                         {"val", DataType::kUInt64},
+                         {"wkey", DataType::kUInt64},
+                         {"wkey2", DataType::kUInt64}};
+  gs.edges = {Shuffle("clash.a", "src", "t1"), std::move(b), std::move(c)};
   auto g = Graph::Build(std::move(gs), &dfi.fabric());
   ASSERT_TRUE(g.ok()) << g.status();
 
@@ -620,11 +632,12 @@ TEST(GraphRunTest, NameCollisionRollsBackEveryPublishedEdge) {
 }
 
 /// Runs the graph `make_spec` returns for 2 nodes x 2 workers to
-/// completion, and returns the stats of vertex `vertex`.
+/// completion on a fabric costed by `sim`, and returns the stats of vertex
+/// `vertex`.
 StatusOr<GraphRun::VertexStats> RunToEnd(
     const std::function<GraphSpec(const DfiNodes&)>& make_spec,
-    const std::string& vertex) {
-  net::Fabric fabric;
+    const std::string& vertex, const net::SimConfig& sim = net::SimConfig()) {
+  net::Fabric fabric(sim);
   DfiRuntime dfi(&fabric);
   const DfiNodes workers = DfiNodes::GridOf(MakeCluster(&fabric, 2), 2);
   DFI_ASSIGN_OR_RETURN(Graph g,
@@ -697,6 +710,32 @@ TEST(GraphRunTest, JoinCountsBuildKeyMultiplicities) {
     if (!finish.has_value()) finish = stats->max_clock;
     EXPECT_EQ(stats->max_clock, *finish);
   }
+}
+
+TEST(GraphRunTest, JoinChargesSimConfigCosts) {
+  // The join reads its costs from the fabric's SimConfig. One join worker
+  // receives every tuple and, once the first segment arrives, never waits
+  // for another, so raising the build and probe costs delays its finish by
+  // exactly the extra charge.
+  std::vector<uint64_t> build_keys, probe_keys;
+  for (uint64_t k = 0; k < 20000; ++k) build_keys.push_back(k);
+  for (uint64_t k = 0; k < 30000; ++k) probe_keys.push_back(3 * k);
+  auto one_worker_join = [&](const DfiNodes& workers) {
+    GraphSpec gs = JoinSpec(workers, build_keys, probe_keys, 6);
+    gs.vertices[2].workers = DfiNodes(std::vector<Endpoint>{workers[0]});
+    return gs;
+  };
+  auto base = RunToEnd(one_worker_join, "join");
+  ASSERT_TRUE(base.ok()) << base.status();
+  net::SimConfig sim;
+  sim.join_build_ns += 7;
+  sim.join_probe_ns += 3;
+  auto raised = RunToEnd(one_worker_join, "join", sim);
+  ASSERT_TRUE(raised.ok()) << raised.status();
+  EXPECT_EQ(raised->join_matches, base->join_matches);
+  EXPECT_EQ(raised->max_clock - base->max_clock,
+            static_cast<SimTime>(build_keys.size() * 7 +
+                                 probe_keys.size() * 3));
 }
 
 TEST(GraphRunTest, JoinWithAnEmptySideMatchesNothing) {

@@ -38,6 +38,29 @@ class DistributedJoinTest : public ::testing::Test {
     engine.Run();
     return result;
   }
+
+  enum class Join { kDfiRadix, kMpiRadix, kDfiReplicate };
+
+  /// Runs `join` over `cfg` on a fresh fabric whose cost model is `sim`.
+  StatusOr<JoinResult> RunJoin(Join join, const JoinConfig& cfg,
+                               const net::SimConfig& sim) {
+    net::Fabric fabric(sim);
+    auto addrs = SetUpNodes(&fabric, cfg.num_nodes);
+    std::vector<net::NodeId> ids;
+    for (uint32_t i = 0; i < cfg.num_nodes; ++i) ids.push_back(i);
+    DfiRuntime dfi(&fabric);
+    return OnEngine([&]() -> StatusOr<JoinResult> {
+      switch (join) {
+        case Join::kDfiRadix:
+          return RunDfiRadixJoin(&dfi, addrs, cfg);
+        case Join::kMpiRadix:
+          return RunMpiRadixJoin(&fabric, ids, cfg);
+        case Join::kDfiReplicate:
+          return RunDfiReplicateJoin(&dfi, addrs, cfg);
+      }
+      return Status::Internal("unknown join");
+    });
+  }
 };
 
 TEST_F(DistributedJoinTest, DfiRadixJoinMatchesReference) {
@@ -52,19 +75,6 @@ TEST_F(DistributedJoinTest, DfiRadixJoinMatchesReference) {
   EXPECT_GT(result->phases.total, result->phases.network_partition);
   EXPECT_EQ(result->phases.histogram, 0) << "DFI join needs no histogram";
   EXPECT_EQ(result->phases.sync_barrier, 0) << "DFI join needs no barrier";
-}
-
-TEST_F(DistributedJoinTest, GraphRadixJoinMatchesReference) {
-  // The same join expressed as built-in graph operators (two kSource scans
-  // feeding a kJoin vertex) finds exactly the reference match count.
-  net::Fabric fabric;
-  const JoinConfig cfg = SmallConfig();
-  auto addrs = SetUpNodes(&fabric, cfg.num_nodes);
-  DfiRuntime dfi(&fabric);
-  auto result = OnEngine([&] { return RunGraphRadixJoin(&dfi, addrs, cfg); });
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->matches, ReferenceJoinMatches(cfg));
-  EXPECT_GT(result->phases.total, 0);
 }
 
 TEST_F(DistributedJoinTest, MpiRadixJoinMatchesReference) {
@@ -152,6 +162,48 @@ TEST_F(DistributedJoinTest, ReplicateJoinWinsForTinyInner) {
     ASSERT_TRUE(repl.ok());
     EXPECT_EQ(radix->matches, repl->matches);
     EXPECT_LT(repl->phases.total, radix->phases.total);
+  }
+}
+
+TEST_F(DistributedJoinTest, JoinsChargeTheirSimConfigCosts) {
+  // Every join reads its per-tuple costs from the fabric's SimConfig:
+  // doubling any one cost a join charges makes it finish later, and leaves
+  // its matches alone.
+  using Cost = SimTime net::SimConfig::*;
+  struct NamedCost {
+    const char* name;
+    Cost cost;
+  };
+  const NamedCost histogram{"join_histogram_ns",
+                            &net::SimConfig::join_histogram_ns};
+  const NamedCost partition{"join_partition_ns",
+                            &net::SimConfig::join_partition_ns};
+  const NamedCost build{"join_build_ns", &net::SimConfig::join_build_ns};
+  const NamedCost probe{"join_probe_ns", &net::SimConfig::join_probe_ns};
+  struct Case {
+    const char* name;
+    Join join;
+    std::vector<NamedCost> costs;
+  };
+  const Case cases[] = {
+      {"dfi radix", Join::kDfiRadix, {partition, build, probe}},
+      {"mpi radix", Join::kMpiRadix, {histogram, partition, build, probe}},
+      {"dfi replicate", Join::kDfiReplicate, {build, probe}},
+  };
+  const JoinConfig cfg = SmallConfig();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto base = RunJoin(c.join, cfg, net::SimConfig());
+    ASSERT_TRUE(base.ok()) << base.status();
+    for (const NamedCost& nc : c.costs) {
+      SCOPED_TRACE(nc.name);
+      net::SimConfig sim;
+      sim.*nc.cost *= 2;
+      auto doubled = RunJoin(c.join, cfg, sim);
+      ASSERT_TRUE(doubled.ok()) << doubled.status();
+      EXPECT_GT(doubled->phases.total, base->phases.total);
+      EXPECT_EQ(doubled->matches, base->matches);
+    }
   }
 }
 
