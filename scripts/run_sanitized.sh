@@ -49,6 +49,11 @@ if [ "$KIND" = "thread" ]; then
   # emulator runs under the race detector, with fibers as its threads.
   "$BUILD/tests/engine_determinism_test" --gtest_repeat=3
 fi
+# The combiner target folds each segment in batches: hashed keys, group
+# indices and prefetches sit in fixed per-batch arrays, and the group table
+# may double in the middle of a batch — shake both combiner suites.
+"$BUILD/tests/core_combiner_test" --gtest_repeat=3 --gtest_shuffle
+"$BUILD/tests/core_combiner_property_test" --gtest_repeat=3 --gtest_shuffle
 # The fused DFI join, the MPI join, the replicate join and the graph kJoin
 # share one partitioned build table (RadixJoinTable): shake the join suite.
 "$BUILD/tests/join_test" --gtest_repeat=3 --gtest_shuffle

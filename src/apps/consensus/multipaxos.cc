@@ -137,7 +137,7 @@ Status RunLeaderTerm(LeaderFlows& f, const net::SimConfig& sim,
     Vote vote;
     while (votes.Next(&vote)) {
       f.Sync();
-      f.vote->clock().Advance(30);  // tallying one vote is a counter
+      f.vote->clock().Advance(sim.vote_tally_ns);
       auto it = pending.find(vote.log_index);
       if (it != pending.end()) {
         Pending& p = it->second;

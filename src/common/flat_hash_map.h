@@ -26,8 +26,8 @@ namespace dfi {
 /// partition share those.
 ///
 /// Find and TryEmplace return pointers that the next insert invalidates.
-/// Batched lookups hash their keys once, Prefetch every home slot, then
-/// Find with the hash.
+/// Batched lookups and inserts hash their keys once, Prefetch every home
+/// slot, then Find or TryEmplace with the hash.
 template <typename V>
 class FlatHashMap {
   static_assert(std::is_trivially_copyable_v<V>);
@@ -60,13 +60,17 @@ class FlatHashMap {
   /// Inserts `value` under `key` unless the key is present. Returns the
   /// stored value and whether it was inserted.
   std::pair<V*, bool> TryEmplace(uint64_t key, V value) {
+    return TryEmplace(key, HashU64(key), value);
+  }
+
+  /// TryEmplace for a key whose HashU64 is `hash`.
+  std::pair<V*, bool> TryEmplace(uint64_t key, uint64_t hash, V value) {
     if (key == kEmptyKey) {
       const bool inserted = !has_empty_key_;
       if (inserted) empty_key_value_ = value;
       has_empty_key_ = true;
       return {&empty_key_value_, inserted};
     }
-    const uint64_t hash = HashU64(key);
     if (used_ >= max_load_ && Find(key, hash) == nullptr) {
       Rehash(slots_.empty() ? kMinCapacity : 2 * slots_.size());
     }

@@ -67,8 +67,7 @@ CombinerTarget::CombinerTarget(std::shared_ptr<CombinerFlowState> state,
 }
 
 Status CombinerTarget::Drain() {
-  const Schema& schema = state_->spec().schema;
-  const uint32_t tuple_size = static_cast<uint32_t>(schema.tuple_size());
+  const size_t tuple_size = state_->spec().schema.tuple_size();
   // Fold segments as the unified transport serves them (aggregation
   // happens as segments arrive, paper section 4.2.3).
   for (;;) {
@@ -76,11 +75,7 @@ Status CombinerTarget::Drain() {
     const ConsumeResult r = sink_->ConsumeSegment(&view);
     if (r == ConsumeResult::kFlowEnd) break;
     if (r != ConsumeResult::kOk) return sink_->last_status();
-    for (uint32_t off = 0; off + tuple_size <= view.bytes;
-         off += tuple_size) {
-      clock_.Advance(config_->tuple_consume_fixed_ns);
-      aggregator_->Fold(TupleView(view.payload + off, &schema));
-    }
+    aggregator_->FoldSegment(view.payload, view.bytes / tuple_size);
   }
   drained_ = true;
   return Status::OK();

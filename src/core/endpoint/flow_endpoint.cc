@@ -101,7 +101,8 @@ FanoutEndpoint::FanoutEndpoint(rdma::RdmaContext* ctx,
     : clock_(clock),
       config_(config),
       options_(options),
-      flow_abort_(flow_abort) {
+      flow_abort_(flow_abort),
+      push_charge_(config->tuple_push_fixed_ns) {
   const uint32_t staging_slots =
       options_.optimization == FlowOptimization::kLatency
           ? 1
@@ -124,10 +125,15 @@ Status FanoutEndpoint::Push(const void* tuple, uint32_t len) {
   }
   // The tuple is staged once regardless of target count; replication
   // happens in the NIC (naive: parallel writes) or in the switch
-  // (multicast) — see paper section 6.1.2.
-  clock_->Advance(config_->tuple_push_fixed_ns +
-                  static_cast<SimTime>(
-                      std::llround(len * config_->tuple_copy_ns_per_byte)));
+  // (multicast) — see paper section 6.1.2. Every push of a flow has the
+  // same length, so the charge is rounded once.
+  if (len != charged_len_) [[unlikely]] {
+    charged_len_ = len;
+    push_charge_ = config_->tuple_push_fixed_ns +
+                   static_cast<SimTime>(
+                       std::llround(len * config_->tuple_copy_ns_per_byte));
+  }
+  clock_->Advance(push_charge_);
 
   if (options_.optimization == FlowOptimization::kLatency) {
     std::memcpy(staging_.payload(0), tuple, len);

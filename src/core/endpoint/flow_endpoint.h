@@ -190,6 +190,9 @@ class FanoutEndpoint {
   SegmentRing staging_;
   uint32_t staging_slot_ = 0;
   uint32_t fill_ = 0;
+  /// Push's clock charge for a tuple of charged_len_ bytes.
+  uint32_t charged_len_ = 0;
+  SimTime push_charge_;
   bool closed_ = false;
 };
 

@@ -512,7 +512,7 @@ ConsumeResult MulticastSink::ConsumeOrdered(SegmentView* out) {
     if (mcast_->LookupHistory(seq_.expected(), &copy)) {
       const net::SimConfig& cfg = *config_;
       clock_->Advance(kGapTimeoutNs);
-      clock_->Advance(2 * cfg.propagation_ns + cfg.ud_send_overhead_ns +
+      clock_->Advance(cfg.propagation_ns * 2 + cfg.ud_send_overhead_ns +
                       static_cast<SimTime>(mcast_->slot_bytes() /
                                            cfg.LinkBytesPerNs()));
       seq_.Offer(seq_.expected(),

@@ -11,40 +11,58 @@
 namespace dfi {
 namespace {
 
-template <typename T>
-double Load(const uint8_t* p) {
-  T value;
-  std::memcpy(&value, p, sizeof(T));
-  return static_cast<double>(value);
+/// One batch of a segment fold, for one aggregate: tuple j is at
+/// tuples + j * tuple_size, and its group's accumulator of the aggregate is
+/// acc[groups[j] * stride].
+struct FoldBatch {
+  const uint8_t* tuples;
+  size_t tuple_size;
+  const size_t* groups;
+  size_t size;
+  double* acc;
+  size_t stride;
+};
+
+template <typename T, typename Update>
+void FoldValues(const FoldBatch& b, size_t offset, Update update) {
+  for (size_t j = 0; j < b.size; ++j) {
+    T value;
+    std::memcpy(&value, b.tuples + j * b.tuple_size + offset, sizeof(T));
+    double& acc = b.acc[b.groups[j] * b.stride];
+    acc = update(acc, static_cast<double>(value));
+  }
 }
 
-/// Reads a packed field of type `type` at `p` as double for aggregation.
-double FieldAsDouble(const uint8_t* p, DataType type) {
+/// Folds the packed field of type `type` at `offset` of every tuple of `b`
+/// into its accumulator, `acc = update(acc, value as double)`, in tuple
+/// order. The type is resolved once per batch, not once per tuple.
+template <typename Update>
+void FoldField(const FoldBatch& b, DataType type, size_t offset,
+               Update update) {
   switch (type) {
     case DataType::kInt8:
-      return Load<int8_t>(p);
+      return FoldValues<int8_t>(b, offset, update);
     case DataType::kUInt8:
-      return Load<uint8_t>(p);
+      return FoldValues<uint8_t>(b, offset, update);
     case DataType::kInt16:
-      return Load<int16_t>(p);
+      return FoldValues<int16_t>(b, offset, update);
     case DataType::kUInt16:
-      return Load<uint16_t>(p);
+      return FoldValues<uint16_t>(b, offset, update);
     case DataType::kInt32:
-      return Load<int32_t>(p);
+      return FoldValues<int32_t>(b, offset, update);
     case DataType::kUInt32:
-      return Load<uint32_t>(p);
+      return FoldValues<uint32_t>(b, offset, update);
     case DataType::kInt64:
-      return Load<int64_t>(p);
+      return FoldValues<int64_t>(b, offset, update);
     case DataType::kUInt64:
-      return Load<uint64_t>(p);
+      return FoldValues<uint64_t>(b, offset, update);
     case DataType::kFloat:
-      return Load<float>(p);
+      return FoldValues<float>(b, offset, update);
     case DataType::kDouble:
-      return Load<double>(p);
+      return FoldValues<double>(b, offset, update);
     case DataType::kChar:
       DFI_LOG(FATAL) << "cannot aggregate a kChar field";
   }
-  return 0;
 }
 
 }  // namespace
@@ -154,20 +172,20 @@ AdaptivePartitioner::AdaptivePartitioner(
 }
 
 AdaptivePartitioner::SketchSlot& AdaptivePartitioner::SketchSlotOf(
-    uint64_t key) {
+    uint64_t key, uint64_t hash) {
   constexpr uint32_t kShift =
       64 - static_cast<uint32_t>(std::countr_zero(kSketchSlots));
-  size_t i = static_cast<size_t>(HashU64(key) >> kShift);
+  size_t i = static_cast<size_t>(hash >> kShift);
   while (sketch_[i].count != 0 && sketch_[i].key != key) {
     i = (i + 1) % kSketchSlots;
   }
   return sketch_[i];
 }
 
-void AdaptivePartitioner::SketchAdd(uint64_t key) {
+void AdaptivePartitioner::SketchAdd(uint64_t key, uint64_t hash) {
   // Misra-Gries: any key with epoch count > epoch_tuples / kSketchCounters
   // survives with count no more than that margin below its true count.
-  SketchSlot& slot = SketchSlotOf(key);
+  SketchSlot& slot = SketchSlotOf(key, hash);
   if (slot.count != 0) {
     ++slot.count;
     return;
@@ -177,15 +195,23 @@ void AdaptivePartitioner::SketchAdd(uint64_t key) {
     ++sketch_size_;
     return;
   }
-  // Full: decrement every counter. Freed slots would cut the probe runs
-  // of the survivors, so those are re-inserted into a cleared table.
-  std::array<SketchSlot, kSketchCounters> survivors;
+  // Full: decrement every counter, without a branch per slot. Freed slots
+  // would cut the probe runs of the survivors, so the survivors are
+  // gathered in slot order and re-inserted into a cleared table. Every
+  // slot is copied to survivors[n] and counted only when it survives, so
+  // the array needs room for one write per slot.
+  std::array<SketchSlot, kSketchSlots> survivors;
   size_t n = 0;
   for (SketchSlot& s : sketch_) {
-    if (s.count != 0 && --s.count != 0) survivors[n++] = s;
+    const uint64_t count = s.count - (s.count != 0);
+    survivors[n] = SketchSlot{s.key, count};
+    n += count != 0;
     s.count = 0;
   }
-  for (size_t i = 0; i < n; ++i) SketchSlotOf(survivors[i].key) = survivors[i];
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t k = survivors[i].key;
+    SketchSlotOf(k, HashU64(k)) = survivors[i];
+  }
   sketch_size_ = n;
 }
 
@@ -204,7 +230,9 @@ void AdaptivePartitioner::EndEpoch() {
   // Demote cooled-off keys (half the promotion threshold: hysteresis).
   for (size_t h = 0; h < num_hot_;) {
     HotKey& hk = hot_[h];
-    if (static_cast<double>(SketchSlotOf(hk.key).count) < threshold / 2) {
+    const double count =
+        static_cast<double>(SketchSlotOf(hk.key, HashU64(hk.key)).count);
+    if (count < threshold / 2) {
       ++demotions_;
       EraseHot(&hk);  // the last entry moves here; visit it next
       continue;
@@ -230,13 +258,14 @@ void AdaptivePartitioner::EndEpoch() {
             });
   for (size_t c = 0; c < num_candidates && num_hot_ < kMaxHotKeys; ++c) {
     const uint64_t key = candidates[c].second;
-    const uint32_t home = HomeTarget(key);
+    const uint64_t hash = HashU64(key);
+    const uint32_t home = HomeOf(hash);
     const size_t spread = siblings_[home].size();
     if (spread < 2) continue;  // nothing to re-split over
     HotKey hk;
     hk.key = key;
     hk.home = home;
-    hk.cursor = static_cast<uint32_t>(HashU64(key) % spread);
+    hk.cursor = static_cast<uint32_t>(hash % spread);
     ++promotions_;
     hot_[num_hot_++] = hk;
   }
@@ -265,13 +294,15 @@ uint32_t AdaptivePartitioner::Divert(const std::vector<uint32_t>& spread,
 }
 
 uint32_t AdaptivePartitioner::Route(const uint8_t* tuple) {
+  // One hash serves the sketch slot (its top bits) and the home target.
   const uint64_t key = ReadKeyBytes(tuple + key_offset_, key_size_);
-  SketchAdd(key);
+  const uint64_t hash = HashU64(key);
+  SketchAdd(key, hash);
   if (++epoch_fill_ >= opts_.epoch_tuples) EndEpoch();
 
   HotKey* hot = FindHot(key);
   if (hot == nullptr) {
-    const uint32_t home = HomeTarget(key);
+    const uint32_t home = HomeOf(hash);
     return Divert(siblings_[home], home);
   }
   // A hot key round-robins over the targets of its home node.
@@ -290,7 +321,8 @@ Aggregator::Aggregator(const Schema* schema,
                        const std::vector<AggSpec>* aggregates,
                        size_t group_by_index, const net::SimConfig* config,
                        VirtualClock* clock)
-    : key_offset_(schema->offset(group_by_index)),
+    : tuple_size_(schema->tuple_size()),
+      key_offset_(schema->offset(group_by_index)),
       key_size_(schema->field_size(group_by_index)),
       config_(config),
       clock_(clock) {
@@ -311,35 +343,64 @@ Aggregator::Aggregator(const Schema* schema,
   }
 }
 
-void Aggregator::Fold(TupleView tuple) {
-  const uint8_t* data = tuple.data();
-  const uint64_t key = ReadKeyBytes(data + key_offset_, key_size_);
-  clock_->Advance(config_->agg_update_ns);
-
-  const auto [group, inserted] = groups_.TryEmplace(key, keys_.size());
-  if (inserted) {
-    keys_.push_back(key);
-    acc_.insert(acc_.end(), init_.begin(), init_.end());
-  }
-  double* acc = &acc_[*group * ops_.size()];
-  for (size_t i = 0; i < ops_.size(); ++i) {
-    const Op& op = ops_[i];
-    switch (op.func) {
-      case AggFunc::kSum:
-        acc[i] += FieldAsDouble(data + op.offset, op.type);
-        break;
-      case AggFunc::kCount:
-        acc[i] += 1;
-        break;
-      case AggFunc::kMin:
-        acc[i] = std::min(acc[i], FieldAsDouble(data + op.offset, op.type));
-        break;
-      case AggFunc::kMax:
-        acc[i] = std::max(acc[i], FieldAsDouble(data + op.offset, op.type));
-        break;
+void Aggregator::FoldSegment(const uint8_t* tuples, size_t n) {
+  // A batch hashes its keys and starts every home-slot load first, so its
+  // lookups overlap their cache misses. Groups are then resolved in tuple
+  // order, which assigns new groups their first-seen index, and each
+  // resolved group's accumulator row starts loading. Last, each aggregate
+  // folds the whole batch in tuple order, its field type resolved once:
+  // every accumulator sees the same operations in the same order as one
+  // tuple at a time.
+  const size_t num_ops = ops_.size();
+  uint64_t keys[kFoldBatch];
+  uint64_t hashes[kFoldBatch];
+  size_t groups[kFoldBatch];
+  for (size_t begin = 0; begin < n; begin += kFoldBatch) {
+    const size_t m = std::min(kFoldBatch, n - begin);
+    const uint8_t* batch = tuples + begin * tuple_size_;
+    for (size_t i = 0; i < m; ++i) {
+      keys[i] = ReadKeyBytes(batch + i * tuple_size_ + key_offset_, key_size_);
+      hashes[i] = HashU64(keys[i]);
+      groups_.Prefetch(hashes[i]);
+    }
+    for (size_t i = 0; i < m; ++i) {
+      const auto [group, inserted] =
+          groups_.TryEmplace(keys[i], hashes[i], keys_.size());
+      if (inserted) {
+        keys_.push_back(keys[i]);
+        acc_.insert(acc_.end(), init_.begin(), init_.end());
+      }
+      groups[i] = *group;
+      __builtin_prefetch(&acc_[groups[i] * num_ops]);
+    }
+    for (size_t a = 0; a < num_ops; ++a) {
+      const Op& op = ops_[a];
+      const FoldBatch b{batch, tuple_size_, groups, m, &acc_[a], num_ops};
+      switch (op.func) {
+        case AggFunc::kSum:
+          FoldField(b, op.type, op.offset,
+                    [](double acc, double v) { return acc + v; });
+          break;
+        case AggFunc::kCount:
+          for (size_t i = 0; i < m; ++i) b.acc[groups[i] * num_ops] += 1;
+          break;
+        case AggFunc::kMin:
+          FoldField(b, op.type, op.offset,
+                    [](double acc, double v) { return std::min(acc, v); });
+          break;
+        case AggFunc::kMax:
+          FoldField(b, op.type, op.offset,
+                    [](double acc, double v) { return std::max(acc, v); });
+          break;
+      }
     }
   }
-  ++tuples_folded_;
+  tuples_folded_ += n;
+  // Nothing reads the clock within a segment, so one charge lands at the
+  // same virtual time as one per tuple.
+  const SimTime per_tuple =
+      config_->tuple_consume_fixed_ns + config_->agg_update_ns;
+  clock_->Advance(static_cast<SimTime>(n) * per_tuple);
 }
 
 bool Aggregator::NextRow(AggRow* out) {

@@ -122,9 +122,7 @@ class AdaptivePartitioner {
 
   /// The static key-hash target of `key` (where the non-adaptive
   /// partitioner would send it).
-  uint32_t HomeTarget(uint64_t key) const {
-    return static_cast<uint32_t>(mod_.Mod(HashU64(key)));
-  }
+  uint32_t HomeTarget(uint64_t key) const { return HomeOf(HashU64(key)); }
 
   // Observability for tests and benches.
   uint64_t promotions() const { return promotions_; }
@@ -159,9 +157,14 @@ class AdaptivePartitioner {
     uint32_t cursor = 0;
   };
 
-  /// The sketch slot of `key`, or the free slot ending its probe run.
-  SketchSlot& SketchSlotOf(uint64_t key);
-  void SketchAdd(uint64_t key);
+  /// The sketch slot of `key`, whose HashU64 is `hash`, or the free slot
+  /// ending its probe run.
+  SketchSlot& SketchSlotOf(uint64_t key, uint64_t hash);
+  void SketchAdd(uint64_t key, uint64_t hash);
+  /// The static key-hash target of a key whose HashU64 is `hash`.
+  uint32_t HomeOf(uint64_t hash) const {
+    return static_cast<uint32_t>(mod_.Mod(hash));
+  }
   /// The hot-set entry of `key`, or null.
   HotKey* FindHot(uint64_t key);
   /// Removes `hot` (an entry of hot_) by moving the last entry into it.
@@ -217,8 +220,9 @@ struct AggRow {
 };
 
 /// Aggregation policy plugged into a combiner target's FlowSink: folds
-/// tuples into per-group accumulators (SUM/COUNT/MIN/MAX, paper section
-/// 4.2.3), then yields the aggregate rows in first-seen group order.
+/// segments of tuples into per-group accumulators (SUM/COUNT/MIN/MAX,
+/// paper section 4.2.3) as they arrive, then yields the aggregate rows in
+/// first-seen group order.
 ///
 /// A group is a dense index in first-seen order; one FlatHashMap maps group
 /// keys to it, and every accumulator lives in one array of groups x
@@ -232,8 +236,10 @@ class Aggregator {
   Aggregator(const Aggregator&) = delete;
   Aggregator& operator=(const Aggregator&) = delete;
 
-  /// Folds one tuple into its group's accumulators; charges agg_update_ns.
-  void Fold(TupleView tuple);
+  /// Folds the `n` packed tuples at `tuples` into their groups'
+  /// accumulators, in tuple order, and charges each tuple
+  /// tuple_consume_fixed_ns + agg_update_ns.
+  void FoldSegment(const uint8_t* tuples, size_t n);
 
   /// Yields the next aggregate row; false once all groups were emitted.
   bool NextRow(AggRow* out);
@@ -249,6 +255,11 @@ class Aggregator {
     size_t offset;
   };
 
+  /// Tuples whose group lookups are in flight at once: a default 8 KiB
+  /// segment of 32-byte tuples.
+  static constexpr size_t kFoldBatch = 256;
+
+  const size_t tuple_size_;
   const size_t key_offset_;
   const size_t key_size_;
   const net::SimConfig* const config_;

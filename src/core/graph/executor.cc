@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/radix_join_table.h"
 #include "core/dfi_runtime.h"
 #include "core/graph/lowering.h"
@@ -24,14 +25,16 @@ struct KeyField {
 };
 
 /// kWindow's per-tuple work: the output tuple is the input plus the fused
-/// window key `(seq / window_size) << key_bits | (key & mask)`.
+/// window key `(seq / window_size) << key_bits | (key & mask)`. The divide
+/// takes a precomputed FastDivisor (a shift for powers of two).
 class WindowStage {
  public:
-  /// `spec` passed Graph::Build: window_size > 0, key_bits < 64.
+  /// `spec` passed Graph::Build: 0 < window_size <= UINT32_MAX,
+  /// key_bits < 64.
   WindowStage(const WindowOpSpec& spec, const Schema& in, const Schema& out)
       : seq_(in, spec.seq_field),
         key_(in, spec.key_field),
-        window_size_(spec.window_size),
+        window_size_(static_cast<uint32_t>(spec.window_size)),
         key_bits_(spec.key_bits),
         key_mask_((uint64_t{1} << spec.key_bits) - 1),
         in_size_(in.tuple_size()),
@@ -40,7 +43,7 @@ class WindowStage {
 
   /// The output tuple of `tuple`, valid until the next call.
   const uint8_t* Apply(const uint8_t* tuple) {
-    const uint64_t wkey = ((seq_.Read(tuple) / window_size_) << key_bits_) |
+    const uint64_t wkey = (window_size_.Div(seq_.Read(tuple)) << key_bits_) |
                           (key_.Read(tuple) & key_mask_);
     std::memcpy(buf_.data(), tuple, in_size_);
     std::memcpy(buf_.data() + wkey_offset_, &wkey, sizeof(wkey));
@@ -50,7 +53,7 @@ class WindowStage {
  private:
   const KeyField seq_;
   const KeyField key_;
-  const uint64_t window_size_;
+  const FastDivisor window_size_;
   const uint32_t key_bits_;
   const uint64_t key_mask_;
   const size_t in_size_;

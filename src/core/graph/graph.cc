@@ -1,5 +1,7 @@
 #include "core/graph/graph.h"
 
+#include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -258,9 +260,13 @@ StatusOr<Graph> Graph::Build(GraphSpec spec, const net::Fabric* fabric,
         break;
       case OpKind::kWindow: {
         const Schema& in_schema = s.edges[vi.in[0]].type.schema;
-        if (vs.window.window_size == 0) {
-          diags.push_back(VertexDiag(DiagCode::kParamOutOfRange, vs.name,
-                                     "window_size must be at least 1"));
+        if (vs.window.window_size == 0 ||
+            vs.window.window_size > UINT32_MAX) {
+          diags.push_back(VertexDiag(
+              DiagCode::kParamOutOfRange, vs.name,
+              "window_size " + std::to_string(vs.window.window_size) +
+                  " must be in [1, 2^32 - 1]: the window id divides by it "
+                  "with a 32-bit divisor"));
         }
         if (vs.window.key_bits >= 64) {
           diags.push_back(VertexDiag(

@@ -68,7 +68,7 @@ using AggSinkFn = std::function<Status(OpContext&, const AggRow&)>;
 /// data-derived window id fused with the grouping key, so downstream
 /// combiner edges group per (window, key) and the assignment is a pure
 /// function of tuple content (independent of dispatch order). Graph::Build
-/// requires window_size >= 1 and key_bits < 64.
+/// requires 1 <= window_size <= 2^32 - 1 and key_bits < 64.
 struct WindowOpSpec {
   size_t seq_field = 0;        ///< monotone per-source sequence field
   size_t key_field = 0;        ///< grouping key field

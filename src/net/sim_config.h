@@ -111,6 +111,8 @@ struct SimConfig {
   SimTime log_append_ns = 50;
   /// Per-message protocol logic at a replica.
   SimTime replica_logic_ns = 60;
+  /// Multi-Paxos only: the leader counting one follower's vote.
+  SimTime vote_tally_ns = 30;
   /// DARE only: extra serialization in the leader's write protocol.
   SimTime dare_write_overhead_ns = 700;
   /// DARE only: per-request software overhead of the hand-crafted protocol

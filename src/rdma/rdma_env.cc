@@ -1,6 +1,6 @@
 #include "rdma/rdma_env.h"
 
-#include <cstring>
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
@@ -93,8 +93,8 @@ RdmaContext::~RdmaContext() {
 net::Node& RdmaContext::node() { return env_->fabric().node(node_); }
 
 MemoryRegion* RdmaContext::AllocateRegion(size_t bytes) {
+  // Value-initialized: new ring footers start zeroed, hence writable.
   auto buffer = std::make_unique<uint8_t[]>(bytes);
-  std::memset(buffer.get(), 0, bytes);
   uint8_t* addr = buffer.get();
   const uint32_t rkey = env_->RegisterMr(addr, bytes, node_);
   auto region = std::unique_ptr<MemoryRegion>(new MemoryRegion(

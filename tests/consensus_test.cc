@@ -144,6 +144,7 @@ TEST_F(ConsensusTest, ProtocolsChargeTheirSimConfigCosts) {
   const NamedCost log_append{"log_append_ns", &net::SimConfig::log_append_ns};
   const NamedCost replica_logic{"replica_logic_ns",
                                 &net::SimConfig::replica_logic_ns};
+  const NamedCost vote{"vote_tally_ns", &net::SimConfig::vote_tally_ns};
   const NamedCost dare_write{"dare_write_overhead_ns",
                              &net::SimConfig::dare_write_overhead_ns};
   const NamedCost dare_request{"dare_request_overhead_ns",
@@ -154,7 +155,7 @@ TEST_F(ConsensusTest, ProtocolsChargeTheirSimConfigCosts) {
     std::vector<NamedCost> costs;
   };
   const Case cases[] = {
-      {"multi-paxos", &RunMultiPaxos, {kv_op, log_append, replica_logic}},
+      {"multi-paxos", &RunMultiPaxos, {kv_op, log_append, replica_logic, vote}},
       {"nopaxos", &RunNoPaxos, {kv_op, log_append, replica_logic}},
       {"dare", &RunDare, {kv_op, log_append, dare_write, dare_request}},
   };

@@ -306,37 +306,48 @@ TEST(AdaptivePartitionerModelTest, MatchesUnorderedMapModel) {
   // Seeded zipf streams shaped like the pipeline benchmark's (1024 keys,
   // 16 targets on 8 nodes) and a 4-per-node layout, with epochs short
   // enough that keys are promoted, demoted and capped at the hot-set
-  // bound: every decision and counter must match the model.
+  // bound, and at the pipeline's own options (the defaults: 4096-tuple
+  // epochs, hot_factor 4), where the sketch fills and decrements many
+  // times per epoch: every decision and counter must match the model.
   const Schema schema = KeyPayloadSchema();
   uint64_t promotions = 0, demotions = 0;
-  for (const uint32_t per_node : {2u, 4u}) {
+  auto check_stream = [&](uint32_t per_node, const AdaptiveShuffleOptions& opts,
+                          double theta, uint64_t seed, size_t tuples) {
+    SCOPED_TRACE(testing::Message()
+                 << "per_node " << per_node << " epoch " << opts.epoch_tuples
+                 << " hot_factor " << opts.hot_factor << " theta " << theta
+                 << " seed " << seed);
     std::vector<net::NodeId> target_nodes;
     for (uint32_t t = 0; t < 16; ++t) target_nodes.push_back(t / per_node);
-    for (const uint32_t epoch : {64u, 256u}) {
-      for (const double theta : {0.99, 1.2}) {
-        for (const uint64_t seed : {1u, 2u, 3u}) {
-          SCOPED_TRACE(testing::Message()
-                       << "per_node " << per_node << " epoch " << epoch
-                       << " theta " << theta << " seed " << seed);
+    AdaptivePartitioner part(&schema, 0, target_nodes, opts, nullptr);
+    ModelPartitioner model(target_nodes, opts);
+    const auto rel = bench::GenerateZipfianRelation(tuples, 1024, theta, seed);
+    for (size_t i = 0; i < rel.size(); ++i) {
+      const uint32_t got =
+          part.Route(reinterpret_cast<const uint8_t*>(&rel[i]));
+      ASSERT_EQ(got, model.Route(rel[i].key)) << "tuple " << i;
+    }
+    EXPECT_EQ(part.promotions(), model.promotions);
+    EXPECT_EQ(part.demotions(), model.demotions);
+    EXPECT_EQ(part.resplit_tuples(), model.resplit_tuples);
+    promotions += model.promotions;
+    demotions += model.demotions;
+  };
+  for (const uint32_t per_node : {2u, 4u}) {
+    for (const double theta : {0.99, 1.2}) {
+      for (const uint64_t seed : {1u, 2u, 3u}) {
+        for (const uint32_t epoch : {64u, 256u}) {
           AdaptiveShuffleOptions opts;
           opts.enabled = true;
           opts.epoch_tuples = epoch;
           opts.hot_factor = 1.0;
-          AdaptivePartitioner part(&schema, 0, target_nodes, opts, nullptr);
-          ModelPartitioner model(target_nodes, opts);
-          const auto rel =
-              bench::GenerateZipfianRelation(20000, 1024, theta, seed);
-          for (size_t i = 0; i < rel.size(); ++i) {
-            const uint32_t got =
-                part.Route(reinterpret_cast<const uint8_t*>(&rel[i]));
-            ASSERT_EQ(got, model.Route(rel[i].key)) << "tuple " << i;
-          }
-          EXPECT_EQ(part.promotions(), model.promotions);
-          EXPECT_EQ(part.demotions(), model.demotions);
-          EXPECT_EQ(part.resplit_tuples(), model.resplit_tuples);
-          promotions += model.promotions;
-          demotions += model.demotions;
+          check_stream(per_node, opts, theta, seed, 20000);
         }
+        AdaptiveShuffleOptions pipeline;
+        pipeline.enabled = true;
+        ASSERT_EQ(pipeline.epoch_tuples, 4096u);
+        ASSERT_EQ(pipeline.hot_factor, 4.0);
+        check_stream(per_node, pipeline, theta, seed, 1 << 16);
       }
     }
   }

@@ -193,10 +193,12 @@ TEST_F(CombinerTest, MultiThreadedTargetPartitionsGroups) {
 }
 
 TEST(AggregatorTest, RowsInFirstSeenOrderWithExactAccumulators) {
-  // Folds 4 tuples into each of ~2^17 groups in a scrambled order and
-  // checks the rows against a fold computed here in the same order: row
-  // order is first-seen order, and every accumulator is bit-identical (the
-  // same floating-point operations in the same sequence).
+  // Folds 4 tuples into each of ~2^17 groups in a scrambled order, in
+  // segments of 1, 7, 256, 257 and 512 tuples (one, several and parts of
+  // lookup batches; the table doubles inside batches), and checks the rows
+  // against a fold computed here one tuple at a time in the same order:
+  // row order is first-seen order, and every accumulator is bit-identical
+  // (the same floating-point operations in the same sequence).
   const Schema schema{{"key", DataType::kUInt64},
                       {"i32", DataType::kInt32},
                       {"u64", DataType::kUInt64},
@@ -275,12 +277,18 @@ TEST(AggregatorTest, RowsInFirstSeenOrderWithExactAccumulators) {
   const net::SimConfig config;
   VirtualClock clock;
   Aggregator aggregator(&schema, &aggs, 0, &config, &clock);
-  for (size_t i = 0; i < order.size(); ++i) {
-    aggregator.Fold(TupleView(&tuples[i * tuple_size], &schema));
+  const size_t kSizes[] = {1, 7, 256, 257, 512};
+  size_t segments = 0;
+  for (size_t begin = 0; begin < order.size(); ++segments) {
+    const size_t n = std::min(kSizes[segments % 5], order.size() - begin);
+    aggregator.FoldSegment(&tuples[begin * tuple_size], n);
+    begin += n;
   }
+  ASSERT_GT(segments, size_t{1000});
   EXPECT_EQ(aggregator.tuples_folded(), order.size());
-  EXPECT_EQ(clock.now(),
-            static_cast<SimTime>(order.size()) * config.agg_update_ns);
+  const SimTime per_tuple =
+      config.tuple_consume_fixed_ns + config.agg_update_ns;
+  EXPECT_EQ(clock.now(), static_cast<SimTime>(order.size()) * per_tuple);
 
   AggRow row;
   size_t rows = 0;

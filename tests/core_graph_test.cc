@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -386,29 +387,41 @@ GraphSpec WindowSpec(const DfiNodes& workers, const WindowOpSpec& window) {
 }
 
 TEST_F(GraphBuildTest, WindowParametersTheRunCannotUseRejected) {
-  // window_size 0 would divide by zero in every window worker, and a
-  // 64-bit key shift is undefined (x86 keeps the key and drops the id).
-  for (const bool zero_size : {true, false}) {
+  // window_size 0 would divide by zero in every window worker, one above
+  // 2^32 - 1 does not fit the 32-bit divisor the operator precomputes, and
+  // a 64-bit key shift is undefined (x86 keeps the key and drops the id).
+  struct Case {
+    uint64_t window_size;
+    uint32_t key_bits;
+    const char* names;
+  };
+  const WindowOpSpec defaults;
+  const Case cases[] = {
+      {0, defaults.key_bits, "window_size"},
+      {uint64_t{UINT32_MAX} + 1, defaults.key_bits, "window_size"},
+      {defaults.window_size, 64, "key_bits"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "window_size " << c.window_size
+                                    << " key_bits " << c.key_bits);
     WindowOpSpec window;
-    if (zero_size) {
-      window.window_size = 0;
-    } else {
-      window.key_bits = 64;
-    }
+    window.window_size = c.window_size;
+    window.key_bits = c.key_bits;
     std::vector<Diagnostic> diags;
     auto g = Graph::Build(WindowSpec(workers_, window), &fabric_, &diags);
     ASSERT_FALSE(g.ok());
     const Diagnostic* d = FindDiag(diags, DiagCode::kParamOutOfRange);
     ASSERT_NE(d, nullptr) << g.status();
     EXPECT_EQ(d->vertex, "win");
-    EXPECT_NE(d->message.find(zero_size ? "window_size" : "key_bits"),
-              std::string::npos)
-        << d->message;
+    EXPECT_NE(d->message.find(c.names), std::string::npos) << d->message;
   }
-  WindowOpSpec widest;
-  widest.window_size = 1;
-  widest.key_bits = 63;
-  EXPECT_TRUE(Graph::Build(WindowSpec(workers_, widest), &fabric_).ok());
+  for (const uint64_t window_size : {uint64_t{1}, uint64_t{UINT32_MAX}}) {
+    WindowOpSpec widest;
+    widest.window_size = window_size;
+    widest.key_bits = 63;
+    EXPECT_TRUE(Graph::Build(WindowSpec(workers_, widest), &fabric_).ok())
+        << "window_size " << window_size;
+  }
 }
 
 /// Build (edge 0) and probe (edge 1) scans of `build_keys`/`probe_keys`
@@ -759,38 +772,42 @@ TEST(GraphRunTest, JoinWithAnEmptySideMatchesNothing) {
 }
 
 TEST(GraphRunTest, WindowAppendsFusedWindowKey) {
-  // wkey = (seq / window_size) << key_bits | (key & mask) for every tuple.
+  // wkey = (seq / window_size) << key_bits | (key & mask) for every tuple,
+  // at a power-of-two window size (a shift) and at others (a multiply).
   constexpr uint64_t kTuples = 1000;
-  WindowOpSpec window;
-  window.seq_field = 1;
-  window.key_field = 0;
-  window.window_size = 64;
-  window.key_bits = 4;
-  uint64_t checked = 0;
-  auto make_spec = [&](const DfiNodes& workers) {
-    GraphSpec gs = WindowSpec(workers, window);
-    gs.vertices[0].source_fn = [](OpContext& ctx,
-                                  const EmitFn& emit) -> Status {
-      for (uint64_t seq = ctx.worker; seq < kTuples;
-           seq += ctx.num_workers) {
-        const uint64_t tuple[2] = {seq * 7919, seq};
-        DFI_RETURN_IF_ERROR(emit(tuple));
-      }
-      return Status::OK();
+  for (const uint64_t window_size : {64u, 100u, 1u}) {
+    SCOPED_TRACE(testing::Message() << "window_size " << window_size);
+    WindowOpSpec window;
+    window.seq_field = 1;
+    window.key_field = 0;
+    window.window_size = window_size;
+    window.key_bits = 4;
+    uint64_t checked = 0;
+    auto make_spec = [&](const DfiNodes& workers) {
+      GraphSpec gs = WindowSpec(workers, window);
+      gs.vertices[0].source_fn = [](OpContext& ctx,
+                                    const EmitFn& emit) -> Status {
+        for (uint64_t seq = ctx.worker; seq < kTuples;
+             seq += ctx.num_workers) {
+          const uint64_t tuple[2] = {seq * 7919, seq};
+          DFI_RETURN_IF_ERROR(emit(tuple));
+        }
+        return Status::OK();
+      };
+      gs.vertices[2].tuple_sink = [&](OpContext&, TupleView t) {
+        const uint64_t key = t.Get<uint64_t>(0);
+        const uint64_t seq = t.Get<uint64_t>(1);
+        EXPECT_EQ(t.Get<uint64_t>(2), (seq / window_size) << 4 | (key & 0xf));
+        ++checked;
+        return Status::OK();
+      };
+      return gs;
     };
-    gs.vertices[2].tuple_sink = [&checked](OpContext&, TupleView t) {
-      const uint64_t key = t.Get<uint64_t>(0);
-      const uint64_t seq = t.Get<uint64_t>(1);
-      EXPECT_EQ(t.Get<uint64_t>(2), (seq / 64) << 4 | (key & 0xf));
-      ++checked;
-      return Status::OK();
-    };
-    return gs;
-  };
-  auto stats = RunToEnd(make_spec, "win");
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->tuples_out, kTuples);
-  EXPECT_EQ(checked, kTuples);
+    auto stats = RunToEnd(make_spec, "win");
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_EQ(stats->tuples_out, kTuples);
+    EXPECT_EQ(checked, kTuples);
+  }
 }
 
 }  // namespace
