@@ -34,6 +34,12 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 # actors and hot-key migration rewires routing mid-flow — both are prime
 # lifetime territory, so shake the property suite too.
 "$BUILD/tests/core_adaptive_shuffle_property_test" --gtest_repeat=3 --gtest_shuffle
+# Target-side cursors live in the channel matrix's columns as long as the
+# flow, not as long as the sink that drains them, and these suites tear
+# flows down in the middle of a consume: shake them.
+"$BUILD/tests/core_shuffle_test" --gtest_repeat=3 --gtest_shuffle
+"$BUILD/tests/core_replicate_test" --gtest_repeat=3 --gtest_shuffle
+"$BUILD/tests/chaos_flow_test" --gtest_repeat=3 --gtest_shuffle
 # The link scheduler keeps its gaps in a gap buffer: raw index arithmetic
 # over memmove, checked against a map-based reference on seeded streams.
 "$BUILD/tests/net_test" --gtest_filter='LinkScheduler*' --gtest_repeat=3 --gtest_shuffle

@@ -1,6 +1,7 @@
 #include "apps/join/distributed_join.h"
 
 #include <cstring>
+#include <utility>
 
 #include "bench_util/workload.h"
 #include "core/replicate_flow.h"
@@ -79,6 +80,63 @@ void JoinClocks(ShuffleSource& a, ShuffleTarget& b) {
   b.clock().AdvanceTo(t);
 }
 
+/// One shuffle phase of a worker: pushes `chunk` through `src`, every 256
+/// pushes hands whatever already arrived at `tgt` to `step`
+/// (compute/communication overlap), then closes `src` and drains `tgt` to
+/// the flow end. Returns the first failed push, close or consume.
+template <typename Step>
+Status ShuffleAndDrain(ShuffleSource& src, ShuffleTarget& tgt,
+                       const std::vector<bench::JoinTuple>& chunk,
+                       Step step) {
+  bool drained = false;
+  uint64_t i = 0;
+  for (const bench::JoinTuple& t : chunk) {
+    DFI_RETURN_IF_ERROR(src.Push(&t));
+    if (++i % 256 != 0) continue;
+    SegmentView seg;
+    ConsumeResult r;
+    while (!drained && tgt.TryConsumeSegment(&seg, &r)) {
+      if (r == ConsumeResult::kFlowEnd) {
+        drained = true;
+      } else if (r != ConsumeResult::kOk) {
+        return tgt.last_status();
+      } else {
+        step(seg);
+      }
+    }
+  }
+  DFI_RETURN_IF_ERROR(src.Close());
+  while (!drained) {
+    SegmentView seg;
+    const ConsumeResult r = tgt.ConsumeSegment(&seg);
+    if (r == ConsumeResult::kFlowEnd) break;
+    if (r != ConsumeResult::kOk) return tgt.last_status();
+    step(seg);
+  }
+  return Status::OK();
+}
+
+/// The first failure of a join's workers. The first one to fail aborts the
+/// join's flows, so workers blocked on the failed one wake with an error
+/// instead of waiting for data that never comes.
+class JoinFailure {
+ public:
+  JoinFailure(DfiRuntime* dfi, std::vector<std::string> flows)
+      : dfi_(dfi), flows_(std::move(flows)) {}
+
+  void Fail(const Status& cause) {
+    if (!status_.ok()) return;
+    status_ = cause;
+    for (const std::string& flow : flows_) (void)dfi_->AbortFlow(flow, cause);
+  }
+  const Status& status() const { return status_; }
+
+ private:
+  DfiRuntime* const dfi_;
+  const std::vector<std::string> flows_;
+  Status status_;
+};
+
 }  // namespace
 
 uint64_t ReferenceJoinMatches(const JoinConfig& config) {
@@ -119,7 +177,7 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
   uint64_t total_matches = 0;
   std::vector<SimTime> t_partition(W), t_total(W);
   exec::ActorGroup actors;
-  bool failed = false;
+  JoinFailure failure(dfi, {"join.inner", "join.outer"});
 
   for (uint32_t w = 0; w < W; ++w) {
     actors.Spawn(w / config.workers_per_node,
@@ -128,9 +186,9 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
       auto tgt1 = dfi->CreateShuffleTarget("join.inner", w);
       auto src2 = dfi->CreateShuffleSource("join.outer", w);
       auto tgt2 = dfi->CreateShuffleTarget("join.outer", w);
-      if (!src1.ok() || !tgt1.ok() || !src2.ok() || !tgt2.ok()) {
-        failed = true;
-        return;
+      for (const Status& s : {src1.status(), tgt1.status(), src2.status(),
+                              tgt2.status()}) {
+        if (!s.ok()) return failure.Fail(s);
       }
       RadixJoinTable table(config.local_radix_bits);
 
@@ -144,39 +202,10 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
             static_cast<SimTime>(n) *
             (sim.tuple_consume_fixed_ns + sim.join_partition_ns));
       };
-      const std::vector<bench::JoinTuple> inner = InnerChunk(config, w);
-      uint64_t i = 0;
-      bool inner_drained = false;
-      for (const bench::JoinTuple& t : inner) {
-        if (!(*src1)->Push(&t).ok()) {
-          failed = true;
-          return;
-        }
-        if (++i % 256 == 0) {
-          // Drain whatever already arrived: compute/communication overlap.
-          SegmentView seg;
-          ConsumeResult r;
-          while (!inner_drained && (*tgt1)->TryConsumeSegment(&seg, &r)) {
-            if (r == ConsumeResult::kFlowEnd) {
-              inner_drained = true;
-              break;
-            }
-            partition_inner_segment(seg);
-          }
-        }
-      }
-      if (!(*src1)->Close().ok()) {
-        failed = true;
-        return;
-      }
-      while (!inner_drained) {
-        SegmentView seg;
-        const ConsumeResult r = (*tgt1)->ConsumeSegment(&seg);
-        if (r == ConsumeResult::kFlowEnd) {
-          inner_drained = true;
-          break;
-        }
-        partition_inner_segment(seg);
+      if (Status s = ShuffleAndDrain(**src1, **tgt1, InnerChunk(config, w),
+                                     partition_inner_segment);
+          !s.ok()) {
+        return failure.Fail(s);
       }
       JoinClocks(**src1, **tgt1);
       t_partition[w] = (*tgt1)->clock().now();
@@ -198,38 +227,10 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
             static_cast<SimTime>(n) *
             (sim.tuple_consume_fixed_ns + sim.join_probe_ns));
       };
-      const std::vector<bench::JoinTuple> outer = OuterChunk(config, w);
-      bool outer_drained = false;
-      i = 0;
-      for (const bench::JoinTuple& t : outer) {
-        if (!(*src2)->Push(&t).ok()) {
-          failed = true;
-          return;
-        }
-        if (++i % 256 == 0) {
-          SegmentView seg;
-          ConsumeResult r;
-          while (!outer_drained && (*tgt2)->TryConsumeSegment(&seg, &r)) {
-            if (r == ConsumeResult::kFlowEnd) {
-              outer_drained = true;
-              break;
-            }
-            probe_segment(seg);
-          }
-        }
-      }
-      if (!(*src2)->Close().ok()) {
-        failed = true;
-        return;
-      }
-      while (!outer_drained) {
-        SegmentView seg;
-        const ConsumeResult r = (*tgt2)->ConsumeSegment(&seg);
-        if (r == ConsumeResult::kFlowEnd) {
-          outer_drained = true;
-          break;
-        }
-        probe_segment(seg);
+      if (Status s = ShuffleAndDrain(**src2, **tgt2, OuterChunk(config, w),
+                                     probe_segment);
+          !s.ok()) {
+        return failure.Fail(s);
       }
       JoinClocks(**src2, **tgt2);
       total_matches += matches;
@@ -237,8 +238,9 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
     });
   }
   actors.Join();
-  DFI_RETURN_IF_ERROR(dfi->RemoveFlows({"join.inner", "join.outer"}));
-  if (failed) return Status::Internal("join worker failed");
+  const Status removed = dfi->RemoveFlows({"join.inner", "join.outer"});
+  DFI_RETURN_IF_ERROR(failure.status());
+  DFI_RETURN_IF_ERROR(removed);
 
   JoinResult result;
   result.matches = total_matches;
@@ -466,7 +468,7 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
 
   uint64_t total_matches = 0;
   std::vector<SimTime> t_repl(W), t_total(W);
-  bool failed = false;
+  JoinFailure failure(dfi, {"join.replicate"});
   exec::ActorGroup actors;
 
   for (uint32_t w = 0; w < W; ++w) {
@@ -474,25 +476,20 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
                  "repl.worker." + std::to_string(w), [&, w] {
       auto src = dfi->CreateReplicateSource("join.replicate", w);
       auto tgt = dfi->CreateReplicateTarget("join.replicate", w);
-      if (!src.ok() || !tgt.ok()) {
-        failed = true;
-        return;
-      }
+      if (!src.ok()) return failure.Fail(src.status());
+      if (!tgt.ok()) return failure.Fail(tgt.status());
       // Replicate the inner fragment to everyone.
       for (const bench::JoinTuple& t : InnerChunk(config, w)) {
-        if (!(*src)->Push(&t).ok()) {
-          failed = true;
-          return;
-        }
+        if (Status s = (*src)->Push(&t); !s.ok()) return failure.Fail(s);
       }
-      if (!(*src)->Close().ok()) {
-        failed = true;
-        return;
-      }
+      if (Status s = (*src)->Close(); !s.ok()) return failure.Fail(s);
       // Receive the full inner relation into one unpartitioned table.
       RadixJoinTable table(0);
       SegmentView seg;
-      while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
+      for (;;) {
+        const ConsumeResult r = (*tgt)->ConsumeSegment(&seg);
+        if (r == ConsumeResult::kFlowEnd) break;
+        if (r != ConsumeResult::kOk) return failure.Fail((*tgt)->last_status());
         const size_t n = SegmentTuples(seg);
         for (size_t i = 0; i < n; ++i) table.Add(SegmentKey(seg, i));
         (*tgt)->clock().Advance(
@@ -513,8 +510,9 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
     });
   }
   actors.Join();
-  DFI_RETURN_IF_ERROR(dfi->RemoveFlow("join.replicate"));
-  if (failed) return Status::Internal("replicate join worker failed");
+  const Status removed = dfi->RemoveFlow("join.replicate");
+  DFI_RETURN_IF_ERROR(failure.status());
+  DFI_RETURN_IF_ERROR(removed);
 
   JoinResult result;
   result.matches = total_matches;

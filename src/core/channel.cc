@@ -95,7 +95,6 @@ ChannelSource::ChannelSource(ChannelShared* shared,
       config_->tuple_push_fixed_ns +
       static_cast<SimTime>(
           std::llround(tuple_size * config_->tuple_copy_ns_per_byte));
-  shared_->set_source_node(source_ctx->node_id());
   send_cq_ = source_ctx->CreateCq();
   qp_ = source_ctx->CreateRcQp(shared_->target_node(), send_cq_);
   const uint32_t capacity = shared_->ring().payload_capacity();
@@ -109,7 +108,9 @@ ChannelSource::ChannelSource(ChannelShared* shared,
 }
 
 ChannelSource::~ChannelSource() {
-  if (!closed_) {
+  // A poisoned channel was torn down on purpose (flow abort, crashed
+  // peer): its target observes the teardown, not a missing end-of-flow.
+  if (!closed_ && !shared_->poisoned()) {
     DFI_LOG(WARNING) << "ChannelSource destroyed without Close(); the "
                         "target will never observe end-of-flow";
   }
@@ -172,7 +173,7 @@ void ChannelSource::Abort(const Status& cause) {
   if (ReadyGate* gate = shared_->target_gate(); gate != nullptr) {
     gate->Notify();
   }
-  if (ReadyGate* wake = shared_->steal_wake(); wake != nullptr) {
+  if (RingSync* wake = shared_->steal_wake(); wake != nullptr) {
     wake->Notify();
   }
 }
@@ -421,16 +422,6 @@ Status ChannelSource::TransmitSegment(const uint8_t* payload, uint32_t fill,
 // ---------------------------------------------------------------------------
 // ChannelTargetCursor
 // ---------------------------------------------------------------------------
-
-ChannelTargetCursor::ChannelTargetCursor(ChannelShared* shared,
-                                         VirtualClock* clock)
-    : shared_(shared), clock_(clock) {}
-
-bool ChannelTargetCursor::TryConsume(SegmentView* view) {
-  return TryConsume(view, clock_);
-}
-
-void ChannelTargetCursor::Release() { Release(clock_); }
 
 bool ChannelTargetCursor::TryConsume(SegmentView* view, VirtualClock* clock) {
   Release(clock);

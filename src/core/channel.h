@@ -83,10 +83,10 @@ class ChannelShared {
   }
 
   /// Optional extra wakeup for a same-node work-stealing sink group: each
-  /// delivery (and teardown) bumps this gate's version in addition to the
-  /// owning target's gate, so idle sibling sinks wake up to steal.
-  void set_steal_wake(ReadyGate* wake) { steal_wake_ = wake; }
-  ReadyGate* steal_wake() const { return steal_wake_; }
+  /// delivery (and teardown) bumps it in addition to the owning target's
+  /// gate, so idle sibling sinks wake up to steal.
+  void set_steal_wake(RingSync* wake) { steal_wake_ = wake; }
+  RingSync* steal_wake() const { return steal_wake_; }
 
   /// Delivery/consume announcements shared by both channel halves: update
   /// the load board and (on delivery) kick the steal group's wakeup.
@@ -112,11 +112,6 @@ class ChannelShared {
   /// Fault plan of the fabric this channel lives on (never null).
   const net::FaultPlan* fault_plan() const { return fault_plan_; }
 
-  /// Records which node the source half runs on (set when the source
-  /// attaches); lets a blocked target ask the fault plan about its peer.
-  void set_source_node(net::NodeId node) { source_node_ = node; }
-  net::NodeId source_node() const { return source_node_; }
-
   /// Tears the channel down: both halves observe poisoned() on their next
   /// poll and blocked threads are woken. The first cause wins; subsequent
   /// calls are no-ops.
@@ -131,7 +126,6 @@ class ChannelShared {
   const uint16_t source_index_;
   const net::NodeId target_node_;
   const net::FaultPlan* fault_plan_;
-  net::NodeId source_node_ = net::kInvalidNode;
   rdma::MemoryRegion* ring_mr_;    // owned by the target's RdmaContext
   rdma::MemoryRegion* credit_mr_;  // latency-mode credit counter
   SegmentRing ring_;
@@ -139,7 +133,7 @@ class ChannelShared {
   ReadyGate* target_gate_ = nullptr;
   TargetLoadBoard* load_board_ = nullptr;
   uint32_t load_target_ = 0;
-  ReadyGate* steal_wake_ = nullptr;
+  RingSync* steal_wake_ = nullptr;
   uint32_t inflight_ = 0;
   std::vector<SimTime> slot_free_time_;
   bool poisoned_ = false;
@@ -248,42 +242,35 @@ class ChannelSource {
   alignas(8) uint8_t scratch_footer_[sizeof(SegmentFooter)] = {};
 };
 
-/// Target half of a channel: a cursor over the target-side ring. Owned and
-/// driven by exactly one target thread (possibly interleaved with cursors
-/// of the target's other channels).
+/// Target half of a channel: a cursor over the target-side ring. Lives in
+/// its target's column of the channel matrix (by value, in source order);
+/// whichever sink consumes through it passes its own clock, so the sink
+/// that eats a segment pays for it.
 class ChannelTargetCursor {
  public:
-  ChannelTargetCursor(ChannelShared* shared, VirtualClock* clock);
+  explicit ChannelTargetCursor(ChannelShared* shared) : shared_(shared) {}
 
   ChannelTargetCursor(const ChannelTargetCursor&) = delete;
   ChannelTargetCursor& operator=(const ChannelTargetCursor&) = delete;
-  ChannelTargetCursor(ChannelTargetCursor&&) = delete;
+  ChannelTargetCursor(ChannelTargetCursor&&) = default;
 
-  /// Non-blocking: if the next segment is consumable, fills `view` and
-  /// returns true. The previous segment (if any) is released first.
-  bool TryConsume(SegmentView* view);
-
-  /// Releases the segment returned by the last TryConsume, flipping it back
-  /// to writable (paper: "sets the state to writable on subsequent consume
-  /// calls"). No-op if nothing is held.
-  void Release();
-
-  /// Work-stealing variants: same protocol, but arrival/consume time is
-  /// charged against the *consuming sink's* clock rather than the clock the
-  /// cursor was constructed with — a stealing sibling pays for what it
-  /// eats. The caller (the steal column) serializes access to the cursor.
+  /// Non-blocking: if the next segment is consumable, fills `view`,
+  /// advances `clock` to its arrival and returns true. The previous
+  /// segment (if any) is released first.
   bool TryConsume(SegmentView* view, VirtualClock* clock);
+
+  /// Releases the segment returned by the last TryConsume at `clock`'s
+  /// time, flipping it back to writable (paper: "sets the state to
+  /// writable on subsequent consume calls"). No-op if nothing is held.
   void Release(VirtualClock* clock);
 
   /// True once the end-of-flow segment has been consumed and released.
   bool exhausted() const { return exhausted_; }
 
-  RingSync& sync() { return shared_->sync(); }
-  ChannelShared* shared() { return shared_; }
+  ChannelShared* shared() const { return shared_; }
 
  private:
-  ChannelShared* const shared_;
-  VirtualClock* const clock_;
+  ChannelShared* shared_;
   uint64_t consume_seq_ = 0;
   bool holding_ = false;
   bool exhausted_ = false;

@@ -60,8 +60,9 @@ CombinerTarget::CombinerTarget(std::shared_ptr<CombinerFlowState> state,
       config_(&state_->env()->config()) {
   DFI_CHECK_LT(target_index_, state_->num_targets());
   const CombinerFlowSpec& spec = state_->spec();
-  sink_.emplace(state_->matrix(), target_index_, &spec.schema, config_,
-                &clock_, "combiner", state_->source_nodes());
+  sink_.emplace(state_->matrix(), target_index_, /*group=*/nullptr,
+                &spec.schema, config_, &clock_, "combiner",
+                state_->source_nodes());
   aggregator_.emplace(&spec.schema, &spec.aggregates, spec.group_by_index,
                       config_, &clock_);
 }

@@ -54,12 +54,6 @@ class CombinerFlowState : public FlowStateBase {
   uint32_t num_targets() const {
     return static_cast<uint32_t>(spec_.targets.size());
   }
-  ChannelShared* channel(uint32_t source, uint32_t target) {
-    return matrix_.channel(source, target);
-  }
-  ReadyGate* target_gate(uint32_t target) {
-    return matrix_.target_gate(target);
-  }
   net::NodeId source_node(uint32_t source) const {
     return source_nodes_[source];
   }

@@ -13,7 +13,11 @@ ChannelMatrix::ChannelMatrix(rdma::RdmaEnv* env, const FlowOptions& options,
       num_targets_(static_cast<uint32_t>(target_nodes.size())) {
   DFI_CHECK_GT(num_sources_, 0u);
   DFI_CHECK_GT(num_targets_, 0u);
-  target_gates_ = std::make_unique<ReadyGate[]>(num_targets_);
+  columns_ = std::make_unique<TargetColumn[]>(num_targets_);
+  for (uint32_t t = 0; t < num_targets_; ++t) {
+    columns_[t].index = t;
+    columns_[t].cursors.reserve(num_sources_);
+  }
   if (options_.adaptive.enabled) {
     load_board_ = std::make_unique<TargetLoadBoard>(
         num_targets_, kBackpressureHighSegments, kBackpressureLowSegments);
@@ -24,7 +28,8 @@ ChannelMatrix::ChannelMatrix(rdma::RdmaEnv* env, const FlowOptions& options,
       auto channel = std::make_unique<ChannelShared>(
           env->context(target_nodes[t]), options_, tuple_size_,
           static_cast<uint16_t>(s));
-      channel->set_target_gate(&target_gates_[t]);
+      channel->set_target_gate(&columns_[t].gate);
+      columns_[t].cursors.emplace_back(channel.get());
       if (load_board_ != nullptr) {
         channel->set_load_board(load_board_.get(), t);
       }

@@ -4,15 +4,48 @@
 #include <memory>
 #include <vector>
 
+#include "common/sim_time.h"
 #include "core/channel.h"
 #include "core/endpoint/backpressure.h"
 #include "core/flow_options.h"
+#include "core/ring_sync.h"
 #include "rdma/rdma_env.h"
 
 namespace dfi {
 
+/// One target thread's column of the matrix: the cursors over its
+/// per-source rings and the consume state its sink keeps. Without work
+/// stealing one sink drains the column; in a steal group (flow_sink.h)
+/// every sink of the group may pop from it, and `busy`/`deferred`
+/// serialize them.
+struct TargetColumn {
+  /// Ready-channel gate every ring of the column announces deliveries on.
+  ReadyGate gate;
+  uint32_t index = 0;  ///< target index within the matrix
+  /// One cursor per source ring, in source order.
+  std::vector<ChannelTargetCursor> cursors;
+  uint32_t exhausted = 0;  ///< cursors that reached end-of-flow
+
+  /// Steal-group state, sized when the column joins a group (empty
+  /// otherwise). A cursor checked out by one sink is `busy` for the
+  /// others; gate entries popped while their cursor was busy are counted
+  /// in `deferred` and replayed onto the gate when it is released, so no
+  /// delivery announcement is lost and the pop loop never cycles.
+  std::vector<uint8_t> busy;
+  std::vector<uint32_t> deferred;
+  /// Virtual clock and estimated per-segment cost of the column's own
+  /// sink, published on each of its consume calls; the group's
+  /// level-filling schedule reads them (FlowSink::LevelGroup).
+  SimTime owner_now = 0;
+  SimTime owner_cost = 0;
+
+  bool AllExhausted() const {
+    return exhausted == static_cast<uint32_t>(cursors.size());
+  }
+};
+
 /// The private channel fabric of one flow: an N x M matrix of
-/// source->target segment-ring channels plus one ReadyGate per target
+/// source->target segment-ring channels plus one TargetColumn per target
 /// thread (paper Figure 5 — every (source thread, target thread) pair gets
 /// its own ring so no synchronization is needed on the data path). All
 /// three flow types build exactly this structure for the one-sided
@@ -21,7 +54,7 @@ class ChannelMatrix {
  public:
   ChannelMatrix() = default;
 
-  /// Allocates every ring on its target's node and wires the gates.
+  /// Allocates every ring on its target's node and wires the columns.
   ChannelMatrix(rdma::RdmaEnv* env, const FlowOptions& options,
                 uint32_t tuple_size, uint32_t num_sources,
                 const std::vector<net::NodeId>& target_nodes);
@@ -39,9 +72,7 @@ class ChannelMatrix {
     return channels_[static_cast<size_t>(source) * num_targets_ + target]
         .get();
   }
-  ReadyGate* target_gate(uint32_t target) const {
-    return &target_gates_[target];
-  }
+  TargetColumn* column(uint32_t target) const { return &columns_[target]; }
 
   /// Per-target queue-depth board (null unless the flow opted into
   /// adaptive shuffling — the static path never allocates or touches it,
@@ -64,7 +95,7 @@ class ChannelMatrix {
   uint32_t num_sources_ = 0;
   uint32_t num_targets_ = 0;
   std::vector<std::unique_ptr<ChannelShared>> channels_;
-  std::unique_ptr<ReadyGate[]> target_gates_;
+  std::unique_ptr<TargetColumn[]> columns_;
   std::unique_ptr<TargetLoadBoard> load_board_;
 };
 

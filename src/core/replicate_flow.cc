@@ -81,9 +81,9 @@ ReplicateTarget::ReplicateTarget(std::shared_ptr<ReplicateFlowState> state,
                         config, &clock_, "replicate",
                         state_->source_nodes(), state_->abort_latch());
   } else {
-    sink_.emplace(state_->matrix(), target_index_, &spec.schema, config,
-                  &clock_, "replicate", state_->source_nodes(),
-                  state_->abort_latch());
+    sink_.emplace(state_->matrix(), target_index_, /*group=*/nullptr,
+                  &spec.schema, config, &clock_, "replicate",
+                  state_->source_nodes(), state_->abort_latch());
   }
 }
 

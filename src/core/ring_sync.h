@@ -20,7 +20,8 @@ class RingSync {
   RingSync(const RingSync&) = delete;
   RingSync& operator=(const RingSync&) = delete;
 
-  /// Wakes all waiters; call after any footer state change.
+  /// Wakes all waiters; call after any footer state change. Every wakeup
+  /// also bumps the process-wide progress epoch once.
   void Notify() {
     ++version_;
     wait_point_.WakeAll();
@@ -39,8 +40,8 @@ class RingSync {
   uint64_t version_ = 0;
 };
 
-/// Per-target ready-channel gate: RingSync-style versioned wakeups plus a
-/// multi-producer queue of channel indices with pending deliveries.
+/// Per-target ready-channel gate: a RingSync whose wakeups may carry the
+/// index of the channel that delivered.
 ///
 /// Every channel of one target thread shares the target's gate. A source
 /// enqueues its channel index right after delivering a segment (one entry
@@ -54,19 +55,13 @@ class RingSync {
 /// TryConsume can be matched to one popped entry. Pops that find nothing
 /// consumable (e.g. an end marker already recycled) are skipped by the
 /// consumer.
-class ReadyGate {
+class ReadyGate : public RingSync {
  public:
-  ReadyGate() = default;
-  ReadyGate(const ReadyGate&) = delete;
-  ReadyGate& operator=(const ReadyGate&) = delete;
-
   /// Announces one delivered segment on `channel_index` and wakes the
   /// target.
   void Enqueue(uint32_t channel_index) {
     ready_.push_back(channel_index);
-    ++version_;
-    wait_point_.WakeAll();
-    exec::BumpProgress();
+    Notify();
   }
 
   /// Pops the oldest announced channel index; false when none is pending.
@@ -77,24 +72,8 @@ class ReadyGate {
     return true;
   }
 
-  /// Version-only wakeup (no ready entry), e.g. for state changes that are
-  /// not segment deliveries.
-  void Notify() {
-    ++version_;
-    wait_point_.WakeAll();
-    exec::BumpProgress();
-  }
-
-  /// Lost-wakeup-safe two-phase waiting, as in RingSync: capture the
-  /// version *before* draining the queue.
-  uint64_t version() const { return version_; }
-
-  exec::WaitPoint& wait_point() { return wait_point_; }
-
  private:
-  exec::WaitPoint wait_point_;
   std::deque<uint32_t> ready_;
-  uint64_t version_ = 0;
 };
 
 }  // namespace dfi

@@ -1,5 +1,6 @@
 #include "core/shuffle_flow.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -25,33 +26,25 @@ ShuffleFlowState::ShuffleFlowState(ShuffleFlowSpec spec, rdma::RdmaEnv* env)
       static_cast<uint32_t>(spec_.schema.tuple_size()), num_sources(),
       target_nodes_);
 
-  // Work-stealing plane: shared per-target columns grouped per node, plus
-  // the group wakeups every delivery bumps.
+  // Work-stealing plane: the matrix columns grouped per node, plus the
+  // group wakeups every delivery bumps. A node that hosts one target keeps
+  // its one-column group, so that sink runs the group's schedule too.
   if (spec_.options.adaptive.enabled) {
-    steal_columns_.reserve(num_targets());
     group_of_target_.resize(num_targets());
     std::vector<net::NodeId> group_nodes;
     for (uint32_t t = 0; t < num_targets(); ++t) {
-      steal_columns_.push_back(
-          std::make_unique<StealColumn>(&matrix_, t));
-      SinkStealGroup* group = nullptr;
-      for (size_t g = 0; g < group_nodes.size(); ++g) {
-        if (group_nodes[g] == target_nodes_[t]) {
-          group = steal_groups_[g].get();
-          break;
-        }
-      }
-      if (group == nullptr) {
-        steal_groups_.push_back(std::make_unique<SinkStealGroup>());
+      const size_t g = std::find(group_nodes.begin(), group_nodes.end(),
+                                 target_nodes_[t]) -
+                       group_nodes.begin();
+      if (g == group_nodes.size()) {
         group_nodes.push_back(target_nodes_[t]);
-        group = steal_groups_.back().get();
+        steal_groups_.push_back(std::make_unique<SinkStealGroup>());
       }
-      group->AddColumn(steal_columns_.back().get());
+      SinkStealGroup* group = steal_groups_[g].get();
+      group->AddColumn(matrix_.column(t));
       group_of_target_[t] = group;
-    }
-    for (uint32_t s = 0; s < num_sources(); ++s) {
-      for (uint32_t t = 0; t < num_targets(); ++t) {
-        matrix_.channel(s, t)->set_steal_wake(&group_of_target_[t]->wake());
+      for (uint32_t s = 0; s < num_sources(); ++s) {
+        matrix_.channel(s, t)->set_steal_wake(&group->wake());
       }
     }
   }
@@ -94,16 +87,10 @@ ShuffleTarget::ShuffleTarget(std::shared_ptr<ShuffleFlowState> state,
                              uint32_t target_index)
     : state_(std::move(state)), target_index_(target_index) {
   DFI_CHECK_LT(target_index_, state_->num_targets());
-  if (StealColumn* column = state_->steal_column(target_index_);
-      column != nullptr) {
-    sink_.emplace(column, state_->steal_group_of(target_index_),
-                  &state_->spec().schema, &state_->env()->config(), &clock_,
-                  "shuffle", state_->source_nodes());
-  } else {
-    sink_.emplace(state_->matrix(), target_index_, &state_->spec().schema,
-                  &state_->env()->config(), &clock_, "shuffle",
-                  state_->source_nodes());
-  }
+  sink_.emplace(state_->matrix(), target_index_,
+                state_->steal_group_of(target_index_),
+                &state_->spec().schema, &state_->env()->config(), &clock_,
+                "shuffle", state_->source_nodes());
 }
 
 }  // namespace dfi

@@ -55,12 +55,6 @@ class ShuffleFlowState : public FlowStateBase {
     return static_cast<uint32_t>(spec_.targets.size());
   }
 
-  ChannelShared* channel(uint32_t source, uint32_t target) {
-    return matrix_.channel(source, target);
-  }
-  ReadyGate* target_gate(uint32_t target) {
-    return matrix_.target_gate(target);
-  }
   net::NodeId source_node(uint32_t source) const {
     return source_nodes_[source];
   }
@@ -71,14 +65,11 @@ class ShuffleFlowState : public FlowStateBase {
     return target_nodes_;
   }
 
-  /// Work-stealing plane (adaptive shuffles): one shared column per
-  /// target, grouped per node.
-  /// Null when the flow runs the exclusive-sink path.
-  StealColumn* steal_column(uint32_t target) const {
-    return steal_columns_.empty() ? nullptr : steal_columns_[target].get();
-  }
+  /// Work-stealing plane (adaptive shuffles): the steal group of the
+  /// target's node, over the matrix columns of its targets. Null when the
+  /// flow is not adaptive: its sinks have no siblings.
   SinkStealGroup* steal_group_of(uint32_t target) const {
-    return steal_columns_.empty() ? nullptr : group_of_target_[target];
+    return group_of_target_.empty() ? nullptr : group_of_target_[target];
   }
 
   /// Registered bytes of all rings of this flow on `node` (memory
@@ -99,8 +90,7 @@ class ShuffleFlowState : public FlowStateBase {
   std::vector<net::NodeId> source_nodes_;
   std::vector<net::NodeId> target_nodes_;
   ChannelMatrix matrix_;
-  // Work-stealing plane; empty unless enabled (see steal_column()).
-  std::vector<std::unique_ptr<StealColumn>> steal_columns_;
+  // Work-stealing plane; empty unless adaptive (see steal_group_of()).
   std::vector<std::unique_ptr<SinkStealGroup>> steal_groups_;  // per node
   std::vector<SinkStealGroup*> group_of_target_;
 };

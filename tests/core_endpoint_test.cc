@@ -44,8 +44,8 @@ class EndpointTest : public ::testing::Test {
 
   FlowSink MakeSink(ChannelMatrix* matrix, VirtualClock* clock,
                     const AbortLatch* latch = nullptr) {
-    return FlowSink(matrix, /*target_index=*/0, &schema_, &env_.config(),
-                    clock, "endpoint", {nodes_[0]}, latch);
+    return FlowSink(matrix, /*target_index=*/0, /*group=*/nullptr, &schema_,
+                    &env_.config(), clock, "endpoint", {nodes_[0]}, latch);
   }
 
   net::Fabric fabric_;
@@ -266,6 +266,112 @@ TEST_F(EndpointTest, FlowAbortLatchUnblocksSink) {
   engine.Run();
   EXPECT_EQ(sink.last_status().code(), StatusCode::kPeerFailed)
       << sink.last_status();
+}
+
+// A sink without siblings drains its column alone: no pacing, no level
+// filling, no busy marking and no group wakeups. Draining k delivered
+// segments and the end marker bumps the progress epoch once per release
+// (k + 1), as the exclusive sink before the one drain loop did; the
+// consensus loops that park on the epoch (Fig 15) see the same wakeups. A
+// one-column steal group wakes its group on every release on top.
+TEST_F(EndpointTest, SinkWithoutSiblingsBumpsProgressOncePerRelease) {
+  constexpr uint64_t kSegments = 5;
+  FlowOptions options;
+  options.segment_size = 64;  // 4 tuples per segment
+  options.segments_per_ring = 16;
+  auto drain = [&](bool grouped) {
+    ChannelMatrix matrix = MakeMatrix(options);
+    SinkStealGroup group;
+    if (grouped) {
+      group.AddColumn(matrix.column(0));
+      matrix.channel(0, 0)->set_steal_wake(&group.wake());
+    }
+    {
+      exec::Engine engine;
+      engine.Spawn(0, "producer", [&] {
+        VirtualClock clock;
+        FlowEndpoint endpoint(&matrix, 0, env_.context(nodes_[0]), &clock);
+        for (uint64_t i = 0; i < kSegments * 4; ++i) {
+          Rec rec{i, 0};
+          ASSERT_TRUE(endpoint.PushTo(&rec, 0).ok());
+        }
+        ASSERT_TRUE(endpoint.Close().ok());
+      });
+      engine.Run();
+    }
+    VirtualClock clock;
+    FlowSink sink(&matrix, /*target_index=*/0, grouped ? &group : nullptr,
+                  &schema_, &env_.config(), &clock, "endpoint", {nodes_[0]});
+    uint64_t segments = 0;
+    uint64_t bumps = 0;
+    exec::Engine engine;
+    engine.Spawn(1, "consumer", [&] {
+      const uint64_t before = exec::ProgressEpoch();
+      SegmentView view;
+      ConsumeResult r;
+      while ((r = sink.ConsumeSegment(&view)) == ConsumeResult::kOk) {
+        ++segments;
+      }
+      EXPECT_EQ(r, ConsumeResult::kFlowEnd) << sink.last_status();
+      bumps = exec::ProgressEpoch() - before;
+    });
+    engine.Run();
+    EXPECT_EQ(segments, kSegments);
+    return bumps;
+  };
+  EXPECT_EQ(drain(/*grouped=*/false), kSegments + 1);
+  EXPECT_GT(drain(/*grouped=*/true), kSegments + 1);
+}
+
+// Two sinks of one steal group never hold the same channel at once: while
+// sink A iterates segment 0 of its channel, sink B (below the group's
+// clock, so allowed to steal) finds the channel's next announcement busy
+// and defers it; A's release replays it, and A then consumes segment 1 in
+// ring order. Taking the cursor anyway would release A's segment under it.
+TEST_F(EndpointTest, StealGroupDefersAChannelASiblingHolds) {
+  FlowOptions options;
+  options.segment_size = 64;     // 4 tuples per segment
+  options.segments_per_ring = 2;  // two delivered segments fill the ring
+  ChannelMatrix matrix(&env_, options, kTupleSize, /*num_sources=*/1,
+                       {nodes_[1], nodes_[1]});
+  SinkStealGroup group;
+  for (uint32_t t = 0; t < 2; ++t) {
+    group.AddColumn(matrix.column(t));
+    matrix.channel(0, t)->set_steal_wake(&group.wake());
+  }
+  VirtualClock clock_a;
+  VirtualClock clock_b;
+  FlowSink sink_a(&matrix, 0, &group, &schema_, &env_.config(), &clock_a,
+                  "endpoint", {nodes_[0]});
+  FlowSink sink_b(&matrix, 1, &group, &schema_, &env_.config(), &clock_b,
+                  "endpoint", {nodes_[0]});
+  exec::Engine engine;
+  engine.Spawn(0, "sinks", [&] {
+    VirtualClock source_clock;
+    FlowEndpoint endpoint(&matrix, 0, env_.context(nodes_[0]),
+                          &source_clock);
+    for (uint64_t i = 0; i < 8; ++i) {
+      Rec rec{i, 0};
+      ASSERT_TRUE(endpoint.PushTo(&rec, 0).ok());
+    }
+    // A runs ahead of B, and its full ring keeps it from deferring its
+    // own column to B.
+    clock_a.AdvanceTo(1 * kMillisecond);
+    SegmentView view;
+    ConsumeResult r;
+    ASSERT_TRUE(sink_a.TryConsumeSegment(&view, &r));
+    EXPECT_EQ(r, ConsumeResult::kOk);
+    EXPECT_EQ(view.sequence, 0u);
+    EXPECT_FALSE(sink_b.TryConsumeSegment(&view, &r))
+        << "B took segment " << view.sequence << " of a channel A holds";
+    ASSERT_TRUE(sink_a.TryConsumeSegment(&view, &r));
+    EXPECT_EQ(r, ConsumeResult::kOk);
+    EXPECT_EQ(view.sequence, 1u);
+    EXPECT_EQ(view.target_column, 0u);
+    EXPECT_EQ(sink_b.stolen_segments(), 0u);
+    endpoint.Abort(Status::Aborted("test done"));
+  });
+  engine.Run();
 }
 
 // AbortLatch semantics the flows rely on: first cause wins, OK causes are

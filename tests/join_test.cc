@@ -4,6 +4,7 @@
 
 #include "bench_util/workload.h"
 #include "common/exec/engine.h"
+#include "common/units.h"
 
 namespace dfi::join {
 namespace {
@@ -204,6 +205,38 @@ TEST_F(DistributedJoinTest, JoinsChargeTheirSimConfigCosts) {
       EXPECT_GT(doubled->phases.total, base->phases.total);
       EXPECT_EQ(doubled->matches, base->matches);
     }
+  }
+}
+
+TEST_F(DistributedJoinTest, CrashedNodeFailsTheJoin) {
+  // A node that crashes mid-join fails the DFI joins with a Status: every
+  // worker stops on its failed push, close or consume, and the first
+  // failure aborts the join's flows so no worker waits on a dead peer.
+  struct Case {
+    const char* name;
+    Join join;
+    uint64_t inner_tuples;
+    SimTime crash_at;
+  };
+  const Case cases[] = {
+      {"dfi radix", Join::kDfiRadix, 1 << 14, 150 * kMicrosecond},
+      {"dfi replicate", Join::kDfiReplicate, 1 << 10, 1 * kMicrosecond},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    JoinConfig cfg = SmallConfig();
+    cfg.inner_tuples = c.inner_tuples;
+    net::Fabric fabric;
+    fabric.fault_plan().CrashNode(1, c.crash_at);
+    auto addrs = SetUpNodes(&fabric, cfg.num_nodes);
+    DfiRuntime dfi(&fabric);
+    auto result = OnEngine([&]() -> StatusOr<JoinResult> {
+      return c.join == Join::kDfiRadix
+                 ? RunDfiRadixJoin(&dfi, addrs, cfg)
+                 : RunDfiReplicateJoin(&dfi, addrs, cfg);
+    });
+    EXPECT_EQ(result.status().code(), StatusCode::kPeerFailed)
+        << result.status();
   }
 }
 
