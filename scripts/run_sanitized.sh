@@ -40,6 +40,10 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 "$BUILD/tests/core_shuffle_test" --gtest_repeat=3 --gtest_shuffle
 "$BUILD/tests/core_replicate_test" --gtest_repeat=3 --gtest_shuffle
 "$BUILD/tests/chaos_flow_test" --gtest_repeat=3 --gtest_shuffle
+# Destroying an RdmaEnv destroys its device contexts first, whose regions
+# and UD queue pairs deregister from the env's directories (the rkey
+# directory is a plain array): shake the verbs suites' teardown order.
+"$BUILD/tests/rdma_test" --gtest_repeat=3 --gtest_shuffle
 # The link scheduler keeps its gaps in a gap buffer: raw index arithmetic
 # over memmove, checked against a map-based reference on seeded streams.
 "$BUILD/tests/net_test" --gtest_filter='LinkScheduler*' --gtest_repeat=3 --gtest_shuffle

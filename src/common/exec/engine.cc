@@ -227,9 +227,12 @@ void SwitchContextDying(FiberCtx* from, FiberCtx* to) {
 }  // namespace
 
 struct Engine::Impl {
-  static bool RunAfter(const Task* a, const Task* b) {
-    return a->vt != b->vt ? a->vt > b->vt : a->id > b->id;
-  }
+  /// Run-heap order: true when `a` runs after `b`, by (vt, id).
+  struct RunAfter {
+    bool operator()(const Task* a, const Task* b) const {
+      return a->vt != b->vt ? a->vt > b->vt : a->id > b->id;
+    }
+  };
 
   EngineOptions opts;
   Engine* self = nullptr;
@@ -246,7 +249,7 @@ struct Engine::Impl {
   void MakeRunnable(Task* t) {
     t->state = Task::State::kRunnable;
     run_.push_back(t);
-    std::push_heap(run_.begin(), run_.end(), RunAfter);
+    std::push_heap(run_.begin(), run_.end(), RunAfter{});
   }
 
   /// Earliest virtual time of any runnable task or pending timer (the
@@ -272,10 +275,31 @@ struct Engine::Impl {
       MakeRunnable(t);
     }
     if (run_.empty()) return nullptr;
-    std::pop_heap(run_.begin(), run_.end(), RunAfter);
+    std::pop_heap(run_.begin(), run_.end(), RunAfter{});
     Task* t = run_.back();
     run_.pop_back();
     return t;
+  }
+
+  /// Hands the thread from `t`, which just parked or re-entered the run
+  /// queue, straight to the task the scheduler loop would dispatch next:
+  /// the same PopNext, without the round trip through the loop. Returns at
+  /// once when that task is `t` itself. With nothing runnable it switches
+  /// to the loop, which reports the stall.
+  void SwitchAway(Task* t) {
+    Task* next = PopNext();
+    if (next == t) {
+      t->state = Task::State::kRunning;
+      return;
+    }
+    if (next == nullptr) {
+      SwitchContext(&t->ctx, &sched_ctx_);
+      return;
+    }
+    next->state = Task::State::kRunning;
+    g_current_task = next;
+    SwitchContext(&t->ctx, &next->ctx);
+    // Resumed: whichever task handed over set g_current_task to `t`.
   }
 
   // ---- timer heap --------------------------------------------------------
@@ -467,15 +491,20 @@ struct Engine::Impl {
 #if defined(DFI_EXEC_TSAN)
     sched_ctx_.tsan_fiber = __tsan_get_current_fiber();
 #endif
+    // Parking and yielding tasks hand the thread to each other
+    // (SwitchAway), so the loop only starts the run, takes over after a
+    // task finished, and reports a stall.
     while (live_ > 0) {
       Task* t = PopNext();
       if (t == nullptr) ReportStall();
       t->state = Task::State::kRunning;
       g_current_task = t;
       SwitchContext(&sched_ctx_, &t->ctx);
-      // The task parked, yielded or finished.
+      // Back from whichever task ran last: it finished, or it found nothing
+      // runnable. A finished task's fiber is released off its own stack.
+      Task* last = g_current_task;
       g_current_task = nullptr;
-      if (t->state == Task::State::kDone) ReleaseFiber(t);
+      if (last->state == Task::State::kDone) ReleaseFiber(last);
     }
   }
 };
@@ -527,7 +556,7 @@ WakeCause Engine::ParkImpl(WaitPoint* wp, bool (*changed)(void*), void* arg,
     t->timed_key = std::max(wake_at, t->vt);
     im->ArmTimer(t);
   }
-  SwitchContext(&t->ctx, &im->sched_ctx_);
+  im->SwitchAway(t);
   t->wp = nullptr;
   return t->wake_cause;
 }
@@ -537,7 +566,7 @@ void Engine::Yield(SimTime now) {
   DFI_CHECK(t != nullptr) << "Engine::Yield called outside an engine task";
   if (now >= 0) t->vt = now;
   t->impl->MakeRunnable(t);
-  SwitchContext(&t->ctx, &t->impl->sched_ctx_);
+  t->impl->SwitchAway(t);
 }
 
 void Engine::Pace(SimTime now) {

@@ -61,9 +61,11 @@ struct EngineOptions {
 /// syscall). One run queue ordered by (virtual time, spawn id) and one
 /// timer heap decide what runs next: the scheduler releases every timer
 /// that is due no later than the earliest runnable task and dispatches the
-/// minimal task, which runs until it parks, yields or finishes. Blocking
-/// primitives park the fiber (WaitPoint), so hundreds of emulated nodes run
-/// on the calling thread, and a run is bit-deterministic.
+/// minimal task, which runs until it parks, yields or finishes. A task that
+/// parks or yields makes that choice itself and switches straight to the
+/// chosen task. Blocking primitives park the fiber (WaitPoint), so hundreds
+/// of emulated nodes run on the calling thread, and a run is
+/// bit-deterministic.
 ///
 /// Usage:
 ///   exec::Engine engine;

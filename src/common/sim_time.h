@@ -12,6 +12,15 @@ namespace dfi {
 /// section 5).
 using SimTime = int64_t;
 
+/// Rounds a non-negative virtual-time cost to whole ns, half away from
+/// zero: exactly std::llround for finite 0 <= x < 2^63, without the libm
+/// call. x - trunc(x) is exact for such x (both share x's binade or trunc
+/// is 0), so the comparison with 0.5 sees the true fraction.
+inline SimTime RoundNs(double x) {
+  const SimTime whole = static_cast<SimTime>(x);
+  return x - static_cast<double>(whole) >= 0.5 ? whole + 1 : whole;
+}
+
 /// Per-thread virtual clock. Every flow source/target thread (and every
 /// mini-MPI rank) owns one. The owning thread advances it by CPU cost-model
 /// charges; cross-thread causality joins it with timestamps carried on

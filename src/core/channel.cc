@@ -1,7 +1,6 @@
 #include "core/channel.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "common/exec/engine.h"
@@ -93,8 +92,7 @@ ChannelSource::ChannelSource(ChannelShared* shared,
   const uint32_t tuple_size = shared_->tuple_size();
   tuple_push_cost_ns_ =
       config_->tuple_push_fixed_ns +
-      static_cast<SimTime>(
-          std::llround(tuple_size * config_->tuple_copy_ns_per_byte));
+      RoundNs(tuple_size * config_->tuple_copy_ns_per_byte);
   send_cq_ = source_ctx->CreateCq();
   qp_ = source_ctx->CreateRcQp(shared_->target_node(), send_cq_);
   const uint32_t capacity = shared_->ring().payload_capacity();
@@ -119,7 +117,7 @@ ChannelSource::~ChannelSource() {
 Status ChannelSource::Seal(uint32_t fill) {
   if (fill == 0) return Status::OK();
   const uint8_t* payload = staging_.payload(staging_slot_);
-  staging_slot_ = (staging_slot_ + 1) % staging_.num_segments();
+  staging_slot_ = staging_.next_slot(staging_slot_);
   return TransmitSegment(payload, fill, /*end=*/false);
 }
 
@@ -157,15 +155,13 @@ void ChannelSource::Abort(const Status& cause) {
   // the write fails — e.g. our own node is the one the fault plan crashed —
   // the shared poison state above already did the job.
   const SegmentRing& ring = shared_->ring();
-  const uint64_t seq = latency_ ? sent_tuples_ : send_seq_;
-  const uint32_t idx = static_cast<uint32_t>(seq % ring.num_segments());
   uint8_t poison_flag = kFlagPoisoned;
   rdma::WriteDesc desc;
   desc.local = &poison_flag;
-  desc.remote = shared_->ring_mr()->RefAt(ring.footer_offset(idx) +
+  desc.remote = shared_->ring_mr()->RefAt(ring.footer_offset(target_slot_) +
                                           sizeof(SegmentFooter) - 1);
   desc.length = 1;
-  desc.wr_id = seq;
+  desc.wr_id = send_seq_;
   desc.signaled = false;
   desc.inlined = true;
   (void)qp_->PostWrite(desc, clock_);
@@ -249,7 +245,7 @@ Status ChannelSource::EnsureRemoteWritable(uint32_t idx) {
 Status ChannelSource::EnsureCredit() {
   const uint32_t slots = shared_->ring().num_segments();
   const uint64_t threshold = std::max<uint64_t>(1, slots / 4);
-  uint64_t avail = slots - (sent_tuples_ - cached_consumed_);
+  uint64_t avail = slots - (send_seq_ - cached_consumed_);
   if (avail > threshold) return Status::OK();
   // The refresh reads the consumer's counter: let a consumer that lags
   // behind in virtual time catch up first, or the read sees stale credit.
@@ -269,17 +265,16 @@ Status ChannelSource::EnsureCredit() {
     return Status::OK();
   };
   DFI_RETURN_IF_ERROR(refresh());
-  avail = slots - (sent_tuples_ - cached_consumed_);
+  avail = slots - (send_seq_ - cached_consumed_);
 
   DeadlineWait wait(shared_->options(), clock_);
   RingSync& sync = shared_->sync();
   while (avail == 0) {
     const uint64_t seen = sync.version();
     if (shared_->LoadConsumed() > cached_consumed_) {
-      clock_->AdvanceTo(shared_->slot_free_time(
-          static_cast<uint32_t>(sent_tuples_ % slots)));
+      clock_->AdvanceTo(shared_->slot_free_time(target_slot_));
       DFI_RETURN_IF_ERROR(refresh());
-      avail = slots - (sent_tuples_ - cached_consumed_);
+      avail = slots - (send_seq_ - cached_consumed_);
       continue;
     }
     if (shared_->poisoned()) {
@@ -310,8 +305,7 @@ Status ChannelSource::TransmitSegment(const uint8_t* payload, uint32_t fill,
   // path cost; the latency path writes a single prepared tuple slot.
   clock_->Advance(latency_ ? config_->segment_seal_ns / 4
                            : config_->segment_seal_ns);
-  const uint64_t seq = latency_ ? sent_tuples_ : send_seq_;
-  const uint32_t idx = static_cast<uint32_t>(seq % ring.num_segments());
+  const uint32_t idx = target_slot_;
 
   if (latency_) {
     DFI_RETURN_IF_ERROR(EnsureCredit());
@@ -322,8 +316,7 @@ Status ChannelSource::TransmitSegment(const uint8_t* payload, uint32_t fill,
   // Selective signaling: request a completion only when the source ring
   // wraps around (paper section 5.2); latency mode is unsignaled + inlined.
   const bool wrap =
-      !latency_ &&
-      (send_seq_ % staging_.num_segments()) == staging_.num_segments() - 1;
+      !latency_ && staging_wrap_ == staging_.num_segments() - 1;
   if (wrap && signal_outstanding_) {
     // Reap the completion of the *previous* wrap before overwriting more
     // staging slots. In steady state that ack lies in the past (it was
@@ -338,7 +331,7 @@ Status ChannelSource::TransmitSegment(const uint8_t* payload, uint32_t fill,
   // given (payload always points at a staging slot base).
   auto* footer = reinterpret_cast<SegmentFooter*>(
       const_cast<uint8_t*>(payload) + ring.payload_capacity());
-  footer->sequence = seq;
+  footer->sequence = send_seq_;
   footer->fill_bytes = fill;
   footer->source_index = shared_->source_index();
   footer->reserved = 0;
@@ -360,7 +353,7 @@ Status ChannelSource::TransmitSegment(const uint8_t* payload, uint32_t fill,
     desc.local = payload;
     desc.remote = shared_->ring_mr()->RefAt(ring.slot_offset(idx));
     desc.length = len;
-    desc.wr_id = seq;
+    desc.wr_id = send_seq_;
     desc.signaled = wrap;
     desc.inlined = inlined;
     DFI_RETURN_IF_ERROR(qp_->CommitWrite(desc, t));
@@ -372,7 +365,7 @@ Status ChannelSource::TransmitSegment(const uint8_t* payload, uint32_t fill,
       body.local = payload;
       body.remote = shared_->ring_mr()->RefAt(ring.slot_offset(idx));
       body.length = fill;
-      body.wr_id = seq;
+      body.wr_id = send_seq_;
       auto t = qp_->PostWrite(body, clock_);
       if (!t.ok()) return t.status();
     }
@@ -384,7 +377,7 @@ Status ChannelSource::TransmitSegment(const uint8_t* payload, uint32_t fill,
     fdesc.local = footer;
     fdesc.remote = shared_->ring_mr()->RefAt(ring.footer_offset(idx));
     fdesc.length = sizeof(SegmentFooter);
-    fdesc.wr_id = seq;
+    fdesc.wr_id = send_seq_;
     fdesc.signaled = wrap;
     fdesc.inlined = inlined;
     DFI_RETURN_IF_ERROR(qp_->CommitWrite(fdesc, t));
@@ -399,14 +392,11 @@ Status ChannelSource::TransmitSegment(const uint8_t* payload, uint32_t fill,
   }
   shared_->AnnounceDelivered();
 
-  if (latency_) {
-    ++sent_tuples_;
-  } else {
+  if (!latency_) {
     // Pipelined prefetch of the *next* target footer (paper section 5.2):
     // issued back-to-back with this write so the next transmit usually
     // finds the slot state already known.
-    const uint32_t next_idx =
-        static_cast<uint32_t>((send_seq_ + 1) % ring.num_segments());
+    const uint32_t next_idx = ring.next_slot(idx);
     rdma::ReadDesc prefetch;
     prefetch.local = scratch_footer_;
     prefetch.remote = shared_->ring_mr()->RefAt(ring.footer_offset(next_idx));
@@ -416,6 +406,8 @@ Status ChannelSource::TransmitSegment(const uint8_t* payload, uint32_t fill,
     ++footer_reads_;
   }
   ++send_seq_;
+  target_slot_ = ring.next_slot(idx);
+  staging_wrap_ = staging_.next_slot(staging_wrap_);
   return Status::OK();
 }
 
@@ -427,8 +419,7 @@ bool ChannelTargetCursor::TryConsume(SegmentView* view, VirtualClock* clock) {
   Release(clock);
   if (exhausted_) return false;
   const SegmentRing& ring = shared_->ring();
-  const uint32_t idx = static_cast<uint32_t>(
-      consume_seq_ % ring.num_segments());
+  const uint32_t idx = consume_slot_;
   const uint8_t flags = ring.LoadFlags(idx);
   if ((flags & kFlagPoisoned) != 0) {
     // The source published a poisoned footer (Abort mid-flow); latch the
@@ -453,8 +444,7 @@ bool ChannelTargetCursor::TryConsume(SegmentView* view, VirtualClock* clock) {
 void ChannelTargetCursor::Release(VirtualClock* clock) {
   if (!holding_) return;
   const SegmentRing& ring = shared_->ring();
-  const uint32_t idx = static_cast<uint32_t>(
-      consume_seq_ % ring.num_segments());
+  const uint32_t idx = consume_slot_;
   SegmentFooter* footer = ring.footer(idx);
   const bool end = footer->end_of_flow();
   footer->fill_bytes = 0;
@@ -466,7 +456,7 @@ void ChannelTargetCursor::Release(VirtualClock* clock) {
   }
   shared_->AnnounceConsumed();
   shared_->sync().Notify();
-  ++consume_seq_;
+  consume_slot_ = ring.next_slot(idx);
   holding_ = false;
   if (end) exhausted_ = true;
 }

@@ -231,10 +231,13 @@ class ChannelSource {
   // Source-side staging ring (registered memory on the source node).
   rdma::MemoryRegion* staging_mr_ = nullptr;
   SegmentRing staging_;
-  uint32_t staging_slot_ = 0;
+  uint32_t staging_slot_ = 0;  // the open window's slot
 
-  uint64_t send_seq_ = 0;       // segments transmitted
-  uint64_t sent_tuples_ = 0;    // latency mode: writes issued
+  uint64_t send_seq_ = 0;  // segments transmitted (latency mode: tuples)
+  // send_seq_ modulo the target ring's and the staging ring's slot counts,
+  // advanced together with it.
+  uint32_t target_slot_ = 0;
+  uint32_t staging_wrap_ = 0;
   uint64_t cached_consumed_ = 0;  // latency mode: last read credit value
   uint64_t footer_reads_ = 0;
   bool signal_outstanding_ = false;
@@ -271,7 +274,7 @@ class ChannelTargetCursor {
 
  private:
   ChannelShared* shared_;
-  uint64_t consume_seq_ = 0;
+  uint32_t consume_slot_ = 0;  // ring slot of the next segment to consume
   bool holding_ = false;
   bool exhausted_ = false;
 };

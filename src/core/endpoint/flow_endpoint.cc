@@ -1,7 +1,6 @@
 #include "core/endpoint/flow_endpoint.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -130,8 +129,7 @@ Status FanoutEndpoint::Push(const void* tuple, uint32_t len) {
   if (len != charged_len_) [[unlikely]] {
     charged_len_ = len;
     push_charge_ = config_->tuple_push_fixed_ns +
-                   static_cast<SimTime>(
-                       std::llround(len * config_->tuple_copy_ns_per_byte));
+                   RoundNs(len * config_->tuple_copy_ns_per_byte);
   }
   clock_->Advance(push_charge_);
 
@@ -156,7 +154,7 @@ Status FanoutEndpoint::Flush() {
   const uint32_t fill = fill_;
   fill_ = 0;
   Status s = Transmit(fill, false);
-  staging_slot_ = (staging_slot_ + 1) % staging_.num_segments();
+  staging_slot_ = staging_.next_slot(staging_slot_);
   return s;
 }
 

@@ -64,8 +64,9 @@ bool FlowSink::ScanColumn(TargetColumn* col, SegmentView* out,
       ++col->deferred[idx];
       continue;
     }
-    SegmentView view;
-    if (!cursor.TryConsume(&view, clock_)) {
+    // Consumed straight into the caller's view (unspecified unless the
+    // result is kOk): a local copy would reload the fields just written.
+    if (!cursor.TryConsume(out, clock_)) {
       // Entry raced an earlier pop that consumed this delivery. The stale
       // entry is an artifact of the ready list's real-time mirror of ring
       // state — how many occur depends on host scheduling, not on emulated
@@ -77,7 +78,7 @@ bool FlowSink::ScanColumn(TargetColumn* col, SegmentView* out,
       continue;
     }
     clock_->Advance(config_->consume_segment_fixed_ns);
-    if (view.bytes == 0) {
+    if (out->bytes == 0) {
       // Pure end-of-flow marker: recycle silently. (End markers may also
       // carry a final partial payload; those are surfaced normally.) In a
       // group the exhaustion can complete the group, so Recycle wakes it.
@@ -94,8 +95,7 @@ bool FlowSink::ScanColumn(TargetColumn* col, SegmentView* out,
       cost_sample_armed_ = true;
       cost_sample_start_ = clock_->now();
     }
-    view.target_column = static_cast<uint16_t>(col->index);
-    *out = view;
+    out->target_column = static_cast<uint16_t>(col->index);
     *out_result = ConsumeResult::kOk;
     return true;
   }

@@ -70,10 +70,12 @@ class FlowSink {
   /// Non-blocking: releases the previously returned segment, then serves
   /// the next delivered one. Returns false if nothing is currently
   /// consumable (out_result distinguishes empty from flow end / error).
+  /// `*out` is unspecified unless the result is kOk.
   bool TryConsumeSegment(SegmentView* out, ConsumeResult* out_result);
 
   /// Blocking: next whole segment, zero-copy. The view is valid until the
-  /// next ConsumeSegment/Consume call.
+  /// next ConsumeSegment/Consume call, and unspecified unless the result
+  /// is kOk.
   ConsumeResult ConsumeSegment(SegmentView* out);
 
   /// Blocking: next tuple out of the flow. Returns kFlowEnd once every
@@ -94,7 +96,8 @@ class FlowSink {
   /// Releases cursor `idx` of `col` and counts its exhaustion; in a group
   /// also frees the cursor for the siblings and wakes them.
   void Recycle(TargetColumn* col, uint32_t idx);
-  /// Pops and consumes from one column; fills out/out_result on success.
+  /// Pops and consumes from one column; fills out/out_result on success
+  /// (`*out` may be overwritten on failure too).
   bool ScanColumn(TargetColumn* col, SegmentView* out,
                   ConsumeResult* out_result);
   /// Steal group only: paces, publishes this sink's clock and cost on its

@@ -1,8 +1,10 @@
 #ifndef DFI_CORE_RING_SYNC_H_
 #define DFI_CORE_RING_SYNC_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "common/exec/engine.h"
 
@@ -55,25 +57,41 @@ class RingSync {
 /// TryConsume can be matched to one popped entry. Pops that find nothing
 /// consumable (e.g. an end marker already recycled) are skipped by the
 /// consumer.
+///
+/// The pending indices sit in a power-of-two ring that doubles when full,
+/// so an announcement costs a store and a mask.
 class ReadyGate : public RingSync {
  public:
   /// Announces one delivered segment on `channel_index` and wakes the
   /// target.
   void Enqueue(uint32_t channel_index) {
-    ready_.push_back(channel_index);
+    if (count_ == ready_.size()) Grow();
+    ready_[(head_ + count_) & (ready_.size() - 1)] = channel_index;
+    ++count_;
     Notify();
   }
 
   /// Pops the oldest announced channel index; false when none is pending.
   bool TryDequeue(uint32_t* channel_index) {
-    if (ready_.empty()) return false;
-    *channel_index = ready_.front();
-    ready_.pop_front();
+    if (count_ == 0) return false;
+    *channel_index = ready_[head_];
+    head_ = (head_ + 1) & (ready_.size() - 1);
+    --count_;
     return true;
   }
 
  private:
-  std::deque<uint32_t> ready_;
+  /// Doubles the full ring (16 slots at first), rotating the oldest entry
+  /// to slot 0 so the entries stay in order.
+  void Grow() {
+    std::rotate(ready_.begin(), ready_.begin() + head_, ready_.end());
+    head_ = 0;
+    ready_.resize(std::max<size_t>(16, 2 * ready_.size()));
+  }
+
+  std::vector<uint32_t> ready_;
+  size_t head_ = 0;   // slot of the oldest entry
+  size_t count_ = 0;  // entries pending
 };
 
 }  // namespace dfi

@@ -72,6 +72,12 @@ class SegmentRing {
     return static_cast<size_t>(slot_bytes()) * num_segments_;
   }
 
+  /// The slot after `index`, wrapping to 0: a compare, where
+  /// `seq % num_segments()` on a 64-bit sequence is a divide.
+  uint32_t next_slot(uint32_t index) const {
+    return index + 1 == num_segments_ ? 0 : index + 1;
+  }
+
   uint8_t* slot(uint32_t index) const {
     DFI_DCHECK(index < num_segments_);
     return base_ + static_cast<size_t>(index) * slot_bytes();

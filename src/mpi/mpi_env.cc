@@ -1,6 +1,5 @@
 #include "mpi/mpi_env.h"
 
-#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -76,8 +75,7 @@ Status MpiEnv::Send(int src_rank, int dst_rank, int tag, const void* buf,
   if (bytes <= cfg.mpi_eager_threshold) {
     // Eager protocol: payload copied into MPI internal buffers and shipped
     // immediately; the sender returns without waiting for the receiver.
-    clock->Advance(static_cast<SimTime>(
-        std::llround(bytes * cfg.tuple_copy_ns_per_byte)));
+    clock->Advance(RoundNs(bytes * cfg.tuple_copy_ns_per_byte));
     const net::TransferWindow egress =
         fabric_->node(rank_nodes_[src_rank])
             .egress()
@@ -149,8 +147,7 @@ Status MpiEnv::Recv(int dst_rank, int src_rank, int tag, void* buf,
   if (!msg->rendezvous) {
     std::memcpy(buf, msg->data.data(), bytes);
     clock->AdvanceTo(msg->arrival);
-    clock->Advance(static_cast<SimTime>(
-        std::llround(bytes * cfg.tuple_copy_ns_per_byte)));
+    clock->Advance(RoundNs(bytes * cfg.tuple_copy_ns_per_byte));
     return Status::OK();
   }
 
@@ -221,8 +218,8 @@ Status MpiEnv::Alltoall(int rank, const void* sendbuf, void* recvbuf,
     uint8_t* dst = static_cast<uint8_t*>(a2a_recv_[q]) + rank * bytes_per_rank;
     if (q == rank) {
       std::memcpy(dst, src, bytes_per_rank);
-      done = std::max(done, t0 + static_cast<SimTime>(std::llround(
-                                bytes_per_rank * cfg.tuple_copy_ns_per_byte)));
+      done = std::max(done, t0 + RoundNs(bytes_per_rank *
+                                         cfg.tuple_copy_ns_per_byte));
       continue;
     }
     const net::TransferWindow egress =

@@ -1,7 +1,6 @@
 #include "net/link.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -34,8 +33,7 @@ TransferWindow LinkScheduler::Reserve(SimTime ready, uint64_t bytes) {
     ns_per_byte /=
         fault_plan_->LinkRateFactor(node_, ready, bytes_per_ns_ * 8.0);
   }
-  const SimTime duration = static_cast<SimTime>(
-      std::llround(static_cast<double>(bytes) * ns_per_byte));
+  const SimTime duration = RoundNs(static_cast<double>(bytes) * ns_per_byte);
   const SimTime horizon = exec::Engine::Horizon();
   busy_time_ += duration;
   total_bytes_ += bytes;

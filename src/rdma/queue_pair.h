@@ -25,6 +25,10 @@ class RdmaEnv;
 /// PlanWrite/CommitWrite split one write into timing computation and
 /// execution so the payload may embed its own arrival timestamp (DFI's
 /// segment footers do this).
+///
+/// The connection is resolved once, at construction: the fabric's cost
+/// model and fault plan and both nodes' NIC links, so a verb looks up
+/// only the rkey it targets.
 class RcQueuePair {
  public:
   RcQueuePair(RdmaEnv* env, net::NodeId local, net::NodeId remote,
@@ -71,9 +75,15 @@ class RcQueuePair {
   OpTiming PlanRoundTrip(uint32_t response_bytes, VirtualClock* clock);
 
   RdmaEnv* const env_;
+  const net::SimConfig* const config_;
+  const net::FaultPlan* const fault_plan_;
   const net::NodeId local_;
   const net::NodeId remote_;
   CompletionQueue* const send_cq_;
+  net::LinkScheduler* const local_egress_;
+  net::LinkScheduler* const local_ingress_;
+  net::LinkScheduler* const remote_egress_;
+  net::LinkScheduler* const remote_ingress_;
 };
 
 }  // namespace dfi::rdma

@@ -13,7 +13,11 @@ RdmaEnv::RdmaEnv(net::Fabric* fabric) : fabric_(fabric) {
   DFI_CHECK(fabric != nullptr);
 }
 
-RdmaEnv::~RdmaEnv() = default;
+RdmaEnv::~RdmaEnv() {
+  // The contexts go first: their regions and UD queue pairs deregister
+  // from the directories below, which must still be alive.
+  contexts_.clear();
+}
 
 RdmaContext* RdmaEnv::context(net::NodeId node) {
   auto it = contexts_.find(node);
@@ -25,19 +29,20 @@ RdmaContext* RdmaEnv::context(net::NodeId node) {
 }
 
 uint32_t RdmaEnv::RegisterMr(uint8_t* base, size_t length, net::NodeId node) {
-  const uint32_t rkey = next_rkey_++;
-  mrs_[rkey] = MrInfo{base, length, node};
+  const auto rkey = static_cast<uint32_t>(mrs_.size());
+  mrs_.push_back(MrInfo{base, length, node});
   return rkey;
 }
 
-void RdmaEnv::DeregisterMr(uint32_t rkey) { mrs_.erase(rkey); }
+void RdmaEnv::DeregisterMr(uint32_t rkey) {
+  if (rkey < mrs_.size()) mrs_[rkey] = MrInfo{};
+}
 
 StatusOr<MrInfo> RdmaEnv::ResolveMr(uint32_t rkey) const {
-  auto it = mrs_.find(rkey);
-  if (it == mrs_.end()) {
+  if (rkey >= mrs_.size() || mrs_[rkey].node == net::kInvalidNode) {
     return Status::NotFound("rkey " + std::to_string(rkey));
   }
-  return it->second;
+  return mrs_[rkey];
 }
 
 StatusOr<uint8_t*> RdmaEnv::ResolveRemote(const RemoteRef& ref,

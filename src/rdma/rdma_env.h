@@ -27,7 +27,9 @@ struct MrInfo {
 
 /// Fabric-wide RDMA environment: owns one RdmaContext ("device context")
 /// per node, the rkey directory used to resolve one-sided accesses, and the
-/// UD queue-pair directory used for datagram/multicast delivery.
+/// UD queue-pair directory used for datagram/multicast delivery. The rkey
+/// directory is an array indexed by rkey: rkeys are handed out densely
+/// from 1 and never reused, so a resolve is one bounds check and a load.
 ///
 /// In a real deployment each of these directories is distributed (rkeys are
 /// exchanged out-of-band, UD QPNs via the subnet manager); centralizing
@@ -49,6 +51,7 @@ class RdmaEnv {
   /// rkey directory -------------------------------------------------------
   uint32_t RegisterMr(uint8_t* base, size_t length, net::NodeId node);
   void DeregisterMr(uint32_t rkey);
+  /// NotFound for an rkey never handed out or already deregistered.
   StatusOr<MrInfo> ResolveMr(uint32_t rkey) const;
   /// Resolves a RemoteRef to a raw pointer, checking bounds.
   StatusOr<uint8_t*> ResolveRemote(const RemoteRef& ref, uint32_t length) const;
@@ -64,8 +67,9 @@ class RdmaEnv {
   net::Fabric* const fabric_;
 
   std::unordered_map<net::NodeId, std::unique_ptr<RdmaContext>> contexts_;
-  uint32_t next_rkey_ = 1;
-  std::unordered_map<uint32_t, MrInfo> mrs_;
+  /// Indexed by rkey; slot 0 (never an rkey) and deregistered slots hold
+  /// an MrInfo with node kInvalidNode.
+  std::vector<MrInfo> mrs_{1};
   uint32_t next_qpn_ = 1;
   std::unordered_map<uint32_t, UdQueuePair*> ud_qps_;
   std::unordered_map<net::MulticastGroupId, std::vector<UdQueuePair*>>

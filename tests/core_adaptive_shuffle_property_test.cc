@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <iterator>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -413,6 +415,140 @@ TEST_F(AdaptiveShufflePropertyTest, CrashMidMigrationFailsCleanly) {
   EXPECT_TRUE(std::includes(pushed.begin(), pushed.end(), consumed.begin(),
                             consumed.end()))
       << "a tuple was invented during teardown";
+}
+
+/// One segment a sink consumed from an adaptive shuffle.
+struct ChannelDelivery {
+  uint32_t sink = 0;
+  uint16_t column = 0;
+  uint16_t source = 0;
+  uint64_t sequence = 0;
+  SimTime arrival = 0;
+  SimTime consumed_at = 0;  // the sink's clock once it got the segment
+  std::vector<uint64_t> payloads;  // each tuple's index in its relation
+  bool operator==(const ChannelDelivery&) const = default;
+};
+
+/// Target t of the single-target-node shuffle lives on this node: node 1
+/// hosts target 3 alone.
+constexpr uint32_t kSingleNodeOf[] = {0, 0, 0, 1, 2, 2};
+constexpr uint32_t kSingleTargets = std::size(kSingleNodeOf);
+
+/// Runs one adaptive shuffle of `relations` over three nodes, one of which
+/// hosts a single target, and returns every segment in the order the
+/// sinks consumed them. Each sink spends 50 ns of virtual time per tuple,
+/// so skewed columns fall behind and their siblings steal. The lone
+/// target's sink is a steal group of one column: it paces like its peers,
+/// with no sibling to steal from.
+std::vector<ChannelDelivery> RunSingleTargetNodeShuffle(
+    const std::vector<std::vector<JoinTuple>>& relations) {
+  net::Fabric fabric;
+  std::vector<std::string> addrs;
+  for (net::NodeId id : fabric.AddNodes(3)) {
+    addrs.push_back(fabric.node(id).address());
+  }
+  DfiRuntime dfi(&fabric);
+  ShuffleFlowSpec spec;
+  spec.name = "single-target-node";
+  for (uint32_t s = 0; s < relations.size(); ++s) {
+    spec.sources.Append(Endpoint{addrs[s % addrs.size()], s});
+  }
+  for (uint32_t t = 0; t < kSingleTargets; ++t) {
+    spec.targets.Append(Endpoint{addrs[kSingleNodeOf[t]], t});
+  }
+  spec.schema = KeyPayloadSchema();
+  spec.options.adaptive.enabled = true;
+  spec.options.adaptive.hot_factor = 1.0;
+  spec.options.adaptive.epoch_tuples = 512;
+  EXPECT_TRUE(dfi.InitShuffleFlow(std::move(spec)).ok());
+
+  std::vector<ChannelDelivery> log;
+  exec::Engine engine;
+  for (uint32_t s = 0; s < relations.size(); ++s) {
+    engine.Spawn(s, "source", [&, s] {
+      auto src = dfi.CreateShuffleSource("single-target-node", s);
+      ASSERT_TRUE(src.ok());
+      for (const auto& t : relations[s]) ASSERT_TRUE((*src)->Push(&t).ok());
+      ASSERT_TRUE((*src)->Close().ok());
+    });
+  }
+  for (uint32_t t = 0; t < kSingleTargets; ++t) {
+    engine.Spawn(t, "target", [&, t] {
+      auto tgt = dfi.CreateShuffleTarget("single-target-node", t);
+      ASSERT_TRUE(tgt.ok());
+      SegmentView seg;
+      ConsumeResult r;
+      while ((r = (*tgt)->ConsumeSegment(&seg)) == ConsumeResult::kOk) {
+        ChannelDelivery d{t, seg.target_column, seg.source_index,
+                          seg.sequence, seg.arrival, (*tgt)->clock().now(),
+                          {}};
+        for (uint32_t off = 0; off + sizeof(JoinTuple) <= seg.bytes;
+             off += sizeof(JoinTuple)) {
+          JoinTuple j;
+          std::memcpy(&j, seg.payload + off, sizeof(j));
+          // Re-splitting and stealing stay on the key's home node.
+          EXPECT_EQ(kSingleNodeOf[HashU64(j.key) % kSingleTargets],
+                    kSingleNodeOf[seg.target_column]);
+          d.payloads.push_back(j.payload);
+        }
+        (*tgt)->clock().Advance(50 * static_cast<SimTime>(d.payloads.size()));
+        log.push_back(std::move(d));
+      }
+      EXPECT_EQ(r, ConsumeResult::kFlowEnd);
+    });
+  }
+  engine.Run();
+  return log;
+}
+
+TEST(AdaptiveSingleTargetNodeTest, ExactlyOncePerChannelAndRepeatable) {
+  // Each (source, column) channel must serve its segments once each in
+  // ring order, carrying its source's tuples in push order; together the
+  // channels of a source carry every tuple of it exactly once. The lone
+  // target's one-column group must neither steal nor be stolen from, and
+  // two runs must consume the same segments in the same order at the same
+  // virtual times.
+  std::vector<std::vector<JoinTuple>> relations;
+  for (uint32_t s = 0; s < 4; ++s) {
+    relations.push_back(
+        bench::GenerateZipfianRelation(4096, 1 << 16, 1.2, 11 + s));
+    for (size_t i = 0; i < relations[s].size(); ++i) {
+      relations[s][i].payload = i;
+    }
+  }
+  const std::vector<ChannelDelivery> log =
+      RunSingleTargetNodeShuffle(relations);
+
+  uint64_t stolen = 0;
+  std::vector<std::vector<uint64_t>> seen(relations.size());
+  for (uint32_t s = 0; s < relations.size(); ++s) {
+    for (uint32_t c = 0; c < kSingleTargets; ++c) {
+      int64_t last_sequence = -1;
+      int64_t last_payload = -1;
+      for (const ChannelDelivery& d : log) {
+        if (d.source != s || d.column != c) continue;
+        EXPECT_GT(static_cast<int64_t>(d.sequence), last_sequence)
+            << "channel " << s << "->" << c << " repeated or reordered";
+        last_sequence = static_cast<int64_t>(d.sequence);
+        for (const uint64_t p : d.payloads) {
+          EXPECT_GT(static_cast<int64_t>(p), last_payload);
+          last_payload = static_cast<int64_t>(p);
+          seen[s].push_back(p);
+        }
+      }
+    }
+    std::sort(seen[s].begin(), seen[s].end());
+    ASSERT_EQ(seen[s].size(), relations[s].size()) << "source " << s;
+    for (size_t i = 0; i < seen[s].size(); ++i) ASSERT_EQ(seen[s][i], i);
+  }
+  for (const ChannelDelivery& d : log) {
+    if (d.sink != d.column) ++stolen;
+    EXPECT_EQ(d.sink == 3, d.column == 3)
+        << "the lone target's column left its sink";
+  }
+  EXPECT_GT(stolen, 0u) << "no sink stole; the flow exercised no group";
+
+  EXPECT_EQ(RunSingleTargetNodeShuffle(relations), log);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ring_sync.h"
+
 #include <vector>
 
 namespace dfi {
@@ -52,6 +54,38 @@ TEST(SegmentRingTest, FooterIsEightAlignedWithinSlot) {
     EXPECT_EQ(reinterpret_cast<uintptr_t>(ring.footer(i)) % 8, 0u)
         << "footer " << i;
   }
+}
+
+TEST(SegmentRingTest, NextSlotWrapsLikeTheSequenceModulo) {
+  for (uint32_t slots : {2u, 3u, 5u, 8u}) {
+    std::vector<uint8_t> mem(slots * (64 + sizeof(SegmentFooter)));
+    SegmentRing ring(mem.data(), 64, slots);
+    uint32_t slot = 0;
+    for (uint64_t seq = 0; seq < 4 * slots; ++seq) {
+      ASSERT_EQ(slot, seq % slots);
+      slot = ring.next_slot(slot);
+    }
+  }
+}
+
+TEST(ReadyGateTest, ServesAnnouncementsInOrderAcrossGrowth) {
+  // Interleaved enqueues and pops move the head around the ring before
+  // each growth, so every doubling has to unwrap it.
+  ReadyGate gate;
+  uint32_t next_in = 0;
+  uint32_t next_out = 0;
+  uint32_t got = 0;
+  for (uint32_t round = 0; round < 12; ++round) {
+    for (uint32_t i = 0; i < 3 * round + 5; ++i) gate.Enqueue(next_in++);
+    for (uint32_t i = 0; i < 2 * round + 3; ++i) {
+      ASSERT_TRUE(gate.TryDequeue(&got));
+      ASSERT_EQ(got, next_out++);
+    }
+  }
+  while (gate.TryDequeue(&got)) ASSERT_EQ(got, next_out++);
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_GT(next_in, 64u);  // several doublings past the first 16 slots
+  EXPECT_EQ(gate.version(), next_in);  // one Notify per announcement
 }
 
 }  // namespace

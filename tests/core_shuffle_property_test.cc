@@ -22,6 +22,7 @@ struct GridParam {
   uint32_t num_targets;
   uint32_t tuple_payload;  // extra kChar bytes beyond the 8-byte key
   uint64_t tuples_per_source;
+  uint32_t source_segments = 4;  // bandwidth mode's staging-ring slots
 };
 
 std::string ParamName(const ::testing::TestParamInfo<GridParam>& info) {
@@ -32,6 +33,7 @@ std::string ParamName(const ::testing::TestParamInfo<GridParam>& info) {
   s += "_n" + std::to_string(p.num_sources);
   s += "_m" + std::to_string(p.num_targets);
   s += "_t" + std::to_string(8 + p.tuple_payload);
+  if (p.source_segments != 4) s += "_src" + std::to_string(p.source_segments);
   return s;
 }
 
@@ -66,6 +68,7 @@ TEST_P(ShufflePropertyTest, ExactlyOnceCorrectlyPartitioned) {
   spec.options.optimization = p.opt;
   spec.options.segment_size = p.segment_size;
   spec.options.segments_per_ring = p.segments_per_ring;
+  spec.options.source_segments = p.source_segments;
   ASSERT_TRUE(dfi.InitShuffleFlow(std::move(spec)).ok());
 
   const uint64_t total = p.num_sources * p.tuples_per_source;
@@ -139,6 +142,23 @@ INSTANTIATE_TEST_SUITE_P(
         GridParam{FlowOptimization::kLatency, 0, 2, 1, 1, 0, 1000},
         GridParam{FlowOptimization::kLatency, 0, 16, 2, 2, 0, 800},
         GridParam{FlowOptimization::kLatency, 0, 8, 1, 1, 40, 800}),
+    ParamName);
+
+// Target rings and staging rings whose slot counts are no power of two: a
+// channel keeps its ring slot indices and wraps them with a compare. A
+// mask in its place skips slots that latency-mode credits count, and the
+// latency rows here lose tuples, while every power-of-two row above still
+// passes.
+INSTANTIATE_TEST_SUITE_P(
+    OddRings, ShufflePropertyTest,
+    ::testing::Values(
+        GridParam{FlowOptimization::kBandwidth, 128, 3, 1, 1, 0, 3000, 3},
+        GridParam{FlowOptimization::kBandwidth, 256, 3, 2, 2, 0, 2500, 3},
+        GridParam{FlowOptimization::kBandwidth, 256, 5, 2, 2, 16, 2500, 3},
+        GridParam{FlowOptimization::kBandwidth, 512, 5, 3, 2, 0, 1500, 5},
+        GridParam{FlowOptimization::kLatency, 0, 3, 1, 1, 0, 1000, 3},
+        GridParam{FlowOptimization::kLatency, 0, 3, 2, 2, 0, 800, 3},
+        GridParam{FlowOptimization::kLatency, 0, 5, 2, 2, 40, 800, 3}),
     ParamName);
 
 }  // namespace

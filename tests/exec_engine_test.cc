@@ -2,8 +2,10 @@
 // scheduling order, WaitPoint park/wake, timed parks (DES jumps) and the
 // timer heap, ActorGroup spawn/join, the progress-epoch idle protocol, the
 // aborts that reject actors and blocking waits outside a task and report a
-// stalled run, and the state the fiber switch must preserve (stack
-// alignment, floating-point control, exception unwinding).
+// stalled run, the state the fiber switch must preserve (stack
+// alignment, floating-point control, exception unwinding), and the
+// dispatch order of seeded task scripts against the scheduling rule
+// written out as a reference model.
 
 #include "common/exec/engine.h"
 
@@ -11,9 +13,12 @@
 #include <cfenv>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -409,6 +414,280 @@ TEST(EngineTest, TimerHeapReleasesInWakeTimeThenSpawnOrder) {
     ties += std::get<0>(timer_wakes[k]) == std::get<0>(timer_wakes[k - 1]);
   }
   EXPECT_GT(ties, 0);
+}
+
+// ---- dispatch order against a reference model -----------------------------
+
+/// One step of a scripted task. `wp` names the wait point of kPark,
+/// kTimedPark and kWake; `delta` is how far kYield and kPace move the
+/// task's clock and how far ahead kTimedPark sets its timer.
+struct ScriptStep {
+  enum Kind : uint8_t { kYield, kPark, kTimedPark, kWake, kPace };
+  Kind kind;
+  uint8_t wp;
+  SimTime delta;
+};
+using Scripts = std::vector<std::vector<ScriptStep>>;
+/// (task, task clock) at the start of every task and at every return from
+/// Yield, Park or Pace: the resumes, and the Paces that did not yield.
+using DispatchTrace = std::vector<std::pair<int, SimTime>>;
+
+constexpr int kScriptTasks = 16;  // task 0 is the clock task, no script
+constexpr int kScriptWaitPoints = 4;
+constexpr int kScriptSteps = 48;
+constexpr SimTime kClockStep = 40;
+constexpr SimTime kScriptLookahead = 100;
+
+Scripts MakeScripts(uint64_t seed) {
+  Xorshift128Plus rng(seed);
+  Scripts scripts(kScriptTasks);
+  for (int t = 1; t < kScriptTasks; ++t) {
+    for (int i = 0; i < kScriptSteps; ++i) {
+      scripts[t].push_back(ScriptStep{
+          static_cast<ScriptStep::Kind>(rng.NextBelow(5)),
+          static_cast<uint8_t>(rng.NextBelow(kScriptWaitPoints)),
+          static_cast<SimTime>(1 + rng.NextBelow(300))});
+    }
+  }
+  return scripts;
+}
+
+/// Runs the scripts on the engine. The clock task (0) never parks: until
+/// every scripted task finished, it wakes the wait points in turn and
+/// yields kClockStep later, so an untimed park always ends.
+DispatchTrace RunScripts(const Scripts& scripts) {
+  Engine engine({.lookahead_ns = kScriptLookahead});
+  WaitPoint wps[kScriptWaitPoints];
+  DispatchTrace trace;
+  int finished = 0;
+  engine.Spawn(0, "clock", [&] {
+    SimTime now = 0;
+    trace.emplace_back(0, now);
+    for (int k = 0; finished < kScriptTasks - 1; ++k) {
+      wps[k % kScriptWaitPoints].WakeAll();
+      now += kClockStep;
+      Engine::Yield(now);
+      trace.emplace_back(0, now);
+    }
+  });
+  for (int t = 1; t < kScriptTasks; ++t) {
+    engine.Spawn(static_cast<uint32_t>(t), "scripted", [&, t] {
+      SimTime now = 0;
+      trace.emplace_back(t, now);
+      for (const ScriptStep& s : scripts[t]) {
+        switch (s.kind) {
+          case ScriptStep::kYield:
+            now += s.delta;
+            Engine::Yield(now);
+            break;
+          case ScriptStep::kPark:
+            Engine::Park(&wps[s.wp], [] { return false; }, now,
+                         Engine::kNoTimer);
+            break;
+          case ScriptStep::kTimedPark:
+            if (Engine::Park(&wps[s.wp], [] { return false; }, now,
+                             now + s.delta) == WakeCause::kTimer) {
+              now += s.delta;
+            }
+            break;
+          case ScriptStep::kWake:
+            wps[s.wp].WakeAll();
+            continue;  // not a scheduling point
+          case ScriptStep::kPace:
+            now += s.delta;
+            Engine::Pace(now);
+            break;
+        }
+        trace.emplace_back(t, now);
+      }
+      ++finished;
+    });
+  }
+  engine.Run();
+  return trace;
+}
+
+/// The engine's scheduling rule, written out over ordered sets: a task
+/// runs until it parks, yields or finishes (Pace yields when the task is
+/// more than the lookahead ahead of the earliest runnable task or timer);
+/// then the timers due at or before the earliest runnable vt (or, with
+/// nothing runnable, the earliest timers) are released in (wake time, id)
+/// order, each at its wake time, and the minimal (vt, id) runs next.
+class DispatchModel {
+ public:
+  explicit DispatchModel(const Scripts& scripts) : scripts_(scripts) {
+    for (int t = 0; t < kScriptTasks; ++t) run_.insert({0, t});
+  }
+
+  DispatchTrace Run() {
+    while (!run_.empty() || !timers_.empty()) {
+      const int t = PopNext();
+      if (t == last_) ++self_handoffs_;
+      last_ = t;
+      Resume(t);
+    }
+    return trace_;
+  }
+
+  /// What the scripts exercised, for the test to check.
+  int timer_wakes() const { return timer_wakes_; }
+  int notified_timed_parks() const { return notified_timed_parks_; }
+  int pace_yields() const { return pace_yields_; }
+  int self_handoffs() const { return self_handoffs_; }
+
+ private:
+  struct ModelTask {
+    size_t pc = 0;  // next script step (clock task: wake-ups issued)
+    SimTime now = 0;
+    SimTime vt = 0;
+    SimTime timer = -1;  // armed wake time, or -1
+    int wp = -1;         // wait point parked on, or -1
+    bool started = false;
+    bool timer_woke = false;
+  };
+
+  SimTime Floor() const {
+    SimTime f = std::numeric_limits<SimTime>::max();
+    if (!run_.empty()) f = run_.begin()->first;
+    if (!timers_.empty()) f = std::min(f, timers_.begin()->first);
+    return f;
+  }
+
+  int PopNext() {
+    const SimTime floor = Floor();
+    while (!timers_.empty() && timers_.begin()->first <= floor) {
+      const auto [key, t] = *timers_.begin();
+      timers_.erase(timers_.begin());
+      std::vector<int>& w = waiters_[tasks_[t].wp];
+      w.erase(std::find(w.begin(), w.end(), t));
+      tasks_[t].timer = -1;
+      tasks_[t].wp = -1;
+      tasks_[t].timer_woke = true;
+      ++timer_wakes_;
+      tasks_[t].vt = key;
+      run_.insert({key, t});
+    }
+    const int t = run_.begin()->second;
+    run_.erase(run_.begin());
+    return t;
+  }
+
+  void WakeAll(int wp) {
+    for (int t : waiters_[wp]) {
+      if (tasks_[t].timer >= 0) {
+        timers_.erase({tasks_[t].timer, t});
+        ++notified_timed_parks_;
+      }
+      tasks_[t].timer = -1;
+      tasks_[t].wp = -1;
+      tasks_[t].timer_woke = false;
+      run_.insert({tasks_[t].vt, t});
+    }
+    waiters_[wp].clear();
+  }
+
+  void Park(int t, int wp, SimTime wake_at) {
+    ModelTask& m = tasks_[t];
+    m.vt = m.now;
+    m.wp = wp;
+    waiters_[wp].push_back(t);
+    if (wake_at >= 0) {
+      m.timer = wake_at;
+      timers_.insert({wake_at, t});
+    }
+  }
+
+  void Yield(int t) {
+    tasks_[t].vt = tasks_[t].now;
+    run_.insert({tasks_[t].vt, t});
+  }
+
+  /// Runs task `t` from where it stopped until it blocks again or ends.
+  void Resume(int t) {
+    ModelTask& m = tasks_[t];
+    if (m.started && t != 0) {
+      const ScriptStep& last = scripts_[t][m.pc - 1];
+      if (last.kind == ScriptStep::kTimedPark && m.timer_woke) {
+        m.now += last.delta;
+      }
+    }
+    m.started = true;
+    trace_.emplace_back(t, m.now);
+    if (t == 0) {
+      if (finished_ == kScriptTasks - 1) return;
+      WakeAll(static_cast<int>(m.pc++ % kScriptWaitPoints));
+      m.now += kClockStep;
+      Yield(t);
+      return;
+    }
+    while (m.pc < scripts_[t].size()) {
+      const ScriptStep& s = scripts_[t][m.pc++];
+      switch (s.kind) {
+        case ScriptStep::kYield:
+          m.now += s.delta;
+          Yield(t);
+          return;
+        case ScriptStep::kPark:
+          Park(t, s.wp, -1);
+          return;
+        case ScriptStep::kTimedPark:
+          Park(t, s.wp, m.now + s.delta);
+          return;
+        case ScriptStep::kWake:
+          WakeAll(s.wp);
+          break;
+        case ScriptStep::kPace:
+          m.now += s.delta;
+          if (m.now - kScriptLookahead > Floor()) {
+            ++pace_yields_;
+            Yield(t);
+            return;
+          }
+          trace_.emplace_back(t, m.now);
+          break;
+      }
+    }
+    ++finished_;
+  }
+
+  const Scripts& scripts_;
+  ModelTask tasks_[kScriptTasks];
+  std::set<std::pair<SimTime, int>> run_;
+  std::set<std::pair<SimTime, int>> timers_;
+  std::vector<int> waiters_[kScriptWaitPoints];
+  int finished_ = 0;
+  DispatchTrace trace_;
+  int last_ = -1;
+  int timer_wakes_ = 0;
+  int notified_timed_parks_ = 0;
+  int pace_yields_ = 0;
+  int self_handoffs_ = 0;
+};
+
+TEST(EngineTest, DirectHandoffKeepsDispatchOrder) {
+  // 16 tasks run seeded scripts of yields, untimed and timed parks on 4
+  // wait points, wake-ups and paces; the resumes the engine produces must
+  // be the ones the written-out scheduling rule predicts, whichever way
+  // the engine hands the thread from task to task.
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    const Scripts scripts = MakeScripts(seed);
+    const DispatchTrace got = RunScripts(scripts);
+    DispatchModel model(scripts);
+    const DispatchTrace want = model.Run();
+    ASSERT_EQ(got.size(), want.size());
+    size_t first_diff = 0;
+    while (first_diff < got.size() && got[first_diff] == want[first_diff]) {
+      ++first_diff;
+    }
+    EXPECT_EQ(first_diff, got.size()) << "first divergent resume";
+    // The seeds exercise both wake causes of a timed park, paces that
+    // yield and resumes of the task that just stopped.
+    EXPECT_GT(model.timer_wakes(), 0);
+    EXPECT_GT(model.notified_timed_parks(), 0);
+    EXPECT_GT(model.pace_yields(), 0);
+    EXPECT_GT(model.self_handoffs(), 0);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "rdma/ud_queue_pair.h"
+
 namespace dfi::rdma {
 namespace {
 
@@ -42,6 +47,17 @@ TEST_F(RdmaEnvTest, ResolveMr) {
   EXPECT_EQ(info->length, 256u);
   EXPECT_EQ(info->node, nodes_[1]);
   EXPECT_EQ(env_.ResolveMr(9999).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(env_.ResolveMr(0).status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(RdmaEnvTest, DeregisteredRkeyIsNotFoundAndNotReused) {
+  RdmaContext* ctx = env_.context(nodes_[0]);
+  const uint32_t rkey = ctx->AllocateRegion(64)->rkey();
+  env_.DeregisterMr(rkey);
+  EXPECT_EQ(env_.ResolveMr(rkey).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(env_.ResolveRemote(RemoteRef{rkey, 0}, 8).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_GT(ctx->AllocateRegion(64)->rkey(), rkey);
 }
 
 TEST_F(RdmaEnvTest, ResolveRemoteBoundsChecked) {
@@ -51,6 +67,32 @@ TEST_F(RdmaEnvTest, ResolveRemoteBoundsChecked) {
   EXPECT_TRUE(ok.ok());
   auto bad = env_.ResolveRemote(mr->RefAt(64), 65);
   EXPECT_EQ(bad.status().code(), StatusCode::kOutOfRange);
+}
+
+TEST_F(RdmaEnvTest, TeardownDeregistersIntoLiveDirectories) {
+  // Destroying a context deregisters its regions from the rkey directory
+  // and its UD queue pairs from the UD and multicast-group directories, so
+  // the env must destroy its contexts while those are still alive (ASan
+  // reports a use after free otherwise).
+  nodes_.push_back(fabric_.AddNodes(1)[0]);
+  const net::MulticastGroupId group = fabric_.network_switch().CreateGroup();
+  auto env = std::make_unique<RdmaEnv>(&fabric_);
+  std::vector<uint32_t> rkeys;
+  for (const net::NodeId node : nodes_) {
+    RdmaContext* ctx = env->context(node);
+    for (const size_t bytes : {64, 4096}) {
+      rkeys.push_back(ctx->AllocateRegion(bytes)->rkey());
+    }
+    UdQueuePair* member = ctx->CreateUdQp(ctx->CreateCq(), ctx->CreateCq());
+    ASSERT_TRUE(member->AttachMulticast(group).ok());
+    ctx->CreateUdQp(ctx->CreateCq(), ctx->CreateCq());
+  }
+  EXPECT_EQ(env->GroupQps(group).size(), nodes_.size());
+  for (const uint32_t rkey : rkeys) EXPECT_TRUE(env->ResolveMr(rkey).ok());
+  env.reset();
+  for (const net::NodeId node : nodes_) {
+    EXPECT_EQ(fabric_.node(node).registered_bytes(), 0u);
+  }
 }
 
 }  // namespace
