@@ -1,6 +1,7 @@
 #ifndef DFI_COMMON_FLAT_HASH_MAP_H_
 #define DFI_COMMON_FLAT_HASH_MAP_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -18,16 +19,17 @@ namespace dfi {
 ///
 /// Linear probing over one power-of-two array of {key, value} slots (16
 /// bytes for an 8-byte value) that doubles past 3/4 load; no per-entry
-/// allocation and no erase. Every uint64_t key is storable: 2^64-1 marks
-/// an empty slot, so that one key keeps its entry beside the array.
+/// allocation and no erase, but Clear empties the map and keeps its array.
+/// Every uint64_t key is storable: 2^64-1 marks an empty slot, so that one
+/// key keeps its entry beside the array.
 ///
 /// A key's home slot comes from the *top* bits of HashU64(key): key-hash
 /// and radix routing partition on its low bits, so all keys of one flow
 /// partition share those.
 ///
 /// Find and TryEmplace return pointers that the next insert invalidates.
-/// Batched lookups and inserts hash their keys once, Prefetch every home
-/// slot, then Find or TryEmplace with the hash.
+/// Batched inserts hash their keys once, Prefetch every home slot, then
+/// TryEmplace with the hash.
 template <typename V>
 class FlatHashMap {
   static_assert(std::is_trivially_copyable_v<V>);
@@ -83,6 +85,14 @@ class FlatHashMap {
 
   /// The value of `key`, value-initialized on first use.
   V& operator[](uint64_t key) { return *TryEmplace(key, V{}).first; }
+
+  /// Removes every key. The array keeps its size, so the map takes as many
+  /// keys as before without growing.
+  void Clear() {
+    std::fill(slots_.begin(), slots_.end(), Slot{kEmptyKey, V{}});
+    used_ = 0;
+    has_empty_key_ = false;
+  }
 
   size_t size() const { return used_ + (has_empty_key_ ? 1 : 0); }
   /// Slots in the array; 0 until the first insert or Reserve.

@@ -398,9 +398,7 @@ Status GraphRun::RunJoin(int vertex, uint32_t worker, VertexStats* out) {
   const SimTime probe_ns = scan_ns + sim.join_probe_ns;
 
   // Build phase: append each key of the inner input to its local radix
-  // partition as segments stream in, then give each partition one exactly
-  // sized table of key -> multiplicity, all the probe side needs to count
-  // matches.
+  // partition as segments stream in.
   RadixJoinTable table(js.local_radix_bits);
   uint64_t consumed = 0;
   SegmentView seg;
@@ -410,30 +408,30 @@ Status GraphRun::RunJoin(int vertex, uint32_t worker, VertexStats* out) {
     if (r == ConsumeResult::kError) return build.last_status();
     const size_t n = seg.bytes / build_size;
     for (size_t i = 0; i < n; ++i) {
-      table.Add(build_key.Read(seg.payload + i * build_size));
+      table.AddBuild(build_key.Read(seg.payload + i * build_size));
     }
     build.clock().Advance(static_cast<SimTime>(n) * build_ns);
     consumed += n;
   }
-  table.Build();
 
   // Probe phase starts no earlier than the build finished (same max-join
-  // of clocks as the hand-rolled join app), a segment at a time.
+  // of clocks as the hand-rolled join app) and partitions the outer input
+  // the same way. The matches are then counted one partition at a time;
+  // the per-tuple charges already cover that work.
   probe.clock().AdvanceTo(build.clock().now());
-  uint64_t matches = 0;
   for (;;) {
     const ConsumeResult r = probe.ConsumeSegment(&seg);
     if (r == ConsumeResult::kFlowEnd) break;
     if (r == ConsumeResult::kError) return probe.last_status();
     const size_t n = seg.bytes / probe_size;
-    matches += table.Matches(n, [&](size_t i) {
-      return probe_key.Read(seg.payload + i * probe_size);
-    });
+    for (size_t i = 0; i < n; ++i) {
+      table.AddProbe(probe_key.Read(seg.payload + i * probe_size));
+    }
     probe.clock().Advance(static_cast<SimTime>(n) * probe_ns);
     consumed += n;
   }
   out->tuples_in = consumed;
-  out->join_matches = matches;
+  out->join_matches = table.Matches();
   out->max_clock = probe.clock().now();
   return Status::OK();
 }

@@ -97,6 +97,20 @@ TEST(FlatHashMapTest, StoresKeyZeroAndMaxKey) {
   EXPECT_EQ(table.size(), 1002u);
   EXPECT_EQ(*table.Find(0), 2u);
   EXPECT_EQ(*table.Find(kMaxKey), 6u);
+  // Clear drops both and every array key, and keeps the array.
+  const size_t capacity = table.capacity();
+  table.Clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.capacity(), capacity);
+  for (uint64_t k : {uint64_t{0}, uint64_t{1}, uint64_t{1000}, kMaxKey}) {
+    EXPECT_EQ(table.Find(k), nullptr) << "key " << k;
+  }
+  // Both are stored afresh.
+  EXPECT_TRUE(table.TryEmplace(kMaxKey, 7).second);
+  ++table[0];
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(*table.Find(kMaxKey), 7u);
+  EXPECT_EQ(*table.Find(0), 1u);
 }
 
 TEST(FlatHashMapTest, FindAbsentKey) {
@@ -136,6 +150,26 @@ TEST(FlatHashMapTest, ReserveThenInsertDoesNotGrow) {
     // Reserving no more than is stored keeps the array.
     table.Reserve(n);
     EXPECT_EQ(table.capacity(), capacity) << "n = " << n;
+    // A cleared map takes n other keys in the same array and answers like
+    // a fresh map holding only those.
+    table.Clear();
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_EQ(table.capacity(), capacity) << "n = " << n;
+    FlatHashMap<uint64_t> fresh;
+    for (uint64_t k = n; k < 2 * n; ++k) {
+      table[HashU64(k)] = k;
+      fresh[HashU64(k)] = k;
+    }
+    EXPECT_EQ(table.size(), n);
+    EXPECT_EQ(table.capacity(), capacity) << "n = " << n;
+    for (uint64_t k = 0; k < 2 * n; ++k) {
+      const uint64_t* value = table.Find(HashU64(k));
+      const uint64_t* expected = fresh.Find(HashU64(k));
+      ASSERT_EQ(value == nullptr, expected == nullptr) << "key " << k;
+      if (value != nullptr) {
+        EXPECT_EQ(*value, *expected) << "key " << k;
+      }
+    }
   }
 }
 
