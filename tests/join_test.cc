@@ -208,6 +208,31 @@ TEST_F(DistributedJoinTest, JoinsChargeTheirSimConfigCosts) {
   }
 }
 
+TEST_F(DistributedJoinTest, DfiRadixJoinChargesThePartitionPassOnBothSides) {
+  // The fused DFI join partitions every tuple it receives, as the MPI join
+  // and kJoin do: raising join_partition_ns by d lengthens the network
+  // partition phase by d per inner tuple of a worker and the build+probe
+  // phase by d per outer tuple. Key-hash routing gives each worker its
+  // share of both relations to within 10 %.
+  constexpr SimTime kExtra = 100;
+  const JoinConfig cfg = SmallConfig();
+  const double workers = cfg.total_workers();
+  net::SimConfig sim;
+  auto base = RunJoin(Join::kDfiRadix, cfg, sim);
+  ASSERT_TRUE(base.ok()) << base.status();
+  sim.join_partition_ns += kExtra;
+  auto raised = RunJoin(Join::kDfiRadix, cfg, sim);
+  ASSERT_TRUE(raised.ok()) << raised.status();
+  const double inner_charge = kExtra * (cfg.inner_tuples / workers);
+  const double outer_charge = kExtra * (cfg.outer_tuples / workers);
+  EXPECT_NEAR(static_cast<double>(raised->phases.network_partition -
+                                  base->phases.network_partition),
+              inner_charge, inner_charge / 10);
+  EXPECT_NEAR(static_cast<double>(raised->phases.build_probe -
+                                  base->phases.build_probe),
+              outer_charge, outer_charge / 10);
+}
+
 TEST_F(DistributedJoinTest, CrashedNodeFailsTheJoin) {
   // A node that crashes mid-join fails the DFI joins with a Status: every
   // worker stops on its failed push, close or consume, and the first
