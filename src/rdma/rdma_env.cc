@@ -79,10 +79,11 @@ void RdmaEnv::AttachToGroup(net::MulticastGroupId group, UdQueuePair* qp) {
   group_qps_[group].push_back(qp);
 }
 
-std::vector<UdQueuePair*> RdmaEnv::GroupQps(
+const std::vector<UdQueuePair*>& RdmaEnv::GroupQps(
     net::MulticastGroupId group) const {
+  static const std::vector<UdQueuePair*> kNoQps;
   auto it = group_qps_.find(group);
-  return it == group_qps_.end() ? std::vector<UdQueuePair*>{} : it->second;
+  return it == group_qps_.end() ? kNoQps : it->second;
 }
 
 RdmaContext::RdmaContext(RdmaEnv* env, net::NodeId node)

@@ -61,7 +61,10 @@ class RdmaEnv {
   void DeregisterUdQp(uint32_t qpn);
   UdQueuePair* FindUdQp(uint32_t qpn) const;
   void AttachToGroup(net::MulticastGroupId group, UdQueuePair* qp);
-  std::vector<UdQueuePair*> GroupQps(net::MulticastGroupId group) const;
+  /// The QPs attached to `group`, valid until the next AttachToGroup or
+  /// DeregisterUdQp.
+  const std::vector<UdQueuePair*>& GroupQps(
+      net::MulticastGroupId group) const;
 
  private:
   net::Fabric* const fabric_;

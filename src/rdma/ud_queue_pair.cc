@@ -150,6 +150,9 @@ StatusOr<OpTiming> UdQueuePair::PostSendMulticast(net::MulticastGroupId group,
       group, egress.end + cfg.propagation_ns / 2, length);
   t.ack = egress.end;
 
+  // The loop reads the member list in place: Deliver only queues a
+  // completion and wakes its waiters, so no task runs, attaches a QP or
+  // destroys one until this send returns.
   SimTime last_arrival = grp.end;
   for (UdQueuePair* qp : env_->GroupQps(group)) {
     if (qp == this) continue;  // A source does not loop back to itself.

@@ -88,6 +88,7 @@ TEST_F(RdmaEnvTest, TeardownDeregistersIntoLiveDirectories) {
     ctx->CreateUdQp(ctx->CreateCq(), ctx->CreateCq());
   }
   EXPECT_EQ(env->GroupQps(group).size(), nodes_.size());
+  EXPECT_TRUE(env->GroupQps(fabric_.network_switch().CreateGroup()).empty());
   for (const uint32_t rkey : rkeys) EXPECT_TRUE(env->ResolveMr(rkey).ok());
   env.reset();
   for (const net::NodeId node : nodes_) {
