@@ -65,8 +65,13 @@ fi
 "$BUILD/tests/core_combiner_test" --gtest_repeat=3 --gtest_shuffle
 "$BUILD/tests/core_combiner_property_test" --gtest_repeat=3 --gtest_shuffle
 # The fused DFI join, the MPI join, the replicate join and the graph kJoin
-# share one partitioned build table (RadixJoinTable): shake the join suite.
+# share one two-sided radix join table (RadixJoinTable), whose one hash map
+# serves every partition through Clear: shake the join suite and the
+# table's unit tests.
 "$BUILD/tests/join_test" --gtest_repeat=3 --gtest_shuffle
+"$BUILD/tests/common_test" \
+  --gtest_filter='FlatHashMap*:RadixJoinTable*:LocalBucket*' \
+  --gtest_repeat=3 --gtest_shuffle
 "$BUILD/bench/chaos_consensus" --seed "${DFI_CHAOS_SEED:-7}"
 # The graph layer: one batched publish per graph, whole-graph poison on
 # operator failure, and per-edge handle teardown — run the graph suite and

@@ -48,8 +48,9 @@ struct JoinResult {
 };
 
 /// Distributed radix hash join on two bandwidth-optimized DFI shuffle flows
-/// (paper Figure 2): no histogram pass, no barrier; incoming tuples are
-/// partitioned/built/probed in a streaming fashion.
+/// (paper Figure 2): no histogram pass, no barrier; both relations are
+/// locally partitioned, and charged, as their tuples stream in, and the
+/// partitions are joined one at a time once the outer relation has arrived.
 StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
                                      const std::vector<std::string>& nodes,
                                      const JoinConfig& config);

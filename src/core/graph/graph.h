@@ -79,11 +79,11 @@ struct WindowOpSpec {
 
 /// kJoin configuration: a radix hash join (paper section 4.3.1) that builds
 /// in-edge 0 and probes in-edge 1 and counts matches. Each join worker
-/// appends its build keys to 2^local_radix_bits local partitions
-/// (LocalBucket, common/radix_join_table.h) as segments arrive. When the
-/// build input ends, it gives every partition its own exactly sized table
-/// of key -> multiplicity, then probes a segment at a time. Every tuple is
-/// charged the fabric's SimConfig::tuple_consume_fixed_ns plus
+/// appends the keys of both inputs, as segments arrive, to
+/// 2^local_radix_bits local partitions (RadixJoinTable,
+/// common/radix_join_table.h). When the probe input ends, it joins one
+/// partition at a time in one reused table of key -> multiplicity. Every
+/// tuple is charged the fabric's SimConfig::tuple_consume_fixed_ns plus
 /// join_partition_ns and join_build_ns or join_probe_ns, the costs the join
 /// app (src/apps/join) charges, so the virtual times do not depend on
 /// local_radix_bits.
