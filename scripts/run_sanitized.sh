@@ -16,8 +16,13 @@ cmake -B "$BUILD" -S "$ROOT" -DDFI_SANITIZE="$KIND" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD" -j "$(nproc)"
 
-# Make sanitizer findings fatal and loud.
-export ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1}"
+# Make sanitizer findings fatal and loud. ASan fills only the first 4 KiB
+# of an allocation by default; filling all of it makes every never-written
+# heap byte read 0xbe. Registered regions and MPI windows are left
+# uninitialized, and their owners write each word the protocol reads
+# before anyone writes it: a missed one then fails a test at once instead
+# of reading the zero a fresh page happens to hold.
+export ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1:max_malloc_fill_size=2147483647}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 

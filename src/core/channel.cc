@@ -42,7 +42,15 @@ ChannelShared::ChannelShared(rdma::RdmaContext* target_ctx,
       static_cast<size_t>(capacity + sizeof(SegmentFooter)) * num_segments;
   ring_mr_ = target_ctx->AllocateRegion(ring_bytes);
   ring_ = SegmentRing(ring_mr_->addr(), capacity, num_segments);
+  // Registered memory starts unspecified. Every footer starts zeroed,
+  // hence writable: sources check it and targets poll its flags before
+  // any source wrote the slot. Payload bytes are read only once written.
+  for (uint32_t i = 0; i < num_segments; ++i) {
+    *ring_.footer(i) = SegmentFooter{};
+  }
   credit_mr_ = target_ctx->AllocateRegion(64);
+  // The latency-mode credit word (tuples consumed) starts at 0.
+  StoreConsumed(0);
   slot_free_time_.assign(num_segments, 0);
 }
 
@@ -52,10 +60,11 @@ uint64_t ChannelShared::LoadConsumed() const {
   return consumed;
 }
 
-void ChannelShared::IncrementConsumed() {
-  const uint64_t consumed = LoadConsumed() + 1;
+void ChannelShared::StoreConsumed(uint64_t consumed) {
   std::memcpy(credit_mr_->addr(), &consumed, sizeof(consumed));
 }
+
+void ChannelShared::IncrementConsumed() { StoreConsumed(LoadConsumed() + 1); }
 
 void ChannelShared::Poison(const Status& cause) {
   if (poisoned_) return;  // first cause wins

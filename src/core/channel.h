@@ -121,6 +121,8 @@ class ChannelShared {
   Status poison_status() const { return poison_cause_; }
 
  private:
+  void StoreConsumed(uint64_t consumed);
+
   const FlowOptions options_;
   const uint32_t tuple_size_;
   const uint16_t source_index_;

@@ -85,9 +85,14 @@ MulticastState::MulticastState(rdma::RdmaEnv* env,
                                slot_bytes(), i);
     }
     credit_mrs_[t] = ctx->AllocateRegion(64);
+    // Registered memory starts unspecified: target t's credit word
+    // (segments it consumed) starts at 0.
+    std::memset(credit_mrs_[t]->addr(), 0, sizeof(uint64_t));
   }
   if (ordered()) {
     sequencer_mr_ = env_->context(sequencer_node())->AllocateRegion(64);
+    // The sequencer word (the next global position) starts at 0.
+    std::memset(sequencer_mr_->addr(), 0, sizeof(uint64_t));
     histories_.resize(num_sources_);
     for (auto& h : histories_) h = std::make_unique<History>();
   }

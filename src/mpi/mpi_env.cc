@@ -283,8 +283,7 @@ MpiWindow::MpiWindow(MpiEnv* env, size_t bytes) : env_(env), bytes_(bytes) {
   memory_.reserve(n);
   last_put_arrival_.assign(n, 0);
   for (size_t r = 0; r < n; ++r) {
-    memory_.push_back(std::make_unique<uint8_t[]>(bytes));
-    std::memset(memory_.back().get(), 0, bytes);
+    memory_.push_back(std::make_unique_for_overwrite<uint8_t[]>(bytes));
     env_->fabric_->node(env_->rank_nodes_[r]).AddRegisteredBytes(bytes);
   }
 }

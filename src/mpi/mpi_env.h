@@ -144,6 +144,8 @@ class MpiEnv {
 
 /// One-sided communication window (MPI_Win): `bytes` of directly writable
 /// memory on each rank. Memory counts toward each node's registered bytes.
+/// Its contents are unspecified until a Put writes them, as with
+/// MPI_Win_allocate.
 class MpiWindow {
  public:
   MpiWindow(MpiEnv* env, size_t bytes);

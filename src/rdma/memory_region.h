@@ -12,7 +12,8 @@ namespace dfi::rdma {
 /// A registered memory region: memory the emulated NIC may access directly.
 /// Identified fabric-wide by its rkey (the directory lives in RdmaEnv).
 /// Registration is counted against the owning node's registered-byte
-/// accounting (paper section 6.1.4 measures exactly this).
+/// accounting (paper section 6.1.4 measures exactly this). Its contents
+/// are unspecified until written, as with ibv_reg_mr.
 class MemoryRegion {
  public:
   MemoryRegion(const MemoryRegion&) = delete;

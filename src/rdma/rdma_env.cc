@@ -48,10 +48,12 @@ StatusOr<MrInfo> RdmaEnv::ResolveMr(uint32_t rkey) const {
 StatusOr<uint8_t*> RdmaEnv::ResolveRemote(const RemoteRef& ref,
                                           uint32_t length) const {
   DFI_ASSIGN_OR_RETURN(MrInfo info, ResolveMr(ref.rkey));
-  if (ref.offset + length > info.length) {
+  // Compared without computing `offset + length`, which wraps for an
+  // offset near 2^64 and would pass a pointer outside the region.
+  if (ref.offset > info.length || length > info.length - ref.offset) {
     return Status::OutOfRange(
-        "remote access [" + std::to_string(ref.offset) + ", " +
-        std::to_string(ref.offset + length) + ") exceeds MR of " +
+        "remote access of " + std::to_string(length) + " bytes at offset " +
+        std::to_string(ref.offset) + " exceeds MR of " +
         std::to_string(info.length) + " bytes");
   }
   return info.base + ref.offset;
@@ -99,8 +101,9 @@ RdmaContext::~RdmaContext() {
 net::Node& RdmaContext::node() { return env_->fabric().node(node_); }
 
 MemoryRegion* RdmaContext::AllocateRegion(size_t bytes) {
-  // Value-initialized: new ring footers start zeroed, hence writable.
-  auto buffer = std::make_unique<uint8_t[]>(bytes);
+  // Not value-initialized, as memory handed to ibv_reg_mr is not: no page
+  // is touched until its owner writes it.
+  auto buffer = std::make_unique_for_overwrite<uint8_t[]>(bytes);
   uint8_t* addr = buffer.get();
   const uint32_t rkey = env_->RegisterMr(addr, bytes, node_);
   auto region = std::unique_ptr<MemoryRegion>(new MemoryRegion(

@@ -95,8 +95,10 @@ class RdmaContext {
   RdmaEnv& env() { return *env_; }
   const net::SimConfig& config() const { return env_->config(); }
 
-  /// Allocates and registers a zeroed buffer of `bytes` (the emulation's
-  /// analogue of posix_memalign + ibv_reg_mr on huge pages).
+  /// Allocates and registers a buffer of `bytes` (the emulation's analogue
+  /// of posix_memalign + ibv_reg_mr on huge pages). Its contents are
+  /// unspecified until written, so the region's owner initializes every
+  /// word its protocol reads before anyone writes it.
   MemoryRegion* AllocateRegion(size_t bytes);
 
   CompletionQueue* CreateCq();

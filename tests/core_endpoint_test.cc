@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/exec/engine.h"
 #include "core/endpoint/flow_sink.h"
+#include "core/endpoint/multicast.h"
 #include "core/endpoint/policies.h"
 #include "net/fabric.h"
 #include "rdma/rdma_env.h"
@@ -388,6 +390,56 @@ TEST_F(EndpointTest, AbortLatchFirstCauseWins) {
   AbortLatch normalizing;
   EXPECT_TRUE(normalizing.Trip(Status::OK()));
   EXPECT_EQ(normalizing.status().code(), StatusCode::kAborted);
+}
+
+// Registered memory starts unspecified, so a flow's set-up writes every
+// word its protocol reads before anyone writes it: each slot footer of a
+// fresh target ring reads writable with no fill and no arrival time, and
+// every credit and sequencer counter reads 0. (Under the sanitizer's
+// malloc fill an unwritten word reads 0xbe..., so a dropped initialization
+// fails here instead of hanging a flow.)
+TEST_F(EndpointTest, FreshFlowWritesFootersAndCounters) {
+  const std::vector<net::NodeId> targets = {nodes_[0], nodes_[1]};
+  for (FlowOptimization opt :
+       {FlowOptimization::kBandwidth, FlowOptimization::kLatency}) {
+    SCOPED_TRACE(opt == FlowOptimization::kLatency ? "latency" : "bandwidth");
+    FlowOptions options;
+    options.optimization = opt;
+    options.segments_per_ring = 8;
+    ChannelMatrix matrix(&env_, options, kTupleSize, /*num_sources=*/3,
+                         targets);
+    for (uint32_t s = 0; s < matrix.num_sources(); ++s) {
+      for (uint32_t t = 0; t < matrix.num_targets(); ++t) {
+        SCOPED_TRACE("channel " + std::to_string(s) + "->" +
+                     std::to_string(t));
+        ChannelShared* channel = matrix.channel(s, t);
+        const SegmentRing& ring = channel->ring();
+        ASSERT_EQ(ring.num_segments(), 8u);
+        for (uint32_t i = 0; i < ring.num_segments(); ++i) {
+          const SegmentFooter* footer = ring.footer(i);
+          EXPECT_EQ(footer->flags, kFlagWritable) << "slot " << i;
+          EXPECT_EQ(footer->fill_bytes, 0u) << "slot " << i;
+          EXPECT_EQ(footer->arrival_sim_time, 0) << "slot " << i;
+        }
+        EXPECT_EQ(channel->LoadConsumed(), 0u);
+      }
+    }
+  }
+
+  FlowOptions options;
+  options.use_multicast = true;
+  options.global_ordering = true;
+  MulticastState mcast(&env_, options, kTupleSize, /*num_sources=*/2, targets,
+                       /*flow_abort=*/nullptr);
+  for (uint32_t t = 0; t < mcast.num_targets(); ++t) {
+    EXPECT_EQ(mcast.LoadConsumed(t), 0u) << "target " << t;
+  }
+  auto sequencer =
+      env_.ResolveRemote(mcast.sequencer_ref(), sizeof(uint64_t));
+  ASSERT_TRUE(sequencer.ok()) << sequencer.status();
+  uint64_t position;
+  std::memcpy(&position, *sequencer, sizeof(position));
+  EXPECT_EQ(position, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -27,14 +28,13 @@ TEST_F(RdmaEnvTest, ContextPerNodeIsStable) {
   EXPECT_EQ(a->node_id(), nodes_[0]);
 }
 
-TEST_F(RdmaEnvTest, AllocateRegionIsZeroedAndAccounted) {
+TEST_F(RdmaEnvTest, AllocateRegionIsAccounted) {
+  // The contents are unspecified until written, so only the geometry and
+  // the registered-byte accounting are checked.
   RdmaContext* ctx = env_.context(nodes_[0]);
   MemoryRegion* mr = ctx->AllocateRegion(1024);
   ASSERT_NE(mr, nullptr);
   EXPECT_EQ(mr->length(), 1024u);
-  for (size_t i = 0; i < 1024; ++i) {
-    EXPECT_EQ(mr->addr()[i], 0);
-  }
   EXPECT_EQ(fabric_.node(nodes_[0]).registered_bytes(), 1024u);
 }
 
@@ -67,6 +67,10 @@ TEST_F(RdmaEnvTest, ResolveRemoteBoundsChecked) {
   EXPECT_TRUE(ok.ok());
   auto bad = env_.ResolveRemote(mr->RefAt(64), 65);
   EXPECT_EQ(bad.status().code(), StatusCode::kOutOfRange);
+  // An offset near 2^64 must not wrap around into a pointer before the
+  // region.
+  auto wrapped = env_.ResolveRemote(mr->RefAt(UINT64_MAX - 7), 16);
+  EXPECT_EQ(wrapped.status().code(), StatusCode::kOutOfRange);
 }
 
 TEST_F(RdmaEnvTest, TeardownDeregistersIntoLiveDirectories) {
