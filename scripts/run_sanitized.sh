@@ -45,6 +45,12 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 "$BUILD/tests/core_shuffle_test" --gtest_repeat=3 --gtest_shuffle
 "$BUILD/tests/core_replicate_test" --gtest_repeat=3 --gtest_shuffle
 "$BUILD/tests/chaos_flow_test" --gtest_repeat=3 --gtest_shuffle
+# Every blocking flow call waits in one loop (DeadlineWait::Until), the
+# ordered multicast consume and its gap recovery included, and a replicate
+# abort wakes consumers parked on their receive queues: shake the gap and
+# replicate property suites too.
+"$BUILD/tests/core_gap_handling_test" --gtest_repeat=3 --gtest_shuffle
+"$BUILD/tests/core_replicate_property_test" --gtest_repeat=3 --gtest_shuffle
 # Destroying an RdmaEnv destroys its device contexts first, whose regions
 # and UD queue pairs deregister from the env's directories (the rkey
 # directory is a plain array): shake the verbs suites' teardown order.

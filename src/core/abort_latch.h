@@ -1,15 +1,16 @@
-#ifndef DFI_CORE_ENDPOINT_ABORT_LATCH_H_
-#define DFI_CORE_ENDPOINT_ABORT_LATCH_H_
+#ifndef DFI_CORE_ABORT_LATCH_H_
+#define DFI_CORE_ABORT_LATCH_H_
 
 #include "common/status.h"
 
 namespace dfi {
 
-/// Flow-granular teardown flag. Flows whose transport has no per-pair
-/// channel to poison (multicast replication) — or whose semantics make any
-/// participant failure a whole-flow failure — trip this latch instead; every
-/// endpoint checks it on its next operation or poll slice. The first cause
-/// wins; later trips are no-ops.
+/// First-cause-wins teardown flag. A channel keeps its poison in one
+/// (ChannelShared::Poison). A replicate flow keeps its flow-granular
+/// teardown in one: replication is all-to-all, so any participant's failure
+/// fails the flow, and switch replication has no per-pair channel to
+/// poison; its endpoints check the latch on their next operation or wait
+/// round. The first cause wins; later trips are no-ops.
 class AbortLatch {
  public:
   AbortLatch() = default;
@@ -39,4 +40,4 @@ class AbortLatch {
 
 }  // namespace dfi
 
-#endif  // DFI_CORE_ENDPOINT_ABORT_LATCH_H_
+#endif  // DFI_CORE_ABORT_LATCH_H_

@@ -67,9 +67,7 @@ void ChannelShared::StoreConsumed(uint64_t consumed) {
 void ChannelShared::IncrementConsumed() { StoreConsumed(LoadConsumed() + 1); }
 
 void ChannelShared::Poison(const Status& cause) {
-  if (poisoned_) return;  // first cause wins
-  poison_cause_ = cause.ok() ? Status::Aborted("flow aborted") : cause;
-  poisoned_ = true;
+  if (!poison_.Trip(cause)) return;  // first cause wins
   sync_.Notify();
   if (target_gate_ != nullptr) target_gate_->Notify();
   if (steal_wake_ != nullptr) steal_wake_->Notify();
@@ -216,29 +214,11 @@ Status ChannelSource::EnsureRemoteWritable(uint32_t idx) {
   // ledger. A successful wait charges from the footer's free timestamp;
   // teardown, a dead consumer, or the flow deadline end the wait with an
   // error instead of hanging forever.
-  DeadlineWait wait(shared_->options(), clock_);
-  RingSync& sync = shared_->sync();
-  for (;;) {
-    const uint64_t seen = sync.version();
-    if (ring.LoadFlags(idx) == kFlagWritable) break;
-    if (shared_->poisoned()) {
-      wait.Commit();
-      return shared_->poison_status();
-    }
-    if (Status peer = qp_->CheckConnected(wait.ProvisionalNow());
-        !peer.ok()) {
-      wait.Commit();
-      return peer;
-    }
-    if (!wait.Tick()) {
-      wait.Commit();
-      return Status::DeadlineExceeded(
-          "remote ring full: slot " + std::to_string(idx) +
-          " not writable within " +
-          std::to_string(shared_->options().block_deadline_ns) + "ns");
-    }
-    wait.Block(sync, seen);
-  }
+  auto writable = [&] { return ring.LoadFlags(idx) == kFlagWritable; };
+  auto failed = [&](SimTime now) { return PeerStatus(now); };
+  DFI_RETURN_IF_ERROR(DeadlineWait(shared_->options(), clock_)
+                          .Until(shared_->sync(), writable, failed,
+                                 "remote ring full"));
   clock_->AdvanceTo(ring.footer(idx)->arrival_sim_time);
   rdma::ReadDesc read;
   read.local = scratch_footer_;
@@ -276,34 +256,28 @@ Status ChannelSource::EnsureCredit() {
   DFI_RETURN_IF_ERROR(refresh());
   avail = slots - (send_seq_ - cached_consumed_);
 
-  DeadlineWait wait(shared_->options(), clock_);
-  RingSync& sync = shared_->sync();
-  while (avail == 0) {
-    const uint64_t seen = sync.version();
-    if (shared_->LoadConsumed() > cached_consumed_) {
+  // Out of credit: wait until the consumer's counter moves, then charge
+  // from the freed slot's timestamp and re-read it. A refresh that moved
+  // the counter always yields credit; one that fails ends the wait.
+  Status read;
+  auto credited = [&] {
+    if (avail == 0 && shared_->LoadConsumed() > cached_consumed_) {
       clock_->AdvanceTo(shared_->slot_free_time(target_slot_));
-      DFI_RETURN_IF_ERROR(refresh());
+      read = refresh();
       avail = slots - (send_seq_ - cached_consumed_);
-      continue;
     }
-    if (shared_->poisoned()) {
-      wait.Commit();
-      return shared_->poison_status();
-    }
-    if (Status peer = qp_->CheckConnected(wait.ProvisionalNow());
-        !peer.ok()) {
-      wait.Commit();
-      return peer;
-    }
-    if (!wait.Tick()) {
-      wait.Commit();
-      return Status::DeadlineExceeded(
-          "credit refresh: no credit within " +
-          std::to_string(shared_->options().block_deadline_ns) + "ns");
-    }
-    wait.Block(sync, seen);
-  }
-  return Status::OK();
+    return avail > 0 || !read.ok();
+  };
+  auto failed = [&](SimTime now) { return PeerStatus(now); };
+  DFI_RETURN_IF_ERROR(DeadlineWait(shared_->options(), clock_)
+                          .Until(shared_->sync(), credited, failed,
+                                 "latency credit"));
+  return read;
+}
+
+Status ChannelSource::PeerStatus(SimTime now) const {
+  if (shared_->poisoned()) return shared_->poison_status();
+  return qp_->CheckConnected(now);
 }
 
 Status ChannelSource::TransmitSegment(const uint8_t* payload, uint32_t fill,

@@ -7,6 +7,7 @@
 
 #include "common/sim_time.h"
 #include "common/status.h"
+#include "core/abort_latch.h"
 #include "core/flow_options.h"
 #include "core/ring_sync.h"
 #include "core/segment.h"
@@ -116,9 +117,9 @@ class ChannelShared {
   /// poll and blocked threads are woken. The first cause wins; subsequent
   /// calls are no-ops.
   void Poison(const Status& cause);
-  bool poisoned() const { return poisoned_; }
+  bool poisoned() const { return poison_.tripped(); }
   /// The teardown cause (OK when not poisoned).
-  Status poison_status() const { return poison_cause_; }
+  Status poison_status() const { return poison_.status(); }
 
  private:
   void StoreConsumed(uint64_t consumed);
@@ -138,8 +139,7 @@ class ChannelShared {
   RingSync* steal_wake_ = nullptr;
   uint32_t inflight_ = 0;
   std::vector<SimTime> slot_free_time_;
-  bool poisoned_ = false;
-  Status poison_cause_;
+  AbortLatch poison_;
 };
 
 /// Source half of a channel. Owned and driven by exactly one source thread.
@@ -220,6 +220,9 @@ class ChannelSource {
   /// Latency mode: blocks/charges until a credit is available; same failure
   /// semantics as EnsureRemoteWritable.
   Status EnsureCredit();
+  /// What ends both waits early, probed at virtual time `now`: the channel's
+  /// poison first, then a crashed or partitioned peer.
+  Status PeerStatus(SimTime now) const;
 
   ChannelShared* const shared_;
   rdma::RcQueuePair* qp_ = nullptr;

@@ -187,9 +187,4 @@ Status BroadcastEndpoint::Transmit(uint32_t fill, bool end) {
   return fanout_.BroadcastSegment(staging_payload(), fill, end);
 }
 
-void BroadcastEndpoint::Abort(const Status& cause) {
-  MarkClosed();
-  fanout_.Abort(cause);
-}
-
 }  // namespace dfi

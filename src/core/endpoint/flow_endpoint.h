@@ -8,7 +8,7 @@
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "core/channel.h"
-#include "core/endpoint/abort_latch.h"
+#include "core/abort_latch.h"
 #include "core/endpoint/channel_matrix.h"
 #include "core/endpoint/policies.h"
 
@@ -162,8 +162,9 @@ class FanoutEndpoint {
   /// marker. Idempotent.
   Status Close();
 
-  /// Aborts without a clean end-of-flow.
-  virtual void Abort(const Status& cause) = 0;
+  /// Marks the endpoint closed without an end-of-flow, on an abort: the
+  /// flow's teardown (ReplicateFlowState::Abort) fails every participant.
+  void MarkClosed() { closed_ = true; }
 
   bool closed() const { return closed_; }
 
@@ -178,7 +179,6 @@ class FanoutEndpoint {
 
   uint8_t* staging_payload() { return staging_.payload(staging_slot_); }
   const SegmentRing& staging() const { return staging_; }
-  void MarkClosed() { closed_ = true; }
 
   VirtualClock* const clock_;
   const net::SimConfig* const config_;
@@ -203,8 +203,6 @@ class BroadcastEndpoint : public FanoutEndpoint {
   BroadcastEndpoint(ChannelMatrix* matrix, uint32_t source_index,
                     rdma::RdmaContext* ctx, const net::SimConfig* config,
                     const AbortLatch* flow_abort, VirtualClock* clock);
-
-  void Abort(const Status& cause) override;
 
  protected:
   Status Transmit(uint32_t fill, bool end) override;

@@ -11,17 +11,15 @@ namespace dfi {
 FlowSink::FlowSink(ChannelMatrix* matrix, uint32_t target_index,
                    SinkStealGroup* group, const Schema* schema,
                    const net::SimConfig* config, VirtualClock* clock,
-                   std::string label, std::vector<net::NodeId> source_nodes,
-                   const AbortLatch* flow_abort)
+                   std::string label, std::vector<net::NodeId> source_nodes)
     : column_(matrix->column(target_index)),
       group_(group),
-      schema_(schema),
       config_(config),
       clock_(clock),
       options_(&matrix->options()),
-      label_(std::move(label)),
+      what_(std::move(label) + " consume"),
       source_nodes_(std::move(source_nodes)),
-      flow_abort_(flow_abort) {
+      tuples_(schema, config, clock) {
   if (group_ == nullptr) return;
   const std::vector<TargetColumn*>& cols = group_->columns();
   const auto own = std::find(cols.begin(), cols.end(), column_);
@@ -208,89 +206,46 @@ bool FlowSink::TryConsumeSegment(SegmentView* out,
   return false;
 }
 
-bool FlowSink::CheckFailure(DeadlineWait* wait, ConsumeResult* out_result) {
-  // Flow-level teardown first (flows with flow-granular abort semantics).
-  if (flow_abort_ != nullptr && flow_abort_->tripped()) {
-    last_status_ = flow_abort_->status();
-    wait->Commit();
-    *out_result = ConsumeResult::kError;
-    return true;
-  }
+Status FlowSink::Failure(SimTime now) const {
   // A crashed source never sends its end-of-flow marker; ask the fault
   // plan so the failure surfaces as kPeerFailed instead of waiting out the
-  // full deadline. (Poison is detected in TryConsumeSegment.) The own
-  // column carries one channel per source, so polling it covers every
-  // peer, with or without a steal group.
-  int dead_source = -1;
-  uint32_t open_channels = 0;
-  const SimTime now = wait->ProvisionalNow();
+  // full deadline. The own column carries one channel per source, so
+  // polling it covers every peer, with or without a steal group.
   const std::vector<ChannelTargetCursor>& cursors = column_->cursors;
   const net::FaultPlan* plan = cursors[0].shared()->fault_plan();
-  const bool active = plan->active();
+  if (!plan->active()) return Status::OK();
   for (uint32_t s = 0; s < cursors.size(); ++s) {
-    if (cursors[s].exhausted()) continue;
-    ++open_channels;
     const net::NodeId src = source_nodes_[s];
-    if (active && dead_source < 0 && src != net::kInvalidNode &&
+    if (!cursors[s].exhausted() && src != net::kInvalidNode &&
         !plan->NodeAlive(src, now)) {
-      dead_source = static_cast<int>(s);
+      return Status::PeerFailed(what_ + ": source " + std::to_string(s) +
+                                " on node " + std::to_string(src) +
+                                " failed before closing its channel");
     }
   }
-  if (dead_source >= 0) {
-    last_status_ = Status::PeerFailed(
-        label_ + " source " + std::to_string(dead_source) + " on node " +
-        std::to_string(source_nodes_[dead_source]) +
-        " failed before closing its channel");
-    wait->Commit();
-    *out_result = ConsumeResult::kError;
-    return true;
-  }
-  if (!wait->Tick()) {
-    last_status_ = Status::DeadlineExceeded(
-        label_ + " consume deadline elapsed with " +
-        std::to_string(open_channels) + " source channel(s) still open");
-    wait->Commit();
-    *out_result = ConsumeResult::kError;
-    return true;
-  }
-  return false;
+  return Status::OK();
 }
 
 ConsumeResult FlowSink::ConsumeSegment(SegmentView* out) {
-  DeadlineWait wait(*options_, clock_);
   // A sink in a steal group blocks on the group-level wakeup (bumped by
   // every delivery to and release within the group); one without siblings
   // on its own ready gate.
   RingSync& wake = group_ != nullptr ? group_->wake() : column_->gate;
-  for (;;) {
-    // Capture the version before scanning so a delivery racing with the
-    // scan is never missed.
-    const uint64_t version = wake.version();
-    ConsumeResult result;
-    if (TryConsumeSegment(out, &result)) return result;
-    if (CheckFailure(&wait, &result)) return result;
-    wait.Block(wake, version);
+  ConsumeResult result;
+  auto consumed = [&] { return TryConsumeSegment(out, &result); };
+  auto failed = [&](SimTime now) { return Failure(now); };
+  Status status =
+      DeadlineWait(*options_, clock_).Until(wake, consumed, failed, what_);
+  if (!status.ok()) {
+    last_status_ = std::move(status);
+    return ConsumeResult::kError;
   }
+  return result;
 }
 
 ConsumeResult FlowSink::Consume(TupleView* out) {
-  const uint32_t tuple_size =
-      static_cast<uint32_t>(schema_->tuple_size());
-  for (;;) {
-    if (current_.payload != nullptr &&
-        tuple_offset_ + tuple_size <= current_.bytes) {
-      *out = TupleView(current_.payload + tuple_offset_, schema_);
-      tuple_offset_ += tuple_size;
-      clock_->Advance(config_->tuple_consume_fixed_ns);
-      return ConsumeResult::kOk;
-    }
-    current_ = SegmentView{};
-    tuple_offset_ = 0;
-    SegmentView view;
-    const ConsumeResult r = ConsumeSegment(&view);
-    if (r != ConsumeResult::kOk) return r;
-    current_ = view;
-  }
+  return tuples_.Next(
+      out, [this](SegmentView* view) { return ConsumeSegment(view); });
 }
 
 void FlowSink::Abort(const Status& cause) {

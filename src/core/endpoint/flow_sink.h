@@ -7,7 +7,6 @@
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "core/channel.h"
-#include "core/endpoint/abort_latch.h"
 #include "core/endpoint/channel_matrix.h"
 #include "core/ring_sync.h"
 #include "core/schema.h"
@@ -15,7 +14,48 @@
 
 namespace dfi {
 
-class DeadlineWait;
+/// The per-tuple consume both sink kinds offer on top of their segment
+/// consume: iterates the tuples of the held segment, charging
+/// `tuple_consume_fixed_ns` per tuple, and pulls the next segment once it
+/// is used up.
+class TupleIterator {
+ public:
+  TupleIterator(const Schema* schema, const net::SimConfig* config,
+                VirtualClock* clock)
+      : schema_(schema),
+        tuple_size_(static_cast<uint32_t>(schema->tuple_size())),
+        tuple_cost_(config->tuple_consume_fixed_ns),
+        clock_(clock) {}
+
+  /// Next tuple; `consume_segment(SegmentView*)` is the sink's blocking
+  /// segment consume. Returns its result when that is not kOk.
+  template <typename ConsumeSegment>
+  ConsumeResult Next(TupleView* out, ConsumeSegment&& consume_segment) {
+    for (;;) {
+      if (current_.payload != nullptr &&
+          offset_ + tuple_size_ <= current_.bytes) {
+        *out = TupleView(current_.payload + offset_, schema_);
+        offset_ += tuple_size_;
+        clock_->Advance(tuple_cost_);
+        return ConsumeResult::kOk;
+      }
+      current_ = SegmentView{};
+      offset_ = 0;
+      SegmentView view;
+      const ConsumeResult r = consume_segment(&view);
+      if (r != ConsumeResult::kOk) return r;
+      current_ = view;
+    }
+  }
+
+ private:
+  const Schema* const schema_;
+  const uint32_t tuple_size_;
+  const SimTime tuple_cost_;
+  VirtualClock* const clock_;
+  SegmentView current_;
+  uint32_t offset_ = 0;  // of the next tuple within current_
+};
 
 /// A same-node work-stealing sink group (adaptive shuffles): a set of
 /// columns of one matrix whose sinks drain each other's columns, plus one
@@ -42,8 +82,9 @@ class SinkStealGroup {
 /// section 5 target side does — serving segments in delivery order off the
 /// ready gate (O(deliveries) instead of an O(num_sources) ring scan),
 /// footer-driven release/recycle, end-of-flow accounting, and
-/// deadline-bounded blocking that surfaces teardown (poison / flow abort),
-/// crashed peers (fault plan) and the flow deadline as kError. Flow types
+/// deadline-bounded blocking that surfaces teardown (poison, which a
+/// flow abort sets on every channel), crashed peers (fault plan) and the
+/// flow deadline as kError. Flow types
 /// differ only in what they do with the consumed segments (iterate,
 /// aggregate).
 ///
@@ -56,13 +97,11 @@ class FlowSink {
  public:
   /// Consumes column `target_index` of `matrix`; `group` is the column's
   /// steal group, or null. `label` names the flow type in failure messages
-  /// ("shuffle", "replicate", "combiner"). `flow_abort` (optional) is
-  /// checked while blocked, for flows with flow-granular teardown.
+  /// ("shuffle", "replicate", "combiner").
   FlowSink(ChannelMatrix* matrix, uint32_t target_index,
            SinkStealGroup* group, const Schema* schema,
            const net::SimConfig* config, VirtualClock* clock,
-           std::string label, std::vector<net::NodeId> source_nodes,
-           const AbortLatch* flow_abort = nullptr);
+           std::string label, std::vector<net::NodeId> source_nodes);
 
   FlowSink(const FlowSink&) = delete;
   FlowSink& operator=(const FlowSink&) = delete;
@@ -108,26 +147,24 @@ class FlowSink {
   /// segment of full — its producer may be about to block on a slot that
   /// only consumption can free, so the peak sink must not defer.
   bool OwnColumnRingPressure() const;
-  /// One failure-poll round while blocked: surfaces flow teardown, crashed
-  /// sources (fault plan), or the flow deadline as kError; ticks `wait`.
-  /// Returns true when the consume call must stop. (Poison is detected in
-  /// TryConsumeSegment.)
-  bool CheckFailure(DeadlineWait* wait, ConsumeResult* out_result);
+  /// What ends a blocked consume early, probed at virtual time `now`: a
+  /// source that crashed (fault plan) before closing its channel. (Poison
+  /// is detected in TryConsumeSegment.)
+  Status Failure(SimTime now) const;
 
   TargetColumn* const column_;
   SinkStealGroup* const group_;  // null: no siblings
-  const Schema* const schema_;
   const net::SimConfig* const config_;
   VirtualClock* const clock_;
   const FlowOptions* const options_;
-  const std::string label_;
+  /// Names this sink's wait in failure messages ("shuffle consume").
+  const std::string what_;
   const std::vector<net::NodeId> source_nodes_;
-  const AbortLatch* const flow_abort_;  // may be null
   /// The group's other columns, in scan order: rotated to start behind the
   /// own column's position in the group.
   std::vector<TargetColumn*> siblings_;
   TargetColumn* held_col_ = nullptr;  // column of the held cursor
-  uint32_t held_cursor_ = 0;          // cursor whose segment `current_` views
+  uint32_t held_cursor_ = 0;          // cursor of the held segment
   uint64_t stolen_segments_ = 0;
   /// Steal group only: EWMA of this sink's app-side processing cost per
   /// segment (the clock advance between returning a segment and the next
@@ -137,8 +174,7 @@ class FlowSink {
   SimTime cost_sample_start_ = 0;
   SimTime last_published_now_ = 0;
   uint64_t stale_pops_ = 0;  // ready-gate entries that raced an earlier pop
-  SegmentView current_;
-  uint32_t tuple_offset_ = 0;  // iteration state within current_
+  TupleIterator tuples_;
   Status last_status_;
 };
 

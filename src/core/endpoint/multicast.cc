@@ -18,18 +18,6 @@ constexpr SimTime kGapTimeoutNs = 50 * kMicrosecond;
 
 uint32_t RoundUp8(uint32_t v) { return (v + 7u) & ~7u; }
 
-/// One blocked poll round on a recv CQ: a non-blocking poll, else a park
-/// with the deadline's virtual backoff. Returns true when a completion was
-/// polled; false means the caller should run its failure / gap-recovery
-/// checks.
-bool PollRound(rdma::CompletionQueue* cq, VirtualClock* clock,
-               DeadlineWait* wait, rdma::Completion* c) {
-  const uint64_t seen = cq->version();
-  if (cq->TryPoll(c, clock)) return true;
-  wait->Block(*cq, seen);
-  return false;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -131,6 +119,11 @@ void MulticastState::ReportConsumed(uint32_t target, SimTime now) {
   credit_sync_.Notify();
 }
 
+void MulticastState::WakeWaiters() {
+  credit_sync_.Notify();
+  for (rdma::UdQueuePair* qp : target_qps_) qp->recv_cq()->Wake();
+}
+
 Status MulticastState::WaitForCredit(
     uint64_t position, std::vector<rdma::RcQueuePair*>& credit_qps,
     VirtualClock* clock) {
@@ -163,35 +156,27 @@ Status MulticastState::WaitForCredit(
 
   // Blocked: wait until every target caught up. A dead or aborted target
   // never reports consumption, so the wait is deadline-bounded and checks
-  // teardown / fault-plan state every slice instead of hanging forever.
-  DeadlineWait wait(options_, clock);
-  const net::FaultPlan& plan = fault_plan();
-  for (;;) {
-    const uint64_t seen = credit_sync_.version();
-    if (position < min_consumed() + slots) break;
+  // teardown / fault-plan state every round instead of hanging forever.
+  auto credited = [&] { return position < min_consumed() + slots; };
+  auto failed = [&](SimTime now) -> Status {
     if (flow_abort_ != nullptr && flow_abort_->tripped()) {
-      wait.Commit();
       return flow_abort_->status();
     }
-    if (plan.active()) {
-      const SimTime now = wait.ProvisionalNow();
-      for (uint32_t t = 0; t < num_targets(); ++t) {
-        if (!plan.NodeAlive(target_nodes_[t], now)) {
-          wait.Commit();
-          return Status::PeerFailed(
-              "replicate target " + std::to_string(t) + " on node " +
-              std::to_string(target_nodes_[t]) +
-              " failed; credit window cannot advance");
-        }
+    const net::FaultPlan& plan = fault_plan();
+    if (!plan.active()) return Status::OK();
+    for (uint32_t t = 0; t < num_targets(); ++t) {
+      if (!plan.NodeAlive(target_nodes_[t], now)) {
+        return Status::PeerFailed("replicate target " + std::to_string(t) +
+                                  " on node " +
+                                  std::to_string(target_nodes_[t]) +
+                                  " failed; credit window cannot advance");
       }
     }
-    if (!wait.Tick()) {
-      wait.Commit();
-      return Status::DeadlineExceeded(
-          "credit wait deadline at position " + std::to_string(position));
-    }
-    wait.Block(credit_sync_, seen);
-  }
+    return Status::OK();
+  };
+  DFI_RETURN_IF_ERROR(DeadlineWait(options_, clock)
+                          .Until(credit_sync_, credited, failed,
+                                 "multicast credit"));
 
   // Success: charge virtual time from the limiting target's consume
   // timestamp plus one discovering read (fault-free timing unchanged).
@@ -240,13 +225,12 @@ MulticastSendEndpoint::MulticastSendEndpoint(MulticastState* mcast,
                                              uint32_t source_index,
                                              rdma::RdmaContext* ctx,
                                              const net::SimConfig* config,
-                                             AbortLatch* flow_abort,
+                                             const AbortLatch* flow_abort,
                                              VirtualClock* clock)
     : FanoutEndpoint(ctx, mcast->options(), mcast->payload_capacity(),
                      config, flow_abort, clock),
       mcast_(mcast),
-      source_index_(source_index),
-      flow_abort_(flow_abort) {
+      source_index_(source_index) {
   rdma::CompletionQueue* cq = ctx->CreateCq();
   ud_qp_ = ctx->CreateUdQp(cq, ctx->CreateCq());
   if (mcast_->ordered()) {
@@ -286,12 +270,6 @@ Status MulticastSendEndpoint::Transmit(uint32_t fill, bool end) {
   return Status::OK();
 }
 
-void MulticastSendEndpoint::Abort(const Status& cause) {
-  MarkClosed();
-  // Switch replication has no per-pair channel: tear the flow down.
-  if (flow_abort_->Trip(cause)) mcast_->WakeCreditWaiters();
-}
-
 // ---------------------------------------------------------------------------
 // MulticastSink
 // ---------------------------------------------------------------------------
@@ -304,12 +282,12 @@ MulticastSink::MulticastSink(MulticastState* mcast, uint32_t target_index,
                              const AbortLatch* flow_abort)
     : mcast_(mcast),
       target_index_(target_index),
-      schema_(schema),
       config_(config),
       clock_(clock),
-      label_(std::move(label)),
+      what_(std::move(label) + " consume"),
       source_nodes_(std::move(source_nodes)),
-      flow_abort_(flow_abort) {}
+      flow_abort_(flow_abort),
+      tuples_(schema, config, clock) {}
 
 const SegmentFooter* MulticastSink::SlotFooter(uint32_t slot) const {
   return reinterpret_cast<const SegmentFooter*>(
@@ -331,144 +309,143 @@ void MulticastSink::ReleaseHeld() {
   }
 }
 
-bool MulticastSink::CheckFailure(DeadlineWait* wait,
-                                 ConsumeResult* out_result) {
+Status MulticastSink::Failure(SimTime now) const {
   // Flow-level teardown first.
-  if (flow_abort_ != nullptr && flow_abort_->tripped()) {
-    last_status_ = flow_abort_->status();
-    wait->Commit();
-    *out_result = ConsumeResult::kError;
-    return true;
-  }
+  if (flow_abort_->tripped()) return flow_abort_->status();
   // A crashed source never sequences its end-of-flow marker, so the flow
   // can never finish; surface it as kPeerFailed. (Multicast end markers are
   // counted, not per-source, so any dead source fails the flow — membership
   // semantics.)
   const net::FaultPlan& plan = mcast_->fault_plan();
-  if (plan.active()) {
-    const SimTime now = wait->ProvisionalNow();
-    for (uint32_t s = 0; s < source_nodes_.size(); ++s) {
-      const net::NodeId src = source_nodes_[s];
-      if (!plan.NodeAlive(src, now)) {
-        last_status_ = Status::PeerFailed(
-            label_ + " source " + std::to_string(s) + " on node " +
-            std::to_string(src) + " failed before closing the flow");
-        wait->Commit();
-        *out_result = ConsumeResult::kError;
-        return true;
-      }
+  if (!plan.active()) return Status::OK();
+  for (uint32_t s = 0; s < source_nodes_.size(); ++s) {
+    const net::NodeId src = source_nodes_[s];
+    if (!plan.NodeAlive(src, now)) {
+      return Status::PeerFailed(what_ + ": source " + std::to_string(s) +
+                                " on node " + std::to_string(src) +
+                                " failed before closing the flow");
     }
   }
-  if (!wait->Tick()) {
-    last_status_ =
-        Status::DeadlineExceeded(label_ + " consume deadline elapsed");
-    wait->Commit();
-    *out_result = ConsumeResult::kError;
-    return true;
-  }
-  return false;
+  return Status::OK();
 }
 
 ConsumeResult MulticastSink::ConsumeSegment(SegmentView* out) {
-  return mcast_->ordered() ? ConsumeOrdered(out) : ConsumeUnordered(out);
-}
-
-ConsumeResult MulticastSink::ConsumeUnordered(SegmentView* out) {
   ReleaseHeld();
-  rdma::CompletionQueue* cq = mcast_->target_qp(target_index_)->recv_cq();
-  auto& ends = mcast_->ends_seen(target_index_);
-  DeadlineWait wait(mcast_->options(), clock_);
-  for (;;) {
-    if (ends == mcast_->num_sources()) {
-      return ConsumeResult::kFlowEnd;
-    }
-    rdma::Completion c;
-    if (!PollRound(cq, clock_, &wait, &c)) {
-      ConsumeResult failure;
-      if (CheckFailure(&wait, &failure)) return failure;
-      continue;
-    }
-    const uint32_t slot = static_cast<uint32_t>(c.wr_id);
-    const SegmentFooter* footer = SlotFooter(slot);
-    if (footer->end_of_flow()) {
-      ++ends;
-      if (footer->fill_bytes == 0) {
-        // Pure end marker: recycle.
-        mcast_->target_qp(target_index_)
-            ->PostRecv(mcast_->recv_slot(target_index_, slot),
-                       mcast_->slot_bytes(), slot);
-        mcast_->ReportConsumed(target_index_, clock_->now());
-        continue;
-      }
-      // End marker carrying the source's final partial segment: deliver.
-    }
-    clock_->Advance(config_->consume_segment_fixed_ns);
-    held_slot_ = static_cast<int>(slot);
-    *out = SegmentView{mcast_->recv_slot(target_index_, slot),
-                       footer->fill_bytes,
-                       footer->sequence,
-                       footer->source_index,
-                       footer->end_of_flow(),
-                       c.time};
-    return ConsumeResult::kOk;
+  ConsumeResult result = ConsumeResult::kOk;
+  Status status = mcast_->ordered() ? ConsumeOrdered(out, &result)
+                                    : ConsumeUnordered(out, &result);
+  if (!status.ok()) {
+    last_status_ = std::move(status);
+    return ConsumeResult::kError;
   }
+  return result;
 }
 
-ConsumeResult MulticastSink::ConsumeOrdered(SegmentView* out) {
-  ReleaseHeld();
+Status MulticastSink::ConsumeUnordered(SegmentView* out,
+                                       ConsumeResult* result) {
   rdma::CompletionQueue* cq = mcast_->target_qp(target_index_)->recv_cq();
-  auto& ends = mcast_->ends_seen(target_index_);
-  DeadlineWait wait(mcast_->options(), clock_);
-  for (;;) {
-    if (ends == mcast_->num_sources()) {
-      return ConsumeResult::kFlowEnd;
-    }
-    // Serve in order from the next list (paper Figure 6).
-    Sequencer::Entry entry;
-    if (seq_.PopReady(&entry)) {
-      const uint8_t* base;
-      if (entry.slot != UINT32_MAX) {
-        base = mcast_->recv_slot(target_index_, entry.slot);
-      } else {
-        held_copy_ = std::move(entry.copy);
-        base = held_copy_.data();
+  uint32_t& ends = mcast_->ends_seen(target_index_);
+  auto received = [&] {
+    rdma::Completion c;
+    for (;;) {
+      if (ends == mcast_->num_sources()) {
+        *result = ConsumeResult::kFlowEnd;
+        return true;
       }
-      const auto* footer = reinterpret_cast<const SegmentFooter*>(
-          base + mcast_->payload_capacity());
+      if (!cq->TryPoll(&c, clock_)) return false;
+      const uint32_t slot = static_cast<uint32_t>(c.wr_id);
+      const SegmentFooter* footer = SlotFooter(slot);
       if (footer->end_of_flow()) {
-        // End markers are sequenced like data.
         ++ends;
         if (footer->fill_bytes == 0) {
-          // Pure marker: recycle.
-          if (entry.slot != UINT32_MAX) {
-            held_slot_ = static_cast<int>(entry.slot);
-          }
-          ReleaseHeld();
+          // Pure end marker: recycle.
+          mcast_->target_qp(target_index_)
+              ->PostRecv(mcast_->recv_slot(target_index_, slot),
+                         mcast_->slot_bytes(), slot);
+          mcast_->ReportConsumed(target_index_, clock_->now());
           continue;
         }
-        // Marker carrying the final partial segment: fall through and
-        // deliver the payload.
+        // End marker carrying the source's final partial segment: deliver.
       }
       clock_->Advance(config_->consume_segment_fixed_ns);
-      clock_->AdvanceTo(entry.arrival);
-      if (entry.slot != UINT32_MAX) {
-        held_slot_ = static_cast<int>(entry.slot);
-      }
-      *out = SegmentView{base,
+      held_slot_ = static_cast<int>(slot);
+      *out = SegmentView{mcast_->recv_slot(target_index_, slot),
                          footer->fill_bytes,
                          footer->sequence,
                          footer->source_index,
                          footer->end_of_flow(),
-                         entry.arrival};
-      return ConsumeResult::kOk;
+                         c.time};
+      return true;
     }
+  };
+  auto failed = [&](SimTime now) { return Failure(now); };
+  return DeadlineWait(mcast_->options(), clock_)
+      .Until(*cq, received, failed, what_);
+}
 
-    // Pull arrivals into the next list.
-    rdma::Completion c;
-    if (PollRound(cq, clock_, &wait, &c)) {
+Status MulticastSink::ConsumeOrdered(SegmentView* out,
+                                     ConsumeResult* result) {
+  rdma::CompletionQueue* cq = mcast_->target_qp(target_index_)->recv_cq();
+  uint32_t& ends = mcast_->ends_seen(target_index_);
+  bool parked = false;  // a round found nothing and parked
+  auto received = [&] {
+    if (parked && RecoverGap(out)) {
+      *result = ConsumeResult::kGap;
+      return true;
+    }
+    for (;;) {
+      if (ends == mcast_->num_sources()) {
+        *result = ConsumeResult::kFlowEnd;
+        return true;
+      }
+      // Serve in order from the next list (paper Figure 6).
+      Sequencer::Entry entry;
+      if (seq_.PopReady(&entry)) {
+        const uint8_t* base;
+        if (entry.slot != UINT32_MAX) {
+          base = mcast_->recv_slot(target_index_, entry.slot);
+        } else {
+          held_copy_ = std::move(entry.copy);
+          base = held_copy_.data();
+        }
+        const auto* footer = reinterpret_cast<const SegmentFooter*>(
+            base + mcast_->payload_capacity());
+        if (footer->end_of_flow()) {
+          // End markers are sequenced like data.
+          ++ends;
+          if (footer->fill_bytes == 0) {
+            // Pure marker: recycle.
+            if (entry.slot != UINT32_MAX) {
+              held_slot_ = static_cast<int>(entry.slot);
+            }
+            ReleaseHeld();
+            continue;
+          }
+          // Marker carrying the final partial segment: fall through and
+          // deliver the payload.
+        }
+        clock_->Advance(config_->consume_segment_fixed_ns);
+        clock_->AdvanceTo(entry.arrival);
+        if (entry.slot != UINT32_MAX) {
+          held_slot_ = static_cast<int>(entry.slot);
+        }
+        *out = SegmentView{base,
+                           footer->fill_bytes,
+                           footer->sequence,
+                           footer->source_index,
+                           footer->end_of_flow(),
+                           entry.arrival};
+        return true;
+      }
+
+      // Pull arrivals into the next list.
+      rdma::Completion c;
+      if (!cq->TryPoll(&c, clock_)) {
+        parked = true;  // nothing arrived: this round parks
+        return false;
+      }
       const uint32_t slot = static_cast<uint32_t>(c.wr_id);
-      const SegmentFooter* footer = SlotFooter(slot);
-      const uint64_t seq = footer->sequence;
+      const uint64_t seq = SlotFooter(slot)->sequence;
       if (!seq_.Fresh(seq)) {
         // Duplicate (e.g. a retransmission raced the original): recycle the
         // slot without reporting consumption — the sequence was already
@@ -479,74 +456,54 @@ ConsumeResult MulticastSink::ConsumeOrdered(SegmentView* out) {
         continue;
       }
       seq_.Offer(seq, Sequencer::Entry{slot, {}, c.time});
-      continue;
     }
-
-    // Poll timed out: first surface teardown / dead peers / the deadline,
-    // then consider gap recovery (paper section 5.4). With loss injection
-    // disabled nothing can be lost — the head sequence is merely still in
-    // flight (e.g. its sender was descheduled), so keep polling instead of
-    // issuing spurious recoveries.
-    ConsumeResult failure;
-    if (CheckFailure(&wait, &failure)) return failure;
-    if (config_->multicast_loss_probability <= 0 &&
-        !mcast_->fault_plan().HasLossBursts()) {
-      continue;
-    }
-    if (mcast_->options().app_handles_gaps) {
-      // Evidence of loss is either a later segment already queued, or the
-      // missing sequence recorded in a sender's history (covers tail loss,
-      // where nothing later will ever arrive).
-      std::vector<uint8_t> probe;
-      if (!seq_.HasPending() &&
-          !mcast_->LookupHistory(seq_.expected(), &probe)) {
-        continue;  // nothing proves a gap yet
-      }
-      clock_->Advance(kGapTimeoutNs);
-      out->payload = nullptr;
-      out->bytes = 0;
-      out->sequence = seq_.expected();  // the missing sequence number
-      out->end_of_flow = false;
-      out->arrival = clock_->now();
-      return ConsumeResult::kGap;
-    }
-    // Transparent recovery: request a retransmission. In-process this pulls
-    // straight from the source's retransmit history, charging the unicast
-    // round-trip it would cost on the wire.
-    std::vector<uint8_t> copy;
-    if (mcast_->LookupHistory(seq_.expected(), &copy)) {
-      const net::SimConfig& cfg = *config_;
-      clock_->Advance(kGapTimeoutNs);
-      clock_->Advance(cfg.propagation_ns * 2 + cfg.ud_send_overhead_ns +
-                      static_cast<SimTime>(mcast_->slot_bytes() /
-                                           cfg.LinkBytesPerNs()));
-      seq_.Offer(seq_.expected(),
-                 Sequencer::Entry{UINT32_MAX, std::move(copy),
-                                  clock_->now()});
-    }
-    // Otherwise the segment is still in flight (or not yet sent); keep
-    // waiting.
-  }
+  };
+  auto failed = [&](SimTime now) { return Failure(now); };
+  return DeadlineWait(mcast_->options(), clock_)
+      .Until(*cq, received, failed, what_);
 }
 
-ConsumeResult MulticastSink::Consume(TupleView* out) {
-  const uint32_t tuple_size =
-      static_cast<uint32_t>(schema_->tuple_size());
-  for (;;) {
-    if (current_.payload != nullptr &&
-        tuple_offset_ + tuple_size <= current_.bytes) {
-      *out = TupleView(current_.payload + tuple_offset_, schema_);
-      tuple_offset_ += tuple_size;
-      clock_->Advance(config_->tuple_consume_fixed_ns);
-      return ConsumeResult::kOk;
-    }
-    current_ = SegmentView{};
-    tuple_offset_ = 0;
-    SegmentView view;
-    const ConsumeResult r = ConsumeSegment(&view);
-    if (r != ConsumeResult::kOk) return r;
-    current_ = view;
+bool MulticastSink::RecoverGap(SegmentView* out) {
+  // Gap recovery (paper section 5.4). With loss injection disabled nothing
+  // can be lost — the head sequence is merely still in flight (e.g. its
+  // sender was descheduled), so keep polling instead of issuing spurious
+  // recoveries.
+  if (config_->multicast_loss_probability <= 0 &&
+      !mcast_->fault_plan().HasLossBursts()) {
+    return false;
   }
+  if (mcast_->options().app_handles_gaps) {
+    // Evidence of loss is either a later segment already queued, or the
+    // missing sequence recorded in a sender's history (covers tail loss,
+    // where nothing later will ever arrive).
+    std::vector<uint8_t> probe;
+    if (!seq_.HasPending() &&
+        !mcast_->LookupHistory(seq_.expected(), &probe)) {
+      return false;  // nothing proves a gap yet
+    }
+    clock_->Advance(kGapTimeoutNs);
+    out->payload = nullptr;
+    out->bytes = 0;
+    out->sequence = seq_.expected();  // the missing sequence number
+    out->end_of_flow = false;
+    out->arrival = clock_->now();
+    return true;
+  }
+  // Transparent recovery: request a retransmission. In-process this pulls
+  // straight from the source's retransmit history, charging the unicast
+  // round-trip it would cost on the wire. Otherwise the segment is still
+  // in flight (or not yet sent); keep waiting.
+  std::vector<uint8_t> copy;
+  if (mcast_->LookupHistory(seq_.expected(), &copy)) {
+    const net::SimConfig& cfg = *config_;
+    clock_->Advance(kGapTimeoutNs);
+    clock_->Advance(cfg.propagation_ns * 2 + cfg.ud_send_overhead_ns +
+                    static_cast<SimTime>(mcast_->slot_bytes() /
+                                         cfg.LinkBytesPerNs()));
+    seq_.Offer(seq_.expected(),
+               Sequencer::Entry{UINT32_MAX, std::move(copy), clock_->now()});
+  }
+  return false;
 }
 
 void MulticastSink::SkipGap() {

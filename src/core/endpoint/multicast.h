@@ -9,8 +9,9 @@
 
 #include "common/sim_time.h"
 #include "common/status.h"
-#include "core/endpoint/abort_latch.h"
+#include "core/abort_latch.h"
 #include "core/endpoint/flow_endpoint.h"
+#include "core/endpoint/flow_sink.h"
 #include "core/endpoint/policies.h"
 #include "core/ring_sync.h"
 #include "core/segment.h"
@@ -19,8 +20,6 @@
 #include "rdma/ud_queue_pair.h"
 
 namespace dfi {
-
-class DeadlineWait;
 
 /// Shared switch-replication machinery of a multicast flow: the multicast
 /// group, per-target UD receive pools, the credit window (paper section
@@ -88,8 +87,9 @@ class MulticastState {
   /// End-of-flow bookkeeping for multicast targets.
   uint32_t& ends_seen(uint32_t target) { return ends_seen_[target]; }
 
-  /// Wakes sources blocked on the credit window (flow teardown).
-  void WakeCreditWaiters() { credit_sync_.Notify(); }
+  /// Flow teardown: wakes sources blocked on the credit window and every
+  /// target's consumer parked on its receive queue.
+  void WakeWaiters();
 
  private:
   rdma::RdmaEnv* const env_;
@@ -123,13 +123,9 @@ class MulticastState {
 /// the switch replicates it to every target (paper section 4.2.2).
 class MulticastSendEndpoint : public FanoutEndpoint {
  public:
-  /// `flow_abort` is the flow's latch; Abort trips it (switch replication
-  /// has no per-pair channel, so teardown has flow granularity).
   MulticastSendEndpoint(MulticastState* mcast, uint32_t source_index,
                         rdma::RdmaContext* ctx, const net::SimConfig* config,
-                        AbortLatch* flow_abort, VirtualClock* clock);
-
-  void Abort(const Status& cause) override;
+                        const AbortLatch* flow_abort, VirtualClock* clock);
 
  protected:
   Status Transmit(uint32_t fill, bool end) override;
@@ -137,7 +133,6 @@ class MulticastSendEndpoint : public FanoutEndpoint {
  private:
   MulticastState* const mcast_;
   const uint32_t source_index_;
-  AbortLatch* const flow_abort_;
   rdma::UdQueuePair* ud_qp_ = nullptr;
   rdma::RcQueuePair* seq_qp_ = nullptr;  // sequencer fetch-and-add
   std::vector<rdma::RcQueuePair*> credit_qps_;
@@ -161,7 +156,10 @@ class MulticastSink {
   MulticastSink& operator=(const MulticastSink&) = delete;
 
   ConsumeResult ConsumeSegment(SegmentView* out);
-  ConsumeResult Consume(TupleView* out);
+  ConsumeResult Consume(TupleView* out) {
+    return tuples_.Next(
+        out, [this](SegmentView* view) { return ConsumeSegment(view); });
+  }
 
   /// Ordered + app_handles_gaps: skip the missing sequence the last kGap
   /// reported (the application decided it is a no-op). Reports the skipped
@@ -176,31 +174,34 @@ class MulticastSink {
   const Status& last_status() const { return last_status_; }
 
  private:
-  ConsumeResult ConsumeUnordered(SegmentView* out);
-  ConsumeResult ConsumeOrdered(SegmentView* out);
+  /// The two blocking consumes: each waits on the receive queue until it
+  /// has a segment (or kFlowEnd / kGap) for `*result`.
+  Status ConsumeUnordered(SegmentView* out, ConsumeResult* result);
+  Status ConsumeOrdered(SegmentView* out, ConsumeResult* result);
+  /// Ordered mode, on a wait round after a park: when loss is possible,
+  /// reports the missing head sequence as a gap (app_handles_gaps; returns
+  /// true and fills `out`) or pulls it from a retransmit history.
+  bool RecoverGap(SegmentView* out);
   void ReleaseHeld();
-  /// One failure-poll round while blocked: surfaces flow teardown, crashed
-  /// sources (fault plan) or the flow deadline as kError; ticks `wait`.
-  bool CheckFailure(DeadlineWait* wait, ConsumeResult* out_result);
+  /// What ends a blocked consume early, probed at virtual time `now`: the
+  /// flow's teardown, or a source that crashed (fault plan).
+  Status Failure(SimTime now) const;
   /// Parses the footer at the end of a received datagram slot.
   const SegmentFooter* SlotFooter(uint32_t slot) const;
 
   MulticastState* const mcast_;
   const uint32_t target_index_;
-  const Schema* const schema_;
   const net::SimConfig* const config_;
   VirtualClock* const clock_;
-  const std::string label_;
+  /// Names this sink's wait in failure messages ("replicate consume").
+  const std::string what_;
   const std::vector<net::NodeId> source_nodes_;
   const AbortLatch* const flow_abort_;
 
   int held_slot_ = -1;
   std::vector<uint8_t> held_copy_;  // retransmitted segment storage
   Sequencer seq_;                   // ordered mode
-
-  // Tuple iteration state.
-  SegmentView current_;
-  uint32_t tuple_offset_ = 0;
+  TupleIterator tuples_;
   Status last_status_;
 };
 

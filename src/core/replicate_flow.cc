@@ -40,8 +40,8 @@ ReplicateFlowState::ReplicateFlowState(ReplicateFlowSpec spec,
 
 void ReplicateFlowState::Abort(const Status& cause) {
   if (!latch_.Trip(cause)) return;  // first cause wins
-  matrix_.PoisonAll(cause);  // naive transport, if any
-  if (mcast_) mcast_->WakeCreditWaiters();
+  matrix_.PoisonAll(latch_.status());  // naive transport, if any
+  if (mcast_) mcast_->WakeWaiters();
 }
 
 // ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ ReplicateTarget::ReplicateTarget(std::shared_ptr<ReplicateFlowState> state,
   } else {
     sink_.emplace(state_->matrix(), target_index_, /*group=*/nullptr,
                   &spec.schema, config, &clock_, "replicate",
-                  state_->source_nodes(), state_->abort_latch());
+                  state_->source_nodes());
   }
 }
 

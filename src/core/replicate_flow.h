@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/endpoint/abort_latch.h"
+#include "core/abort_latch.h"
 #include "core/endpoint/channel_matrix.h"
 #include "core/endpoint/flow_endpoint.h"
 #include "core/endpoint/flow_sink.h"
@@ -40,7 +40,7 @@ struct ReplicateFlowSpec {
 /// MulticastState (switch group, per-target UD receive machinery, credit
 /// window and — when globally ordered — the tuple sequencer and retransmit
 /// histories). Teardown has flow granularity either way: an AbortLatch
-/// shared by all participants.
+/// shared by all participants, tripped only by Abort.
 class ReplicateFlowState : public FlowStateBase {
  public:
   ReplicateFlowState(ReplicateFlowSpec spec, rdma::RdmaEnv* env);
@@ -73,10 +73,12 @@ class ReplicateFlowState : public FlowStateBase {
     return source_nodes_;
   }
 
-  /// Tears the whole flow down. Replication is all-to-all (every target
-  /// consumes every tuple), so teardown has flow granularity: naive-mode
-  /// channels are poisoned and multicast participants observe the tripped
-  /// latch on their next poll slice. First cause wins.
+  /// Tears the whole flow down, from whichever endpoint aborts. Replication
+  /// is all-to-all (every target consumes every tuple), so teardown has
+  /// flow granularity: it trips the latch (checked by every source push and
+  /// by the multicast waits), poisons every naive-mode channel and wakes
+  /// every blocked participant — multicast sources on the credit window and
+  /// consumers on their receive queues. First cause wins.
   void Abort(const Status& cause) override;
   bool aborted() const { return latch_.tripped(); }
 
@@ -112,9 +114,14 @@ class ReplicateSource {
   Status Close() { return endpoint_->Close(); }
 
   /// Aborts without a clean end-of-flow. Replication is all-to-all, so the
-  /// whole flow is torn down: every participant's next operation fails
-  /// with `cause`.
-  void Abort(const Status& cause) { endpoint_->Abort(cause); }
+  /// whole flow is torn down (ReplicateFlowState::Abort): every blocked
+  /// participant wakes, and every other participant's next operation fails
+  /// with `cause`, sibling sources included. This source's own later
+  /// pushes fail as pushes on a closed source.
+  void Abort(const Status& cause) {
+    endpoint_->MarkClosed();
+    state_->Abort(cause);
+  }
 
   const Schema& schema() const { return state_->spec().schema; }
   VirtualClock& clock() { return clock_; }

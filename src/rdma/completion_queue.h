@@ -35,9 +35,16 @@ class CompletionQueue {
   size_t size() const;
 
   /// Versioned-wakeup interface (as RingSync): blocked pollers capture the
-  /// version, TryPoll, and park via DeadlineWait::Block when empty.
+  /// version, TryPoll, and park via DeadlineWait::Until when empty.
   uint64_t version() const { return version_; }
   exec::WaitPoint& wait_point() { return wait_point_; }
+
+  /// Wakes the parked pollers without a completion, so they re-check at
+  /// once why they wait (a replicate flow's teardown).
+  void Wake() {
+    ++version_;
+    wait_point_.WakeAll();
+  }
 
  private:
   const SimTime poll_cost_ns_;

@@ -186,6 +186,145 @@ TEST_F(ChaosFlowTest, ReplicateNaiveSourceAbortFailsAllTargets) {
   engine.Run();
 }
 
+// Replication is all-to-all, so one naive source's abort fails the whole
+// flow: its sibling source's next push returns the abort's cause at once,
+// with or without a deadline, instead of filling its rings and waiting out
+// the deadline (or forever without one).
+TEST_F(ChaosFlowTest, ReplicateNaiveSourceAbortFailsSiblingSource) {
+  for (SimTime deadline : {5 * kMillisecond, SimTime{0}}) {
+    SCOPED_TRACE("deadline " + std::to_string(deadline));
+    const std::string name = "f" + std::to_string(deadline);
+    ReplicateFlowSpec spec;
+    spec.name = name;
+    spec.sources.Append(Endpoint{addrs_[2], 0});
+    spec.sources.Append(Endpoint{addrs_[3], 0});
+    spec.targets.Append(Endpoint{addrs_[0], 0});
+    spec.targets.Append(Endpoint{addrs_[1], 0});
+    spec.schema = U64Schema();
+    spec.options = Bounded(deadline);
+    ASSERT_TRUE(dfi_.InitReplicateFlow(std::move(spec)).ok());
+
+    Status sibling;
+    SimTime sibling_clock = 0;
+    exec::Engine engine;
+    engine.Spawn(2, "aborting source", [&] {
+      auto src = dfi_.CreateReplicateSource(name, 0);
+      for (uint64_t k = 0; k < 8; ++k) ASSERT_TRUE((*src)->Push(&k).ok());
+      (*src)->Abort(Status::PeerFailed("replicate source 0 died"));
+    });
+    engine.Spawn(3, "sibling source", [&] {
+      auto src = dfi_.CreateReplicateSource(name, 1);
+      for (uint64_t k = 0; sibling.ok() && k < 1'000'000; ++k) {
+        sibling = (*src)->Push(&k);
+      }
+      if (sibling.ok()) sibling = (*src)->Close();
+      sibling_clock = (*src)->clock().now();
+    });
+    engine.Run();
+    EXPECT_EQ(sibling.code(), StatusCode::kPeerFailed) << sibling;
+    EXPECT_LT(sibling_clock, 5 * kMillisecond);
+  }
+}
+
+// Every way out of every wait no other test reaches: the latency-credit
+// wait, the multicast credit wait and both multicast consumes, ended by the
+// deadline or by a crashed peer. Each case also schedules the other exit
+// later, so a wait that misses its exit fails here with the wrong code
+// instead of hanging.
+TEST_F(ChaosFlowTest, EveryWaitEndsByDeadlineOrCrash) {
+  enum class Wait { kLatencyCredit, kMulticastCredit, kUnordered, kOrdered };
+  struct Case {
+    const char* name;
+    Wait wait;
+    bool crash_first;  // else the deadline comes first
+    const char* what;  // the wait's name in a deadline message
+  };
+  const Case cases[] = {
+      {"latency credit, deadline", Wait::kLatencyCredit, false,
+       "latency credit"},
+      {"latency credit, crash", Wait::kLatencyCredit, true, nullptr},
+      {"multicast credit, deadline", Wait::kMulticastCredit, false,
+       "multicast credit"},
+      {"multicast credit, crash", Wait::kMulticastCredit, true, nullptr},
+      {"unordered consume, deadline", Wait::kUnordered, false,
+       "replicate consume"},
+      {"ordered consume, deadline", Wait::kOrdered, false,
+       "replicate consume"},
+  };
+  const SimTime deadline = 1 * kMillisecond;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    net::Fabric fabric;
+    DfiRuntime dfi(&fabric);
+    std::vector<std::string> addrs;
+    for (net::NodeId id : fabric.AddNodes(2)) {
+      addrs.push_back(fabric.node(id).address());
+    }
+    // The peer the wait depends on lives on node 1: the consumer a
+    // blocked source waits for, or the source a blocked consumer waits for.
+    const bool source_waits = c.wait == Wait::kLatencyCredit ||
+                              c.wait == Wait::kMulticastCredit;
+    fabric.fault_plan().CrashNode(
+        1, c.crash_first ? 100 * kMicrosecond : 4 * deadline);
+    FlowOptions options = Bounded(c.crash_first ? 5 * deadline : deadline);
+    options.optimization = c.wait == Wait::kLatencyCredit
+                               ? FlowOptimization::kLatency
+                               : FlowOptimization::kBandwidth;
+    options.use_multicast = c.wait != Wait::kLatencyCredit;
+    options.global_ordering = c.wait == Wait::kOrdered;
+    Status status;
+    SimTime clock = 0;
+    exec::Engine engine;
+    if (c.wait == Wait::kLatencyCredit) {
+      ShuffleFlowSpec spec;
+      spec.name = "f";
+      spec.sources.Append(Endpoint{addrs[0], 0});
+      spec.targets.Append(Endpoint{addrs[1], 0});
+      spec.schema = U64Schema();
+      spec.options = options;
+      ASSERT_TRUE(dfi.InitShuffleFlow(std::move(spec)).ok());
+    } else {
+      ReplicateFlowSpec spec;
+      spec.name = "f";
+      spec.sources.Append(Endpoint{addrs[source_waits ? 0 : 1], 0});
+      spec.targets.Append(Endpoint{addrs[source_waits ? 1 : 0], 0});
+      spec.schema = U64Schema();
+      spec.options = options;
+      ASSERT_TRUE(dfi.InitReplicateFlow(std::move(spec)).ok());
+    }
+    engine.Spawn(0, "waiter", [&] {
+      if (c.wait == Wait::kLatencyCredit) {
+        auto src = dfi.CreateShuffleSource("f", 0);
+        for (uint64_t k = 0; status.ok() && k < 1'000'000; ++k) {
+          status = (*src)->Push(&k);
+        }
+        clock = (*src)->clock().now();
+      } else if (source_waits) {
+        auto src = dfi.CreateReplicateSource("f", 0);
+        for (uint64_t k = 0; status.ok() && k < 1'000'000; ++k) {
+          status = (*src)->Push(&k);
+        }
+        clock = (*src)->clock().now();
+      } else {
+        auto tgt = dfi.CreateReplicateTarget("f", 0);
+        SegmentView seg;
+        EXPECT_EQ((*tgt)->ConsumeSegment(&seg), ConsumeResult::kError);
+        status = (*tgt)->last_status();
+        clock = (*tgt)->clock().now();
+      }
+    });
+    engine.Run();
+    if (c.crash_first) {
+      EXPECT_EQ(status.code(), StatusCode::kPeerFailed) << status;
+      EXPECT_LT(clock, 5 * deadline);
+    } else {
+      EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status;
+      EXPECT_GE(clock, deadline);
+      EXPECT_NE(status.message().find(c.what), std::string::npos) << status;
+    }
+  }
+}
+
 TEST_F(ChaosFlowTest, ReplicateMulticastAbortFailsAllTargets) {
   ReplicateFlowSpec spec;
   spec.name = "f";

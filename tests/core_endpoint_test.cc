@@ -44,10 +44,9 @@ class EndpointTest : public ::testing::Test {
                          {nodes_[1]});
   }
 
-  FlowSink MakeSink(ChannelMatrix* matrix, VirtualClock* clock,
-                    const AbortLatch* latch = nullptr) {
+  FlowSink MakeSink(ChannelMatrix* matrix, VirtualClock* clock) {
     return FlowSink(matrix, /*target_index=*/0, /*group=*/nullptr, &schema_,
-                    &env_.config(), clock, "endpoint", {nodes_[0]}, latch);
+                    &env_.config(), clock, "endpoint", {nodes_[0]});
   }
 
   net::Fabric fabric_;
@@ -246,15 +245,15 @@ TEST_F(EndpointTest, AbortPropagatesSinkToSource) {
   EXPECT_EQ(push_status.code(), StatusCode::kAborted) << push_status;
 }
 
-// A tripped flow-level AbortLatch (replicate-style flow-granular teardown)
-// unblocks a waiting sink with the latch's cause.
-TEST_F(EndpointTest, FlowAbortLatchUnblocksSink) {
-  FlowOptions options;  // no deadline: only the latch can end the wait
+// A flow abort (flow-granular teardown: the flow state poisons every
+// channel of its matrix, as ReplicateFlowState::Abort does) unblocks a
+// waiting sink with the abort's cause.
+TEST_F(EndpointTest, FlowAbortUnblocksSink) {
+  FlowOptions options;  // no deadline: only the abort can end the wait
   ChannelMatrix matrix = MakeMatrix(options);
-  AbortLatch latch;
 
   VirtualClock clock;
-  FlowSink sink = MakeSink(&matrix, &clock, &latch);
+  FlowSink sink = MakeSink(&matrix, &clock);
   exec::Engine engine;
   engine.Spawn(0, "consumer", [&] {
     SegmentView view;
@@ -262,8 +261,7 @@ TEST_F(EndpointTest, FlowAbortLatchUnblocksSink) {
   });
   // Runs once the consumer has parked on its empty ring.
   engine.Spawn(1, "aborter", [&] {
-    latch.Trip(Status::PeerFailed("sibling target crashed"));
-    matrix.PoisonAll(latch.status());  // wake the gate, as flows do
+    matrix.PoisonAll(Status::PeerFailed("sibling target crashed"));
   });
   engine.Run();
   EXPECT_EQ(sink.last_status().code(), StatusCode::kPeerFailed)
